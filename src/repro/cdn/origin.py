@@ -85,19 +85,13 @@ class Origin:
 
         ``max_video_frames`` truncates the bundle after that many video
         frames (sessions only need the first few for FFCT/follow-up
-        measurements; a full 2 s GOP would be wasted simulation work).
+        measurements; a full 2 s GOP would be wasted simulation work),
+        and the source generates no frame past the cut.
         """
-        source = self.get_source(name)
-        gop = source.gop_at(join_time)
+        gop = self.get_source(name).gop_at(join_time, max_video_frames)
         frames: List[Tuple[MediaFrame, float]] = []
-        video_seen = 0
         saw_video = False
         for frame in gop.frames:
-            if frame.is_video:
-                saw_video = True
-                video_seen += 1
-            delay = self.i_frame_pull_delay if saw_video else 0.0
-            frames.append((frame, delay))
-            if max_video_frames is not None and video_seen >= max_video_frames:
-                break
+            saw_video = saw_video or frame.is_video
+            frames.append((frame, self.i_frame_pull_delay if saw_video else 0.0))
         return OriginFetch(name, tuple(frames))

@@ -4,9 +4,14 @@
 :class:`~repro.workload.population.Deployment` under each comparison
 scheme, keeping the paired structure the paper's A/B tests have: the
 same OD pairs, streams, conditions and loss randomness are replayed per
-scheme; only the initialisation policy differs.  Cookies persist along
-each chain through the client's store, so first sessions are cookie-less
-and long gaps go stale — exactly the populations §VI aggregates over.
+scheme; only the initialisation policy differs.  What no scheme can
+change — the plan, the origin and its live source — is one
+:class:`ChainWorld` per OD pair, built once and replayed against by
+every scheme; what a scheme does change — cookie store, cookie manager,
+policy — is one :class:`SchemeReplay` per (scheme, chain).  Cookies
+persist along each chain through the client's store, so first sessions
+are cookie-less and long gaps go stale — exactly the populations §VI
+aggregates over.
 
 Results are cached per configuration: Figs 11–15 all read the same
 deployment run.  The replay itself — including process-pool sharding and
@@ -141,47 +146,114 @@ def chain_policy(
     return make_policy(scheme, seed=seed)
 
 
+class ChainWorld:
+    """Everything about one OD pair's chain that no scheme can change.
+
+    The planned sessions and the origin hosting the chain's one live
+    stream.  The live source is a deterministic function of
+    ``(StreamProfile, gop_index)``, so replaying every scheme against
+    one world instead of one world per scheme is a pure memo: the
+    complexity walk to a join epoch happens once per OD pair.  A world
+    belongs to the chain block being replayed and dies with it; nothing
+    a session does may mutate it beyond filling the source's memo.
+    """
+
+    __slots__ = ("chain_index", "chain", "origin", "stream_name")
+
+    def __init__(self, chain_index: int, chain: Sequence[PlannedSession]) -> None:
+        self.chain_index = chain_index
+        self.chain = chain
+        self.stream_name = f"stream-{chain_index}"
+        self.origin = Origin()
+        self.origin.add_stream(self.stream_name, chain[0].stream_profile)
+
+
+def build_worlds(
+    chains: Sequence[Sequence[PlannedSession]], base_index: int
+) -> List[ChainWorld]:
+    """One world per chain of a block whose first chain is ``base_index``."""
+    return [ChainWorld(base_index + offset, chain) for offset, chain in enumerate(chains)]
+
+
+class SchemeReplay:
+    """One scheme's side of one chain: the state a scheme does change.
+
+    Cookie store, cookie manager and policy live for one (scheme, chain)
+    and are never shared; the world they replay against is.
+    """
+
+    __slots__ = ("scheme", "world", "config", "wira_config", "store", "manager", "policy")
+
+    def __init__(
+        self,
+        scheme: SchemeLike,
+        world: ChainWorld,
+        config: DeploymentConfig,
+        wira_config: WiraConfig,
+    ) -> None:
+        self.scheme = scheme
+        self.world = world
+        self.config = config
+        self.wira_config = wira_config
+        self.store = ClientCookieStore()
+        self.manager = chain_cookie_manager(world.chain_index, wira_config)
+        self.policy = chain_policy(scheme, world.chain_index, config)
+
+    def session(self, planned: PlannedSession) -> StreamingSession:
+        world = self.world
+        return StreamingSession.from_spec(
+            session_spec_for(
+                planned, self.scheme, world.chain_index, self.config, self.wira_config
+            ),
+            world.origin,
+            world.stream_name,
+            cookie_store=self.store,
+            cookie_manager=self.manager,
+            init_policy=self.policy,
+        )
+
+    def outcome(self, planned: PlannedSession, result: SessionResult) -> SessionOutcome:
+        """Record one finished session: the policy observes it first."""
+        self.policy.observe(result)
+        return SessionOutcome(planned, result)
+
+
 def iter_chain_outcomes(
     scheme: SchemeLike,
-    chain: List[PlannedSession],
+    chain: Sequence[PlannedSession],
     chain_index: int,
     config: DeploymentConfig,
     wira_config: WiraConfig,
+    *,
+    world: Optional[ChainWorld] = None,
 ) -> Iterator[SessionOutcome]:
     """Replay one chain, yielding each outcome as it completes.
 
     The generator form is what lets the fleet engine fold outcomes into
     aggregates without ever retaining them; :func:`_run_chain` is the
-    figure-scale wrapper that still materializes the list.
+    figure-scale wrapper that still materializes the list.  ``world`` is
+    the chain's shared world; a single-scheme caller omits it and gets a
+    private one.
     """
-    store = ClientCookieStore()
-    manager = chain_cookie_manager(chain_index, wira_config)
-    origin = Origin()
-    stream_name = f"stream-{chain_index}"
-    origin.add_stream(stream_name, chain[0].stream_profile)
-    policy = chain_policy(scheme, chain_index, config)
+    replay = SchemeReplay(
+        scheme, world or ChainWorld(chain_index, chain), config, wira_config
+    )
     for planned in chain:
-        session = StreamingSession.from_spec(
-            session_spec_for(planned, scheme, chain_index, config, wira_config),
-            origin,
-            stream_name,
-            cookie_store=store,
-            cookie_manager=manager,
-            init_policy=policy,
-        )
-        result = session.run()
-        policy.observe(result)
-        yield SessionOutcome(planned, result)
+        yield replay.outcome(planned, replay.session(planned).run())
 
 
 def _run_chain(
     scheme: SchemeLike,
-    chain: List[PlannedSession],
+    chain: Sequence[PlannedSession],
     chain_index: int,
     config: DeploymentConfig,
     wira_config: WiraConfig,
+    *,
+    world: Optional[ChainWorld] = None,
 ) -> List[SessionOutcome]:
-    return list(iter_chain_outcomes(scheme, chain, chain_index, config, wira_config))
+    return list(
+        iter_chain_outcomes(scheme, chain, chain_index, config, wira_config, world=world)
+    )
 
 
 #: Ceiling on chains per wave-batch.  Replay sessions are heavyweight
@@ -196,10 +268,12 @@ WAVE_CHAINS = 16
 
 def replay_chains_wave_batched(
     scheme: SchemeLike,
-    chains: Sequence[List[PlannedSession]],
+    chains: Sequence[Sequence[PlannedSession]],
     base_index: int,
     config: DeploymentConfig,
     wira_config: WiraConfig,
+    *,
+    worlds: Optional[Sequence[ChainWorld]] = None,
 ) -> List[List[SessionOutcome]]:
     """Wave-batched replay of many chains; per-chain outcome lists.
 
@@ -207,15 +281,20 @@ def replay_chains_wave_batched(
     session of every chain that has one into a single
     :class:`~repro.simnet.batch.BatchEventLoop` via
     :func:`~repro.cdn.batchrun.run_sessions`.  Sessions in a wave belong
-    to distinct chains, so each owns its cookie store, origin and rng
+    to distinct chains, so each owns its cookie store, world and rng
     stream; within a chain the cookie hand-off still happens strictly in
     session order, exactly as the solo loop does it.  The result is
     byte-identical to running :func:`iter_chain_outcomes` per chain.
+
+    ``worlds`` are the chains' shared worlds, one per chain in order; a
+    single-scheme caller omits them and gets private ones.
 
     Large chain blocks are sliced into groups of :data:`WAVE_CHAINS`
     (each group runs its own wave sequence to completion) to keep the
     per-wave working set cache-resident.
     """
+    if worlds is None:
+        worlds = build_worlds(chains, base_index)
     if len(chains) > WAVE_CHAINS:
         per_chain: List[List[SessionOutcome]] = []
         for lo in range(0, len(chains), WAVE_CHAINS):
@@ -226,49 +305,26 @@ def replay_chains_wave_batched(
                     base_index + lo,
                     config,
                     wira_config,
+                    worlds=worlds[lo : lo + WAVE_CHAINS],
                 )
             )
         return per_chain
 
     from repro.cdn.batchrun import run_sessions
 
-    environments = []
-    for offset, chain in enumerate(chains):
-        store = ClientCookieStore()
-        manager = chain_cookie_manager(base_index + offset, wira_config)
-        origin = Origin()
-        stream_name = f"stream-{base_index + offset}"
-        origin.add_stream(stream_name, chain[0].stream_profile)
-        policy = chain_policy(scheme, base_index + offset, config)
-        environments.append((store, manager, origin, stream_name, policy))
-
-    per_chain: List[List[SessionOutcome]] = [[] for _ in chains]
+    replays = [SchemeReplay(scheme, world, config, wira_config) for world in worlds]
+    per_chain = [[] for _ in chains]
     wave = 0
     while True:
         todo = [i for i, chain in enumerate(chains) if len(chain) > wave]
         if not todo:
             break
-        sessions = []
-        for i in todo:
-            store, manager, origin, stream_name, policy = environments[i]
-            sessions.append(
-                StreamingSession.from_spec(
-                    session_spec_for(
-                        chains[i][wave], scheme, base_index + i, config, wira_config
-                    ),
-                    origin,
-                    stream_name,
-                    cookie_store=store,
-                    cookie_manager=manager,
-                    init_policy=policy,
-                )
-            )
+        sessions = [replays[i].session(chains[i][wave]) for i in todo]
         # Wave k+1 sessions are only built after every wave-k result has
         # been observed, so a chain's policy sees exactly the same
         # (observe → initial_params) order as the solo replay.
         for i, result in zip(todo, run_sessions(sessions)):
-            per_chain[i].append(SessionOutcome(chains[i][wave], result))
-            environments[i][4].observe(result)
+            per_chain[i].append(replays[i].outcome(chains[i][wave], result))
         wave += 1
     return per_chain
 

@@ -19,10 +19,11 @@ Three layers sit between a caller and a raw replay:
    never turn a valid run into a crash.  Set ``WIRA_DISK_CACHE=0`` to
    disable.
 3. **Process-pool sharding** — the work units of a deployment are
-   independent: each chain owns its cookie store, origin and per-session
-   seeds.  With ``jobs > 1`` (or ``WIRA_JOBS=N``) the deployment is cut
-   into **chunk-of-chains** tasks — ``(config, scheme, lo, hi)`` index
-   ranges, regenerated inside each worker from the deployment seed via
+   independent: each chain owns its world (plan, origin, live source)
+   and per-session seeds, and each (scheme, chain) its cookie store.
+   With ``jobs > 1`` (or ``WIRA_JOBS=N``) the deployment is cut into
+   **chain-block** tasks — ``(config, schemes, lo, hi)`` index ranges,
+   regenerated inside each worker from the deployment seed via
    :meth:`~repro.workload.population.Deployment.generate_range` — fanned
    out across one *persistent* :class:`~concurrent.futures.ProcessPoolExecutor`
    (module-scoped, keyed by the job count, reused across every replay of
@@ -30,6 +31,12 @@ Three layers sit between a caller and a raw replay:
    order, so parallel results are bit-identical to the serial path.  Any
    pool failure (unpicklable state, broken workers, sandboxes without
    fork) falls back to the in-process serial replay.
+
+Serial and parallel replays share one unit, :func:`_replay_block`: a
+block of chains is replayed under **every** scheme against one
+:class:`~repro.experiments.common.ChainWorld` per chain, so the
+scheme-independent half of a chain is built once however many schemes
+replay it, and lives exactly as long as its block.
 
 Serial replays themselves run through the batched multi-session kernel
 (:mod:`repro.cdn.batchrun`) when ``WIRA_BATCH`` is on (the default):
@@ -73,37 +80,21 @@ _SOURCE_FINGERPRINT: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
-# Worker pool plumbing.  Workers receive (config, scheme, index-range)
+# Worker pool plumbing.  Workers receive (config, schemes, index-range)
 # tasks and regenerate their chains from the deployment seed — generation
 # is pure sampling, far cheaper than shipping pickled chains over the
-# pipe, and a per-worker cache reuses one range across the schemes that
-# replay it.
+# pipe, and a range is regenerated once for all the schemes replaying it.
 
-_WORKER_CHAIN_CACHE: dict = {}
-
-
-def _worker_chains(config: DeploymentConfig, lo: int, hi: int):
-    """Chains for OD range [lo, hi), cached per (config, range) in-worker."""
-    config_key = repr(sorted(vars(config).items()))
-    cache_key_ = (config_key, lo, hi)
-    chains = _WORKER_CHAIN_CACHE.get(cache_key_)
-    if chains is None:
-        if _WORKER_CHAIN_CACHE and next(iter(_WORKER_CHAIN_CACHE))[0] != config_key:
-            # New deployment config: ranges of the old one are dead weight.
-            _WORKER_CHAIN_CACHE.clear()
-        chains = Deployment(config).generate_range(lo, hi)
-        _WORKER_CHAIN_CACHE[cache_key_] = chains
-    return chains
+_BlockTask = Tuple[DeploymentConfig, WiraConfig, Tuple[str, ...], int, int]
 
 
-def _replay_chunk(task: Tuple[DeploymentConfig, WiraConfig, str, int, int]):
-    """Worker entry: replay chains [lo, hi) under one scheme."""
-    config, wira_config, scheme_value, lo, hi = task
-    chains = _worker_chains(config, lo, hi)
-    outcomes = _replay_chains_one_scheme(
-        as_spec(scheme_value), chains, lo, config, wira_config
-    )
-    return scheme_value, lo, outcomes
+def _replay_chunk(task: _BlockTask) -> Tuple[int, Dict[str, list]]:
+    """Worker entry: replay chains [lo, hi) under every scheme."""
+    config, wira_config, scheme_values, lo, hi = task
+    schemes = [as_spec(value) for value in scheme_values]
+    chains = Deployment(config).generate_range(lo, hi)
+    by_scheme = _replay_block(config, schemes, wira_config, chains, lo)
+    return lo, {scheme.value: by_scheme[scheme] for scheme in schemes}
 
 
 _POOL: Optional[ProcessPoolExecutor] = None
@@ -389,64 +380,61 @@ def _replay_serial(
     schemes: Sequence[Scheme],
     wira_config: WiraConfig,
 ) -> "DeploymentRecords":
+    from repro.experiments.common import WAVE_CHAINS
+
     chains = Deployment(config).generate()
     records: "DeploymentRecords" = {scheme: [] for scheme in schemes}
-    for scheme in schemes:
-        records[scheme].extend(
-            _replay_chains_one_scheme(scheme, chains, 0, config, wira_config)
+    # Block-major: worlds live for one wave group, and blocks are
+    # visited in index order, so each scheme's records stay chain-major.
+    for lo in range(0, len(chains), WAVE_CHAINS):
+        block = _replay_block(
+            config, schemes, wira_config, chains[lo : lo + WAVE_CHAINS], lo
         )
+        for scheme in schemes:
+            records[scheme].extend(block[scheme])
     return records
 
 
-def _replay_chains_one_scheme(
-    scheme: Scheme,
+def _replay_block(
+    config: DeploymentConfig,
+    schemes: Sequence[Scheme],
+    wira_config: WiraConfig,
     chains: list,
     base_index: int,
-    config: DeploymentConfig,
-    wira_config: WiraConfig,
-) -> list:
-    """Replay a block of chains under one scheme, in chain order.
+) -> Dict[Scheme, list]:
+    """Replay a block of chains under every scheme against shared worlds.
 
-    Dispatches to the batched kernel when enabled and no trace bus is
-    active; otherwise runs the legacy chain-by-chain reference path
+    The one unit behind both the serial path and the pool workers.  Per
+    scheme it dispatches to the batched kernel when enabled and no trace
+    bus is active; otherwise it runs the chain-by-chain reference path
     (which is also the path that scopes per-chain trace shards).  Both
-    produce byte-identical outcome sequences.
+    produce byte-identical outcome sequences, in chain order.
     """
-    if settings.current().batch and _obs.ACTIVE is None and len(chains) > 1:
-        return _replay_chains_batched(scheme, chains, base_index, config, wira_config)
-    from repro.experiments.common import _run_chain
+    from repro.experiments import common
 
-    outcomes: list = []
-    for offset, chain in enumerate(chains):
-        chain_index = base_index + offset
-        with _trace_shard(scheme.value, chain_index):
-            outcomes.extend(_run_chain(scheme, chain, chain_index, config, wira_config))
-    return outcomes
-
-
-def _replay_chains_batched(
-    scheme: Scheme,
-    chains: list,
-    base_index: int,
-    config: DeploymentConfig,
-    wira_config: WiraConfig,
-) -> list:
-    """Wave-batched replay: byte-identical to chain-by-chain solo runs.
-
-    The wave mechanics live in
-    :func:`repro.experiments.common.replay_chains_wave_batched` (shared
-    with the fleet engine); this wrapper flattens the per-chain lists
-    back into the chain-major order the serial path produces.
-    """
-    from repro.experiments.common import replay_chains_wave_batched
-
-    per_chain = replay_chains_wave_batched(
-        scheme, chains, base_index, config, wira_config
-    )
-    outcomes: list = []
-    for chain_outcomes in per_chain:
-        outcomes.extend(chain_outcomes)
-    return outcomes
+    worlds = common.build_worlds(chains, base_index)
+    batched = settings.current().batch and _obs.ACTIVE is None and len(chains) > 1
+    by_scheme: Dict[Scheme, list] = {}
+    for scheme in schemes:
+        outcomes: list = []
+        if batched:
+            # Resolved through the module on every call: the benchmark
+            # harness wraps this attribute at run time.
+            for chain_outcomes in common.replay_chains_wave_batched(
+                scheme, chains, base_index, config, wira_config, worlds=worlds
+            ):
+                outcomes.extend(chain_outcomes)
+        else:
+            for world in worlds:
+                index = world.chain_index
+                with _trace_shard(scheme.value, index):
+                    outcomes.extend(
+                        common._run_chain(
+                            scheme, world.chain, index, config, wira_config, world=world
+                        )
+                    )
+        by_scheme[scheme] = outcomes
+    return by_scheme
 
 
 #: Ceiling on chains per parallel chunk: small enough to load-balance a
@@ -468,12 +456,9 @@ def _replay_parallel(
     jobs: int,
 ) -> "DeploymentRecords":
     bounds = _chunk_bounds(config.n_od_pairs, jobs)
-    tasks = [
-        (config, wira_config, scheme.value, lo, hi)
-        for scheme in schemes
-        for lo, hi in bounds
-    ]
-    by_chunk: Dict[Tuple[str, int], list] = {}
+    scheme_values = tuple(scheme.value for scheme in schemes)
+    tasks = [(config, wira_config, scheme_values, lo, hi) for lo, hi in bounds]
+    by_block: Dict[int, Dict[str, list]] = {}
     if _tracing_to_disk():
         # Trace runs need workers forked *after* the bus was installed;
         # the persistent pool predates it, so use a dedicated pool.
@@ -481,13 +466,10 @@ def _replay_parallel(
         if "fork" in multiprocessing.get_all_start_methods():
             mp_context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context) as pool:
-            for scheme_value, lo, outcomes in pool.map(_replay_chunk, tasks):
-                by_chunk[(scheme_value, lo)] = outcomes
+            by_block.update(pool.map(_replay_chunk, tasks))
     else:
         try:
-            pool = _get_pool(jobs)
-            for scheme_value, lo, outcomes in pool.map(_replay_chunk, tasks):
-                by_chunk[(scheme_value, lo)] = outcomes
+            by_block.update(_get_pool(jobs).map(_replay_chunk, tasks))
         except Exception:
             # A broken pool poisons every later replay: recycle it before
             # the caller falls back to serial.
@@ -500,7 +482,7 @@ def _replay_parallel(
     records: "DeploymentRecords" = {scheme: [] for scheme in schemes}
     for scheme in schemes:
         for lo, _hi in bounds:
-            records[scheme].extend(by_chunk[(scheme.value, lo)])
+            records[scheme].extend(by_block[lo][scheme.value])
     return records
 
 

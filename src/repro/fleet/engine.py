@@ -164,6 +164,11 @@ def run_chunk(config: FleetConfig, chunk_index: int) -> Dict[str, object]:
     Pure function of ``(config, chunk_index)`` — the determinism
     anchor everything else (sharding, checkpointing, resume) rests on.
 
+    Every chain of the chunk gets one
+    :class:`~repro.experiments.common.ChainWorld` — plan, origin, live
+    source — that all schemes replay against, so the scheme-independent
+    half of a chain is built once per chunk, not once per scheme.
+
     When the batched kernel is enabled (``WIRA_BATCH``, the default) the
     chunk's chains replay together per scheme in lock-step waves on one
     :class:`~repro.simnet.batch.BatchEventLoop`; outcomes are buffered —
@@ -172,16 +177,22 @@ def run_chunk(config: FleetConfig, chunk_index: int) -> Dict[str, object]:
     byte-identical aggregates.
     """
     from repro import obs as _obs
-    from repro.experiments.common import iter_chain_outcomes, replay_chains_wave_batched
+    from repro.experiments import common
 
     population = FleetPopulation(config.population)
     aggregate = CampaignAggregate(config.schemes, alpha=config.sketch_alpha)
     start, stop = config.chunk_bounds(chunk_index)
     if settings.current().batch and _obs.ACTIVE is None and stop - start > 1:
         chains = [population.chain(od_index) for od_index in range(start, stop)]
+        worlds = common.build_worlds(chains, start)
         per_scheme = {
-            scheme_value: replay_chains_wave_batched(
-                as_spec(scheme_value), chains, start, config.population, config.wira
+            scheme_value: common.replay_chains_wave_batched(
+                as_spec(scheme_value),
+                chains,
+                start,
+                config.population,
+                config.wira,
+                worlds=worlds,
             )
             for scheme_value in config.schemes
         }
@@ -191,11 +202,15 @@ def run_chunk(config: FleetConfig, chunk_index: int) -> Dict[str, object]:
                     aggregate.fold(scheme_value, outcome.spec, outcome.result)
         return aggregate.to_json()
     for od_index in range(start, stop):
-        chain = population.chain(od_index)
+        world = common.ChainWorld(od_index, population.chain(od_index))
         for scheme_value in config.schemes:
-            scheme = as_spec(scheme_value)
-            for outcome in iter_chain_outcomes(
-                scheme, chain, od_index, config.population, config.wira
+            for outcome in common.iter_chain_outcomes(
+                as_spec(scheme_value),
+                world.chain,
+                od_index,
+                config.population,
+                config.wira,
+                world=world,
             ):
                 aggregate.fold(scheme_value, outcome.spec, outcome.result)
     return aggregate.to_json()

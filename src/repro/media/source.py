@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.media.amf import encode_on_metadata
 from repro.media.frames import Gop, MediaFrame, MediaFrameType
@@ -68,8 +68,8 @@ class LiveSource:
         self.profile = profile
         self._complexity_cache: List[float] = []
         self._jitter_cache: Dict[int, List[float]] = {}
-        self._rng = random.Random(profile.seed)
         self._metadata_payload = encode_on_metadata(self._metadata())
+        self._video_types = self._video_pattern()
 
     def _metadata(self) -> Dict[str, object]:
         p = self.profile
@@ -159,42 +159,54 @@ class LiveSource:
             raise ValueError("time must be non-negative")
         return int(time_s / self.profile.gop_seconds)
 
-    def gop_at(self, time_s: float) -> Gop:
+    def gop_at(self, time_s: float, max_video_frames: Optional[int] = None) -> Gop:
         """The frame bundle a new viewer joining at ``time_s`` receives.
 
         Layout follows the paper's running example (§IV-A): script data,
         a leading audio frame, the I frame, then (P, B…) groups with
         audio interleaved at the audio frame rate.
         """
-        return self.gop(self.gop_index_at(time_s))
+        return self.gop(self.gop_index_at(time_s), max_video_frames)
 
-    def gop(self, gop_index: int) -> Gop:
+    def gop(self, gop_index: int, max_video_frames: Optional[int] = None) -> Gop:
+        """GOP ``gop_index``, whole or cut after ``max_video_frames``.
+
+        Frames are generated only as far as the limit reaches, so a
+        truncated GOP is exactly the prefix of the whole one ending at
+        its ``max_video_frames``-th video frame — at the cost of that
+        prefix, not of the GOP.
+        """
+        if max_video_frames is not None and max_video_frames < 1:
+            raise ValueError("a GOP must contain at least one video frame")
+        frames: List[MediaFrame] = []
+        video_seen = 0
+        for frame in self._iter_frames(gop_index):
+            frames.append(frame)
+            if frame.is_video:
+                video_seen += 1
+                if video_seen == max_video_frames:
+                    break
+        return Gop.of(frames)
+
+    def _iter_frames(self, gop_index: int) -> Iterator[MediaFrame]:
         p = self.profile
         base = self._base_sizes(gop_index)
         gop_start_ms = int(gop_index * p.gop_seconds * 1000)
-        frames: List[MediaFrame] = [
-            MediaFrame(MediaFrameType.SCRIPT, gop_start_ms, self._metadata_payload)
-        ]
+        yield MediaFrame(MediaFrameType.SCRIPT, gop_start_ms, self._metadata_payload)
         audio_period_ms = 1000.0 / p.audio_fps
-        frames.append(
-            MediaFrame.synthetic(MediaFrameType.AUDIO, gop_start_ms, p.audio_frame_bytes)
-        )
+        yield MediaFrame.synthetic(MediaFrameType.AUDIO, gop_start_ms, p.audio_frame_bytes)
         next_audio_ms = gop_start_ms + audio_period_ms
 
-        video_types = self._video_pattern()
         frame_period_ms = 1000.0 / p.fps
-        for k, frame_type in enumerate(video_types):
+        for k, frame_type in enumerate(self._video_types):
             pts = gop_start_ms + int(k * frame_period_ms)
             while next_audio_ms <= pts:
-                frames.append(
-                    MediaFrame.synthetic(
-                        MediaFrameType.AUDIO, int(next_audio_ms), p.audio_frame_bytes
-                    )
+                yield MediaFrame.synthetic(
+                    MediaFrameType.AUDIO, int(next_audio_ms), p.audio_frame_bytes
                 )
                 next_audio_ms += audio_period_ms
             size = max(200, int(base[frame_type] * self._jitter(gop_index, k)))
-            frames.append(MediaFrame.synthetic(frame_type, pts, size))
-        return Gop.of(frames)
+            yield MediaFrame.synthetic(frame_type, pts, size)
 
     def _video_pattern(self) -> List[MediaFrameType]:
         p = self.profile

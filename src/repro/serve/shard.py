@@ -12,10 +12,12 @@ client's GET — so the socket-measured FFCT equals the simulated FFCT up
 to scheduling jitter, and any wire-level cookie or codec bug shows up as
 a cookie miss and a diverging distribution.
 
-Chain state (origin, live-source caches) is keyed ``(scheme, od)`` and
-must stay on one shard for a chain's lifetime — the live source is
-stateful across a chain's sessions — which is exactly what the router's
-sticky pins guarantee.
+Each OD pair's world (origin, live source) is keyed by ``od_key`` and
+shared by every scheme replaying that pair.  It is a *memo*, not state:
+the live source is a deterministic function of ``(StreamProfile,
+gop_index)``, so a world idle past :data:`SESSION_LINGER` is evicted in
+the session sweep and rebuilt on the pair's next session with identical
+results — the store stays bounded by the pairs recently active.
 
 The shard's :class:`~repro.core.transport_cookie.ServerCookieManager` is
 **per process** and salted with the shard id: N shards share the
@@ -60,7 +62,8 @@ from repro.serve.wire import (
 #: datagram; the bound on the timing distortion coalescing introduces.
 COALESCE_GAP = 0.002
 
-#: Idle seconds after which finished session state is swept.
+#: Idle seconds after which finished session state, and the world of
+#: an OD pair with no session since, is swept.
 SESSION_LINGER = 30.0
 
 
@@ -79,7 +82,7 @@ class _ReplayEvent:
 class _ChainState:
     origin: Origin
     stream_name: str
-    sessions_run: int = 0
+    last_active: float = 0.0
 
 
 @dataclass
@@ -119,7 +122,7 @@ class ShardServer:
             instance_salt=instance_salt,
         )
         self.endpoint: Optional[UdpEndpoint] = None
-        self._chains: Dict[Tuple[str, str], _ChainState] = {}
+        self._chains: Dict[str, _ChainState] = {}
         self._sessions: Dict[bytes, _ShardSession] = {}
         self._tasks: List[asyncio.Task[None]] = []
         self._stopped = asyncio.Event()
@@ -164,13 +167,21 @@ class ShardServer:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(5.0)
-            now = loop.time()
-            for cid in [
-                c
-                for c, s in self._sessions.items()
-                if s.done or (s.shlo_payload is not None and now - s.last_active > SESSION_LINGER)
-            ]:
-                del self._sessions[cid]
+            self._sweep(loop.time())
+
+    def _sweep(self, now: float) -> None:
+        for cid in [
+            c
+            for c, s in self._sessions.items()
+            if s.done or (s.shlo_payload is not None and now - s.last_active > SESSION_LINGER)
+        ]:
+            del self._sessions[cid]
+        # A session mid-sim holds its own reference to the origin, so
+        # evicting under it is invisible.
+        for od_key in [
+            k for k, c in self._chains.items() if now - c.last_active > SESSION_LINGER
+        ]:
+            del self._chains[od_key]
 
     # ------------------------------------------------------------------
     # receive path
@@ -292,14 +303,19 @@ class ShardServer:
     # ------------------------------------------------------------------
     # sim oracle
 
-    def _chain_state(self, spec: protocol.ServeSpec) -> _ChainState:
-        key = (spec.scheme.value, spec.od_key)
-        state = self._chains.get(key)
-        if state is None:
+    def _chain_state(self, spec: protocol.ServeSpec, now: float) -> _ChainState:
+        state = self._chains.get(spec.od_key)
+        if (
+            state is None
+            or state.stream_name != spec.stream_name
+            or state.origin.get_source(spec.stream_name).profile != spec.profile
+        ):
+            # The spec arrives off the wire: a world is only ever served
+            # to the stream it was built from.
             origin = Origin()
             origin.add_stream(spec.stream_name, spec.profile)
-            state = _ChainState(origin=origin, stream_name=spec.stream_name)
-            self._chains[key] = state
+            state = self._chains[spec.od_key] = _ChainState(origin, spec.stream_name)
+        state.last_active = now
         return state
 
     async def _handle_session(
@@ -329,7 +345,7 @@ class ShardServer:
             # count the rejection when the blob fails to open.
             pass
 
-        chain = self._chain_state(spec)
+        chain = self._chain_state(spec, asyncio.get_running_loop().time())
         sim_spec = SessionSpec(
             conditions=spec.conditions,
             scheme=spec.scheme,
@@ -363,7 +379,6 @@ class ShardServer:
             last_stream = max((t for t, _, _, _ in stream_tap), default=0.0)
             last_hx = max((t for t, _ in hx_tap), default=0.0)
             sim_end = max(last_stream, last_hx) + 0.05
-        chain.sessions_run += 1
         self.stats["sims_run"] += 1
 
         events, stream_length = _build_replay_events(stream_tap, hx_tap, sim_end)

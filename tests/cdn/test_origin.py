@@ -1,10 +1,12 @@
 """Tests for the live CDN origin."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cdn.origin import Origin, UnknownStreamError
+from repro.cdn.origin import Origin, OriginFetch, UnknownStreamError
 from repro.media.frames import MediaFrameType
-from repro.media.source import StreamProfile
+from repro.media.source import LiveSource, StreamProfile
 
 
 def make_origin(**kwargs):
@@ -61,3 +63,38 @@ def test_stream_names_listed():
 def test_negative_pull_delay_rejected():
     with pytest.raises(ValueError):
         Origin(i_frame_pull_delay=-1.0)
+
+
+def reference_fetch(profile, join_time, max_video_frames, pull_delay):
+    """What ``Origin.fetch`` did before GOPs were generated lazily:
+    build the whole GOP, then walk it and stop at the limit."""
+    frames = []
+    video_seen = 0
+    saw_video = False
+    for frame in LiveSource(profile).gop_at(join_time).frames:
+        if frame.is_video:
+            saw_video = True
+            video_seen += 1
+        frames.append((frame, pull_delay if saw_video else 0.0))
+        if video_seen >= max_video_frames:
+            break
+    return OriginFetch("demo", tuple(frames))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    fps=st.sampled_from([10, 25]),
+    b_frames_per_p=st.integers(0, 2),
+    join_time=st.floats(0.0, 120.0),
+    k=st.integers(1, 30),
+    pull_delay=st.sampled_from([0.0, 0.004]),
+)
+def test_fetch_equals_whole_gop_then_truncate(
+    seed, fps, b_frames_per_p, join_time, k, pull_delay
+):
+    profile = StreamProfile(seed=seed, fps=fps, gop_seconds=1.0, b_frames_per_p=b_frames_per_p)
+    origin = Origin(i_frame_pull_delay=pull_delay)
+    origin.add_stream("demo", profile)
+    fetch = origin.fetch("demo", join_time, max_video_frames=k)
+    assert fetch == reference_fetch(profile, join_time, k, pull_delay)

@@ -1,8 +1,9 @@
 """Tests for the parallel replay engine and its persistent cache.
 
 The parallel path must be *bit-identical* to the serial reference: each
-(scheme, chain) unit owns its cookie store, origin and seeds, so sharding
-them across processes may not change a single field of any result.
+chain owns its world (plan, origin, live source) and seeds and each
+(scheme, chain) its cookie store, so sharding chain blocks across
+processes may not change a single field of any result.
 """
 
 import hashlib
@@ -62,9 +63,12 @@ class TestParallelEqualsSerial:
         parallel = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=2)
         assert_records_identical(serial, parallel)
 
-    def test_parallel_matches_serial_traces_bytewise(self, tmp_path):
+    def test_parallel_matches_serial_traces_bytewise(self, tmp_path, monkeypatch):
         """The trace sets of a serial and a parallel replay are
-        byte-identical: same file names, same SHA-256 per file."""
+        byte-identical: same file names, same SHA-256 per file — with
+        the serial side cut into two chain blocks, each replayed under
+        every scheme against its shared worlds."""
+        monkeypatch.setattr(common, "WAVE_CHAINS", 2)
         config = tiny_config(3)
         ambient_bus = obs.ACTIVE  # e.g. installed by WIRA_TRACE=1
         digests = {}
@@ -141,26 +145,28 @@ class TestChunkSharding:
         )
 
     def test_worker_chains_match_full_generation(self):
+        """The ranges workers regenerate tile the full deployment."""
         from repro.workload.population import Deployment
 
         config = tiny_config(23)
         full = Deployment(config).generate()
         regenerated = []
         for lo, hi in runner._chunk_bounds(config.n_od_pairs, 2):
-            regenerated.extend(runner._worker_chains(config, lo, hi))
+            regenerated.extend(Deployment(config).generate_range(lo, hi))
         assert regenerated == full
 
-    def test_worker_chain_cache_reused_across_schemes(self):
-        config = tiny_config(27)
-        first = runner._worker_chains(config, 0, 2)
-        assert runner._worker_chains(config, 0, 2) is first
-
-    def test_worker_chain_cache_evicted_on_config_change(self):
-        runner._worker_chains(tiny_config(29), 0, 2)
-        runner._worker_chains(tiny_config(31), 0, 2)
-        assert all(
-            "seed=29" not in key[0] for key in runner._WORKER_CHAIN_CACHE
-        )
+    def test_pool_task_replays_its_range_under_every_scheme(self, no_ambient_tracing):
+        """One task is a chain range under all schemes: its records are
+        the serial records of exactly those chains, scheme by scheme."""
+        config = tiny_config(23)
+        serial = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
+        values = tuple(scheme.value for scheme in SCHEMES)
+        lo, by_scheme = runner._replay_chunk((config, WiraConfig(), values, 1, 3))
+        assert lo == 1
+        assert sorted(by_scheme) == sorted(values)
+        for scheme in SCHEMES:
+            expected = [o for o in serial[scheme] if o.spec.od.od_id in (1, 2)]
+            assert by_scheme[scheme.value] == expected
 
 
 class TestPersistentPool:

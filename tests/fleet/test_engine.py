@@ -6,6 +6,7 @@ and every test replays real sessions end to end.
 """
 
 import json
+import random
 
 import pytest
 
@@ -104,6 +105,18 @@ class TestDeterminism:
             canonical_json(p) for p in batched
         ]
 
+    def test_sharing_a_world_across_schemes_changes_no_aggregate(self):
+        """Both schemes together, in either order, and each scheme alone
+        fold to the same per-scheme aggregates: the world the schemes
+        share is a memo, not state."""
+        config = small_config(chunk_chains=3)
+        together = run_chunk(config, 1)["schemes"]
+        reversed_ = run_chunk(config.with_(schemes=SCHEMES[::-1]), 1)["schemes"]
+        for value in SCHEMES:
+            alone = run_chunk(config.with_(schemes=(value,)), 1)["schemes"]
+            assert canonical_json(together[value]) == canonical_json(alone[value])
+            assert canonical_json(reversed_[value]) == canonical_json(alone[value])
+
     def test_report_reflects_real_sessions(self):
         config = small_config()
         total = run_campaign(config, jobs=1)
@@ -116,6 +129,49 @@ class TestDeterminism:
             assert 0 < scheme["ffct"]["p50"] <= scheme["ffct"]["p99"]
         gain = report["ffct_improvement_over_baseline"]["wira"]
         assert gain is not None and "p50" in gain
+
+
+class TestWorldBuiltOncePerChain:
+    """Exact-count guard on cross-scheme sharing.  ``Random.seed`` calls
+    repeat exactly (wall time on a shared host does not), and the live
+    source's complexity walk — one string-seeded ``Random`` per GOP up
+    to the join epoch — is most of them."""
+
+    #: One pinned chunk: 4 chains, 2 schemes, 38 sessions.
+    CONFIG = FleetConfig(
+        population=DeploymentConfig(n_od_pairs=4, seed=3, video_frames_per_session=4),
+        schemes=SCHEMES,
+        chunk_chains=4,
+    )
+
+    @staticmethod
+    def seed_calls(monkeypatch, config):
+        calls = [0]
+        seed = random.Random.seed
+
+        def counting_seed(self, *args, **kwargs):
+            calls[0] += 1
+            return seed(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(random.Random, "seed", counting_seed)
+            payload = run_chunk(config, 0)
+        sessions = sum(int(s["sessions"]) for s in payload["schemes"].values())
+        return calls[0], sessions
+
+    @pytest.mark.parametrize("batch", ["0", "1"])
+    def test_seed_calls_of_pinned_chunk(self, monkeypatch, batch):
+        monkeypatch.setenv("WIRA_BATCH", batch)
+        together, sessions = self.seed_calls(monkeypatch, self.CONFIG)
+        alone = [
+            self.seed_calls(monkeypatch, self.CONFIG.with_(schemes=(value,)))[0]
+            for value in SCHEMES
+        ]
+        assert sessions == 38
+        assert (together, alone) == (7589, [7471, 7471])
+        # The second scheme re-walks nothing: it adds only its own
+        # sessions' seeds (a world per scheme would read 2 x 7471).
+        assert together - alone[0] < alone[0] // 10
 
 
 class TestCheckpointResume:

@@ -1,9 +1,35 @@
 """Tests for the live encoder model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.media.frames import MediaFrameType
 from repro.media.source import LiveSource, StreamProfile
+
+#: Small GOPs of every shape the pattern logic branches on: with and
+#: without B frames, pinned and free first frames, one-frame GOPs.
+profiles = st.builds(
+    StreamProfile,
+    video_bitrate_bps=st.sampled_from([300_000.0, 1_500_000.0, 6_000_000.0]),
+    fps=st.sampled_from([10, 25, 30]),
+    gop_seconds=st.sampled_from([0.1, 0.5, 1.0]),
+    b_frames_per_p=st.integers(0, 3),
+    first_frame_target_bytes=st.one_of(st.none(), st.integers(5_000, 120_000)),
+    seed=st.integers(0, 2**31),
+)
+
+
+def through_kth_video_frame(frames, k):
+    """Reference truncation: the whole sequence cut after its k-th video frame."""
+    kept, seen = [], 0
+    for frame in frames:
+        kept.append(frame)
+        if frame.is_video:
+            seen += 1
+            if seen == k:
+                break
+    return tuple(kept)
 
 
 def test_profile_validation():
@@ -116,3 +142,32 @@ def test_first_frame_bytes_with_theta_three():
     ff1 = gop.first_frame_bytes(1)
     ff3 = gop.first_frame_bytes(3)
     assert ff3 > ff1
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=profiles, gop_index=st.integers(0, 40), k=st.integers(1, 40))
+def test_truncated_gop_is_prefix_of_whole_gop(profile, gop_index, k):
+    """A world is a memo: cutting generation short changes no frame."""
+    whole = LiveSource(profile).gop(gop_index)
+    cut = LiveSource(profile).gop(gop_index, max_video_frames=k)
+    assert cut.frames == through_kth_video_frame(whole.frames, k)
+    assert len(cut.video_frames) == min(k, profile.video_frames_per_gop)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    profile=profiles,
+    visits=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 8)), min_size=2, max_size=5),
+)
+def test_shared_source_serves_any_visit_order_identically(profile, visits):
+    """One source walked to a later GOP, or asked for a longer cut of a
+    GOP it already served, answers exactly as a fresh one does."""
+    shared = LiveSource(profile)
+    for gop_index, k in visits:
+        fresh = LiveSource(profile).gop(gop_index, max_video_frames=k)
+        assert shared.gop(gop_index, max_video_frames=k) == fresh
+
+
+def test_truncated_gop_needs_a_video_frame():
+    with pytest.raises(ValueError):
+        LiveSource(StreamProfile(seed=1)).gop(0, max_video_frames=0)

@@ -10,8 +10,8 @@ import asyncio
 import pytest
 
 from repro.serve.driver import ServeDriver
-from repro.serve.loadtest import ServeLoadtestConfig, run_loadtest
-from repro.serve.shard import ShardServer
+from repro.serve.loadtest import ControlClient, ServeLoadtestConfig, run_loadtest
+from repro.serve.shard import SESSION_LINGER, ShardServer
 from repro.workload.population import DeploymentConfig, FleetPopulation
 
 #: In-process replay error is ~1ms; give loaded CI two orders of slack.
@@ -59,6 +59,57 @@ class TestSingleSession:
             assert outcome.result.ffct == pytest.approx(outcome.wall_ffct)
             assert driver.stats["wire_failures"] == 0
         finally:
+            driver.close()
+            await shard.close()
+
+
+class TestWorldStore:
+    """The shard's per-OD worlds are a bounded memo: one per pair however
+    many schemes replay it, swept when idle, rebuilt invisibly."""
+
+    def test_idle_worlds_are_swept_and_eviction_is_invisible(self):
+        summaries = [asyncio.run(self._chain_summaries(evict)) for evict in (False, True)]
+        assert summaries[0] == summaries[1]
+
+    async def _chain_summaries(self, evict):
+        config = ServeLoadtestConfig(population=_population(3, seed=5))
+        population = FleetPopulation(config.population)
+        chains = [population.chain(i) for i in range(3)]
+        index = next(i for i, chain in enumerate(chains) if len(chain) >= 2)
+        first, second = chains[index][:2]
+        other = chains[(index + 1) % 3][0]
+        shard = ShardServer(
+            shard_id=0,
+            cookie_key=config.cookie_key(),
+            instance_salt=config.shard_salt(0),
+            wira_config=config.wira,
+        )
+        addr = await shard.start()
+        driver = ServeDriver(addr, campaign_seed=0)
+        control = ControlClient()
+        await driver.start()
+        await control.start()
+
+        async def chains_held():
+            return (await control.request(addr, "stats"))["chains"]
+
+        try:
+            outcomes = [await driver.run_session(first, "wira", "od-a", "stream-a", 4)]
+            for scheme in ("baseline", "wira"):
+                await driver.run_session(other, scheme, "od-b", "stream-b", 4)
+            assert await chains_held() == 2  # per OD pair, not per (scheme, pair)
+            if evict:
+                # A clock at which od-b's last session is exactly
+                # SESSION_LINGER old, and od-a's therefore older.
+                shard._sweep(shard._chains["od-b"].last_active + SESSION_LINGER)
+                assert await chains_held() == 1
+                assert "od-a" not in shard._chains
+            outcomes.append(await driver.run_session(second, "wira", "od-a", "stream-a", 4))
+            assert await chains_held() == 2
+            assert driver.stats["wire_failures"] == 0
+            return [outcome.summary for outcome in outcomes]
+        finally:
+            control.close()
             driver.close()
             await shard.close()
 

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 #: Bump when rule semantics change in a way that must invalidate cached
 #: per-file facts (the fact cache keys on this).
-RULES_FINGERPRINT = "wira-lint-rules-v10"
+RULES_FINGERPRINT = "wira-lint-rules-v11"
 
 #: Simulation zone: code that must be bit-exact deterministic.  These are
 #: the packages replayed under the content-hash disk cache; one wall-clock
@@ -66,6 +66,9 @@ TYPED_ZONE: Tuple[str, ...] = (
     # extension API, so their signatures are part of the contract.
     "src/repro/core/schemes",
     "src/repro/core/adaptive",
+    # The replay core every engine shares: chain worlds, per-scheme
+    # replay state, the wave-batched kernel's driver.
+    "src/repro/experiments/common",
     "tools/wira_fleet",
     "tools/wira_serve",
 )
@@ -332,6 +335,12 @@ SLOTS_REGISTRY = frozenset(
         # invites ad-hoc state that escapes the state_digest contract.
         "TableIPolicy",
         "AdaptiveInitPolicy",
+        # Replay scaffolding: one world per chain and one replay state
+        # per (scheme, chain) at fleet scale; a world is shared by every
+        # scheme, so an instance ``__dict__`` would also invite state no
+        # scheme may add to it.
+        "ChainWorld",
+        "SchemeReplay",
     }
 )
 
