@@ -1,220 +1,65 @@
-"""Speed benchmarks: kernel throughput and replay-engine wall clock.
+"""Runtime-sanitizer overhead on the event-loop hot path.
 
-Unlike the figure benchmarks, these measure the *machinery*, not the
-paper's numbers.  Results accumulate into ``BENCH_speed.json`` at the
-repository root so CI can archive them run-over-run (schema v2; see
-``deployment_replay`` below for the per-axis speedup breakdown).
-
-Knobs (for CI smoke runs on small machines):
-
-``WIRA_BENCH_OD_PAIRS``
-    Deployment size for the replay timing (default 120 — the headline
-    configuration).
-``WIRA_BENCH_JOBS``
-    Worker count for the parallel leg (default 4).
-
-The parallel-vs-serial speedup assertion only applies when the machine
-actually has at least as many cores as workers; on smaller hosts the
-timings are still recorded (with ``cores`` alongside, so a reader — or
-the ``wira-perf`` ratchet — can tell an engine regression from a small
-host).
+The one speed assertion ``python -m bench`` has no successor for: the
+event loops carry the sanitizer's ``clock_monotonic`` comparison inside
+their one run loop, so the enabled cost must stay within budget.  Every
+other machinery number (events/s, sessions/s, cache hits) is a ``bench``
+drive or workload.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-from repro import obs, sanitize
-from repro.experiments import common, runner
-from repro.runtime import settings
-from repro.simnet.batch import BatchEventLoop
+from repro import sanitize
 from repro.simnet.engine import EventLoop
-from repro.workload.population import DeploymentConfig
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_speed.json"
-
-SCHEMA_VERSION = 2
 
 
-def _record(section, payload):
-    data = {}
-    if ARTIFACT.exists():
-        try:
-            data = json.loads(ARTIFACT.read_text())
-        except ValueError:
-            data = {}
-    data["schema_version"] = SCHEMA_VERSION
-    data[section] = payload
-    ARTIFACT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _drive(n):
+    """Events/s on a mixed workload: fire-and-forget chains (the
+    per-packet pattern), plus cancellable timers that mostly get
+    cancelled (the retransmission-timer pattern)."""
+    loop = EventLoop()
+    remaining = [n]
+    timer = [None]
 
+    def tick():
+        if remaining[0] <= 0:
+            return
+        remaining[0] -= 1
+        loop.post_later(0.001, tick)
+        if remaining[0] % 8 == 0:
+            if timer[0] is not None:
+                timer[0].cancel()
+            timer[0] = loop.call_later(5.0, lambda: None)
 
-def _bench_od_pairs():
-    return int(os.environ.get("WIRA_BENCH_OD_PAIRS", "120"))
-
-
-def _bench_jobs():
-    return int(os.environ.get("WIRA_BENCH_JOBS", "4"))
-
-
-class TestEventLoopThroughput:
-    N_EVENTS = 200_000
-
-    def _drive(self, n):
-        """A mixed workload: fire-and-forget chains (the per-packet
-        pattern), plus cancellable timers that mostly get cancelled (the
-        retransmission-timer pattern)."""
-        loop = EventLoop()
-        remaining = [n]
-        timer = [None]
-
-        def tick():
-            if remaining[0] <= 0:
-                return
-            remaining[0] -= 1
-            loop.post_later(0.001, tick)
-            if remaining[0] % 8 == 0:
-                if timer[0] is not None:
-                    timer[0].cancel()
-                timer[0] = loop.call_later(5.0, lambda: None)
-
-        for i in range(32):
-            loop.post_later(0.001 * (i + 1), tick)
-        start = time.perf_counter()
-        loop.run()
-        elapsed = time.perf_counter() - start
-        return loop.processed_events / elapsed
-
-    def test_throughput(self, capsys):
-        # Warm-up pass stabilises allocator/caches, then measure.
-        self._drive(20_000)
-        best = max(self._drive(self.N_EVENTS) for _ in range(3))
-        _record(
-            "event_loop",
-            {
-                "events": self.N_EVENTS,
-                "events_per_second": round(best),
-            },
-        )
-        with capsys.disabled():
-            print(f"\nEventLoop throughput: {best:,.0f} events/s")
-        # Loose sanity floor — the optimised loop clears ~800k ev/s on a
-        # single 2020s core; trip only on order-of-magnitude regressions.
-        assert best > 150_000
-
-
-class TestBatchedKernelThroughput:
-    """Aggregate throughput of the batched multi-session kernel.
-
-    Many member loops share one :class:`BatchEventLoop`; each member
-    runs the solo bench's mixed workload (fire-and-forget tick chains,
-    mostly-cancelled timers) *plus* ``post_burst`` trains of
-    back-to-back events — the shape aggregate drivers hand to the
-    kernel's burst lane.  The reported number is aggregate
-    events/second across all members, the figure the perf ratchet
-    tracks for the batched kernel.
-    """
-
-    SESSIONS = 32
-    BURST = 256
-    TOTAL_EVENTS = 1_500_000
-
-    def _drive(self, total_events):
-        kernel = BatchEventLoop()
-        quota = total_events // self.SESSIONS
-        burst = self.BURST
-        payloads = list(range(burst))
-        sink = []
-
-        def arm(member, phase):
-            state = [quota, None]  # [events left, live timer]
-
-            def on_item(item):
-                pass
-
-            def tick():
-                if state[0] <= 0:
-                    return
-                state[0] -= burst + 2
-                now = member.now
-                # A link train: back-to-back serialisations are micro-
-                # second-scale, far tighter than the millisecond tick
-                # cadence, so a train drains contiguously the way a real
-                # fast-link burst does between protocol timers.
-                times = [now + 1e-8 * (i + 1) for i in range(burst)]
-                member.post_burst(times, on_item, payloads)
-                member.post_later(0.001, tick)
-                if state[1] is not None:
-                    state[1].cancel()
-                state[1] = member.call_later(5.0, lambda: None)
-
-            member.post_later(0.001 + phase, tick)
-            sink.append(state)
-
-        for index in range(self.SESSIONS):
-            arm(kernel.member(), index * 0.001 / self.SESSIONS)
-        start = time.perf_counter()
-        kernel.run()
-        elapsed = time.perf_counter() - start
-        return kernel.processed_events / elapsed, kernel.processed_events
-
-    def test_aggregate_throughput(self, capsys):
-        self._drive(60_000)  # warm-up
-        runs = [self._drive(self.TOTAL_EVENTS) for _ in range(3)]
-        best = max(r[0] for r in runs)
-        events = runs[0][1]
-        _record(
-            "batched_kernel",
-            {
-                "sessions": self.SESSIONS,
-                "burst_size": self.BURST,
-                "events": events,
-                "events_per_second": round(best),
-            },
-        )
-        with capsys.disabled():
-            print(
-                f"\nBatched kernel: {best:,.0f} events/s aggregate "
-                f"({self.SESSIONS} sessions, burst {self.BURST})"
-            )
-        # The burst lane clears several million events/s on a single
-        # 2020s core; trip only on order-of-magnitude regressions (the
-        # wira-perf ratchet guards the fine-grained number).
-        assert best > 500_000
+    for i in range(32):
+        loop.post_later(0.001 * (i + 1), tick)
+    start = time.perf_counter()
+    loop.run()
+    elapsed = time.perf_counter() - start
+    return loop.processed_events / elapsed
 
 
 class TestSanitizerOverhead:
-    """Runtime-sanitizer cost on the event-loop hot path.
-
-    The acceptance budget: <= 10% throughput loss with ``WIRA_SANITIZE=1``
-    (the checked loop runs one inlined comparison per event), and ~0%
-    when disabled (the hook is a single module-global test before the
-    loop starts, never inside it).
-    """
+    """The acceptance budget: <= 10% throughput loss with
+    ``WIRA_SANITIZE=1`` (one inlined comparison per event)."""
 
     N_EVENTS = 200_000
     BUDGET = 0.10
 
     def test_enabled_overhead_within_budget(self, capsys):
-        bench = TestEventLoopThroughput()
-        sanitize.disable()
-        bench._drive(20_000)  # warm-up
-        disabled = max(bench._drive(self.N_EVENTS) for _ in range(3))
-        with sanitize.sanitized() as san:
-            bench._drive(20_000)
-            enabled = max(bench._drive(self.N_EVENTS) for _ in range(3))
+        san = sanitize.TransportSanitizer()
+        _drive(20_000)  # warm-up
+        disabled = enabled = 0.0
+        # Alternate the two modes so a host that changes speed mid-test
+        # moves both readings, not one.
+        for _ in range(3):
+            with sanitize.suppressed():
+                disabled = max(disabled, _drive(self.N_EVENTS))
+            with sanitize.sanitized(san):
+                enabled = max(enabled, _drive(self.N_EVENTS))
         assert san.checks_run["clock_monotonic"] > self.N_EVENTS  # genuinely on
 
         overhead = (disabled - enabled) / disabled
-        _record(
-            "sanitizer_overhead",
-            {
-                "events": self.N_EVENTS,
-                "disabled_events_per_second": round(disabled),
-                "enabled_events_per_second": round(enabled),
-                "overhead_fraction": round(overhead, 4),
-            },
-        )
         with capsys.disabled():
             print(
                 f"\nSanitizer overhead: disabled {disabled:,.0f} ev/s, "
@@ -227,196 +72,3 @@ class TestSanitizerOverhead:
             f"sanitizer costs {overhead:.1%} event-loop throughput "
             f"(budget {self.BUDGET:.0%})"
         )
-
-
-class TestTraceOverhead:
-    """Trace-bus cost with tracing *disabled* — the default everyone pays.
-
-    The acceptance budget: < 2% throughput loss on the event-loop bench
-    when no bus is installed.  By design the EventLoop hot loop carries
-    no trace hooks at all (hook sites live on the per-packet transport
-    paths and test one module global), so this is a regression tripwire:
-    it fails if instrumentation ever creeps into the loop itself.
-    A traced-vs-untraced session comparison is recorded alongside for
-    the enabled-path picture, without a hard assertion (enabling tracing
-    is an explicit opt-in).
-    """
-
-    N_EVENTS = 200_000
-    BUDGET = 0.02
-
-    def test_disabled_overhead_within_budget(self, capsys):
-        bench = TestEventLoopThroughput()
-        obs.disable()
-        bench._drive(20_000)  # warm-up
-        baseline = max(bench._drive(self.N_EVENTS) for _ in range(3))
-        # Interleave a second disabled measurement to separate "cost of
-        # the disabled hooks" from run-to-run noise.
-        check = max(bench._drive(self.N_EVENTS) for _ in range(3))
-        overhead = (baseline - check) / baseline
-
-        def _session():
-            return common.run_testbed_session(
-                common.manual_params(66_000, 8_000_000.0)
-            )
-
-        start = time.perf_counter()
-        _session()
-        untraced_s = time.perf_counter() - start
-        with obs.tracing() as bus:
-            start = time.perf_counter()
-            _session()
-            traced_s = time.perf_counter() - start
-        assert bus.counts.get("session:first_frame") == 1  # genuinely on
-
-        _record(
-            "trace_overhead",
-            {
-                "events": self.N_EVENTS,
-                "disabled_events_per_second": round(check),
-                "overhead_fraction": round(overhead, 4),
-                "session_untraced_seconds": round(untraced_s, 4),
-                "session_traced_seconds": round(traced_s, 4),
-            },
-        )
-        with capsys.disabled():
-            print(
-                f"\nTrace overhead (disabled): {overhead:+.2%} on the event loop; "
-                f"session untraced {untraced_s*1000:.1f}ms, "
-                f"traced {traced_s*1000:.1f}ms"
-            )
-        # Double the budget as the assertion ceiling, as for the
-        # sanitizer: best-of-3 absorbs most noise, CI runners jitter.
-        assert overhead <= 2 * self.BUDGET, (
-            f"disabled tracing costs {overhead:.1%} event-loop throughput "
-            f"(budget {self.BUDGET:.0%})"
-        )
-
-
-class TestReplayWallClock:
-    def test_serial_vs_parallel_headline(self, capsys):
-        """Three legs, two speedup axes (schema v2).
-
-        * ``v1_serial`` — the previous engine: solo event loop per
-          session, legacy two-event link path (both kernel knobs off).
-        * ``serial`` — the batched kernel + fast link, one process.
-        * ``parallel`` — the same, sharded over ``jobs`` workers with
-          chunk-of-chains tasks.
-
-        ``kernel_speedup`` isolates the kernel rewrite (v1 vs v2, both
-        serial); ``sharding_speedup`` isolates the chunked pool (serial
-        vs parallel, same code); ``speedup`` is their product — what a
-        user upgrading from the old engine at ``jobs`` workers sees.
-        """
-        od_pairs = _bench_od_pairs()
-        jobs = _bench_jobs()
-        config = DeploymentConfig(
-            n_od_pairs=od_pairs, seed=common.HEADLINE_CONFIG.seed
-        )
-
-        with settings.overridden(batch=False, fast_link=False):
-            start = time.perf_counter()
-            v1 = runner.run_deployment(
-                config, common.EVAL_SCHEMES, use_cache=False, jobs=1
-            )
-            v1_serial_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        serial = runner.run_deployment(
-            config, common.EVAL_SCHEMES, use_cache=False, jobs=1
-        )
-        serial_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        parallel = runner.run_deployment(
-            config, common.EVAL_SCHEMES, use_cache=False, jobs=jobs
-        )
-        parallel_s = time.perf_counter() - start
-
-        sessions = sum(len(v) for v in serial.values())
-        kernel_speedup = v1_serial_s / serial_s if serial_s > 0 else float("inf")
-        sharding_speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-        speedup = v1_serial_s / parallel_s if parallel_s > 0 else float("inf")
-        cores = os.cpu_count() or 1
-        _record(
-            "deployment_replay",
-            {
-                "od_pairs": od_pairs,
-                "sessions_replayed": sessions,
-                "jobs": jobs,
-                "cores": cores,
-                "v1_serial_seconds": round(v1_serial_s, 3),
-                "serial_seconds": round(serial_s, 3),
-                "parallel_seconds": round(parallel_s, 3),
-                "kernel_speedup": round(kernel_speedup, 3),
-                "sharding_speedup": round(sharding_speedup, 3),
-                "speedup": round(speedup, 3),
-                "sessions_per_second": round(sessions / parallel_s, 3),
-            },
-        )
-        with capsys.disabled():
-            print(
-                f"\nReplay ({od_pairs} OD pairs, {sessions} sessions): "
-                f"v1 serial {v1_serial_s:.1f}s, v2 serial {serial_s:.1f}s "
-                f"(kernel {kernel_speedup:.2f}x), parallel x{jobs} "
-                f"{parallel_s:.1f}s -> {speedup:.2f}x total on {cores} core(s)"
-            )
-
-        # Identity first: speed means nothing if the records diverge.
-        # All three legs — old engine, new kernel, new kernel sharded —
-        # must produce byte-identical outcome sequences.
-        for scheme in serial:
-            assert [o.result for o in v1[scheme]] == [
-                o.result for o in serial[scheme]
-            ]
-            assert [o.result for o in serial[scheme]] == [
-                o.result for o in parallel[scheme]
-            ]
-        # The shared-scheduler kernel pays a small single-process tax
-        # (the calendar queue and member bookkeeping run in Python,
-        # where the solo loop leans on C heapq) in exchange for the
-        # chunk-sharded parallel path and the aggregate burst-lane
-        # throughput.  Clean measurements put the tax at 5-13%, but a
-        # single-shot quotient of two ~minute legs swings ±10% on a
-        # busy box, so trip only past ~20% — enough to catch structural
-        # regressions (an uncapped 120-member wave measured 0.72) while
-        # the ratchet tracks the fine number run-over-run.
-        assert kernel_speedup > 0.80, (
-            f"batched kernel is {1/kernel_speedup:.2f}x slower than the "
-            f"solo loop it replaced"
-        )
-        # Speedup floors only bind when the host can physically deliver
-        # them: ≥1.8x total at 2 workers, ≥2.5x at 4.
-        if cores >= jobs >= 2:
-            floor = 2.5 if jobs >= 4 else 1.8
-            assert speedup >= floor, (
-                f"replay only {speedup:.2f}x faster than the v1 engine with "
-                f"{jobs} workers on {cores} cores (needed {floor}x)"
-            )
-
-    def test_disk_cache_hit_is_fast(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("WIRA_CACHE_DIR", str(tmp_path))
-        runner.clear_caches()
-        config = DeploymentConfig(n_od_pairs=6, seed=77)
-
-        start = time.perf_counter()
-        first = runner.run_deployment(config, common.EVAL_SCHEMES)
-        compute_s = time.perf_counter() - start
-
-        runner.clear_caches()
-        start = time.perf_counter()
-        again = runner.run_deployment(config, common.EVAL_SCHEMES)
-        hit_s = time.perf_counter() - start
-
-        _record(
-            "disk_cache",
-            {
-                "compute_seconds": round(compute_s, 3),
-                "hit_seconds": round(hit_s, 4),
-            },
-        )
-        with capsys.disabled():
-            print(f"\nDisk cache: compute {compute_s:.2f}s, hit {hit_s*1000:.1f}ms")
-        for scheme in first:
-            assert first[scheme] == again[scheme]
-        assert hit_s < compute_s / 5

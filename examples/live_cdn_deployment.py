@@ -14,7 +14,8 @@ Usage::
 import sys
 
 from repro.core.initializer import Scheme
-from repro.experiments.common import EVAL_SCHEMES, run_deployment
+from repro.experiments.common import EVAL_SCHEMES
+from repro.experiments.runner import run_deployment
 from repro.metrics.report import Table, format_ms, format_pct
 from repro.metrics.stats import mean, percentile
 from repro.workload.population import DeploymentConfig

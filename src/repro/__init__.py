@@ -8,8 +8,8 @@ a stateless transport cookie.
 Public API tour:
 
 * ``repro.core`` — the mechanism: :class:`~repro.core.FrameParser`
-  (Algorithm 1), the transport-cookie codecs and
-  :func:`~repro.core.compute_initial_params` (Table I);
+  (Algorithm 1), the transport-cookie codecs and the Table I
+  policies (:func:`~repro.core.make_policy`);
 * ``repro.cdn`` — run sessions:
   :class:`~repro.cdn.session.StreamingSession`;
 * ``repro.quic`` / ``repro.simnet`` / ``repro.media`` — the substrates;
@@ -26,7 +26,6 @@ from repro.core import (
     InitialParams,
     Scheme,
     WiraConfig,
-    compute_initial_params,
 )
 
 __all__ = [
@@ -35,6 +34,5 @@ __all__ = [
     "InitialParams",
     "Scheme",
     "WiraConfig",
-    "compute_initial_params",
     "__version__",
 ]

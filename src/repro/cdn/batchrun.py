@@ -9,26 +9,28 @@ and its own rng stream exactly as it would on a private ``EventLoop``
 (asserted end-to-end by ``tests/cdn/test_batchrun.py``).
 
 Each session gets a :class:`_SessionDriver` — a small state machine that
-replicates ``StreamingSession``'s solo drive loop *exactly*, including
-its quirks, because the solo loop's observable behaviour leaks into
-results via ``loop.now`` reads inside callbacks:
+replicates ``StreamingSession``'s solo drive loop *exactly*, because the
+solo loop's observable behaviour leaks into results via ``loop.now``
+reads inside callbacks:
 
-* ``_run_until_done`` slices the run into ``run_until(min(timeout,
-  now + 0.25), max_events=100_000)`` calls; ``run_until`` **always**
-  advances the clock to its deadline, even when it returned early on
-  ``max_events``;
+* the run is sliced into ``run_until(min(timeout, now + 0.25),
+  max_events=100_000)`` calls; ``run_until`` advances the clock to its
+  deadline unless it stopped on ``max_events`` with events at or before
+  the deadline still pending;
 * ``client.done`` / pending / timeout are only consulted at slice
   boundaries;
 * the cookie-flush phase drains until ``now + max(4·rtt, 0.2)`` with the
   same slice discipline.
 
 The driver mirrors those decision points through the kernel's
-``_on_boundary`` / ``_on_budget`` / ``_on_drained`` hooks, keeping the
-per-event fast path inside the kernel untouched.
+``_on_boundary`` / ``_on_drained`` hooks, keeping the per-event fast
+path inside the kernel untouched.
 
-Fallback: when a trace bus is active (``WIRA_TRACE=1``) sessions run
-solo — the bus scopes events with a per-session context manager, which
-cannot interleave — and single-session batches take the solo path too.
+Which sessions batch is decided by :func:`batching_applies`, from what
+the code observes: with a trace bus active (``WIRA_TRACE=1``) sessions
+run solo — the bus scopes events with a per-session context manager,
+which cannot interleave — and a single session has nothing to share a
+scheduler with.
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, cast
 
 from repro import obs as _obs
-from repro.cdn.session import LiveSession, SessionResult, StreamingSession
+from repro.cdn.session import (
+    _SLICE_EVENTS,
+    _SLICE_SECONDS,
+    LiveSession,
+    SessionResult,
+    StreamingSession,
+)
 from repro.simnet.batch import BatchEventLoop, MemberLoop
 from repro.simnet.engine import EventLoop
-
-#: Slice parameters of the solo drive loop (``StreamingSession``).
-_SLICE_SECONDS = 0.25
-_SLICE_EVENTS = 100_000
 
 _PHASE_RUN = 0
 _PHASE_FLUSH = 1
@@ -64,7 +68,6 @@ class _SessionDriver:
         self.pushed = False
         self.result: Optional[SessionResult] = None
         member._on_boundary = self._on_boundary
-        member._on_budget = self._on_budget
         member._on_drained = self._on_drained
 
     # -- slice bookkeeping -------------------------------------------------
@@ -91,43 +94,33 @@ class _SessionDriver:
     # -- kernel hooks ------------------------------------------------------
 
     def _on_boundary(self, when: float) -> None:
-        """Next event lies beyond the slice deadline.
+        """The slice is over; the member's next event fires at ``when``.
 
-        Solo equivalent: ``run_until`` returned on its ``until`` check,
-        set ``now = deadline``, and the drive loop re-evaluated.  Empty
-        slices fast-forward in a loop until the event is reachable or
-        the phase ends.
+        Solo equivalent: ``run_until`` returned — on its ``until`` check
+        (``when`` lies beyond the deadline, so it set ``now = deadline``)
+        or on ``max_events`` with ``when`` still due (the clock stays
+        put) — and the drive loop re-evaluated.  Empty slices
+        fast-forward in a loop until the event is reachable or the phase
+        ends.
         """
         member = self.member
         if self.phase == _PHASE_RUN:
             while True:
-                member._now = member._horizon
+                if when > member._horizon:
+                    member._now = member._horizon
                 if not self._begin_run_slice():
                     self._enter_flush()
                     return
                 if when <= member._horizon:
                     return
         elif self.phase == _PHASE_FLUSH:
-            # run_until(drained) set now = drained; the flush loop's
-            # condition (now < drained) is now false.
-            member._now = member._horizon
-            self._finalize()
-
-    def _on_budget(self) -> None:
-        """Slice exhausted its 100k-event budget mid-stream.
-
-        Solo equivalent: ``run_until`` returned on ``max_events`` and
-        *still* set ``now = deadline`` — replicated verbatim, including
-        the consequence that in the flush phase remaining events are
-        abandoned.
-        """
-        member = self.member
-        member._now = member._horizon
-        if self.phase == _PHASE_RUN:
-            if not self._begin_run_slice():
-                self._enter_flush()
-        elif self.phase == _PHASE_FLUSH:
-            self._finalize()
+            # The flush loop runs while ``now < drained``.
+            if when > member._horizon:
+                member._now = member._horizon
+            if member._now < member._horizon:
+                member._budget = _SLICE_EVENTS
+            else:
+                self._finalize()
 
     def _on_drained(self) -> None:
         """The member has no pending events left.
@@ -170,13 +163,24 @@ class _SessionDriver:
         member._pending = 0
 
 
+def batching_applies(count: int) -> bool:
+    """Whether ``count`` concurrent sessions should share one kernel.
+
+    The one place batched-vs-solo is decided, from what the code
+    observes: a trace bus scopes events per session and cannot
+    interleave them, and a single session (or a block of one chain,
+    whose waves hold one session each) has nothing to amortise over.
+    """
+    return _obs.ACTIVE is None and count > 1
+
+
 def run_sessions(sessions: Sequence[StreamingSession]) -> List[SessionResult]:
     """Run sessions batched; byte-identical to running each solo.
 
-    Falls back to the solo path when a trace bus is active (per-session
-    event scoping cannot interleave) or when batching cannot help.
+    Takes the solo path — the reference — when
+    :func:`batching_applies` says batching cannot help.
     """
-    if _obs.ACTIVE is not None or len(sessions) <= 1:
+    if not batching_applies(len(sessions)):
         return [session.run() for session in sessions]
     kernel = BatchEventLoop()
     drivers: List[_SessionDriver] = []

@@ -19,9 +19,8 @@ sessions of one OD pair lives in the client's
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro import obs as _obs
 from repro.cdn.client import ClientMetrics, WiraClient
@@ -29,20 +28,24 @@ from repro.cdn.origin import Origin
 from repro.cdn.playback import PlaybackPolicy, FIRST_VIDEO_FRAME
 from repro.cdn.server import WiraServer
 from repro.core.config import WiraConfig
-from repro.core.initializer import InitialParams, Scheme
+from repro.core.initializer import InitialParams
 from repro.core.schemes import InitPolicy, SchemeLike, SchemeSpec, as_spec, make_policy
 from repro.core.transport_cookie import ClientCookieStore, ServerCookieManager
 from repro.faults import FaultInjector, FaultPlan
 from repro.quic.config import QuicConfig
 from repro.quic.connection import Connection, ConnectionStats, HandshakeMode, Role
 from repro.quic.handshake import TAG_HQST
-from repro.runtime import settings
 from repro.simnet.engine import EventLoop
-from repro.simnet.link import Datagram
 from repro.simnet.path import NetworkConditions, Path
 from repro.simnet.schedule import PathSchedule
 
 DEFAULT_COOKIE_KEY = b"wira-server-secret-key-32bytes!!"
+
+#: The drive loop advances in slices of at most this much simulated time
+#: and this many events; ``client.done`` is only consulted between them.
+#: :mod:`repro.cdn.batchrun` replays the same discipline on its members.
+_SLICE_SECONDS = 0.25
+_SLICE_EVENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -152,112 +155,31 @@ class LiveSession:
 class StreamingSession:
     """Builds and runs one client↔proxy session.
 
-    The supported construction path is :meth:`from_spec`: an immutable
-    :class:`SessionSpec` (what to run) plus the environment shared along
-    an OD pair's chain (origin, cookie store, cookie manager).  The
-    positional kwarg constructor predates the spec API and survives as a
-    thin deprecated shim with identical behaviour.
+    A session is an immutable :class:`SessionSpec` (what to run) plus
+    the environment shared along an OD pair's chain (origin, cookie
+    store, cookie manager, policy).
+
+    ``stream_data_tap`` / ``hx_qos_tap`` observe what the *client*
+    connection delivers, stamped with the loop time, without altering
+    behaviour — ``(now, stream_id, data, fin)`` for stream data and
+    ``(now, frame)`` for pushed Hx_QoS frames.  The serve shard uses
+    them to capture the sim's delivery timeline for socket replay;
+    ``None`` (the default) installs nothing.
+
+    ``init_policy`` is part of the session *environment*, like the
+    cookie store: chain drivers pass the OD pair's shared policy
+    instance so stateful schemes (e.g. ``adaptive``) carry learned state
+    across the chain.  ``None`` builds a fresh policy from
+    ``spec.scheme``.
     """
 
     def __init__(
         self,
-        conditions: NetworkConditions,
-        scheme: Scheme,
-        origin: Origin,
-        stream_name: str,
-        handshake_mode: HandshakeMode = HandshakeMode.ZERO_RTT,
-        wira_config: Optional[WiraConfig] = None,
-        quic_config: Optional[QuicConfig] = None,
-        cookie_store: Optional[ClientCookieStore] = None,
-        cookie_manager: Optional[ServerCookieManager] = None,
-        playback: PlaybackPolicy = FIRST_VIDEO_FRAME,
-        target_video_frames: int = 4,
-        epoch: float = 0.0,
-        seed: int = 0,
-        timeout: float = 30.0,
-        client_supports_cookies: bool = True,
-        initial_params_override: Optional[InitialParams] = None,
-        trace_label: Optional[str] = None,
-        schedule: Optional[PathSchedule] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        warnings.warn(
-            "StreamingSession(kwargs...) is deprecated; build a SessionSpec "
-            "and use StreamingSession.from_spec(spec, origin, stream_name, ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._bind(
-            SessionSpec(
-                conditions=conditions,
-                scheme=scheme,
-                handshake_mode=handshake_mode,
-                epoch=epoch,
-                seed=seed,
-                timeout=timeout,
-                playback=playback,
-                target_video_frames=target_video_frames,
-                client_supports_cookies=client_supports_cookies,
-                wira_config=wira_config,
-                quic_config=quic_config,
-                initial_params_override=initial_params_override,
-                schedule=schedule,
-                fault_plan=fault_plan,
-                trace_label=trace_label,
-            ),
-            origin,
-            stream_name,
-            cookie_store,
-            cookie_manager,
-        )
-
-    @classmethod
-    def from_spec(
-        cls,
         spec: SessionSpec,
         origin: Origin,
         stream_name: str,
         cookie_store: Optional[ClientCookieStore] = None,
         cookie_manager: Optional[ServerCookieManager] = None,
-        stream_data_tap: Optional[Callable[[float, int, bytes, bool], None]] = None,
-        hx_qos_tap: Optional[Callable[[float, object], None]] = None,
-        init_policy: Optional[InitPolicy] = None,
-    ) -> "StreamingSession":
-        """Build a session from an immutable spec plus its environment.
-
-        ``stream_data_tap`` / ``hx_qos_tap`` observe what the *client*
-        connection delivers, stamped with the loop time, without
-        altering behaviour — ``(now, stream_id, data, fin)`` for stream
-        data and ``(now, frame)`` for pushed Hx_QoS frames.  The serve
-        shard uses them to capture the sim's delivery timeline for
-        socket replay; ``None`` (the default) installs nothing.
-
-        ``init_policy`` is part of the session *environment*, like the
-        cookie store: chain drivers pass the OD pair's shared policy
-        instance so stateful schemes (e.g. ``adaptive``) carry learned
-        state across the chain.  ``None`` builds a fresh policy from
-        ``spec.scheme``.
-        """
-        session = cls.__new__(cls)
-        session._bind(
-            spec,
-            origin,
-            stream_name,
-            cookie_store,
-            cookie_manager,
-            stream_data_tap=stream_data_tap,
-            hx_qos_tap=hx_qos_tap,
-            init_policy=init_policy,
-        )
-        return session
-
-    def _bind(
-        self,
-        spec: SessionSpec,
-        origin: Origin,
-        stream_name: str,
-        cookie_store: Optional[ClientCookieStore],
-        cookie_manager: Optional[ServerCookieManager],
         stream_data_tap: Optional[Callable[[float, int, bytes, bool], None]] = None,
         hx_qos_tap: Optional[Callable[[float, object], None]] = None,
         init_policy: Optional[InitPolicy] = None,
@@ -305,6 +227,30 @@ class StreamingSession:
                 instance_salt=b"session:%d" % spec.seed,
             )
 
+    @classmethod
+    def from_spec(
+        cls,
+        spec: SessionSpec,
+        origin: Origin,
+        stream_name: str,
+        cookie_store: Optional[ClientCookieStore] = None,
+        cookie_manager: Optional[ServerCookieManager] = None,
+        stream_data_tap: Optional[Callable[[float, int, bytes, bool], None]] = None,
+        hx_qos_tap: Optional[Callable[[float, object], None]] = None,
+        init_policy: Optional[InitPolicy] = None,
+    ) -> "StreamingSession":
+        """Build a session from an immutable spec plus its environment."""
+        return cls(
+            spec,
+            origin,
+            stream_name,
+            cookie_store,
+            cookie_manager,
+            stream_data_tap=stream_data_tap,
+            hx_qos_tap=hx_qos_tap,
+            init_policy=init_policy,
+        )
+
     def run(self) -> SessionResult:
         bus = _obs.ACTIVE
         if bus is None:
@@ -316,19 +262,39 @@ class StreamingSession:
         return result
 
     def _run(self) -> SessionResult:
-        loop = EventLoop()
+        steps = self.drive(EventLoop())
+        try:
+            while True:
+                next(steps)
+        except StopIteration as finished:
+            return finished.value
+
+    def drive(self, loop: EventLoop) -> Generator[None, None, SessionResult]:
+        """Run the session on ``loop``, yielding at every slice boundary.
+
+        The one solo drive loop: :meth:`run` exhausts it in place, the
+        serve shard awaits between its steps so the socket loop keeps
+        turning.  The generator's return value is the session's result.
+        """
         live = self._setup(loop)
-        self._run_until_done(loop, live.client)
+        client = live.client
+        while not client.done and loop.pending_events and loop.now < self.timeout:
+            loop.run_until(
+                min(self.timeout, loop.now + _SLICE_SECONDS), max_events=_SLICE_EVENTS
+            )
+            yield
 
         # End-of-session synchronisation: push a final cookie so the
         # *next* session of this OD pair has fresh Hx_QoS, then drain.
         pushed = False
-        if live.client.done and self.client_supports_cookies:
+        if client.done and self.client_supports_cookies:
             pushed = live.server.flush_cookie()
             if pushed:
                 drained = loop.now + max(4 * self.conditions.rtt, 0.2)
-                self._run_until(loop, drained)
-        cookie_delivered = pushed and live.client.metrics.cookies_received > 0
+                while loop.pending_events and loop.now < drained:
+                    loop.run_until(drained, max_events=_SLICE_EVENTS)
+                    yield
+        cookie_delivered = pushed and client.metrics.cookies_received > 0
         return self._finalize(live, cookie_delivered)
 
     def _setup(self, loop: EventLoop) -> "LiveSession":
@@ -345,10 +311,7 @@ class StreamingSession:
         conditions = self.conditions
         if self.schedule is not None:
             conditions = self.schedule.initial_conditions(conditions)
-        # Batched link admission needs conditions that never change
-        # mid-run; only a PathSchedule can change them.
-        fast = self.schedule is None and settings.current().fast_link
-        path = Path(loop, conditions, rng=random.Random(rng.getrandbits(48)), fast=fast)
+        path = Path(loop, conditions, rng=random.Random(rng.getrandbits(48)))
 
         # Every adverse-path draw below is conditional so that sessions
         # without a schedule or fault plan consume the session rng in
@@ -356,20 +319,12 @@ class StreamingSession:
         injector: Optional[FaultInjector] = None
         send_to_client = path.send_to_client
         send_to_server = path.send_to_server
-        # Train-transmit hooks only without an injector: the injector
-        # wraps sends one datagram at a time.
-        burst_to_client: Optional[Callable[[Sequence[Datagram]], List[bool]]]
-        burst_to_server: Optional[Callable[[Sequence[Datagram]], List[bool]]]
-        burst_to_client = path.forward.send_burst
-        burst_to_server = path.reverse.send_burst
         if self.fault_plan is not None:
             injector = FaultInjector(
                 self.fault_plan, loop, random.Random(rng.getrandbits(48))
             )
             send_to_client = injector.wrap_send(path.send_to_client, "to_client")
             send_to_server = injector.wrap_send(path.send_to_server, "to_server")
-            burst_to_client = None
-            burst_to_server = None
         if self.schedule is not None and not self.schedule.is_inert:
             self.schedule.install(loop, path, random.Random(rng.getrandbits(48)))
 
@@ -379,7 +334,6 @@ class StreamingSession:
             send_to_client,
             self.quic_config,
             rng=random.Random(rng.getrandbits(48)),
-            send_burst=burst_to_client,
         )
         hqst = WiraClient.build_hqst_tag(
             self.cookie_store, origin_id="origin", supported=self.client_supports_cookies
@@ -394,7 +348,6 @@ class StreamingSession:
             handshake_mode=self.handshake_mode,
             handshake_tags={TAG_HQST: hqst},
             rng=random.Random(rng.getrandbits(48)),
-            send_burst=burst_to_server,
         )
         path.deliver_to_server = server_conn.datagram_received
         path.deliver_to_client = client_conn.datagram_received
@@ -494,12 +447,3 @@ class StreamingSession:
             server_max_bw=server_max_bw,
             fault_summary=dict(live.injector.counters) if live.injector is not None else None,
         )
-
-    def _run_until_done(self, loop: EventLoop, client: WiraClient) -> None:
-        while not client.done and loop.pending_events and loop.now < self.timeout:
-            loop.run_until(min(self.timeout, loop.now + 0.25), max_events=100_000)
-
-    @staticmethod
-    def _run_until(loop: EventLoop, deadline: float) -> None:
-        while loop.pending_events and loop.now < deadline:
-            loop.run_until(deadline, max_events=100_000)

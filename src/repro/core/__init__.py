@@ -20,7 +20,6 @@ from repro.core.frame_perception import FrameParser, ParseStatus
 from repro.core.initializer import (
     InitialParams,
     Scheme,
-    compute_initial_params,
     table1_params,
 )
 from repro.core.schemes import (
@@ -55,7 +54,6 @@ __all__ = [
     "SchemeSpec",
     "WiraConfig",
     "as_spec",
-    "compute_initial_params",
     "decode_hqst",
     "encode_hqst",
     "make_policy",

@@ -30,15 +30,14 @@ Corner cases (§IV-C) are handled exactly as described:
 Scheme *dispatch* lives in :mod:`repro.core.schemes`: every scheme is a
 registered :class:`~repro.core.schemes.InitPolicy`, and the five Table I
 rows are stateless policies over :func:`table1_params` below.  The
-:class:`Scheme` enum and :func:`compute_initial_params` survive only as
-deprecated aliases for the registry API.
+:class:`Scheme` enum survives only as a deprecated alias for the
+registry API.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -207,29 +206,6 @@ def table1_params(
     raise ValueError(f"no Table I row for scheme {name!r}")
 
 
-def compute_initial_params(
-    scheme: "Scheme",
-    config: WiraConfig,
-    ff_size: Optional[int] = None,
-    hx_qos: Optional[HxQos] = None,
-    measured_rtt: Optional[float] = None,
-) -> InitialParams:
-    """Deprecated enum dispatch; resolves through the scheme registry."""
-    warnings.warn(
-        "compute_initial_params() is deprecated; build a policy via "
-        "repro.core.schemes.make_policy(spec) and call "
-        "policy.initial_params(InitContext(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.schemes import InitContext, make_policy
-
-    policy = make_policy(scheme)
-    return policy.initial_params(
-        InitContext(config=config, ff_size=ff_size, hx_qos=hx_qos, measured_rtt=measured_rtt)
-    )
-
-
 def finalize_params(
     config: WiraConfig,
     cwnd: int,
@@ -243,7 +219,3 @@ def finalize_params(
     cwnd = max(floor, min(int(cwnd), config.max_initial_cwnd_bytes))
     pacing = max(config.min_initial_pacing_bps, float(pacing))
     return InitialParams(cwnd, pacing, used_ff, used_hx, provisional)
-
-
-#: Backwards-compatible private alias (pre-registry name).
-_finalize = finalize_params

@@ -194,8 +194,7 @@ SchemeLike = Union["Scheme", SchemeSpec, str]
 class InitContext:
     """The signals available when initial parameters are computed.
 
-    Mirrors the arguments of the legacy ``compute_initial_params``:
-    the deployment config, the parsed ``FF_Size`` (``None`` while the
+    The deployment config, the parsed ``FF_Size`` (``None`` while the
     parser is still running — corner case 1), the validated ``Hx_QoS``
     cookie (``None`` when absent or stale — corner case 2), and the
     measured handshake RTT for 1-RTT connections.

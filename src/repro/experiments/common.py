@@ -1,11 +1,11 @@
 """Shared machinery for the evaluation experiments.
 
-``run_deployment`` plays every session chain of a
-:class:`~repro.workload.population.Deployment` under each comparison
-scheme, keeping the paired structure the paper's A/B tests have: the
-same OD pairs, streams, conditions and loss randomness are replayed per
-scheme; only the initialisation policy differs.  What no scheme can
-change — the plan, the origin and its live source — is one
+:func:`repro.experiments.runner.run_deployment` plays every session
+chain of a :class:`~repro.workload.population.Deployment` under each
+comparison scheme, keeping the paired structure the paper's A/B tests
+have: the same OD pairs, streams, conditions and loss randomness are
+replayed per scheme; only the initialisation policy differs.  What no
+scheme can change — the plan, the origin and its live source — is one
 :class:`ChainWorld` per OD pair, built once and replayed against by
 every scheme; what a scheme does change — cookie store, cookie manager,
 policy — is one :class:`SchemeReplay` per (scheme, chain).  Cookies
@@ -15,9 +15,7 @@ aggregates over.
 
 Results are cached per configuration: Figs 11–15 all read the same
 deployment run.  The replay itself — including process-pool sharding and
-the persistent on-disk cache — lives in
-:mod:`repro.experiments.runner`; :func:`run_deployment` here is a thin
-delegate kept for backwards compatibility.
+the persistent on-disk cache — lives in :mod:`repro.experiments.runner`.
 """
 
 from __future__ import annotations
@@ -64,33 +62,6 @@ class SessionOutcome:
 
 
 DeploymentRecords = Dict[SchemeLike, List[SessionOutcome]]
-
-
-def run_deployment(
-    config: Optional[DeploymentConfig] = None,
-    schemes: Sequence[SchemeLike] = EVAL_SCHEMES,
-    wira_config: Optional[WiraConfig] = None,
-    use_cache: bool = True,
-    jobs: Optional[int] = None,
-    disk_cache: Optional[bool] = None,
-) -> DeploymentRecords:
-    """Replay the deployment under each scheme; returns paired records.
-
-    Delegates to :func:`repro.experiments.runner.run_deployment`, which
-    adds process-pool sharding (``jobs`` / ``WIRA_JOBS``) and a
-    persistent result cache (``WIRA_CACHE_DIR`` / ``WIRA_DISK_CACHE``)
-    on top of the original serial replay.
-    """
-    from repro.experiments.runner import run_deployment as _run
-
-    return _run(
-        config=config,
-        schemes=schemes,
-        wira_config=wira_config,
-        use_cache=use_cache,
-        jobs=jobs,
-        disk_cache=disk_cache,
-    )
 
 
 def chain_cookie_manager(chain_index: int, wira_config: WiraConfig) -> ServerCookieManager:

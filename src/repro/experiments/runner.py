@@ -38,11 +38,13 @@ block of chains is replayed under **every** scheme against one
 scheme-independent half of a chain is built once however many schemes
 replay it, and lives exactly as long as its block.
 
-Serial replays themselves run through the batched multi-session kernel
-(:mod:`repro.cdn.batchrun`) when ``WIRA_BATCH`` is on (the default):
-wave *k* batches the *k*-th session of every chain into one
+A block of more than one chain replays through the batched
+multi-session kernel (:mod:`repro.cdn.batchrun`) unless a trace bus is
+installed (:func:`~repro.cdn.batchrun.batching_applies`): wave *k*
+batches the *k*-th session of every chain into one
 :class:`~repro.simnet.batch.BatchEventLoop`, preserving the cookie
-hand-off within each chain and producing byte-identical records.
+hand-off within each chain and producing records byte-identical to the
+chain-by-chain reference path.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from pathlib import Path
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
+from repro.cdn.batchrun import batching_applies
 from repro.core.config import WiraConfig
 from repro.core.initializer import Scheme
 from repro.core.schemes import SchemeLike, SchemeSpec, as_spec
@@ -405,15 +408,16 @@ def _replay_block(
     """Replay a block of chains under every scheme against shared worlds.
 
     The one unit behind both the serial path and the pool workers.  Per
-    scheme it dispatches to the batched kernel when enabled and no trace
-    bus is active; otherwise it runs the chain-by-chain reference path
-    (which is also the path that scopes per-chain trace shards).  Both
-    produce byte-identical outcome sequences, in chain order.
+    scheme it dispatches to the batched kernel when
+    :func:`~repro.cdn.batchrun.batching_applies`; otherwise it runs the
+    chain-by-chain reference path (which is also the path that scopes
+    per-chain trace shards).  Both produce byte-identical outcome
+    sequences, in chain order.
     """
     from repro.experiments import common
 
     worlds = common.build_worlds(chains, base_index)
-    batched = settings.current().batch and _obs.ACTIVE is None and len(chains) > 1
+    batched = batching_applies(len(chains))
     by_scheme: Dict[Scheme, list] = {}
     for scheme in schemes:
         outcomes: list = []

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import obs as _obs
+from repro.cdn.batchrun import batching_applies
 from repro.core.config import WiraConfig
 from repro.core.initializer import Scheme
 from repro.core.schemes import as_spec
@@ -169,20 +170,19 @@ def run_chunk(config: FleetConfig, chunk_index: int) -> Dict[str, object]:
     source — that all schemes replay against, so the scheme-independent
     half of a chain is built once per chunk, not once per scheme.
 
-    When the batched kernel is enabled (``WIRA_BATCH``, the default) the
-    chunk's chains replay together per scheme in lock-step waves on one
+    When :func:`~repro.cdn.batchrun.batching_applies` the chunk's
+    chains replay together per scheme in lock-step waves on one
     :class:`~repro.simnet.batch.BatchEventLoop`; outcomes are buffered —
     still O(chunk) memory — and folded in the exact ``(od, scheme,
     session)`` order of the serial reference loop, so both paths yield
     byte-identical aggregates.
     """
-    from repro import obs as _obs
     from repro.experiments import common
 
     population = FleetPopulation(config.population)
     aggregate = CampaignAggregate(config.schemes, alpha=config.sketch_alpha)
     start, stop = config.chunk_bounds(chunk_index)
-    if settings.current().batch and _obs.ACTIVE is None and stop - start > 1:
+    if batching_applies(stop - start):
         chains = [population.chain(od_index) for od_index in range(start, stop)]
         worlds = common.build_worlds(chains, start)
         per_scheme = {

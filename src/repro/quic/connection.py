@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs as _obs
 from repro import sanitize as _sanitize
@@ -123,11 +123,6 @@ class Connection:
         Client only: extra CHLO tags — Wira's ``HQST`` cookie goes here.
     rng:
         Randomness source (connection-ID generation).
-    send_burst:
-        Optional train-transmit hook, e.g. ``link.send_burst``.  When
-        set, ``_pump`` hands every datagram of one pump pass to the link
-        in a single call (admissions and timing are identical to
-        per-datagram sends; the link may vectorise the train).
     """
 
     def __init__(
@@ -139,7 +134,6 @@ class Connection:
         handshake_mode: HandshakeMode = HandshakeMode.ZERO_RTT,
         handshake_tags: Optional[Dict[bytes, bytes]] = None,
         rng: Optional[random.Random] = None,
-        send_burst: Optional[Callable[[Sequence[Datagram]], List[bool]]] = None,
     ) -> None:
         self.loop = loop
         self.role = role
@@ -147,8 +141,6 @@ class Connection:
         self.handshake_mode = handshake_mode
         self._handshake_tags = dict(handshake_tags or {})
         self._send_datagram = send_datagram
-        self._send_burst = send_burst
-        self._burst_buffer: Optional[List[Datagram]] = None
         # Seeded default is deliberate: the rng only feeds connection-ID
         # generation, which never influences timing or scheme comparisons.
         rng = rng or random.Random(0)  # wira-lint: disable=WL002
@@ -517,13 +509,6 @@ class Connection:
         now = self.loop.now
         self.pacer.set_rate(max(self.cc.pacing_rate_bps, 1.0), now)
 
-        # With a burst hook, collect this pass's datagrams and hand the
-        # whole train to the link at once (before the timer is armed, so
-        # the delivery events keep their historical scheduling order).
-        buffer: Optional[List[Datagram]] = None
-        if self._send_burst is not None:
-            self._burst_buffer = buffer = []
-
         # If only control/handshake traffic is pending, mark the sampler
         # app-limited *before* those packets snapshot their state, so
         # their tiny delivery-rate samples cannot poison the model.
@@ -587,14 +572,6 @@ class Connection:
             if ack is not None:
                 self._send_packet(self._app_packet_type(), [ack], in_flight=False, now=now)
 
-        if buffer is not None:
-            self._burst_buffer = None
-            if len(buffer) == 1:
-                self._send_datagram(buffer[0])
-            elif buffer:
-                assert self._send_burst is not None
-                self._send_burst(buffer)
-
         self._reschedule_timer(pacing_deadline)
 
     def _next_pending_stream(self) -> Optional[SendStream]:
@@ -657,11 +634,7 @@ class Connection:
                     "role": self.role.value,
                 },
             )
-        datagram = Datagram(wire, size=size)
-        if self._burst_buffer is not None:
-            self._burst_buffer.append(datagram)
-        else:
-            self._send_datagram(datagram)
+        self._send_datagram(Datagram(wire, size=size))
 
     # ------------------------------------------------------------------
     # Timers

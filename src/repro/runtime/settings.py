@@ -46,8 +46,6 @@ KNOWN_KNOBS = (
     "WIRA_SANITIZE",
     "WIRA_TRACE",
     "WIRA_TRACE_DIR",
-    "WIRA_BATCH",
-    "WIRA_FAST_LINK",
 )
 
 
@@ -76,13 +74,6 @@ class Settings:
     #: ``WIRA_TRACE_DIR`` — trace output directory (memory-only when
     #: ``None``).
     trace_dir: Optional[Path] = None
-    #: ``WIRA_BATCH`` — run serial replays through the batched
-    #: multi-session kernel (default on; results are byte-identical,
-    #: the knob exists as an escape hatch / reference baseline).
-    batch: bool = True
-    #: ``WIRA_FAST_LINK`` — direct-delivery link scheduling for
-    #: unimpaired sessions (default on; byte-identical, escape hatch).
-    fast_link: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -104,8 +95,6 @@ class Settings:
             sanitize=_parse_opt_in(env.get("WIRA_SANITIZE", "")),
             trace=_parse_opt_in(env.get("WIRA_TRACE", "")),
             trace_dir=_parse_path(env.get("WIRA_TRACE_DIR", "")),
-            batch=_parse_default_on(env.get("WIRA_BATCH", "1")),
-            fast_link=_parse_default_on(env.get("WIRA_FAST_LINK", "1")),
         )
 
     def with_overrides(self, **changes: object) -> "Settings":

@@ -14,8 +14,7 @@ a sanitized run::
 Design constraints:
 
 * **~0 % overhead when disabled** — hook sites test one module global
-  (``ACTIVE is not None``); the EventLoop keeps its unchecked hot loop
-  entirely separate.
+  (``ACTIVE is not None``); the event loops read it once per run.
 * **<= 10 % overhead when enabled** — each check is a handful of
   comparisons; verified by ``benchmarks/test_bench_speed.py``.
 * violations raise :class:`~repro.sanitize.errors.SanitizerError`

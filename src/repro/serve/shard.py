@@ -415,8 +415,8 @@ class ShardServer:
 
         With a trace bus active the whole run serializes under a lock
         (scoped trace files cannot interleave) and uses the plain
-        blocking driver; otherwise the run is sliced with the solo
-        driver's exact slice discipline, so results are identical.
+        blocking driver; otherwise the session's own drive loop is
+        stepped one slice at a time, so results are identical.
         Returns ``(result, sim clock at drain end)`` — the clock is
         ``None`` on the traced path, which hides its loop.
         """
@@ -425,27 +425,13 @@ class ShardServer:
                 return sim_session.run(), None
 
         sim_loop = SimLoop()
-        live = sim_session._setup(sim_loop)
-        while (
-            not live.client.done
-            and sim_loop.pending_events
-            and sim_loop.now < sim_session.timeout
-        ):
-            sim_loop.run_until(
-                min(sim_session.timeout, sim_loop.now + 0.25), max_events=100_000
-            )
-            await asyncio.sleep(0)
-        pushed = False
-        if live.client.done and sim_session.client_supports_cookies:
-            pushed = live.server.flush_cookie()
-            if pushed:
-                drained = sim_loop.now + max(4 * sim_session.conditions.rtt, 0.2)
-                while sim_loop.pending_events and sim_loop.now < drained:
-                    sim_loop.run_until(drained, max_events=100_000)
-                    await asyncio.sleep(0)
-        cookie_delivered = pushed and live.client.metrics.cookies_received > 0
-        result = sim_session._finalize(live, cookie_delivered)
-        return result, sim_loop.now
+        steps = sim_session.drive(sim_loop)
+        try:
+            while True:
+                next(steps)
+                await asyncio.sleep(0)
+        except StopIteration as finished:
+            return finished.value, sim_loop.now
 
     # ------------------------------------------------------------------
     # replay

@@ -28,25 +28,13 @@ A free-running member (``horizon`` unset) just executes until the queue
 drains — what the throughput benchmarks use.  Session drivers
 (:mod:`repro.cdn.batchrun`) instead replicate the solo slice semantics
 by setting ``_horizon``/``_budget`` and installing the ``_on_boundary``
-/ ``_on_budget`` / ``_on_drained`` hooks; the kernel consults them with
-one comparison per event, so undriven members pay (almost) nothing.
-
-The burst lane
---------------
-:meth:`MemberLoop.post_burst` schedules an array of deliveries — e.g. a
-packet train whose serialisation times are precomputed — as **one**
-queue entry carrying the full timestamp array.  The kernel drains it in
-a tight inner loop, re-inserting the remainder only when a foreign event
-or the member's horizon interleaves.  Each delivery still owns a unique
-``(when, seq)`` slot (the burst reserves a contiguous ``seq`` range at
-admission), so the observable order is identical to posting every
-delivery individually — asserted by ``tests/simnet/test_batch.py``.
+/ ``_on_drained`` hooks; the kernel consults them with one comparison
+per event, so undriven members pay (almost) nothing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import sanitize as _sanitize
 from repro.simnet.calqueue import CalendarQueue
@@ -57,30 +45,6 @@ _NO_HORIZON = float("inf")
 
 #: Budget value for free-running members: never exhausts in practice.
 _NO_BUDGET = 1 << 62
-
-
-class _Burst:
-    """A scheduled array of deliveries sharing one queue entry.
-
-    ``times`` must be ascending; the burst owns sequence numbers
-    ``seq0 .. seq0 + len(times) - 1``, one per delivery.  Bursts are
-    fire-and-forget (no cancellation handle), like ``post_at``.
-    """
-
-    __slots__ = ("times", "payloads", "callback", "seq0", "index")
-
-    def __init__(
-        self,
-        times: Sequence[float],
-        payloads: Sequence[Any],
-        callback: Callable[[Any], None],
-        seq0: int,
-    ) -> None:
-        self.times = times
-        self.payloads = payloads
-        self.callback = callback
-        self.seq0 = seq0
-        self.index = 0
 
 
 class MemberLoop:
@@ -101,7 +65,6 @@ class MemberLoop:
         "_budget",
         "_finished",
         "_on_boundary",
-        "_on_budget",
         "_on_drained",
     )
 
@@ -114,7 +77,6 @@ class MemberLoop:
         self._budget = _NO_BUDGET
         self._finished = False
         self._on_boundary: Optional[Callable[[float], None]] = None
-        self._on_budget: Optional[Callable[[], None]] = None
         self._on_drained: Optional[Callable[[], None]] = None
 
     @property
@@ -169,37 +131,6 @@ class MemberLoop:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         self.post_at(self._now + delay, callback, *args)
-
-    def post_burst(
-        self,
-        times: Sequence[float],
-        callback: Callable[[Any], None],
-        payloads: Sequence[Any],
-    ) -> None:
-        """Schedule ``callback(payloads[i])`` at ``times[i]`` for all i.
-
-        ``times`` must be ascending and start at or after :attr:`now`;
-        ``payloads`` must have the same length.  Semantically identical
-        to ``for t, p in zip(times, payloads): post_at(t, callback, p)``
-        (a contiguous ``seq`` range is reserved at admission), but the
-        whole train costs one queue entry and is drained by the kernel's
-        array lane.
-        """
-        count = len(times)
-        if count != len(payloads):
-            raise SimulationError("times and payloads must have equal length")
-        if count == 0:
-            return
-        if times[0] < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={times[0]:.6f}, clock is at t={self._now:.6f}"
-            )
-        kernel = self._kernel
-        seq0 = kernel._seq
-        kernel._seq = seq0 + count
-        burst = _Burst(times, payloads, callback, seq0)
-        kernel._queue.push((times[0], seq0, self, burst, None, ()))
-        self._pending += count
 
     def run(self, max_events: Optional[int] = None) -> int:
         raise SimulationError("a MemberLoop is driven by its BatchEventLoop")
@@ -256,8 +187,10 @@ class BatchEventLoop:
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
-        if _sanitize.ACTIVE is not None:
-            return self._run_checked(max_events, _sanitize.ACTIVE)
+        # Read once: the clock-monotonicity check below costs one
+        # comparison per event when enabled (well inside the 10% budget),
+        # and its counter is bulk-updated on exit.
+        sanitizer = _sanitize.ACTIVE
         self._running = True
         executed = 0
         queue = self._queue
@@ -274,14 +207,12 @@ class BatchEventLoop:
                 if member._finished:
                     continue
                 ev = entry[3]
-                if ev is not None:
-                    if ev.__class__ is _Burst:
-                        executed += self._drain_burst(ev, member, None)
-                        continue
-                    if ev.cancelled:
-                        continue
+                if ev is not None and ev.cancelled:
+                    continue
                 when = entry[0]
-                if when > member._horizon:
+                if when > member._horizon or member._budget <= 0:
+                    # The member's slice is over: its next event lies past
+                    # the horizon, or the slice's event budget is spent.
                     # The member's driver decides: advance the slice, run
                     # a phase transition, or finish the member.  The entry
                     # goes back in (new events posted by the driver may
@@ -290,153 +221,7 @@ class BatchEventLoop:
                     if not member._finished:
                         push(entry)
                     continue
-                if ev is not None:
-                    ev._finished = True
-                member._pending -= 1
-                member._now = when
-                entry[4](*entry[5])
-                executed += 1
-                member._processed += 1
-                member._budget -= 1
-                if member._pending == 0:
-                    drained = member._on_drained
-                    if drained is not None:
-                        drained()
-                elif member._budget <= 0:
-                    over = member._on_budget
-                    if over is not None:
-                        over()
-        finally:
-            self._processed += executed
-            self._running = False
-        return executed
-
-    def _drain_burst(
-        self,
-        burst: _Burst,
-        member: MemberLoop,
-        sanitizer: Optional["_sanitize.TransportSanitizer"],
-    ) -> int:
-        """Execute a burst's deliveries until a foreign event intervenes.
-
-        Returns the number of deliveries executed.  The remainder (if
-        any) is re-inserted as a fresh entry keyed by the next delivery's
-        own ``(when, seq)``.
-
-        The uninterrupted stretch is established once per segment: one
-        ``peek`` plus a bisect against the (sorted) delivery times finds
-        how many items precede the queue's head, and that bound stays
-        valid until a callback pushes something (tracked by the queue's
-        ``version`` counter) or a driver hook runs (which may move the
-        member's horizon).  The steady-state per-delivery cost is the
-        callback plus a handful of integer updates.
-        """
-        queue = self._queue
-        times = burst.times
-        payloads = burst.payloads
-        callback = burst.callback
-        seq0 = burst.seq0
-        count = len(times)
-        i = burst.index
-        executed = 0
-        while True:
-            t = times[i]
-            horizon = member._horizon
-            if t > horizon:
-                member._on_boundary(t)  # type: ignore[misc]
-                if not member._finished:
-                    burst.index = i
-                    queue.push((t, seq0 + i, member, burst, None, ()))
-                return executed
-            nxt = queue.peek()
-            if nxt is None:
-                end = count
-            else:
-                next_when = nxt[0]
-                end = bisect_left(times, next_when, i)
-                # Equal-instant items: the burst's reserved seqs decide.
-                while (
-                    end < count
-                    and times[end] == next_when
-                    and seq0 + end < nxt[1]
-                ):
-                    end += 1
-                if end == i:
-                    burst.index = i
-                    queue.push((t, seq0 + i, member, burst, None, ()))
-                    return executed
-            if times[end - 1] > horizon:
-                end = bisect_right(times, horizon, i, end)
-            version = queue.version
-            while True:
-                t = times[i]
-                if sanitizer is not None and t < member._now:
-                    sanitizer.check_clock(member._now, t)
-                member._pending -= 1
-                member._now = t
-                callback(payloads[i])
-                executed += 1
-                member._processed += 1
-                member._budget -= 1
-                hook_ran = False
-                if member._pending == 0:
-                    drained = member._on_drained
-                    if drained is not None:
-                        drained()
-                        hook_ran = True
-                elif member._budget <= 0:
-                    over = member._on_budget
-                    if over is not None:
-                        over()
-                        hook_ran = True
-                i += 1
-                if i == count:
-                    return executed
-                if member._finished:
-                    return executed
-                if i >= end or hook_ran or queue.version != version:
-                    break  # re-establish the safe stretch
-
-    def _run_checked(
-        self,
-        max_events: Optional[int],
-        sanitizer: "_sanitize.TransportSanitizer",
-    ) -> int:
-        """The :meth:`run` loop with the clock-monotonicity sanitizer.
-
-        Identical semantics; mirrors ``EventLoop._run_checked``: the
-        per-event comparison is inlined against the *member's* clock and
-        the invariant counter is bulk-updated on exit.
-        """
-        self._running = True
-        executed = 0
-        queue = self._queue
-        pop = queue.pop
-        push = queue.push
-        try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                entry = pop()
-                if entry is None:
-                    break
-                member = entry[2]
-                if member._finished:
-                    continue
-                ev = entry[3]
-                if ev is not None:
-                    if ev.__class__ is _Burst:
-                        executed += self._drain_burst(ev, member, sanitizer)
-                        continue
-                    if ev.cancelled:
-                        continue
-                when = entry[0]
-                if when > member._horizon:
-                    member._on_boundary(when)  # type: ignore[misc]
-                    if not member._finished:
-                        push(entry)
-                    continue
-                if when < member._now:
+                if sanitizer is not None and when < member._now:
                     sanitizer.check_clock(member._now, when)
                 if ev is not None:
                     ev._finished = True
@@ -450,13 +235,10 @@ class BatchEventLoop:
                     drained = member._on_drained
                     if drained is not None:
                         drained()
-                elif member._budget <= 0:
-                    over = member._on_budget
-                    if over is not None:
-                        over()
         finally:
-            counts = sanitizer.checks_run
-            counts["clock_monotonic"] = counts.get("clock_monotonic", 0) + executed
+            if sanitizer is not None:
+                counts = sanitizer.checks_run
+                counts["clock_monotonic"] = counts.get("clock_monotonic", 0) + executed
             self._processed += executed
             self._running = False
         return executed

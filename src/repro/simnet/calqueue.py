@@ -57,15 +57,11 @@ class CalendarQueue:
         the choice, only the amortisation factor does.
     """
 
-    __slots__ = ("_width", "_inv_width", "_buckets", "_order", "_current", "_incoming", "_active_idx", "_len", "version")
+    __slots__ = ("_width", "_inv_width", "_buckets", "_order", "_current", "_incoming", "_active_idx", "_len")
 
     def __init__(self, bucket_width: float = 0.001) -> None:
         if bucket_width <= 0.0:
             raise ValueError("bucket width must be positive")
-        #: Incremented on every ``push``.  Lets a caller that drained the
-        #: head lazily (the kernel's burst lane) detect whether callbacks
-        #: inserted anything since it last looked, without re-peeking.
-        self.version = 0
         self._width = bucket_width
         self._inv_width = 1.0 / bucket_width
         #: Future buckets by index; values are unsorted append lists.
@@ -92,7 +88,6 @@ class CalendarQueue:
 
     def push(self, entry: Entry) -> None:
         """Insert an entry.  O(1) amortised for near-future times."""
-        self.version += 1
         idx = int(entry[0] * self._inv_width)
         if idx <= self._active_idx:
             # Into (or before) the bucket being served: stage on the side
@@ -126,19 +121,3 @@ class CalendarQueue:
             current.sort(reverse=True)
         self._len -= 1
         return current.pop()
-
-    def peek(self) -> Optional[Entry]:
-        """Return (without removing) the minimum entry, or ``None``."""
-        current = self._current
-        if self._incoming:
-            current.extend(self._incoming)
-            self._incoming.clear()
-            current.sort(reverse=True)
-        while not current:
-            if not self._order:
-                return None
-            idx = heapq.heappop(self._order)
-            self._active_idx = idx
-            current = self._current = self._buckets.pop(idx)
-            current.sort(reverse=True)
-        return current[-1]

@@ -160,30 +160,35 @@ class EventLoop:
         return self._run(until=None, max_events=max_events)
 
     def run_until(self, deadline: float, max_events: Optional[int] = None) -> int:
-        """Run events with ``time <= deadline`` then set the clock to it.
+        """Run events with ``time <= deadline``, then advance the clock to it.
+
+        A call that stopped on ``max_events`` with events at or before
+        ``deadline`` still queued leaves the clock at the last event it
+        ran: advancing past them would make the next run pop an earlier
+        event and move ``now`` backwards.
 
         Returns the number of callbacks executed by this call.
         """
         executed = self._run(until=deadline, max_events=max_events)
-        if self._now < deadline:
+        heap = self._heap
+        # ``_run`` never leaves a cancelled entry at the head.
+        if self._now < deadline and not (heap and heap[0][0] <= deadline):
             self._now = deadline
         return executed
 
     def _run(self, until: Optional[float], max_events: Optional[int]) -> int:
         if self._running:
             raise SimulationError("event loop is not reentrant")
-        if _sanitize.ACTIVE is not None:
-            # Sanitized runs take a separate loop so the common path below
-            # stays branch-free per event (~0% overhead when disabled).
-            return self._run_checked(until, max_events, _sanitize.ACTIVE)
+        # Read once: the clock-monotonicity check below costs one
+        # comparison per event when enabled (well inside the 10% budget),
+        # and its counter is bulk-updated on exit.
+        sanitizer = _sanitize.ACTIVE
         self._running = True
         executed = 0
         heap = self._heap
         heappop = heapq.heappop
         try:
             while heap:
-                if max_events is not None and executed >= max_events:
-                    break
                 entry = heap[0]
                 event = entry[2]
                 if event is not None and event.cancelled:
@@ -192,50 +197,9 @@ class EventLoop:
                 when = entry[0]
                 if until is not None and when > until:
                     break
-                heappop(heap)
-                self._pending -= 1
-                if event is not None:
-                    event._finished = True
-                self._now = when
-                entry[3](*entry[4])
-                executed += 1
-        finally:
-            self._processed += executed
-            self._running = False
-        return executed
-
-    def _run_checked(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        sanitizer: "_sanitize.TransportSanitizer",
-    ) -> int:
-        """The :meth:`_run` loop with the clock-monotonicity sanitizer.
-
-        Identical semantics; every popped event is checked against the
-        ``clock_monotonic`` invariant before the clock advances.  The
-        comparison is inlined — :meth:`TransportSanitizer.check_clock`
-        (which raises) only runs on an actual violation — and the
-        per-invariant counter is bulk-updated on exit, keeping the
-        enabled overhead well under the 10% budget.
-        """
-        self._running = True
-        executed = 0
-        heap = self._heap
-        heappop = heapq.heappop
-        try:
-            while heap:
                 if max_events is not None and executed >= max_events:
                     break
-                entry = heap[0]
-                event = entry[2]
-                if event is not None and event.cancelled:
-                    heappop(heap)
-                    continue
-                when = entry[0]
-                if until is not None and when > until:
-                    break
-                if when < self._now:
+                if sanitizer is not None and when < self._now:
                     sanitizer.check_clock(self._now, when)
                 heappop(heap)
                 self._pending -= 1
@@ -245,8 +209,9 @@ class EventLoop:
                 entry[3](*entry[4])
                 executed += 1
         finally:
-            counts = sanitizer.checks_run
-            counts["clock_monotonic"] = counts.get("clock_monotonic", 0) + executed
+            if sanitizer is not None:
+                counts = sanitizer.checks_run
+                counts["clock_monotonic"] = counts.get("clock_monotonic", 0) + executed
             self._processed += executed
             self._running = False
         return executed

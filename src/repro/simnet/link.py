@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Deque, Optional, Protocol, Tuple
 from collections import deque
 
 from repro.simnet.engine import EventLoop
@@ -156,7 +156,6 @@ class Link:
         "_queue",
         "_queue_bytes",
         "_busy",
-        "fast",
     )
 
     def __init__(
@@ -168,7 +167,6 @@ class Link:
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
         on_deliver: Optional[Callable[[Datagram], None]] = None,
-        fast: bool = False,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -196,15 +194,6 @@ class Link:
         self._queue: Deque[Tuple[Datagram, float]] = deque()
         self._queue_bytes = 0
         self._busy = False
-        # Batched-admission mode (see ``send_burst``): a whole train is
-        # admitted in one hoisted-locals pass.  The event *structure* is
-        # deliberately identical to per-packet sends — the serialisation
-        # chain's posting instants are part of the simulator's
-        # ``(when, seq)`` determinism contract, so a transmit-path
-        # optimisation may batch bookkeeping but never move a post.
-        # StreamingSession enables it only for schedule-less sessions
-        # (gated by ``WIRA_FAST_LINK``).
-        self.fast = fast
 
     @property
     def queue_bytes(self) -> int:
@@ -241,64 +230,6 @@ class Link:
             self._begin_transmission(datagram, self.bandwidth_bps)
         self.stats.admitted += 1
         return True
-
-    def send_burst(self, datagrams: Sequence[Datagram]) -> List[bool]:
-        """Offer a back-to-back train of packets; one admission per packet.
-
-        Semantically identical to ``[link.send(d) for d in datagrams]``:
-        same rng draws, same drop decisions, same delivery timestamps,
-        and — crucially — the same event *posting instants*.  Only the
-        serialisation-finish event for the head of an idle link is
-        posted here; every later packet queues and gets its events
-        posted by the serialisation chain itself, exactly when the
-        per-packet path would post them.  Moving a post (e.g. scheduling
-        every delivery up front) would change the ``seq`` tiebreak of
-        events that collide on the same float timestamp and silently
-        reorder replays, so a fast link only hoists bookkeeping out of
-        the loop: one ``now`` read, bound methods, no impairment
-        branches.
-        """
-        if not self.fast or self.duplicate_rate > 0.0 or self.reorder_rate > 0.0:
-            return [self.send(d) for d in datagrams]
-        rng_random = self._rng.random
-        loss_rate = self.loss_rate
-        loss_model = self.loss_model
-        stats = self.stats
-        rate = self.bandwidth_bps
-        buffer_bytes = self.buffer_bytes
-        queue_append = self._queue.append
-        results: List[bool] = []
-        for datagram in datagrams:
-            if self.down:
-                stats.outage_losses += 1
-                results.append(False)
-                continue
-            if loss_model is not None:
-                if loss_model.should_drop():
-                    stats.random_losses += 1
-                    stats.burst_losses += 1
-                    results.append(False)
-                    continue
-            elif loss_rate > 0.0 and rng_random() < loss_rate:
-                stats.random_losses += 1
-                results.append(False)
-                continue
-            if self._busy:
-                size = datagram.size
-                queued = self._queue_bytes + size
-                if queued > buffer_bytes:
-                    stats.buffer_losses += 1
-                    results.append(False)
-                    continue
-                queue_append((datagram, rate))
-                self._queue_bytes = queued
-                if queued > stats.max_queue_bytes:
-                    stats.max_queue_bytes = queued
-            else:
-                self._begin_transmission(datagram, rate)
-            stats.admitted += 1
-            results.append(True)
-        return results
 
     def _begin_transmission(self, datagram: Datagram, rate_bps: float) -> None:
         self._busy = True

@@ -87,7 +87,6 @@ class Path:
         loop: EventLoop,
         conditions: NetworkConditions,
         rng: Optional[random.Random] = None,
-        fast: bool = False,
     ) -> None:
         # Seeded default keeps zero-argument Paths reproducible; replayed
         # sessions always pass a per-session rng derived from their seed.
@@ -102,7 +101,6 @@ class Path:
             buffer_bytes=conditions.buffer_bytes,
             loss_rate=conditions.loss_rate,
             rng=random.Random(rng.getrandbits(64)),
-            fast=fast,
         )
         self.reverse = Link(
             loop,
@@ -111,7 +109,6 @@ class Path:
             buffer_bytes=conditions.buffer_bytes,
             loss_rate=conditions.reverse_loss_rate,
             rng=random.Random(rng.getrandbits(64)),
-            fast=fast,
         )
 
     @property

@@ -12,15 +12,11 @@
 """
 
 from repro.workload.network import NetworkModel, OdPairModel, UserGroup
-
-# The re-export below IS the deprecation shim WL016 polices; it stays
-# until the alias is dropped outright.
-from repro.workload.population import (  # wira-lint: disable=WL016
+from repro.workload.population import (
     Deployment,
     DeploymentConfig,
     FleetPopulation,
     PlannedSession,
-    SessionSpec,
 )
 from repro.workload.streams import sample_ff_size, sample_stream_profile
 
@@ -31,7 +27,6 @@ __all__ = [
     "NetworkModel",
     "OdPairModel",
     "PlannedSession",
-    "SessionSpec",  # deprecated alias of PlannedSession
     "UserGroup",
     "sample_ff_size",
     "sample_stream_profile",

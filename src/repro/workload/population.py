@@ -48,10 +48,10 @@ from repro.workload.streams import sample_stream_profile
 class PlannedSession:
     """Everything needed to run one session under any scheme.
 
-    (Named ``SessionSpec`` before PR 5; that name now belongs to the
-    scheme-level construction spec in :mod:`repro.cdn.session`.  A
-    planned session is scheme-*agnostic* — the same plan replays under
-    every comparison scheme, which is what makes the A/B pairing exact.)
+    A planned session is scheme-*agnostic* — the same plan replays under
+    every comparison scheme, which is what makes the A/B pairing exact.
+    (The scheme-level construction spec is
+    :class:`repro.cdn.session.SessionSpec`.)
     """
 
     od: OdPairModel
@@ -69,10 +69,6 @@ class PlannedSession:
     @property
     def is_first_session(self) -> bool:
         return self.session_index == 0
-
-
-#: Deprecated alias — the population-level spec's pre-PR-5 name.
-SessionSpec = PlannedSession
 
 
 @dataclass

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from repro import obs
+from repro import obs, sanitize
+from repro.cdn import batchrun, session as session_module
 from repro.cdn.batchrun import run_sessions
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionSpec, StreamingSession
@@ -188,3 +189,28 @@ class TestBatchedEqualsSolo:
         assert len(results) == 3
         # Solo fallback still annotates phase breakdowns via the bus.
         assert all(r.phase_breakdown is not None for r in results if r.completed)
+
+
+class TestSpentSliceBudget:
+    """A slice that runs out of events, not time (never reached at the
+    shipped 100 000-event budget, so shrunk here)."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 50])
+    def test_member_clock_never_rewinds_and_matches_solo(self, monkeypatch, budget):
+        """``run_until`` leaves the clock at the last event when it stops
+        on ``max_events`` with events still due, and the batched driver
+        mirrors that: the sanitizer's ``clock_monotonic`` check holds on
+        both kernels, in the run phase and in the cookie flush, and the
+        results stay identical."""
+        specs = _varied_specs()[:4] + _varied_specs()[-1:]
+        monkeypatch.setattr(obs, "ACTIVE", None)  # a trace bus would force the solo path
+        monkeypatch.setattr(batchrun, "_SLICE_EVENTS", budget)
+        with sanitize.sanitized() as san:
+            batched = run_sessions([_build(spec, tag=i) for i, spec in enumerate(specs)])
+        assert san.checks_run["clock_monotonic"] > 0
+        monkeypatch.setattr(session_module, "_SLICE_EVENTS", budget)
+        with sanitize.sanitized():
+            solo = [_build(spec, tag=i).run() for i, spec in enumerate(specs)]
+        assert batched == solo
+        # The flush phase ran to its end instead of being abandoned.
+        assert any(result.cookie_delivered for result in solo)

@@ -1,26 +1,19 @@
-"""SessionSpec construction API: legacy-ctor equivalence and semantics.
+"""SessionSpec construction API.
 
-PR 5 makes :class:`SessionSpec` + :meth:`StreamingSession.from_spec` the
-only supported construction path for new code; the keyword constructor
-survives as a deprecated shim.  These tests pin the contract:
-
-* the shim and ``from_spec`` produce *identical* results (the shim is a
-  pure repackaging, not a parallel code path),
-* the shim warns ``DeprecationWarning`` exactly once per construction,
-* the spec is frozen and copied-with-changes via :meth:`SessionSpec.with_`.
+A session is built from an immutable :class:`SessionSpec` plus its
+environment — ``StreamingSession(spec, origin, stream_name, ...)``, or
+the equivalent :meth:`StreamingSession.from_spec`.  The spec is frozen
+and copied-with-changes via :meth:`SessionSpec.with_`.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionSpec, StreamingSession
 from repro.core.initializer import Scheme
-from repro.core.transport_cookie import ClientCookieStore
 from repro.media.source import StreamProfile
-from repro.quic.connection import HandshakeMode
 from repro.simnet.path import NetworkConditions
 
 TESTBED = NetworkConditions(
@@ -36,84 +29,6 @@ def make_origin():
                       complexity_sigma=0.02, size_jitter=0.02),
     )
     return origin
-
-
-class TestLegacyShimEquivalence:
-    @pytest.mark.parametrize("scheme", [Scheme.BASELINE, Scheme.WIRA])
-    @pytest.mark.parametrize("mode", [HandshakeMode.ZERO_RTT, HandshakeMode.ONE_RTT])
-    def test_legacy_ctor_and_from_spec_identical_results(self, scheme, mode):
-        """The deprecated kwarg constructor must replay byte-for-byte like
-        the spec path — same FFCT, same loss, same initial parameters."""
-        spec = SessionSpec(
-            conditions=TESTBED,
-            scheme=scheme,
-            handshake_mode=mode,
-            seed=11,
-            target_video_frames=4,
-        )
-        via_spec = StreamingSession.from_spec(spec, make_origin(), "demo").run()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = StreamingSession(  # wira-lint: disable=WL016 - shim equivalence test
-                conditions=TESTBED,
-                scheme=scheme,
-                origin=make_origin(),
-                stream_name="demo",
-                handshake_mode=mode,
-                seed=11,
-                target_video_frames=4,
-            ).run()
-        assert via_spec == via_legacy
-
-    def test_legacy_ctor_equivalent_with_cookie_chain(self):
-        """Two-session chains (warm cookie store) agree across both paths."""
-
-        def run_chain(use_legacy):
-            origin = make_origin()
-            store = ClientCookieStore()
-            first = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA, seed=5)
-            second = first.with_(seed=6, epoch=120.0)
-            results = []
-            for spec in (first, second):
-                if use_legacy:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", DeprecationWarning)
-                        session = StreamingSession(  # wira-lint: disable=WL016 - shim equivalence test
-                            conditions=spec.conditions,
-                            scheme=spec.scheme,
-                            origin=origin,
-                            stream_name="demo",
-                            cookie_store=store,
-                            epoch=spec.epoch,
-                            seed=spec.seed,
-                        )
-                else:
-                    session = StreamingSession.from_spec(
-                        spec, origin, "demo", cookie_store=store
-                    )
-                results.append(session.run())
-            return results
-
-        legacy = run_chain(use_legacy=True)
-        spec_path = run_chain(use_legacy=False)
-        assert legacy == spec_path
-        assert spec_path[1].used_cookie  # the chain actually exercised cookies
-
-    def test_legacy_ctor_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="SessionSpec"):
-            StreamingSession(  # wira-lint: disable=WL016 - deprecation warning test
-                conditions=TESTBED,
-                scheme=Scheme.BASELINE,
-                origin=make_origin(),
-                stream_name="demo",
-                seed=1,
-            )
-
-    def test_from_spec_does_not_warn(self):
-        spec = SessionSpec(conditions=TESTBED, scheme=Scheme.BASELINE, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            StreamingSession.from_spec(spec, make_origin(), "demo")
 
 
 class TestSpecSemantics:
@@ -139,3 +54,8 @@ class TestSpecSemantics:
         a = StreamingSession.from_spec(spec, make_origin(), "demo").run()
         b = StreamingSession.from_spec(spec, make_origin(), "demo").run()
         assert a == b
+
+    def test_constructor_and_from_spec_agree(self):
+        spec = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA, seed=9)
+        direct = StreamingSession(spec, make_origin(), "demo").run()
+        assert direct == StreamingSession.from_spec(spec, make_origin(), "demo").run()

@@ -15,9 +15,10 @@ from repro.core.config import WiraConfig
 from repro.core.initializer import Scheme, payload_to_wire_bytes, table1_params
 from repro.core.schemes import InitContext, SchemeSpec, as_spec, make_policy
 from repro.core.transport_cookie import HxQos
+from repro.experiments import common
 from repro.fleet import canonical_json, run_campaign, run_chunk
 from repro.fleet.engine import FleetConfig
-from repro.workload.population import DeploymentConfig
+from repro.workload.population import DeploymentConfig, FleetPopulation
 
 CONFIG = WiraConfig()
 HX = HxQos(min_rtt=0.050, max_bw_bps=8e6, timestamp=0.0)
@@ -124,12 +125,21 @@ class TestFleetScaleDeterminism:
         sharded = run_campaign(ADAPTIVE_FLEET, jobs=2)
         assert canonical_json(serial.to_json()) == canonical_json(sharded.to_json())
 
-    def test_batched_equals_solo(self, monkeypatch):
-        monkeypatch.setenv("WIRA_BATCH", "0")
-        solo = [run_chunk(ADAPTIVE_FLEET, i) for i in range(ADAPTIVE_FLEET.n_chunks)]
-        monkeypatch.setenv("WIRA_BATCH", "1")
-        batched = [run_chunk(ADAPTIVE_FLEET, i) for i in range(ADAPTIVE_FLEET.n_chunks)]
-        assert [canonical_json(p) for p in solo] == [canonical_json(p) for p in batched]
+    def test_batched_equals_solo(self):
+        """Wave batching hands each chain's policy the same observe →
+        initial_params order as the solo reference loop."""
+        config = ADAPTIVE_FLEET.population
+        population = FleetPopulation(config)
+        chains = [population.chain(index) for index in range(config.n_od_pairs)]
+        scheme = as_spec("adaptive")
+        batched = common.replay_chains_wave_batched(
+            scheme, chains, 0, config, ADAPTIVE_FLEET.wira
+        )
+        solo = [
+            list(common.iter_chain_outcomes(scheme, chain, index, config, ADAPTIVE_FLEET.wira))
+            for index, chain in enumerate(chains)
+        ]
+        assert batched == solo
 
     def test_kill_resume_byte_identical(self, tmp_path):
         from repro.fleet import CheckpointState, save_checkpoint

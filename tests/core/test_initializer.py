@@ -8,7 +8,6 @@ from repro.core.config import WiraConfig
 from repro.core.initializer import (
     InitialParams,
     Scheme,
-    compute_initial_params,
     payload_to_wire_bytes,
 )
 from repro.core.schemes import InitContext, make_policy
@@ -186,21 +185,3 @@ def test_wira_never_exceeds_either_signal_property(ff, bw, rtt):
     assert p.cwnd_bytes <= max(floor, payload_to_wire_bytes(ff))
     assert p.cwnd_bytes <= max(floor, hx.bdp_bytes)
     assert p.pacing_bps >= CONFIG.min_initial_pacing_bps
-
-
-class TestDeprecatedShim:
-    """``compute_initial_params`` survives as a warning alias only."""
-
-    def test_warns_and_matches_policy(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = compute_initial_params(  # wira-lint: disable=WL016
-                Scheme.WIRA, CONFIG, ff_size=FF, hx_qos=HX
-            )
-        assert legacy == params(Scheme.WIRA)
-
-    def test_accepts_string_schemes(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = compute_initial_params(  # wira-lint: disable=WL016
-                "wira_hx", CONFIG, ff_size=FF, hx_qos=HX
-            )
-        assert legacy == params(Scheme.WIRA_HX)

@@ -22,9 +22,9 @@ CONFIG = DeploymentConfig(n_od_pairs=5, seed=23, video_frames_per_session=6)
 def untraced_small_blocks(monkeypatch):
     """Blocks of two chains, so five chains make three blocks (the last
     a single chain, which takes the solo loop); ambient tracing off so
-    ``WIRA_BATCH`` alone picks the kernel.  Pool workers are forked, so
-    the persistent pool is recycled around each test: its workers must
-    see this state, and later tests must not."""
+    the two-chain blocks take the batched kernel.  Pool workers are
+    forked, so the persistent pool is recycled around each test: its
+    workers must see this state, and later tests must not."""
     monkeypatch.setattr(common, "WAVE_CHAINS", 2)
     monkeypatch.delenv("WIRA_TRACE", raising=False)
     monkeypatch.setattr(obs, "ACTIVE", None)
@@ -50,12 +50,8 @@ def private_world_records():
         obs.ACTIVE = ambient_bus
 
 
-@pytest.mark.parametrize("batch", ["0", "1"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_block_major_replay_equals_private_worlds(
-    private_world_records, monkeypatch, batch, jobs
-):
-    monkeypatch.setenv("WIRA_BATCH", batch)
+def test_block_major_replay_equals_private_worlds(private_world_records, jobs):
     records = runner.run_deployment(CONFIG, SCHEMES, use_cache=False, jobs=jobs)
     assert list(records) == list(SCHEMES)
     for scheme in SCHEMES:

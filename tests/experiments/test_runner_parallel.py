@@ -16,7 +16,7 @@ from repro import obs
 from repro.core.config import WiraConfig
 from repro.core.initializer import Scheme
 from repro.experiments import common, runner
-from repro.workload.population import DeploymentConfig
+from repro.workload.population import Deployment, DeploymentConfig
 
 SCHEMES = (Scheme.BASELINE, Scheme.WIRA)
 
@@ -146,8 +146,6 @@ class TestChunkSharding:
 
     def test_worker_chains_match_full_generation(self):
         """The ranges workers regenerate tile the full deployment."""
-        from repro.workload.population import Deployment
-
         config = tiny_config(23)
         full = Deployment(config).generate()
         regenerated = []
@@ -191,33 +189,24 @@ class TestPersistentPool:
         assert runner._POOL_JOBS == 0
 
 
-class TestBatchKnob:
-    def test_serial_batched_matches_reference(self, no_ambient_tracing, monkeypatch):
+class TestBatchedKernel:
+    def test_serial_batched_matches_reference(self, no_ambient_tracing):
+        """The batched kernel against the solo reference loop, directly:
+        every chain replayed session by session on its own EventLoop."""
         config = tiny_config(3)
-        monkeypatch.setenv("WIRA_BATCH", "0")
-        reference = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
-        monkeypatch.setenv("WIRA_BATCH", "1")
+        chains = Deployment(config).generate()
+        reference = {
+            scheme: [
+                outcome
+                for index, chain in enumerate(chains)
+                for outcome in common.iter_chain_outcomes(
+                    scheme, chain, index, config, WiraConfig()
+                )
+            ]
+            for scheme in SCHEMES
+        }
         batched = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
         assert_records_identical(reference, batched)
-
-    def test_fast_link_matches_reference(self, no_ambient_tracing, monkeypatch):
-        config = tiny_config(3)
-        monkeypatch.setenv("WIRA_FAST_LINK", "0")
-        monkeypatch.setenv("WIRA_BATCH", "0")
-        reference = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
-        monkeypatch.setenv("WIRA_FAST_LINK", "1")
-        fast = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
-        assert_records_identical(reference, fast)
-
-    def test_all_knobs_on_match_all_knobs_off(self, no_ambient_tracing, monkeypatch):
-        config = tiny_config(4)
-        monkeypatch.setenv("WIRA_FAST_LINK", "0")
-        monkeypatch.setenv("WIRA_BATCH", "0")
-        reference = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
-        monkeypatch.setenv("WIRA_FAST_LINK", "1")
-        monkeypatch.setenv("WIRA_BATCH", "1")
-        combined = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
-        assert_records_identical(reference, combined)
 
 
 class TestJobsResolution:

@@ -20,6 +20,7 @@ from repro.experiments import (
     fig13,
     fig14,
     fig15,
+    runner,
     table1,
 )
 from repro.quic.connection import HandshakeMode
@@ -30,7 +31,7 @@ TINY = DeploymentConfig(n_od_pairs=6, seed=99, video_frames_per_session=8)
 
 @pytest.fixture(scope="module")
 def tiny_records():
-    return common.run_deployment(TINY, common.EVAL_SCHEMES)
+    return runner.run_deployment(TINY, common.EVAL_SCHEMES)
 
 
 class TestCommon:
@@ -48,7 +49,7 @@ class TestCommon:
             assert all(o.result.completed for o in outcomes)
 
     def test_cache_returns_same_object(self, tiny_records):
-        again = common.run_deployment(TINY, common.EVAL_SCHEMES)
+        again = runner.run_deployment(TINY, common.EVAL_SCHEMES)
         assert again is tiny_records
 
     def test_testbed_session_runs(self):

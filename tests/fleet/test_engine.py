@@ -10,7 +10,10 @@ import random
 
 import pytest
 
+from repro.core.schemes import as_spec
+from repro.experiments import common
 from repro.fleet import (
+    CampaignAggregate,
     CampaignMismatchError,
     CheckpointState,
     FleetCampaign,
@@ -23,7 +26,7 @@ from repro.fleet import (
     run_chunk,
     save_checkpoint,
 )
-from repro.workload import DeploymentConfig
+from repro.workload import DeploymentConfig, FleetPopulation
 
 SCHEMES = ("baseline", "wira")
 
@@ -94,16 +97,23 @@ class TestDeterminism:
         run_chunk(config, 0)  # other work must not perturb chunk 1
         assert canonical_json(run_chunk(config, 1)) == canonical_json(first)
 
-    def test_batched_chunk_matches_serial_reference(self, monkeypatch):
-        """WIRA_BATCH on/off must yield byte-identical chunk aggregates."""
+    def test_batched_chunk_matches_serial_reference(self):
+        """A chunk's aggregate against the solo reference loop, folded
+        here in ``(od, scheme, session)`` order, must be byte-identical."""
         config = small_config(chunk_chains=3)
-        monkeypatch.setenv("WIRA_BATCH", "0")
-        reference = [run_chunk(config, i) for i in range(config.n_chunks)]
-        monkeypatch.setenv("WIRA_BATCH", "1")
-        batched = [run_chunk(config, i) for i in range(config.n_chunks)]
-        assert [canonical_json(p) for p in reference] == [
-            canonical_json(p) for p in batched
-        ]
+        population = FleetPopulation(config.population)
+        for chunk_index in range(config.n_chunks):
+            reference = CampaignAggregate(config.schemes, alpha=config.sketch_alpha)
+            for od_index in range(*config.chunk_bounds(chunk_index)):
+                chain = population.chain(od_index)
+                for value in config.schemes:
+                    for outcome in common.iter_chain_outcomes(
+                        as_spec(value), chain, od_index, config.population, config.wira
+                    ):
+                        reference.fold(value, outcome.spec, outcome.result)
+            assert canonical_json(run_chunk(config, chunk_index)) == canonical_json(
+                reference.to_json()
+            )
 
     def test_sharing_a_world_across_schemes_changes_no_aggregate(self):
         """Both schemes together, in either order, and each scheme alone
@@ -159,9 +169,7 @@ class TestWorldBuiltOncePerChain:
         sessions = sum(int(s["sessions"]) for s in payload["schemes"].values())
         return calls[0], sessions
 
-    @pytest.mark.parametrize("batch", ["0", "1"])
-    def test_seed_calls_of_pinned_chunk(self, monkeypatch, batch):
-        monkeypatch.setenv("WIRA_BATCH", batch)
+    def test_seed_calls_of_pinned_chunk(self, monkeypatch):
         together, sessions = self.seed_calls(monkeypatch, self.CONFIG)
         alone = [
             self.seed_calls(monkeypatch, self.CONFIG.with_(schemes=(value,)))[0]

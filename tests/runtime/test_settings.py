@@ -1,5 +1,6 @@
 """The consolidated ``WIRA_*`` knob parser and its delegating consumers."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,19 @@ from repro.runtime.settings import Settings
 
 
 class TestFromEnv:
+    def test_knobs_are_exactly_the_six_settings_fields(self):
+        assert settings.KNOWN_KNOBS == (
+            "WIRA_JOBS",
+            "WIRA_CACHE_DIR",
+            "WIRA_DISK_CACHE",
+            "WIRA_SANITIZE",
+            "WIRA_TRACE",
+            "WIRA_TRACE_DIR",
+        )
+        assert [f"WIRA_{f.name.upper()}" for f in fields(Settings)] == list(
+            settings.KNOWN_KNOBS
+        )
+
     def test_defaults_with_empty_environment(self):
         parsed = Settings.from_env({})
         assert parsed.jobs == 1

@@ -1,7 +1,6 @@
-"""BatchEventLoop member semantics and the array-backed burst lane."""
+"""BatchEventLoop member semantics."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.simnet.batch import BatchEventLoop
 from repro.simnet.engine import SimulationError
@@ -84,114 +83,3 @@ class TestMemberLoopApi:
         kernel.run()
         assert kernel.processed_events == 3
         assert kernel.pending_events == 0
-
-
-class TestBurstLane:
-    def _scalar_reference(self, times, tags, other_events):
-        """Per-event posts on a fresh kernel — the semantic reference."""
-        kernel = BatchEventLoop()
-        member = kernel.member()
-        log = []
-        for t, tag in other_events:
-            member.post_at(t, lambda tag=tag: log.append((tag, member.now)))
-        for t, tag in zip(times, tags):
-            member.post_at(t, lambda tag=tag: log.append((tag, member.now)))
-        kernel.run()
-        return log
-
-    def test_burst_matches_individual_posts(self):
-        times = [0.001 * i for i in range(50)]
-        tags = [f"b{i}" for i in range(50)]
-        other = [(0.0125, "x"), (0.0305, "y"), (1.0, "z")]
-        expected = self._scalar_reference(times, tags, other)
-
-        kernel = BatchEventLoop()
-        member = kernel.member()
-        log = []
-        for t, tag in other:
-            member.post_at(t, lambda tag=tag: log.append((tag, member.now)))
-        member.post_burst(times, lambda tag: log.append((tag, member.now)), tags)
-        assert member.pending_events == 53
-        kernel.run()
-        assert log == expected
-        assert member.processed_events == 53
-        assert member.pending_events == 0
-
-    def test_burst_interleaves_with_reposts(self):
-        """A callback re-posting mid-train forces burst re-insertion."""
-        times = [0.002 * i for i in range(20)]
-        tags = list(range(20))
-
-        def build(run_burst):
-            kernel = BatchEventLoop()
-            member = kernel.member()
-            log = []
-
-            def tick(tag):
-                log.append((tag, member.now))
-                if tag == "t0":
-                    member.post_later(0.0031, tick, "t1")
-
-            member.post_at(0.0005, tick, "t0")
-            if run_burst:
-                member.post_burst(
-                    times, lambda tag: log.append((tag, member.now)), tags
-                )
-            else:
-                for t, tag in zip(times, tags):
-                    member.post_at(t, lambda tag=tag: log.append((tag, member.now)))
-            kernel.run()
-            return log
-
-        assert build(True) == build(False)
-
-    def test_burst_validation(self):
-        kernel = BatchEventLoop()
-        member = kernel.member(start_time=1.0)
-        with pytest.raises(SimulationError):
-            member.post_burst([0.5], lambda p: None, ["a"])
-        with pytest.raises(SimulationError):
-            member.post_burst([1.5, 2.0], lambda p: None, ["a"])
-        member.post_burst([], lambda p: None, [])
-        assert member.pending_events == 0
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=0.05, allow_nan=False), min_size=1, max_size=60),
-        st.lists(st.floats(min_value=0.0, max_value=0.05, allow_nan=False), max_size=20),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_burst_equivalence_randomized(self, burst_times, single_times):
-        burst_times = sorted(burst_times)
-        tags = [f"b{i}" for i in range(len(burst_times))]
-        other = [(t, f"s{i}") for i, t in enumerate(single_times)]
-
-        expected = self._scalar_reference(burst_times, tags, other)
-
-        kernel = BatchEventLoop()
-        member = kernel.member()
-        log = []
-        for t, tag in other:
-            member.post_at(t, lambda tag=tag: log.append((tag, member.now)))
-        member.post_burst(burst_times, lambda tag: log.append((tag, member.now)), tags)
-        kernel.run()
-        assert log == expected
-
-    def test_two_member_bursts_interleave(self):
-        kernel = BatchEventLoop()
-        a = kernel.member()
-        b = kernel.member()
-        log = []
-        a.post_burst([0.001, 0.003, 0.005], lambda p: log.append(("a", p, a.now)), [0, 1, 2])
-        b.post_burst([0.002, 0.004, 0.006], lambda p: log.append(("b", p, b.now)), [0, 1, 2])
-        kernel.run()
-        assert log == [
-            ("a", 0, 0.001),
-            ("b", 0, 0.002),
-            ("a", 1, 0.003),
-            ("b", 1, 0.004),
-            ("a", 2, 0.005),
-            ("b", 2, 0.006),
-        ]
-        # Each member observed only its own clock.
-        assert a.now == 0.005
-        assert b.now == 0.006

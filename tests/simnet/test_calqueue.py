@@ -51,13 +51,13 @@ class TestPopOrderMatchesHeapq:
 
     @given(
         st.lists(
-            st.tuples(st.sampled_from(["push", "pop", "peek"]), time_strategy),
+            st.tuples(st.sampled_from(["push", "pop"]), time_strategy),
             min_size=0,
             max_size=400,
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_interleaved_push_pop_peek(self, ops):
+    def test_interleaved_push_pop(self, ops):
         """Pops interleaved with pushes — the re-entrant insert path.
 
         Pushes racing the active bucket may only schedule at/after the
@@ -74,15 +74,12 @@ class TestPopOrderMatchesHeapq:
                 s = next(seq)
                 queue.push((when, s))
                 heapq.heappush(heap, (when, s))
-            elif op == "pop":
+            else:
                 expected = heapq.heappop(heap) if heap else None
                 got = queue.pop()
                 assert got == expected
                 if got is not None:
                     frontier = got[0]
-            else:
-                expected = heap[0] if heap else None
-                assert queue.peek() == expected
             assert len(queue) == len(heap)
         drained = []
         while queue:
@@ -138,10 +135,9 @@ class TestPopOrderMatchesHeapq:
 
 
 class TestQueueBasics:
-    def test_empty_pop_and_peek(self):
+    def test_empty_pop(self):
         queue = CalendarQueue()
         assert queue.pop() is None
-        assert queue.peek() is None
         assert len(queue) == 0
 
     def test_invalid_width_rejected(self):
@@ -149,16 +145,6 @@ class TestQueueBasics:
             CalendarQueue(bucket_width=0.0)
         with pytest.raises(ValueError):
             CalendarQueue(bucket_width=-1.0)
-
-    def test_peek_does_not_consume(self):
-        queue = CalendarQueue()
-        queue.push((1.0, 0))
-        queue.push((0.5, 1))
-        assert queue.peek() == (0.5, 1)
-        assert queue.peek() == (0.5, 1)
-        assert len(queue) == 2
-        assert queue.pop() == (0.5, 1)
-        assert queue.pop() == (1.0, 0)
 
     def test_bucket_width_property(self):
         assert CalendarQueue(bucket_width=0.25).bucket_width == 0.25

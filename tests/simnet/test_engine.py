@@ -90,6 +90,35 @@ def test_run_until_advances_clock_even_without_events():
     assert loop.now == 7.0
 
 
+def test_run_until_stopped_on_max_events_does_not_rewind_clock():
+    """Stopping on ``max_events`` with events still due must leave the
+    clock at the last event run: jumping to the deadline would make the
+    next run pop an earlier event and move ``now`` backwards."""
+    loop = EventLoop()
+    seen = []
+    for when in (0.1, 0.2, 0.3):
+        loop.post_at(when, lambda: seen.append(loop.now))
+    cancelled = loop.call_at(0.15, seen.append, "cancelled")
+    cancelled.cancel()
+    assert loop.run_until(1.0, max_events=1) == 1
+    assert loop.now == 0.1
+    clock = [loop.now]
+    while loop.pending_events:
+        loop.run_until(1.0, max_events=1)
+        clock.append(loop.now)
+    # The last slice found nothing else due, so it did reach the deadline.
+    assert clock == [0.1, 0.2, 1.0]
+    assert seen == [0.1, 0.2, 0.3]
+
+
+def test_run_until_reaches_deadline_when_only_later_events_remain():
+    loop = EventLoop()
+    loop.post_at(0.1, lambda: None)
+    loop.post_at(2.0, lambda: None)
+    assert loop.run_until(1.0, max_events=1) == 1
+    assert loop.now == 1.0
+
+
 def test_events_can_schedule_events():
     loop = EventLoop()
     times = []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.simnet.batch import BatchEventLoop
 from repro.simnet.engine import EventLoop
 from repro.simnet.link import Datagram, Link
 
@@ -255,3 +256,62 @@ def test_inert_impairments_preserve_rng_stream():
         return outcomes, len(delivered)
 
     assert run() == run()
+
+
+def test_admission_collides_with_serialisation_finish():
+    """A send at *exactly* a serialisation-finish instant, from an event
+    with a smaller ``seq``, must see the buffer still occupied.
+
+    The finish event's queue pop happens at ``(T, seq_finish)``, and a
+    competing admission at ``(T, seq_smaller)`` runs before it.
+    Accounting keyed on the timestamp alone would free the buffer too
+    early and flip the drop-tail decision.
+    """
+    loop = EventLoop()
+    link, _ = make_link(
+        loop,
+        bandwidth_bps=80_000.0,  # 1000 B -> exactly 0.1 s on the wire
+        propagation_delay=0.005,
+        buffer_bytes=2_000,
+    )
+    late_result = []
+
+    def setup():
+        # Posted *before* the head packet's finish event, so at t=0.1
+        # this runs first (smaller seq).  The buffer still holds both
+        # queued packets at that point: reject.
+        loop.post_at(0.1, lambda: late_result.append(link.send(Datagram(b"d" * 1000))))
+        assert [link.send(Datagram(b"a" * 1000)) for _ in range(3)] == [True] * 3
+
+    loop.post_at(0.0, setup)
+    loop.run()
+    assert late_result == [False]  # the colliding send was dropped
+    assert link.stats.buffer_losses == 1  # ...as a buffer loss
+    assert link.stats.delivered == 3
+
+
+def test_burst_on_member_loop_matches_solo_loop():
+    """A back-to-back train sent on a MemberLoop must equal solo-loop runs."""
+    sizes = (300, 900, 1500, 40, 700) * 6
+    observed = {}
+    for mode in ("solo", "batch"):
+        if mode == "solo":
+            kernel = target = EventLoop()
+        else:
+            kernel = BatchEventLoop()
+            target = kernel.member()
+        link = Link(
+            target,
+            bandwidth_bps=2_500_000.0,
+            propagation_delay=0.008,
+            buffer_bytes=10**6,
+            rng=random.Random(4),
+        )
+        delivered = []
+        link.on_deliver = lambda d: delivered.append((target.now, d.size))
+        for size in sizes:
+            assert link.send(Datagram(b"w" * size))
+        kernel.run()
+        observed[mode] = delivered
+    assert len(observed["solo"]) == len(sizes)
+    assert observed["solo"] == observed["batch"]

@@ -195,7 +195,7 @@ class TestSarifReport:
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "wira-lint"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"WL000", "WL001", "WL010", "WL016"} <= rule_ids
+        assert {"WL000", "WL001", "WL010", "WL015"} <= rule_ids
         result_ids = [r["ruleId"] for r in run["results"]]
         assert "WL001" in result_ids
         region = run["results"][0]["locations"][0]["physicalLocation"]["region"]

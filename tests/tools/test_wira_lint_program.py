@@ -611,60 +611,6 @@ class TestWL015DuckType:
 
 
 # ---------------------------------------------------------------------------
-# WL016: deprecated construction APIs.
-
-
-class TestWL016DeprecatedApi:
-    def test_workload_sessionspec_import_flagged(self):
-        src = """
-            from repro.workload.population import SessionSpec
-        """
-        found = [v.code for v in lint_source(textwrap.dedent(src), "tests/x/fixture.py")]
-        assert found == ["WL016"]
-
-    def test_package_alias_attribute_flagged(self):
-        src = """
-            import repro.workload as wl
-
-            def make():
-                return wl.SessionSpec
-        """
-        found = [v.code for v in lint_source(textwrap.dedent(src), "tests/x/fixture.py")]
-        assert found == ["WL016"]
-
-    def test_legacy_ctor_flagged_and_from_spec_clean(self):
-        src = """
-            from repro.cdn.session import StreamingSession
-
-            def legacy():
-                return StreamingSession(conditions=None)
-
-            def supported(spec):
-                return StreamingSession.from_spec(spec, None, "demo")
-        """
-        violations = lint_source(textwrap.dedent(src), "examples/fixture.py")
-        assert [v.code for v in violations] == ["WL016"]
-        assert violations[0].line == 5
-
-    def test_cdn_sessionspec_not_flagged(self):
-        # repro.cdn.session.SessionSpec is the *supported* API; only the
-        # workload alias is deprecated.
-        src = """
-            from repro.cdn.session import SessionSpec
-
-            def make():
-                return SessionSpec
-        """
-        assert lint_source(textwrap.dedent(src), "tests/x/fixture.py") == []
-
-    def test_pragma_suppresses(self):
-        src = """
-            from repro.workload.population import SessionSpec  # wira-lint: disable=WL016
-        """
-        assert lint_source(textwrap.dedent(src), "tests/x/fixture.py") == []
-
-
-# ---------------------------------------------------------------------------
 # WL009: unused pragmas.
 
 

@@ -94,12 +94,6 @@ def test_iter_chains_restarts_cleanly():
     assert list(dep.iter_chains()) == list(dep.iter_chains())
 
 
-def test_session_spec_alias_is_planned_session():
-    from repro.workload.population import PlannedSession, SessionSpec  # wira-lint: disable=WL016 - alias identity test
-
-    assert SessionSpec is PlannedSession
-
-
 class TestFleetPopulation:
     def make_fleet(self, **kwargs):
         from repro.workload.population import FleetPopulation

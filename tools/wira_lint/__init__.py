@@ -36,7 +36,6 @@ WL012    ``WIRA_*`` env knobs must flow through ``runtime.Settings``
 WL013    emitted obs event names <-> ``events.EVENT_NAMES`` (both ways)
 WL014    raised sanitizer invariants <-> ``INVARIANTS`` (both ways)
 WL015    classes passed as ``EventLoop`` must provide its surface
-WL016    deprecated construction APIs must not be used
 =======  ==============================================================
 
 Violations can be suppressed per line with a trailing pragma::

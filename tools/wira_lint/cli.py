@@ -41,7 +41,7 @@ def _parse_select(raw: Optional[str]) -> Optional[Set[str]]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.wira_lint",
-        description="Repo-specific whole-program determinism linter (rules WL001-WL016).",
+        description="Repo-specific whole-program determinism linter (rules WL001-WL015).",
     )
     parser.add_argument("paths", nargs="*", default=["src", "tests"], help="files or directories")
     parser.add_argument(

@@ -3,7 +3,7 @@
 The extractor is the data source for *everything* the engine does:
 
 * **raw per-file violations** for the single-file rules (WL001-WL004,
-  WL006, WL007, WL012, WL016), recorded pre-pragma so the engine can
+  WL006, WL007, WL012), recorded pre-pragma so the engine can
   account pragma usage (WL009) and apply ``--select`` without
   re-parsing;
 * **facts** for the whole-program passes in :mod:`tools.wira_lint.graph`
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from tools.wira_lint.rules import (
-    DEPRECATED_ALIASES,
-    DEPRECATED_CTORS,
     DUCK_CONTRACTS,
     EVENT_NAME_RE,
     GLOBAL_RANDOM_FUNCS,
@@ -310,17 +308,7 @@ class _Extractor(ast.NodeVisitor):
         if node.module and node.level == 0:
             for alias in node.names:
                 self.facts.from_imports[alias.asname or alias.name] = [node.module, alias.name]
-                self._check_deprecated_import(node, alias)
         self.generic_visit(node)
-
-    def _check_deprecated_import(self, node: ast.ImportFrom, alias: ast.alias) -> None:
-        hint = DEPRECATED_ALIASES.get((node.module or "", alias.name))
-        if hint is not None:
-            self._report(
-                node,
-                "WL016",
-                f"import of deprecated alias {node.module}.{alias.name}; {hint}",
-            )
 
     def _canonical(self, dotted: Optional[str]) -> Optional[str]:
         """Expand the head of a dotted chain through the import tables."""
@@ -506,7 +494,6 @@ class _Extractor(ast.NodeVisitor):
         self._check_environ_call(node)
         self._check_emit(node)
         self._check_sanitizer_raise(node)
-        self._check_deprecated_ctor(node)
         self.generic_visit(node)
 
     def _record_call(self, node: ast.Call) -> None:
@@ -684,41 +671,6 @@ class _Extractor(ast.NodeVisitor):
         first = node.args[0]
         if isinstance(first, ast.Constant) and isinstance(first.value, str):
             self.facts.invariant_raises.append([node.lineno, first.value])
-
-    # -- WL016: deprecated constructors --------------------------------
-
-    def _check_deprecated_ctor(self, node: ast.Call) -> None:
-        func = node.func
-        name: Optional[str] = None
-        if isinstance(func, ast.Name):
-            imported = self.facts.from_imports.get(func.id)
-            if imported is not None and imported[1] in DEPRECATED_CTORS:
-                name = imported[1]
-        elif isinstance(func, ast.Attribute):
-            canonical = self._canonical(_dotted(func))
-            if canonical is not None and canonical.split(".")[-1] in DEPRECATED_CTORS:
-                name = canonical.split(".")[-1]
-        if name is not None:
-            self._report(
-                node,
-                "WL016",
-                f"legacy {name}(...) constructor is deprecated; {DEPRECATED_CTORS[name]}",
-            )
-
-    # -- WL016: deprecated alias attribute access ----------------------
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        canonical = self._canonical(_dotted(node))
-        if canonical is not None:
-            for (module, name), hint in DEPRECATED_ALIASES.items():
-                if canonical == f"{module}.{name}":
-                    self._report(
-                        node,
-                        "WL016",
-                        f"use of deprecated alias {module}.{name}; {hint}",
-                    )
-                    break
-        self.generic_visit(node)
 
     # -- WL003 ---------------------------------------------------------
 

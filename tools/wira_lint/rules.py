@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 #: Bump when rule semantics change in a way that must invalidate cached
 #: per-file facts (the fact cache keys on this).
-RULES_FINGERPRINT = "wira-lint-rules-v11"
+RULES_FINGERPRINT = "wira-lint-rules-v12"
 
 #: Simulation zone: code that must be bit-exact deterministic.  These are
 #: the packages replayed under the content-hash disk cache; one wall-clock
@@ -75,16 +75,6 @@ TYPED_ZONE: Tuple[str, ...] = (
 
 #: Whole-package zone for the style/structure rules.
 SRC_ZONE: Tuple[str, ...] = ("src/repro",)
-
-#: Zone for the deprecation-usage rule: deprecated APIs must not reappear
-#: anywhere, including tests, examples, and benchmarks.
-EVERYWHERE_ZONE: Tuple[str, ...] = (
-    "src/repro",
-    "tests",
-    "examples",
-    "benchmarks",
-)
-
 
 def zone_match(path: str, zone: str) -> bool:
     """Anchored segment match of ``zone`` against ``path`` (see module
@@ -226,12 +216,6 @@ RULES = {
         SRC_ZONE,
         whole_program=True,
     ),
-    "WL016": Rule(
-        "WL016",
-        "no-deprecated-api",
-        "deprecated construction APIs must not be used",
-        EVERYWHERE_ZONE,
-    ),
 }
 
 #: ``time`` module functions that read the host clock.
@@ -302,7 +286,7 @@ TIME_RATE_WORDS = frozenset(
 
 #: Hot-path classes that must stay ``__slots__``-packed (WL004).  These
 #: are allocated per packet or per event; an instance ``__dict__`` on any
-#: of them costs both memory and the BENCH_speed throughput floor.
+#: of them costs both memory and per-event time on every session.
 SLOTS_REGISTRY = frozenset(
     {
         "Datagram",
@@ -356,22 +340,6 @@ MERGE_FUNC_RE = re.compile(r"(?:^|_)(merge|replay|aggregate|combine|reduce|recom
 #: duck-type the same surface so sessions cannot tell solo from batched.
 DUCK_CONTRACTS = {
     "EventLoop": ("now", "post_at", "post_later", "pending_events"),
-}
-
-#: Deprecated construction APIs for WL016.  Maps the module that still
-#: exports the deprecated name to (name, replacement-hint).
-DEPRECATED_ALIASES = {
-    ("repro.workload", "SessionSpec"): "use repro.workload.population.PlannedSession",
-    ("repro.workload.population", "SessionSpec"): "use PlannedSession",
-}
-
-#: Classes whose direct-call constructor is deprecated (WL016): the
-#: supported path is the named classmethod.
-DEPRECATED_CTORS = {
-    "StreamingSession": "build a SessionSpec and call StreamingSession.from_spec",
-    "compute_initial_params": (
-        "use repro.core.schemes.make_policy(scheme).initial_params(InitContext(...))"
-    ),
 }
 
 #: Module-level registry assignments the contract cross-checks consume.
