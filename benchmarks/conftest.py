@@ -10,23 +10,6 @@ cache, so ordering within a session does not matter.
 import pytest
 
 
-@pytest.fixture(scope="session", autouse=True)
-def shared_replay_pool():
-    """Share one replay worker pool across the whole benchmark session.
-
-    ``repro.experiments.runner`` keeps a process-global
-    ``ProcessPoolExecutor`` keyed by the resolved ``WIRA_JOBS`` value, so
-    every parallel figure replay in this session reuses the same warm
-    workers instead of paying a pool spawn per call.  This fixture only
-    pins the teardown to pytest's session end (the atexit hook would
-    fire anyway, just later).
-    """
-    yield
-    from repro.experiments.runner import shutdown_pool
-
-    shutdown_pool()
-
-
 @pytest.fixture
 def once(benchmark):
     """Run the benched callable exactly once (results are what matter;

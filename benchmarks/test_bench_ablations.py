@@ -44,12 +44,12 @@ def run_pair(scheme, *, playback=None, epoch_gap=300.0, quic_config=None,
         conditions, scheme, seed=seed * 2 + 1, target_video_frames=20,
         quic_config=quic_config, wira_config=wira_config,
     )
-    StreamingSession.from_spec(warmup_spec, origin, "s", cookie_store=store).run()
+    StreamingSession(warmup_spec, origin, "s", cookie_store=store).run()
     measured_spec = warmup_spec.with_(
         seed=seed * 2 + 2, epoch=epoch_gap,
         playback=playback or PlaybackPolicy(), target_video_frames=4,
     )
-    return StreamingSession.from_spec(measured_spec, origin, "s", cookie_store=store).run()
+    return StreamingSession(measured_spec, origin, "s", cookie_store=store).run()
 
 
 def test_bench_ablation_theta_vf(once):

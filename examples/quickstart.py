@@ -49,9 +49,9 @@ def main() -> None:
         # measured (that is when Hx_QoS is available).
         store = ClientCookieStore()
         warmup_spec = SessionSpec(conditions, scheme, seed=1, target_video_frames=20)
-        StreamingSession.from_spec(warmup_spec, origin, "demo", cookie_store=store).run()
+        StreamingSession(warmup_spec, origin, "demo", cookie_store=store).run()
         measured_spec = SessionSpec(conditions, scheme, seed=2, epoch=300.0)
-        result = StreamingSession.from_spec(
+        result = StreamingSession(
             measured_spec, origin, "demo", cookie_store=store
         ).run()
 

@@ -8,23 +8,15 @@ the solo path: each session observes its own clock, its own event order,
 and its own rng stream exactly as it would on a private ``EventLoop``
 (asserted end-to-end by ``tests/cdn/test_batchrun.py``).
 
-Each session gets a :class:`_SessionDriver` — a small state machine that
-replicates ``StreamingSession``'s solo drive loop *exactly*, because the
-solo loop's observable behaviour leaks into results via ``loop.now``
-reads inside callbacks:
-
-* the run is sliced into ``run_until(min(timeout, now + 0.25),
-  max_events=100_000)`` calls; ``run_until`` advances the clock to its
-  deadline unless it stopped on ``max_events`` with events at or before
-  the deadline still pending;
-* ``client.done`` / pending / timeout are only consulted at slice
-  boundaries;
-* the cookie-flush phase drains until ``now + max(4·rtt, 0.2)`` with the
-  same slice discipline.
-
-The driver mirrors those decision points through the kernel's
-``_on_boundary`` / ``_on_drained`` hooks, keeping the per-event fast
-path inside the kernel untouched.
+There is one drive loop, :meth:`StreamingSession.drive`, and it runs
+here unchanged: it yields the deadline of each slice it needs, and where
+the solo path answers with ``loop.run_until(deadline,
+max_events=_SLICE_EVENTS)``, a :class:`_SessionDriver` answers by arming
+the session's member with that horizon and budget.  When the kernel
+reports the slice over (``_on_boundary`` / ``_on_drained``) the driver
+applies ``run_until``'s clock rule and asks the loop again — every
+decision about done, pending, timeout and the cookie flush stays in
+``drive``, and the per-event fast path inside the kernel is untouched.
 
 Which sessions batch is decided by :func:`batching_applies`, from what
 the code observes: with a trace bus active (``WIRA_TRACE=1``) sessions
@@ -38,129 +30,59 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, cast
 
 from repro import obs as _obs
-from repro.cdn.session import (
-    _SLICE_EVENTS,
-    _SLICE_SECONDS,
-    LiveSession,
-    SessionResult,
-    StreamingSession,
-)
+from repro.cdn.session import _SLICE_EVENTS, SessionResult, StreamingSession
 from repro.simnet.batch import BatchEventLoop, MemberLoop
 from repro.simnet.engine import EventLoop
 
-_PHASE_RUN = 0
-_PHASE_FLUSH = 1
-_PHASE_DONE = 2
-
 
 class _SessionDriver:
-    """Replays the solo drive loop for one batched session."""
+    """Executes one session's drive loop on a kernel member."""
 
-    __slots__ = ("session", "member", "live", "phase", "pushed", "result")
+    __slots__ = ("member", "steps", "result")
 
-    def __init__(
-        self, session: StreamingSession, member: MemberLoop, live: LiveSession
-    ) -> None:
-        self.session = session
+    def __init__(self, session: StreamingSession, member: MemberLoop) -> None:
         self.member = member
-        self.live = live
-        self.phase = _PHASE_RUN
-        self.pushed = False
+        self.steps = session.drive(cast(EventLoop, member))
         self.result: Optional[SessionResult] = None
         member._on_boundary = self._on_boundary
         member._on_drained = self._on_drained
 
-    # -- slice bookkeeping -------------------------------------------------
-
-    def start(self) -> None:
-        """Evaluate the drive loop's condition for the first time."""
-        if not self._begin_run_slice():
-            self._enter_flush()
-
-    def _begin_run_slice(self) -> bool:
-        """One iteration of the solo ``while`` condition; arm a slice."""
+    def advance(self) -> None:
+        """Arm the next slice the drive loop asks for, or finish the member."""
         member = self.member
-        session = self.session
-        if (
-            not self.live.client.done
-            and member._pending > 0
-            and member._now < session.timeout
-        ):
-            member._horizon = min(session.timeout, member._now + _SLICE_SECONDS)
+        try:
+            member._horizon = next(self.steps)
             member._budget = _SLICE_EVENTS
-            return True
-        return False
+        except StopIteration as finished:
+            self.result = finished.value
+            member._finished = True
+            member._pending = 0
 
-    # -- kernel hooks ------------------------------------------------------
+    # -- kernel hooks: ``run_until``'s clock rule, then the drive loop ------
 
     def _on_boundary(self, when: float) -> None:
         """The slice is over; the member's next event fires at ``when``.
 
-        Solo equivalent: ``run_until`` returned — on its ``until`` check
-        (``when`` lies beyond the deadline, so it set ``now = deadline``)
-        or on ``max_events`` with ``when`` still due (the clock stays
-        put) — and the drive loop re-evaluated.  Empty slices
-        fast-forward in a loop until the event is reachable or the phase
-        ends.
+        Solo equivalent: ``run_until`` returned — past its deadline
+        (``when`` lies beyond it, so the clock moves to the deadline) or
+        on ``max_events`` with ``when`` still due (the clock stays put).
+        One ``advance`` only: the kernel re-queues the entry and pops
+        again, because the drive loop may just have posted events (the
+        cookie flush) that precede ``when``.
         """
         member = self.member
-        if self.phase == _PHASE_RUN:
-            while True:
-                if when > member._horizon:
-                    member._now = member._horizon
-                if not self._begin_run_slice():
-                    self._enter_flush()
-                    return
-                if when <= member._horizon:
-                    return
-        elif self.phase == _PHASE_FLUSH:
-            # The flush loop runs while ``now < drained``.
-            if when > member._horizon:
-                member._now = member._horizon
-            if member._now < member._horizon:
-                member._budget = _SLICE_EVENTS
-            else:
-                self._finalize()
+        if when > member._horizon:
+            member._now = member._horizon
+        self.advance()
 
     def _on_drained(self) -> None:
         """The member has no pending events left.
 
-        Solo equivalent: ``run_until`` ran the heap dry, set ``now`` to
-        its deadline, and the drive loop exited on the pending check.
+        Solo equivalent: ``run_until`` ran the heap dry and moved the
+        clock to its deadline.
         """
-        member = self.member
-        member._now = member._horizon
-        if self.phase == _PHASE_RUN:
-            self._enter_flush()
-        elif self.phase == _PHASE_FLUSH:
-            self._finalize()
-
-    # -- phase transitions -------------------------------------------------
-
-    def _enter_flush(self) -> None:
-        """End-of-session cookie push, exactly as the solo driver does."""
-        session = self.session
-        member = self.member
-        live = self.live
-        self.phase = _PHASE_FLUSH
-        if live.client.done and session.client_supports_cookies:
-            self.pushed = live.server.flush_cookie()
-            if self.pushed:
-                drained = member._now + max(4 * session.conditions.rtt, 0.2)
-                if member._pending > 0 and member._now < drained:
-                    member._horizon = drained
-                    member._budget = _SLICE_EVENTS
-                    return
-        self._finalize()
-
-    def _finalize(self) -> None:
-        member = self.member
-        live = self.live
-        self.phase = _PHASE_DONE
-        cookie_delivered = self.pushed and live.client.metrics.cookies_received > 0
-        self.result = self.session._finalize(live, cookie_delivered)
-        member._finished = True
-        member._pending = 0
+        self.member._now = self.member._horizon
+        self.advance()
 
 
 def batching_applies(count: int) -> bool:
@@ -183,13 +105,9 @@ def run_sessions(sessions: Sequence[StreamingSession]) -> List[SessionResult]:
     if not batching_applies(len(sessions)):
         return [session.run() for session in sessions]
     kernel = BatchEventLoop()
-    drivers: List[_SessionDriver] = []
-    for session in sessions:
-        member = kernel.member()
-        live = session._setup(cast(EventLoop, member))
-        drivers.append(_SessionDriver(session, member, live))
+    drivers = [_SessionDriver(session, kernel.member()) for session in sessions]
     for driver in drivers:
-        driver.start()
+        driver.advance()
     kernel.run()
     results: List[SessionResult] = []
     for driver in drivers:

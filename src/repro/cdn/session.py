@@ -43,7 +43,8 @@ DEFAULT_COOKIE_KEY = b"wira-server-secret-key-32bytes!!"
 
 #: The drive loop advances in slices of at most this much simulated time
 #: and this many events; ``client.done`` is only consulted between them.
-#: :mod:`repro.cdn.batchrun` replays the same discipline on its members.
+#: :meth:`StreamingSession.drive` picks each slice's deadline; whoever
+#: executes the slice caps it at ``_SLICE_EVENTS``.
 _SLICE_SECONDS = 0.25
 _SLICE_EVENTS = 100_000
 
@@ -53,7 +54,7 @@ class SessionSpec:
     """Everything that *defines* one session, immutably.
 
     This is the supported construction path for sessions: build a spec,
-    then :meth:`StreamingSession.from_spec` it together with the shared
+    then hand it to :class:`StreamingSession` together with the shared
     *environment* (origin, cookie store/manager) that carries state
     between sessions of an OD pair.  Keeping definition and environment
     apart is what lets the fleet engine ship specs across process
@@ -133,13 +134,7 @@ class SessionResult:
 
 @dataclass
 class LiveSession:
-    """A session's live topology between ``_setup`` and ``_finalize``.
-
-    Holding these as one value lets the solo driver and the batched
-    driver (:mod:`repro.cdn.batchrun`) share the exact same construction
-    and teardown code, differing only in *how* the event loop between
-    them is advanced.
-    """
+    """A session's live topology between ``_setup`` and ``_finalize``."""
 
     conditions: NetworkConditions
     injector: Optional[FaultInjector]
@@ -227,30 +222,6 @@ class StreamingSession:
                 instance_salt=b"session:%d" % spec.seed,
             )
 
-    @classmethod
-    def from_spec(
-        cls,
-        spec: SessionSpec,
-        origin: Origin,
-        stream_name: str,
-        cookie_store: Optional[ClientCookieStore] = None,
-        cookie_manager: Optional[ServerCookieManager] = None,
-        stream_data_tap: Optional[Callable[[float, int, bytes, bool], None]] = None,
-        hx_qos_tap: Optional[Callable[[float, object], None]] = None,
-        init_policy: Optional[InitPolicy] = None,
-    ) -> "StreamingSession":
-        """Build a session from an immutable spec plus its environment."""
-        return cls(
-            spec,
-            origin,
-            stream_name,
-            cookie_store,
-            cookie_manager,
-            stream_data_tap=stream_data_tap,
-            hx_qos_tap=hx_qos_tap,
-            init_policy=init_policy,
-        )
-
     def run(self) -> SessionResult:
         bus = _obs.ACTIVE
         if bus is None:
@@ -262,27 +233,29 @@ class StreamingSession:
         return result
 
     def _run(self) -> SessionResult:
-        steps = self.drive(EventLoop())
+        loop = EventLoop()
+        steps = self.drive(loop)
         try:
             while True:
-                next(steps)
+                loop.run_until(next(steps), max_events=_SLICE_EVENTS)
         except StopIteration as finished:
             return finished.value
 
-    def drive(self, loop: EventLoop) -> Generator[None, None, SessionResult]:
-        """Run the session on ``loop``, yielding at every slice boundary.
+    def drive(self, loop: EventLoop) -> Generator[float, None, SessionResult]:
+        """The one drive loop: yields the deadline of each slice it needs.
 
-        The one solo drive loop: :meth:`run` exhausts it in place, the
-        serve shard awaits between its steps so the socket loop keeps
-        turning.  The generator's return value is the session's result.
+        Whoever owns ``loop`` answers each deadline with the equivalent
+        of ``loop.run_until(deadline, max_events=_SLICE_EVENTS)`` and
+        asks again: :meth:`run` does so in place, the serve shard awaits
+        between slices so the socket loop keeps turning, and the batched
+        kernel (:mod:`repro.cdn.batchrun`) arms the session's member
+        with the deadline.  The generator's return value is the
+        session's result.
         """
         live = self._setup(loop)
         client = live.client
         while not client.done and loop.pending_events and loop.now < self.timeout:
-            loop.run_until(
-                min(self.timeout, loop.now + _SLICE_SECONDS), max_events=_SLICE_EVENTS
-            )
-            yield
+            yield min(self.timeout, loop.now + _SLICE_SECONDS)
 
         # End-of-session synchronisation: push a final cookie so the
         # *next* session of this OD pair has fresh Hx_QoS, then drain.
@@ -292,8 +265,7 @@ class StreamingSession:
             if pushed:
                 drained = loop.now + max(4 * self.conditions.rtt, 0.2)
                 while loop.pending_events and loop.now < drained:
-                    loop.run_until(drained, max_events=_SLICE_EVENTS)
-                    yield
+                    yield drained
         cookie_delivered = pushed and client.metrics.cookies_received > 0
         return self._finalize(live, cookie_delivered)
 

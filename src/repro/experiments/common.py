@@ -13,9 +13,14 @@ persist along each chain through the client's store, so first sessions
 are cookie-less and long gaps go stale — exactly the populations §VI
 aggregates over.
 
+Every engine replays through one unit, :func:`replay_block`: a block of
+chains under every scheme against shared worlds.  A figure
+(:mod:`repro.experiments.runner`) keeps the block's records; a fleet
+campaign (:mod:`repro.fleet.engine`) folds them into aggregates.
+
 Results are cached per configuration: Figs 11–15 all read the same
-deployment run.  The replay itself — including process-pool sharding and
-the persistent on-disk cache — lives in :mod:`repro.experiments.runner`.
+deployment run.  Task sharding and the persistent on-disk cache live in
+:mod:`repro.experiments.runner`.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ class SchemeReplay:
 
     def session(self, planned: PlannedSession) -> StreamingSession:
         world = self.world
-        return StreamingSession.from_spec(
+        return StreamingSession(
             session_spec_for(
                 planned, self.scheme, world.chain_index, self.config, self.wira_config
             ),
@@ -200,31 +205,17 @@ def iter_chain_outcomes(
 ) -> Iterator[SessionOutcome]:
     """Replay one chain, yielding each outcome as it completes.
 
-    The generator form is what lets the fleet engine fold outcomes into
-    aggregates without ever retaining them; :func:`_run_chain` is the
-    figure-scale wrapper that still materializes the list.  ``world`` is
-    the chain's shared world; a single-scheme caller omits it and gets a
-    private one.
+    The chain-by-chain reference on the solo event loop: the parity
+    tests compare the wave-batched replay against it, and the
+    benchmark's fold drive replays through it.  ``world`` is the chain's
+    shared world; a single-scheme caller omits it and gets a private
+    one.
     """
     replay = SchemeReplay(
         scheme, world or ChainWorld(chain_index, chain), config, wira_config
     )
     for planned in chain:
         yield replay.outcome(planned, replay.session(planned).run())
-
-
-def _run_chain(
-    scheme: SchemeLike,
-    chain: Sequence[PlannedSession],
-    chain_index: int,
-    config: DeploymentConfig,
-    wira_config: WiraConfig,
-    *,
-    world: Optional[ChainWorld] = None,
-) -> List[SessionOutcome]:
-    return list(
-        iter_chain_outcomes(scheme, chain, chain_index, config, wira_config, world=world)
-    )
 
 
 #: Ceiling on chains per wave-batch.  Replay sessions are heavyweight
@@ -300,6 +291,32 @@ def replay_chains_wave_batched(
     return per_chain
 
 
+def replay_block(
+    schemes: Sequence[SchemeSpec],
+    chains: Sequence[Sequence[PlannedSession]],
+    base_index: int,
+    config: DeploymentConfig,
+    wira_config: WiraConfig,
+) -> Dict[str, List[List[SessionOutcome]]]:
+    """Replay a block of chains under every scheme; per-chain outcome
+    lists keyed by scheme value.
+
+    The one unit behind figure replays and fleet chunks, serial or
+    sharded.  The block's worlds are built once, replayed against by
+    every scheme and die with the block, so the scheme-independent half
+    of a chain is paid once however many schemes replay it.
+    """
+    worlds = build_worlds(chains, base_index)
+    # Resolved through the module global on every call: the benchmark
+    # harness wraps ``replay_chains_wave_batched`` at run time.
+    return {
+        scheme.value: replay_chains_wave_batched(
+            scheme, chains, base_index, config, wira_config, worlds=worlds
+        )
+        for scheme in schemes
+    }
+
+
 def run_testbed_session(
     initial_params: InitialParams,
     conditions: Optional[NetworkConditions] = None,
@@ -337,7 +354,7 @@ def run_testbed_session(
         initial_params_override=initial_params,
         client_supports_cookies=False,
     )
-    return StreamingSession.from_spec(spec, origin, "testbed").run()
+    return StreamingSession(spec, origin, "testbed").run()
 
 
 def manual_params(cwnd_bytes: int, pacing_bps: float) -> InitialParams:

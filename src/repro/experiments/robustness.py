@@ -14,11 +14,11 @@ module turns that claim into an executable gate:
   FFCT across the seed set must stay within ``ffct_ratio_bound`` of
   BASELINE's under the *same* fault, schedule and seeds.
 
-Cells are independent, so the matrix shards across a process pool the
-same way the deployment replay does (``--jobs`` / ``WIRA_JOBS``), with
-results merged in deterministic cell order — a parallel run is
-bit-identical to a serial one.  Any pool failure falls back to the
-serial path.
+Cells are independent, so the matrix runs as one task per cell through
+:func:`repro.runtime.pool.run_tasks`, the executor the deployment replay
+uses (``--jobs`` / ``WIRA_JOBS``), with results placed back in
+deterministic cell order — a parallel run is bit-identical to a serial
+one, and whatever a failed pool left undone finishes in-process.
 
 CLI::
 
@@ -33,10 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,11 +44,10 @@ from repro.core.schemes import SchemeLike, SchemeSpec, as_spec
 from repro.core.transport_cookie import ClientCookieStore, ServerCookieManager
 from repro.faults import FaultPlan, single_fault_plans
 from repro.media.source import StreamProfile
+from repro.runtime.pool import resolve_jobs, run_tasks
 from repro.simnet.path import NetworkConditions
 from repro.simnet.schedule import GilbertElliott, OutageWindow, PathSchedule
 from repro.simnet.trace import ConditionTrace, TracePoint
-
-logger = logging.getLogger(__name__)
 
 COOKIE_KEY = b"wira-robustness-cookie-key-32b!!"
 
@@ -236,7 +232,7 @@ def run_cell(
         timeout=config.timeout,
         trace_label=f"rb-{scheme.value}-{fault_name}-{schedule_name}-s{seed}-prime",
     )
-    primed = StreamingSession.from_spec(
+    primed = StreamingSession(
         prime_spec, origin, "stream", cookie_store=store, cookie_manager=manager
     ).run()
     measured_spec = prime_spec.with_(
@@ -246,7 +242,7 @@ def run_cell(
         schedule=schedule,
         trace_label=f"rb-{scheme.value}-{fault_name}-{schedule_name}-s{seed}",
     )
-    measured = StreamingSession.from_spec(
+    measured = StreamingSession(
         measured_spec, origin, "stream", cookie_store=store, cookie_manager=manager
     ).run()
     return CellResult(
@@ -263,7 +259,7 @@ def run_cell(
 
 
 # ---------------------------------------------------------------------------
-# Matrix execution (serial reference path + process-pool sharding).
+# Matrix execution: one task per cell.
 
 
 def enumerate_cells(config: RobustnessConfig) -> List[Cell]:
@@ -298,36 +294,12 @@ def run_matrix(
     config: Optional[RobustnessConfig] = None, jobs: Optional[int] = None
 ) -> List[CellResult]:
     """Run every cell; order (and content) is independent of ``jobs``."""
-    from repro.experiments.runner import resolve_jobs
-
     config = config or RobustnessConfig()
-    cells = enumerate_cells(config)
-    units = [(cell, config) for cell in cells]
-    workers = resolve_jobs(jobs)
-    if workers > 1:
-        try:
-            return _run_parallel(units, workers)
-        except Exception as exc:
-            logger.warning(
-                "parallel robustness matrix with %d workers failed (%s); "
-                "falling back to serial",
-                workers,
-                exc,
-            )
-    return [_run_cell_unit(unit) for unit in units]
-
-
-def _run_parallel(
-    units: List[Tuple[Cell, RobustnessConfig]], workers: int
-) -> List[CellResult]:
-    mp_context = None
-    if "fork" in multiprocessing.get_all_start_methods():
-        mp_context = multiprocessing.get_context("fork")
-    chunksize = max(1, len(units) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context) as pool:
-        # pool.map preserves input order, which IS the deterministic
-        # enumerate_cells order — no re-sort needed.
-        return list(pool.map(_run_cell_unit, units, chunksize=chunksize))
+    units = [(cell, config) for cell in enumerate_cells(config)]
+    # Cells finish in any order; the index puts each back in its
+    # enumerate_cells slot.
+    by_index = dict(run_tasks(_run_cell_unit, units, resolve_jobs(jobs)))
+    return [by_index[index] for index in range(len(units))]
 
 
 # ---------------------------------------------------------------------------

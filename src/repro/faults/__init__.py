@@ -8,7 +8,7 @@ See :mod:`repro.faults.injector` for the model.  Typical use::
         conditions, Scheme.WIRA,
         fault_plan=FaultPlan(FaultKind.COOKIE_CORRUPT), seed=7,
     )
-    result = StreamingSession.from_spec(spec, origin, "stream").run()
+    result = StreamingSession(spec, origin, "stream").run()
     assert result.completed            # graceful degradation
     assert result.fault_summary        # the fault actually fired
 """

@@ -22,15 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro import obs as _obs
-from repro.cdn.batchrun import batching_applies
 from repro.core.config import WiraConfig
 from repro.core.initializer import Scheme
 from repro.core.schemes import as_spec
@@ -38,7 +35,8 @@ from repro.fleet.aggregate import CampaignAggregate, merge_chunks
 from repro.fleet.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from repro.fleet.telemetry import TelemetrySnapshot, snapshot_path, write_snapshot
 from repro.metrics.sketch import DEFAULT_ALPHA
-from repro.runtime import settings
+from repro.runtime.fingerprint import source_fingerprint
+from repro.runtime.pool import resolve_jobs, run_tasks
 from repro.workload.population import DeploymentConfig, FleetPopulation
 
 logger = logging.getLogger(__name__)
@@ -138,8 +136,6 @@ class FleetConfig:
         different code never silently resumes — same safety property as
         the replay disk cache.
         """
-        from repro.experiments.runner import source_fingerprint
-
         payload = json.dumps(
             {
                 "format_version": FLEET_FORMAT_VERSION,
@@ -165,61 +161,35 @@ def run_chunk(config: FleetConfig, chunk_index: int) -> Dict[str, object]:
     Pure function of ``(config, chunk_index)`` — the determinism
     anchor everything else (sharding, checkpointing, resume) rests on.
 
-    Every chain of the chunk gets one
-    :class:`~repro.experiments.common.ChainWorld` — plan, origin, live
-    source — that all schemes replay against, so the scheme-independent
-    half of a chain is built once per chunk, not once per scheme.
-
-    When :func:`~repro.cdn.batchrun.batching_applies` the chunk's
-    chains replay together per scheme in lock-step waves on one
-    :class:`~repro.simnet.batch.BatchEventLoop`; outcomes are buffered —
-    still O(chunk) memory — and folded in the exact ``(od, scheme,
-    session)`` order of the serial reference loop, so both paths yield
-    byte-identical aggregates.
+    A chunk is one :func:`~repro.experiments.common.replay_block` — the
+    unit a figure replays too — whose outcomes are folded instead of
+    kept: buffered per scheme (O(chunk) memory) and folded in
+    ``(od, scheme, session)`` order.
     """
     from repro.experiments import common
 
     population = FleetPopulation(config.population)
     aggregate = CampaignAggregate(config.schemes, alpha=config.sketch_alpha)
     start, stop = config.chunk_bounds(chunk_index)
-    if batching_applies(stop - start):
-        chains = [population.chain(od_index) for od_index in range(start, stop)]
-        worlds = common.build_worlds(chains, start)
-        per_scheme = {
-            scheme_value: common.replay_chains_wave_batched(
-                as_spec(scheme_value),
-                chains,
-                start,
-                config.population,
-                config.wira,
-                worlds=worlds,
-            )
-            for scheme_value in config.schemes
-        }
-        for offset in range(stop - start):
-            for scheme_value in config.schemes:
-                for outcome in per_scheme[scheme_value][offset]:
-                    aggregate.fold(scheme_value, outcome.spec, outcome.result)
-        return aggregate.to_json()
-    for od_index in range(start, stop):
-        world = common.ChainWorld(od_index, population.chain(od_index))
+    chains = [population.chain(od_index) for od_index in range(start, stop)]
+    per_scheme = common.replay_block(
+        [as_spec(value) for value in config.schemes],
+        chains,
+        start,
+        config.population,
+        config.wira,
+    )
+    for offset in range(stop - start):
         for scheme_value in config.schemes:
-            for outcome in common.iter_chain_outcomes(
-                as_spec(scheme_value),
-                world.chain,
-                od_index,
-                config.population,
-                config.wira,
-                world=world,
-            ):
+            for outcome in per_scheme[scheme_value][offset]:
                 aggregate.fold(scheme_value, outcome.spec, outcome.result)
     return aggregate.to_json()
 
 
-def _run_chunk_json(config_json: str, chunk_index: int) -> Tuple[int, Dict[str, object]]:
-    """Pool entry point: config crosses the fork as canonical JSON."""
-    config = FleetConfig.from_json(json.loads(config_json))
-    return chunk_index, run_chunk(config, chunk_index)
+def _run_chunk_task(task: Tuple[str, int]) -> Dict[str, object]:
+    """Task entry: the config crosses a fork as canonical JSON."""
+    config_json, chunk_index = task
+    return run_chunk(FleetConfig.from_json(json.loads(config_json)), chunk_index)
 
 
 class FleetCampaign:
@@ -281,54 +251,19 @@ class FleetCampaign:
 
     def run(self, jobs: Optional[int] = None) -> CampaignAggregate:
         """Execute all pending chunks and return the merged aggregate."""
-        jobs = settings.current().jobs if jobs is None else max(1, jobs)
         self._started = time.perf_counter()
         self._sync_telemetry()
         pending = [i for i in range(self.config.n_chunks) if i not in self._chunks]
         self._report_progress()
-        if pending:
-            if jobs > 1:
-                try:
-                    self._run_sharded(pending, jobs)
-                except Exception as exc:
-                    logger.warning(
-                        "sharded campaign with %d workers failed (%s); "
-                        "finishing serially",
-                        jobs,
-                        exc,
-                    )
-                    pending = [
-                        i for i in range(self.config.n_chunks) if i not in self._chunks
-                    ]
-                    self._run_serial(pending)
-            else:
-                self._run_serial(pending)
+        config_json = json.dumps(self.config.to_json(), sort_keys=True)
+        for chunk_index in pending:
+            _trace("fleet:chunk_begin", {"chunk": chunk_index})
+        tasks = [(config_json, chunk_index) for chunk_index in pending]
+        for position, payload in run_tasks(_run_chunk_task, tasks, resolve_jobs(jobs)):
+            self._complete(pending[position], payload)
         self._write_checkpoint(force=True)
         ordered = [self._chunks[i] for i in sorted(self._chunks)]
         return merge_chunks(self.config.schemes, self.config.sketch_alpha, ordered)
-
-    def _run_serial(self, pending: List[int]) -> None:
-        for chunk_index in pending:
-            _trace("fleet:chunk_begin", {"chunk": chunk_index})
-            self._complete(chunk_index, run_chunk(self.config, chunk_index))
-
-    def _run_sharded(self, pending: List[int], jobs: int) -> None:
-        config_json = json.dumps(self.config.to_json(), sort_keys=True)
-        mp_context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            mp_context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)), mp_context=mp_context
-        ) as pool:
-            futures: Set["Future[Tuple[int, Dict[str, object]]]"] = set()
-            for index in pending:
-                _trace("fleet:chunk_begin", {"chunk": index})
-                futures.add(pool.submit(_run_chunk_json, config_json, index))
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk_index, payload = future.result()
-                    self._complete(chunk_index, payload)
 
     def _complete(self, chunk_index: int, payload: Dict[str, object]) -> None:
         self._chunks[chunk_index] = payload

@@ -21,8 +21,9 @@ Design constraints (mirroring :mod:`repro.sanitize`):
   :data:`repro.obs.events.EVENT_NAMES` and every file opens with a
   versioned ``trace:meta`` record, validated by
   :func:`repro.obs.events.validate_trace_lines`.
-* deterministic output: canonical JSON, seeded ids, and shard-merged
-  files so parallel and serial replays produce byte-identical traces.
+* deterministic output: canonical JSON, seeded ids, and one whole-file
+  flush per session, so parallel and serial replays produce
+  byte-identical traces.
 
 Programmatic use::
 
@@ -39,7 +40,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from repro.obs.bus import DEFAULT_RING_SIZE, SHARDS_SUBDIR, TraceBus, merge_shard_traces
+from repro.obs.bus import DEFAULT_RING_SIZE, TraceBus
 from repro.obs.events import (
     EVENT_NAMES,
     SCHEMA_VERSION,
@@ -63,7 +64,6 @@ __all__ = [
     "PHASES",
     "PhaseBreakdown",
     "SCHEMA_VERSION",
-    "SHARDS_SUBDIR",
     "TraceBus",
     "TraceEvent",
     "decode_record",
@@ -73,7 +73,6 @@ __all__ = [
     "encode_record",
     "env_requested",
     "env_trace_dir",
-    "merge_shard_traces",
     "profile_events",
     "profile_records",
     "tracing",

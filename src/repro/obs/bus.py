@@ -18,28 +18,23 @@ A session labelled ``wira-c3-s1`` involving connections ``ab..`` and
 ``cd..`` produces ``<dir>/wira-c3-s1--ab...jsonl`` and
 ``<dir>/wira-c3-s1--cd...jsonl``.  Labels and connection ids are both
 derived from seeded state, file contents use canonical JSON encoding,
-and the replay engine routes every (scheme, chain) unit through a shard
-subdirectory merged by :func:`merge_shard_traces` — so a parallel replay
-produces a byte-identical trace set to a serial one.
+and each file is written whole by the one flush of the one session it
+names — so pool workers flush straight into the directory and a parallel
+replay produces a byte-identical trace set to a serial one.
 """
 
 from __future__ import annotations
 
-import shutil
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Deque, Dict, Iterator, List, Optional
 
-from repro.obs.events import TraceEvent, decode_record, encode_record, meta_record
+from repro.obs.events import TraceEvent, encode_record, meta_record
 
 #: Default ring capacity: enough for the tail of any one session without
 #: letting a long deployment replay grow memory unboundedly.
 DEFAULT_RING_SIZE = 4096
-
-#: Subdirectory the replay engine writes per-unit traces into before the
-#: deterministic merge promotes them to the trace-dir root.
-SHARDS_SUBDIR = "shards"
 
 
 class TraceBus:
@@ -54,7 +49,7 @@ class TraceBus:
         Capacity of the post-mortem ring buffer.
     """
 
-    __slots__ = ("ring", "counts", "trace_dir", "_session_label", "_session_events", "_shard")
+    __slots__ = ("ring", "counts", "trace_dir", "_session_label", "_session_events")
 
     def __init__(
         self, trace_dir: Optional[Path] = None, ring_size: int = DEFAULT_RING_SIZE
@@ -64,7 +59,6 @@ class TraceBus:
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._session_label: Optional[str] = None
         self._session_events: Optional[List[TraceEvent]] = None
-        self._shard: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Hot path
@@ -101,38 +95,16 @@ class TraceBus:
             if self.trace_dir is not None and events:
                 self._flush_session(label, events)
 
-    @contextmanager
-    def shard(self, name: str) -> Iterator[None]:
-        """Route subsequent session flushes under ``shards/<name>/``.
-
-        The replay engine scopes each (scheme, chain) work unit this
-        way — on the serial path *and* inside pool workers — so the
-        on-disk layout is identical regardless of parallelism, and
-        :func:`merge_shard_traces` can recombine deterministically.
-        """
-        previous = self._shard
-        self._shard = name
-        try:
-            yield
-        finally:
-            self._shard = previous
-
     # ------------------------------------------------------------------
     # Sinks
-
-    def _output_dir(self) -> Path:
-        assert self.trace_dir is not None
-        if self._shard is not None:
-            return self.trace_dir / SHARDS_SUBDIR / self._shard
-        return self.trace_dir
 
     def _flush_session(self, label: str, events: List[TraceEvent]) -> None:
         """Write one session's events as per-connection JSONL files."""
         by_conn: Dict[str, List[TraceEvent]] = {}
         for event in events:
             by_conn.setdefault(event[2], []).append(event)
-        out_dir = self._output_dir()
-        out_dir.mkdir(parents=True, exist_ok=True)
+        assert self.trace_dir is not None
+        self.trace_dir.mkdir(parents=True, exist_ok=True)
         for conn in sorted(by_conn):
             conn_events = by_conn[conn]
             lines = [meta_record(conn_events[0][0], conn, label)]
@@ -140,50 +112,10 @@ class TraceBus:
                 encode_record(time, name, event_conn, data)
                 for time, name, event_conn, data in conn_events
             )
-            path = out_dir / f"{label}--{conn}.jsonl"
+            path = self.trace_dir / f"{label}--{conn}.jsonl"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def ring_events(self) -> List[TraceEvent]:
         """Snapshot of the post-mortem ring buffer, oldest first."""
         return list(self.ring)
 
-
-def merge_shard_traces(trace_dir: Path) -> int:
-    """Promote ``<trace_dir>/shards/*/*.jsonl`` to the trace-dir root.
-
-    Records are regrouped by trace file (whose name embeds the
-    connection id) and ordered by ``(connection id, time)`` with a
-    stable sort, so the merged set is byte-identical whether the shards
-    were written serially or by a process pool.  Returns the number of
-    merged trace files; the shards directory is removed afterwards.
-    """
-    shards_root = Path(trace_dir) / SHARDS_SUBDIR
-    if not shards_root.is_dir():
-        return 0
-    grouped: Dict[str, List[Dict[str, object]]] = {}
-    for path in sorted(shards_root.glob("*/*.jsonl")):
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                grouped.setdefault(path.name, []).append(decode_record(line))
-    for file_name in sorted(grouped):
-        records = grouped[file_name]
-        preamble = [r for r in records if r.get("name") == "trace:meta"][:1]
-        body = [r for r in records if r.get("name") != "trace:meta"]
-        body.sort(key=lambda r: float(r["time"]))  # type: ignore[arg-type]
-        lines = [
-            encode_record(
-                float(r["time"]),  # type: ignore[arg-type]
-                str(r["name"]),
-                str(r.get("data", {}).get("conn", "")),  # type: ignore[union-attr]
-                {
-                    k: v
-                    for k, v in sorted(r.get("data", {}).items())  # type: ignore[union-attr]
-                    if k != "conn"
-                },
-            )
-            for r in preamble + body
-        ]
-        out_path = Path(trace_dir) / file_name
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    shutil.rmtree(shards_root)
-    return len(grouped)

@@ -8,7 +8,7 @@ own string-to-value convention.  :class:`Settings` is now the one place
 those strings become values; the legacy accessors
 (:func:`repro.sanitize.env_requested`,
 :func:`repro.obs.env_requested`, :func:`repro.obs.env_trace_dir`,
-:func:`repro.experiments.runner.resolve_jobs` …) all delegate here, so
+:func:`repro.runtime.pool.resolve_jobs` …) all delegate here, so
 their historical semantics — truthy sets, defaults, invalid-value
 fallbacks — are defined exactly once and covered by one test suite.
 

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.cdn.origin import Origin
-from repro.cdn.session import SessionResult, SessionSpec, StreamingSession
+from repro.cdn.session import _SLICE_EVENTS, SessionResult, SessionSpec, StreamingSession
 from repro.core.config import WiraConfig
 from repro.core.transport_cookie import ClientCookieStore, ServerCookieManager, decode_hqst
 from repro.core.cookie_crypto import CookieError
@@ -361,7 +361,7 @@ class ShardServer:
         )
         stream_tap: List[Tuple[float, int, bytes, bool]] = []
         hx_tap: List[Tuple[float, HxQosFrame]] = []
-        sim_session = StreamingSession.from_spec(
+        sim_session = StreamingSession(
             sim_spec,
             chain.origin,
             chain.stream_name,
@@ -415,8 +415,8 @@ class ShardServer:
 
         With a trace bus active the whole run serializes under a lock
         (scoped trace files cannot interleave) and uses the plain
-        blocking driver; otherwise the session's own drive loop is
-        stepped one slice at a time, so results are identical.
+        blocking driver; otherwise each slice the session's own drive
+        loop asks for is run here, so results are identical.
         Returns ``(result, sim clock at drain end)`` — the clock is
         ``None`` on the traced path, which hides its loop.
         """
@@ -428,7 +428,7 @@ class ShardServer:
         steps = sim_session.drive(sim_loop)
         try:
             while True:
-                next(steps)
+                sim_loop.run_until(next(steps), max_events=_SLICE_EVENTS)
                 await asyncio.sleep(0)
         except StopIteration as finished:
             return finished.value, sim_loop.now

@@ -25,10 +25,12 @@ tests in ``tests/cdn/test_batchrun.py`` pin end-to-end results.
 Driving members
 ---------------
 A free-running member (``horizon`` unset) just executes until the queue
-drains — what the throughput benchmarks use.  Session drivers
-(:mod:`repro.cdn.batchrun`) instead replicate the solo slice semantics
-by setting ``_horizon``/``_budget`` and installing the ``_on_boundary``
-/ ``_on_drained`` hooks; the kernel consults them with one comparison
+drains — what the throughput benchmarks use.  A session's member is
+instead driven by the session's own drive loop
+(:meth:`repro.cdn.session.StreamingSession.drive`): for each slice the
+loop asks for, :mod:`repro.cdn.batchrun` sets ``_horizon``/``_budget``,
+and the ``_on_boundary`` / ``_on_drained`` hooks tell it the slice is
+over so it can ask again.  The kernel consults them with one comparison
 per event, so undriven members pay (almost) nothing.
 """
 

@@ -38,7 +38,7 @@ def _profile(seed):
 def _build(spec, tag, store=None, manager=None):
     origin = Origin()
     origin.add_stream(f"stream-{tag}", _profile(100 + tag))
-    return StreamingSession.from_spec(
+    return StreamingSession(
         spec,
         origin,
         f"stream-{tag}",
@@ -112,7 +112,7 @@ class TestBatchedEqualsSolo:
         wira = common.WiraConfig()
 
         solo = [
-            common._run_chain(Scheme.WIRA, chain, idx, config, wira)
+            list(common.iter_chain_outcomes(Scheme.WIRA, chain, idx, config, wira))
             for idx, chain in enumerate(chains)
         ]
 
@@ -135,7 +135,7 @@ class TestBatchedEqualsSolo:
             if not todo:
                 break
             sessions = [
-                StreamingSession.from_spec(
+                StreamingSession(
                     common.session_spec_for(
                         chains[idx][wave], Scheme.WIRA, idx, config, wira
                     ),

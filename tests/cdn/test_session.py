@@ -37,7 +37,7 @@ def run_session(scheme=Scheme.WIRA, conditions=TESTBED, store=None, mode=Handsha
         seed=seed,
         **kwargs,
     )
-    session = StreamingSession.from_spec(
+    session = StreamingSession(
         spec, origin or make_origin(), "demo", cookie_store=store
     )
     return session.run()

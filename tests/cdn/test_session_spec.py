@@ -1,9 +1,8 @@
 """SessionSpec construction API.
 
 A session is built from an immutable :class:`SessionSpec` plus its
-environment — ``StreamingSession(spec, origin, stream_name, ...)``, or
-the equivalent :meth:`StreamingSession.from_spec`.  The spec is frozen
-and copied-with-changes via :meth:`SessionSpec.with_`.
+environment — ``StreamingSession(spec, origin, stream_name, ...)``.
+The spec is frozen and copied-with-changes via :meth:`SessionSpec.with_`.
 """
 
 import dataclasses
@@ -46,16 +45,12 @@ class TestSpecSemantics:
 
     def test_session_exposes_its_spec(self):
         spec = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA, seed=4)
-        session = StreamingSession.from_spec(spec, make_origin(), "demo")
+        session = StreamingSession(spec, make_origin(), "demo")
         assert session.spec is spec
 
     def test_reuse_spec_is_deterministic(self):
         spec = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA, seed=9)
-        a = StreamingSession.from_spec(spec, make_origin(), "demo").run()
-        b = StreamingSession.from_spec(spec, make_origin(), "demo").run()
+        a = StreamingSession(spec, make_origin(), "demo").run()
+        b = StreamingSession(spec, make_origin(), "demo").run()
         assert a == b
 
-    def test_constructor_and_from_spec_agree(self):
-        spec = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA, seed=9)
-        direct = StreamingSession(spec, make_origin(), "demo").run()
-        assert direct == StreamingSession.from_spec(spec, make_origin(), "demo").run()

@@ -110,7 +110,7 @@ class TestCookieHostileInput:
         # Adversarial client plants a fabricated "1 Gbps" cookie.
         fake = HxQos(min_rtt=0.001, max_bw_bps=1e9, timestamp=1e12).encode()
         store.update("origin", b"\x00" * 12 + fake + b"\x00" * 16, received_at=0.0)
-        session = StreamingSession.from_spec(
+        session = StreamingSession(
             SessionSpec(TESTBED, Scheme.WIRA, seed=3), origin, "s", cookie_store=store
         )
         result = session.run()
@@ -129,7 +129,7 @@ class TestSessionRobustness:
         )
         origin = Origin()
         origin.add_stream("s", StreamProfile(first_frame_target_bytes=20_000, seed=2))
-        session = StreamingSession.from_spec(
+        session = StreamingSession(
             SessionSpec(dead, Scheme.BASELINE, seed=4, timeout=3.0), origin, "s"
         )
         result = session.run()
@@ -139,7 +139,7 @@ class TestSessionRobustness:
     def test_unsupported_client_session_still_works(self):
         origin = Origin()
         origin.add_stream("s", StreamProfile(first_frame_target_bytes=30_000, seed=3))
-        session = StreamingSession.from_spec(
+        session = StreamingSession(
             SessionSpec(TESTBED, Scheme.WIRA, client_supports_cookies=False, seed=5),
             origin,
             "s",

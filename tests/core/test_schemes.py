@@ -193,7 +193,7 @@ class TestOpenRegistration:
 
         origin = Origin()
         origin.add_stream("s", StreamProfile(seed=5))
-        result = StreamingSession.from_spec(
+        result = StreamingSession(
             SessionSpec(
                 conditions=NetworkConditions(
                     bandwidth_bps=8e6, rtt=0.05, loss_rate=0.0, buffer_bytes=25_000

@@ -3,7 +3,8 @@
 Every scheme of the paired A/B replays one OD pair against one
 :class:`~repro.experiments.common.ChainWorld`.  The reference these
 tests compare against is the replay it replaced — one private world per
-(scheme, chain), which is what ``_run_chain`` builds when handed none.
+(scheme, chain), which is what ``iter_chain_outcomes`` builds when
+handed none.
 """
 
 import pytest
@@ -23,14 +24,10 @@ def untraced_small_blocks(monkeypatch):
     """Blocks of two chains, so five chains make three blocks (the last
     a single chain, which takes the solo loop); ambient tracing off so
     the two-chain blocks take the batched kernel.  Pool workers are
-    forked, so the persistent pool is recycled around each test: its
-    workers must see this state, and later tests must not."""
+    forked per replay, so they see this state."""
     monkeypatch.setattr(common, "WAVE_CHAINS", 2)
     monkeypatch.delenv("WIRA_TRACE", raising=False)
     monkeypatch.setattr(obs, "ACTIVE", None)
-    runner.shutdown_pool()
-    yield
-    runner.shutdown_pool()
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +39,9 @@ def private_world_records():
             scheme: [
                 outcome
                 for index, chain in enumerate(chains)
-                for outcome in common._run_chain(scheme, chain, index, CONFIG, WiraConfig())
+                for outcome in common.iter_chain_outcomes(
+                    scheme, chain, index, CONFIG, WiraConfig()
+                )
             ]
             for scheme in SCHEMES
         }
@@ -77,10 +76,16 @@ def test_world_walked_to_later_epoch_serves_earlier_sessions_identically(
     assert len(chain) >= 2
     world = common.ChainWorld(index, chain)
     # Walk the world to the chain's last join epoch first…
-    common._run_chain(Scheme.WIRA, chain[-1:], index, CONFIG, WiraConfig(), world=world)
+    list(
+        common.iter_chain_outcomes(
+            Scheme.WIRA, chain[-1:], index, CONFIG, WiraConfig(), world=world
+        )
+    )
     # …then replay the whole chain, earliest session first, against it.
-    replayed = common._run_chain(
-        Scheme.WIRA, chain, index, CONFIG, WiraConfig(), world=world
+    replayed = list(
+        common.iter_chain_outcomes(
+            Scheme.WIRA, chain, index, CONFIG, WiraConfig(), world=world
+        )
     )
     expected = [
         o for o in private_world_records[Scheme.WIRA] if o.spec.od.od_id == chain[0].od.od_id

@@ -1,9 +1,13 @@
-"""Tests for the parallel replay engine and its persistent cache.
+"""Tests for the sharded figure replay and its persistent cache.
 
-The parallel path must be *bit-identical* to the serial reference: each
+A replay over a pool must be *bit-identical* to the in-process one: each
 chain owns its world (plan, origin, live source) and seeds and each
 (scheme, chain) its cookie store, so sharding chain blocks across
 processes may not change a single field of any result.
+
+A deployment is cut into tasks of ``WAVE_CHAINS`` chains, and one task
+never forks — so the tests that mean to cross a process boundary shrink
+the block to two chains (pool workers are forked per call and see it).
 """
 
 import hashlib
@@ -16,6 +20,7 @@ from repro import obs
 from repro.core.config import WiraConfig
 from repro.core.initializer import Scheme
 from repro.experiments import common, runner
+from repro.runtime import pool
 from repro.workload.population import Deployment, DeploymentConfig
 
 SCHEMES = (Scheme.BASELINE, Scheme.WIRA)
@@ -41,6 +46,12 @@ def no_ambient_tracing():
     obs.ACTIVE = previous
 
 
+@pytest.fixture
+def two_chain_blocks(monkeypatch):
+    """Three chains become two tasks: [0, 2) and [2, 3)."""
+    monkeypatch.setattr(common, "WAVE_CHAINS", 2)
+
+
 def tiny_config(seed):
     return DeploymentConfig(n_od_pairs=3, seed=seed, video_frames_per_session=6)
 
@@ -56,19 +67,19 @@ def assert_records_identical(a, b):
 
 class TestParallelEqualsSerial:
     @pytest.mark.parametrize("seed", [3, 21])
-    def test_parallel_matches_serial_records(self, seed):
+    def test_parallel_matches_serial_records(self, seed, two_chain_blocks):
         """Property: every SessionResult sequence is identical per scheme."""
         config = tiny_config(seed)
         serial = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
         parallel = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=2)
         assert_records_identical(serial, parallel)
 
-    def test_parallel_matches_serial_traces_bytewise(self, tmp_path, monkeypatch):
+    def test_parallel_matches_serial_traces_bytewise(self, tmp_path, two_chain_blocks):
         """The trace sets of a serial and a parallel replay are
-        byte-identical: same file names, same SHA-256 per file — with
-        the serial side cut into two chain blocks, each replayed under
-        every scheme against its shared worlds."""
-        monkeypatch.setattr(common, "WAVE_CHAINS", 2)
+        byte-identical: same file names, same SHA-256 per file — both
+        cut into two chain blocks, each replayed under every scheme
+        against its shared worlds, the workers flushing every session's
+        files straight into the trace directory."""
         config = tiny_config(3)
         ambient_bus = obs.ACTIVE  # e.g. installed by WIRA_TRACE=1
         digests = {}
@@ -76,7 +87,7 @@ class TestParallelEqualsSerial:
             trace_dir = tmp_path / f"jobs{jobs}"
             with obs.tracing(trace_dir=trace_dir):
                 runner.run_deployment(config, SCHEMES, jobs=jobs)
-            assert not (trace_dir / obs.SHARDS_SUBDIR).exists()  # merged away
+            assert all(p.is_file() for p in trace_dir.iterdir())  # no staging dirs
             digests[jobs] = {
                 p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in trace_dir.glob("*.jsonl")
@@ -115,41 +126,48 @@ class TestParallelEqualsSerial:
         with obs.tracing():  # no trace_dir
             assert runner.run_deployment(config, SCHEMES) is first
 
-    def test_parallel_pool_failure_falls_back_to_serial(self, monkeypatch):
+    def test_parallel_pool_failure_falls_back_to_serial(self, monkeypatch, two_chain_blocks):
         config = tiny_config(5)
+        attempts = []
 
         def broken(*args, **kwargs):
+            attempts.append(kwargs)
             raise OSError("no processes in this sandbox")
 
-        monkeypatch.setattr(runner, "_replay_parallel", broken)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", broken)
         records = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=4)
+        assert len(attempts) == 1  # the pool was tried, then given up on
         reference = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
         assert_records_identical(records, reference)
 
+    def test_parallel_replay_runs_on_the_callers_current_state(
+        self, two_chain_blocks, no_ambient_tracing
+    ):
+        """Workers are forked per call, so a trace bus (or sanitizer, or
+        settings pin) installed after an earlier parallel replay reaches
+        them: a pool kept alive from that earlier replay would run the
+        second one untraced and disagree with ``jobs=1``."""
+        config = tiny_config(3)
+        runner.run_deployment(config, SCHEMES, use_cache=False, jobs=2)
+        with obs.tracing():  # in memory: no trace dir
+            parallel = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=2)
+            serial = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
+        assert all(
+            o.result.phase_breakdown is not None
+            for outcomes in parallel.values()
+            for o in outcomes
+            if o.result.completed
+        )
+        assert_records_identical(serial, parallel)
+
 
 class TestChunkSharding:
-    def test_chunk_bounds_cover_range_exactly(self):
-        for n in (1, 2, 3, 7, 30, 31, 120, 150):
-            for jobs in (1, 2, 4, 8):
-                bounds = runner._chunk_bounds(n, jobs)
-                assert bounds[0][0] == 0
-                assert bounds[-1][1] == n
-                for (lo, hi), (nlo, _nhi) in zip(bounds, bounds[1:]):
-                    assert hi == nlo
-                assert all(lo < hi for lo, hi in bounds)
-
-    def test_chunk_bounds_respect_ceiling(self):
-        assert all(
-            hi - lo <= runner.MAX_CHUNK_CHAINS
-            for lo, hi in runner._chunk_bounds(600, 2)
-        )
-
     def test_worker_chains_match_full_generation(self):
-        """The ranges workers regenerate tile the full deployment."""
+        """The ranges tasks regenerate tile the full deployment."""
         config = tiny_config(23)
         full = Deployment(config).generate()
         regenerated = []
-        for lo, hi in runner._chunk_bounds(config.n_od_pairs, 2):
+        for lo, hi in ((0, 2), (2, 3)):
             regenerated.extend(Deployment(config).generate_range(lo, hi))
         assert regenerated == full
 
@@ -159,34 +177,13 @@ class TestChunkSharding:
         config = tiny_config(23)
         serial = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
         values = tuple(scheme.value for scheme in SCHEMES)
-        lo, by_scheme = runner._replay_chunk((config, WiraConfig(), values, 1, 3))
-        assert lo == 1
+        task = (config, WiraConfig(), values, 1, 3)
+        [(index, by_scheme)] = pool.run_tasks(runner._replay_task, [task], jobs=2)
+        assert index == 0
         assert sorted(by_scheme) == sorted(values)
         for scheme in SCHEMES:
             expected = [o for o in serial[scheme] if o.spec.od.od_id in (1, 2)]
             assert by_scheme[scheme.value] == expected
-
-
-class TestPersistentPool:
-    def test_pool_object_reused_across_replays(self, no_ambient_tracing):
-        pool = runner._get_pool(2)
-        runner.run_deployment(tiny_config(3), SCHEMES, use_cache=False, jobs=2)
-        assert runner._POOL is pool
-        runner.run_deployment(tiny_config(21), SCHEMES, use_cache=False, jobs=2)
-        assert runner._POOL is pool
-
-    def test_pool_recycled_when_jobs_change(self):
-        pool = runner._get_pool(2)
-        assert runner._get_pool(2) is pool
-        other = runner._get_pool(3)
-        assert other is not pool
-        assert runner._POOL_JOBS == 3
-
-    def test_shutdown_pool_clears_state(self):
-        runner._get_pool(2)
-        runner.shutdown_pool()
-        assert runner._POOL is None
-        assert runner._POOL_JOBS == 0
 
 
 class TestBatchedKernel:
@@ -207,32 +204,6 @@ class TestBatchedKernel:
         }
         batched = runner.run_deployment(config, SCHEMES, use_cache=False, jobs=1)
         assert_records_identical(reference, batched)
-
-
-class TestJobsResolution:
-    def test_explicit_argument_wins(self):
-        assert runner.resolve_jobs(3) == 3
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("WIRA_JOBS", "6")
-        assert runner.resolve_jobs() == 6
-
-    def test_default_is_serial(self):
-        assert runner.resolve_jobs() == 1
-
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("WIRA_JOBS", "many")
-        assert runner.resolve_jobs() == 1
-
-    def test_floor_of_one(self):
-        assert runner.resolve_jobs(0) == 1
-        assert runner.resolve_jobs(-2) == 1
-
-    def test_disk_cache_env_switch(self, monkeypatch):
-        assert runner.disk_cache_enabled() is True
-        monkeypatch.setenv("WIRA_DISK_CACHE", "0")
-        assert runner.disk_cache_enabled() is False
-        assert runner.disk_cache_enabled(True) is True
 
 
 class TestPersistentCache:
@@ -295,6 +266,15 @@ class TestPersistentCache:
         runner.run_deployment(config, SCHEMES, use_cache=False)
         key = runner.cache_key(config, WiraConfig(), SCHEMES)
         assert not runner._cache_path(key).exists()
+
+    def test_disk_cache_env_switch(self, monkeypatch):
+        """``WIRA_DISK_CACHE=0`` turns off the disk half alone."""
+        monkeypatch.setenv("WIRA_DISK_CACHE", "0")
+        config = tiny_config(17)
+        first = runner.run_deployment(config, SCHEMES)
+        key = runner.cache_key(config, WiraConfig(), SCHEMES)
+        assert not runner._cache_path(key).exists()
+        assert runner.run_deployment(config, SCHEMES) is first  # memo still on
 
     def test_unwritable_cache_dir_is_not_fatal(self, monkeypatch, tmp_path):
         blocked = tmp_path / "file-not-dir"

@@ -216,11 +216,11 @@ def run_faulted(plan, seed=3, scheme=Scheme.WIRA):
         handshake_mode=HandshakeMode.ZERO_RTT,
         seed=seed,
     )
-    prime = StreamingSession.from_spec(
+    prime = StreamingSession(
         prime_spec, origin, "demo", cookie_store=store, cookie_manager=manager
     ).run()
     assert prime.completed
-    result = StreamingSession.from_spec(
+    result = StreamingSession(
         prime_spec.with_(seed=seed + 1, epoch=5.0, fault_plan=plan),
         origin,
         "demo",

@@ -1,10 +1,10 @@
-"""TraceBus behaviour: ring, counts, session flushes, shard merging,
-and the global enable/disable surface in :mod:`repro.obs`."""
+"""TraceBus behaviour: ring, counts, session flushes, and the global
+enable/disable surface in :mod:`repro.obs`."""
 
 import pytest
 
 from repro import obs
-from repro.obs import SHARDS_SUBDIR, TraceBus, merge_shard_traces, validate_trace_lines
+from repro.obs import TraceBus, validate_trace_lines
 
 
 def emit_session(bus, label, t0=0.0):
@@ -81,55 +81,6 @@ class TestSessionScope:
             "inner--cli.jsonl",
             "outer--cli.jsonl",
         ]
-
-
-class TestShardMerge:
-    def test_merged_shards_byte_identical_to_direct_flush(self, tmp_path):
-        direct_dir = tmp_path / "direct"
-        sharded_dir = tmp_path / "sharded"
-
-        direct = TraceBus(trace_dir=direct_dir)
-        emit_session(direct, "s1", t0=0.0)
-        emit_session(direct, "s2", t0=1.0)
-
-        sharded = TraceBus(trace_dir=sharded_dir)
-        with sharded.shard("u2"):  # shard completion order must not matter
-            emit_session(sharded, "s2", t0=1.0)
-        with sharded.shard("u1"):
-            emit_session(sharded, "s1", t0=0.0)
-        merged = merge_shard_traces(sharded_dir)
-
-        assert merged == 4  # two sessions x two connections
-        direct_files = sorted(p.name for p in direct_dir.glob("*.jsonl"))
-        assert sorted(p.name for p in sharded_dir.glob("*.jsonl")) == direct_files
-        for name in direct_files:
-            assert (sharded_dir / name).read_bytes() == (direct_dir / name).read_bytes()
-
-    def test_shard_scope_restores_previous_routing(self, tmp_path):
-        bus = TraceBus(trace_dir=tmp_path)
-        with bus.shard("u1"):
-            emit_session(bus, "in-shard")
-        emit_session(bus, "at-root")
-        assert (tmp_path / SHARDS_SUBDIR / "u1" / "in-shard--cli.jsonl").exists()
-        assert (tmp_path / "at-root--cli.jsonl").exists()
-
-    def test_merge_removes_shards_dir(self, tmp_path):
-        bus = TraceBus(trace_dir=tmp_path)
-        with bus.shard("u1"):
-            emit_session(bus, "s1")
-        merge_shard_traces(tmp_path)
-        assert not (tmp_path / SHARDS_SUBDIR).exists()
-
-    def test_merge_without_shards_is_noop(self, tmp_path):
-        assert merge_shard_traces(tmp_path) == 0
-
-    def test_merged_files_validate(self, tmp_path):
-        bus = TraceBus(trace_dir=tmp_path)
-        with bus.shard("u1"):
-            emit_session(bus, "s1")
-        merge_shard_traces(tmp_path)
-        for path in tmp_path.glob("*.jsonl"):
-            assert validate_trace_lines(path.read_text().splitlines()) == []
 
 
 class TestGlobalSurface:

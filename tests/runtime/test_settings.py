@@ -7,7 +7,7 @@ import pytest
 
 from repro import obs, sanitize
 from repro.experiments import runner
-from repro.runtime import settings
+from repro.runtime import pool, settings
 from repro.runtime.settings import Settings
 
 
@@ -106,20 +106,16 @@ class TestCurrentAndOverrides:
 class TestDelegatingConsumers:
     """The legacy accessors must keep their exact historic behaviour."""
 
-    def test_runner_resolve_jobs(self, monkeypatch):
+    def test_pool_resolve_jobs(self, monkeypatch):
+        monkeypatch.delenv("WIRA_JOBS", raising=False)
+        assert pool.resolve_jobs() == 1  # default is serial
         monkeypatch.setenv("WIRA_JOBS", "6")
-        assert runner.resolve_jobs() == 6
-        assert runner.resolve_jobs(2) == 2  # explicit argument wins
-        assert runner.resolve_jobs(0) == 1
+        assert pool.resolve_jobs() == 6
+        assert pool.resolve_jobs(2) == 2  # explicit argument wins
+        assert pool.resolve_jobs(0) == 1
+        assert pool.resolve_jobs(-2) == 1
         monkeypatch.setenv("WIRA_JOBS", "not-a-number")
-        assert runner.resolve_jobs() == 1
-
-    def test_runner_disk_cache_enabled(self, monkeypatch):
-        monkeypatch.setenv("WIRA_DISK_CACHE", "0")
-        assert runner.disk_cache_enabled() is False
-        assert runner.disk_cache_enabled(True) is True
-        monkeypatch.delenv("WIRA_DISK_CACHE", raising=False)
-        assert runner.disk_cache_enabled() is True
+        assert pool.resolve_jobs() == 1
 
     def test_runner_cache_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WIRA_CACHE_DIR", str(tmp_path))
@@ -145,6 +141,6 @@ class TestDelegatingConsumers:
 
     def test_pinned_settings_reach_consumers(self):
         with settings.overridden(jobs=9, sanitize=True, trace=True):
-            assert runner.resolve_jobs() == 9
+            assert pool.resolve_jobs() == 9
             assert sanitize.env_requested() is True
             assert obs.env_requested() is True

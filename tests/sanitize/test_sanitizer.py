@@ -407,7 +407,7 @@ class TestSanitizedSession:
             scheme=scheme,
             seed=3,
         )
-        return StreamingSession.from_spec(spec, origin, "demo").run()
+        return StreamingSession(spec, origin, "demo").run()
 
     def test_wira_session_clean_with_all_hooks_live(self):
         with sanitize.sanitized() as san:
