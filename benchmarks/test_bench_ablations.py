@@ -14,7 +14,7 @@ from repro.cdn.origin import Origin
 from repro.cdn.playback import PlaybackPolicy
 from repro.cdn.session import SessionSpec, StreamingSession
 from repro.core.config import WiraConfig
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA
 from repro.core.transport_cookie import ClientCookieStore
 from repro.media.source import StreamProfile
 from repro.metrics.report import Table, format_ms, format_pct
@@ -59,7 +59,7 @@ def test_bench_ablation_theta_vf(once):
         rows = []
         for theta in (1, 2, 3, 5):
             results = [
-                run_pair(Scheme.WIRA, playback=PlaybackPolicy(video_frames_required=theta), seed=s)
+                run_pair(WIRA, playback=PlaybackPolicy(video_frames_required=theta), seed=s)
                 for s in range(8)
             ]
             rows.append(
@@ -94,7 +94,7 @@ def test_bench_ablation_cookie_staleness(once):
         rows = []
         for gap_minutes in (5, 30, 59, 120):
             results = [
-                run_pair(Scheme.WIRA, epoch_gap=gap_minutes * 60.0, seed=s)
+                run_pair(WIRA, epoch_gap=gap_minutes * 60.0, seed=s)
                 for s in range(8)
             ]
             used = mean([1.0 if r.used_cookie else 0.0 for r in results])
@@ -125,11 +125,11 @@ def test_bench_ablation_congestion_controller(once):
         for cc in ("bbr", "cubic"):
             quic_config = QuicConfig(congestion_controller=cc)
             base = [
-                run_pair(Scheme.BASELINE, quic_config=quic_config, seed=s).ffct
+                run_pair(BASELINE, quic_config=quic_config, seed=s).ffct
                 for s in range(8)
             ]
             wira = [
-                run_pair(Scheme.WIRA, quic_config=quic_config, seed=s).ffct
+                run_pair(WIRA, quic_config=quic_config, seed=s).ffct
                 for s in range(8)
             ]
             rows.append((cc, mean([b for b in base if b]), mean([w for w in wira if w])))

@@ -2,7 +2,7 @@
 avg / −16.6% p90; 1-RTT −21.3% avg / −32.5% p90; 0-RTT ≈ 90% of
 streams)."""
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX
 from repro.experiments import fig12
 from repro.metrics.report import Table, format_ms, format_pct
 from repro.quic.connection import HandshakeMode
@@ -20,7 +20,7 @@ def test_bench_fig12_zero_vs_one_rtt(once, print_phase_table):
             f"Fig 12 — FFCT of {mode.value} streams ({paper_note})",
             ["scheme", "n", "avg", "avg gain", "p90", "p90 gain"],
         )
-        for scheme in (Scheme.BASELINE, Scheme.WIRA_FF, Scheme.WIRA_HX, Scheme.WIRA):
+        for scheme in (BASELINE, WIRA_FF, WIRA_HX, WIRA):
             s = result.get(mode, scheme)
             table.add_row(
                 scheme.display_name,
@@ -35,9 +35,9 @@ def test_bench_fig12_zero_vs_one_rtt(once, print_phase_table):
     # ~90% of streams take the 0-RTT path (§VI measurement).
     assert 0.85 < result.zero_rtt_fraction() < 0.95
     # The dominant 0-RTT population benefits from full Wira.
-    assert result.improvement(HandshakeMode.ZERO_RTT, Scheme.WIRA) > 0.0
+    assert result.improvement(HandshakeMode.ZERO_RTT, WIRA) > 0.0
     # The 1-RTT subset is ~10% of sessions and correspondingly noisy
     # (the paper has millions of samples per bucket); require only that
     # Wira does not *hurt* it materially.
-    assert result.improvement(HandshakeMode.ONE_RTT, Scheme.WIRA) > -0.05
-    assert result.improvement(HandshakeMode.ONE_RTT, Scheme.WIRA, 90) > -0.05
+    assert result.improvement(HandshakeMode.ONE_RTT, WIRA) > -0.05
+    assert result.improvement(HandshakeMode.ONE_RTT, WIRA, 90) > -0.05

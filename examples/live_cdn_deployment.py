@@ -13,7 +13,7 @@ Usage::
 
 import sys
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX
 from repro.experiments.common import EVAL_SCHEMES
 from repro.experiments.runner import run_deployment
 from repro.metrics.report import Table, format_ms, format_pct
@@ -34,7 +34,7 @@ def main() -> None:
         ["scheme", "sessions", "avg FFCT", "gain", "p90 FFCT", "p90 gain", "avg FFLR"],
     )
     baseline_avg = baseline_p90 = None
-    for scheme in (Scheme.BASELINE, Scheme.WIRA_FF, Scheme.WIRA_HX, Scheme.WIRA):
+    for scheme in (BASELINE, WIRA_FF, WIRA_HX, WIRA):
         outcomes = records[scheme]
         ffcts = [o.result.ffct for o in outcomes if o.result.ffct is not None]
         fflrs = [o.result.fflr for o in outcomes if o.result.fflr is not None]
@@ -52,7 +52,7 @@ def main() -> None:
         )
     table.print()
 
-    wira = records[Scheme.WIRA]
+    wira = records[WIRA]
     with_cookie = sum(1 for o in wira if o.result.used_cookie)
     provisional = sum(
         1 for o in wira if o.result.initial_params and o.result.initial_params.provisional

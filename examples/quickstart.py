@@ -12,7 +12,7 @@ Usage::
 
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionSpec, StreamingSession
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX
 from repro.core.transport_cookie import ClientCookieStore
 from repro.media.source import StreamProfile
 from repro.metrics.report import Table, format_ms, format_pct
@@ -43,7 +43,7 @@ def main() -> None:
         ["scheme", "FFCT", "vs baseline", "first-frame loss", "init cwnd", "init pacing"],
     )
     baseline_ffct = None
-    for scheme in (Scheme.BASELINE, Scheme.WIRA_FF, Scheme.WIRA_HX, Scheme.WIRA):
+    for scheme in (BASELINE, WIRA_FF, WIRA_HX, WIRA):
         # Each scheme gets a two-session OD pair: the first session
         # charges the client's transport-cookie store, the second is
         # measured (that is when Hx_QoS is available).

@@ -21,18 +21,26 @@ See README.md for a quickstart and DESIGN.md for the full inventory.
 __version__ = "1.0.0"
 
 from repro.core import (
+    BASELINE,
+    STATIC_10,
+    WIRA,
+    WIRA_FF,
+    WIRA_HX,
     FrameParser,
     HxQos,
     InitialParams,
-    Scheme,
     WiraConfig,
 )
 
 __all__ = [
+    "BASELINE",
     "FrameParser",
     "HxQos",
     "InitialParams",
-    "Scheme",
+    "STATIC_10",
+    "WIRA",
+    "WIRA_FF",
+    "WIRA_HX",
     "WiraConfig",
     "__version__",
 ]

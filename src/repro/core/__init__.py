@@ -19,10 +19,14 @@ from repro.core.config import WiraConfig
 from repro.core.frame_perception import FrameParser, ParseStatus
 from repro.core.initializer import (
     InitialParams,
-    Scheme,
     table1_params,
 )
 from repro.core.schemes import (
+    BASELINE,
+    STATIC_10,
+    WIRA,
+    WIRA_FF,
+    WIRA_HX,
     InitContext,
     InitPolicy,
     SchemeDef,
@@ -40,6 +44,7 @@ from repro.core.transport_cookie import (
 from repro.core.cookie_crypto import CookieSealer, CookieError
 
 __all__ = [
+    "BASELINE",
     "ClientCookieStore",
     "CookieError",
     "CookieSealer",
@@ -49,9 +54,12 @@ __all__ = [
     "InitPolicy",
     "InitialParams",
     "ParseStatus",
-    "Scheme",
+    "STATIC_10",
     "SchemeDef",
     "SchemeSpec",
+    "WIRA",
+    "WIRA_FF",
+    "WIRA_HX",
     "WiraConfig",
     "as_spec",
     "decode_hqst",

@@ -29,14 +29,12 @@ Corner cases (§IV-C) are handled exactly as described:
 
 Scheme *dispatch* lives in :mod:`repro.core.schemes`: every scheme is a
 registered :class:`~repro.core.schemes.InitPolicy`, and the five Table I
-rows are stateless policies over :func:`table1_params` below.  The
-:class:`Scheme` enum survives only as a deprecated alias for the
-registry API.
+rows are stateless policies over :func:`table1_params` below, named by
+the spec constants ``BASELINE`` … ``STATIC_10`` there.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -61,53 +59,6 @@ def payload_to_wire_bytes(payload_bytes: int) -> int:
     """
     packets = max(1, math.ceil(payload_bytes / _PACKET_PAYLOAD_BYTES))
     return packets * _PACKET_WIRE_BYTES
-
-
-class Scheme(enum.Enum):
-    """Deprecated alias for the scheme registry (:mod:`repro.core.schemes`).
-
-    The five Table I members survive for compatibility; they compare and
-    hash equal to the matching :class:`~repro.core.schemes.SchemeSpec`,
-    so enum-keyed and spec-keyed records interoperate.  New schemes are
-    *not* added here — register a :class:`~repro.core.schemes.SchemeDef`
-    instead.
-    """
-
-    BASELINE = "baseline"
-    WIRA_FF = "wira_ff"
-    WIRA_HX = "wira_hx"
-    WIRA = "wira"
-    STATIC_10 = "static_10"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Scheme):
-            return self is other
-        from repro.core.schemes import SchemeSpec
-
-        if isinstance(other, SchemeSpec):
-            return self._value_ == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value_)
-
-    @property
-    def uses_frame_perception(self) -> bool:
-        from repro.core import schemes as _schemes
-
-        return _schemes.get_def(str(self._value_)).uses_frame_perception
-
-    @property
-    def uses_transport_cookie(self) -> bool:
-        from repro.core import schemes as _schemes
-
-        return _schemes.get_def(str(self._value_)).uses_transport_cookie
-
-    @property
-    def display_name(self) -> str:
-        from repro.core import schemes as _schemes
-
-        return _schemes.get_def(str(self._value_)).display_name
 
 
 @dataclass(frozen=True)

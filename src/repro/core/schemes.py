@@ -1,16 +1,14 @@
 """Open scheme-plugin registry (the frontier beyond Table I).
 
-The paper's five initialization schemes were originally a closed
-``Scheme`` enum hard-matched inside :mod:`repro.core.initializer`.
-This module replaces that dispatch with a string-keyed registry so new
-schemes plug in without editing the core:
+Schemes are dispatched through a string-keyed registry, so new ones
+plug in without editing the core:
 
 * :class:`SchemeSpec` — a canonical-JSON-serializable scheme reference
   (``name`` plus optional scalar ``params``) that travels through
   ``SessionSpec``, ``FleetConfig``, the robustness matrix, and the serve
-  wire's ``WSPC`` tag.  Specs, the legacy ``Scheme`` enum members and
-  plain value strings all compare and hash equal when they denote the
-  same scheme, so enum-keyed and spec-keyed records interoperate.
+  wire's ``WSPC`` tag.  Specs and plain value strings compare and hash
+  equal when they denote the same scheme, so either keys the same
+  records.
 * :class:`InitPolicy` — the plugin protocol.  ``initial_params(ctx)``
   computes the connection's initial window/rate from the signals Wira
   gathered; ``observe(result)`` is an optional feedback hook the
@@ -23,9 +21,10 @@ schemes plug in without editing the core:
   registry surface the engines use.
 
 The five Table I schemes are registered here as stateless policies over
-:func:`repro.core.initializer.table1_params`; byte-identical outputs vs
-the pre-registry enum path are pinned by
-``tests/experiments/test_scheme_parity.py``.
+:func:`repro.core.initializer.table1_params` and named by the module
+constants :data:`BASELINE`, :data:`WIRA_FF`, :data:`WIRA_HX`,
+:data:`WIRA` and :data:`STATIC_10`; their outputs are pinned by the
+golden digests in ``tests/experiments/test_scheme_parity.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.core.transport_cookie import HxQos
 
 if TYPE_CHECKING:
     from repro.cdn.session import SessionResult
-    from repro.core.initializer import InitialParams, Scheme
+    from repro.core.initializer import InitialParams
     from repro.quic.config import QuicConfig
 
 #: Version of the serialized spec layout (``SchemeSpec.to_json``).
@@ -80,10 +79,9 @@ class SchemeSpec:
     """A serializable reference to a registered scheme.
 
     ``value`` is the canonical string form: the bare ``name`` when there
-    are no params (byte-identical to the legacy enum values on the wire
-    and in every cache/checkpoint key), else ``name?{...}`` with the
-    params as canonical JSON.  Equality and hashing go through that
-    string so a spec, the matching ``Scheme`` enum member, and the plain
+    are no params (the form on the wire and in every cache/checkpoint
+    key), else ``name?{...}`` with the params as canonical JSON.
+    Equality and hashing go through that string so a spec and the plain
     value string are interchangeable as dict keys.
     """
 
@@ -146,11 +144,6 @@ class SchemeSpec:
                 return v
         return default
 
-    def with_params(self, **overrides: ParamValue) -> "SchemeSpec":
-        merged = dict(self.params)
-        merged.update(overrides)
-        return SchemeSpec(self.name, _canonical_params(merged))
-
     @property
     def display_name(self) -> str:
         base = get_def(self.name).display_name
@@ -174,9 +167,6 @@ class SchemeSpec:
             return self.value == other.value
         if isinstance(other, str):
             return self.value == other
-        other_value = getattr(other, "value", None)
-        if isinstance(other_value, str) and other.__class__.__module__.startswith("repro."):
-            return self.value == other_value
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -187,7 +177,7 @@ class SchemeSpec:
 
 
 #: Anything the engines accept where a scheme is expected.
-SchemeLike = Union["Scheme", SchemeSpec, str]
+SchemeLike = Union[SchemeSpec, str]
 
 
 @dataclass(frozen=True)
@@ -288,7 +278,7 @@ def eval_schemes() -> Tuple[SchemeSpec, ...]:
 
 
 def as_spec(scheme: SchemeLike) -> SchemeSpec:
-    """Normalize a ``Scheme`` member / value string / spec to a spec.
+    """Normalize a spec or its value string to a spec.
 
     Raises ``ValueError`` for unknown scheme names, making this the one
     validation point for every external surface (fleet config, serve
@@ -299,10 +289,7 @@ def as_spec(scheme: SchemeLike) -> SchemeSpec:
     elif isinstance(scheme, str):
         spec = SchemeSpec.parse(scheme)
     else:
-        value = getattr(scheme, "value", None)
-        if not isinstance(value, str):
-            raise TypeError(f"not a scheme: {scheme!r}")
-        spec = SchemeSpec.parse(value)
+        raise TypeError(f"not a scheme: {scheme!r}")
     get_def(spec.name)  # validates registration
     return spec
 
@@ -492,3 +479,10 @@ def _register_builtins() -> None:
 
 
 _register_builtins()
+
+#: The five rows of Table I (§IV-C), in registration order.
+BASELINE = SchemeSpec("baseline")
+WIRA_FF = SchemeSpec("wira_ff")
+WIRA_HX = SchemeSpec("wira_hx")
+WIRA = SchemeSpec("wira")
+STATIC_10 = SchemeSpec("static_10")

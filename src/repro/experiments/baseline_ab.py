@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, STATIC_10, SchemeSpec
 from repro.experiments.common import HEADLINE_CONFIG
 from repro.experiments.runner import run_deployment
 from repro.metrics.stats import mean, percentile
@@ -20,18 +20,18 @@ from repro.metrics.stats import mean, percentile
 
 @dataclass
 class AbResult:
-    ffct: Dict[Scheme, List[float]]
+    ffct: Dict[SchemeSpec, List[float]]
 
-    def avg(self, scheme: Scheme) -> float:
+    def avg(self, scheme: SchemeSpec) -> float:
         return mean(self.ffct[scheme])
 
-    def p90(self, scheme: Scheme) -> float:
+    def p90(self, scheme: SchemeSpec) -> float:
         return percentile(self.ffct[scheme], 90)
 
 
 def run(config=None) -> AbResult:
     records = run_deployment(
-        config or HEADLINE_CONFIG, schemes=(Scheme.STATIC_10, Scheme.BASELINE)
+        config or HEADLINE_CONFIG, schemes=(STATIC_10, BASELINE)
     )
     ffct = {
         scheme: [o.result.ffct for o in outcomes if o.result.ffct is not None]

@@ -32,8 +32,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionResult, SessionSpec, StreamingSession
 from repro.core.config import WiraConfig
-from repro.core.initializer import InitialParams, Scheme
+from repro.core.initializer import InitialParams
 from repro.core.schemes import (
+    BASELINE,
     InitPolicy,
     SchemeLike,
     SchemeSpec,
@@ -347,7 +348,7 @@ def run_testbed_session(
     )
     spec = SessionSpec(
         conditions=conditions,
-        scheme=Scheme.BASELINE,  # ignored: override pins the values
+        scheme=BASELINE,  # ignored: override pins the values
         handshake_mode=HandshakeMode.ZERO_RTT,
         seed=seed,
         target_video_frames=target_video_frames,

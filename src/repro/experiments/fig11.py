@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, SchemeSpec
 from repro.experiments.common import (
     DeploymentRecords,
     EVAL_SCHEMES,
@@ -27,7 +27,7 @@ PERCENTILES = (50, 70, 90, 95)
 
 @dataclass
 class SchemeFfct:
-    scheme: Scheme
+    scheme: SchemeSpec
     samples: List[float]
 
     @property
@@ -40,11 +40,11 @@ class SchemeFfct:
 
 @dataclass
 class Fig11Result:
-    by_scheme: Dict[Scheme, SchemeFfct]
+    by_scheme: Dict[SchemeSpec, SchemeFfct]
 
-    def improvement(self, scheme: Scheme, q: Optional[float] = None) -> float:
+    def improvement(self, scheme: SchemeSpec, q: Optional[float] = None) -> float:
         """Optimisation ratio vs. the baseline (positive = faster)."""
-        base = self.by_scheme[Scheme.BASELINE]
+        base = self.by_scheme[BASELINE]
         ours = self.by_scheme[scheme]
         base_v = base.avg if q is None else base.p(q)
         ours_v = ours.avg if q is None else ours.p(q)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, SchemeSpec
 from repro.experiments.common import (
     DeploymentRecords,
     EVAL_SCHEMES,
@@ -26,7 +26,7 @@ from repro.quic.connection import HandshakeMode
 @dataclass
 class ModeFfct:
     mode: HandshakeMode
-    scheme: Scheme
+    scheme: SchemeSpec
     samples: List[float]
 
     @property
@@ -41,19 +41,19 @@ class ModeFfct:
 class Fig12Result:
     by_mode_scheme: Dict[tuple, ModeFfct]
 
-    def get(self, mode: HandshakeMode, scheme: Scheme) -> ModeFfct:
+    def get(self, mode: HandshakeMode, scheme: SchemeSpec) -> ModeFfct:
         return self.by_mode_scheme[(mode, scheme)]
 
-    def improvement(self, mode: HandshakeMode, scheme: Scheme, q=None) -> float:
-        base = self.get(mode, Scheme.BASELINE)
+    def improvement(self, mode: HandshakeMode, scheme: SchemeSpec, q=None) -> float:
+        base = self.get(mode, BASELINE)
         ours = self.get(mode, scheme)
         base_v = base.avg if q is None else base.p(q)
         ours_v = ours.avg if q is None else ours.p(q)
         return (base_v - ours_v) / base_v
 
     def zero_rtt_fraction(self) -> float:
-        zero = len(self.get(HandshakeMode.ZERO_RTT, Scheme.BASELINE).samples)
-        one = len(self.get(HandshakeMode.ONE_RTT, Scheme.BASELINE).samples)
+        zero = len(self.get(HandshakeMode.ZERO_RTT, BASELINE).samples)
+        one = len(self.get(HandshakeMode.ONE_RTT, BASELINE).samples)
         return zero / (zero + one)
 
 

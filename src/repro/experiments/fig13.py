@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, SchemeSpec
 from repro.experiments.common import (
     DeploymentRecords,
     EVAL_SCHEMES,
@@ -49,14 +49,14 @@ class BucketedFfct:
     """Mean FFCT per (dimension bucket, scheme)."""
 
     dimension: str
-    table: Dict[str, Dict[Scheme, List[float]]]
+    table: Dict[str, Dict[SchemeSpec, List[float]]]
 
-    def mean_ffct(self, bucket: str, scheme: Scheme) -> Optional[float]:
+    def mean_ffct(self, bucket: str, scheme: SchemeSpec) -> Optional[float]:
         samples = self.table.get(bucket, {}).get(scheme, [])
         return mean(samples) if samples else None
 
-    def improvement(self, bucket: str, scheme: Scheme) -> Optional[float]:
-        base = self.mean_ffct(bucket, Scheme.BASELINE)
+    def improvement(self, bucket: str, scheme: SchemeSpec) -> Optional[float]:
+        base = self.mean_ffct(bucket, BASELINE)
         ours = self.mean_ffct(bucket, scheme)
         if base is None or ours is None or base == 0:
             return None
@@ -88,12 +88,12 @@ def _dimension_value(outcome: SessionOutcome, dimension: str) -> Optional[float]
 
 
 def _bucketize(records: DeploymentRecords, dimension: str, buckets) -> BucketedFfct:
-    table: Dict[str, Dict[Scheme, List[float]]] = {
+    table: Dict[str, Dict[SchemeSpec, List[float]]] = {
         _bucket_label(lo, hi): {s: [] for s in records} for lo, hi in buckets
     }
     # Bucket by the *baseline* replay's dimension value so the same
     # session lands in the same bucket for every scheme (paired view).
-    baseline = records[Scheme.BASELINE]
+    baseline = records[BASELINE]
     for index, base_outcome in enumerate(baseline):
         value = _dimension_value(base_outcome, dimension)
         if value is None:

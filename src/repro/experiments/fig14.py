@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, SchemeSpec
 from repro.experiments.common import (
     DeploymentRecords,
     EVAL_SCHEMES,
@@ -36,15 +36,15 @@ class FflrSeries:
 
 @dataclass
 class Fig14Result:
-    overall: Dict[Scheme, FflrSeries]
+    overall: Dict[SchemeSpec, FflrSeries]
     by_mode: Dict[tuple, FflrSeries]
 
-    def improvement(self, scheme: Scheme, q: Optional[float] = None,
+    def improvement(self, scheme: SchemeSpec, q: Optional[float] = None,
                     mode: Optional[HandshakeMode] = None) -> float:
         if mode is None:
-            base, ours = self.overall[Scheme.BASELINE], self.overall[scheme]
+            base, ours = self.overall[BASELINE], self.overall[scheme]
         else:
-            base = self.by_mode[(mode, Scheme.BASELINE)]
+            base = self.by_mode[(mode, BASELINE)]
             ours = self.by_mode[(mode, scheme)]
         base_v = base.avg if q is None else base.p(q)
         ours_v = ours.avg if q is None else ours.p(q)
@@ -54,7 +54,7 @@ class Fig14Result:
 
 
 def summarize(records: DeploymentRecords) -> Fig14Result:
-    overall: Dict[Scheme, FflrSeries] = {}
+    overall: Dict[SchemeSpec, FflrSeries] = {}
     by_mode: Dict[tuple, FflrSeries] = {}
     for scheme, outcomes in records.items():
         all_samples = [o.result.fflr for o in outcomes if o.result.fflr is not None]

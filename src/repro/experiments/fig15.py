@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, SchemeSpec
 from repro.experiments.common import (
     DeploymentRecords,
     EVAL_SCHEMES,
@@ -28,16 +28,16 @@ class Fig15Result:
     completion: Dict[tuple, List[float]]  # (scheme, k) -> times
     loss: Dict[tuple, List[float]]  # (scheme, k) -> loss rates
 
-    def mean_completion(self, scheme: Scheme, k: int) -> Optional[float]:
+    def mean_completion(self, scheme: SchemeSpec, k: int) -> Optional[float]:
         samples = self.completion.get((scheme, k), [])
         return mean(samples) if samples else None
 
-    def mean_loss(self, scheme: Scheme, k: int) -> Optional[float]:
+    def mean_loss(self, scheme: SchemeSpec, k: int) -> Optional[float]:
         samples = self.loss.get((scheme, k), [])
         return mean(samples) if samples else None
 
-    def improvement(self, scheme: Scheme, k: int) -> Optional[float]:
-        base = self.mean_completion(Scheme.BASELINE, k)
+    def improvement(self, scheme: SchemeSpec, k: int) -> Optional[float]:
+        base = self.mean_completion(BASELINE, k)
         ours = self.mean_completion(scheme, k)
         if base is None or ours is None:
             return None

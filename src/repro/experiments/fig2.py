@@ -44,12 +44,6 @@ class Fig2Result:
     cwnd_sweep: List[SweepPoint]  # (a)
     pacing_sweep: List[SweepPoint]  # (b)
 
-    def best_cwnd(self) -> float:
-        return min(self.cwnd_sweep, key=lambda p: p.ffct).parameter
-
-    def best_pacing(self) -> float:
-        return min(self.pacing_sweep, key=lambda p: p.ffct).parameter
-
 
 def _run_point(cwnd_bytes: int, pacing_bps: float, repeats: int, seed_base: int) -> Tuple[float, float]:
     ffcts, losses = [], []

@@ -50,9 +50,6 @@ class IntervalDispersion:
 class Fig4Result:
     by_interval: Dict[float, IntervalDispersion] = field(default_factory=dict)
 
-    def avg_rtt_cvs(self) -> List[float]:
-        return [self.by_interval[i].avg_rtt_cv for i in INTERVALS_MINUTES]
-
 
 def run(n_od_pairs: int = 250, sessions_per_od: int = 16, seed: int = 17) -> Fig4Result:
     model = NetworkModel(random.Random(seed))

@@ -39,8 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionSpec, StreamingSession
-from repro.core.initializer import Scheme
-from repro.core.schemes import SchemeLike, SchemeSpec, as_spec
+from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX, SchemeLike, SchemeSpec, as_spec
 from repro.core.transport_cookie import ClientCookieStore, ServerCookieManager
 from repro.faults import FaultPlan, single_fault_plans
 from repro.media.source import StreamProfile
@@ -62,10 +61,10 @@ DEFAULT_CONDITIONS = NetworkConditions(
 )
 
 MATRIX_SCHEMES: Tuple[SchemeLike, ...] = (
-    Scheme.BASELINE,
-    Scheme.WIRA_FF,
-    Scheme.WIRA_HX,
-    Scheme.WIRA,
+    BASELINE,
+    WIRA_FF,
+    WIRA_HX,
+    WIRA,
     as_spec("adaptive"),
     as_spec("wira_bbr2"),
     as_spec("wira_ar"),
@@ -168,8 +167,8 @@ class RobustnessConfig:
         return cls(
             seeds=(7,),
             schemes=(
-                Scheme.BASELINE,
-                Scheme.WIRA,
+                BASELINE,
+                WIRA,
                 as_spec("adaptive"),
                 as_spec("wira_bbr2"),
                 as_spec("wira_ar"),
@@ -319,7 +318,7 @@ def evaluate_gates(
             )
 
     # Mean FFCT per (scheme, fault, schedule) across the seed axis.
-    sums: Dict[Tuple[Scheme, str, str], List[float]] = {}
+    sums: Dict[Tuple[SchemeSpec, str, str], List[float]] = {}
     for cell in results:
         if cell.ffct is not None:
             sums.setdefault((cell.scheme, cell.fault, cell.schedule), []).append(
@@ -328,14 +327,14 @@ def evaluate_gates(
     means = {key: sum(v) / len(v) for key, v in sums.items()}
 
     ratio_gates: List[Dict[str, object]] = []
-    gated_schemes = [as_spec(s) for s in config.schemes if as_spec(s) != Scheme.BASELINE]
+    gated_schemes = [as_spec(s) for s in config.schemes if as_spec(s) != BASELINE]
     for scheme in gated_schemes:
         for (mscheme, fault, schedule), mean_ffct in sorted(
             means.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2])
         ):
             if mscheme != scheme:
                 continue
-            baseline = means.get((Scheme.BASELINE, fault, schedule))
+            baseline = means.get((BASELINE, fault, schedule))
             if baseline is None or baseline <= 0.0:
                 continue
             ratio = mean_ffct / baseline

@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.core.config import WiraConfig
-from repro.core.initializer import Scheme
 from repro.core.schemes import SchemeLike, SchemeSpec, as_spec
 from repro.experiments import common
 from repro.experiments.common import DeploymentRecords, SessionOutcome
@@ -152,7 +151,7 @@ def _looks_like_records(records) -> bool:
     if not isinstance(records, dict) or not records:
         return False
     for scheme, outcomes in records.items():
-        if not isinstance(scheme, (Scheme, SchemeSpec)) or not isinstance(outcomes, list):
+        if not isinstance(scheme, SchemeSpec) or not isinstance(outcomes, list):
             return False
         if outcomes and not isinstance(outcomes[0], SessionOutcome):
             return False
@@ -199,7 +198,7 @@ def run_deployment(
         schemes = common.EVAL_SCHEMES
     # Normalize once: every layer below (tasks, caches, record keys)
     # works on canonical SchemeSpec values; value-equality keeps the
-    # returned records addressable by enum members and value strings.
+    # returned records addressable by specs and value strings.
     schemes = tuple(as_spec(s) for s in schemes)
     memo_key = (
         tuple(sorted(s.value for s in schemes)),

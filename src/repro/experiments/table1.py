@@ -11,14 +11,22 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.config import WiraConfig
-from repro.core.initializer import Scheme, payload_to_wire_bytes
-from repro.core.schemes import InitContext, make_policy
+from repro.core.initializer import payload_to_wire_bytes
+from repro.core.schemes import (
+    BASELINE,
+    WIRA,
+    WIRA_FF,
+    WIRA_HX,
+    InitContext,
+    SchemeSpec,
+    make_policy,
+)
 from repro.core.transport_cookie import HxQos
 
 
 @dataclass
 class Table1Row:
-    scheme: Scheme
+    scheme: SchemeSpec
     cwnd_formula: str
     pacing_formula: str
     cwnd_bytes: int
@@ -26,10 +34,10 @@ class Table1Row:
 
 
 FORMULAS = {
-    Scheme.BASELINE: ("init_cwnd_exp", "init_cwnd/init_RTT_exp"),
-    Scheme.WIRA_FF: ("FF_Size", "init_cwnd/init_RTT_exp"),
-    Scheme.WIRA_HX: ("BDP", "MaxBW"),
-    Scheme.WIRA: ("min{FF_Size, BDP}", "MaxBW"),
+    BASELINE: ("init_cwnd_exp", "init_cwnd/init_RTT_exp"),
+    WIRA_FF: ("FF_Size", "init_cwnd/init_RTT_exp"),
+    WIRA_HX: ("BDP", "MaxBW"),
+    WIRA: ("min{FF_Size, BDP}", "MaxBW"),
 }
 
 
@@ -58,11 +66,11 @@ def verify(rows: List[Table1Row]) -> None:
     exp_wire = payload_to_wire_bytes(config.init_cwnd_exp)
     ff_wire = payload_to_wire_bytes(66_000)
     bdp = int(8e6 * 0.050 / 8)
-    assert by_scheme[Scheme.BASELINE].cwnd_bytes == exp_wire
-    assert by_scheme[Scheme.WIRA_FF].cwnd_bytes == ff_wire
-    assert by_scheme[Scheme.WIRA_HX].cwnd_bytes == bdp
-    assert by_scheme[Scheme.WIRA].cwnd_bytes == min(ff_wire, bdp)
+    assert by_scheme[BASELINE].cwnd_bytes == exp_wire
+    assert by_scheme[WIRA_FF].cwnd_bytes == ff_wire
+    assert by_scheme[WIRA_HX].cwnd_bytes == bdp
+    assert by_scheme[WIRA].cwnd_bytes == min(ff_wire, bdp)
     # Exact equality is the point of this check: Table I passes MaxBW
     # through to init_pacing unchanged, so any arithmetic drift is a bug.
-    assert by_scheme[Scheme.WIRA_HX].pacing_bps == 8e6  # wira-lint: disable=WL003
-    assert by_scheme[Scheme.WIRA].pacing_bps == 8e6  # wira-lint: disable=WL003
+    assert by_scheme[WIRA_HX].pacing_bps == 8e6  # wira-lint: disable=WL003
+    assert by_scheme[WIRA].pacing_bps == 8e6  # wira-lint: disable=WL003

@@ -5,7 +5,7 @@ See :mod:`repro.faults.injector` for the model.  Typical use::
     from repro.faults import FaultKind, FaultPlan
 
     spec = SessionSpec(
-        conditions, Scheme.WIRA,
+        conditions, WIRA,
         fault_plan=FaultPlan(FaultKind.COOKIE_CORRUPT), seed=7,
     )
     result = StreamingSession(spec, origin, "stream").run()

@@ -29,8 +29,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro import obs as _obs
 from repro.core.config import WiraConfig
-from repro.core.initializer import Scheme
-from repro.core.schemes import as_spec
+from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX, as_spec
 from repro.fleet.aggregate import CampaignAggregate, merge_chunks
 from repro.fleet.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from repro.fleet.telemetry import TelemetrySnapshot, snapshot_path, write_snapshot
@@ -61,10 +60,10 @@ FLEET_FORMAT_VERSION = 2
 
 #: Default scheme mix — the paper's Table I comparison set.
 DEFAULT_SCHEMES: Tuple[str, ...] = (
-    Scheme.BASELINE.value,
-    Scheme.WIRA_FF.value,
-    Scheme.WIRA_HX.value,
-    Scheme.WIRA.value,
+    BASELINE.value,
+    WIRA_FF.value,
+    WIRA_HX.value,
+    WIRA.value,
 )
 
 

@@ -124,23 +124,5 @@ class SchemeCollector:
     def schemes(self) -> List[str]:
         return sorted({scheme for scheme, _, _ in self._series})
 
-    def display_names(self) -> Dict[str, str]:
-        """Human-facing label per collected scheme value.
-
-        Labels come from the scheme registry (the one source of truth —
-        figure, fleet and report layers used to each carry their own
-        table); values the registry does not know — custom plugins
-        collected before registration, say — fall back to themselves.
-        """
-        from repro.core.schemes import display_name
-
-        names = {}
-        for scheme in self.schemes():
-            try:
-                names[scheme] = display_name(scheme)
-            except ValueError:
-                names[scheme] = scheme
-        return names
-
     def buckets(self, metric: str) -> List[str]:
         return sorted({b for _, m, b in self._series if m == metric and b})

@@ -228,9 +228,6 @@ class Connection:
         self._control_queue.append(frame)
         self._pump()
 
-    def recv_stream(self, stream_id: int) -> Optional[RecvStream]:
-        return self._recv_streams.get(stream_id)
-
     def measured_min_rtt(self) -> Optional[float]:
         """Windowed MinRTT — the first Hx_QoS metric (§IV-B)."""
         return self.rtt.min_rtt

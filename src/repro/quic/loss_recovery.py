@@ -191,9 +191,6 @@ class LossRecovery:
             return packet
         return None
 
-    def has_ack_eliciting_in_flight(self) -> bool:
-        return self._newest_ack_eliciting() is not None
-
     def pto_deadline(self) -> Optional[float]:
         """Absolute PTO expiry, or ``None`` if nothing needs probing."""
         packet = self._newest_ack_eliciting()
@@ -219,18 +216,6 @@ class LossRecovery:
             if len(probes) == self.probe_count:
                 break
         return probes
-
-    def oldest_unacked(self) -> Optional[SentPacket]:
-        unresolved = self._unresolved
-        while unresolved:
-            pn = next(iter(unresolved))
-            packet = unresolved[pn]
-            if packet.acked or packet.lost:
-                del unresolved[pn]
-                self._ae_unresolved.pop(pn, None)
-                continue
-            return packet
-        return None
 
     def _garbage_collect(self, keep_window: int = 4096) -> None:
         """Drop long-resolved packets to bound memory in long sessions."""

@@ -126,20 +126,6 @@ class Router:
         self.ring = self.ring.with_node(name)
         self._note_reshard("add", name)
 
-    def remove_shard(self, name: str) -> None:
-        """Drop a shard from the ring; its pinned chains unpin.
-
-        In-flight flows to the removed shard are lost (their chains
-        re-route on the next datagram), which is the honest semantics of
-        killing a stateful worker.
-        """
-        self.ring = self.ring.without_node(name)
-        self.shard_addrs.pop(name, None)
-        for od_key in self.pins.keys():
-            if self.pins.get(od_key) == name:
-                self.pins.pop(od_key)
-        self._note_reshard("remove", name)
-
     def _note_reshard(self, action: str, name: str) -> None:
         self.stats["reshards"] += 1
         if _obs.ACTIVE is not None:

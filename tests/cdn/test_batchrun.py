@@ -15,7 +15,7 @@ from repro.cdn import batchrun, session as session_module
 from repro.cdn.batchrun import run_sessions
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionSpec, StreamingSession
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX
 from repro.core.transport_cookie import ClientCookieStore, ServerCookieManager
 from repro.experiments import common
 from repro.media.source import StreamProfile
@@ -51,7 +51,7 @@ def _varied_specs():
     """A spread of sessions exercising different paths and phases."""
     rnd = random.Random(20240808)
     specs = []
-    schemes = [Scheme.BASELINE, Scheme.WIRA, Scheme.WIRA_FF, Scheme.WIRA_HX]
+    schemes = [BASELINE, WIRA, WIRA_FF, WIRA_HX]
     modes = [HandshakeMode.ZERO_RTT, HandshakeMode.ONE_RTT]
     for i in range(10):
         conditions = NetworkConditions(
@@ -74,7 +74,7 @@ def _varied_specs():
     specs.append(
         SessionSpec(
             conditions=NetworkConditions(bandwidth_bps=40_000.0, rtt=0.4, loss_rate=0.05),
-            scheme=Scheme.BASELINE,
+            scheme=BASELINE,
             seed=77,
             timeout=1.5,
         )
@@ -112,7 +112,7 @@ class TestBatchedEqualsSolo:
         wira = common.WiraConfig()
 
         solo = [
-            list(common.iter_chain_outcomes(Scheme.WIRA, chain, idx, config, wira))
+            list(common.iter_chain_outcomes(WIRA, chain, idx, config, wira))
             for idx, chain in enumerate(chains)
         ]
 
@@ -137,7 +137,7 @@ class TestBatchedEqualsSolo:
             sessions = [
                 StreamingSession(
                     common.session_spec_for(
-                        chains[idx][wave], Scheme.WIRA, idx, config, wira
+                        chains[idx][wave], WIRA, idx, config, wira
                     ),
                     origins[idx],
                     f"stream-{idx}",
@@ -159,7 +159,7 @@ class TestBatchedEqualsSolo:
         """The flush phase actually delivers cookies in batched mode."""
         spec = SessionSpec(
             conditions=NetworkConditions(bandwidth_bps=8e6, rtt=0.05),
-            scheme=Scheme.WIRA,
+            scheme=WIRA,
             seed=3,
         )
         store_a, store_b = ClientCookieStore(), ClientCookieStore()

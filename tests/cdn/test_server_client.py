@@ -9,7 +9,7 @@ from repro.cdn.origin import Origin
 from repro.cdn.playback import PlaybackPolicy
 from repro.cdn.server import WiraServer
 from repro.core.config import WiraConfig
-from repro.core.initializer import Scheme
+from repro.core.schemes import WIRA, WIRA_FF
 from repro.core.transport_cookie import (
     ClientCookieStore,
     HxQos,
@@ -26,7 +26,7 @@ from repro.simnet.path import NetworkConditions, Path
 KEY = b"unit-test-cookie-key-32-bytes!!!"
 
 
-def make_stack(scheme=Scheme.WIRA, wira_config=None, origin=None, tags=None):
+def make_stack(scheme=WIRA, wira_config=None, origin=None, tags=None):
     loop = EventLoop()
     cond = NetworkConditions(bandwidth_bps=8e6, rtt=0.05, buffer_bytes=100_000)
     path = Path(loop, cond, rng=random.Random(1))
@@ -69,7 +69,7 @@ class TestRequestParsing:
 
 class TestServerInit:
     def test_server_applies_initial_params_before_data(self):
-        loop, path, server, server_conn, client_conn = make_stack(Scheme.WIRA_FF)
+        loop, path, server, server_conn, client_conn = make_stack(WIRA_FF)
         received = []
         client_conn.on_stream_data = lambda sid, d, fin: received.append(len(d))
         client_conn.start()
@@ -81,7 +81,7 @@ class TestServerInit:
 
     def test_unknown_hqst_tag_tolerated(self):
         loop, path, server, server_conn, client_conn = make_stack(
-            Scheme.WIRA, tags={TAG_HQST: b"\xff\xff\xff"}
+            WIRA, tags={TAG_HQST: b"\xff\xff\xff"}
         )
         client_conn.start()
         client_conn.send_stream_data(0, b"GET /live/demo.flv\r\n", fin=True)
@@ -93,7 +93,7 @@ class TestServerInit:
     def test_sync_timer_pushes_cookies_periodically(self):
         config = WiraConfig(sync_period=0.2)
         loop, path, server, server_conn, client_conn = make_stack(
-            Scheme.WIRA, wira_config=config
+            WIRA, wira_config=config
         )
         cookies = []
         client_conn.on_hx_qos = cookies.append

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionSpec, StreamingSession
-from repro.core.initializer import Scheme
+from repro.core.schemes import WIRA
 from repro.media.source import StreamProfile
 from repro.simnet.path import NetworkConditions
 
@@ -32,24 +32,24 @@ def make_origin():
 
 class TestSpecSemantics:
     def test_spec_is_frozen(self):
-        spec = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA)
+        spec = SessionSpec(conditions=TESTBED, scheme=WIRA)
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.seed = 99  # type: ignore[misc]
 
     def test_with_returns_modified_copy(self):
-        spec = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA, seed=1)
+        spec = SessionSpec(conditions=TESTBED, scheme=WIRA, seed=1)
         other = spec.with_(seed=2, epoch=60.0)
         assert (spec.seed, spec.epoch) == (1, 0.0)
         assert (other.seed, other.epoch) == (2, 60.0)
         assert other.conditions is spec.conditions
 
     def test_session_exposes_its_spec(self):
-        spec = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA, seed=4)
+        spec = SessionSpec(conditions=TESTBED, scheme=WIRA, seed=4)
         session = StreamingSession(spec, make_origin(), "demo")
         assert session.spec is spec
 
     def test_reuse_spec_is_deterministic(self):
-        spec = SessionSpec(conditions=TESTBED, scheme=Scheme.WIRA, seed=9)
+        spec = SessionSpec(conditions=TESTBED, scheme=WIRA, seed=9)
         a = StreamingSession(spec, make_origin(), "demo").run()
         b = StreamingSession(spec, make_origin(), "demo").run()
         assert a == b

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.config import WiraConfig
-from repro.core.initializer import Scheme, payload_to_wire_bytes, table1_params
-from repro.core.schemes import InitContext, SchemeSpec, as_spec, make_policy
+from repro.core.initializer import payload_to_wire_bytes, table1_params
+from repro.core.schemes import WIRA, InitContext, SchemeSpec, as_spec, make_policy
 from repro.core.transport_cookie import HxQos
 from repro.experiments import common
 from repro.fleet import canonical_json, run_campaign, run_chunk
@@ -177,5 +177,5 @@ class TestFleetScaleDeterminism:
         from repro.experiments.runner import run_deployment
 
         config = DeploymentConfig(n_od_pairs=2, seed=5)
-        records = run_deployment(config, [Scheme.WIRA], use_cache=False)
-        assert records[Scheme.WIRA] is records[as_spec("wira")]
+        records = run_deployment(config, [WIRA], use_cache=False)
+        assert records[WIRA] is records[as_spec("wira")]

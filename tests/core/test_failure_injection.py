@@ -12,7 +12,7 @@ from repro.cdn.session import SessionSpec, StreamingSession
 from repro.core.cookie_crypto import CookieError, CookieSealer
 from repro.core.frame_perception import FrameParser
 from repro.core.parser_backends import UnknownProtocolError
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA
 from repro.core.transport_cookie import (
     ClientCookieStore,
     HxQos,
@@ -111,7 +111,7 @@ class TestCookieHostileInput:
         fake = HxQos(min_rtt=0.001, max_bw_bps=1e9, timestamp=1e12).encode()
         store.update("origin", b"\x00" * 12 + fake + b"\x00" * 16, received_at=0.0)
         session = StreamingSession(
-            SessionSpec(TESTBED, Scheme.WIRA, seed=3), origin, "s", cookie_store=store
+            SessionSpec(TESTBED, WIRA, seed=3), origin, "s", cookie_store=store
         )
         result = session.run()
         assert result.completed
@@ -130,7 +130,7 @@ class TestSessionRobustness:
         origin = Origin()
         origin.add_stream("s", StreamProfile(first_frame_target_bytes=20_000, seed=2))
         session = StreamingSession(
-            SessionSpec(dead, Scheme.BASELINE, seed=4, timeout=3.0), origin, "s"
+            SessionSpec(dead, BASELINE, seed=4, timeout=3.0), origin, "s"
         )
         result = session.run()
         assert not result.completed
@@ -140,7 +140,7 @@ class TestSessionRobustness:
         origin = Origin()
         origin.add_stream("s", StreamProfile(first_frame_target_bytes=30_000, seed=3))
         session = StreamingSession(
-            SessionSpec(TESTBED, Scheme.WIRA, client_supports_cookies=False, seed=5),
+            SessionSpec(TESTBED, WIRA, client_supports_cookies=False, seed=5),
             origin,
             "s",
         )

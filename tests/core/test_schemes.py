@@ -1,12 +1,17 @@
-"""The scheme-plugin registry: specs, policies, and legacy interop."""
+"""The scheme-plugin registry: specs, the Table I constants, policies."""
 
 import pickle
 
 import pytest
 
 from repro.core.config import WiraConfig
-from repro.core.initializer import InitialParams, Scheme, table1_params
+from repro.core.initializer import InitialParams, table1_params
 from repro.core.schemes import (
+    BASELINE,
+    STATIC_10,
+    WIRA,
+    WIRA_FF,
+    WIRA_HX,
     InitContext,
     InitPolicy,
     SchemeDef,
@@ -62,25 +67,21 @@ class TestSchemeSpec:
 
 
 class TestValueEquality:
-    """Enum members, specs and value strings interoperate everywhere."""
+    """Specs and value strings compare and hash by canonical value."""
 
-    def test_spec_equals_enum_and_string(self):
-        assert as_spec("wira") == Scheme.WIRA
-        assert Scheme.WIRA == as_spec("wira")
+    def test_spec_equals_spec_and_string(self):
+        assert as_spec("wira") == WIRA
         assert as_spec("wira") == "wira"
-        assert as_spec("wira") != Scheme.BASELINE
+        assert as_spec("wira") != BASELINE
 
     def test_dict_interop_both_directions(self):
-        by_enum = {Scheme.WIRA: 1}
-        assert by_enum[as_spec("wira")] == 1
-        by_spec = {as_spec("wira"): 2}
-        assert by_spec[Scheme.WIRA] == 2
+        by_string = {"wira": 1}
+        assert by_string[WIRA] == 1
+        by_spec = {WIRA: 2}
+        assert by_spec["wira"] == 2
 
     def test_set_equality(self):
-        assert {as_spec("wira"), as_spec("baseline")} == {
-            Scheme.WIRA,
-            Scheme.BASELINE,
-        }
+        assert {as_spec("wira"), as_spec("baseline")} == {"wira", "baseline"}
 
     def test_parameterized_spec_not_equal_to_bare(self):
         assert SchemeSpec("adaptive", params=(("q", 0.5),)) != as_spec("adaptive")
@@ -91,6 +92,11 @@ class TestRegistry:
         names = scheme_names()
         assert names[:5] == ("baseline", "wira_ff", "wira_hx", "wira", "static_10")
         assert {"adaptive", "wira_bbr2", "wira_ar"} <= set(names)
+
+    def test_constants_are_the_table1_rows_in_registration_order(self):
+        constants = (BASELINE, WIRA_FF, WIRA_HX, WIRA, STATIC_10)
+        assert tuple(c.value for c in constants) == scheme_names()[:5]
+        assert set(eval_schemes()) <= set(constants)
 
     def test_eval_schemes_are_the_headline_four(self):
         assert [s.value for s in eval_schemes()] == [
@@ -103,15 +109,16 @@ class TestRegistry:
     def test_as_spec_rejects_unknown(self):
         with pytest.raises(ValueError):
             as_spec("not_a_scheme")
+        with pytest.raises(TypeError):
+            as_spec(7)
 
     def test_display_names_come_from_registry(self):
         assert display_name("wira_ff") == "Wira(FF)"
-        assert display_name(Scheme.WIRA_HX) == "Wira(Hx)"
-        assert as_spec("wira").display_name == Scheme.WIRA.display_name
+        assert display_name(WIRA_HX) == "Wira(Hx)"
 
-    def test_enum_properties_delegate_to_registry(self):
-        assert Scheme.WIRA.uses_frame_perception == get_def("wira").uses_frame_perception
-        assert Scheme.BASELINE.uses_transport_cookie is False
+    def test_spec_properties_delegate_to_registry(self):
+        assert WIRA.uses_frame_perception == get_def("wira").uses_frame_perception
+        assert BASELINE.uses_transport_cookie is False
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):

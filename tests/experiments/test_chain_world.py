@@ -11,11 +11,11 @@ import pytest
 
 from repro import obs
 from repro.core.config import WiraConfig
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA
 from repro.experiments import common, runner
 from repro.workload.population import Deployment, DeploymentConfig
 
-SCHEMES = (Scheme.BASELINE, Scheme.WIRA)
+SCHEMES = (BASELINE, WIRA)
 CONFIG = DeploymentConfig(n_od_pairs=5, seed=23, video_frames_per_session=6)
 
 
@@ -78,16 +78,16 @@ def test_world_walked_to_later_epoch_serves_earlier_sessions_identically(
     # Walk the world to the chain's last join epoch first…
     list(
         common.iter_chain_outcomes(
-            Scheme.WIRA, chain[-1:], index, CONFIG, WiraConfig(), world=world
+            WIRA, chain[-1:], index, CONFIG, WiraConfig(), world=world
         )
     )
     # …then replay the whole chain, earliest session first, against it.
     replayed = list(
         common.iter_chain_outcomes(
-            Scheme.WIRA, chain, index, CONFIG, WiraConfig(), world=world
+            WIRA, chain, index, CONFIG, WiraConfig(), world=world
         )
     )
     expected = [
-        o for o in private_world_records[Scheme.WIRA] if o.spec.od.od_id == chain[0].od.od_id
+        o for o in private_world_records[WIRA] if o.spec.od.od_id == chain[0].od.od_id
     ]
     assert replayed == expected

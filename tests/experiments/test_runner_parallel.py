@@ -18,12 +18,12 @@ import pytest
 
 from repro import obs
 from repro.core.config import WiraConfig
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA
 from repro.experiments import common, runner
 from repro.runtime import pool
 from repro.workload.population import Deployment, DeploymentConfig
 
-SCHEMES = (Scheme.BASELINE, Scheme.WIRA)
+SCHEMES = (BASELINE, WIRA)
 
 
 @pytest.fixture(autouse=True)
@@ -253,7 +253,7 @@ class TestPersistentCache:
         wira = WiraConfig()
         base = runner.cache_key(tiny_config(1), wira, SCHEMES)
         assert runner.cache_key(tiny_config(2), wira, SCHEMES) != base
-        assert runner.cache_key(tiny_config(1), wira, (Scheme.BASELINE,)) != base
+        assert runner.cache_key(tiny_config(1), wira, (BASELINE,)) != base
         assert (
             runner.cache_key(
                 tiny_config(1), WiraConfig(video_frame_threshold=3), SCHEMES

@@ -7,7 +7,7 @@ quickly.
 
 import pytest
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, STATIC_10, WIRA, WIRA_FF, WIRA_HX
 from repro.experiments import (
     baseline_ab,
     common,
@@ -38,8 +38,8 @@ class TestCommon:
     def test_records_paired_across_schemes(self, tiny_records):
         lengths = {scheme: len(outcomes) for scheme, outcomes in tiny_records.items()}
         assert len(set(lengths.values())) == 1
-        base = tiny_records[Scheme.BASELINE]
-        wira = tiny_records[Scheme.WIRA]
+        base = tiny_records[BASELINE]
+        wira = tiny_records[WIRA]
         for b, w in zip(base, wira):
             assert b.spec.seed == w.spec.seed
             assert b.spec.conditions == w.spec.conditions
@@ -84,7 +84,7 @@ class TestMotivationRunners:
         rows = table1.run()
         table1.verify(rows)
         assert {r.scheme for r in rows} == {
-            Scheme.BASELINE, Scheme.WIRA_FF, Scheme.WIRA_HX, Scheme.WIRA,
+            BASELINE, WIRA_FF, WIRA_HX, WIRA,
         }
 
 
@@ -92,14 +92,14 @@ class TestEvaluationSummaries:
     def test_fig11_summary(self, tiny_records):
         result = fig11.summarize(tiny_records)
         assert set(result.by_scheme) == set(common.EVAL_SCHEMES)
-        assert result.improvement(Scheme.BASELINE) == 0.0
+        assert result.improvement(BASELINE) == 0.0
 
     def test_fig12_summary(self, tiny_records):
         result = fig12.summarize(tiny_records)
         total = sum(
-            len(result.get(mode, Scheme.WIRA).samples) for mode in HandshakeMode
+            len(result.get(mode, WIRA).samples) for mode in HandshakeMode
         )
-        assert total == len(tiny_records[Scheme.WIRA])
+        assert total == len(tiny_records[WIRA])
 
     def test_fig13_bucketing_covers_sessions(self, tiny_records):
         result = fig13.summarize(tiny_records)
@@ -107,9 +107,9 @@ class TestEvaluationSummaries:
             len(samples)
             for per_scheme in result.by_rtt.table.values()
             for scheme, samples in per_scheme.items()
-            if scheme == Scheme.BASELINE
+            if scheme == BASELINE
         )
-        assert bucketed == len(tiny_records[Scheme.BASELINE])
+        assert bucketed == len(tiny_records[BASELINE])
 
     def test_fig13_same_bucket_across_schemes(self, tiny_records):
         result = fig13.summarize(tiny_records)
@@ -119,20 +119,20 @@ class TestEvaluationSummaries:
 
     def test_fig14_summary(self, tiny_records):
         result = fig14.summarize(tiny_records)
-        assert result.improvement(Scheme.BASELINE) == 0.0
+        assert result.improvement(BASELINE) == 0.0
         for scheme in common.EVAL_SCHEMES:
             assert 0.0 <= result.overall[scheme].avg < 0.5
 
     def test_fig15_summary(self, tiny_records):
         result = fig15.summarize(tiny_records)
         for k in (1, 2, 3, 4):
-            t = result.mean_completion(Scheme.WIRA, k)
+            t = result.mean_completion(WIRA, k)
             assert t is not None and t > 0
-        t1 = result.mean_completion(Scheme.WIRA, 1)
-        t4 = result.mean_completion(Scheme.WIRA, 4)
+        t1 = result.mean_completion(WIRA, 1)
+        t4 = result.mean_completion(WIRA, 4)
         assert t4 > t1
 
     def test_baseline_ab_small(self):
         result = baseline_ab.run(TINY)
-        assert result.avg(Scheme.STATIC_10) > 0
-        assert result.avg(Scheme.BASELINE) > 0
+        assert result.avg(STATIC_10) > 0
+        assert result.avg(BASELINE) > 0

@@ -1,6 +1,6 @@
 """Golden parity: legacy schemes are byte-identical through the registry.
 
-The scheme registry replaced the closed ``Scheme``-enum dispatch; these
+The scheme registry replaced a closed five-member dispatch; these
 digests were captured on the pre-redesign tree and pin the complete
 observable output of all five legacy schemes across the three engines
 (figure replay, fleet chunk, robustness matrix).  If any of them moves,
@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, STATIC_10, WIRA, WIRA_FF, WIRA_HX
 from repro.workload.population import DeploymentConfig
 
 
@@ -31,11 +31,11 @@ def _untraced(monkeypatch):
     monkeypatch.setattr(obs, "ACTIVE", None)
 
 LEGACY_SCHEMES = (
-    Scheme.BASELINE,
-    Scheme.WIRA_FF,
-    Scheme.WIRA_HX,
-    Scheme.WIRA,
-    Scheme.STATIC_10,
+    BASELINE,
+    WIRA_FF,
+    WIRA_HX,
+    WIRA,
+    STATIC_10,
 )
 
 FIGURE_DIGEST = "0d1486921abb7378846d25b7c06c66a12e2e83d1721a89da3a79416b7c0ee91c"

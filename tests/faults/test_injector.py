@@ -13,7 +13,7 @@ from repro import obs
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionSpec, StreamingSession
 from repro.core.cookie_crypto import CookieError, CookieSealer
-from repro.core.initializer import Scheme
+from repro.core.schemes import WIRA
 from repro.core.transport_cookie import (
     ClientCookieStore,
     HxQos,
@@ -206,7 +206,7 @@ def make_origin(seed=1):
     return origin
 
 
-def run_faulted(plan, seed=3, scheme=Scheme.WIRA):
+def run_faulted(plan, seed=3, scheme=WIRA):
     store = ClientCookieStore()
     manager = ServerCookieManager(KEY)
     origin = make_origin()

@@ -130,7 +130,7 @@ class TestTimelineRendering:
 
         records = runner.run_deployment(
             DeploymentConfig(n_od_pairs=2, seed=3, video_frames_per_session=4),
-            (common.Scheme.BASELINE,),
+            (common.BASELINE,),
             use_cache=False,
         )
         assert deployment_phase_table(records) is None

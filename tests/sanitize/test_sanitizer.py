@@ -18,7 +18,7 @@ import pytest
 from repro import sanitize
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionSpec, StreamingSession
-from repro.core.initializer import Scheme
+from repro.core.schemes import BASELINE, WIRA
 from repro.media.source import StreamProfile
 from repro.quic.cc import make_controller
 from repro.quic.cc.bbr import BbrMode, BbrSender
@@ -411,7 +411,7 @@ class TestSanitizedSession:
 
     def test_wira_session_clean_with_all_hooks_live(self):
         with sanitize.sanitized() as san:
-            result = self.run_session(Scheme.WIRA)
+            result = self.run_session(WIRA)
         assert result.completed and result.ffct is not None
         # Every invariant's hook must have actually executed: this is
         # the "verifiably active" acceptance criterion.  bbr_transition
@@ -430,14 +430,14 @@ class TestSanitizedSession:
 
     def test_baseline_session_clean(self):
         with sanitize.sanitized() as san:
-            result = self.run_session(Scheme.BASELINE)
+            result = self.run_session(BASELINE)
         assert result.completed
         assert san.checks_run["clock_monotonic"] > 0
 
     def test_sanitized_run_matches_unsanitized_metrics(self):
-        plain = self.run_session(Scheme.WIRA)
+        plain = self.run_session(WIRA)
         with sanitize.sanitized():
-            checked = self.run_session(Scheme.WIRA)
+            checked = self.run_session(WIRA)
         # The sanitizer observes; it must never perturb the simulation.
         assert checked.ffct == plain.ffct
         assert checked.final_server_stats.packets_sent == plain.final_server_stats.packets_sent

@@ -30,7 +30,7 @@ CID = bytes(range(8))
 
 
 def _spec() -> ServeSpec:
-    from repro.core.initializer import Scheme
+    from repro.core.schemes import WIRA
     from repro.media.source import StreamProfile
     from repro.quic.connection import HandshakeMode
     from repro.simnet.path import NetworkConditions
@@ -38,7 +38,7 @@ def _spec() -> ServeSpec:
     return ServeSpec(
         od_key="od-0",
         stream_name="stream-0",
-        scheme=Scheme("wira"),
+        scheme=WIRA,
         handshake_mode=HandshakeMode.ZERO_RTT,
         epoch=1_000.0,
         seed=7,

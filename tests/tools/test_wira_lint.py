@@ -10,13 +10,16 @@ same mirrored layout.
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from tools.wira_lint import RULES, lint_paths, lint_source
 from tools.wira_lint.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_VIOLATIONS, main
 from tools.wira_lint.engine import PARSE_ERROR_CODE
+from tools.wira_lint.report import render_json
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 SIM_PATH = "src/repro/simnet/fixture.py"
 QUIC_PATH = "src/repro/quic/fixture.py"
 SRC_PATH = "src/repro/metrics/fixture.py"
@@ -487,6 +490,22 @@ class TestEngine:
         violations, scanned = lint_paths([str(tmp_path)])
         assert scanned == 0 and violations == []
 
+    def test_repository_tree_is_clean(self):
+        # The CI ``lint`` job's gate, held by tier-1 too.
+        violations, scanned = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
+        assert scanned > 0
+        assert [v.render() for v in violations] == []
+
+    def test_consecutive_runs_render_identical_reports(self, tmp_path):
+        clock = "import time\n\n\ndef f() -> float:\n    return time.time()\n"
+        dead_pragma = "def g() -> int:\n    return 1  # wira-lint: disable=WL003\n"
+        write_fixture(tmp_path, "src/repro/simnet/bad.py", clock)
+        write_fixture(tmp_path, "src/repro/simnet/dead.py", dead_pragma)
+        first = render_json(*lint_paths([str(tmp_path)]))
+        second = render_json(*lint_paths([str(tmp_path)]))
+        assert first == second
+        assert json.loads(first)["counts"] == {"WL001": 1, "WL009": 1}
+
 
 # ---------------------------------------------------------------------------
 # CLI exit codes and reports.
@@ -620,6 +639,17 @@ class TestCli:
     def test_unknown_select_exits_two(self, capsys):
         assert main(["--select", "WL099"]) == EXIT_ERROR
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "removed",
+        [["--jobs", "2"], ["--cache-dir", "x"], ["--format", "sarif"], ["--update-baseline"]],
+        ids=["jobs", "cache-dir", "sarif", "update-baseline"],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, removed):
+        with pytest.raises(SystemExit) as exc:
+            main(removed)
+        assert exc.value.code == EXIT_ERROR
+        assert "usage:" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN

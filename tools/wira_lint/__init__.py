@@ -1,8 +1,7 @@
 """wira-lint: repo-specific whole-program determinism linter.
 
-Every figure in this reproduction (Figs 11-15, Table 1) and the PR 1
-disk cache keyed by content hash depend on properties the Python
-toolchain does not enforce:
+Every figure in this reproduction (Figs 11-15, Table 1) depends on
+properties the Python toolchain does not enforce:
 
 * **bit-exact determinism** — all randomness must flow through
   caller-supplied seeded :class:`random.Random` instances and no
@@ -16,8 +15,8 @@ toolchain does not enforce:
   must agree with in both directions.
 
 ``wira-lint`` is a stdlib-only (``ast``) engine encoding those rules.
-Per-file rules run (and cache) file by file; whole-program rules run
-over a project-wide symbol table and approximate call graph:
+Per-file rules run file by file; whole-program rules run over a
+project-wide symbol table and approximate call graph:
 
 =======  ==============================================================
 Code     Rule
@@ -46,17 +45,15 @@ or per file with a standalone pragma line near the top::
 
     # wira-lint: disable-file=WL003
 
-Stale pragmas are themselves findings (WL009).  Grandfathered findings
-live in the committed ``tools/wira_lint/baseline.json``, which may only
-shrink: a baseline entry matching no finding fails the build.
+Pragmas are the only suppression, and stale ones are themselves
+findings (WL009).
 
 Run ``python -m tools.wira_lint src/ tests/`` from the repository root
-(or the ``wira-lint`` console script); see ``--help`` for the JSON and
-SARIF reporters, rule selection, ``--jobs``, and the facts cache.
+(or the ``wira-lint`` console script); see ``--help`` for the JSON
+reporter and rule selection.
 """
 
 from tools.wira_lint.engine import (
-    LintResult,
     Violation,
     lint_file,
     lint_paths,
@@ -68,7 +65,6 @@ from tools.wira_lint.rules import RULES, Rule
 __all__ = [
     "RULES",
     "Rule",
-    "LintResult",
     "Violation",
     "lint_file",
     "lint_paths",

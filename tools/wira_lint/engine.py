@@ -3,36 +3,33 @@
 The pipeline for every entry point is the same:
 
 1. **extract** — one AST pass per file producing :class:`FileFacts`
-   (raw per-file findings + cross-module facts), served from the
-   content-fingerprint cache when available (:mod:`.cache`);
+   (raw per-file findings + cross-module facts);
 2. **link** — :class:`~tools.wira_lint.graph.Program` joins all facts
    and runs the whole-program passes (taint, registries, duck types);
-3. **suppress** — pragmas are applied per line / per file, pragma usage
-   is accounted (feeding WL009 unused-pragma findings), and optionally a
-   committed baseline filters grandfathered findings (:mod:`.baseline`).
+3. **suppress** — pragmas are applied per line / per file and pragma
+   usage is accounted (feeding WL009 unused-pragma findings).
+
+Every run parses every file, in-process: the whole tree lints in about
+a second.
 
 Public API (kept stable for the test-suite and external callers):
 ``Violation``, ``lint_source``, ``lint_sources``, ``lint_file``,
-``lint_paths`` (returns a :class:`LintResult`, unpackable as the legacy
-``(violations, files_scanned)`` tuple), and ``iter_python_files``.
+``lint_paths`` (returns ``(violations, files_scanned)``), and
+``iter_python_files``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from tools.wira_lint.baseline import apply_baseline, load_baseline, save_baseline
-from tools.wira_lint.cache import FactCache
 from tools.wira_lint.facts import PARSE_ERROR_CODE, FileFacts, extract_facts
 from tools.wira_lint.graph import Program
 from tools.wira_lint.rules import RULES
 
 __all__ = [
     "PARSE_ERROR_CODE",
-    "LintResult",
     "Violation",
     "iter_python_files",
     "lint_file",
@@ -56,25 +53,6 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
-@dataclass
-class LintResult:
-    """Full result of a lint run.
-
-    Iterable as ``(violations, files_scanned)`` so legacy callers that
-    unpack the old two-tuple keep working unchanged.
-    """
-
-    violations: List[Violation]
-    files_scanned: int
-    suppressed_baseline: int = 0
-    stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def __iter__(self) -> Iterator:
-        return iter((self.violations, self.files_scanned))
-
-
 def iter_python_files(paths: Sequence[str]) -> List[Path]:
     """All ``.py`` files under ``paths``, deduplicated and sorted."""
     found: Set[Path] = set()
@@ -89,43 +67,6 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
                     continue
                 found.add(candidate)
     return sorted(found)
-
-
-# ---------------------------------------------------------------------------
-# Extraction (serial or process pool).
-
-
-def _extract_json(item: Tuple[str, str]) -> dict:
-    """Process-pool worker: extract facts and return the JSON form."""
-    path, source = item
-    return extract_facts(source, path).to_json()
-
-
-def _gather_facts(
-    files: Sequence[Tuple[str, str]],
-    cache: Optional[FactCache],
-    jobs: Optional[int],
-) -> List[FileFacts]:
-    facts_by_path: Dict[str, FileFacts] = {}
-    misses: List[Tuple[str, str]] = []
-    for path, source in files:
-        cached = cache.get(path, source) if cache is not None else None
-        if cached is not None:
-            facts_by_path[path] = cached
-        else:
-            misses.append((path, source))
-    if misses:
-        if jobs is not None and jobs > 1 and len(misses) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                extracted = list(pool.map(_extract_json, misses, chunksize=8))
-            fresh = [FileFacts.from_json(raw) for raw in extracted]
-        else:
-            fresh = [extract_facts(source, path) for path, source in misses]
-        for (path, source), facts in zip(misses, fresh):
-            facts_by_path[path] = facts
-            if cache is not None:
-                cache.put(path, source, facts)
-    return [facts_by_path[path] for path, _ in files]
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +151,8 @@ def _apply_pragmas(
 def _analyze(
     files: Sequence[Tuple[str, str]],
     select: Optional[Set[str]] = None,
-    cache: Optional[FactCache] = None,
-    jobs: Optional[int] = None,
 ) -> List[Violation]:
-    all_facts = _gather_facts(files, cache, jobs)
+    all_facts = [extract_facts(source, path) for path, source in files]
     violations: List[Violation] = []
     for facts in all_facts:
         if facts.parse_error is not None:
@@ -253,47 +192,10 @@ def lint_file(path: str, select: Optional[Set[str]] = None) -> List[Violation]:
 
 
 def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Set[str]] = None,
-    *,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    baseline_path: Optional[str] = None,
-    update_baseline: bool = False,
-) -> LintResult:
-    """Lint files/directories; returns a :class:`LintResult`.
-
-    ``baseline_path`` (when set and not updating) suppresses findings
-    recorded in the baseline and reports entries that no longer match as
-    stale — CI fails on stale entries so the baseline can only shrink.
-    """
+    paths: Sequence[str], select: Optional[Set[str]] = None
+) -> Tuple[List[Violation], int]:
+    """Lint files/directories; returns ``(violations, files_scanned)``."""
     files: List[Tuple[str, str]] = []
     for path in iter_python_files(paths):
         files.append((str(path).replace("\\", "/"), path.read_text()))
-    cache = FactCache(Path(cache_dir)) if cache_dir is not None else None
-    violations = _analyze(files, select, cache, jobs)
-    if cache is not None:
-        cache.save()
-
-    result = LintResult(violations=violations, files_scanned=len(files))
-    if cache is not None:
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
-    if baseline_path is None:
-        return result
-
-    reportable = [v for v in violations if v.code != PARSE_ERROR_CODE]
-    parse_errors = [v for v in violations if v.code == PARSE_ERROR_CODE]
-    if update_baseline:
-        save_baseline(Path(baseline_path), reportable)
-        result.violations = parse_errors
-        result.suppressed_baseline = len(reportable)
-        return result
-    baseline = load_baseline(Path(baseline_path))
-    kept, suppressed, stale = apply_baseline(reportable, baseline)
-    result.violations = sorted(
-        parse_errors + kept, key=lambda v: (v.path, v.line, v.col, v.code, v.message)
-    )
-    result.suppressed_baseline = suppressed
-    result.stale_baseline = stale
-    return result
+    return _analyze(files, select), len(files)

@@ -12,10 +12,6 @@ The extractor is the data source for *everything* the engine does:
   registries (``EVENT_NAMES``/``INVARIANTS``/``KNOWN_KNOBS``), obs emit
   sites, sanitizer raise sites, and ``typing.cast`` expectation sites;
 * **pragmas**, parsed from raw source lines.
-
-:class:`FileFacts` round-trips through plain JSON (``to_json`` /
-``from_json``) — that is what the incremental cache persists, keyed on
-file content, so a warm run never re-parses an unchanged file.
 """
 
 from __future__ import annotations
@@ -138,41 +134,6 @@ class FileFacts:
     #: Raw zone-filtered per-file violations: ``[line, col, code, message]``.
     violations: List[List[Any]] = field(default_factory=list)
     parse_error: Optional[List[Any]] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "module_aliases": self.module_aliases,
-            "from_imports": self.from_imports,
-            "functions": [vars(f) for f in self.functions],
-            "classes": [vars(c) for c in self.classes],
-            "registries": self.registries,
-            "registry_lines": self.registry_lines,
-            "event_literals": self.event_literals,
-            "emit_events": self.emit_events,
-            "invariant_raises": self.invariant_raises,
-            "pragmas": self.pragmas,
-            "violations": self.violations,
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "FileFacts":
-        facts = cls(path=payload["path"], module=payload["module"])
-        facts.module_aliases = dict(payload["module_aliases"])
-        facts.from_imports = {k: list(v) for k, v in payload["from_imports"].items()}
-        facts.functions = [FunctionFacts(**f) for f in payload["functions"]]
-        facts.classes = [ClassFacts(**c) for c in payload["classes"]]
-        facts.registries = {k: list(v) for k, v in payload["registries"].items()}
-        facts.registry_lines = {k: int(v) for k, v in payload.get("registry_lines", {}).items()}
-        facts.event_literals = [list(e) for e in payload["event_literals"]]
-        facts.emit_events = [list(e) for e in payload["emit_events"]]
-        facts.invariant_raises = [list(e) for e in payload["invariant_raises"]]
-        facts.pragmas = [list(p) for p in payload["pragmas"]]
-        facts.violations = [list(v) for v in payload["violations"]]
-        facts.parse_error = list(payload["parse_error"]) if payload["parse_error"] else None
-        return facts
 
 
 def parse_pragmas(source: str) -> List[List[Any]]:

@@ -1,4 +1,4 @@
-"""Text, JSON, and SARIF reporters for wira-lint findings."""
+"""Text and JSON reporters for wira-lint findings."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ from tools.wira_lint.engine import Violation
 from tools.wira_lint.rules import RULES
 
 REPORT_VERSION = 1
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-TOOL_VERSION = "2.0"
 
 
 def render_text(violations: Sequence[Violation], files_scanned: int) -> str:
@@ -44,63 +41,6 @@ def render_json(violations: Sequence[Violation], files_scanned: int) -> str:
                 "message": v.message,
             }
             for v in violations
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def render_sarif(violations: Sequence[Violation], files_scanned: int) -> str:
-    """SARIF 2.1.0 log, deterministic for byte-identical warm runs."""
-    rules = [
-        {
-            "id": code,
-            "name": rule.name,
-            "shortDescription": {"text": rule.summary},
-        }
-        for code, rule in sorted(RULES.items())
-    ]
-    rules.append(
-        {
-            "id": "WL000",
-            "name": "parse-error",
-            "shortDescription": {"text": "file could not be parsed"},
-        }
-    )
-    results = [
-        {
-            "ruleId": v.code,
-            "level": "error",
-            "message": {"text": v.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": v.path},
-                        "region": {
-                            "startLine": max(v.line, 1),
-                            "startColumn": v.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for v in violations
-    ]
-    payload = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "wira-lint",
-                        "informationUri": "https://example.invalid/wira-lint",
-                        "version": TOOL_VERSION,
-                        "rules": sorted(rules, key=lambda r: r["id"]),
-                    }
-                },
-                "properties": {"filesScanned": files_scanned},
-                "results": results,
-            }
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

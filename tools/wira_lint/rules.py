@@ -22,10 +22,6 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Optional, Tuple
 
-#: Bump when rule semantics change in a way that must invalidate cached
-#: per-file facts (the fact cache keys on this).
-RULES_FINGERPRINT = "wira-lint-rules-v12"
-
 #: Simulation zone: code that must be bit-exact deterministic.  These are
 #: the packages replayed under the content-hash disk cache; one wall-clock
 #: read or process-global RNG call silently poisons every cached figure.
