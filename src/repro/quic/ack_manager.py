@@ -4,11 +4,18 @@ Tracks received packet numbers, coalesces them into ranges, and decides
 when an ACK should be emitted: immediately on every second ack-eliciting
 packet or on reordering, otherwise after ``max_ack_delay`` (RFC 9000
 §13.2 behaviour, simplified).
+
+Received numbers are kept the way an ACK frame states them — as disjoint
+inclusive runs, ascending, in the parallel lists ``_lows`` / ``_highs``.
+An in-order arrival extends the last run in place; an out-of-order one
+bisects to its neighbours and merges.  Building an ACK is then a reversal
+of the runs, not a sort of every number ever received.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from bisect import bisect_right
+from typing import List, Optional, Tuple
 
 from repro.quic.frames import AckFrame
 
@@ -21,7 +28,8 @@ class AckManager:
             raise ValueError("ack_every must be >= 1")
         self.max_ack_delay = max_ack_delay
         self.ack_every = ack_every
-        self._received: Set[int] = set()
+        self._lows: List[int] = []
+        self._highs: List[int] = []
         self._largest: Optional[int] = None
         self._largest_recv_time: float = 0.0
         self._unacked_eliciting = 0
@@ -33,8 +41,7 @@ class AckManager:
 
     def on_packet_received(self, packet_number: int, ack_eliciting: bool, now: float) -> bool:
         """Record a packet; returns True if it is a duplicate."""
-        duplicate = packet_number in self._received
-        self._received.add(packet_number)
+        duplicate = self._record(packet_number)
         reordered = self._largest is not None and packet_number < self._largest
         if self._largest is None or packet_number > self._largest:
             self._largest = packet_number
@@ -46,6 +53,38 @@ class AckManager:
                 # Out-of-order arrival: ack immediately to speed recovery.
                 self._unacked_eliciting = self.ack_every
         return duplicate
+
+    def _record(self, packet_number: int) -> bool:
+        """Fold a packet number into the runs; True if already there."""
+        lows = self._lows
+        highs = self._highs
+        if not highs or packet_number > highs[-1] + 1:
+            lows.append(packet_number)
+            highs.append(packet_number)
+            return False
+        if packet_number == highs[-1] + 1:
+            highs[-1] = packet_number
+            return False
+        # Out of order: at or below the last run's top.
+        after = bisect_right(lows, packet_number)  # first run starting above
+        before = after - 1
+        if before >= 0 and packet_number <= highs[before]:
+            return True
+        # Below the last run's top and inside no run, so a run starts
+        # above it: ``after`` is a valid index.
+        joins_before = before >= 0 and highs[before] + 1 == packet_number
+        joins_after = lows[after] - 1 == packet_number
+        if joins_before and joins_after:
+            highs[before] = highs[after]
+            del lows[after], highs[after]
+        elif joins_before:
+            highs[before] = packet_number
+        elif joins_after:
+            lows[after] = packet_number
+        else:
+            lows.insert(after, packet_number)
+            highs.insert(after, packet_number)
+        return False
 
     def ack_deadline(self, now: float) -> Optional[float]:
         """Absolute time by which an ACK must be sent, or ``None``."""
@@ -75,14 +114,4 @@ class AckManager:
 
     def _ranges(self) -> Tuple[Tuple[int, int], ...]:
         """Received packet numbers as descending inclusive ranges."""
-        numbers = sorted(self._received, reverse=True)
-        ranges: List[Tuple[int, int]] = []
-        high = low = numbers[0]
-        for number in numbers[1:]:
-            if number == low - 1:
-                low = number
-            else:
-                ranges.append((low, high))
-                high = low = number
-        ranges.append((low, high))
-        return tuple(ranges)
+        return tuple(zip(reversed(self._lows), reversed(self._highs)))

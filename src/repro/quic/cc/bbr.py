@@ -122,30 +122,42 @@ class BbrSender(CongestionController):
 
     @property
     def pacing_rate_bps(self) -> float:
-        bw = self.bandwidth_estimate()
+        bw = self.max_bw.get()
         if bw is None:
             # Cold start: Wira override if present, else the classic
             # high-gain estimate from the initial window and RTT.
             if self._initial_pacing_rate_bps is not None:
                 return self._initial_pacing_rate_bps
             return HIGH_GAIN * self._initial_cwnd * 8.0 / self.rtt.smoothed_or_initial()
-        return max(self.pacing_gain * bw, 1.0)
+        rate = self.pacing_gain * bw
+        return rate if rate > 1.0 else 1.0
 
     @property
     def congestion_window(self) -> int:
-        if self.mode == BbrMode.PROBE_RTT:
-            return self._min_cwnd
-        target = self.bdp_bytes(self.cwnd_gain)
-        if target is None:
+        # Read on every send decision: the model is read once and the
+        # clamps are comparisons (same arithmetic as ``bdp_bytes``).
+        mode = self.mode
+        min_cwnd = self._min_cwnd
+        if mode is BbrMode.PROBE_RTT:
+            return min_cwnd
+        bw = self.max_bw.get()
+        min_rtt = self._min_rtt
+        if bw is None or min_rtt is None:
             cwnd = self._cwnd
         else:
+            cwnd = int(self.cwnd_gain * bw * min_rtt / 8.0)
+            if cwnd < min_cwnd:
+                cwnd = min_cwnd
             # BBR never shrinks below the configured initial window while
             # still in STARTUP; afterwards the model rules.
-            cwnd = max(target, self._min_cwnd)
-            if self.mode == BbrMode.STARTUP:
-                cwnd = max(cwnd, self._initial_cwnd)
-        if self._recovery_window is not None:
-            cwnd = min(cwnd, max(self._recovery_window, self._min_cwnd))
+            if mode is BbrMode.STARTUP and cwnd < self._initial_cwnd:
+                cwnd = self._initial_cwnd
+        recovery_window = self._recovery_window
+        if recovery_window is not None:
+            if recovery_window < min_cwnd:
+                recovery_window = min_cwnd
+            if cwnd > recovery_window:
+                cwnd = recovery_window
         return cwnd
 
     # ------------------------------------------------------------------

@@ -261,17 +261,26 @@ class Connection:
             self.stats.corrupt_packets += 1
             self._trace_packet_dropped("corrupt", datagram.size)
             return
-        try:
-            packet = Packet.decode(datagram.payload)
-        except ValueError:
-            # Malformed on the wire (PacketParseError and friends): drop,
-            # count, and survive — garbage input must never crash the
-            # endpoint (§IV-C graceful degradation).
-            self.stats.undecodable_packets += 1
-            self._trace_packet_dropped("undecodable", datagram.size)
-            return
-        self.stats.packets_received += 1
         now = self.loop.now
+        sidecar = datagram.packet
+        if isinstance(sidecar, Packet):
+            # The sender's own parse rode beside the bytes; under the
+            # sanitizer, prove it is what the bytes say.
+            packet = sidecar
+            if _sanitize.ACTIVE is not None:
+                _sanitize.ACTIVE.check_datagram_parse(Packet.decode, datagram, now)
+        else:
+            # Bytes from outside a Connection's send path: parse them.
+            try:
+                packet = Packet.decode(datagram.payload)
+            except ValueError:
+                # Malformed on the wire (PacketParseError and friends):
+                # drop, count, and survive — garbage input must never
+                # crash the endpoint (§IV-C graceful degradation).
+                self.stats.undecodable_packets += 1
+                self._trace_packet_dropped("undecodable", datagram.size)
+                return
+        self.stats.packets_received += 1
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now,
@@ -290,12 +299,12 @@ class Connection:
         self._pump()
 
     def _process_frame(self, frame: Frame, now: float) -> None:
-        if isinstance(frame, AckFrame):
+        if isinstance(frame, StreamFrame):
+            self._on_stream(frame)
+        elif isinstance(frame, AckFrame):
             self._on_ack(frame, now)
         elif isinstance(frame, CryptoFrame):
             self._on_crypto(frame, now)
-        elif isinstance(frame, StreamFrame):
-            self._on_stream(frame)
         elif isinstance(frame, HxQosFrame):
             if self.on_hx_qos is not None:
                 self.on_hx_qos(frame)
@@ -504,13 +513,21 @@ class Connection:
         if self._closed:
             return
         now = self.loop.now
-        self.pacer.set_rate(max(self.cc.pacing_rate_bps, 1.0), now)
+        cc = self.cc
+        recovery = self.loss_recovery
+        rate = cc.pacing_rate_bps
+        self.pacer.set_rate(rate if rate > 1.0 else 1.0, now)
+
+        # The stream the packetiser is draining.  Found once and kept
+        # while it has data; nothing below hands bytes to another stream,
+        # so a re-scan is only due when this one runs dry.
+        pending = self._next_pending_stream()
 
         # If only control/handshake traffic is pending, mark the sampler
         # app-limited *before* those packets snapshot their state, so
         # their tiny delivery-rate samples cannot poison the model.
-        if self._next_pending_stream() is None:
-            self.cc.on_app_limited(self.bytes_in_flight)
+        if pending is None:
+            cc.on_app_limited(recovery.bytes_in_flight)
 
         # Handshake messages leave immediately (tiny, latency-critical).
         while self._crypto_queue:
@@ -525,13 +542,12 @@ class Connection:
         # Application data: congestion-window and pacing constrained.
         pacing_deadline: Optional[float] = None
         if self._can_send_app_data():
-            while True:
-                pending_stream = self._next_pending_stream()
-                if pending_stream is None and not self._control_queue:
+            control_queue = self._control_queue
+            mss = self.config.mss
+            while pending is not None or control_queue:
+                if not cc.can_send(recovery.bytes_in_flight):
                     break
-                if not self.cc.can_send(self.bytes_in_flight):
-                    break
-                wait = self.pacer.time_until_send(self.config.mss, now)
+                wait = self.pacer.time_until_send(mss, now)
                 if wait > 1e-12:
                     pacing_deadline = now + wait
                     if _obs.ACTIVE is not None:
@@ -539,29 +555,35 @@ class Connection:
                             now,
                             "pacer:tokens_depleted",
                             self._trace_id,
-                            {"wait": wait, "rate_bps": self.cc.pacing_rate_bps},
+                            {"wait": wait, "rate_bps": cc.pacing_rate_bps},
                         )
                     break
                 frames: List[Frame] = []
-                if self._control_queue:
-                    frames.extend(self._control_queue)
-                    self._control_queue.clear()
-                if pending_stream is not None:
-                    budget = self.config.mss - _STREAM_FRAME_OVERHEAD
-                    chunk = pending_stream.next_chunk(budget)
+                if control_queue:
+                    frames.extend(control_queue)
+                    control_queue.clear()
+                # The STREAM frame, when there is one, is always last.
+                stream_data = False
+                if pending is not None:
+                    chunk = pending.next_chunk(mss - _STREAM_FRAME_OVERHEAD)
                     if chunk is not None:
                         frames.append(
                             StreamFrame(chunk.stream_id, chunk.offset, chunk.data, chunk.fin)
                         )
+                        stream_data = True
+                    if not pending.has_data_to_send():
+                        pending = self._next_pending_stream()
                 if not frames:
                     break
-                self._send_packet(self._app_packet_type(), frames, in_flight=True, now=now)
-            if (
-                self._next_pending_stream() is None
-                and not self._control_queue
-                and self.cc.can_send(self.bytes_in_flight)
-            ):
-                self.cc.on_app_limited(self.bytes_in_flight)
+                self._send_packet(
+                    self._app_packet_type(),
+                    frames,
+                    in_flight=True,
+                    now=now,
+                    stream_data=stream_data,
+                )
+            if pending is None and not control_queue and cc.can_send(recovery.bytes_in_flight):
+                cc.on_app_limited(recovery.bytes_in_flight)
 
         # Standalone ACK if one is due and nothing carried it.
         if self.ack_manager.should_ack_now(now):
@@ -583,12 +605,18 @@ class Connection:
         frames: List[Frame],
         in_flight: bool,
         now: float,
+        stream_data: bool = False,
     ) -> None:
+        """Number, serialise, account for and transmit one packet.
+
+        ``stream_data`` is the caller's knowledge that ``frames`` ends in
+        a STREAM frame (only ``_pump``'s packetiser builds one).
+        """
         # Piggyback a pending ACK on any outgoing packet.
         if in_flight and self.ack_manager.ack_deadline(now) is not None:
             ack = self.ack_manager.build_ack(now)
             if ack is not None:
-                frames = [ack] + frames
+                frames.insert(0, ack)
         packet = Packet(
             packet_type=packet_type,
             connection_id=self.connection_id,
@@ -600,24 +628,24 @@ class Connection:
             _sanitize.ACTIVE.check_packet_sent(self, packet.packet_number, now)
         wire = packet.encode()
         size = len(wire) + self.config.udp_overhead
+        ack_eliciting = packet.ack_eliciting()
         sent = SentPacket(
             packet_number=packet.packet_number,
             sent_time=now,
             size=size,
-            ack_eliciting=packet.ack_eliciting(),
-            in_flight=in_flight and packet.ack_eliciting(),
+            ack_eliciting=ack_eliciting,
+            in_flight=in_flight and ack_eliciting,
             frames=packet.frames,
         )
-        prior_in_flight = self.bytes_in_flight
-        self.cc.on_packet_sent(sent, prior_in_flight, now)
+        self.cc.on_packet_sent(sent, self.loss_recovery.bytes_in_flight, now)
         self.loss_recovery.on_packet_sent(sent)
         if sent.in_flight:
             self.pacer.on_packet_sent(size, now)
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += size
-        has_stream_data = any(isinstance(f, StreamFrame) for f in frames)
-        if has_stream_data:
-            self.stats.data_packets_sent += 1
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        if stream_data:
+            stats.data_packets_sent += 1
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now,
@@ -627,11 +655,13 @@ class Connection:
                     "pn": packet.packet_number,
                     "size": size,
                     "type": packet_type.value,
-                    "stream_data": has_stream_data,
+                    "stream_data": stream_data,
                     "role": self.role.value,
                 },
             )
-        self._send_datagram(Datagram(wire, size=size))
+        # The bytes are what travels; the parse they came from rides
+        # beside them so an in-process receiver need not redo it.
+        self._send_datagram(Datagram(wire, size, False, packet))
 
     # ------------------------------------------------------------------
     # Timers
@@ -639,24 +669,25 @@ class Connection:
     def _reschedule_timer(self, pacing_deadline: Optional[float] = None) -> None:
         if self._closed:
             return
-        deadlines = []
-        ack_deadline = self.ack_manager.ack_deadline(self.loop.now)
-        if ack_deadline is not None:
-            deadlines.append(ack_deadline)
-        if self.loss_recovery.loss_time is not None:
-            deadlines.append(self.loss_recovery.loss_time)
-        pto = self.loss_recovery.pto_deadline()
-        if pto is not None:
-            deadlines.append(pto)
-        if pacing_deadline is not None:
-            deadlines.append(pacing_deadline)
+        now = self.loop.now
+        # Earliest of the ACK, loss-time, PTO and pacing deadlines.
+        when = self.ack_manager.ack_deadline(now)
+        deadline = self.loss_recovery.loss_time
+        if deadline is not None and (when is None or deadline < when):
+            when = deadline
+        deadline = self.loss_recovery.pto_deadline()
+        if deadline is not None and (when is None or deadline < when):
+            when = deadline
+        if pacing_deadline is not None and (when is None or pacing_deadline < when):
+            when = pacing_deadline
         timer = self._timer
-        if not deadlines:
+        if when is None:
             if timer is not None:
                 timer.cancel()
                 self._timer = None
             return
-        when = max(min(deadlines), self.loop.now)
+        if when < now:
+            when = now
         if timer is not None and not timer.cancelled and not timer._finished:
             if timer.time == when:  # wira-lint: disable=WL003 - exact reschedule
                 # Most pumps recompute the very same deadline; keep the

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import ClassVar, List, Sequence, Tuple, Union
 
 from repro.quic.varint import decode_varint, encode_varint
 
@@ -54,8 +54,34 @@ class HxId(enum.IntEnum):
     SEALED = 0x10  # opaque server-encrypted cookie blob
 
 
+# Frame-type bytes as plain constants: the codec runs once per packet and
+# an ``IntEnum`` member lookup plus ``bytes([...])`` per frame showed up in
+# the per-packet ledger.  ``FrameType`` stays the documented registry.
+_PADDING = int(FrameType.PADDING)
+_PING = int(FrameType.PING)
+_ACK = int(FrameType.ACK)
+_CRYPTO = int(FrameType.CRYPTO)
+_STREAM_FIRST = int(FrameType.STREAM_BASE)
+_STREAM_LAST = _STREAM_FIRST | 0x07
+_HANDSHAKE_DONE = int(FrameType.HANDSHAKE_DONE)
+_HX_QOS = int(FrameType.HX_QOS)
+
+_PING_BYTES = bytes([_PING])
+_ACK_BYTES = bytes([_ACK])
+_CRYPTO_BYTES = bytes([_CRYPTO])
+# STREAM always carries OFF|LEN (0x04|0x02); FIN is bit 0x01.
+_STREAM_BYTES = bytes([_STREAM_FIRST | 0x04 | 0x02])
+_STREAM_FIN_BYTES = bytes([_STREAM_FIRST | 0x04 | 0x02 | 0x01])
+_HANDSHAKE_DONE_BYTES = bytes([_HANDSHAKE_DONE])
+_HX_QOS_BYTES = bytes([_HX_QOS])
+
+
 @dataclass(frozen=True)
 class PaddingFrame:
+    #: RFC 9002 §2: a packet is ack-eliciting when it carries any frame
+    #: other than ACK and PADDING.  Every frame class declares this.
+    ACK_ELICITING: ClassVar[bool] = False
+
     length: int = 1
 
     def encode(self) -> bytes:
@@ -64,11 +90,13 @@ class PaddingFrame:
 
 @dataclass(frozen=True)
 class PingFrame:
+    ACK_ELICITING: ClassVar[bool] = True
+
     def encode(self) -> bytes:
-        return bytes([FrameType.PING])
+        return _PING_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AckFrame:
     """ACK with ranges, RFC 9000 §19.3.
 
@@ -76,6 +104,8 @@ class AckFrame:
     ``(low, high)`` pairs sorted descending by ``high``; the first range
     must contain ``largest_acked``.
     """
+
+    ACK_ELICITING: ClassVar[bool] = False
 
     largest_acked: int
     ack_delay_us: int
@@ -91,24 +121,31 @@ class AckFrame:
                 raise ValueError(f"invalid range ({low}, {high})")
 
     def encode(self) -> bytes:
-        out = bytearray([FrameType.ACK])
-        out += encode_varint(self.largest_acked)
-        out += encode_varint(self.ack_delay_us)
-        out += encode_varint(len(self.ranges) - 1)
-        first_low, first_high = self.ranges[0]
-        out += encode_varint(first_high - first_low)
+        ranges = self.ranges
+        first_low, first_high = ranges[0]
+        parts = [
+            _ACK_BYTES,
+            encode_varint(self.largest_acked),
+            encode_varint(self.ack_delay_us),
+            encode_varint(len(ranges) - 1),
+            encode_varint(first_high - first_low),
+        ]
         prev_low = first_low
-        for low, high in self.ranges[1:]:
+        for low, high in ranges[1:]:
             gap = prev_low - high - 2
             if gap < 0:
                 raise ValueError("ACK ranges must be descending and disjoint")
-            out += encode_varint(gap)
-            out += encode_varint(high - low)
+            parts.append(encode_varint(gap))
+            parts.append(encode_varint(high - low))
             prev_low = low
-        return bytes(out)
+        return b"".join(parts)
 
     def acked_packet_numbers(self) -> List[int]:
-        """All packet numbers covered, descending."""
+        """All packet numbers covered, descending.
+
+        Materialises every range — for tests and debugging only; loss
+        recovery walks :attr:`ranges` against what is outstanding.
+        """
         numbers: List[int] = []
         for low, high in self.ranges:
             numbers.extend(range(high, low - 1, -1))
@@ -117,55 +154,63 @@ class AckFrame:
 
 @dataclass(frozen=True)
 class CryptoFrame:
+    ACK_ELICITING: ClassVar[bool] = True
+
     offset: int
     data: bytes
 
     def encode(self) -> bytes:
-        out = bytearray([FrameType.CRYPTO])
-        out += encode_varint(self.offset)
-        out += encode_varint(len(self.data))
-        out += self.data
-        return bytes(out)
+        data = self.data
+        return b"".join(
+            (_CRYPTO_BYTES, encode_varint(self.offset), encode_varint(len(data)), data)
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamFrame:
+    ACK_ELICITING: ClassVar[bool] = True
+
     stream_id: int
     offset: int
     data: bytes
     fin: bool = False
 
     def encode(self) -> bytes:
-        # Always emit OFF|LEN (0x04|0x02); FIN is bit 0x01.
-        frame_type = FrameType.STREAM_BASE | 0x04 | 0x02 | (0x01 if self.fin else 0x00)
-        out = bytearray([frame_type])
-        out += encode_varint(self.stream_id)
-        out += encode_varint(self.offset)
-        out += encode_varint(len(self.data))
-        out += self.data
-        return bytes(out)
+        data = self.data
+        return b"".join(
+            (
+                _STREAM_FIN_BYTES if self.fin else _STREAM_BYTES,
+                encode_varint(self.stream_id),
+                encode_varint(self.offset),
+                encode_varint(len(data)),
+                data,
+            )
+        )
 
 
 @dataclass(frozen=True)
 class HandshakeDoneFrame:
+    ACK_ELICITING: ClassVar[bool] = True
+
     def encode(self) -> bytes:
-        return bytes([FrameType.HANDSHAKE_DONE])
+        return _HANDSHAKE_DONE_BYTES
 
 
 @dataclass(frozen=True)
 class HxQosFrame:
     """Wira Hx_QoS frame: ``<HxID, HxLen, Hx_QoS_Value>`` triples."""
 
+    ACK_ELICITING: ClassVar[bool] = True
+
     triples: Tuple[Tuple[int, bytes], ...]
 
     def encode(self) -> bytes:
-        out = bytearray([FrameType.HX_QOS])
-        out += encode_varint(len(self.triples))
+        parts = [_HX_QOS_BYTES, encode_varint(len(self.triples))]
         for hx_id, value in self.triples:
-            out += encode_varint(hx_id)
-            out += encode_varint(len(value))
-            out += value
-        return bytes(out)
+            parts.append(encode_varint(hx_id))
+            parts.append(encode_varint(len(value)))
+            parts.append(value)
+        return b"".join(parts)
 
     @classmethod
     def from_metrics(
@@ -235,41 +280,42 @@ def encode_frames(frames: Sequence[Frame]) -> bytes:
     return b"".join(frame.encode() for frame in frames)
 
 
-def parse_frames(data: bytes) -> List[Frame]:
-    """Parse a packet payload into frames.
+def parse_frames(data: bytes, offset: int = 0) -> List[Frame]:
+    """Parse the frames in ``data`` from ``offset`` to its end.
 
+    Parses in place — frame payloads are slices of ``data`` itself, so a
+    ``bytearray`` or ``memoryview`` is coerced to ``bytes`` once, here.
     Runs of PADDING bytes collapse into a single :class:`PaddingFrame`.
     """
+    if not isinstance(data, bytes):
+        data = bytes(data)
     frames: List[Frame] = []
-    offset = 0
     length = len(data)
+    frame: Frame
     while offset < length:
         frame_type = data[offset]
-        if frame_type == FrameType.PADDING:
-            run_start = offset
-            while offset < length and data[offset] == FrameType.PADDING:
-                offset += 1
-            frames.append(PaddingFrame(length=offset - run_start))
-        elif frame_type == FrameType.PING:
-            frames.append(PingFrame())
-            offset += 1
-        elif frame_type == FrameType.ACK:
-            frame, offset = _parse_ack(data, offset + 1)
-            frames.append(frame)
-        elif frame_type == FrameType.CRYPTO:
-            frame, offset = _parse_crypto(data, offset + 1)
-            frames.append(frame)
-        elif FrameType.STREAM_BASE <= frame_type <= FrameType.STREAM_BASE | 0x07:
+        if _STREAM_FIRST <= frame_type <= _STREAM_LAST:
             frame, offset = _parse_stream(data, offset)
-            frames.append(frame)
-        elif frame_type == FrameType.HANDSHAKE_DONE:
-            frames.append(HandshakeDoneFrame())
+        elif frame_type == _ACK:
+            frame, offset = _parse_ack(data, offset + 1)
+        elif frame_type == _PADDING:
+            run_start = offset
+            while offset < length and data[offset] == _PADDING:
+                offset += 1
+            frame = PaddingFrame(length=offset - run_start)
+        elif frame_type == _PING:
+            frame = PingFrame()
             offset += 1
-        elif frame_type == FrameType.HX_QOS:
+        elif frame_type == _CRYPTO:
+            frame, offset = _parse_crypto(data, offset + 1)
+        elif frame_type == _HANDSHAKE_DONE:
+            frame = HandshakeDoneFrame()
+            offset += 1
+        elif frame_type == _HX_QOS:
             frame, offset = _parse_hx_qos(data, offset + 1)
-            frames.append(frame)
         else:
             raise FrameParseError(f"unknown frame type 0x{frame_type:02x} at offset {offset}")
+        frames.append(frame)
     return frames
 
 
@@ -303,7 +349,7 @@ def _parse_crypto(data: bytes, offset: int) -> Tuple[CryptoFrame, int]:
         raise FrameParseError(f"malformed CRYPTO frame: {exc}") from exc
     if offset + data_len > len(data):
         raise FrameParseError("CRYPTO frame truncated")
-    return CryptoFrame(crypto_offset, bytes(data[offset : offset + data_len])), offset + data_len
+    return CryptoFrame(crypto_offset, data[offset : offset + data_len]), offset + data_len
 
 
 def _parse_stream(data: bytes, offset: int) -> Tuple[StreamFrame, int]:
@@ -325,8 +371,10 @@ def _parse_stream(data: bytes, offset: int) -> Tuple[StreamFrame, int]:
         raise FrameParseError(f"malformed STREAM frame: {exc}") from exc
     if offset + data_len > len(data):
         raise FrameParseError("STREAM frame truncated")
-    payload = bytes(data[offset : offset + data_len])
-    return StreamFrame(stream_id, stream_offset, payload, fin), offset + data_len
+    return (
+        StreamFrame(stream_id, stream_offset, data[offset : offset + data_len], fin),
+        offset + data_len,
+    )
 
 
 def _parse_hx_qos(data: bytes, offset: int) -> Tuple[HxQosFrame, int]:
@@ -338,7 +386,7 @@ def _parse_hx_qos(data: bytes, offset: int) -> Tuple[HxQosFrame, int]:
             hx_len, offset = decode_varint(data, offset)
             if offset + hx_len > len(data):
                 raise FrameParseError("Hx_QoS triple truncated")
-            triples.append((hx_id, bytes(data[offset : offset + hx_len])))
+            triples.append((hx_id, data[offset : offset + hx_len]))
             offset += hx_len
         return HxQosFrame(tuple(triples)), offset
     except ValueError as exc:

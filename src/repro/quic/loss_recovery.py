@@ -11,10 +11,18 @@ Implements the RFC 9002 recovery core the reproduction needs:
 
 Losses matter doubly here: they feed the congestion controller *and* the
 paper's first-frame loss rate metric (FFLR, Fig 14).
+
+An ACK is processed against what is outstanding, not against the packet
+numbers it spans: ``_unacked`` is the ascending list of tracked numbers no
+ACK has covered yet, and each ACK range is bisected into it.  Declared-lost
+packets stay in the list — a late ACK for one must still surface in
+``newly_acked`` (spurious-loss accounting, delivery-rate sampling) — so
+the work per ACK is O(outstanding) whatever ``largest_acked`` claims.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -69,10 +77,14 @@ class LossRecovery:
         # happens inside this class, which is what keeps them exact.
         self._unresolved: Dict[int, SentPacket] = {}
         self._ae_unresolved: Dict[int, SentPacket] = {}
+        # Tracked packet numbers no ACK has covered yet, ascending (sends
+        # arrive in packet-number order).  Lost packets stay until acked.
+        self._unacked: List[int] = []
 
     def on_packet_sent(self, packet: SentPacket) -> None:
         pn = packet.packet_number
         self.sent_packets[pn] = packet
+        self._unacked.append(pn)
         self._unresolved[pn] = packet
         if packet.ack_eliciting:
             self._ae_unresolved[pn] = packet
@@ -93,37 +105,43 @@ class LossRecovery:
         result = AckResult()
         result.ack_delay = ack.ack_delay_us / 1e6
 
-        acked_numbers = [
-            pn
-            for pn in ack.acked_packet_numbers()
-            if pn in self.sent_packets and not self.sent_packets[pn].acked
-        ]
+        # Ranges come highest first and each is walked downwards, so
+        # ``newly_acked`` is in descending packet-number order — the
+        # delivery-rate sampler downstream is order-sensitive.
+        newly_acked = result.newly_acked
+        sent_packets = self.sent_packets
+        unacked = self._unacked
+        for low, high in ack.ranges:
+            end = bisect_right(unacked, high)
+            start = bisect_left(unacked, low, 0, end)
+            for pn in reversed(unacked[start:end]):
+                packet = sent_packets.get(pn)
+                if packet is None or packet.acked:
+                    # Garbage-collected, or resolved without an ACK (an
+                    # overtaken ACK-only packet): nothing left to do.
+                    continue
+                packet.acked = True
+                self._resolve(pn)
+                if packet.in_flight and not packet.lost:
+                    self.bytes_in_flight -= packet.size
+                newly_acked.append(packet)
+            del unacked[start:end]
         # Advance largest_acked on every ACK, including pure duplicates:
         # a duplicate whose acked numbers were all seen (or GC'd) can
         # still carry a larger largest_acked, and packet-threshold loss
         # detection must not stall behind it.
         if self.largest_acked is None or ack.largest_acked > self.largest_acked:
             self.largest_acked = ack.largest_acked
-        if not acked_numbers:
+        if not newly_acked:
             # Pure duplicate; still run loss detection (the advanced
             # largest_acked may have pushed packets over the threshold).
             result.newly_lost = self._detect_lost(now)
             return result
 
-        largest_newly_acked = max(acked_numbers)
-
-        for pn in acked_numbers:
-            packet = self.sent_packets[pn]
-            packet.acked = True
-            self._resolve(pn)
-            if packet.in_flight and not packet.lost:
-                self.bytes_in_flight -= packet.size
-            result.newly_acked.append(packet)
-
         # RTT sample only from the largest newly-acked, and only if it is
         # ack-eliciting (RFC 9002 §5.1).
-        largest_packet = self.sent_packets[largest_newly_acked]
-        if largest_packet.ack_eliciting and ack.largest_acked == largest_newly_acked:
+        largest_packet = newly_acked[0]
+        if largest_packet.ack_eliciting and ack.largest_acked == largest_packet.packet_number:
             result.rtt_sample = now - largest_packet.sent_time
             self.rtt.update(result.rtt_sample, result.ack_delay, now)
 
@@ -229,3 +247,6 @@ class LossRecovery:
         ]
         for pn in stale:
             del self.sent_packets[pn]
+        # A forgotten packet can no longer be acknowledged.
+        cut = bisect_left(self._unacked, horizon)
+        self._unacked[:cut] = [pn for pn in self._unacked[:cut] if pn in self.sent_packets]

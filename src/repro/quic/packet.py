@@ -15,6 +15,13 @@ The payload is a frame sequence (:mod:`repro.quic.frames`).  There is no
 AEAD: payload confidentiality is irrelevant to FFCT, while the paper's
 cookie-confidentiality requirement is handled where it matters, in
 :mod:`repro.core.cookie_crypto`.
+
+:meth:`Packet.encode` is the only serialiser and :meth:`Packet.decode`
+the only parser.  Inside one process the sender's :class:`Packet` also
+rides beside its bytes (``Datagram.packet``), so the receiver need not
+re-derive it; the bytes stay authoritative — sizes, faults and the real
+socket all work on them — and the sanitizer's ``datagram_parse``
+invariant decodes every such datagram and compares.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.quic.frames import Frame, encode_frames, parse_frames
+from repro.quic.frames import Frame, parse_frames
 from repro.quic.varint import VarintError, decode_varint, encode_varint
 
 CONNECTION_ID_BYTES = 8
@@ -43,7 +50,19 @@ class PacketType(enum.IntEnum):
     ONE_RTT = 0x03  # short header, post-handshake data
 
 
-@dataclass(frozen=True)
+_HEADER_FLAGS = {
+    packet_type: bytes(
+        [
+            _FIXED_BIT
+            if packet_type == PacketType.ONE_RTT
+            else _LONG_HEADER_BIT | _FIXED_BIT | int(packet_type)
+        ]
+    )
+    for packet_type in PacketType
+}
+
+
+@dataclass(frozen=True, slots=True)
 class Packet:
     """A parsed or to-be-encoded transport packet."""
 
@@ -63,18 +82,19 @@ class Packet:
         return self.packet_type != PacketType.ONE_RTT
 
     def encode(self) -> bytes:
-        if self.is_long_header:
-            flags = _LONG_HEADER_BIT | _FIXED_BIT | int(self.packet_type)
-        else:
-            flags = _FIXED_BIT
-        out = bytearray([flags])
-        out += self.connection_id
-        out += encode_varint(self.packet_number)
-        out += encode_frames(self.frames)
-        return bytes(out)
+        parts = [
+            _HEADER_FLAGS[self.packet_type],
+            self.connection_id,
+            encode_varint(self.packet_number),
+        ]
+        for frame in self.frames:
+            parts.append(frame.encode())
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, data: bytes) -> "Packet":
+        if not isinstance(data, bytes):
+            data = bytes(data)
         if len(data) < 1 + CONNECTION_ID_BYTES + 1:
             raise PacketParseError("datagram too short for a packet header")
         flags = data[0]
@@ -84,16 +104,17 @@ class Packet:
             packet_type = PacketType(flags & 0x03)
         else:
             packet_type = PacketType.ONE_RTT
-        connection_id = bytes(data[1 : 1 + CONNECTION_ID_BYTES])
+        connection_id = data[1 : 1 + CONNECTION_ID_BYTES]
         try:
             packet_number, offset = decode_varint(data, 1 + CONNECTION_ID_BYTES)
         except VarintError as exc:
             raise PacketParseError(f"bad packet number: {exc}") from exc
-        frames = tuple(parse_frames(bytes(data[offset:])))
+        frames = tuple(parse_frames(data, offset))
         return cls(packet_type, connection_id, packet_number, frames)
 
     def ack_eliciting(self) -> bool:
         """True if the packet must be acknowledged (RFC 9002 §2)."""
-        from repro.quic.frames import AckFrame, PaddingFrame
-
-        return any(not isinstance(f, (AckFrame, PaddingFrame)) for f in self.frames)
+        for frame in self.frames:
+            if frame.ACK_ELICITING:
+                return True
+        return False

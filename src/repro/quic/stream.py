@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamChunk:
     """A contiguous byte range handed to the packetiser."""
 
@@ -149,6 +149,11 @@ class RecvStream:
             self._fin_offset = end
         if data:
             self.bytes_received += len(data)
+            if offset == self._delivered and not self._segments:
+                # In order with nothing buffered: the frame's own bytes
+                # are the newly contiguous bytes.
+                self._delivered += len(data)
+                return data
             if offset + len(data) <= self._delivered:
                 self.duplicate_bytes += len(data)
             else:
@@ -160,23 +165,15 @@ class RecvStream:
         return self._drain()
 
     def _drain(self) -> bytes:
+        segments = self._segments
+        if not segments or min(segments) > self._delivered:
+            return b""  # still a hole at the delivered offset
         out = bytearray()
-        while True:
-            progressed = False
-            for offset in sorted(self._segments):
-                data = self._segments[offset]
-                end = offset + len(data)
-                if end <= self._delivered:
-                    del self._segments[offset]
-                    progressed = True
-                    break
-                if offset <= self._delivered:
-                    fresh = data[self._delivered - offset :]
-                    out += fresh
-                    self._delivered += len(fresh)
-                    del self._segments[offset]
-                    progressed = True
-                    break
-            if not progressed:
+        for offset in sorted(segments):
+            if offset > self._delivered:
                 break
+            data = segments.pop(offset)
+            fresh = data[self._delivered - offset :]
+            out += fresh
+            self._delivered += len(fresh)
         return bytes(out)

@@ -32,22 +32,20 @@ def varint_size(value: int) -> int:
     return 8
 
 
+#: The 64 one-byte encodings — most varints on the wire (frame types,
+#: stream ids, range counts, small lengths) are below 64.
+_ONE_BYTE = tuple(bytes([value]) for value in range(1 << 6))
+
+
 def encode_varint(value: int) -> bytes:
     """Encode ``value`` in the shortest RFC 9000 varint form."""
+    if 0 <= value < (1 << 6):
+        return _ONE_BYTE[value]
     size = varint_size(value)
-    if size == 1:
-        return bytes([value])
     if size == 2:
-        return bytes([0x40 | (value >> 8), value & 0xFF])
+        return (0x4000 | value).to_bytes(2, "big")
     if size == 4:
-        return bytes(
-            [
-                0x80 | (value >> 24),
-                (value >> 16) & 0xFF,
-                (value >> 8) & 0xFF,
-                value & 0xFF,
-            ]
-        )
+        return (0x80000000 | value).to_bytes(4, "big")
     out = bytearray(8)
     for i in range(7, -1, -1):
         out[i] = value & 0xFF
@@ -65,6 +63,8 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     if offset >= len(data):
         raise VarintError("buffer exhausted before varint")
     first = data[offset]
+    if first < 0x40:
+        return first, offset + 1
     length = _PREFIX_TO_LENGTH[first >> 6]
     if offset + length > len(data):
         raise VarintError("buffer truncated inside varint")

@@ -2,7 +2,8 @@
 
 The simulator's correctness story rests on invariants no test asserts
 continuously: the event clock never rewinds, pacer debt stays bounded,
-packet numbers grow strictly, ACKs stay within the sent range, BBR only
+packet numbers grow strictly, ACKs stay within the sent range, the parsed
+packet riding beside a datagram is what its bytes decode to, BBR only
 takes legal state-machine edges, and Wira's initial-parameter overrides
 are applied at most once (plus the documented corner-case-1 re-init).
 This package installs cheap checks for all of them at the same attach
@@ -16,7 +17,10 @@ Design constraints:
 * **~0 % overhead when disabled** — hook sites test one module global
   (``ACTIVE is not None``); the event loops read it once per run.
 * **<= 10 % overhead when enabled** — each check is a handful of
-  comparisons; verified by ``benchmarks/test_bench_speed.py``.
+  comparisons; verified by ``benchmarks/test_bench_speed.py``.  The
+  exception is ``datagram_parse``, which decodes every delivered packet
+  (what every receiver did unconditionally before the sender's parse
+  rode beside the bytes) and compares.
 * violations raise :class:`~repro.sanitize.errors.SanitizerError`
   carrying the invariant name, connection id and simulated time.
 

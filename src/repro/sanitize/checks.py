@@ -10,11 +10,14 @@ Invariant                    Attach point
 ``packet_number_monotonic``  :meth:`Connection._send_packet`
 ``cwnd_bounds``              :meth:`Connection._send_packet`
 ``ack_range``                :meth:`LossRecovery.on_ack_received`
+``datagram_parse``           :meth:`Connection.datagram_received`
 ``bbr_transition``           :meth:`BbrSender._set_mode`
 ``init_override_once``       ``set_initial_window`` / ``set_initial_pacing_rate``
 ===========================  ==============================================
 
-Each check is a few comparisons; per-object bookkeeping lives in
+Each check is a few comparisons — except ``datagram_parse``, which
+decodes the datagram's bytes and compares the result with the parse the
+sender attached; per-object bookkeeping lives in
 ``_san_*`` attributes on the (unslotted) transport objects so the
 sanitizer itself holds no global state and never outlives a session.
 
@@ -33,7 +36,7 @@ transport code they guard:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sanitize.errors import SanitizerError
 
@@ -198,6 +201,35 @@ class TransportSanitizer:
             raise SanitizerError(
                 "ack_range",
                 f"largest_acked {largest_acked} disagrees with leading range {ranges[0]}",
+                sim_time=now,
+            )
+
+    # -- Connection receive path ----------------------------------------
+
+    def check_datagram_parse(
+        self, decode: Callable[[bytes], object], datagram: object, now: float
+    ) -> None:
+        """The parse riding beside a datagram's bytes is what they decode to.
+
+        ``decode`` is the receiver's own parser, passed in so this package
+        stays independent of the transport's types.
+        """
+        self._count("datagram_parse")
+        payload = datagram.payload  # type: ignore[attr-defined]
+        sidecar = datagram.packet  # type: ignore[attr-defined]
+        try:
+            parsed = decode(payload)
+        except ValueError as exc:
+            raise SanitizerError(
+                "datagram_parse",
+                f"datagram carries a parse but its {len(payload)} bytes do not decode: {exc}",
+                sim_time=now,
+            ) from exc
+        if parsed != sidecar:
+            raise SanitizerError(
+                "datagram_parse",
+                f"datagram's parse {sidecar!r} disagrees with its bytes, "
+                f"which decode to {parsed!r}",
                 sim_time=now,
             )
 

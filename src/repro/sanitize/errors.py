@@ -15,6 +15,7 @@ INVARIANTS: Tuple[str, ...] = (
     "pacer_tokens",
     "packet_number_monotonic",
     "ack_range",
+    "datagram_parse",
     "cwnd_bounds",
     "bbr_transition",
     "init_override_once",

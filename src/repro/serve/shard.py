@@ -36,7 +36,7 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Coroutine, Dict, List, Optional, Set, Tuple
 
 from repro import obs as _obs
 from repro.cdn.origin import Origin
@@ -124,7 +124,9 @@ class ShardServer:
         self.endpoint: Optional[UdpEndpoint] = None
         self._chains: Dict[str, _ChainState] = {}
         self._sessions: Dict[bytes, _ShardSession] = {}
-        self._tasks: List[asyncio.Task[None]] = []
+        # Running tasks only: each drops itself when it finishes, so the
+        # set does not grow with the sessions served.
+        self._tasks: Set[asyncio.Task[None]] = set()
         self._stopped = asyncio.Event()
         # When a trace bus is active, sim runs serialize under this lock
         # so per-session trace scopes never interleave.
@@ -145,16 +147,22 @@ class ShardServer:
 
     async def start(self) -> Address:
         self.endpoint = await open_endpoint(self._on_datagram, self.host, self.port)
-        self._tasks.append(asyncio.create_task(self._sweeper()))
+        self._spawn(self._sweeper())
         return self.endpoint.address
+
+    def _spawn(self, coro: Coroutine[object, object, None]) -> None:
+        task = asyncio.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def run_until_shutdown(self) -> None:
         await self._stopped.wait()
 
     async def close(self) -> None:
-        for task in self._tasks:
+        tasks = list(self._tasks)
+        for task in tasks:
             task.cancel()
-        for task in self._tasks:
+        for task in tasks:
             try:
                 await task
             except (asyncio.CancelledError, Exception):
@@ -271,9 +279,7 @@ class ShardServer:
         )
         self._sessions[packet.connection_id] = session
         self.stats["sessions"] += 1
-        self._tasks.append(
-            asyncio.create_task(self._handle_session(session, dict(message.tags)))
-        )
+        self._spawn(self._handle_session(session, dict(message.tags)))
 
     def _on_session_packet(self, packet: Packet, addr: Address) -> None:
         session = self._sessions.get(packet.connection_id)
@@ -288,10 +294,14 @@ class ShardServer:
                     session.replay_started = True
                     session.replay_anchor = asyncio.get_running_loop().time()
                     self.stats["replays"] += 1
-                    self._tasks.append(asyncio.create_task(self._replay(session)))
+                    self._spawn(self._replay(session))
             elif frame.stream_id == protocol.CONTROL_STREAM:
                 if frame.data == protocol.DONE_MESSAGE:
                     session.done = True
+                    # The timeline holds every stream byte of the session
+                    # and nothing reads it past DONE; only the husk waits
+                    # for the sweep (so late packets still find the flow).
+                    session.events.clear()
                 elif frame.data.startswith(protocol.RESEND_PREFIX):
                     try:
                         offset = protocol.parse_resend_request(frame.data)

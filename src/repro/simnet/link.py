@@ -12,10 +12,13 @@ The model matches the paper's testbed configuration knobs (§II footnote 2:
   modelling non-congestive (e.g. wireless) loss.
 
 Packets are opaque :class:`Datagram` objects; the link only reads their
-size.  Delivery order is FIFO unless reordering is enabled.  Condition
-changes (bandwidth, delay, loss) take effect for packets admitted after
-the change: each packet snapshots the serialisation rate at admission,
-so a mid-queue bandwidth change never rewrites the transmission time of
+size.  A datagram may carry, beside its bytes, the sender's own parse of
+them (``Datagram.packet``) — an object this package never looks inside,
+imports no type for, and simply delivers along with the bytes.  Delivery
+order is FIFO unless reordering is enabled.  Condition changes
+(bandwidth, delay, loss) take effect for packets admitted after the
+change: each packet snapshots the serialisation rate at admission, so a
+mid-queue bandwidth change never rewrites the transmission time of
 packets already accepted into the buffer.
 
 Adverse-network extensions (driven by
@@ -67,11 +70,17 @@ class Datagram:
         overwhelming probability; the simulator has no packet AEAD
         (documented substitution, DESIGN.md), so receivers consult this
         flag to model that rejection and drop the datagram.
+    packet:
+        The sender's parse of ``payload``; ``None`` for bytes from
+        anywhere else (tests, the fault injector's mutated copies, a real
+        socket).  Opaque here — only the sending and receiving endpoints
+        know its type.
     """
 
     payload: bytes
     size: int = 0
     corrupted: bool = False
+    packet: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.size == 0:

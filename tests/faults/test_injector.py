@@ -130,10 +130,13 @@ class TestWrapSend:
         injector, _ = make_injector(FaultKind.DATAGRAM_BITFLIP, bitflip_rate=1.0)
         sent = []
         sender = injector.wrap_send(lambda d: sent.append(d) or True, "to_client")
-        assert sender(Datagram(b"payload" * 10, size=100))
+        assert sender(Datagram(b"payload" * 10, size=100, packet=object()))
         assert len(sent) == 1
         assert sent[0].corrupted
         assert sent[0].size == 100
+        # The mutated copy is new bytes: the sender's parse of the old
+        # ones must not ride along.
+        assert sent[0].packet is None
         assert injector.counters["datagram_bitflipped"] == 1
 
     def test_bitflip_rate_zero_passes_through(self):

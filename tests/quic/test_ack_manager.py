@@ -1,6 +1,8 @@
 """Tests for receiver-side ACK generation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.quic.ack_manager import AckManager
 
@@ -89,3 +91,35 @@ def test_largest_received_tracked():
 def test_invalid_ack_every():
     with pytest.raises(ValueError):
         AckManager(ack_every=0)
+
+
+def sorted_set_ranges(received):
+    """What ``_ranges`` did before the runs were kept incrementally: sort
+    every number ever received, then walk it."""
+    numbers = sorted(received, reverse=True)
+    ranges = []
+    high = low = numbers[0]
+    for number in numbers[1:]:
+        if number == low - 1:
+            low = number
+        else:
+            ranges.append((low, high))
+            high = low = number
+    ranges.append((low, high))
+    return tuple(ranges)
+
+
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=120))
+def test_runs_equal_the_sorted_set_in_any_arrival_order(arrivals):
+    """Reordered, gapped and duplicated arrivals: after every packet the
+    incrementally merged runs are the ranges of the sorted set, and a
+    packet is a duplicate exactly when the set already held it."""
+    mgr = AckManager()
+    received = set()
+    for pn in arrivals:
+        assert mgr.on_packet_received(pn, ack_eliciting=True, now=0.0) == (pn in received)
+        received.add(pn)
+        assert mgr._ranges() == sorted_set_ranges(received)
+    ack = mgr.build_ack(0.0)
+    assert ack.largest_acked == max(received)
+    assert set(ack.acked_packet_numbers()) == received

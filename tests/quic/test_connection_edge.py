@@ -1,11 +1,15 @@
 """Edge-case tests for the connection state machine."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
+from repro import sanitize
 from repro.quic import Connection, HandshakeMode, QuicConfig, Role
-from repro.quic.frames import HxQosFrame
+from repro.quic.frames import AckFrame, HxQosFrame
+from repro.quic.packet import Packet, PacketType
 from repro.simnet.engine import EventLoop
 from repro.simnet.link import Datagram
 from repro.simnet.path import NetworkConditions, Path
@@ -165,3 +169,42 @@ def test_stats_snapshot_is_immutable_copy():
     loop.run(max_events=10_000)
     assert snap.packets_sent == before
     assert server.stats.packets_sent > before
+
+
+@contextmanager
+def hard_time_limit(seconds):
+    """Fail the test, rather than hang the suite, past ``seconds`` of wall time."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"exceeded the {seconds}s limit")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("span", [10**7, 2**40])
+def test_ack_spanning_billions_of_unsent_numbers_costs_nothing(span):
+    """One ACK frame of a few bytes claiming ``0..span`` must not make the
+    endpoint enumerate the span (seconds of CPU at 10^7, ``MemoryError``
+    out of the event loop at 2^40): garbage input never hangs or kills
+    an endpoint.  Nothing was sent, so nothing is acknowledged."""
+    loop = EventLoop()
+    server = Connection(loop, Role.SERVER, lambda datagram: True)
+    hostile = Packet(
+        PacketType.ONE_RTT, server.connection_id, 0, (AckFrame(span, 0, ((0, span),)),)
+    ).encode()
+    assert len(hostile) < 32
+    # The sanitizer would (rightly) report an ACK for never-sent packets;
+    # this pins what the transport itself does with one.
+    with sanitize.suppressed(), hard_time_limit(2.0):
+        server.datagram_received(Datagram(hostile))
+    assert server.stats.packets_received == 1
+    assert server.stats.undecodable_packets == 0
+    assert server.stats.packets_lost == 0 and server.stats.packets_sent == 0
+    assert server.bytes_in_flight == 0
+    assert server.loss_recovery.largest_acked == span

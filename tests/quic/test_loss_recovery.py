@@ -1,10 +1,12 @@
 """Tests for sender-side loss detection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import sanitize
 from repro.quic.frames import AckFrame
-from repro.quic.loss_recovery import K_PACKET_THRESHOLD, LossRecovery
+from repro.quic.loss_recovery import K_PACKET_THRESHOLD, AckResult, LossRecovery
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 
@@ -204,3 +206,124 @@ def test_duplicate_ack_never_regresses_largest_acked():
     result = lr.on_ack_received(ack(1, [(0, 1)]), now=0.06)
     assert not result.newly_acked
     assert lr.largest_acked == 2
+
+
+class EnumeratingRecovery(LossRecovery):
+    """``on_ack_received`` as it was before ACK ranges were bisected into
+    the outstanding packets: enumerate every number the ACK spans and
+    look each one up.  Kept as the oracle for the range walk."""
+
+    def on_ack_received(self, ack, now):
+        result = AckResult()
+        result.ack_delay = ack.ack_delay_us / 1e6
+        acked_numbers = [
+            pn
+            for pn in ack.acked_packet_numbers()
+            if pn in self.sent_packets and not self.sent_packets[pn].acked
+        ]
+        if self.largest_acked is None or ack.largest_acked > self.largest_acked:
+            self.largest_acked = ack.largest_acked
+        if not acked_numbers:
+            result.newly_lost = self._detect_lost(now)
+            return result
+        largest_newly_acked = max(acked_numbers)
+        for pn in acked_numbers:
+            packet = self.sent_packets[pn]
+            packet.acked = True
+            self._resolve(pn)
+            if packet.in_flight and not packet.lost:
+                self.bytes_in_flight -= packet.size
+            result.newly_acked.append(packet)
+        largest_packet = self.sent_packets[largest_newly_acked]
+        if largest_packet.ack_eliciting and ack.largest_acked == largest_newly_acked:
+            result.rtt_sample = now - largest_packet.sent_time
+            self.rtt.update(result.rtt_sample, result.ack_delay, now)
+        result.newly_lost = self._detect_lost(now)
+        self.pto_count = 0
+        self._garbage_collect()
+        return result
+
+
+def descending_ranges(numbers):
+    ranges = []
+    for pn in sorted(numbers, reverse=True):
+        if ranges and ranges[-1][0] == pn + 1:
+            ranges[-1] = (pn, ranges[-1][1])
+        else:
+            ranges.append((pn, pn))
+    return tuple(ranges)
+
+
+#: One step of a sender's life: send a packet (ack-eliciting data or a
+#: bare ACK), receive an ACK for some share of everything sent so far
+#: (lost and already-acked packets included, so late and duplicate ACKs
+#: occur), or let the loss timer fire.  Each step also advances the clock.
+recovery_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["send", "send", "send_ack_only", "ack", "timer"]),
+        st.floats(0.001, 0.08),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(recovery_steps)
+def test_range_walk_equals_enumeration(steps):
+    """Random send / ack / lose / late-ack sequences: the walk over what
+    is outstanding returns what the enumeration returned — the same
+    packets in the same (descending) order — and leaves the same state."""
+    pair = [LossRecovery(RttEstimator(initial_rtt=0.1)),
+            EnumeratingRecovery(RttEstimator(initial_rtt=0.1))]
+    now = 0.0
+    next_pn = 0
+    for kind, dt, salt in steps:
+        now += dt
+        if kind in ("send", "send_ack_only"):
+            eliciting = kind == "send"
+            for lr in pair:
+                lr.on_packet_sent(sent(next_pn, t=now, size=100 + salt % 1100,
+                                       eliciting=eliciting, in_flight=eliciting))
+            next_pn += 1
+        elif kind == "timer":
+            lost = [[p.packet_number for p in lr.check_loss_timer(now)] for lr in pair]
+            assert lost[0] == lost[1]
+        elif next_pn:
+            # A pseudo-random subset of everything ever sent.
+            acked = [pn for pn in range(next_pn) if (salt >> (pn % 16)) & 1] or [salt % next_pn]
+            frame = AckFrame(max(acked), salt % 5000, descending_ranges(acked))
+            results = [lr.on_ack_received(frame, now) for lr in pair]
+            walked, enumerated = results
+            assert [p.packet_number for p in walked.newly_acked] == [
+                p.packet_number for p in enumerated.newly_acked
+            ]
+            assert [p.packet_number for p in walked.newly_lost] == [
+                p.packet_number for p in enumerated.newly_lost
+            ]
+            assert walked.rtt_sample == enumerated.rtt_sample
+        new, old = pair
+        assert new.bytes_in_flight == old.bytes_in_flight
+        assert new.largest_acked == old.largest_acked
+        assert new.loss_time == old.loss_time
+        assert new.pto_deadline() == old.pto_deadline()
+        assert new.rtt.smoothed_rtt == old.rtt.smoothed_rtt
+        assert [(p.acked, p.lost) for p in new.sent_packets.values()] == [
+            (p.acked, p.lost) for p in old.sent_packets.values()
+        ]
+
+
+def test_garbage_collection_forgets_unacked_numbers_too():
+    """A lost packet that is never acknowledged leaves ``sent_packets``
+    at the GC horizon; its number must leave ``_unacked`` with it, or the
+    list would grow with every loss of a long session."""
+    lr = make_recovery()
+    total = 2 * 4096 + 10
+    for pn in range(total):
+        lr.on_packet_sent(sent(pn, t=pn * 1e-4))
+    # Everything but packet 0 is acknowledged; 0 is declared lost.
+    result = lr.on_ack_received(ack(total - 1, [(1, total - 1)]), now=1.0)
+    assert [p.packet_number for p in result.newly_lost] == [0]
+    assert 0 not in lr.sent_packets
+    assert lr._unacked == []

@@ -34,11 +34,18 @@ def test_rfc9000_vectors_decode(value, encoded):
 
 @pytest.mark.parametrize(
     "value,size",
-    [(0, 1), (63, 1), (64, 2), (16383, 2), (16384, 4), ((1 << 30) - 1, 4), (1 << 30, 8)],
+    [
+        (0, 1), (63, 1), (64, 2), (16383, 2), (16384, 4), ((1 << 30) - 1, 4), (1 << 30, 8),
+        (MAX_VARINT, 8),
+    ],
 )
 def test_size_boundaries(value, size):
+    """Each edge of the table / ``to_bytes`` / loop encoders round-trips
+    in exactly ``varint_size`` bytes."""
     assert varint_size(value) == size
-    assert len(encode_varint(value)) == size
+    encoded = encode_varint(value)
+    assert len(encoded) == size
+    assert decode_varint(encoded) == (value, size)
 
 
 def test_negative_rejected():

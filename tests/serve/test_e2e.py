@@ -114,6 +114,53 @@ class TestWorldStore:
             await shard.close()
 
 
+class TestFinishedSessionsHoldNothing:
+    """What a finished session leaves behind must not wait for the 5 s
+    sweep: resident memory would be (sessions/s x sweep period x stream
+    bytes) and rise as the edge gets faster."""
+
+    def test_timeline_released_at_done_and_tasks_drop_themselves(self):
+        asyncio.run(self._run())
+
+    async def _run(self):
+        config = ServeLoadtestConfig(population=_population(3, seed=5))
+        population = FleetPopulation(config.population)
+        chain = max((population.chain(i) for i in range(3)), key=len)
+        sessions = [(planned, scheme) for planned in chain for scheme in ("baseline", "wira")]
+        n_sessions = len(sessions)
+        assert n_sessions >= 4
+        shard = ShardServer(
+            shard_id=0,
+            cookie_key=config.cookie_key(),
+            instance_salt=config.shard_salt(0),
+            wira_config=config.wira,
+        )
+        addr = await shard.start()
+        driver = ServeDriver(addr, campaign_seed=0)
+        control = ControlClient()
+        await driver.start()
+        await control.start()
+        try:
+            for planned, scheme in sessions:
+                await driver.run_session(planned, scheme, "od-0", "stream-0", 4)
+            # A control round trip orders us behind the last DONE.
+            stats = await control.request(addr, "stats")
+            await asyncio.sleep(0)
+            assert stats["stats"]["replays"] == n_sessions
+            # No sweep has run: the husks are still there, so late packets
+            # still find their flow, but the stream bytes are gone.
+            assert stats["live_sessions"] == n_sessions
+            assert all(s.done and s.events == [] for s in shard._sessions.values())
+            # Two tasks were spawned per session; none that finished is kept.
+            assert not any(task.done() for task in shard._tasks)
+            assert len(shard._tasks) < n_sessions
+            assert driver.stats["wire_failures"] == 0
+        finally:
+            control.close()
+            driver.close()
+            await shard.close()
+
+
 class TestInProcessCampaign:
     def test_gates_pass_with_exact_discrete_parity(self):
         config = ServeLoadtestConfig(

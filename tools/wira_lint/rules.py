@@ -291,6 +291,13 @@ SLOTS_REGISTRY = frozenset(
         "Link",
         "Pacer",
         "SentPacket",
+        # Per-packet value objects: one Packet, one STREAM or ACK frame
+        # and one chunk per packet sent, and a Packet rides beside every
+        # in-process datagram until it is delivered.
+        "AckFrame",
+        "Packet",
+        "StreamChunk",
+        "StreamFrame",
         # Batched-kernel scheduler core: one CalendarQueue entry and one
         # MemberLoop clock touch per simulated event across every member
         # session sharing the kernel.
