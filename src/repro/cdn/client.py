@@ -160,6 +160,17 @@ class WiraClient:
                 if self.on_done is not None:
                     self.on_done()
 
+    def close(self) -> None:
+        """Close the connection and stop observing the cookie store.
+
+        The store outlives the session; left installed, the eviction
+        observer would keep this client — and through it the whole
+        finished session — alive until the next one replaces it.
+        """
+        self.connection.close()
+        if self.cookie_store is not None:
+            self.cookie_store.set_on_evict(None)
+
     def _on_cookie_evicted(self, origin: str, reason: str) -> None:
         self._trace("wira:cookie_evicted", {"origin": origin, "reason": reason})
 

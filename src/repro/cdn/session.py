@@ -239,18 +239,22 @@ class StreamingSession:
             while True:
                 loop.run_until(next(steps), max_events=_SLICE_EVENTS)
         except StopIteration as finished:
+            # What is still queued (the cancelled sync timer, trailing
+            # deliveries) points back into the session: drop it, so the
+            # whole topology is freed when this returns.
+            loop.clear()
             return finished.value
 
     def drive(self, loop: EventLoop) -> Generator[float, None, SessionResult]:
         """The one drive loop: yields the deadline of each slice it needs.
 
-        Whoever owns ``loop`` answers each deadline with the equivalent
-        of ``loop.run_until(deadline, max_events=_SLICE_EVENTS)`` and
-        asks again: :meth:`run` does so in place, the serve shard awaits
-        between slices so the socket loop keeps turning, and the batched
-        kernel (:mod:`repro.cdn.batchrun`) arms the session's member
-        with the deadline.  The generator's return value is the
-        session's result.
+        Whoever owns ``loop`` answers each deadline with
+        ``loop.run_until(deadline, max_events=_SLICE_EVENTS)`` and asks
+        again: :meth:`run` does so in place, and the serve shard awaits
+        between slices so the socket loop keeps turning.  The
+        generator's return value is the session's result; by then the
+        topology is torn down (:meth:`_finalize`), and the owner ends
+        the session's life with ``loop.clear()``.
         """
         live = self._setup(loop)
         client = live.client
@@ -275,9 +279,8 @@ class StreamingSession:
         Everything through ``client.start()`` happens here, in exactly
         the historical order (the session rng is consumed in a fixed
         sequence, so moving any construction step would change every
-        seeded replay).  ``loop`` may be a solo ``EventLoop`` or a
-        :class:`repro.simnet.batch.MemberLoop` — the session only uses
-        the shared scheduling surface.
+        seeded replay).  ``loop`` is a fresh solo ``EventLoop`` owned by
+        the caller of :meth:`drive`; the session only schedules on it.
         """
         rng = random.Random(self.seed)
         conditions = self.conditions
@@ -396,11 +399,19 @@ class StreamingSession:
         )
 
     def _finalize(self, live: "LiveSession", cookie_delivered: bool) -> SessionResult:
-        """Snapshot metrics, close the connections, build the result."""
+        """Snapshot metrics, build the result, tear the topology down.
+
+        The one place every executor shares, so it is where a finished
+        session lets go of itself: closing both endpoints drops the
+        callbacks that tie connection and application together, and
+        closing the path drops the ones that tie the two connections
+        together.  What the loop still holds is its owner's to clear.
+        """
         server_min_rtt = live.server_conn.measured_min_rtt()
         server_max_bw = live.server_conn.measured_max_bw()
         live.server.close()
-        live.client_conn.close()
+        live.client.close()
+        live.path.close()
 
         return SessionResult(
             scheme=self.scheme,

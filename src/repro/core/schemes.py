@@ -203,8 +203,8 @@ class InitPolicy(abc.ABC):
     engines call :meth:`initial_params` (possibly twice per session —
     the provisional corner case) and :meth:`observe` once per finished
     session, in chain order.  ``initial_params`` must be a pure read of
-    ``(policy state, ctx)``: only ``observe`` may mutate state, which is
-    what keeps the batched wave replay byte-identical to the solo path.
+    ``(policy state, ctx)``: only ``observe`` may mutate state, so the
+    provisional second call cannot change what a chain learns.
     """
 
     __slots__ = ("spec", "seed")

@@ -116,8 +116,8 @@ def chain_policy(
 
     One policy lives for one OD pair's chain — that is the state scope
     online schemes learn over.  The seed is a pure function of the
-    deployment seed and chain index, so serial, process-pool and
-    wave-batched replays hand every chain an identical policy.
+    deployment seed and chain index, so serial and process-pool replays
+    hand every chain an identical policy.
     """
     seed = random.Random(f"policy:{config.seed}:{chain_index}").getrandbits(48)
     return make_policy(scheme, seed=seed)
@@ -206,11 +206,12 @@ def iter_chain_outcomes(
 ) -> Iterator[SessionOutcome]:
     """Replay one chain, yielding each outcome as it completes.
 
-    The chain-by-chain reference on the solo event loop: the parity
-    tests compare the wave-batched replay against it, and the
-    benchmark's fold drive replays through it.  ``world`` is the chain's
-    shared world; a single-scheme caller omits it and gets a private
-    one.
+    The one replay path: a block is this, once per (scheme, chain),
+    over shared worlds.  ``world`` is the chain's shared world; a
+    single-scheme caller (the parity tests' private-world reference, the
+    benchmark's fold drive) omits it and gets a private one.  The replay
+    state dies with the generator, and every session it ran died when it
+    returned, so the outcomes yielded are all that is left of a chain.
     """
     replay = SchemeReplay(
         scheme, world or ChainWorld(chain_index, chain), config, wira_config
@@ -219,14 +220,11 @@ def iter_chain_outcomes(
         yield replay.outcome(planned, replay.session(planned).run())
 
 
-#: Ceiling on chains per wave-batch.  Replay sessions are heavyweight
-#: (full QUIC state machines, GOP buffers), so a wave's working set
-#: grows with its member count and the per-event cost climbs once it
-#: outgrows the cache — a 120-member wave measured ~15% slower per
-#: session than 16-member waves on the headline deployment.  Sessions
-#: in distinct groups never interact, so slicing is invisible in the
-#: results (asserted by the byte-identity tests).
-WAVE_CHAINS = 16
+#: Chains per block: the task size of a figure replay (one block is one
+#: :func:`repro.runtime.pool.run_tasks` task, so this is the granularity
+#: ``jobs > 1`` shards at).  Chains never interact, so the cut is
+#: invisible in the results (asserted by the byte-identity tests).
+BLOCK_CHAINS = 16
 
 
 def replay_chains_wave_batched(
@@ -238,58 +236,28 @@ def replay_chains_wave_batched(
     *,
     worlds: Optional[Sequence[ChainWorld]] = None,
 ) -> List[List[SessionOutcome]]:
-    """Wave-batched replay of many chains; per-chain outcome lists.
+    """One scheme over many chains, chain by chain; per-chain outcome lists.
 
-    Chains advance in lock-step waves — wave *k* batches the *k*-th
-    session of every chain that has one into a single
-    :class:`~repro.simnet.batch.BatchEventLoop` via
-    :func:`~repro.cdn.batchrun.run_sessions`.  Sessions in a wave belong
-    to distinct chains, so each owns its cookie store, world and rng
-    stream; within a chain the cookie hand-off still happens strictly in
-    session order, exactly as the solo loop does it.  The result is
-    byte-identical to running :func:`iter_chain_outcomes` per chain.
+    Each chain is replayed to its end through :func:`iter_chain_outcomes`
+    before the next begins, so one chain's replay state and its last
+    session are gone when the next chain starts.  Nothing here is
+    batched and there are no waves: the name is what ``bench/`` wraps
+    (through this module's global) and stays until a ``benchmark`` PR
+    moves the hook to :func:`replay_block`.
 
     ``worlds`` are the chains' shared worlds, one per chain in order; a
     single-scheme caller omits them and gets private ones.
-
-    Large chain blocks are sliced into groups of :data:`WAVE_CHAINS`
-    (each group runs its own wave sequence to completion) to keep the
-    per-wave working set cache-resident.
     """
     if worlds is None:
         worlds = build_worlds(chains, base_index)
-    if len(chains) > WAVE_CHAINS:
-        per_chain: List[List[SessionOutcome]] = []
-        for lo in range(0, len(chains), WAVE_CHAINS):
-            per_chain.extend(
-                replay_chains_wave_batched(
-                    scheme,
-                    chains[lo : lo + WAVE_CHAINS],
-                    base_index + lo,
-                    config,
-                    wira_config,
-                    worlds=worlds[lo : lo + WAVE_CHAINS],
-                )
+    return [
+        list(
+            iter_chain_outcomes(
+                scheme, chain, world.chain_index, config, wira_config, world=world
             )
-        return per_chain
-
-    from repro.cdn.batchrun import run_sessions
-
-    replays = [SchemeReplay(scheme, world, config, wira_config) for world in worlds]
-    per_chain = [[] for _ in chains]
-    wave = 0
-    while True:
-        todo = [i for i, chain in enumerate(chains) if len(chain) > wave]
-        if not todo:
-            break
-        sessions = [replays[i].session(chains[i][wave]) for i in todo]
-        # Wave k+1 sessions are only built after every wave-k result has
-        # been observed, so a chain's policy sees exactly the same
-        # (observe → initial_params) order as the solo replay.
-        for i, result in zip(todo, run_sessions(sessions)):
-            per_chain[i].append(replays[i].outcome(chains[i][wave], result))
-        wave += 1
-    return per_chain
+        )
+        for chain, world in zip(chains, worlds)
+    ]
 
 
 def replay_block(
@@ -303,9 +271,13 @@ def replay_block(
     lists keyed by scheme value.
 
     The one unit behind figure replays and fleet chunks, serial or
-    sharded.  The block's worlds are built once, replayed against by
-    every scheme and die with the block, so the scheme-independent half
-    of a chain is paid once however many schemes replay it.
+    sharded: scheme by scheme, and within a scheme one chain at a time
+    on the solo event loop.  The block's worlds are built once, replayed
+    against by every scheme and die with the block, so the
+    scheme-independent half of a chain is paid once however many schemes
+    replay it; everything else a session or a (scheme, chain) builds is
+    freed as soon as it returns, so a block's memory is its worlds plus
+    the outcomes it hands back.
     """
     worlds = build_worlds(chains, base_index)
     # Resolved through the module global on every call: the benchmark

@@ -22,7 +22,7 @@ Three layers sit between a caller and a raw replay:
    each chain owns its world (plan, origin, live source) and per-session
    seeds, and each (scheme, chain) its cookie store.  A deployment is
    cut into ``(config, wira, schemes, lo, hi)`` tasks of
-   :data:`~repro.experiments.common.WAVE_CHAINS` chains; each task
+   :data:`~repro.experiments.common.BLOCK_CHAINS` chains; each task
    regenerates its range from the deployment seed via
    :meth:`~repro.workload.population.Deployment.generate_range`, replays
    it under every scheme through
@@ -262,8 +262,8 @@ def _replay(
     scheme_values = tuple(scheme.value for scheme in schemes)
     # Read through the module on every call: tests shrink the block size.
     tasks: List[_BlockTask] = [
-        (config, wira_config, scheme_values, lo, min(lo + common.WAVE_CHAINS, n))
-        for lo in range(0, n, common.WAVE_CHAINS)
+        (config, wira_config, scheme_values, lo, min(lo + common.BLOCK_CHAINS, n))
+        for lo in range(0, n, common.BLOCK_CHAINS)
     ]
     blocks = dict(run_tasks(_replay_task, tasks, jobs))
     # Merge in block-index order whatever order the blocks finished in,

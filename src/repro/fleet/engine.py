@@ -161,8 +161,10 @@ def run_chunk(config: FleetConfig, chunk_index: int) -> Dict[str, object]:
     anchor everything else (sharding, checkpointing, resume) rests on.
 
     A chunk is one :func:`~repro.experiments.common.replay_block` — the
-    unit a figure replays too — whose outcomes are folded instead of
-    kept: buffered per scheme (O(chunk) memory) and folded in
+    unit a figure replays too, chain by chain on the solo loop — whose
+    outcomes are folded instead of kept: buffered per scheme (the
+    chunk's outcomes and worlds are all the memory a chunk holds; its
+    sessions are freed as they finish) and folded in
     ``(od, scheme, session)`` order.
     """
     from repro.experiments import common

@@ -423,8 +423,8 @@ def live_status(snapshots: Mapping[int, TelemetrySnapshot]) -> LiveStatus:
         if timed
         else None
     )
-    run_sessions = sum(_snapshot_sessions(s) for s in timed)
-    rate = run_sessions / elapsed if elapsed and elapsed > 0 else None
+    timed_sessions = sum(_snapshot_sessions(s) for s in timed)
+    rate = timed_sessions / elapsed if elapsed and elapsed > 0 else None
     eta: Optional[float] = None
     if done >= n_chunks:
         eta = 0.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -66,7 +67,10 @@ class LiveSource:
 
     def __init__(self, profile: StreamProfile) -> None:
         self.profile = profile
-        self._complexity_cache: List[float] = []
+        # One double per GOP walked, kept for as long as the stream's
+        # world lives: packed, not a list of float objects (a quarter
+        # of the bytes on a walk thousands of GOPs long).
+        self._complexity_cache = array("d")
         self._jitter_cache: Dict[int, List[float]] = {}
         self._metadata_payload = encode_on_metadata(self._metadata())
         self._video_types = self._video_pattern()

@@ -242,11 +242,21 @@ class Connection:
         return self.loss_recovery.bytes_in_flight
 
     def close(self) -> None:
-        """Stop all timers; the connection no longer reacts to input."""
+        """Stop all timers; the connection no longer reacts to input.
+
+        A closed connection calls nobody, so it also lets go of the
+        application callbacks: they are bound methods of objects that
+        hold this connection, and keeping them would keep both alive
+        until a cycle collection.
+        """
         self._closed = True
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+        self.on_stream_data = None
+        self.on_client_hello = None
+        self.on_handshake_complete = None
+        self.on_hx_qos = None
 
     # ------------------------------------------------------------------
     # Receive path

@@ -441,6 +441,7 @@ class ShardServer:
                 sim_loop.run_until(next(steps), max_events=_SLICE_EVENTS)
                 await asyncio.sleep(0)
         except StopIteration as finished:
+            sim_loop.clear()  # as ``StreamingSession._run`` does; the clock stays
             return finished.value, sim_loop.now
 
     # ------------------------------------------------------------------

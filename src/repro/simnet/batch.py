@@ -19,19 +19,16 @@ for any single member the sequence numbers are a strictly increasing
 subsequence of the global order — ties *within* a member resolve exactly
 as they would solo, and cross-member interleaving is invisible to the
 sessions themselves.  The property tests in
-``tests/simnet/test_calqueue.py`` pin the scheduler order; the equality
-tests in ``tests/cdn/test_batchrun.py`` pin end-to-end results.
+``tests/simnet/test_calqueue.py`` pin the scheduler order.
 
-Driving members
----------------
-A free-running member (``horizon`` unset) just executes until the queue
-drains — what the throughput benchmarks use.  A session's member is
-instead driven by the session's own drive loop
-(:meth:`repro.cdn.session.StreamingSession.drive`): for each slice the
-loop asks for, :mod:`repro.cdn.batchrun` sets ``_horizon``/``_budget``,
-and the ``_on_boundary`` / ``_on_drained`` hooks tell it the slice is
-over so it can ask again.  The kernel consults them with one comparison
-per event, so undriven members pay (almost) nothing.
+No replay runs here
+-------------------
+Sessions replay one at a time on the solo :class:`EventLoop` (see
+EXPERIMENTS.md, "One loop, one chain at a time"); the session driver
+that armed members with slice horizons is gone.  What is left is the
+free-running kernel — members execute until the queue drains — and it
+is left only because ``bench/drives.py`` times it by name: it goes with
+the benchmark PR of ROADMAP item 1(a).
 """
 
 from __future__ import annotations
@@ -41,12 +38,6 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro import sanitize as _sanitize
 from repro.simnet.calqueue import CalendarQueue
 from repro.simnet.engine import Event, SimulationError
-
-#: Horizon value for free-running members: never triggers a boundary.
-_NO_HORIZON = float("inf")
-
-#: Budget value for free-running members: never exhausts in practice.
-_NO_BUDGET = 1 << 62
 
 
 class MemberLoop:
@@ -58,28 +49,13 @@ class MemberLoop:
     cannot advance without its siblings.
     """
 
-    __slots__ = (
-        "_kernel",
-        "_now",
-        "_pending",
-        "_processed",
-        "_horizon",
-        "_budget",
-        "_finished",
-        "_on_boundary",
-        "_on_drained",
-    )
+    __slots__ = ("_kernel", "_now", "_pending", "_processed")
 
     def __init__(self, kernel: "BatchEventLoop", start_time: float = 0.0) -> None:
         self._kernel = kernel
         self._now = start_time
         self._pending = 0
         self._processed = 0
-        self._horizon = _NO_HORIZON
-        self._budget = _NO_BUDGET
-        self._finished = False
-        self._on_boundary: Optional[Callable[[float], None]] = None
-        self._on_drained: Optional[Callable[[], None]] = None
 
     @property
     def now(self) -> float:
@@ -183,9 +159,7 @@ class BatchEventLoop:
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain the shared queue in global ``(when, seq)`` order.
 
-        Returns the number of callbacks executed by this call.  Members
-        with drivers installed are sliced per their horizon/budget state;
-        free-running members execute unconditionally.
+        Returns the number of callbacks executed by this call.
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
@@ -197,7 +171,6 @@ class BatchEventLoop:
         executed = 0
         queue = self._queue
         pop = queue.pop
-        push = queue.push
         try:
             while True:
                 if max_events is not None and executed >= max_events:
@@ -205,24 +178,11 @@ class BatchEventLoop:
                 entry = pop()
                 if entry is None:
                     break
-                member = entry[2]
-                if member._finished:
-                    continue
                 ev = entry[3]
                 if ev is not None and ev.cancelled:
                     continue
+                member = entry[2]
                 when = entry[0]
-                if when > member._horizon or member._budget <= 0:
-                    # The member's slice is over: its next event lies past
-                    # the horizon, or the slice's event budget is spent.
-                    # The member's driver decides: advance the slice, run
-                    # a phase transition, or finish the member.  The entry
-                    # goes back in (new events posted by the driver may
-                    # now precede it globally).
-                    member._on_boundary(when)  # type: ignore[misc]
-                    if not member._finished:
-                        push(entry)
-                    continue
                 if sanitizer is not None and when < member._now:
                     sanitizer.check_clock(member._now, when)
                 if ev is not None:
@@ -232,11 +192,6 @@ class BatchEventLoop:
                 entry[4](*entry[5])
                 executed += 1
                 member._processed += 1
-                member._budget -= 1
-                if member._pending == 0:
-                    drained = member._on_drained
-                    if drained is not None:
-                        drained()
         finally:
             if sanitizer is not None:
                 counts = sanitizer.checks_run

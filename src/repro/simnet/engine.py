@@ -152,6 +152,24 @@ class EventLoop:
             raise SimulationError(f"negative delay {delay!r}")
         self.post_at(self._now + delay, callback, *args)
 
+    def clear(self) -> None:
+        """Drop every queued event without running it.
+
+        What a finished simulation leaves queued — a cancelled timer, a
+        delivery still in flight — holds bound methods of the objects
+        that scheduled it, and those objects hold the loop.  Whoever
+        owns the loop calls this once the run is over, so both sides die
+        by reference count.  Handles of dropped events read as finished:
+        a late ``cancel()`` leaves :attr:`pending_events` alone.
+        """
+        if self._running:
+            raise SimulationError("cannot clear a running event loop")
+        for entry in self._heap:
+            if entry[2] is not None:
+                entry[2]._finished = True
+        self._heap.clear()
+        self._pending = 0
+
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain the queue until empty (or ``max_events`` callbacks ran).
 

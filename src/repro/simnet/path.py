@@ -127,6 +127,16 @@ class Path:
     def deliver_to_server(self, callback: Callable[[Datagram], None]) -> None:
         self.reverse.on_deliver = callback
 
+    def close(self) -> None:
+        """Detach both endpoints: nothing is delivered any more.
+
+        The delivery callbacks are bound methods of the endpoints, and
+        the endpoints hold this path's ``send_to_*``; clearing them is
+        what lets a finished topology die by reference count.
+        """
+        self.forward.on_deliver = None
+        self.reverse.on_deliver = None
+
     def send_to_client(self, datagram: Datagram) -> bool:
         """Transmit server→client; returns admission result."""
         return self.forward.send(datagram)

@@ -51,9 +51,8 @@ class TestStatePurity:
         assert fed_policy(obs, seed=2).state_digest() != base
 
     def test_initial_params_is_a_pure_read(self):
-        """Repeated queries must not mutate the estimator (the batched
-        replay relies on this: params may be computed more than once
-        between observes)."""
+        """Repeated queries must not mutate the estimator: a session may
+        compute params twice between observes (provisional, then final)."""
         policy = fed_policy([outcome(4e6), outcome(6e6)])
         ctx = InitContext(config=CONFIG, ff_size=66_000, hx_qos=HX)
         before = policy.state_digest()
@@ -126,8 +125,9 @@ class TestFleetScaleDeterminism:
         assert canonical_json(serial.to_json()) == canonical_json(sharded.to_json())
 
     def test_batched_equals_solo(self):
-        """Wave batching hands each chain's policy the same observe →
-        initial_params order as the solo reference loop."""
+        """The block entry point the benchmark wraps hands each chain's
+        policy the same observe → initial_params order as replaying the
+        chains one by one, and keeps its per-chain-lists shape."""
         config = ADAPTIVE_FLEET.population
         population = FleetPopulation(config)
         chains = [population.chain(index) for index in range(config.n_od_pairs)]

@@ -22,10 +22,10 @@ CONFIG = DeploymentConfig(n_od_pairs=5, seed=23, video_frames_per_session=6)
 @pytest.fixture(autouse=True)
 def untraced_small_blocks(monkeypatch):
     """Blocks of two chains, so five chains make three blocks (the last
-    a single chain, which takes the solo loop); ambient tracing off so
-    the two-chain blocks take the batched kernel.  Pool workers are
-    forked per replay, so they see this state."""
-    monkeypatch.setattr(common, "WAVE_CHAINS", 2)
+    a single chain); ambient tracing off, as it is for the module-scoped
+    reference, so neither side carries phase breakdowns.  Pool workers
+    are forked per replay, so they see this state."""
+    monkeypatch.setattr(common, "BLOCK_CHAINS", 2)
     monkeypatch.delenv("WIRA_TRACE", raising=False)
     monkeypatch.setattr(obs, "ACTIVE", None)
 

@@ -5,7 +5,7 @@ chain owns its world (plan, origin, live source) and seeds and each
 (scheme, chain) its cookie store, so sharding chain blocks across
 processes may not change a single field of any result.
 
-A deployment is cut into tasks of ``WAVE_CHAINS`` chains, and one task
+A deployment is cut into tasks of ``BLOCK_CHAINS`` chains, and one task
 never forks — so the tests that mean to cross a process boundary shrink
 the block to two chains (pool workers are forked per call and see it).
 """
@@ -49,7 +49,7 @@ def no_ambient_tracing():
 @pytest.fixture
 def two_chain_blocks(monkeypatch):
     """Three chains become two tasks: [0, 2) and [2, 3)."""
-    monkeypatch.setattr(common, "WAVE_CHAINS", 2)
+    monkeypatch.setattr(common, "BLOCK_CHAINS", 2)
 
 
 def tiny_config(seed):
@@ -188,8 +188,11 @@ class TestChunkSharding:
 
 class TestBatchedKernel:
     def test_serial_batched_matches_reference(self, no_ambient_tracing):
-        """The batched kernel against the solo reference loop, directly:
-        every chain replayed session by session on its own EventLoop."""
+        """The block replay (shared worlds, scheme-major, cut into
+        blocks) against the reference it must equal: every (scheme,
+        chain) replayed on its own through ``iter_chain_outcomes`` with
+        a private world.  (The id predates the batched kernel's removal
+        and is kept so the floor list still names this check.)"""
         config = tiny_config(3)
         chains = Deployment(config).generate()
         reference = {

@@ -98,8 +98,10 @@ class TestDeterminism:
         assert canonical_json(run_chunk(config, 1)) == canonical_json(first)
 
     def test_batched_chunk_matches_serial_reference(self):
-        """A chunk's aggregate against the solo reference loop, folded
-        here in ``(od, scheme, session)`` order, must be byte-identical."""
+        """A chunk's aggregate against the per-chain reference
+        (``iter_chain_outcomes`` with a private world per scheme and
+        chain), folded here in ``(od, scheme, session)`` order, must be
+        byte-identical.  (The id predates the batched kernel's removal.)"""
         config = small_config(chunk_chains=3)
         population = FleetPopulation(config.population)
         for chunk_index in range(config.n_chunks):

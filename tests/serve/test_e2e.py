@@ -6,9 +6,11 @@ campaign through ``tools/wira_serve``.
 """
 
 import asyncio
+import gc
 
 import pytest
 
+from repro.quic.connection import Connection
 from repro.serve.driver import ServeDriver
 from repro.serve.loadtest import ControlClient, ServeLoadtestConfig, run_loadtest
 from repro.serve.shard import SESSION_LINGER, ShardServer
@@ -120,7 +122,16 @@ class TestFinishedSessionsHoldNothing:
     bytes) and rise as the edge gets faster."""
 
     def test_timeline_released_at_done_and_tasks_drop_themselves(self):
-        asyncio.run(self._run())
+        # Collector off for the whole campaign: a simulated topology is
+        # gone when its SHLO is, freed by its executor, not collected.
+        gc.collect()
+        gc.disable()
+        try:
+            asyncio.run(self._run())
+            alive = [o for o in gc.get_objects() if isinstance(o, Connection)]
+        finally:
+            gc.enable()
+        assert alive == []
 
     async def _run(self):
         config = ServeLoadtestConfig(population=_population(3, seed=5))

@@ -206,3 +206,34 @@ def test_loop_not_reentrant():
 
     loop.call_later(0.0, reenter)
     loop.run()
+
+
+def test_clear_drops_what_is_queued_and_keeps_the_loop_usable():
+    loop = EventLoop()
+    fired = []
+    kept = loop.call_later(1.0, fired.append, "timer")
+    cancelled = loop.call_later(2.0, fired.append, "cancelled")
+    cancelled.cancel()
+    loop.post_later(3.0, fired.append, "delivery")
+    loop.run_until(0.5)
+    loop.clear()
+    assert loop.pending_events == 0
+    assert loop.now == 0.5  # the clock is not touched
+    # Handles of dropped events read as finished: a late cancel is a no-op.
+    kept.cancel()
+    assert loop.pending_events == 0
+    assert loop.run() == 0 and fired == []
+    loop.post_later(0.1, fired.append, "after")
+    loop.run()
+    assert fired == ["after"]
+
+
+def test_clear_refused_while_running():
+    loop = EventLoop()
+
+    def clear_from_inside():
+        with pytest.raises(SimulationError):
+            loop.clear()
+
+    loop.call_later(0.0, clear_from_inside)
+    loop.run()

@@ -1,8 +1,8 @@
 """Regression tests for anchored zone matching in the rule registry.
 
 The original matcher used substring-in-path tests, so a zone like
-``src/repro/cdn/batchrun`` matched *any* path containing that substring
-(``src/repro/cdn/batchrun_extra.py``, ``attic/src/repro/cdn/batchrun/…``
+``src/repro/core/schemes`` matched *any* path containing that substring
+(``src/repro/core/schemes_extra.py``, ``attic/src/repro/core/schemes/…``
 copies, even paths where the run straddles segment boundaries).  The
 anchored matcher requires whole path segments; these tests pin the
 near-miss behaviour so the bug cannot return.
@@ -17,13 +17,13 @@ class TestZoneMatch:
 
     def test_module_file_matches_final_segment(self):
         # The final zone segment may name the module file itself.
-        assert zone_match("src/repro/cdn/batchrun.py", "src/repro/cdn/batchrun")
+        assert zone_match("src/repro/core/schemes.py", "src/repro/core/schemes")
 
     def test_near_miss_prefix_module_name_rejected(self):
-        # The substring matcher accepted this: "src/repro/cdn/batchrun"
-        # is a substring of the path, but batchrun_extra is a different
-        # module and must not inherit batchrun's typed-zone contract.
-        assert not zone_match("src/repro/cdn/batchrun_extra.py", "src/repro/cdn/batchrun")
+        # The substring matcher accepted this: "src/repro/core/schemes"
+        # is a substring of the path, but schemes_extra is a different
+        # module and must not inherit schemes' typed-zone contract.
+        assert not zone_match("src/repro/core/schemes_extra.py", "src/repro/core/schemes")
 
     def test_near_miss_segment_straddle_rejected(self):
         assert not zone_match("notsrc/repro/simnet/engine.py", "src/repro/simnet")
@@ -47,15 +47,15 @@ class TestZoneMatch:
 
     def test_directory_name_equal_to_zone_file_segment(self):
         # Zone naming a module also matches a package directory of the
-        # same name (batchrun/ split into a package keeps its contract).
-        assert zone_match("src/repro/cdn/batchrun/driver.py", "src/repro/cdn/batchrun")
+        # same name (schemes/ split into a package keeps its contract).
+        assert zone_match("src/repro/core/schemes/registry.py", "src/repro/core/schemes")
 
 
 class TestRuleAppliesTo:
     def test_wl006_does_not_leak_to_sibling_module(self):
         rule = RULES["WL006"]
-        assert rule.applies_to("src/repro/cdn/batchrun.py")
-        assert not rule.applies_to("src/repro/cdn/batchrun_extra.py")
+        assert rule.applies_to("src/repro/core/schemes.py")
+        assert not rule.applies_to("src/repro/core/schemes_extra.py")
         assert not rule.applies_to("src/repro/cdn/session.py")
 
     def test_exempt_zone_wins(self):

@@ -6,12 +6,12 @@ A zone entry like ``src/repro/simnet`` is an **anchored segment
 pattern**: it matches a path when its ``/``-separated segments appear as
 a contiguous run of whole path segments, with the final zone segment
 allowed to name either a directory (``.../simnet/engine.py``) or the
-module file itself (``src/repro/cdn/batchrun`` matches
-``src/repro/cdn/batchrun.py``).  Each segment is an ``fnmatch`` glob, so
+module file itself (``src/repro/core/schemes`` matches
+``src/repro/core/schemes.py``).  Each segment is an ``fnmatch`` glob, so
 ``src/repro/*`` is legal.  Segment anchoring is what lets the registry
 work both on checkouts and on test fixtures written to a temporary
 directory mirroring the layout (``/tmp/.../src/repro/simnet/x.py``)
-while rejecting near-misses such as ``src/repro/cdn/batchrun_extra.py``
+while rejecting near-misses such as ``src/repro/core/schemes_extra.py``
 or ``notsrc/repro/simnet/x.py`` that the old substring matcher accepted.
 """
 
@@ -56,14 +56,13 @@ TYPED_ZONE: Tuple[str, ...] = (
     "src/repro/faults",
     "src/repro/fleet",
     "src/repro/runtime",
-    "src/repro/cdn/batchrun",
     "src/repro/serve",
     # Scheme-plugin surface: the registry and the online policies are an
     # extension API, so their signatures are part of the contract.
     "src/repro/core/schemes",
     "src/repro/core/adaptive",
     # The replay core every engine shares: chain worlds, per-scheme
-    # replay state, the wave-batched kernel's driver.
+    # replay state, the block replay.
     "src/repro/experiments/common",
     "tools/wira_fleet",
     "tools/wira_serve",
@@ -298,9 +297,9 @@ SLOTS_REGISTRY = frozenset(
         "Packet",
         "StreamChunk",
         "StreamFrame",
-        # Batched-kernel scheduler core: one CalendarQueue entry and one
-        # MemberLoop clock touch per simulated event across every member
-        # session sharing the kernel.
+        # The free-running batch kernel the benchmark still times: one
+        # CalendarQueue entry and one MemberLoop clock touch per event
+        # (MemberLoop is down to kernel, clock and two counters).
         "BatchEventLoop",
         "CalendarQueue",
         "MemberLoop",
@@ -339,8 +338,9 @@ MERGE_FUNC_RE = re.compile(r"(?:^|_)(merge|replay|aggregate|combine|reduce|recom
 #: Duck-type contracts for WL015: any class statically observed flowing
 #: into a parameter annotated with (or ``typing.cast`` to) the contract
 #: name must provide every member of the surface.  ``EventLoop`` is the
-#: canonical solo scheduler; ``BatchEventLoop`` members (``MemberLoop``)
-#: duck-type the same surface so sessions cannot tell solo from batched.
+#: scheduler every session runs on; ``MemberLoop`` still duck-types the
+#: surface (the tests hand one to a ``Link``) and the rule goes when it
+#: does, with the benchmark PR that unpins ``BatchEventLoop``.
 DUCK_CONTRACTS = {
     "EventLoop": ("now", "post_at", "post_later", "pending_events"),
 }
