@@ -5,20 +5,26 @@ parser or the path, Wira must *degrade* — never fail, and never fall
 meaningfully behind the baseline it is supposed to improve on.  This
 module turns that claim into an executable gate:
 
-* every cell of the (scheme × fault × adverse-schedule) matrix runs a
+* every cell of the (scheme × fault × adverse-schedule) matrix is a
   two-session chain on the simulator — the first session primes the
   client's cookie store, the second carries the fault and the adverse
   schedule, so cookie faults hit a *real* echoed cookie;
+* the priming session is clean and depends only on ``(scheme, seed)``,
+  so a *row* — all cells of one ``(scheme, seed)`` — simulates it once
+  (:func:`prime_chain`) and every cell of the row measures from its own
+  copy of the primed cookie store and manager;
 * **completion gate** — every session of every cell must complete;
 * **degradation gate** — for each (fault, schedule) cell, Wira's mean
   FFCT across the seed set must stay within ``ffct_ratio_bound`` of
   BASELINE's under the *same* fault, schedule and seeds.
 
-Cells are independent, so the matrix runs as one task per cell through
-:func:`repro.runtime.pool.run_tasks`, the executor the deployment replay
-uses (``--jobs`` / ``WIRA_JOBS``), with results placed back in
-deterministic cell order — a parallel run is bit-identical to a serial
-one, and whatever a failed pool left undone finishes in-process.
+Rows are independent, so the matrix runs as one task per (scheme, seed)
+row through :func:`repro.runtime.pool.run_tasks`, the executor the
+deployment replay uses (``--jobs`` / ``WIRA_JOBS``), with results placed
+back in deterministic cell order — a parallel run is bit-identical to a
+serial one, and whatever a failed pool left undone finishes in-process.
+The row is therefore the grain of ``--jobs``: the default matrix is 14
+tasks and ``--quick`` is 5, however many cells each holds.
 
 CLI::
 
@@ -32,9 +38,11 @@ for CI artifact upload.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.origin import Origin
@@ -71,7 +79,7 @@ MATRIX_SCHEMES: Tuple[SchemeLike, ...] = (
 )
 
 #: Per-schedule degradation-bound overrides (effective bound is the max
-#: of the global bound and the override).  A total mid-transfer outage
+#: of ``ffct_ratio_bound`` and the override).  A total mid-transfer outage
 #: punishes whichever sender had the most in flight when the link cut —
 #: on these paths the baseline can slide under the outage by sheer
 #: slowness while Wira's front-loaded burst is eaten and must wait out
@@ -163,7 +171,8 @@ class RobustnessConfig:
 
     @classmethod
     def quick(cls) -> "RobustnessConfig":
-        """Reduced scale for CI: one seed, the two gate-relevant schemes."""
+        """Reduced scale for CI: one seed, four schedules, five schemes —
+        ``baseline``, ``wira``, ``adaptive``, ``wira_bbr2``, ``wira_ar``."""
         return cls(
             seeds=(7,),
             schemes=(
@@ -209,6 +218,53 @@ class CellResult:
         }
 
 
+@dataclass(frozen=True)
+class PrimedChain:
+    """What the clean priming session of one (scheme, seed) leaves behind.
+
+    ``store`` and ``manager`` are the originals the priming session wrote
+    into; no later session may run on them — a cell measures from
+    :meth:`cell_state`.  ``origin`` is safe to share: its source is a
+    pure memo of the stream seed.
+    """
+
+    completed: bool
+    store: ClientCookieStore
+    manager: ServerCookieManager
+    origin: Origin
+
+    def cell_state(self) -> Tuple[ClientCookieStore, ServerCookieManager]:
+        """A private copy of the primed pair: whatever a cell's fault or
+        measured session writes (a pushed cookie, the nonce counter, the
+        rejection counts) stays in that cell."""
+        return copy.deepcopy((self.store, self.manager))
+
+
+def prime_chain(
+    scheme: SchemeSpec, seed: int, config: RobustnessConfig
+) -> PrimedChain:
+    """Run the clean priming session every cell of a (scheme, seed) shares."""
+    origin = Origin()
+    origin.add_stream("stream", StreamProfile(seed=config.stream_seed))
+    store = ClientCookieStore()
+    manager = ServerCookieManager(COOKIE_KEY)
+    spec = SessionSpec(
+        conditions=config.conditions,
+        scheme=scheme,
+        epoch=0.0,
+        seed=seed,
+        timeout=config.timeout,
+        trace_label=f"rb-{scheme.value}-s{seed}-prime",
+    )
+    primed = StreamingSession(
+        spec, origin, "stream", cookie_store=store, cookie_manager=manager
+    ).run()
+    # WiraClient.close() unhooks its eviction observer; one left behind
+    # would drag the finished session into every cell's copy.
+    assert store._on_evict is None
+    return PrimedChain(primed.completed, store, manager, origin)
+
+
 def run_cell(
     scheme: SchemeSpec,
     fault_name: str,
@@ -217,32 +273,32 @@ def run_cell(
     schedule: Optional[PathSchedule],
     seed: int,
     config: RobustnessConfig,
+    primed: Optional[PrimedChain] = None,
 ) -> CellResult:
-    """Two-session chain: prime the cookie clean, then measure faulted."""
-    origin = Origin()
-    origin.add_stream("stream", StreamProfile(seed=config.stream_seed))
-    store = ClientCookieStore()
-    manager = ServerCookieManager(COOKIE_KEY)
-    prime_spec = SessionSpec(
+    """Two-session chain: prime the cookie clean, then measure faulted.
+
+    ``primed`` is the row's shared priming (:func:`run_row`); without it
+    the cell primes for itself.  Either way the outcome is the same.
+    """
+    if primed is None:
+        primed = prime_chain(scheme, seed, config)
+    store, manager = primed.cell_state()
+    measured_spec = SessionSpec(
         conditions=config.conditions,
         scheme=scheme,
-        epoch=0.0,
-        seed=seed,
-        timeout=config.timeout,
-        trace_label=f"rb-{scheme.value}-{fault_name}-{schedule_name}-s{seed}-prime",
-    )
-    primed = StreamingSession(
-        prime_spec, origin, "stream", cookie_store=store, cookie_manager=manager
-    ).run()
-    measured_spec = prime_spec.with_(
         epoch=SESSION_GAP,
         seed=seed + 1,
-        fault_plan=plan,
+        timeout=config.timeout,
         schedule=schedule,
+        fault_plan=plan,
         trace_label=f"rb-{scheme.value}-{fault_name}-{schedule_name}-s{seed}",
     )
     measured = StreamingSession(
-        measured_spec, origin, "stream", cookie_store=store, cookie_manager=manager
+        measured_spec,
+        primed.origin,
+        "stream",
+        cookie_store=store,
+        cookie_manager=manager,
     ).run()
     return CellResult(
         scheme=scheme,
@@ -258,7 +314,7 @@ def run_cell(
 
 
 # ---------------------------------------------------------------------------
-# Matrix execution: one task per cell.
+# Matrix execution: one task per (scheme, seed) row.
 
 
 def enumerate_cells(config: RobustnessConfig) -> List[Cell]:
@@ -282,11 +338,31 @@ def enumerate_cells(config: RobustnessConfig) -> List[Cell]:
     ]
 
 
-def _run_cell_unit(unit: Tuple[Cell, RobustnessConfig]) -> CellResult:
-    (scheme, fault_name, schedule_name, seed), config = unit
-    plan = fault_plan_matrix()[fault_name]
-    schedule = build_schedules(config.conditions)[schedule_name]
-    return run_cell(scheme, fault_name, plan, schedule_name, schedule, seed, config)
+def run_row(cells: Sequence[Cell], config: RobustnessConfig) -> List[CellResult]:
+    """Measure ``cells`` — all of one (scheme, seed) — from one priming.
+
+    The priming session, the fault plans, the schedules and the origin
+    are built once here and live no longer than this call.
+    """
+    scheme, _, _, seed = cells[0]
+    if any((cell[0], cell[3]) != (scheme, seed) for cell in cells):
+        raise ValueError("a row holds the cells of one (scheme, seed)")
+    plans = fault_plan_matrix()
+    schedules = build_schedules(config.conditions)
+    primed = prime_chain(scheme, seed, config)
+    return [
+        run_cell(
+            scheme,
+            fault_name,
+            plans[fault_name],
+            schedule_name,
+            schedules[schedule_name],
+            seed,
+            config,
+            primed=primed,
+        )
+        for _, fault_name, schedule_name, _ in cells
+    ]
 
 
 def run_matrix(
@@ -294,11 +370,21 @@ def run_matrix(
 ) -> List[CellResult]:
     """Run every cell; order (and content) is independent of ``jobs``."""
     config = config or RobustnessConfig()
-    units = [(cell, config) for cell in enumerate_cells(config)]
-    # Cells finish in any order; the index puts each back in its
-    # enumerate_cells slot.
-    by_index = dict(run_tasks(_run_cell_unit, units, resolve_jobs(jobs)))
-    return [by_index[index] for index in range(len(units))]
+    cells = enumerate_cells(config)
+    # Row → the enumerate_cells slots of its cells, rows in order of
+    # first appearance.
+    slots: Dict[Tuple[SchemeSpec, int], List[int]] = {}
+    for index, (scheme, _, _, seed) in enumerate(cells):
+        slots.setdefault((scheme, seed), []).append(index)
+    rows = list(slots.values())
+    tasks = [[cells[index] for index in row] for row in rows]
+    # Rows finish in any order; the slots put each cell back in place.
+    results: Dict[int, CellResult] = {}
+    for row_index, row_results in run_tasks(
+        partial(run_row, config=config), tasks, resolve_jobs(jobs)
+    ):
+        results.update(zip(rows[row_index], row_results))
+    return [results[index] for index in range(len(cells))]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +483,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="reduced scale (one seed, BASELINE+WIRA, four schedules) for CI",
+        help=(
+            "reduced scale for CI: one seed, four schedules, five schemes "
+            "(baseline, wira, adaptive, wira_bbr2, wira_ar)"
+        ),
     )
     parser.add_argument("--jobs", type=int, default=None, help="worker processes")
     parser.add_argument(

@@ -1,11 +1,15 @@
 """Tests for the robustness gate matrix (scheme × fault × schedule)."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro import obs
+from repro.cdn.session import StreamingSession
 from repro.core.schemes import BASELINE, WIRA, as_spec
 from repro.experiments.robustness import (
+    MATRIX_SCHEMES,
     CellResult,
     RobustnessConfig,
     build_schedules,
@@ -13,8 +17,10 @@ from repro.experiments.robustness import (
     evaluate_gates,
     fault_plan_matrix,
     main,
+    prime_chain,
     run_cell,
     run_matrix,
+    run_row,
 )
 from repro.faults import FaultKind
 
@@ -192,6 +198,105 @@ class TestMatrixExecution:
         )
         assert result.primed_completed
         assert result.completed and result.ffct is not None
+
+
+#: sha256 of ``--quick --output``'s bytes at the last commit that primed
+#: every cell for itself (6d6d109), ``--jobs 1`` and ``--jobs 2`` alike.
+QUICK_REPORT_DIGEST = "5b479ec51787712a96c4b88b0f4fe590b01e8c83e9169f76fe0c521620e50e07"
+
+COOKIE_FAULTS = ("cookie_corrupt", "cookie_truncate", "hqst_garbage")
+
+
+def standalone(cell_, config):
+    """The cell run on its own: primes for itself, shares nothing."""
+    scheme, fault_name, schedule_name, seed = cell_
+    return run_cell(
+        scheme,
+        fault_name,
+        fault_plan_matrix()[fault_name],
+        schedule_name,
+        build_schedules(config.conditions)[schedule_name],
+        seed,
+        config,
+    )
+
+
+class TestRowPriming:
+    """A row primes once; no cell can tell."""
+
+    @pytest.mark.parametrize(
+        "scheme", [as_spec(s) for s in MATRIX_SCHEMES], ids=lambda s: s.value
+    )
+    def test_row_cells_equal_their_standalone_runs(self, scheme):
+        config = RobustnessConfig(
+            seeds=(7,),
+            schemes=(scheme,),
+            schedule_names=("steady", "bursty_ge"),
+            fault_names=("none", *COOKIE_FAULTS, "ff_size_huge"),
+        )
+        cells = enumerate_cells(config)
+        assert run_row(cells, config) == [standalone(c, config) for c in cells]
+
+    @pytest.mark.parametrize("fault", COOKIE_FAULTS)
+    def test_cookie_fault_does_not_reach_the_next_cell(self, fault):
+        config = RobustnessConfig()
+        cells = [(WIRA, fault, "steady", 7), (WIRA, "none", "steady", 7)]
+        faulted, clean = run_row(cells, config)
+        assert not faulted.used_cookie
+        assert clean.used_cookie
+        assert clean == standalone(cells[1], config)
+
+    def test_cells_measure_from_copies_of_the_primed_state(self):
+        config = RobustnessConfig()
+        primed = prime_chain(WIRA, 7, config)
+        before = (primed.store.get("origin"), vars(primed.manager).copy())
+        store, manager = primed.cell_state()
+        assert store is not primed.store and manager is not primed.manager
+        assert store._on_evict is None
+        run_cell(WIRA, "none", None, "steady", None, 7, config, primed=primed)
+        assert (primed.store.get("origin"), vars(primed.manager)) == before
+
+    def test_row_rejects_cells_of_another_row(self):
+        with pytest.raises(ValueError, match="one \\(scheme, seed\\)"):
+            run_row([(WIRA, "none", "steady", 7), (WIRA, "none", "steady", 19)], SMALL)
+
+    def test_quick_matrix_simulates_rows_plus_cells_sessions(self, monkeypatch):
+        labels = []
+        run = StreamingSession.run
+
+        def counted(session):
+            labels.append(session.spec.trace_label)
+            return run(session)
+
+        monkeypatch.setattr(StreamingSession, "run", counted)
+        results = run_matrix(RobustnessConfig.quick(), jobs=1)
+        assert len(results) == 200
+        assert len(labels) == 5 + 200  # 400 when every cell primed
+        assert sum(label.endswith("-prime") for label in labels) == 5
+
+    def test_quick_report_bytes_are_pinned_and_jobs_independent(self, tmp_path):
+        for jobs in (1, 2):
+            out = tmp_path / f"report-j{jobs}.json"
+            assert main(["--quick", "--jobs", str(jobs), "--output", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == QUICK_REPORT_DIGEST
+
+    def test_row_trace_scopes(self, monkeypatch):
+        labels = []
+        scope = obs.TraceBus.session
+
+        def recording(bus, label):
+            labels.append(label)
+            return scope(bus, label)
+
+        monkeypatch.setattr(obs.TraceBus, "session", recording)
+        cells = enumerate_cells(SMALL)[:4]  # the baseline, seed-7 row
+        with obs.tracing():
+            run_row(cells, SMALL)
+        assert labels[0] == "rb-baseline-s7-prime"
+        assert labels[1:] == [
+            f"rb-baseline-{fault}-{schedule}-s7" for _, fault, schedule, _ in cells
+        ]
+        assert len(set(labels)) == len(labels)
 
 
 class TestCli:
