@@ -31,14 +31,6 @@ class OriginFetch:
     stream_name: str
     frames: Tuple[Tuple[MediaFrame, float], ...]
 
-    @property
-    def media_frames(self) -> List[MediaFrame]:
-        return [frame for frame, _ in self.frames]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(frame.size for frame, _ in self.frames)
-
 
 class UnknownStreamError(KeyError):
     """Requested stream is not hosted by this origin."""
@@ -71,9 +63,6 @@ class Origin:
             return self._streams[name]
         except KeyError:
             raise UnknownStreamError(name) from None
-
-    def stream_names(self) -> List[str]:
-        return sorted(self._streams)
 
     def fetch(
         self,

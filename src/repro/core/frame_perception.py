@@ -99,10 +99,6 @@ class FrameParser:
                     return self.ff_size
         return None
 
-    def units(self) -> List[ParsedUnit]:
-        """The header/frame units accounted so far (diagnostics)."""
-        return list(self._units)
-
     def breakdown(self) -> dict:
         """FF_Size decomposition by contribution, for reporting."""
         by_kind: dict = {"header": 0}

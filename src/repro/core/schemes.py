@@ -294,11 +294,6 @@ def as_spec(scheme: SchemeLike) -> SchemeSpec:
     return spec
 
 
-def display_name(scheme: SchemeLike) -> str:
-    """Human label for a scheme, from the registry (single source)."""
-    return as_spec(scheme).display_name
-
-
 def make_policy(scheme: SchemeLike, seed: int = 0) -> InitPolicy:
     """Build the per-chain policy instance for a scheme."""
     spec = as_spec(scheme)

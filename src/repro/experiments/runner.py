@@ -1,24 +1,16 @@
-"""Figure replay: a campaign that keeps its records, plus a result cache.
+"""Figure replay: a campaign that keeps its records, memoized in-process.
 
 This is the single entry point behind every Fig 11–15 experiment: it
 replays a :class:`~repro.workload.population.Deployment` under each
 comparison scheme and returns the paired ``DeploymentRecords`` structure
 defined in :mod:`repro.experiments.common`.
 
-Three layers sit between a caller and a raw replay:
+Two layers sit between a caller and a raw replay:
 
 1. **In-process memo** — repeated calls in one interpreter (e.g. every
-   figure of a benchmark session) share one replay, as before.
-2. **Persistent disk cache** — results are pickled under
-   ``$WIRA_CACHE_DIR`` (default ``~/.cache/wira-repro``), keyed by a
-   content hash of the deployment configuration, the Wira configuration,
-   the scheme set, a cache-format version, and a fingerprint of the
-   ``repro`` package sources.  Separate pytest/benchmark invocations
-   therefore pay for the headline replay once.  A corrupt, truncated or
-   stale cache file is silently discarded and recomputed — the cache can
-   never turn a valid run into a crash.  Set ``WIRA_DISK_CACHE=0`` to
-   disable.
-3. **Block tasks** — the work units of a deployment are independent:
+   figure of a benchmark session) share one replay.  Nothing is read
+   from or written to disk: a new process replays afresh.
+2. **Block tasks** — the work units of a deployment are independent:
    each chain owns its world (plan, origin, live source) and per-session
    seeds, and each (scheme, chain) its cookie store.  A deployment is
    cut into ``(config, wira, schemes, lo, hi)`` tasks of
@@ -42,7 +34,6 @@ set is byte-identical for any ``jobs``.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import pickle
@@ -56,17 +47,10 @@ from repro.core.schemes import SchemeLike, SchemeSpec, as_spec
 from repro.experiments import common
 from repro.experiments.common import DeploymentRecords, SessionOutcome
 from repro.runtime import settings
-from repro.runtime.fingerprint import source_fingerprint
 from repro.runtime.pool import resolve_jobs, run_tasks
 from repro.workload.population import Deployment, DeploymentConfig
 
 logger = logging.getLogger(__name__)
-
-#: Bump when the serialized record layout (or replay semantics not
-#: captured by the source fingerprint) changes incompatibly.
-#: 2: SessionResult gained ``phase_breakdown``.
-#: 3: records are keyed by ``SchemeSpec`` (scheme registry).
-CACHE_FORMAT_VERSION = 3
 
 _MEMORY_CACHE: Dict[tuple, DeploymentRecords] = {}
 
@@ -75,27 +59,15 @@ def _tracing_to_disk() -> bool:
     return _obs.ACTIVE is not None and _obs.ACTIVE.trace_dir is not None
 
 
+# ---------------------------------------------------------------------------
+# Pickled records on disk.  No replay reads or writes these files:
+# ``bench/drives.py`` times ``store_cached`` and ``load_cached`` by name,
+# and they go when it stops naming them.
+
+
 def cache_dir() -> Path:
-    """Directory holding pickled replay results (``WIRA_CACHE_DIR``)."""
+    """Directory of the pickled records (``WIRA_CACHE_DIR``)."""
     return settings.current().cache_dir
-
-
-def cache_key(
-    config: DeploymentConfig,
-    wira_config: WiraConfig,
-    schemes: Sequence[SchemeLike],
-) -> str:
-    """Stable content hash identifying one replay's inputs."""
-    payload = repr(
-        (
-            CACHE_FORMAT_VERSION,
-            source_fingerprint(),
-            sorted(as_spec(s).value for s in schemes),
-            sorted(vars(config).items()),
-            sorted(vars(wira_config).items()),
-        )
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:40]
 
 
 def _cache_path(key: str) -> Path:
@@ -103,7 +75,7 @@ def _cache_path(key: str) -> Path:
 
 
 def load_cached(key: str) -> Optional[DeploymentRecords]:
-    """Load a persisted replay; any defect means ``None``, never a crash."""
+    """Load records stored under ``key``; any defect means ``None``, never a crash."""
     path = _cache_path(key)
     try:
         with path.open("rb") as fh:
@@ -128,7 +100,7 @@ def load_cached(key: str) -> Optional[DeploymentRecords]:
 
 
 def store_cached(key: str, records: DeploymentRecords) -> None:
-    """Persist a replay atomically; failures are logged, not raised."""
+    """Pickle records under ``key`` atomically; failures are logged, not raised."""
     path = _cache_path(key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -158,15 +130,9 @@ def _looks_like_records(records) -> bool:
     return True
 
 
-def clear_caches(disk: bool = False) -> None:
-    """Drop the in-process memo (and optionally the persisted files)."""
+def clear_caches() -> None:
+    """Drop the in-process memo."""
     _MEMORY_CACHE.clear()
-    if disk:
-        try:
-            for path in cache_dir().glob("deployment-*.pkl"):
-                path.unlink()
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +151,8 @@ def run_deployment(
     Parameters
     ----------
     use_cache:
-        ``False`` bypasses both the in-process memo and the disk cache
-        (and does not populate them).  ``WIRA_DISK_CACHE=0`` switches
-        off the disk half alone.
+        ``False`` bypasses the in-process memo (and does not populate
+        it).
     jobs:
         Worker processes.  ``None`` consults ``WIRA_JOBS``; 1 replays
         in-process.
@@ -196,7 +161,7 @@ def run_deployment(
     wira_config = wira_config or WiraConfig()
     if schemes is None:
         schemes = common.EVAL_SCHEMES
-    # Normalize once: every layer below (tasks, caches, record keys)
+    # Normalize once: every layer below (tasks, memo, record keys)
     # works on canonical SchemeSpec values; value-equality keeps the
     # returned records addressable by specs and value strings.
     schemes = tuple(as_spec(s) for s in schemes)
@@ -206,29 +171,16 @@ def run_deployment(
         tuple(sorted(vars(wira_config).items())),
     )
     if _tracing_to_disk():
-        # A cache hit would skip the replay — and with it the trace
-        # files the caller asked for.  Replay for real, without
-        # poisoning the caches with this run's breakdown-carrying
-        # records (callers not tracing should keep hitting the
-        # breakdown-free cached records).
+        # A memo hit would skip the replay — and with it the trace files
+        # the caller asked for.  Replay for real, without poisoning the
+        # memo with this run's breakdown-carrying records (callers not
+        # tracing should keep hitting the breakdown-free ones).
         use_cache = False
     if use_cache and memo_key in _MEMORY_CACHE:
         return _MEMORY_CACHE[memo_key]
-
-    persist = use_cache and settings.current().disk_cache
-    key = cache_key(config, wira_config, schemes) if persist else None
-    if key is not None:
-        records = load_cached(key)
-        if records is not None:
-            _MEMORY_CACHE[memo_key] = records
-            return records
-
     records = _replay(config, schemes, wira_config, resolve_jobs(jobs))
-
     if use_cache:
         _MEMORY_CACHE[memo_key] = records
-    if key is not None:
-        store_cached(key, records)
     return records
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.media.amf import decode_on_metadata, encode_on_metadata
 from repro.media.frames import MediaFrame, MediaFrameType
@@ -84,11 +84,7 @@ class FlvTag:
         """Strip container framing back to the elementary frame."""
         frame_type = self.media_frame_type
         payload = self.data if frame_type == MediaFrameType.SCRIPT else self.data[1:]
-        return MediaFrame(frame_type, self.pts_or_zero, payload)
-
-    @property
-    def pts_or_zero(self) -> int:
-        return self.timestamp_ms
+        return MediaFrame(frame_type, self.timestamp_ms, payload)
 
     @property
     def on_wire_size(self) -> int:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 class MediaFrameType(enum.Enum):
@@ -70,14 +70,6 @@ class Gop:
     @classmethod
     def of(cls, frames: Sequence[MediaFrame]) -> "Gop":
         return cls(tuple(frames))
-
-    @property
-    def video_frames(self) -> List[MediaFrame]:
-        return [f for f in self.frames if f.is_video]
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(f.size for f in self.frames)
 
     def first_frame_bytes(self, video_frame_threshold: int = 1) -> int:
         """Payload bytes of the paper's "first frame" (§IV-A).

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from repro.media.amf import encode_on_metadata
@@ -222,7 +222,3 @@ class LiveSource:
                     break
                 pattern.append(MediaFrameType.VIDEO_B)
         return pattern
-
-    def first_frame_size_at(self, time_s: float, video_frame_threshold: int = 1) -> int:
-        """Media-level first-frame size for a join at ``time_s``."""
-        return self.gop_at(time_s).first_frame_bytes(video_frame_threshold)

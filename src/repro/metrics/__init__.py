@@ -6,7 +6,7 @@ from repro.metrics.stats import (
     mean,
     percentile,
 )
-from repro.metrics.collector import MetricSeries, SchemeCollector
+from repro.metrics.collector import MetricSeries
 from repro.metrics.report import Table, format_ms, format_pct
 from repro.metrics.sketch import (
     DEFAULT_ALPHA,
@@ -22,7 +22,6 @@ __all__ = [
     "ExactSum",
     "MetricSeries",
     "QuantileSketch",
-    "SchemeCollector",
     "SketchCdf",
     "StatAccumulator",
     "Table",

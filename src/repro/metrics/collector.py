@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.metrics.sketch import QuantileSketch, SketchCdf, StatAccumulator
 from repro.metrics.stats import Cdf, mean, percentile
@@ -104,25 +104,3 @@ class MetricSeries:
         if base == 0:
             return None
         return (base - ours) / base
-
-
-class SchemeCollector:
-    """Samples bucketed by (scheme, metric) with optional sub-buckets."""
-
-    def __init__(self) -> None:
-        self._series: Dict[tuple, MetricSeries] = {}
-
-    def series(self, scheme: str, metric: str, bucket: str = "") -> MetricSeries:
-        key = (scheme, metric, bucket)
-        if key not in self._series:
-            self._series[key] = MetricSeries(f"{scheme}/{metric}" + (f"/{bucket}" if bucket else ""))
-        return self._series[key]
-
-    def add(self, scheme: str, metric: str, value: Optional[float], bucket: str = "") -> None:
-        self.series(scheme, metric, bucket).add(value)
-
-    def schemes(self) -> List[str]:
-        return sorted({scheme for scheme, _, _ in self._series})
-
-    def buckets(self, metric: str) -> List[str]:
-        return sorted({b for _, m, b in self._series if m == metric and b})

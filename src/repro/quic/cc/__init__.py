@@ -3,8 +3,8 @@
 The paper deploys Wira's initial-parameter overrides on **BBRv1**
 ("we select the BBR (with version 1) scheme to support the above
 parameter configurations", §VI).  :mod:`repro.quic.cc.bbr` is therefore
-the primary controller; :mod:`repro.quic.cc.cubic` and
-:mod:`repro.quic.cc.reno` exist for substrate ablations.
+the primary controller; :mod:`repro.quic.cc.cubic` exists for
+substrate ablations.
 
 Every controller honours the two Wira hooks on
 :class:`~repro.quic.cc.base.CongestionController`:
@@ -17,18 +17,16 @@ from repro.quic.cc.base import CongestionController
 from repro.quic.cc.bbr import BbrSender
 from repro.quic.cc.bbr2 import Bbr2Sender
 from repro.quic.cc.cubic import CubicSender
-from repro.quic.cc.reno import RenoSender
 
 CONTROLLERS = {
     "bbr": BbrSender,
     "bbrv2": Bbr2Sender,
     "cubic": CubicSender,
-    "reno": RenoSender,
 }
 
 
 def make_controller(name: str, **kwargs: Any) -> CongestionController:
-    """Instantiate a controller by name (``bbr``/``bbrv2``/``cubic``/``reno``)."""
+    """Instantiate a controller by name (``bbr``/``bbrv2``/``cubic``)."""
     try:
         cls = CONTROLLERS[name]
     except KeyError:
@@ -41,7 +39,6 @@ __all__ = [
     "BbrSender",
     "CongestionController",
     "CubicSender",
-    "RenoSender",
     "CONTROLLERS",
     "make_controller",
 ]

@@ -51,11 +51,6 @@ class WindowedFilter(Generic[T]):
     def _better_or_equal(self, a: T, b: T) -> bool:
         return a >= b if self.is_max else a <= b
 
-    def reset(self, value: T, time: float) -> None:
-        """Forget history and restart from a single sample."""
-        self._samples.clear()
-        self._samples.append((time, value))
-
     def update(self, value: T, time: float) -> T:
         """Insert a sample at ``time``; returns the current best."""
         samples = self._samples

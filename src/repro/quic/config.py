@@ -36,7 +36,7 @@ class QuicConfig:
 
     congestion_controller: str = "bbr"
     """A :data:`repro.quic.cc.CONTROLLERS` name (``bbr``, ``bbrv2``,
-    ``cubic``, ``reno``)."""
+    ``cubic``)."""
 
     cc_params: Tuple[Tuple[str, float], ...] = ()
     """Extra keyword arguments for the selected controller, as sorted

@@ -25,8 +25,8 @@ blob that clients store and echo without being able to read
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import ClassVar, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import ClassVar, List, Tuple, Union
 
 from repro.quic.varint import decode_varint, encode_varint
 
@@ -273,11 +273,6 @@ Frame = Union[
     HandshakeDoneFrame,
     HxQosFrame,
 ]
-
-
-def encode_frames(frames: Sequence[Frame]) -> bytes:
-    """Serialise frames back-to-back into a packet payload."""
-    return b"".join(frame.encode() for frame in frames)
 
 
 def parse_frames(data: bytes, offset: int = 0) -> List[Frame]:

@@ -1,8 +1,7 @@
 """The single parse point for every ``WIRA_*`` environment knob.
 
 Before this module existed the knobs were read ad hoc where they were
-consumed — ``WIRA_JOBS``/``WIRA_CACHE_DIR``/``WIRA_DISK_CACHE`` inside
-the replay runner, ``WIRA_SANITIZE`` in :mod:`repro.sanitize`,
+consumed — ``WIRA_JOBS``/``WIRA_CACHE_DIR`` inside the replay runner, ``WIRA_SANITIZE`` in :mod:`repro.sanitize`,
 ``WIRA_TRACE``/``WIRA_TRACE_DIR`` in :mod:`repro.obs` — each with its
 own string-to-value convention.  :class:`Settings` is now the one place
 those strings become values; the legacy accessors
@@ -33,16 +32,11 @@ logger = logging.getLogger(__name__)
 #: ``sanitize``/``obs`` parsers).
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
-#: Values accepted as "off" for default-on boolean knobs (matches the
-#: historic ``WIRA_DISK_CACHE`` parser).
-_FALSY = frozenset({"0", "false", "no", "off"})
-
 #: Every environment variable the repro package reads.  Anything not in
 #: this table is not a supported knob.
 KNOWN_KNOBS = (
     "WIRA_JOBS",
     "WIRA_CACHE_DIR",
-    "WIRA_DISK_CACHE",
     "WIRA_SANITIZE",
     "WIRA_TRACE",
     "WIRA_TRACE_DIR",
@@ -50,7 +44,8 @@ KNOWN_KNOBS = (
 
 
 def default_cache_dir() -> Path:
-    """Where replay results persist when ``WIRA_CACHE_DIR`` is unset."""
+    """Where :func:`repro.experiments.runner.store_cached` writes when
+    ``WIRA_CACHE_DIR`` is unset."""
     return Path(os.path.expanduser("~")) / ".cache" / "wira-repro"
 
 
@@ -61,10 +56,9 @@ class Settings:
     #: ``WIRA_JOBS`` — default worker-process count for sharded replays,
     #: robustness matrices and fleet campaigns (1 = serial reference).
     jobs: int = 1
-    #: ``WIRA_CACHE_DIR`` — directory holding persisted replay results.
+    #: ``WIRA_CACHE_DIR`` — directory of ``runner.store_cached`` /
+    #: ``load_cached``; no replay reads or writes it.
     cache_dir: Path = field(default_factory=default_cache_dir)
-    #: ``WIRA_DISK_CACHE`` — persistent result cache on/off (default on).
-    disk_cache: bool = True
     #: ``WIRA_SANITIZE`` — install the runtime transport sanitizer at
     #: import time (default off).
     sanitize: bool = False
@@ -91,7 +85,6 @@ class Settings:
         return cls(
             jobs=_parse_jobs(env.get("WIRA_JOBS", "")),
             cache_dir=_parse_path(env.get("WIRA_CACHE_DIR", "")) or default_cache_dir(),
-            disk_cache=_parse_default_on(env.get("WIRA_DISK_CACHE", "1")),
             sanitize=_parse_opt_in(env.get("WIRA_SANITIZE", "")),
             trace=_parse_opt_in(env.get("WIRA_TRACE", "")),
             trace_dir=_parse_path(env.get("WIRA_TRACE_DIR", "")),
@@ -109,11 +102,6 @@ class Settings:
 def _parse_opt_in(raw: str) -> bool:
     """Historic opt-in parse: only an explicit truthy value enables."""
     return raw.strip().lower() in _TRUTHY
-
-
-def _parse_default_on(raw: str) -> bool:
-    """Historic default-on parse: only an explicit falsy value disables."""
-    return raw.strip().lower() not in _FALSY
 
 
 def _parse_jobs(raw: str) -> int:

@@ -69,9 +69,6 @@ class Event:
         if not self._finished and self._loop is not None:
             self._loop._pending -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} seq={self.seq} {state}>"

@@ -204,11 +204,6 @@ class Link:
         self._queue_bytes = 0
         self._busy = False
 
-    @property
-    def queue_bytes(self) -> int:
-        """Bytes currently waiting in the drop-tail buffer."""
-        return self._queue_bytes
-
     def send(self, datagram: Datagram) -> bool:
         """Offer a packet to the link.
 

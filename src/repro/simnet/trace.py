@@ -1,7 +1,8 @@
 """Time-varying link condition schedules.
 
-A :class:`ConditionTrace` replays a piecewise-constant schedule of
-:class:`~repro.simnet.path.NetworkConditions` onto a
+A :class:`ConditionTrace` is a piecewise-constant schedule of
+:class:`~repro.simnet.path.NetworkConditions`;
+:meth:`repro.simnet.schedule.PathSchedule.install` plays it onto a
 :class:`~repro.simnet.path.Path`.  Experiments use traces to model
 bandwidth/RTT drift within a session (e.g. to study how stale Hx_QoS
 cookies degrade Wira(Hx), Fig 13(b)).
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.simnet.engine import EventLoop
-from repro.simnet.path import NetworkConditions, Path
+from repro.simnet.path import NetworkConditions
 
 
 @dataclass(frozen=True)
@@ -46,32 +46,6 @@ class ConditionTrace:
             raise ValueError("first trace point must be at time 0")
         self.points: List[TracePoint] = list(ordered)
 
-    @classmethod
-    def constant(cls, conditions: NetworkConditions) -> "ConditionTrace":
-        """A trace that never changes — the common testbed case."""
-        return cls([TracePoint(0.0, conditions)])
-
     @property
     def initial_conditions(self) -> NetworkConditions:
         return self.points[0].conditions
-
-    def conditions_at(self, time: float) -> NetworkConditions:
-        """The conditions in force at ``time`` seconds from trace start."""
-        current = self.points[0].conditions
-        for point in self.points:
-            if point.time <= time:
-                current = point.conditions
-            else:
-                break
-        return current
-
-    def install(self, loop: EventLoop, path: Path) -> None:
-        """Schedule every change point onto ``loop`` against ``path``.
-
-        Change times are interpreted relative to ``loop.now`` at the time
-        of installation.
-        """
-        start = loop.now
-        path.update_conditions(self.points[0].conditions)
-        for point in self.points[1:]:
-            loop.post_at(start + point.time, path.update_conditions, point.conditions)

@@ -234,10 +234,6 @@ class Deployment:
         """List form of :meth:`iter_chains_range`."""
         return list(self.iter_chains_range(start, stop))
 
-    def sessions(self) -> List[PlannedSession]:
-        """All sessions flattened (chains stay internally ordered)."""
-        return [spec for chain in self.iter_chains() for spec in chain]
-
 
 class FleetPopulation:
     """Index-addressable population for fleet-scale campaigns.
@@ -277,11 +273,6 @@ class FleetPopulation:
             stop = self.config.n_od_pairs
         for od_index in range(start, stop):
             yield self.chain(od_index)
-
-    def iter_sessions(self) -> Iterator[PlannedSession]:
-        """All sessions, streamed; memory stays O(one chain)."""
-        for chain in self.iter_chains():
-            yield from chain
 
 
 def _ln(x: float) -> float:

@@ -1,4 +1,4 @@
-"""Sessions over time-varying paths (ConditionTrace integration).
+"""Sessions over time-varying paths (ConditionTrace through PathSchedule).
 
 The cookie's premise is that the path seen *now* resembles the path seen
 last session (§II-D); these tests exercise the opposite case — the path
@@ -13,6 +13,7 @@ import pytest
 from repro.quic import Connection, HandshakeMode, QuicConfig, Role
 from repro.simnet.engine import EventLoop
 from repro.simnet.path import NetworkConditions, Path
+from repro.simnet.schedule import PathSchedule
 from repro.simnet.trace import ConditionTrace, TracePoint
 
 FAST = NetworkConditions(bandwidth_bps=16e6, rtt=0.04, buffer_bytes=200_000)
@@ -22,7 +23,7 @@ SLOW = NetworkConditions(bandwidth_bps=2e6, rtt=0.04, buffer_bytes=200_000)
 def run_transfer_over_trace(trace, size=600_000, seed=0):
     loop = EventLoop()
     path = Path(loop, trace.initial_conditions, rng=random.Random(seed))
-    trace.install(loop, path)
+    PathSchedule(trace=trace).install(loop, path, random.Random(seed))
     config = QuicConfig(initial_rtt=0.04)
     server = Connection(loop, Role.SERVER, path.send_to_client, config,
                         rng=random.Random(seed + 1))
@@ -68,7 +69,7 @@ def test_transfer_survives_bandwidth_collapse():
 def test_transfer_exploits_bandwidth_increase():
     """2 Mbps jumps to 16 Mbps; completion must beat the all-slow path."""
     step_up = ConditionTrace([TracePoint(0.0, SLOW), TracePoint(0.4, FAST)])
-    always_slow = ConditionTrace.constant(SLOW)
+    always_slow = ConditionTrace([TracePoint(0.0, SLOW)])
     _, _, _, done_up = run_transfer_over_trace(step_up)
     _, _, _, done_slow = run_transfer_over_trace(always_slow)
     assert done_up and done_slow

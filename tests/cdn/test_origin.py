@@ -9,6 +9,10 @@ from repro.media.frames import MediaFrameType
 from repro.media.source import LiveSource, StreamProfile
 
 
+def media_frames(fetch):
+    return [frame for frame, _ in fetch.frames]
+
+
 def make_origin(**kwargs):
     origin = Origin(**kwargs)
     origin.add_stream("demo", StreamProfile(seed=1))
@@ -22,13 +26,13 @@ def test_unknown_stream_rejected():
 
 def test_fetch_starts_with_script_audio_i():
     fetch = make_origin().fetch("demo", 0.0)
-    types = [f.frame_type for f in fetch.media_frames[:3]]
+    types = [f.frame_type for f in media_frames(fetch)[:3]]
     assert types == [MediaFrameType.SCRIPT, MediaFrameType.AUDIO, MediaFrameType.VIDEO_I]
 
 
 def test_fetch_truncates_at_video_frame_limit():
     fetch = make_origin().fetch("demo", 0.0, max_video_frames=4)
-    video = [f for f in fetch.media_frames if f.is_video]
+    video = [f for f in media_frames(fetch) if f.is_video]
     assert len(video) == 4
 
 
@@ -49,15 +53,9 @@ def test_fetch_respects_join_time_gop():
     origin = make_origin()
     early = origin.fetch("demo", 0.0, max_video_frames=1)
     late = origin.fetch("demo", 100.0, max_video_frames=1)
-    sizes_early = [f.size for f in early.media_frames]
-    sizes_late = [f.size for f in late.media_frames]
+    sizes_early = [f.size for f in media_frames(early)]
+    sizes_late = [f.size for f in media_frames(late)]
     assert sizes_early != sizes_late  # different GOP, different complexity
-
-
-def test_stream_names_listed():
-    origin = make_origin()
-    origin.add_stream("other", StreamProfile(seed=2))
-    assert origin.stream_names() == ["demo", "other"]
 
 
 def test_negative_pull_delay_rejected():

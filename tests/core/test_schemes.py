@@ -17,7 +17,6 @@ from repro.core.schemes import (
     SchemeDef,
     SchemeSpec,
     as_spec,
-    display_name,
     eval_schemes,
     get_def,
     make_policy,
@@ -113,8 +112,8 @@ class TestRegistry:
             as_spec(7)
 
     def test_display_names_come_from_registry(self):
-        assert display_name("wira_ff") == "Wira(FF)"
-        assert display_name(WIRA_HX) == "Wira(Hx)"
+        assert as_spec("wira_ff").display_name == "Wira(FF)"
+        assert WIRA_HX.display_name == "Wira(Hx)"
 
     def test_spec_properties_delegate_to_registry(self):
         assert WIRA.uses_frame_perception == get_def("wira").uses_frame_perception

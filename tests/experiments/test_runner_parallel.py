@@ -1,4 +1,4 @@
-"""Tests for the sharded figure replay and its persistent cache.
+"""Tests for the sharded figure replay and its in-process memo.
 
 A replay over a pool must be *bit-identical* to the in-process one: each
 chain owns its world (plan, origin, live source) and seeds and each
@@ -28,10 +28,9 @@ SCHEMES = (BASELINE, WIRA)
 
 @pytest.fixture(autouse=True)
 def isolated_caches(tmp_path, monkeypatch):
-    """Point the disk cache at a fresh tmp dir and drop the memo."""
+    """Point the cache directory at a fresh tmp dir and drop the memo."""
     monkeypatch.setenv("WIRA_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("WIRA_JOBS", raising=False)
-    monkeypatch.delenv("WIRA_DISK_CACHE", raising=False)
     runner.clear_caches()
     yield
     runner.clear_caches()
@@ -99,7 +98,7 @@ class TestParallelEqualsSerial:
         """Tracing to disk must not serve (or populate) cached records —
         a cache hit would skip the replay and write no trace files."""
         config = tiny_config(7)
-        runner.run_deployment(config, SCHEMES)  # populate memo + disk
+        runner.run_deployment(config, SCHEMES)  # populate the memo
         trace_dir = tmp_path / "traces"
         with obs.tracing(trace_dir=trace_dir):
             records = runner.run_deployment(config, SCHEMES)
@@ -110,7 +109,7 @@ class TestParallelEqualsSerial:
             for o in outcomes
             if o.result.completed
         )
-        # The cache stays breakdown-free for non-tracing callers.
+        # The memo stays breakdown-free for non-tracing callers.
         cached = runner.run_deployment(config, SCHEMES)
         assert all(
             o.result.phase_breakdown is None
@@ -119,7 +118,7 @@ class TestParallelEqualsSerial:
         )
 
     def test_memory_only_tracing_keeps_cache_path(self, no_ambient_tracing):
-        """Without a trace_dir there is nothing to flush, so the cache
+        """Without a trace_dir there is nothing to flush, so the memo
         fast path stays active."""
         config = tiny_config(11)
         first = runner.run_deployment(config, SCHEMES)
@@ -210,14 +209,16 @@ class TestBatchedKernel:
 
 
 class TestPersistentCache:
+    """The figure path keeps no disk cache, only the in-process memo.
+    ``store_cached`` / ``load_cached`` stay for ``bench/drives.py``,
+    which times them by name."""
+
     def test_round_trip_across_memory_cache_clears(self):
-        """A second 'session' (cleared memo) reloads the disk copy."""
+        """A cleared memo (as in a fresh process) replays again, to
+        equal records."""
         config = tiny_config(9)
         first = runner.run_deployment(config, SCHEMES)
-        key = runner.cache_key(config, WiraConfig(), SCHEMES)
-        assert runner._cache_path(key).exists()
-
-        runner.clear_caches()  # simulate a fresh pytest invocation
+        runner.clear_caches()
         again = runner.run_deployment(config, SCHEMES)
         assert again is not first
         assert_records_identical(first, again)
@@ -228,61 +229,31 @@ class TestPersistentCache:
         assert runner.run_deployment(config, SCHEMES) is first
 
     def test_corrupted_cache_file_recovers(self):
-        config = tiny_config(13)
-        first = runner.run_deployment(config, SCHEMES)
-        key = runner.cache_key(config, WiraConfig(), SCHEMES)
-        path = runner._cache_path(key)
+        records = {BASELINE: []}
+        runner.store_cached("drive", records)
+        assert runner.load_cached("drive") == records
+        path = runner._cache_path("drive")
         path.write_bytes(b"\x00not a pickle at all")
-
-        runner.clear_caches()
-        again = runner.run_deployment(config, SCHEMES)
-        assert_records_identical(first, again)
-        # The bad file was replaced by a healthy one.
-        with path.open("rb") as fh:
-            assert runner._looks_like_records(pickle.load(fh))
+        assert runner.load_cached("drive") is None
+        assert not path.exists()  # the bad file is discarded
 
     def test_wrong_shaped_pickle_recovers(self):
-        config = tiny_config(13)
-        first = runner.run_deployment(config, SCHEMES)
-        key = runner.cache_key(config, WiraConfig(), SCHEMES)
-        path = runner._cache_path(key)
+        path = runner._cache_path("drive")
+        path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps({"not": "records"}))
-
-        runner.clear_caches()
-        again = runner.run_deployment(config, SCHEMES)
-        assert_records_identical(first, again)
-
-    def test_key_depends_on_inputs(self):
-        wira = WiraConfig()
-        base = runner.cache_key(tiny_config(1), wira, SCHEMES)
-        assert runner.cache_key(tiny_config(2), wira, SCHEMES) != base
-        assert runner.cache_key(tiny_config(1), wira, (BASELINE,)) != base
-        assert (
-            runner.cache_key(
-                tiny_config(1), WiraConfig(video_frame_threshold=3), SCHEMES
-            )
-            != base
-        )
+        assert runner.load_cached("drive") is None
+        assert not path.exists()
 
     def test_use_cache_false_bypasses_disk(self):
+        """No replay touches the cache directory, memoized or not."""
         config = tiny_config(17)
         runner.run_deployment(config, SCHEMES, use_cache=False)
-        key = runner.cache_key(config, WiraConfig(), SCHEMES)
-        assert not runner._cache_path(key).exists()
-
-    def test_disk_cache_env_switch(self, monkeypatch):
-        """``WIRA_DISK_CACHE=0`` turns off the disk half alone."""
-        monkeypatch.setenv("WIRA_DISK_CACHE", "0")
-        config = tiny_config(17)
-        first = runner.run_deployment(config, SCHEMES)
-        key = runner.cache_key(config, WiraConfig(), SCHEMES)
-        assert not runner._cache_path(key).exists()
-        assert runner.run_deployment(config, SCHEMES) is first  # memo still on
+        runner.run_deployment(config, SCHEMES)
+        assert not runner.cache_dir().exists()
 
     def test_unwritable_cache_dir_is_not_fatal(self, monkeypatch, tmp_path):
         blocked = tmp_path / "file-not-dir"
         blocked.write_text("occupies the path")
         monkeypatch.setenv("WIRA_CACHE_DIR", str(blocked / "sub"))
-        config = tiny_config(19)
-        records = runner.run_deployment(config, SCHEMES)
-        assert sum(len(v) for v in records.values()) > 0
+        runner.store_cached("drive", {BASELINE: []})  # logged, not raised
+        assert runner.load_cached("drive") is None

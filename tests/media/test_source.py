@@ -20,6 +20,10 @@ profiles = st.builds(
 )
 
 
+def video_frames(gop):
+    return [f for f in gop.frames if f.is_video]
+
+
 def through_kth_video_frame(frames, k):
     """Reference truncation: the whole sequence cut after its k-th video frame."""
     kept, seen = [], 0
@@ -49,13 +53,13 @@ def test_gop_structure_starts_with_script_audio_i():
 def test_gop_video_frame_count_matches_profile():
     profile = StreamProfile(fps=25, gop_seconds=2.0, seed=1)
     gop = LiveSource(profile).gop(0)
-    assert len(gop.video_frames) == 50
+    assert len(video_frames(gop)) == 50
 
 
 def test_video_pattern_interleaves_p_and_b():
     profile = StreamProfile(b_frames_per_p=2, seed=1)
     gop = LiveSource(profile).gop(0)
-    video = [f.frame_type for f in gop.video_frames[:7]]
+    video = [f.frame_type for f in video_frames(gop)[:7]]
     assert video == [
         MediaFrameType.VIDEO_I,
         MediaFrameType.VIDEO_P,
@@ -71,7 +75,7 @@ def test_i_frame_larger_than_p_larger_than_b():
     source = LiveSource(StreamProfile(seed=2))
     gop = source.gop(0)
     sizes = {}
-    for frame in gop.video_frames:
+    for frame in video_frames(gop):
         sizes.setdefault(frame.frame_type, frame.size)
     assert sizes[MediaFrameType.VIDEO_I] > sizes[MediaFrameType.VIDEO_P]
     assert sizes[MediaFrameType.VIDEO_P] > sizes[MediaFrameType.VIDEO_B]
@@ -81,7 +85,7 @@ def test_gop_bytes_track_bitrate():
     profile = StreamProfile(video_bitrate_bps=2e6, gop_seconds=2.0, seed=3,
                             complexity_sigma=0.01, size_jitter=0.01)
     gop = LiveSource(profile).gop(0)
-    video_bytes = sum(f.size for f in gop.video_frames)
+    video_bytes = sum(f.size for f in video_frames(gop))
     assert video_bytes == pytest.approx(2e6 / 8 * 2.0, rel=0.25)
 
 
@@ -100,7 +104,7 @@ def test_different_seeds_differ():
 def test_intra_stream_first_frame_varies_over_time():
     """Fig 1(b): FF_Size of the same stream changes across GOPs."""
     source = LiveSource(StreamProfile(seed=9))
-    sizes = [source.first_frame_size_at(t) for t in range(0, 200, 5)]
+    sizes = [source.gop_at(t).first_frame_bytes() for t in range(0, 200, 5)]
     assert max(sizes) / min(sizes) > 1.3
     assert len(set(sizes)) > 10
 
@@ -109,7 +113,7 @@ def test_first_frame_target_honoured():
     profile = StreamProfile(
         first_frame_target_bytes=66_000, complexity_sigma=0.01, size_jitter=0.01, seed=4
     )
-    ff = LiveSource(profile).first_frame_size_at(0.0)
+    ff = LiveSource(profile).gop_at(0.0).first_frame_bytes()
     assert ff == pytest.approx(66_000, rel=0.1)
 
 
@@ -151,7 +155,7 @@ def test_truncated_gop_is_prefix_of_whole_gop(profile, gop_index, k):
     whole = LiveSource(profile).gop(gop_index)
     cut = LiveSource(profile).gop(gop_index, max_video_frames=k)
     assert cut.frames == through_kth_video_frame(whole.frames, k)
-    assert len(cut.video_frames) == min(k, profile.video_frames_per_gop)
+    assert len(video_frames(cut)) == min(k, profile.video_frames_per_gop)
 
 
 @settings(max_examples=30, deadline=None)

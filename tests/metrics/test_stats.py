@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics.collector import MetricSeries, SchemeCollector
+from repro.metrics.collector import MetricSeries
 from repro.metrics.report import Table, format_ms, format_pct
 from repro.metrics.stats import Cdf, coefficient_of_variation, mean, percentile
 
@@ -139,15 +139,6 @@ class TestCollector:
     def test_improvement_over_none_renders_as_dash(self):
         empty = MetricSeries("empty")
         assert format_pct(empty.improvement_over(empty), signed=True) == "-"
-
-    def test_scheme_collector_buckets(self):
-        collector = SchemeCollector()
-        collector.add("wira", "ffct", 0.1, bucket="(30,50]")
-        collector.add("wira", "ffct", 0.2, bucket="(50,80]")
-        collector.add("baseline", "ffct", 0.3)
-        assert collector.schemes() == ["baseline", "wira"]
-        assert collector.buckets("ffct") == ["(30,50]", "(50,80]"]
-        assert len(collector.series("wira", "ffct", "(30,50]")) == 1
 
 
 class TestReport:

@@ -1,10 +1,9 @@
-"""Tests for the CUBIC and NewReno baseline controllers."""
+"""Tests for the CUBIC baseline controller."""
 
 import pytest
 
 from repro.quic.cc import make_controller
 from repro.quic.cc.cubic import CubicSender
-from repro.quic.cc.reno import RenoSender
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 
@@ -15,13 +14,13 @@ def packet(pn, t=0.0, size=MSS):
     return SentPacket(pn, t, size, True, True)
 
 
-@pytest.fixture(params=[CubicSender, RenoSender])
+@pytest.fixture(params=[CubicSender])
 def sender(request):
     return request.param(rtt=RttEstimator(initial_rtt=0.05), mss=MSS)
 
 
 def test_registry_contains_all_controllers():
-    for name in ("bbr", "cubic", "reno"):
+    for name in ("bbr", "bbrv2", "cubic"):
         controller = make_controller(name)
         assert controller.congestion_window > 0
     with pytest.raises(ValueError):
@@ -95,24 +94,6 @@ def test_cubic_grows_after_recovery():
         pn += 1
         now += 0.05
     assert cubic.congestion_window > cwnd_after_loss
-
-
-def test_reno_linear_growth_in_avoidance():
-    reno = RenoSender(rtt=RttEstimator(initial_rtt=0.05), mss=MSS)
-    for i in range(10):
-        reno.on_packet_sent(packet(i), i * MSS, 0.0)
-    reno.on_packets_lost([packet(5)], 9 * MSS, 0.1)
-    cwnd = reno.congestion_window
-    # One cwnd worth of acks grows the window by about one MSS.
-    pn, now = 100, 0.2
-    acked_bytes = 0
-    while acked_bytes < cwnd:
-        p = packet(pn, now)
-        reno.on_packet_sent(p, 0, now)
-        reno.on_packets_acked([p], 0, now + 0.05)
-        acked_bytes += MSS
-        pn += 1
-    assert cwnd < reno.congestion_window <= cwnd + 2 * MSS
 
 
 def test_pacing_rate_positive_always(sender):

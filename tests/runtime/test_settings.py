@@ -12,11 +12,10 @@ from repro.runtime.settings import Settings
 
 
 class TestFromEnv:
-    def test_knobs_are_exactly_the_six_settings_fields(self):
+    def test_knobs_are_exactly_the_settings_fields(self):
         assert settings.KNOWN_KNOBS == (
             "WIRA_JOBS",
             "WIRA_CACHE_DIR",
-            "WIRA_DISK_CACHE",
             "WIRA_SANITIZE",
             "WIRA_TRACE",
             "WIRA_TRACE_DIR",
@@ -28,7 +27,6 @@ class TestFromEnv:
     def test_defaults_with_empty_environment(self):
         parsed = Settings.from_env({})
         assert parsed.jobs == 1
-        assert parsed.disk_cache is True
         assert parsed.sanitize is False
         assert parsed.trace is False
         assert parsed.trace_dir is None
@@ -53,15 +51,6 @@ class TestFromEnv:
         parsed = Settings.from_env({"WIRA_SANITIZE": raw, "WIRA_TRACE": raw})
         assert parsed.sanitize is False
         assert parsed.trace is False
-
-    @pytest.mark.parametrize("raw", ["0", "false", "NO", " off "])
-    def test_disk_cache_falsy_disables(self, raw):
-        assert Settings.from_env({"WIRA_DISK_CACHE": raw}).disk_cache is False
-
-    @pytest.mark.parametrize("raw", ["", "1", "yes", "anything"])
-    def test_disk_cache_default_on(self, raw):
-        env = {"WIRA_DISK_CACHE": raw} if raw else {}
-        assert Settings.from_env(env).disk_cache is True
 
     def test_paths(self):
         parsed = Settings.from_env(
@@ -91,10 +80,11 @@ class TestCurrentAndOverrides:
         assert settings.current().jobs == 7
 
     def test_overridden_scope_restores(self):
-        with settings.overridden(jobs=5, disk_cache=False) as s:
+        before = settings.current()
+        with settings.overridden(jobs=5, sanitize=not before.sanitize) as s:
             assert s.jobs == 5
-            assert settings.current().disk_cache is False
-        assert settings.current().disk_cache is True
+            assert settings.current().sanitize is not before.sanitize
+        assert settings.current() == before
         assert not settings.configured()
 
     def test_overridden_rejects_unknown_field(self):

@@ -111,7 +111,7 @@ def test_queue_drains_after_busy_period():
     loop.run()
     assert len(delivered) == 10
     assert loop.now == pytest.approx(1.0)
-    assert link.queue_bytes == 0
+    assert link._queue_bytes == 0
 
 
 def test_stats_track_bytes_and_max_queue():

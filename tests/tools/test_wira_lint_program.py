@@ -452,165 +452,6 @@ class TestWL014InvariantRegistry:
 
 
 # ---------------------------------------------------------------------------
-# WL015: EventLoop duck-type conformance.
-
-
-LOOP_FIXTURE = "src/repro/simnet/loop_fixture.py"
-SESS_FIXTURE = "src/repro/cdn/sess_fixture.py"
-DRIVE_FIXTURE = "src/repro/cdn/drive_fixture.py"
-
-LOOP_SRC = """
-    class EventLoop:
-        __slots__ = ("_now",)
-
-        def now(self):
-            return self._now
-
-        def post_at(self, when, fn):
-            pass
-
-        def post_later(self, delay, fn):
-            pass
-
-        def pending_events(self):
-            return 0
-"""
-
-SESS_SRC = """
-    from repro.simnet.loop_fixture import EventLoop
-
-    class Sess:
-        def run(self, loop: EventLoop) -> None:
-            pass
-"""
-
-
-class TestWL015DuckType:
-    def test_incomplete_class_into_annotated_param(self):
-        violations = run(
-            {
-                LOOP_FIXTURE: LOOP_SRC,
-                SESS_FIXTURE: SESS_SRC,
-                DRIVE_FIXTURE: """
-                    from repro.cdn.sess_fixture import Sess
-
-                    class FakeLoop:
-                        def now(self):
-                            return 0.0
-
-                    def drive():
-                        fake = FakeLoop()
-                        Sess().run(fake)
-                """,
-            },
-            select={"WL015"},
-        )
-        assert codes(violations) == ["WL015"]
-        message = violations[0].message
-        assert "FakeLoop" in message
-        assert "post_at" in message and "pending_events" in message
-        # The provided member must not be listed as missing.
-        missing = message.split("lacks: ")[1].split(";")[0]
-        assert "now" not in missing.split(", ")
-
-    def test_cast_site_checked(self):
-        violations = run(
-            {
-                LOOP_FIXTURE: LOOP_SRC,
-                DRIVE_FIXTURE: """
-                    from typing import cast
-
-                    from repro.simnet.loop_fixture import EventLoop
-
-                    class Member:
-                        def now(self):
-                            return 0.0
-
-                        def post_at(self, when, fn):
-                            pass
-
-                    def adopt():
-                        m = Member()
-                        return cast(EventLoop, m)
-                """,
-            },
-            select={"WL015"},
-        )
-        assert codes(violations) == ["WL015"]
-        assert "post_later" in violations[0].message
-        assert "pending_events" in violations[0].message
-
-    def test_subclass_inherits_surface(self):
-        violations = run(
-            {
-                LOOP_FIXTURE: LOOP_SRC,
-                SESS_FIXTURE: SESS_SRC,
-                DRIVE_FIXTURE: """
-                    from repro.cdn.sess_fixture import Sess
-                    from repro.simnet.loop_fixture import EventLoop
-
-                    class SubLoop(EventLoop):
-                        pass
-
-                    def drive():
-                        Sess().run(SubLoop())
-                """,
-            },
-            select={"WL015"},
-        )
-        assert violations == []
-
-    def test_conforming_duck_type_clean(self):
-        violations = run(
-            {
-                LOOP_FIXTURE: LOOP_SRC,
-                SESS_FIXTURE: SESS_SRC,
-                DRIVE_FIXTURE: """
-                    from repro.cdn.sess_fixture import Sess
-
-                    class MemberLoop:
-                        def now(self):
-                            return 0.0
-
-                        def post_at(self, when, fn):
-                            pass
-
-                        def post_later(self, delay, fn):
-                            pass
-
-                        def pending_events(self):
-                            return 0
-
-                    def drive():
-                        Sess().run(MemberLoop())
-                """,
-            },
-            select={"WL015"},
-        )
-        assert violations == []
-
-    def test_keyword_argument_checked(self):
-        violations = run(
-            {
-                LOOP_FIXTURE: LOOP_SRC,
-                SESS_FIXTURE: SESS_SRC,
-                DRIVE_FIXTURE: """
-                    from repro.cdn.sess_fixture import Sess
-
-                    class FakeLoop:
-                        def now(self):
-                            return 0.0
-
-                    def drive():
-                        Sess().run(loop=FakeLoop())
-                """,
-            },
-            select={"WL015"},
-        )
-        assert codes(violations) == ["WL015"]
-
-
-# ---------------------------------------------------------------------------
 # WL009: unused pragmas.
 
 

@@ -6,6 +6,10 @@ from repro.quic.connection import HandshakeMode
 from repro.workload.population import Deployment, DeploymentConfig
 
 
+def flat(chains):
+    return [spec for chain in chains for spec in chain]
+
+
 def make_deployment(**kwargs):
     defaults = dict(n_od_pairs=100, seed=3)
     defaults.update(kwargs)
@@ -38,7 +42,7 @@ def test_first_session_flagged():
 
 
 def test_zero_rtt_fraction_near_ninety_percent():
-    specs = make_deployment(n_od_pairs=400).sessions()
+    specs = flat(make_deployment(n_od_pairs=400).iter_chains())
     frac = sum(1 for s in specs if s.handshake_mode == HandshakeMode.ZERO_RTT) / len(specs)
     assert 0.85 < frac < 0.95
 
@@ -53,7 +57,7 @@ def test_chain_lengths_bounded_and_varied():
 
 def test_gaps_include_stale_tail():
     """Some revisit gaps must exceed Δ=60min to exercise corner case 2."""
-    specs = make_deployment(n_od_pairs=400).sessions()
+    specs = flat(make_deployment(n_od_pairs=400).iter_chains())
     revisits = [s for s in specs if not s.is_first_session]
     stale = sum(1 for s in revisits if s.gap_minutes > 60.0)
     assert stale > 0
@@ -67,13 +71,13 @@ def test_chain_shares_od_and_stream():
 
 
 def test_deterministic_generation():
-    a = make_deployment(seed=9).sessions()
-    b = make_deployment(seed=9).sessions()
+    a = flat(make_deployment(seed=9).iter_chains())
+    b = flat(make_deployment(seed=9).iter_chains())
     assert [(s.seed, s.epoch) for s in a] == [(s.seed, s.epoch) for s in b]
 
 
 def test_seeds_unique_across_sessions():
-    specs = make_deployment(n_od_pairs=200).sessions()
+    specs = flat(make_deployment(n_od_pairs=200).iter_chains())
     seeds = [s.seed for s in specs]
     assert len(set(seeds)) == len(seeds)
 
@@ -135,21 +139,16 @@ class TestFleetPopulation:
         with pytest.raises(IndexError):
             fleet.chain(-1)
 
-    def test_iter_sessions_flattens_in_order(self):
-        fleet = self.make_fleet(n_od_pairs=12)
-        flat = list(fleet.iter_sessions())
-        assert flat == [p for chain in fleet.iter_chains() for p in chain]
-
     def test_seeds_unique_across_fleet(self):
         fleet = self.make_fleet(n_od_pairs=200)
-        seeds = [p.seed for p in fleet.iter_sessions()]
+        seeds = [p.seed for p in flat(fleet.iter_chains())]
         assert len(set(seeds)) == len(seeds)
 
     def test_distribution_matches_deployment_statistics(self):
         """Same chain model, different seeding: summary statistics of the
         fleet flavour must stay in the deployment's calibrated bands."""
         fleet = self.make_fleet(n_od_pairs=400)
-        sessions = list(fleet.iter_sessions())
+        sessions = flat(fleet.iter_chains())
         frac_0rtt = sum(
             1 for s in sessions if s.handshake_mode == HandshakeMode.ZERO_RTT
         ) / len(sessions)

@@ -34,7 +34,6 @@ WL011    no transitive process-global RNG use in the replay zone (taint)
 WL012    ``WIRA_*`` env knobs must flow through ``runtime.Settings``
 WL013    emitted obs event names <-> ``events.EVENT_NAMES`` (both ways)
 WL014    raised sanitizer invariants <-> ``INVARIANTS`` (both ways)
-WL015    classes passed as ``EventLoop`` must provide its surface
 =======  ==============================================================
 
 Violations can be suppressed per line with a trailing pragma::

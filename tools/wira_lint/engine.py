@@ -5,7 +5,7 @@ The pipeline for every entry point is the same:
 1. **extract** — one AST pass per file producing :class:`FileFacts`
    (raw per-file findings + cross-module facts);
 2. **link** — :class:`~tools.wira_lint.graph.Program` joins all facts
-   and runs the whole-program passes (taint, registries, duck types);
+   and runs the whole-program passes (taint, registries, merge order);
 3. **suppress** — pragmas are applied per line / per file and pragma
    usage is accounted (feeding WL009 unused-pragma findings).
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from tools.wira_lint.rules import (
-    DUCK_CONTRACTS,
     EVENT_NAME_RE,
     GLOBAL_RANDOM_FUNCS,
     REGISTRY_NAMES,
@@ -87,11 +86,9 @@ class FunctionFacts:
     cls: Optional[str] = None
     #: Ordered parameters as ``[name, annotation-terminal-or-None]``.
     params: List[List[Optional[str]]] = field(default_factory=list)
-    #: Call sites: ``{"line", "kind", "target", "hint", "args", "kwargs"}``
+    #: Call sites: ``{"line", "kind", "target", "hint"}``
     #: where kind is one of ``name``/``dotted``/``self``/``method``.
     calls: List[Dict[str, Any]] = field(default_factory=list)
-    #: ``typing.cast(Contract, x)`` sites: ``{"line", "contract", "hint"}``.
-    casts: List[Dict[str, Any]] = field(default_factory=list)
     #: Direct wall-clock reads: ``{"line", "what"}``.
     clock_reads: List[Dict[str, Any]] = field(default_factory=list)
     #: Direct process-global RNG uses: ``{"line", "what"}``.
@@ -463,16 +460,6 @@ class _Extractor(ast.NodeVisitor):
         target = ""
         hint: Optional[str] = None
         if isinstance(func, ast.Name):
-            if func.id == "cast" and len(node.args) == 2:
-                contract = _terminal_name(node.args[0])
-                if contract in DUCK_CONTRACTS:
-                    self._current().casts.append(
-                        {
-                            "line": node.lineno,
-                            "contract": contract,
-                            "hint": self._class_hint(node.args[1]),
-                        }
-                    )
             kind, target = "name", func.id
         elif isinstance(func, ast.Attribute):
             dotted = _dotted(func)
@@ -490,21 +477,8 @@ class _Extractor(ast.NodeVisitor):
                     kind, target, hint = "method", func.attr, value_hint
         if kind is None:
             return
-        args = [self._class_hint(arg) for arg in node.args]
-        kwargs = {
-            keyword.arg: self._class_hint(keyword.value)
-            for keyword in node.keywords
-            if keyword.arg is not None and self._class_hint(keyword.value) is not None
-        }
         self._current().calls.append(
-            {
-                "line": node.lineno,
-                "kind": kind,
-                "target": target,
-                "hint": hint,
-                "args": args,
-                "kwargs": kwargs,
-            }
+            {"line": node.lineno, "kind": kind, "target": target, "hint": hint}
         )
 
     # -- WL007 ---------------------------------------------------------

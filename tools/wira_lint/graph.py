@@ -10,9 +10,7 @@ and then runs the rule families that cannot be decided file-by-file:
 * **WL005** — dict-view iteration order flowing into merge paths, now
   followed one call level deep instead of matching names only;
 * **WL013 / WL014** — obs event names and sanitizer invariant names
-  cross-checked against their contract registries, both directions;
-* **WL015** — duck-type conformance of classes flowing into
-  EventLoop-typed parameters and ``typing.cast(EventLoop, ...)`` sites.
+  cross-checked against their contract registries, both directions.
 
 All passes produce plain ``(path, line, col, code, message)`` tuples;
 pragma suppression and baseline filtering happen in the engine.
@@ -29,7 +27,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from tools.wira_lint.facts import MODULE_SCOPE, FileFacts, FunctionFacts
-from tools.wira_lint.rules import DUCK_CONTRACTS, MERGE_FUNC_RE, RULES
+from tools.wira_lint.rules import MERGE_FUNC_RE, RULES
 
 Finding = Tuple[str, int, int, str, str]
 
@@ -55,8 +53,6 @@ class Program:
         self.methods: Dict[Tuple[str, str], List[str]] = {}
         #: class name -> union of base-class terminal names.
         self.class_bases: Dict[str, Set[str]] = {}
-        #: class name -> union of directly-declared members.
-        self.class_members: Dict[str, Set[str]] = {}
         #: caller fid -> {callee fid: first call line}.
         self.edges: Dict[str, Dict[str, int]] = {}
         #: callee fid -> {caller fid: first call line}.
@@ -83,7 +79,6 @@ class Program:
             self.top_level[facts.module] = top
             for cls in facts.classes:
                 self.class_bases.setdefault(cls.name, set()).update(cls.bases)
-                self.class_members.setdefault(cls.name, set()).update(cls.members)
         for fids in self.methods.values():
             fids.sort()
 
@@ -465,82 +460,6 @@ class Program:
             )
         return findings
 
-    # -- WL015: duck-type conformance ----------------------------------
-
-    def _surface_missing(self, cls: str, contract: str) -> Optional[List[str]]:
-        """Members of ``contract``'s surface that ``cls`` lacks, following
-        base classes; None when ``cls`` is unknown (nothing to check)."""
-        if cls == contract:
-            return []
-        if cls not in self.class_members:
-            return None
-        surface = DUCK_CONTRACTS[contract]
-        members: Set[str] = set()
-        seen: Set[str] = set()
-        queue = deque([cls])
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            members.update(self.class_members.get(current, ()))
-            queue.extend(sorted(self.class_bases.get(current, ())))
-        return [name for name in surface if name not in members]
-
-    def duck_type_findings(self) -> List[Finding]:
-        rule = RULES["WL015"]
-        findings: List[Finding] = []
-        seen: Set[Tuple[str, int, str, str]] = set()
-
-        def check(facts: FileFacts, line: int, cls: Optional[str], contract: str) -> None:
-            if cls is None or not rule.applies_to(facts.path):
-                return
-            missing = self._surface_missing(cls, contract)
-            if not missing:
-                return
-            key = (facts.path, line, cls, contract)
-            if key in seen:
-                return
-            seen.add(key)
-            surface = "/".join(DUCK_CONTRACTS[contract])
-            findings.append(
-                (
-                    facts.path,
-                    line,
-                    0,
-                    "WL015",
-                    f"{cls} flows into a {contract}-typed site but lacks: "
-                    f"{', '.join(missing)}; required surface: {surface}",
-                )
-            )
-
-        for fid in sorted(self.functions):
-            facts, fn = self.functions[fid]
-            for cast in fn.casts:
-                check(facts, int(cast["line"]), cast.get("hint"), cast["contract"])
-            for call in fn.calls:
-                callees = self.resolve_call(facts, fn, call)
-                if not callees:
-                    continue
-                _, callee = self.functions[callees[0]]
-                params = callee.params
-                if params and params[0][0] in ("self", "cls") and (
-                    call["kind"] in ("self", "method") or callee.name == "__init__"
-                ):
-                    params = params[1:]
-                for index, hint in enumerate(call["args"]):
-                    if hint is None or index >= len(params):
-                        continue
-                    annotation = params[index][1]
-                    if annotation in DUCK_CONTRACTS:
-                        check(facts, int(call["line"]), hint, annotation)
-                by_name = {name: ann for name, ann in params}
-                for name, hint in sorted(call["kwargs"].items()):
-                    annotation = by_name.get(name)
-                    if annotation in DUCK_CONTRACTS:
-                        check(facts, int(call["line"]), hint, annotation)
-        return findings
-
     # -- entry point ---------------------------------------------------
 
     def findings(self, select: Optional[Set[str]] = None) -> List[Finding]:
@@ -551,7 +470,6 @@ class Program:
             "WL011": self.global_rng_taint,
             "WL013": self.event_registry_findings,
             "WL014": self.invariant_registry_findings,
-            "WL015": self.duck_type_findings,
         }
         results: List[Finding] = []
         for code in sorted(passes):

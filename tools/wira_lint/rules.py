@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Optional, Tuple
 
-#: Simulation zone: code that must be bit-exact deterministic.  These are
-#: the packages replayed under the content-hash disk cache; one wall-clock
-#: read or process-global RNG call silently poisons every cached figure.
+#: Simulation zone: code that must be bit-exact deterministic.  Figures,
+#: golden digests and serial == sharded replays all assume it; one
+#: wall-clock read or process-global RNG call silently breaks them.
 SIM_ZONE: Tuple[str, ...] = (
     "src/repro/simnet",
     "src/repro/quic",
@@ -204,13 +204,6 @@ RULES = {
         SRC_ZONE,
         whole_program=True,
     ),
-    "WL015": Rule(
-        "WL015",
-        "event-loop-surface",
-        "classes passed where an EventLoop is expected must provide its surface",
-        SRC_ZONE,
-        whole_program=True,
-    ),
 }
 
 #: ``time`` module functions that read the host clock.
@@ -334,16 +327,6 @@ SLOTS_REGISTRY = frozenset(
 #: are recombined, iteration order must come from an explicit sort key,
 #: never from dict insertion order (which differs shard-by-shard).
 MERGE_FUNC_RE = re.compile(r"(?:^|_)(merge|replay|aggregate|combine|reduce|recombine)", re.I)
-
-#: Duck-type contracts for WL015: any class statically observed flowing
-#: into a parameter annotated with (or ``typing.cast`` to) the contract
-#: name must provide every member of the surface.  ``EventLoop`` is the
-#: scheduler every session runs on; ``MemberLoop`` still duck-types the
-#: surface (the tests hand one to a ``Link``) and the rule goes when it
-#: does, with the benchmark PR that unpins ``BatchEventLoop``.
-DUCK_CONTRACTS = {
-    "EventLoop": ("now", "post_at", "post_later", "pending_events"),
-}
 
 #: Module-level registry assignments the contract cross-checks consume.
 #: Any scanned file assigning one of these names to a literal collection
