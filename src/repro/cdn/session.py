@@ -205,7 +205,7 @@ class StreamingSession:
         self.timeout = spec.timeout
         self.client_supports_cookies = spec.client_supports_cookies
         self.initial_params_override = spec.initial_params_override
-        self.trace_label = spec.trace_label
+        self.trace_label = spec.trace_label or f"{self.scheme.value}-seed{spec.seed}"
         self.schedule = spec.schedule
         self.fault_plan = spec.fault_plan
         self.stream_data_tap = stream_data_tap
@@ -226,8 +226,7 @@ class StreamingSession:
         bus = _obs.ACTIVE
         if bus is None:
             return self._run()
-        label = self.trace_label or f"{self.scheme.value}-seed{self.seed}"
-        with bus.session(label) as events:
+        with bus.session(self.trace_label) as events:
             result = self._run()
         result.phase_breakdown = _obs.profile_events(events)
         return result

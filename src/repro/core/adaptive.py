@@ -8,8 +8,9 @@ policy that tracks the realized QoS of every finished session on the
 OD pair's chain (the engines call :meth:`observe` in chain order) and
 initializes from a *lower-quantile* bandwidth estimate:
 
-* ``init_pacing`` — the q-quantile of observed delivery rates, capped
-  by the cookie's MaxBW when one is present.  A low quantile is a
+* ``init_pacing`` — the lower quartile (:data:`DEFAULT_QUANTILE`) of
+  the last :data:`DEFAULT_HISTORY` delivery rates, capped by the
+  cookie's MaxBW when one is present.  A low quantile is a
   conservative estimate under drift: overshooting the drifted path
   costs first-frame loss tails, undershooting costs at most a little
   ramp time that BBR's startup recovers.
@@ -40,11 +41,12 @@ from repro.core.initializer import (
 )
 from repro.core.schemes import InitContext, InitPolicy, SchemeSpec
 
-#: Default spec params (override via ``adaptive?{"q":0.5,...}``).
+#: Quantile of the observed delivery rates the pacing rate starts from.
 DEFAULT_QUANTILE = 0.25
+#: Finished sessions the estimator remembers.
 DEFAULT_HISTORY = 12
+#: Observations needed before the learned rate is trusted.
 DEFAULT_MIN_OBSERVATIONS = 2
-DEFAULT_MARGIN = 1.0
 
 
 def _quantile(samples: List[float], q: float) -> float:
@@ -57,18 +59,10 @@ def _quantile(samples: List[float], q: float) -> float:
 class AdaptiveInitPolicy(InitPolicy):
     """Quantile-tracking per-OD initializer (scheme name ``adaptive``)."""
 
-    __slots__ = ("_quantile", "_history", "_min_obs", "_margin", "_bw_bps", "_rtt_s")
+    __slots__ = ("_bw_bps", "_rtt_s")
 
     def __init__(self, spec: SchemeSpec, seed: int = 0) -> None:
         super().__init__(spec, seed)
-        self._quantile = float(spec.param("q", DEFAULT_QUANTILE))  # type: ignore[arg-type]
-        self._history = int(spec.param("history", DEFAULT_HISTORY))  # type: ignore[call-overload]
-        self._min_obs = int(spec.param("min_obs", DEFAULT_MIN_OBSERVATIONS))  # type: ignore[call-overload]
-        self._margin = float(spec.param("margin", DEFAULT_MARGIN))  # type: ignore[arg-type]
-        if not 0.0 < self._quantile <= 1.0:
-            raise ValueError("adaptive quantile must be in (0, 1]")
-        if self._history < 1 or self._min_obs < 1:
-            raise ValueError("adaptive history/min_obs must be positive")
         self._bw_bps: List[float] = []
         self._rtt_s: List[float] = []
 
@@ -80,18 +74,18 @@ class AdaptiveInitPolicy(InitPolicy):
         rtt = getattr(result, "server_min_rtt", None)
         if isinstance(bw, (int, float)) and bw > 0.0:
             self._bw_bps.append(float(bw))
-            del self._bw_bps[: -self._history]
+            del self._bw_bps[:-DEFAULT_HISTORY]
         if isinstance(rtt, (int, float)) and rtt > 0.0:
             self._rtt_s.append(float(rtt))
-            del self._rtt_s[: -self._history]
+            del self._rtt_s[:-DEFAULT_HISTORY]
 
     # -- initialization ----------------------------------------------------
 
     def initial_params(self, ctx: InitContext) -> InitialParams:
         hx = ctx.hx_qos
         learned_bw: Optional[float] = None
-        if len(self._bw_bps) >= self._min_obs:
-            learned_bw = _quantile(self._bw_bps, self._quantile) * self._margin
+        if len(self._bw_bps) >= DEFAULT_MIN_OBSERVATIONS:
+            learned_bw = _quantile(self._bw_bps, DEFAULT_QUANTILE)
 
         if learned_bw is None and hx is None:
             # Cold start: indistinguishable from Wira's Table I row.

@@ -3,20 +3,19 @@
 Schemes are dispatched through a string-keyed registry, so new ones
 plug in without editing the core:
 
-* :class:`SchemeSpec` — a canonical-JSON-serializable scheme reference
-  (``name`` plus optional scalar ``params``) that travels through
-  ``SessionSpec``, ``FleetConfig``, the robustness matrix, and the serve
-  wire's ``WSPC`` tag.  Specs and plain value strings compare and hash
-  equal when they denote the same scheme, so either keys the same
-  records.
+* :class:`SchemeSpec` — a reference to a registered scheme by name,
+  which travels through ``SessionSpec``, ``FleetConfig``, the
+  robustness matrix, and the serve wire's ``WSPC`` tag.  A spec and its
+  name compare and hash equal, so either keys the same records.  A
+  scheme takes no parameters: a variant is a new registered name.
 * :class:`InitPolicy` — the plugin protocol.  ``initial_params(ctx)``
   computes the connection's initial window/rate from the signals Wira
   gathered; ``observe(result)`` is an optional feedback hook the
   deployment replay calls after every finished session of a chain, which
   is what lets the online per-OD adaptive initializer learn;
-  ``quic_config()`` lets a scheme select its transport stack (e.g. a
-  BBRv2-style controller or AutoRec-style recovery knobs) with zero
-  session-code edits.
+  ``quic_config()`` lets a scheme run on its own fixed transport stack
+  (the BBRv2 controller, AutoRec-style recovery) with zero session-code
+  edits.
 * :func:`register` / :func:`as_spec` / :func:`make_policy` — the
   registry surface the engines use.
 
@@ -30,127 +29,40 @@ golden digests in ``tests/experiments/test_scheme_parity.py``.
 from __future__ import annotations
 
 import abc
-import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from repro.core.config import WiraConfig
 from repro.core.transport_cookie import HxQos
+from repro.quic.config import QuicConfig
 
 if TYPE_CHECKING:
     from repro.cdn.session import SessionResult
     from repro.core.initializer import InitialParams
-    from repro.quic.config import QuicConfig
-
-#: Version of the serialized spec layout (``SchemeSpec.to_json``).
-SCHEME_SPEC_SCHEMA_VERSION = 1
-
-#: JSON-scalar parameter value.
-ParamValue = Union[str, int, float, bool, None]
-
-#: Canonical parameter storage: sorted ``(key, value)`` pairs.
-Params = Tuple[Tuple[str, ParamValue], ...]
-
-_SCALAR_TYPES = (str, int, float, bool, type(None))
-
-
-def _canonical_params(params: object) -> Params:
-    """Normalize a params mapping/pair-iterable to the sorted tuple form."""
-    if isinstance(params, Mapping):
-        items = list(params.items())
-    else:
-        items = [(k, v) for k, v in params]  # type: ignore[union-attr]
-    seen: Dict[str, ParamValue] = {}
-    for key, value in items:
-        if not isinstance(key, str) or not key:
-            raise ValueError(f"scheme param keys must be non-empty strings, got {key!r}")
-        if not isinstance(value, _SCALAR_TYPES):
-            raise ValueError(
-                f"scheme param {key!r} must be a JSON scalar, got {type(value).__name__}"
-            )
-        if key in seen:
-            raise ValueError(f"duplicate scheme param {key!r}")
-        seen[key] = value
-    return tuple(sorted(seen.items()))
 
 
 @dataclass(frozen=True, eq=False)
 class SchemeSpec:
     """A serializable reference to a registered scheme.
 
-    ``value`` is the canonical string form: the bare ``name`` when there
-    are no params (the form on the wire and in every cache/checkpoint
-    key), else ``name?{...}`` with the params as canonical JSON.
-    Equality and hashing go through that string so a spec and the plain
-    value string are interchangeable as dict keys.
+    ``value`` is the scheme's name: the form on the wire and in every
+    record key.  Equality and hashing go through it, so a spec and the
+    plain name are interchangeable as dict keys.
     """
 
     name: str
-    params: Params = ()
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
             raise ValueError(f"invalid scheme name {self.name!r}")
-        object.__setattr__(self, "params", _canonical_params(self.params))
-
-    # -- canonical string form --------------------------------------------
 
     @property
     def value(self) -> str:
-        if not self.params:
-            return self.name
-        blob = json.dumps(dict(self.params), sort_keys=True, separators=(",", ":"))
-        return f"{self.name}?{blob}"
-
-    @classmethod
-    def parse(cls, text: str) -> "SchemeSpec":
-        """Inverse of :attr:`value` (``name`` or ``name?{json params}``)."""
-        name, sep, blob = text.partition("?")
-        if not sep:
-            return cls(name)
-        try:
-            payload = json.loads(blob)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed scheme params in {text!r}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError(f"scheme params must be a JSON object, got {blob!r}")
-        return cls(name, _canonical_params(payload))
-
-    # -- JSON spec form (schema-versioned) --------------------------------
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "schema": SCHEME_SPEC_SCHEMA_VERSION,
-            "name": self.name,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "SchemeSpec":
-        schema = payload.get("schema", SCHEME_SPEC_SCHEMA_VERSION)
-        if schema != SCHEME_SPEC_SCHEMA_VERSION:
-            raise ValueError(f"unsupported scheme spec schema {schema!r}")
-        name = payload.get("name")
-        if not isinstance(name, str):
-            raise ValueError("scheme spec needs a string 'name'")
-        params = payload.get("params", {})
-        return cls(name, _canonical_params(params))
-
-    # -- convenience -------------------------------------------------------
-
-    def param(self, key: str, default: ParamValue = None) -> ParamValue:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return self.name
 
     @property
     def display_name(self) -> str:
-        base = get_def(self.name).display_name
-        if not self.params:
-            return base
-        blob = json.dumps(dict(self.params), sort_keys=True, separators=(",", ":"))
-        return f"{base} {blob}"
+        return get_def(self.name).display_name
 
     @property
     def uses_frame_perception(self) -> bool:
@@ -164,16 +76,16 @@ class SchemeSpec:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SchemeSpec):
-            return self.value == other.value
+            return self.name == other.name
         if isinstance(other, str):
-            return self.value == other
+            return self.name == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.value)
+        return hash(self.name)
 
     def __repr__(self) -> str:
-        return f"SchemeSpec({self.value!r})"
+        return f"SchemeSpec({self.name!r})"
 
 
 #: Anything the engines accept where a scheme is expected.
@@ -220,7 +132,7 @@ class InitPolicy(abc.ABC):
     def observe(self, result: "SessionResult") -> None:
         """Feedback hook: one finished session of this policy's chain."""
 
-    def quic_config(self) -> Optional["QuicConfig"]:
+    def quic_config(self) -> Optional[QuicConfig]:
         """Transport stack override (CC / recovery), or ``None`` for default."""
         return None
 
@@ -250,10 +162,10 @@ class SchemeDef:
 _REGISTRY: Dict[str, SchemeDef] = {}
 
 
-def register(defn: SchemeDef, replace: bool = False) -> SchemeDef:
-    """Add a scheme to the registry (``replace=True`` to re-register)."""
+def register(defn: SchemeDef) -> SchemeDef:
+    """Add a scheme to the registry."""
     SchemeSpec(defn.name)  # validates the name
-    if defn.name in _REGISTRY and not replace:
+    if defn.name in _REGISTRY:
         raise ValueError(f"scheme {defn.name!r} is already registered")
     _REGISTRY[defn.name] = defn
     return defn
@@ -278,16 +190,16 @@ def eval_schemes() -> Tuple[SchemeSpec, ...]:
 
 
 def as_spec(scheme: SchemeLike) -> SchemeSpec:
-    """Normalize a spec or its value string to a spec.
+    """Normalize a spec or its name to a spec.
 
-    Raises ``ValueError`` for unknown scheme names, making this the one
-    validation point for every external surface (fleet config, serve
-    wire, CLIs).
+    Raises ``ValueError`` for anything but a registered name, making
+    this the one validation point for every external surface (fleet
+    config, serve wire, CLIs).
     """
     if isinstance(scheme, SchemeSpec):
         spec = scheme
     elif isinstance(scheme, str):
-        spec = SchemeSpec.parse(scheme)
+        spec = SchemeSpec(scheme)
     else:
         raise TypeError(f"not a scheme: {scheme!r}")
     get_def(spec.name)  # validates registration
@@ -306,13 +218,13 @@ def make_policy(scheme: SchemeLike, seed: int = 0) -> InitPolicy:
 
 
 class TableIPolicy(InitPolicy):
-    """A stateless Table I scheme, optionally with a transport override.
+    """A stateless Table I scheme, optionally on a fixed transport stack.
 
     ``base`` names the Table I row to compute (§IV-C); ``transport``
-    holds default transport params (cc name, recovery knobs) that spec
-    params may override.  The five paper schemes use this directly; the
-    BBRv2 and AutoRec frontier schemes are Wira's Table I row composed
-    with a non-default transport stack.
+    builds the scheme's ``QuicConfig``, or is ``None`` for the session
+    default.  The five paper schemes use this directly; the BBRv2 and
+    AutoRec frontier schemes are Wira's Table I row on a non-default
+    transport stack.
     """
 
     __slots__ = ("base", "transport")
@@ -322,13 +234,11 @@ class TableIPolicy(InitPolicy):
         spec: SchemeSpec,
         seed: int = 0,
         base: Optional[str] = None,
-        transport: Params = (),
+        transport: Optional[Callable[[], QuicConfig]] = None,
     ) -> None:
         super().__init__(spec, seed)
         self.base = base if base is not None else spec.name
-        merged = dict(transport)
-        merged.update(dict(spec.params))
-        self.transport = tuple(sorted(merged.items()))
+        self.transport = transport
 
     def initial_params(self, ctx: InitContext) -> "InitialParams":
         from repro.core.initializer import table1_params
@@ -341,69 +251,38 @@ class TableIPolicy(InitPolicy):
             measured_rtt=ctx.measured_rtt,
         )
 
-    def quic_config(self) -> Optional["QuicConfig"]:
-        return transport_quic_config(self.transport)
-
-
-#: Transport params understood by :func:`transport_quic_config`.  A
-#: ``cc.<key>`` param becomes a keyword argument of the controller.
-_TRANSPORT_KEYS = ("cc", "loss_packet_threshold", "loss_time_factor", "pto_probe_count", "pto_backoff")
-
-
-def transport_quic_config(
-    params: Union[Params, Mapping[str, ParamValue]]
-) -> Optional["QuicConfig"]:
-    """Build the ``QuicConfig`` a scheme's transport params call for.
-
-    Accepts either a ``(key, value)`` pair tuple or a mapping.  Returns
-    ``None`` when no transport param is present, so schemes without an
-    override keep the exact legacy default-config path.
-    """
-    pairs = params.items() if isinstance(params, Mapping) else params
-    relevant = {
-        k: v for k, v in pairs if k in _TRANSPORT_KEYS or k.startswith("cc.")
-    }
-    if not relevant:
-        return None
-    from repro.quic.config import QuicConfig
-
-    kwargs: Dict[str, object] = {}
-    cc_params: Dict[str, float] = {}
-    for key, value in relevant.items():
-        if key == "cc":
-            kwargs["congestion_controller"] = str(value)
-        elif key.startswith("cc."):
-            cc_params[key[3:]] = float(value)  # type: ignore[arg-type]
-        elif key == "loss_packet_threshold":
-            kwargs[key] = int(value)  # type: ignore[call-overload]
-        else:
-            kwargs[key] = float(value)  # type: ignore[arg-type]
-    if cc_params:
-        kwargs["cc_params"] = tuple(sorted(cc_params.items()))
-    return QuicConfig(**kwargs)  # type: ignore[arg-type]
+    def quic_config(self) -> Optional[QuicConfig]:
+        # Built per call: a QuicConfig is mutable, so no two sessions
+        # may share one.
+        return None if self.transport is None else self.transport()
 
 
 def _table1_factory(spec: SchemeSpec, seed: int) -> InitPolicy:
     return TableIPolicy(spec, seed)
 
 
+def _bbrv2_transport() -> QuicConfig:
+    return QuicConfig(congestion_controller="bbrv2")
+
+
 def _wira_bbr2_factory(spec: SchemeSpec, seed: int) -> InitPolicy:
-    return TableIPolicy(spec, seed, base="wira", transport=(("cc", "bbrv2"),))
+    return TableIPolicy(spec, seed, base="wira", transport=_bbrv2_transport)
 
 
-#: AutoRec-style accelerated recovery: earlier time/packet loss
-#: declaration, more PTO probes, gentler backoff.  First-frame tails
-#: under loss are recovery-bound, not window-bound.
-AUTOREC_TRANSPORT: Params = (
-    ("loss_packet_threshold", 2),
-    ("loss_time_factor", 1.0),
-    ("pto_backoff", 1.5),
-    ("pto_probe_count", 4),
-)
+def _autorec_transport() -> QuicConfig:
+    """AutoRec-style accelerated recovery: earlier time/packet loss
+    declaration, more PTO probes, gentler backoff.  First-frame tails
+    under loss are recovery-bound, not window-bound."""
+    return QuicConfig(
+        loss_packet_threshold=2,
+        loss_time_factor=1.0,
+        pto_probe_count=4,
+        pto_backoff=1.5,
+    )
 
 
 def _wira_ar_factory(spec: SchemeSpec, seed: int) -> InitPolicy:
-    return TableIPolicy(spec, seed, base="wira", transport=AUTOREC_TRANSPORT)
+    return TableIPolicy(spec, seed, base="wira", transport=_autorec_transport)
 
 
 def _adaptive_factory(spec: SchemeSpec, seed: int) -> InitPolicy:

@@ -58,6 +58,9 @@ from repro.simnet.trace import ConditionTrace, TracePoint
 
 COOKIE_KEY = b"wira-robustness-cookie-key-32b!!"
 
+#: Seed of the one live stream every cell's sessions play.
+STREAM_SEED = 17
+
 #: Simulated-seconds gap between the priming and the measured session —
 #: short enough that the primed cookie is always fresh.
 SESSION_GAP = 5.0
@@ -166,8 +169,6 @@ class RobustnessConfig:
     #: Degradation gate: mean(FFCT scheme) ≤ bound × mean(FFCT BASELINE)
     #: under the same fault/schedule/seeds.
     ffct_ratio_bound: float = 1.5
-    stream_seed: int = 17
-    timeout: float = 30.0
 
     @classmethod
     def quick(cls) -> "RobustnessConfig":
@@ -245,7 +246,7 @@ def prime_chain(
 ) -> PrimedChain:
     """Run the clean priming session every cell of a (scheme, seed) shares."""
     origin = Origin()
-    origin.add_stream("stream", StreamProfile(seed=config.stream_seed))
+    origin.add_stream("stream", StreamProfile(seed=STREAM_SEED))
     store = ClientCookieStore()
     manager = ServerCookieManager(COOKIE_KEY)
     spec = SessionSpec(
@@ -253,7 +254,6 @@ def prime_chain(
         scheme=scheme,
         epoch=0.0,
         seed=seed,
-        timeout=config.timeout,
         trace_label=f"rb-{scheme.value}-s{seed}-prime",
     )
     primed = StreamingSession(
@@ -288,7 +288,6 @@ def run_cell(
         scheme=scheme,
         epoch=SESSION_GAP,
         seed=seed + 1,
-        timeout=config.timeout,
         schedule=schedule,
         fault_plan=plan,
         trace_label=f"rb-{scheme.value}-{fault_name}-{schedule_name}-s{seed}",

@@ -9,19 +9,18 @@ same simplified spirit as the rest of the transport:
 * **inflight_hi** — an upper bound on in-flight data, learned from loss.
   The congestion window is clamped to it, so probing can no longer
   overshoot a previously lossy operating point;
-* **loss response** — each loss event multiplies the bound by ``beta``
-  (0.7, the BBRv2 default), seeding it from the current in-flight level
-  on first loss;
+* **loss response** — each loss event multiplies the bound by
+  :data:`BETA` (0.7, the BBRv2 default), seeding it from the current
+  in-flight level on first loss;
 * **probe up** — loss-free rounds in PROBE_BW's probing phase raise the
-  bound additively (packets per round), reclaiming headroom;
-* **startup loss exit** — too many loss events inside one startup round
-  ends STARTUP (BBRv2's ``full_loss_cnt``), where BBRv1 would keep
-  pushing at 2.885× gain.
+  bound additively (:data:`PROBE_UP_PACKETS` per round), reclaiming
+  headroom;
+* **startup loss exit** — :data:`FULL_LOSS_COUNT` loss events inside
+  one startup round end STARTUP (BBRv2's ``full_loss_cnt``), where
+  BBRv1 would keep pushing at 2.885× gain.
 
-Selected via ``QuicConfig(congestion_controller="bbrv2")``; tunables
-arrive through ``QuicConfig.cc_params`` (``beta``, ``full_loss_count``,
-``probe_up_packets``), which is how a ``SchemeSpec``'s transport params
-reach the controller without any session-code edits.
+Selected via ``QuicConfig(congestion_controller="bbrv2")``, which is
+the fixed transport stack of the ``wira_bbr2`` scheme.
 """
 
 from __future__ import annotations
@@ -46,16 +45,9 @@ class Bbr2Sender(BbrSender):
         rtt: Optional[RttEstimator] = None,
         mss: int = DEFAULT_MSS,
         initial_window_packets: int = 10,
-        beta: float = BETA,
-        full_loss_count: float = FULL_LOSS_COUNT,
-        probe_up_packets: float = PROBE_UP_PACKETS,
     ) -> None:
         super().__init__(rtt, mss, initial_window_packets)
-        if not 0.0 < beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        self._beta = beta
-        self._full_loss_count = int(full_loss_count)
-        self._probe_up_bytes = int(probe_up_packets) * mss
+        self._probe_up_bytes = PROBE_UP_PACKETS * mss
         self.inflight_hi: Optional[int] = None
         self._loss_events_in_round = 0
         self._loss_round_end = -1  # packet number closing the loss round
@@ -108,10 +100,10 @@ class Bbr2Sender(BbrSender):
             current = self.inflight_hi
             if current is None:
                 current = max(bytes_in_flight, self._min_cwnd)
-            self.inflight_hi = max(self._min_cwnd, int(current * self._beta))
+            self.inflight_hi = max(self._min_cwnd, int(current * BETA))
             if (
                 self.mode == BbrMode.STARTUP
-                and self._loss_events_in_round >= self._full_loss_count
+                and self._loss_events_in_round >= FULL_LOSS_COUNT
             ):
                 # BBRv2 startup loss exit: the path told us where the
                 # ceiling is; stop probing at high gain.

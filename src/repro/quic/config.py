@@ -1,9 +1,14 @@
-"""Transport configuration."""
+"""Transport configuration.
+
+One :class:`QuicConfig` per connection.  A scheme on a non-default
+stack (``wira_bbr2``, ``wira_ar``) registers its own fixed config in
+:mod:`repro.core.schemes`; the CUBIC substrate ablation sets one through
+``SessionSpec.quic_config``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 
 @dataclass
@@ -37,11 +42,6 @@ class QuicConfig:
     congestion_controller: str = "bbr"
     """A :data:`repro.quic.cc.CONTROLLERS` name (``bbr``, ``bbrv2``,
     ``cubic``)."""
-
-    cc_params: Tuple[Tuple[str, float], ...] = ()
-    """Extra keyword arguments for the selected controller, as sorted
-    ``(name, value)`` pairs (kept a tuple so the config stays hashable
-    and canonically serializable).  Empty for the stock controllers."""
 
     loss_packet_threshold: int = 3
     """Packets-past threshold for loss declaration (RFC 9002 §6.1.1)."""

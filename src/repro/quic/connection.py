@@ -159,7 +159,6 @@ class Connection:
             rtt=self.rtt,
             mss=self.config.mss,
             initial_window_packets=self.config.initial_window_packets,
-            **dict(self.config.cc_params),
         )
         self.cc._trace_conn = self._trace_id
         self.pacer = Pacer(

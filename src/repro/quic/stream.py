@@ -140,6 +140,11 @@ class RecvStream:
     def finished(self) -> bool:
         return self._fin_offset is not None and self._delivered >= self._fin_offset
 
+    @property
+    def buffered_bytes(self) -> int:
+        """Bytes held past the delivered offset, waiting on a hole."""
+        return sum(len(data) for data in self._segments.values())
+
     def on_frame(self, offset: int, data: bytes, fin: bool) -> bytes:
         """Ingest a STREAM frame; returns newly contiguous bytes."""
         if fin:

@@ -10,11 +10,13 @@ sessions cost one file descriptor, not 10k.  Per session it
 3. sends the GET — the wall-clock measurement anchor — and then runs the
    **real FLV demuxer** over the received stream, timestamping every
    completed video frame exactly as the simulated player does,
-4. stores pushed Hx_QoS cookies in a bounded
+4. stores pushed Hx_QoS cookies in one
    :class:`~repro.core.transport_cookie.ClientCookieStore` shared across
-   all chains (the long-lived-client RSS story), and
-5. repairs datagram gaps with ``RESEND`` requests so loopback drops
-   never silently truncate a distribution.
+   all chains, and
+5. reassembles the stream with the simulator's own
+   :class:`~repro.quic.stream.RecvStream` and repairs datagram gaps with
+   ``RESEND`` requests, so loopback drops never silently truncate a
+   distribution.
 
 The outcome is a real :class:`~repro.cdn.session.SessionResult`, so
 fleet aggregates, reports and the HTML renderer consume socket sessions
@@ -26,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import obs as _obs
 from repro.cdn.client import ClientMetrics, WiraClient
@@ -38,6 +40,7 @@ from repro.quic.connection import ConnectionStats
 from repro.quic.frames import HxQosFrame
 from repro.quic.handshake import HandshakeMessageType
 from repro.quic.packet import Packet, PacketType
+from repro.quic.stream import RecvStream
 from repro.serve import protocol
 from repro.serve.transport import Address, UdpEndpoint, open_endpoint
 from repro.serve.wire import EnvelopeError, EnvelopeKind, decode_envelope, encode_envelope
@@ -78,12 +81,9 @@ class _Flow:
 
     connection_id: bytes
     shlo: "asyncio.Future[protocol.ShloSummary]"
-    chunks: Dict[int, bytes] = field(default_factory=dict)
-    contiguous: int = 0
-    fin_at: Optional[int] = None
+    stream: RecvStream = field(default_factory=lambda: RecvStream(protocol.REQUEST_STREAM))
     demuxer: flv.FlvDemuxer = field(default_factory=lambda: flv.FlvDemuxer(expect_header=True))
     first_byte_at: Optional[float] = None
-    first_frame_at: Optional[float] = None
     frame_times: List[float] = field(default_factory=list)
     bytes_received: int = 0
     cookies: List[HxQosFrame] = field(default_factory=list)
@@ -94,20 +94,10 @@ class _Flow:
 class ServeDriver:
     """Campaign-wide client: one socket, many flows, one cookie store."""
 
-    def __init__(
-        self,
-        server_addr: Address,
-        campaign_seed: int,
-        store_max_entries: Optional[int] = None,
-        store_ttl: Optional[float] = None,
-        playback_threshold: int = 1,
-    ) -> None:
+    def __init__(self, server_addr: Address, campaign_seed: int) -> None:
         self.server_addr = server_addr
         self.campaign_seed = campaign_seed
-        self.playback_threshold = playback_threshold
-        self.cookie_store = ClientCookieStore(
-            max_entries=store_max_entries, ttl=store_ttl, on_evict=self._on_evict
-        )
+        self.cookie_store = ClientCookieStore()
         self.endpoint: Optional[UdpEndpoint] = None
         self._flows: Dict[bytes, _Flow] = {}
         self.stats: Dict[str, int] = {
@@ -116,7 +106,6 @@ class ServeDriver:
             "undecodable": 0,
             "unknown_flow": 0,
             "retransmit_requests": 0,
-            "cookie_evictions": 0,
         }
 
     async def start(self) -> None:
@@ -125,13 +114,6 @@ class ServeDriver:
     def close(self) -> None:
         if self.endpoint is not None:
             self.endpoint.close()
-
-    def _on_evict(self, origin: str, reason: str) -> None:
-        self.stats["cookie_evictions"] += 1
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.emit(
-                0.0, "wira:cookie_evicted", "serve", {"origin": origin, "reason": reason}
-            )
 
     def _emit(self, name: str, data: Dict[str, object]) -> None:
         if _obs.ACTIVE is not None:
@@ -163,8 +145,15 @@ class ServeDriver:
             return
         loop_now = asyncio.get_running_loop().time()
         for frame in protocol.stream_frames(packet):
-            if frame.stream_id == protocol.REQUEST_STREAM:
-                self._on_stream_chunk(flow, frame.offset, frame.data, frame.fin, loop_now)
+            if frame.stream_id != protocol.REQUEST_STREAM:
+                continue
+            try:
+                fresh = flow.stream.on_frame(frame.offset, frame.data, frame.fin)
+            except ValueError:
+                # A FIN contradicting an earlier one.
+                self.stats["undecodable"] += 1
+                return
+            self._feed(flow, fresh, loop_now)
         for hx in protocol.hx_qos_frames(packet):
             flow.cookies.append(hx)
         if flow.progress is not None:
@@ -182,30 +171,6 @@ class ServeDriver:
         if not flow.shlo.done():
             flow.shlo.set_result(summary)
 
-    def _on_stream_chunk(
-        self, flow: _Flow, offset: int, data: bytes, fin: bool, now: float
-    ) -> None:
-        if fin:
-            flow.fin_at = offset + len(data)
-        if data and offset + len(data) > flow.contiguous:
-            flow.chunks[offset] = bytes(data)
-        # Advance the contiguous prefix through the demuxer, in order.
-        advanced = True
-        while advanced:
-            advanced = False
-            for chunk_offset in sorted(flow.chunks):
-                chunk = flow.chunks[chunk_offset]
-                if chunk_offset > flow.contiguous:
-                    continue
-                del flow.chunks[chunk_offset]
-                if chunk_offset + len(chunk) <= flow.contiguous:
-                    continue  # pure duplicate
-                fresh = chunk[flow.contiguous - chunk_offset :]
-                flow.contiguous += len(fresh)
-                self._feed(flow, fresh, now)
-                advanced = True
-                break
-
     def _feed(self, flow: _Flow, data: bytes, now: float) -> None:
         if not data:
             return
@@ -216,11 +181,6 @@ class ServeDriver:
             if not tag.is_video:
                 continue
             flow.frame_times.append(now)
-            if (
-                len(flow.frame_times) == self.playback_threshold
-                and flow.first_frame_at is None
-            ):
-                flow.first_frame_at = now
 
     # ------------------------------------------------------------------
     # send side
@@ -333,7 +293,7 @@ class ServeDriver:
         metrics = ClientMetrics(
             request_sent_at=0.0,
             first_byte_at=_rel(flow.first_byte_at, flow.anchor),
-            first_frame_at=_rel(flow.first_frame_at, flow.anchor),
+            first_frame_at=flow.frame_times[0] - flow.anchor if flow.frame_times else None,
             video_frame_times=[t - flow.anchor for t in flow.frame_times],
             bytes_received=flow.bytes_received,
             cookies_received=len(flow.cookies),
@@ -422,8 +382,8 @@ class ServeDriver:
                     continue
                 raise WireFailure(
                     f"session timed out for {od_key}: "
-                    f"{flow.contiguous}/{summary.stream_length} bytes, "
-                    f"fin={flow.fin_at is not None}, cookies={len(flow.cookies)}"
+                    f"{flow.stream.delivered_offset}/{summary.stream_length} bytes, "
+                    f"{flow.stream.buffered_bytes} buffered, cookies={len(flow.cookies)}"
                 )
             flow.progress.clear()
             try:
@@ -436,15 +396,15 @@ class ServeDriver:
                         self._send_packet(od_key, get_packet)
                         get_resent = True
                     continue
-                if flow.chunks and repairs < REPAIR_ATTEMPTS:
+                if flow.stream.buffered_bytes and repairs < REPAIR_ATTEMPTS:
                     # Out-of-order data is buffered: a gap exists now.
                     repairs += 1
                     self._request_repair(flow, od_key)
 
     def _terminal(self, flow: _Flow, summary: protocol.ShloSummary) -> bool:
         all_data = (
-            flow.fin_at is not None
-            and flow.contiguous >= summary.stream_length
+            flow.stream.finished
+            and flow.stream.delivered_offset >= summary.stream_length
         )
         cookie_ok = not summary.cookie_pushed or bool(flow.cookies)
         return all_data and cookie_ok
@@ -452,14 +412,14 @@ class ServeDriver:
     def _request_repair(self, flow: _Flow, od_key: str) -> None:
         self.stats["retransmit_requests"] += 1
         self._emit(
-            "serve:retransmit", {"od": od_key, "from": flow.contiguous}
+            "serve:retransmit", {"od": od_key, "from": flow.stream.delivered_offset}
         )
         packet = protocol.build_stream_packet(
             flow.connection_id,
             2,
             protocol.CONTROL_STREAM,
             0,
-            protocol.build_resend_request(flow.contiguous),
+            protocol.build_resend_request(flow.stream.delivered_offset),
         )
         self._send_packet(od_key, packet)
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import WiraConfig
-from repro.fleet.aggregate import DEFAULT_ALPHA, CampaignAggregate, merge_chunks
+from repro.fleet.aggregate import CampaignAggregate, merge_chunks
 from repro.fleet.engine import FleetConfig, run_chunk
 from repro.fleet.report import build_report
 from repro.serve.driver import ServeDriver, ServeSessionOutcome, WireFailure
@@ -69,10 +69,6 @@ class ServeLoadtestConfig:
     reshard_after_chains: Optional[int] = None
     ffct_rel_tol: float = FFCT_REL_TOL
     ffct_abs_tol: float = FFCT_ABS_TOL
-    sketch_alpha: float = DEFAULT_ALPHA
-    #: Driver cookie-store bounds (None = effectively unbounded).
-    store_max_entries: Optional[int] = None
-    store_ttl: Optional[float] = None
 
     def cookie_key(self) -> bytes:
         return hashlib.sha256(
@@ -89,7 +85,6 @@ class ServeLoadtestConfig:
             population=self.population,
             schemes=self.schemes,
             wira=self.wira,
-            sketch_alpha=self.sketch_alpha,
         )
 
 
@@ -344,16 +339,11 @@ async def _run_campaign(
         front = await router.start()
         await control.start()
 
-        driver = ServeDriver(
-            front,
-            campaign_seed=config.population.seed,
-            store_max_entries=config.store_max_entries,
-            store_ttl=config.store_ttl,
-        )
+        driver = ServeDriver(front, campaign_seed=config.population.seed)
         await driver.start()
 
         population = FleetPopulation(config.population)
-        aggregate = CampaignAggregate(config.schemes, alpha=config.sketch_alpha)
+        aggregate = CampaignAggregate(config.schemes)
         outcomes: List[ServeSessionOutcome] = []
         failures: List[str] = []
         chains_done = 0

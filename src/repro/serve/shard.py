@@ -128,9 +128,6 @@ class ShardServer:
         # set does not grow with the sessions served.
         self._tasks: Set[asyncio.Task[None]] = set()
         self._stopped = asyncio.Event()
-        # When a trace bus is active, sim runs serialize under this lock
-        # so per-session trace scopes never interleave.
-        self._sim_lock = asyncio.Lock()
         self.stats: Dict[str, int] = {
             "sessions": 0,
             "sims_run": 0,
@@ -355,40 +352,42 @@ class ShardServer:
             # count the rejection when the blob fails to open.
             pass
 
-        chain = self._chain_state(spec, asyncio.get_running_loop().time())
-        sim_spec = SessionSpec(
-            conditions=spec.conditions,
-            scheme=spec.scheme,
-            handshake_mode=spec.handshake_mode,
-            epoch=spec.epoch,
-            seed=spec.seed,
-            target_video_frames=spec.target_video_frames,
-            wira_config=self.wira,
-            client_supports_cookies=supports,
-            trace_label=(
-                f"serve-{spec.scheme.value}-{spec.od_key}-s{spec.session_index}"
-            ),
-        )
         stream_tap: List[Tuple[float, int, bytes, bool]] = []
         hx_tap: List[Tuple[float, HxQosFrame]] = []
-        sim_session = StreamingSession(
-            sim_spec,
-            chain.origin,
-            chain.stream_name,
-            cookie_store=synthetic_store,
-            cookie_manager=self.cookie_manager,
-            stream_data_tap=lambda t, sid, data, fin: stream_tap.append(
-                (t, sid, data, fin)
-            ),
-            hx_qos_tap=lambda t, frame: hx_tap.append((t, frame)),  # type: ignore[arg-type]
-        )
-        result, sim_end = await self._run_sim(sim_session)
-        if sim_end is None:
-            # Traced (blocking) runs don't expose their loop clock; the
-            # timeline end is the last tapped delivery plus a margin.
-            last_stream = max((t for t, _, _, _ in stream_tap), default=0.0)
-            last_hx = max((t for t, _ in hx_tap), default=0.0)
-            sim_end = max(last_stream, last_hx) + 0.05
+        try:
+            chain = self._chain_state(spec, asyncio.get_running_loop().time())
+            sim_spec = SessionSpec(
+                conditions=spec.conditions,
+                scheme=spec.scheme,
+                handshake_mode=spec.handshake_mode,
+                epoch=spec.epoch,
+                seed=spec.seed,
+                target_video_frames=spec.target_video_frames,
+                wira_config=self.wira,
+                client_supports_cookies=supports,
+                trace_label=(
+                    f"serve-{spec.scheme.value}-{spec.od_key}-s{spec.session_index}"
+                ),
+            )
+            sim_session = StreamingSession(
+                sim_spec,
+                chain.origin,
+                chain.stream_name,
+                cookie_store=synthetic_store,
+                cookie_manager=self.cookie_manager,
+                stream_data_tap=lambda t, sid, data, fin: stream_tap.append(
+                    (t, sid, data, fin)
+                ),
+                hx_qos_tap=lambda t, frame: hx_tap.append((t, frame)),  # type: ignore[arg-type]
+            )
+            result, sim_end = await self._run_sim(sim_session)
+        except (ValueError, ArithmeticError):
+            # A spec that decodes but that the simulator refuses (no
+            # target frame) or cannot compute with (a zero or overflowing
+            # rate) is garbage like any other.
+            self.stats["undecodable"] += 1
+            self._sessions.pop(session.connection_id, None)
+            return
         self.stats["sims_run"] += 1
 
         events, stream_length = _build_replay_events(stream_tap, hx_tap, sim_end)
@@ -420,23 +419,24 @@ class ShardServer:
 
     async def _run_sim(
         self, sim_session: StreamingSession
-    ) -> Tuple[SessionResult, Optional[float]]:
+    ) -> Tuple[SessionResult, float]:
         """Run the sim, yielding to the socket loop between slices.
 
-        With a trace bus active the whole run serializes under a lock
-        (scoped trace files cannot interleave) and uses the plain
-        blocking driver; otherwise each slice the session's own drive
-        loop asks for is run here, so results are identical.
-        Returns ``(result, sim clock at drain end)`` — the clock is
-        ``None`` on the traced path, which hides its loop.
+        Each slice the session's own drive loop asks for is run here, so
+        results are identical to :meth:`StreamingSession.run`.  With a
+        trace bus active the slices run back to back inside the
+        session's trace scope: with no ``await`` in it, no other
+        session's events can land there.  Returns ``(result, sim clock
+        at drain end)``.
         """
-        if _obs.ACTIVE is not None:
-            async with self._sim_lock:
-                return sim_session.run(), None
-
         sim_loop = SimLoop()
         steps = sim_session.drive(sim_loop)
+        bus = _obs.ACTIVE
         try:
+            if bus is not None:
+                with bus.session(sim_session.trace_label):
+                    while True:
+                        sim_loop.run_until(next(steps), max_events=_SLICE_EVENTS)
             while True:
                 sim_loop.run_until(next(steps), max_events=_SLICE_EVENTS)
                 await asyncio.sleep(0)

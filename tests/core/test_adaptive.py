@@ -9,11 +9,9 @@ outcomes)``.
 
 from types import SimpleNamespace
 
-import pytest
-
 from repro.core.config import WiraConfig
 from repro.core.initializer import payload_to_wire_bytes, table1_params
-from repro.core.schemes import WIRA, InitContext, SchemeSpec, as_spec, make_policy
+from repro.core.schemes import WIRA, InitContext, as_spec, make_policy
 from repro.core.transport_cookie import HxQos
 from repro.experiments import common
 from repro.fleet import canonical_json, run_campaign, run_chunk
@@ -28,8 +26,8 @@ def outcome(bw, rtt=0.05):
     return SimpleNamespace(server_max_bw=bw, server_min_rtt=rtt)
 
 
-def fed_policy(observations, seed=0, spec="adaptive"):
-    policy = make_policy(spec, seed=seed)
+def fed_policy(observations, seed=0):
+    policy = make_policy("adaptive", seed=seed)
     for obs in observations:
         policy.observe(obs)
     return policy
@@ -82,18 +80,6 @@ class TestLearning:
     def test_history_window_trims(self):
         policy = fed_policy([outcome(1e6)] * 40)
         assert len(policy._bw_bps) == 12  # DEFAULT_HISTORY
-
-    def test_spec_params_tune_the_estimator(self):
-        spec = SchemeSpec("adaptive", params=(("q", 1.0), ("min_obs", 1), ("history", 2)))
-        policy = fed_policy([outcome(2e6), outcome(6e6)], spec=spec)
-        params = policy.initial_params(InitContext(config=CONFIG, ff_size=66_000))
-        assert params.pacing_bps == 6e6  # q=1.0: the max of the window
-
-    def test_invalid_spec_params_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy(SchemeSpec("adaptive", params=(("q", 0.0),)))
-        with pytest.raises(ValueError):
-            make_policy(SchemeSpec("adaptive", params=(("history", 0),)))
 
     def test_window_still_bounded_by_ff_and_bdp(self):
         policy = fed_policy([outcome(8e6), outcome(8e6)])

@@ -1,5 +1,6 @@
 """The scheme-plugin registry: specs, the Table I constants, policies."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -22,7 +23,6 @@ from repro.core.schemes import (
     make_policy,
     register,
     scheme_names,
-    transport_quic_config,
 )
 from repro.core.transport_cookie import HxQos
 
@@ -34,19 +34,8 @@ class TestSchemeSpec:
     def test_bare_value_round_trip(self):
         spec = SchemeSpec("wira")
         assert spec.value == "wira"
-        assert SchemeSpec.parse("wira") == spec
-
-    def test_parameterized_value_is_canonical_json(self):
-        a = SchemeSpec("adaptive", params=(("q", 0.5), ("history", 8)))
-        b = SchemeSpec("adaptive", params=(("history", 8), ("q", 0.5)))
-        assert a.value == b.value  # params sort canonically
-        assert SchemeSpec.parse(a.value) == a
-        assert a.param("q") == 0.5
-        assert a.param("missing", 7) == 7
-
-    def test_json_round_trip(self):
-        spec = SchemeSpec("adaptive", params=(("q", 0.25),))
-        assert SchemeSpec.from_json(spec.to_json()) == spec
+        assert as_spec(spec.value) == spec
+        assert [f.name for f in dataclasses.fields(SchemeSpec)] == ["name"]
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):
@@ -54,14 +43,8 @@ class TestSchemeSpec:
         with pytest.raises(ValueError):
             SchemeSpec("bad name")
 
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            SchemeSpec("wira", params=(("k", object()),))
-        with pytest.raises(ValueError):
-            SchemeSpec("wira", params=(("k", 1), ("k", 2)))
-
     def test_pickle_round_trip(self):
-        spec = SchemeSpec("adaptive", params=(("q", 0.5),))
+        spec = SchemeSpec("adaptive")
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
@@ -81,9 +64,6 @@ class TestValueEquality:
 
     def test_set_equality(self):
         assert {as_spec("wira"), as_spec("baseline")} == {"wira", "baseline"}
-
-    def test_parameterized_spec_not_equal_to_bare(self):
-        assert SchemeSpec("adaptive", params=(("q", 0.5),)) != as_spec("adaptive")
 
 
 class TestRegistry:
@@ -106,8 +86,10 @@ class TestRegistry:
         ]
 
     def test_as_spec_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            as_spec("not_a_scheme")
+        """A scheme is a registered bare name and nothing else."""
+        for text in ("not_a_scheme", "wira?{}", 'adaptive?{"q":0.5}', 'wira?{"cc":"nope"}'):
+            with pytest.raises(ValueError):
+                as_spec(text)
         with pytest.raises(TypeError):
             as_spec(7)
 
@@ -141,26 +123,15 @@ class TestPolicies:
         assert qc is not None and qc.congestion_controller == "bbrv2"
 
     def test_wira_ar_tightens_recovery(self):
-        qc = make_policy("wira_ar").quic_config()
+        policy = make_policy("wira_ar")
+        qc = policy.quic_config()
         assert qc is not None
         assert qc.loss_packet_threshold == 2
+        assert qc.loss_time_factor == 1.0
         assert qc.pto_probe_count == 4
         assert qc.pto_backoff == 1.5
-
-    def test_spec_params_override_transport_defaults(self):
-        spec = SchemeSpec("wira_ar", params=(("pto_probe_count", 6),))
-        qc = make_policy(spec).quic_config()
-        assert qc is not None and qc.pto_probe_count == 6
-
-    def test_transport_quic_config_none_without_transport_keys(self):
-        assert transport_quic_config({}) is None
-        assert transport_quic_config({"q": 0.5}) is None
-
-    def test_transport_quic_config_cc_params_prefix(self):
-        qc = transport_quic_config({"cc": "bbrv2", "cc.beta": 0.8})
-        assert qc is not None
-        assert qc.congestion_controller == "bbrv2"
-        assert qc.cc_params == (("beta", 0.8),)
+        # A config is mutable: every session gets its own.
+        assert policy.quic_config() is not qc
 
 
 class _FixedPolicy(InitPolicy):

@@ -76,7 +76,6 @@ KEPT: Dict[str, str] = {
     "repro.sanitize.errors:SanitizerError.__init__": _FAILURE,
     "repro.sanitize.checks:TransportSanitizer.check_clock": _FAILURE,
     "repro.sanitize.checks:TransportSanitizer.check_bbr_transition": _LONG,
-    "repro.serve.driver:ServeDriver._on_evict": _FAILURE,
     "repro.serve.driver:ServeDriver._request_repair": _FAILURE,
     "repro.serve.protocol:build_resend_request": _FAILURE,
     "repro.serve.protocol:parse_resend_request": _FAILURE,
@@ -143,7 +142,6 @@ KEPT: Dict[str, str] = {
     "repro.quic.frames:HxQosFrame.metric": _VIEW,
     "repro.quic.pacer:Pacer.rate_bps": _VIEW,
     "repro.quic.packet:Packet.is_long_header": _VIEW,
-    "repro.quic.stream:RecvStream.delivered_offset": _VIEW,
     "repro.quic.stream:SendStream.resend_fin": _API,
     "repro.quic.stream:StreamChunk.end": _VIEW,
     "repro.serve.ring:HashRing": _API,
