@@ -18,23 +18,40 @@ chains under every scheme against shared worlds.  A figure
 (:mod:`repro.experiments.runner`) keeps the block's records; a fleet
 campaign (:mod:`repro.fleet.engine`) folds them into aggregates.
 
-Results are cached per configuration: Figs 11–15 all read the same
-deployment run.  Task sharding and the persistent on-disk cache live in
-:mod:`repro.experiments.runner`.
+A world also memoizes the sessions simulated against it.  Table I makes
+schemes coincide — with no valid cookie Wira(Hx) *is* the baseline and
+Wira *is* Wira(FF), and with BDP <= FF_Size Wira is Wira(Hx) — so a
+later scheme often faces a session an earlier one already ran.  It takes
+that outcome instead of simulating it when it starts from an equal
+state (echoed HQST bytes, cookie-manager counters, transport stack) and
+its policy answers every ``initial_params`` question the earlier run
+asked alike.  That is exact, not approximate: before the first
+``initial_params`` call a session depends only on its start state, and
+``initial_params`` is a pure read of ``(policy state, ctx)``, so equal
+answers mean an equal continuation (:class:`SharedSession`).  The
+sanitizer simulates every shared session anyway and compares
+(``shared_session``); a traced replay shares nothing.
+
+Task sharding and the in-process memo of whole replays, which lets Figs
+11–15 read one deployment run, live in :mod:`repro.experiments.runner`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import obs as _obs
+from repro import sanitize as _sanitize
+from repro.cdn.client import WiraClient
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionResult, SessionSpec, StreamingSession
 from repro.core.config import WiraConfig
 from repro.core.initializer import InitialParams
 from repro.core.schemes import (
     BASELINE,
+    InitContext,
     InitPolicy,
     SchemeLike,
     SchemeSpec,
@@ -124,18 +141,24 @@ def chain_policy(
 
 
 class ChainWorld:
-    """Everything about one OD pair's chain that no scheme can change.
+    """Everything about one OD pair's chain that no scheme can change,
+    and every session of it a scheme has simulated.
 
     The planned sessions and the origin hosting the chain's one live
     stream.  The live source is a deterministic function of
     ``(StreamProfile, gop_index)``, so replaying every scheme against
     one world instead of one world per scheme is a pure memo: the
-    complexity walk to a join epoch happens once per OD pair.  A world
+    complexity walk to a join epoch happens once per OD pair.
+
+    ``sessions`` memoizes simulated sessions by planned session index:
+    one :class:`SharedSession` per scheme that simulated that session and
+    recorded it, for the schemes replaying the chain after it.  A world
     belongs to the chain block being replayed and dies with it; nothing
-    a session does may mutate it beyond filling the source's memo.
+    a session does may mutate it beyond filling the source's memo, and
+    only the replay adds to ``sessions``.
     """
 
-    __slots__ = ("chain_index", "chain", "origin", "stream_name")
+    __slots__ = ("chain_index", "chain", "origin", "stream_name", "sessions")
 
     def __init__(self, chain_index: int, chain: Sequence[PlannedSession]) -> None:
         self.chain_index = chain_index
@@ -143,6 +166,77 @@ class ChainWorld:
         self.stream_name = f"stream-{chain_index}"
         self.origin = Origin()
         self.origin.add_stream(self.stream_name, chain[0].stream_profile)
+        self.sessions: Dict[int, List[SharedSession]] = {}
+
+
+#: The origin id every :class:`StreamingSession` client keeps its cookie under.
+ORIGIN_ID = "origin"
+
+#: What a session starts from, as far as the (scheme, chain) running it
+#: can tell it apart: the HQST bytes its client echoes, the cookie
+#: manager's nonce counter and its rejected and stale counts, and the
+#: scheme's transport stack.
+StartState = Tuple[bytes, int, int, int, Optional[QuicConfig]]
+
+#: What a session leaves in its (scheme, chain)'s cookie state: the
+#: store's entry when the session replaced it (``None`` when it did
+#: not), then the manager's three counters.
+CookieState = Tuple[Optional[Tuple[bytes, float]], int, int, int]
+
+
+class SharedSession:
+    """One simulated session, kept for the schemes that replay it later.
+
+    ``start`` is the state the session started from and ``asked`` the
+    ``(InitContext, answer)`` pairs its server put to the policy, in
+    order; ``result`` and ``after`` are what it produced.  Until its
+    first ``initial_params`` call a session is a function of its start
+    state alone, and ``initial_params`` is a pure read of ``(policy
+    state, ctx)`` (the :class:`~repro.core.schemes.InitPolicy`
+    contract), so the next context depends only on the answers so far.
+    A scheme that starts from an equal state and answers every context
+    alike on ``(cwnd_bytes, pacing_bps, provisional)`` would therefore
+    simulate exactly this session: it takes ``result`` and ``after``
+    instead.
+    """
+
+    __slots__ = ("start", "asked", "result", "after")
+
+    def __init__(
+        self,
+        start: StartState,
+        asked: Tuple[Tuple[InitContext, InitialParams], ...],
+        result: SessionResult,
+        after: CookieState,
+    ) -> None:
+        self.start = start
+        self.asked = asked
+        self.result = result
+        self.after = after
+
+
+def _table1_row(params: InitialParams) -> Tuple[int, float, bool]:
+    """What of an answer the session acts on; the two ``used_*`` flags only label it."""
+    return (params.cwnd_bytes, params.pacing_bps, params.provisional)
+
+
+class _AskedPolicy(InitPolicy):
+    """A scheme's policy that notes every question put to it, in order."""
+
+    __slots__ = ("policy", "asked")
+
+    def __init__(self, policy: InitPolicy) -> None:
+        super().__init__(policy.spec, policy.seed)
+        self.policy = policy
+        self.asked: List[Tuple[InitContext, InitialParams]] = []
+
+    def initial_params(self, ctx: InitContext) -> InitialParams:
+        params = self.policy.initial_params(ctx)
+        self.asked.append((ctx, params))
+        return params
+
+    def quic_config(self) -> Optional[QuicConfig]:
+        return self.policy.quic_config()
 
 
 def build_worlds(
@@ -176,23 +270,120 @@ class SchemeReplay:
         self.manager = chain_cookie_manager(world.chain_index, wira_config)
         self.policy = chain_policy(scheme, world.chain_index, config)
 
-    def session(self, planned: PlannedSession) -> StreamingSession:
+    def spec(self, planned: PlannedSession) -> SessionSpec:
+        return session_spec_for(
+            planned, self.scheme, self.world.chain_index, self.config, self.wira_config
+        )
+
+    def session(
+        self, spec: SessionSpec, policy: Optional[InitPolicy] = None
+    ) -> StreamingSession:
         world = self.world
         return StreamingSession(
-            session_spec_for(
-                planned, self.scheme, world.chain_index, self.config, self.wira_config
-            ),
+            spec,
             world.origin,
             world.stream_name,
             cookie_store=self.store,
             cookie_manager=self.manager,
-            init_policy=self.policy,
+            init_policy=self.policy if policy is None else policy,
         )
 
     def outcome(self, planned: PlannedSession, result: SessionResult) -> SessionOutcome:
         """Record one finished session: the policy observes it first."""
         self.policy.observe(result)
         return SessionOutcome(planned, result)
+
+    def start_state(self, spec: SessionSpec) -> StartState:
+        manager = self.manager
+        return (
+            WiraClient.build_hqst_tag(
+                self.store, ORIGIN_ID, supported=spec.client_supports_cookies
+            ),
+            manager._nonce_counter,
+            manager.rejected_cookies,
+            manager.stale_cookies,
+            self.policy.quic_config(),
+        )
+
+    def cookie_state(self, before: Optional[Tuple[bytes, float]]) -> CookieState:
+        """The cookie state a session left, given the store entry it began with."""
+        entry = self.store.get(ORIGIN_ID)
+        manager = self.manager
+        return (
+            None if entry is before else entry,
+            manager._nonce_counter,
+            manager.rejected_cookies,
+            manager.stale_cookies,
+        )
+
+    def take_cookie_state(self, after: CookieState) -> None:
+        entry, nonce_counter, rejected, stale = after
+        if entry is not None:
+            self.store.update(ORIGIN_ID, *entry)
+        manager = self.manager
+        manager._nonce_counter = nonce_counter
+        manager.rejected_cookies = rejected
+        manager.stale_cookies = stale
+
+    def match(
+        self, planned: PlannedSession, start: StartState
+    ) -> Optional[Tuple[SharedSession, Optional[InitialParams]]]:
+        """A recorded session this scheme would simulate identically, and
+        this scheme's last answer in it; ``None`` when there is none."""
+        for shared in self.world.sessions.get(planned.session_index, ()):
+            if shared.start != start:
+                continue
+            answer: Optional[InitialParams] = None
+            for ctx, recorded in shared.asked:
+                answer = self.policy.initial_params(ctx)
+                if _table1_row(answer) != _table1_row(recorded):
+                    break
+            else:
+                return shared, answer
+        return None
+
+    def replay(self, planned: PlannedSession, record: bool) -> SessionOutcome:
+        """Replay one planned session against the shared world.
+
+        Takes the outcome of a session an earlier scheme simulated when
+        :meth:`match` finds one; simulates otherwise, and with ``record``
+        keeps it for the schemes after this one.  Under the sanitizer a
+        taken session is simulated as well and the two compared
+        (``shared_session``); under the trace bus nothing is shared,
+        because every session writes its own trace and breakdown.
+        """
+        spec = self.spec(planned)
+        if _obs.ACTIVE is not None:
+            return self.outcome(planned, self.session(spec).run())
+        if not record and planned.session_index not in self.world.sessions:
+            return self.outcome(planned, self.session(spec).run())
+        start = self.start_state(spec)
+        before = self.store.get(ORIGIN_ID)
+        hit = self.match(planned, start)
+        if hit is not None:
+            shared, answer = hit
+            result = replace(shared.result, scheme=spec.scheme, initial_params=answer)
+            sanitizer = _sanitize.ACTIVE
+            if sanitizer is None:
+                self.take_cookie_state(shared.after)
+                return self.outcome(planned, result)
+            simulated = self.session(spec).run()
+            sanitizer.check_shared_session(
+                str(spec.trace_label),
+                result,
+                simulated,
+                shared.after,
+                self.cookie_state(before),
+            )
+            return self.outcome(planned, simulated)
+        if not record:
+            return self.outcome(planned, self.session(spec).run())
+        asked = _AskedPolicy(self.policy)
+        result = self.session(spec, asked).run()
+        self.world.sessions.setdefault(planned.session_index, []).append(
+            SharedSession(start, tuple(asked.asked), result, self.cookie_state(before))
+        )
+        return self.outcome(planned, result)
 
 
 def iter_chain_outcomes(
@@ -203,21 +394,27 @@ def iter_chain_outcomes(
     wira_config: WiraConfig,
     *,
     world: Optional[ChainWorld] = None,
+    record: bool = True,
 ) -> Iterator[SessionOutcome]:
     """Replay one chain, yielding each outcome as it completes.
 
     The one replay path: a block is this, once per (scheme, chain),
-    over shared worlds.  ``world`` is the chain's shared world; a
-    single-scheme caller (the parity tests' private-world reference, the
-    benchmark's fold drive) omits it and gets a private one.  The replay
-    state dies with the generator, and every session it ran died when it
-    returned, so the outcomes yielded are all that is left of a chain.
+    over shared worlds.  ``world`` is the chain's shared world: a
+    session recorded in it by an earlier scheme is taken instead of
+    simulated where :meth:`SchemeReplay.match` allows, and with
+    ``record`` the sessions this replay simulates are recorded for the
+    schemes after it.  A single-scheme caller (the parity tests'
+    private-world reference, the benchmark's fold drive) omits the world
+    and gets a private one, which shares nothing.  The replay state dies
+    with the generator, and every session it ran died when it returned,
+    so the outcomes yielded are all that is left of a chain.
     """
+    shared = world is not None
     replay = SchemeReplay(
         scheme, world or ChainWorld(chain_index, chain), config, wira_config
     )
     for planned in chain:
-        yield replay.outcome(planned, replay.session(planned).run())
+        yield replay.replay(planned, record and shared)
 
 
 #: Chains per block: the task size of a figure replay (one block is one
@@ -235,6 +432,7 @@ def replay_chains_wave_batched(
     wira_config: WiraConfig,
     *,
     worlds: Optional[Sequence[ChainWorld]] = None,
+    record: bool = False,
 ) -> List[List[SessionOutcome]]:
     """One scheme over many chains, chain by chain; per-chain outcome lists.
 
@@ -245,15 +443,23 @@ def replay_chains_wave_batched(
     (through this module's global) and stays until a ``benchmark`` PR
     moves the hook to :func:`replay_block`.
 
-    ``worlds`` are the chains' shared worlds, one per chain in order; a
-    single-scheme caller omits them and gets private ones.
+    ``worlds`` are the chains' shared worlds, one per chain in order:
+    this scheme takes the sessions earlier schemes recorded in them
+    where it may, and with ``record`` records its own for the schemes
+    after it.  A single-scheme caller omits them and gets fresh ones.
     """
     if worlds is None:
         worlds = build_worlds(chains, base_index)
     return [
         list(
             iter_chain_outcomes(
-                scheme, chain, world.chain_index, config, wira_config, world=world
+                scheme,
+                chain,
+                world.chain_index,
+                config,
+                wira_config,
+                world=world,
+                record=record,
             )
         )
         for chain, world in zip(chains, worlds)
@@ -275,18 +481,28 @@ def replay_block(
     on the solo event loop.  The block's worlds are built once, replayed
     against by every scheme and die with the block, so the
     scheme-independent half of a chain is paid once however many schemes
-    replay it; everything else a session or a (scheme, chain) builds is
-    freed as soon as it returns, so a block's memory is its worlds plus
-    the outcomes it hands back.
+    replay it, and so is every session two schemes would run alike
+    (:class:`SharedSession`): each scheme but the last records what it
+    simulates, and each scheme but the first takes what it may.
+    Everything else a session or a (scheme, chain) builds is freed as
+    soon as it returns, so a block's memory is its worlds plus the
+    outcomes it hands back.
     """
     worlds = build_worlds(chains, base_index)
+    last = len(schemes) - 1
     # Resolved through the module global on every call: the benchmark
     # harness wraps ``replay_chains_wave_batched`` at run time.
     return {
         scheme.value: replay_chains_wave_batched(
-            scheme, chains, base_index, config, wira_config, worlds=worlds
+            scheme,
+            chains,
+            base_index,
+            config,
+            wira_config,
+            worlds=worlds,
+            record=position < last,
         )
-        for scheme in schemes
+        for position, scheme in enumerate(schemes)
     }
 
 

@@ -177,7 +177,13 @@ def run_deployment(
         # tracing should keep hitting the breakdown-free ones).
         use_cache = False
     if use_cache and memo_key in _MEMORY_CACHE:
-        return _MEMORY_CACHE[memo_key]
+        # The key forgets the order the schemes were asked in; the
+        # records keep it, so a figure's rows do not depend on which
+        # figure replayed first.
+        memo = _MEMORY_CACHE[memo_key]
+        if tuple(memo) == schemes:
+            return memo
+        return {scheme: memo[scheme] for scheme in schemes}
     records = _replay(config, schemes, wira_config, resolve_jobs(jobs))
     if use_cache:
         _MEMORY_CACHE[memo_key] = records

@@ -273,8 +273,8 @@ class Connection:
         now = self.loop.now
         sidecar = datagram.packet
         if isinstance(sidecar, Packet):
-            # The sender's own parse rode beside the bytes; under the
-            # sanitizer, prove it is what the bytes say.
+            # The sender's packet travelled in place of its bytes; under
+            # the sanitizer, build them and prove the packet is what they say.
             packet = sidecar
             if _sanitize.ACTIVE is not None:
                 _sanitize.ACTIVE.check_datagram_parse(Packet.decode, datagram, now)
@@ -635,8 +635,7 @@ class Connection:
         self._next_packet_number += 1
         if _sanitize.ACTIVE is not None:
             _sanitize.ACTIVE.check_packet_sent(self, packet.packet_number, now)
-        wire = packet.encode()
-        size = len(wire) + self.config.udp_overhead
+        size = packet.wire_size() + self.config.udp_overhead
         ack_eliciting = packet.ack_eliciting()
         sent = SentPacket(
             packet_number=packet.packet_number,
@@ -668,9 +667,10 @@ class Connection:
                     "role": self.role.value,
                 },
             )
-        # The bytes are what travels; the parse they came from rides
-        # beside them so an in-process receiver need not redo it.
-        self._send_datagram(Datagram(wire, size, False, packet))
+        # The packet travels in place of its bytes: an in-process
+        # receiver reads the packet, and whoever reads the bytes (a bit
+        # flip, the sanitizer, a parser) has them encoded then.
+        self._send_datagram(Datagram(None, size, False, packet))
 
     # ------------------------------------------------------------------
     # Timers

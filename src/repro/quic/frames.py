@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import ClassVar, List, Tuple, Union
 
-from repro.quic.varint import decode_varint, encode_varint
+from repro.quic.varint import decode_varint, encode_varint, varint_size
 
 
 class FrameParseError(ValueError):
@@ -87,6 +87,9 @@ class PaddingFrame:
     def encode(self) -> bytes:
         return b"\x00" * self.length
 
+    def wire_size(self) -> int:
+        return self.length
+
 
 @dataclass(frozen=True)
 class PingFrame:
@@ -94,6 +97,9 @@ class PingFrame:
 
     def encode(self) -> bytes:
         return _PING_BYTES
+
+    def wire_size(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +146,23 @@ class AckFrame:
             prev_low = low
         return b"".join(parts)
 
+    def wire_size(self) -> int:
+        """``len(self.encode())``, without building the bytes."""
+        ranges = self.ranges
+        first_low, first_high = ranges[0]
+        size = (
+            1
+            + varint_size(self.largest_acked)
+            + varint_size(self.ack_delay_us)
+            + varint_size(len(ranges) - 1)
+            + varint_size(first_high - first_low)
+        )
+        prev_low = first_low
+        for low, high in ranges[1:]:
+            size += varint_size(prev_low - high - 2) + varint_size(high - low)
+            prev_low = low
+        return size
+
     def acked_packet_numbers(self) -> List[int]:
         """All packet numbers covered, descending.
 
@@ -165,6 +188,10 @@ class CryptoFrame:
             (_CRYPTO_BYTES, encode_varint(self.offset), encode_varint(len(data)), data)
         )
 
+    def wire_size(self) -> int:
+        length = len(self.data)
+        return 1 + varint_size(self.offset) + varint_size(length) + length
+
 
 @dataclass(frozen=True, slots=True)
 class StreamFrame:
@@ -187,6 +214,17 @@ class StreamFrame:
             )
         )
 
+    def wire_size(self) -> int:
+        """``len(self.encode())``, without building the bytes."""
+        length = len(self.data)
+        return (
+            1
+            + varint_size(self.stream_id)
+            + varint_size(self.offset)
+            + varint_size(length)
+            + length
+        )
+
 
 @dataclass(frozen=True)
 class HandshakeDoneFrame:
@@ -194,6 +232,9 @@ class HandshakeDoneFrame:
 
     def encode(self) -> bytes:
         return _HANDSHAKE_DONE_BYTES
+
+    def wire_size(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -211,6 +252,12 @@ class HxQosFrame:
             parts.append(encode_varint(len(value)))
             parts.append(value)
         return b"".join(parts)
+
+    def wire_size(self) -> int:
+        size = 1 + varint_size(len(self.triples))
+        for hx_id, value in self.triples:
+            size += varint_size(hx_id) + varint_size(len(value)) + len(value)
+        return size
 
     @classmethod
     def from_metrics(

@@ -17,11 +17,13 @@ cookie-confidentiality requirement is handled where it matters, in
 :mod:`repro.core.cookie_crypto`.
 
 :meth:`Packet.encode` is the only serialiser and :meth:`Packet.decode`
-the only parser.  Inside one process the sender's :class:`Packet` also
-rides beside its bytes (``Datagram.packet``), so the receiver need not
-re-derive it; the bytes stay authoritative — sizes, faults and the real
-socket all work on them — and the sanitizer's ``datagram_parse``
-invariant decodes every such datagram and compares.
+the only parser.  Inside one process the sender's :class:`Packet` rides
+in place of its bytes (``Datagram.packet``): the sender sizes the
+datagram with :meth:`Packet.wire_size`, and the bytes are encoded from
+the packet only when something reads ``Datagram.payload`` — the fault
+injector's bit flips, a receiver without the parse, and the sanitizer's
+``datagram_parse`` invariant, which decodes every such datagram, checks
+its length against ``wire_size()`` and compares the parse.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.quic.frames import Frame, parse_frames
-from repro.quic.varint import VarintError, decode_varint, encode_varint
+from repro.quic.varint import VarintError, decode_varint, encode_varint, varint_size
 
 CONNECTION_ID_BYTES = 8
 
@@ -90,6 +92,17 @@ class Packet:
         for frame in self.frames:
             parts.append(frame.encode())
         return b"".join(parts)
+
+    def wire_size(self) -> int:
+        """``len(self.encode())``, without building the bytes.
+
+        Every frame type answers ``wire_size()`` exactly; the sender sizes
+        its datagram with this and leaves the bytes to whoever reads them.
+        """
+        size = 1 + CONNECTION_ID_BYTES + varint_size(self.packet_number)
+        for frame in self.frames:
+            size += frame.wire_size()
+        return size
 
     @classmethod
     def decode(cls, data: bytes) -> "Packet":

@@ -3,9 +3,11 @@
 The simulator's correctness story rests on invariants no test asserts
 continuously: the event clock never rewinds, pacer debt stays bounded,
 packet numbers grow strictly, ACKs stay within the sent range, the parsed
-packet riding beside a datagram is what its bytes decode to, BBR only
-takes legal state-machine edges, and Wira's initial-parameter overrides
-are applied at most once (plus the documented corner-case-1 re-init).
+packet riding in a datagram is what its bytes decode to, BBR only
+takes legal state-machine edges, Wira's initial-parameter overrides
+are applied at most once (plus the documented corner-case-1 re-init),
+and a session one scheme takes from another is the one it would have
+simulated.
 This package installs cheap checks for all of them at the same attach
 points the Wira hooks use, so **any** test or experiment run doubles as
 a sanitized run::
@@ -18,9 +20,11 @@ Design constraints:
   (``ACTIVE is not None``); the event loops read it once per run.
 * **<= 10 % overhead when enabled** — each check is a handful of
   comparisons; verified by ``benchmarks/test_bench_speed.py``.  The
-  exception is ``datagram_parse``, which decodes every delivered packet
-  (what every receiver did unconditionally before the sender's parse
-  rode beside the bytes) and compares.
+  exceptions are ``datagram_parse``, which encodes and decodes every
+  delivered packet (what every sender and receiver did unconditionally
+  before the sender's packet travelled in place of its bytes) and
+  compares, and ``shared_session``, which simulates every session a
+  replay shares between schemes and compares.
 * violations raise :class:`~repro.sanitize.errors.SanitizerError`
   carrying the invariant name, connection id and simulated time.
 

@@ -13,6 +13,8 @@ Invariant                    Attach point
 ``datagram_parse``           :meth:`Connection.datagram_received`
 ``bbr_transition``           :meth:`BbrSender._set_mode`
 ``init_override_once``       ``set_initial_window`` / ``set_initial_pacing_rate``
+``shared_session``           :meth:`SchemeReplay.replay` (a session one
+                             scheme takes from another is simulated too)
 ===========================  ==============================================
 
 Each check is a few comparisons — except ``datagram_parse``, which
@@ -36,6 +38,7 @@ transport code they guard:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.sanitize.errors import SanitizerError
@@ -70,6 +73,22 @@ LEGAL_BBR_TRANSITIONS = frozenset(
 #: controller: once up front, plus one corner-case-1 re-initialization
 #: after the frame parser completes (SS IV-C).
 MAX_INITIAL_OVERRIDES = 2
+
+#: Session-result fields a scheme holds as its own when it takes another
+#: scheme's session: its name, and the trace bus's breakdown (a traced
+#: session is never shared).  ``initial_params`` is compared on what the
+#: session acts on, without the two ``used_*`` labels.
+SHARED_SESSION_OWN_FIELDS = ("scheme", "phase_breakdown")
+
+
+def _acted_on(params: object) -> object:
+    if params is None:
+        return None
+    return (
+        params.cwnd_bytes,  # type: ignore[attr-defined]
+        params.pacing_bps,  # type: ignore[attr-defined]
+        params.provisional,  # type: ignore[attr-defined]
+    )
 
 
 class TransportSanitizer:
@@ -209,10 +228,13 @@ class TransportSanitizer:
     def check_datagram_parse(
         self, decode: Callable[[bytes], object], datagram: object, now: float
     ) -> None:
-        """The parse riding beside a datagram's bytes is what they decode to.
+        """The parse riding beside a datagram's bytes is what they decode to,
+        and the size the sender gave them is what they measure.
 
         ``decode`` is the receiver's own parser, passed in so this package
-        stays independent of the transport's types.
+        stays independent of the transport's types.  Reading ``payload``
+        builds the bytes when the sender left that to the first reader,
+        so the sender's ``wire_size()`` is checked against real bytes.
         """
         self._count("datagram_parse")
         payload = datagram.payload  # type: ignore[attr-defined]
@@ -225,6 +247,13 @@ class TransportSanitizer:
                 f"datagram carries a parse but its {len(payload)} bytes do not decode: {exc}",
                 sim_time=now,
             ) from exc
+        wire_size = sidecar.wire_size()
+        if len(payload) != wire_size:
+            raise SanitizerError(
+                "datagram_parse",
+                f"datagram's parse sizes its bytes at {wire_size} but they are {len(payload)}",
+                sim_time=now,
+            )
         if parsed != sidecar:
             raise SanitizerError(
                 "datagram_parse",
@@ -262,4 +291,43 @@ class TransportSanitizer:
                 "init_override_once",
                 f"initial {kind} override applied {counts[kind]} times "
                 f"(allowed: once, plus one corner-case-1 re-initialization)",
+            )
+
+    # -- Sessions shared across schemes ------------------------------------
+
+    def check_shared_session(
+        self,
+        label: str,
+        shared: object,
+        simulated: object,
+        shared_after: object,
+        simulated_after: object,
+    ) -> None:
+        """A session taken from another scheme is the one simulating gives.
+
+        ``shared`` is the result the scheme would take and ``simulated``
+        the one it got by running the session itself; ``*_after`` are
+        the cookie states each leaves behind.  Any difference means the
+        replay's sharing rule matched a session it must not have.
+        """
+        self._count("shared_session")
+        for field in dataclasses.fields(shared):  # type: ignore[arg-type]
+            name = field.name
+            if name in SHARED_SESSION_OWN_FIELDS:
+                continue
+            theirs = getattr(shared, name)
+            mine = getattr(simulated, name)
+            if name == "initial_params":
+                theirs, mine = _acted_on(theirs), _acted_on(mine)
+            if theirs != mine:
+                raise SanitizerError(
+                    "shared_session",
+                    f"{label}: the shared outcome's {name} is {theirs!r}, "
+                    f"simulating the session gives {mine!r}",
+                )
+        if shared_after != simulated_after:
+            raise SanitizerError(
+                "shared_session",
+                f"{label}: the shared session leaves cookie state {shared_after!r}, "
+                f"simulating it leaves {simulated_after!r}",
             )

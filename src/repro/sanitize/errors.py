@@ -19,6 +19,7 @@ INVARIANTS: Tuple[str, ...] = (
     "cwnd_bounds",
     "bbr_transition",
     "init_override_once",
+    "shared_session",
 )
 
 

@@ -12,10 +12,11 @@ The model matches the paper's testbed configuration knobs (§II footnote 2:
   modelling non-congestive (e.g. wireless) loss.
 
 Packets are opaque :class:`Datagram` objects; the link only reads their
-size.  A datagram may carry, beside its bytes, the sender's own parse of
-them (``Datagram.packet``) — an object this package never looks inside,
-imports no type for, and simply delivers along with the bytes.  Delivery
-order is FIFO unless reordering is enabled.  Condition changes
+size.  A datagram may carry the sender's own parse of its bytes
+(``Datagram.packet``) — an object this package imports no type for,
+never looks inside beyond asking it to ``encode()`` when someone reads
+the bytes, and simply delivers.  Delivery order is FIFO unless
+reordering is enabled.  Condition changes
 (bandwidth, delay, loss) take effect for packets admitted after the
 change: each packet snapshots the serialisation rate at admission, so a
 mid-queue bandwidth change never rewrites the transmission time of
@@ -52,7 +53,14 @@ class LossModel(Protocol):
         ...
 
 
-@dataclass(slots=True)
+class WirePacket(Protocol):
+    """What a datagram can build its bytes from: anything that encodes."""
+
+    def encode(self) -> bytes:
+        """The packet's wire bytes."""
+        ...
+
+
 class Datagram:
     """A packet travelling through the simulated network.
 
@@ -60,10 +68,13 @@ class Datagram:
     ----------
     payload:
         Opaque wire bytes (the QUIC-like packet produced by
-        :mod:`repro.quic.packet`).
+        :mod:`repro.quic.packet`).  A datagram built from ``packet``
+        alone encodes them on first read and keeps them; until then
+        they do not exist.
     size:
         Size on the wire in bytes; defaults to ``len(payload)`` but may be
-        set larger to account for UDP/IP framing overhead.
+        set larger to account for UDP/IP framing overhead.  Required
+        when only ``packet`` is given — the link reads nothing else.
     corrupted:
         Set by the fault injector when it flips bits in ``payload``.  A
         real transport's AEAD rejects a corrupted datagram with
@@ -74,19 +85,40 @@ class Datagram:
         The sender's parse of ``payload``; ``None`` for bytes from
         anywhere else (tests, the fault injector's mutated copies, a real
         socket).  Opaque here — only the sending and receiving endpoints
-        know its type.
+        know its type; this class only ever calls its ``encode()``.
     """
 
-    payload: bytes
-    size: int = 0
-    corrupted: bool = False
-    packet: Optional[object] = None
+    __slots__ = ("_payload", "size", "corrupted", "packet")
 
-    def __post_init__(self) -> None:
-        if self.size == 0:
-            self.size = len(self.payload)
-        if self.size < len(self.payload):
-            raise ValueError("declared size smaller than payload")
+    def __init__(
+        self,
+        payload: Optional[bytes] = None,
+        size: int = 0,
+        corrupted: bool = False,
+        packet: Optional[WirePacket] = None,
+    ) -> None:
+        if payload is None:
+            if packet is None:
+                raise ValueError("a datagram needs bytes or a packet to encode them from")
+            if size <= 0:
+                raise ValueError("a datagram without bytes must declare its size")
+        else:
+            if size == 0:
+                size = len(payload)
+            if size < len(payload):
+                raise ValueError("declared size smaller than payload")
+        self._payload = payload
+        self.size = size
+        self.corrupted = corrupted
+        self.packet = packet
+
+    @property
+    def payload(self) -> bytes:
+        payload = self._payload
+        if payload is None:
+            assert self.packet is not None  # the constructor's rule
+            payload = self._payload = self.packet.encode()
+        return payload
 
 
 @dataclass

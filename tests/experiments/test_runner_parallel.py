@@ -228,6 +228,19 @@ class TestPersistentCache:
         first = runner.run_deployment(config, SCHEMES)
         assert runner.run_deployment(config, SCHEMES) is first
 
+    def test_memo_hit_keeps_the_order_the_schemes_were_asked_in(self):
+        """One replay serves both orders, and each caller's records come
+        back in its own: a figure iterates ``records.items()``, so its
+        rows must not follow whichever figure replayed first."""
+        config = tiny_config(9)
+        reversed_schemes = tuple(reversed(SCHEMES))
+        first = runner.run_deployment(config, reversed_schemes)
+        again = runner.run_deployment(config, SCHEMES)
+        assert list(first) == list(reversed_schemes)
+        assert list(again) == list(SCHEMES)
+        for scheme in SCHEMES:
+            assert again[scheme] is first[scheme]
+
     def test_corrupted_cache_file_recovers(self):
         records = {BASELINE: []}
         runner.store_cached("drive", records)

@@ -1,11 +1,12 @@
-"""The sender's parsed packet rides beside its bytes — checked, not trusted.
+"""The sender's packet travels in place of its bytes — checked, not trusted.
 
-``Connection._send_packet`` hands the :class:`Packet` it serialised to
-the :class:`Datagram` carrying the bytes, and an in-process receiver uses
-it instead of parsing the bytes again.  The bytes stay authoritative, so
-everything here pins the one property the shortcut rests on — the
-sidecar *is* ``Packet.decode(payload)`` — and that the sanitizer proves
-it on every delivery.
+``Connection._send_packet`` sizes a :class:`Datagram` with
+``Packet.wire_size()`` and hands it the :class:`Packet`; an in-process
+receiver uses the packet, and the bytes are encoded from it only when
+something reads ``payload``.  The bytes stay authoritative, so
+everything here pins the properties the shortcut rests on — the sidecar
+*is* ``Packet.decode(payload)``, and the payload is ``wire_size()``
+long — and that the sanitizer proves both on every delivery.
 """
 
 import random
@@ -97,6 +98,45 @@ def test_sanitizer_rejects_a_sidecar_that_disagrees_with_its_bytes():
             assert excinfo.value.invariant == "datagram_parse"
     assert san.checks_run["datagram_parse"] == 3
     assert server.stats.packets_received == 1
+
+
+class _MisSizedPacket(Packet):
+    """A packet whose ``wire_size()`` disagrees with its own bytes."""
+
+    __slots__ = ()
+
+    def wire_size(self):
+        return super().wire_size() + 1
+
+
+def test_sanitizer_rejects_a_sidecar_that_missizes_its_bytes():
+    loop = EventLoop()
+    server = Connection(loop, Role.SERVER, lambda datagram: True)
+    packet = _MisSizedPacket(PacketType.ONE_RTT, server.connection_id, 0, (PingFrame(),))
+    with sanitize.sanitized(), pytest.raises(SanitizerError) as excinfo:
+        server.datagram_received(Datagram(size=64, packet=packet))
+    assert excinfo.value.invariant == "datagram_parse"
+    assert "sizes its bytes at 12 but they are 11" in str(excinfo.value)
+
+
+def test_sender_leaves_the_bytes_to_their_first_reader(monkeypatch):
+    """A plain in-process transfer sizes every packet and encodes none."""
+    encodes = []
+    encode = Packet.encode
+    monkeypatch.setattr(Packet, "encode", lambda self: encodes.append(self) or encode(self))
+    loop = EventLoop()
+    server, client, sent = tapped_pair(loop, "bbr", HandshakeMode.ZERO_RTT, seed=3)
+    client.on_stream_data = lambda sid, data, fin: None
+    server.on_stream_data = lambda sid, data, fin: None
+    server.on_client_hello = lambda tags, rtt: server.send_stream_data(0, b"v" * 30_000, fin=True)
+    with sanitize.suppressed():
+        client.start()
+        client.send_stream_data(0, b"GET /live", fin=True)
+        loop.run(max_events=100_000)
+    assert sent and not encodes
+    for datagram in sent:
+        assert datagram.size == len(datagram.payload) + QuicConfig().udp_overhead
+    assert len(encodes) == len(sent)
 
 
 class TestPacketWorkIsPaidOnce:

@@ -38,6 +38,40 @@ def test_datagram_size_cannot_undercount():
         Datagram(b"hello", size=2)
 
 
+class CountingPacket:
+    def __init__(self):
+        self.encodes = 0
+
+    def encode(self):
+        self.encodes += 1
+        return b"wire"
+
+
+def test_datagram_from_a_packet_encodes_on_first_read_only():
+    packet = CountingPacket()
+    d = Datagram(size=32, packet=packet)
+    assert d.size == 32 and packet.encodes == 0
+    assert d.payload == b"wire"
+    assert d.payload == b"wire"
+    assert packet.encodes == 1
+
+
+def test_link_carries_a_datagram_without_building_its_bytes():
+    loop = EventLoop()
+    link, delivered = make_link(loop)
+    packet = CountingPacket()
+    link.send(Datagram(size=100, packet=packet))
+    loop.run()
+    assert [d.packet for d in delivered] == [packet]
+    assert packet.encodes == 0
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"size": 0, "packet": CountingPacket()}])
+def test_datagram_needs_bytes_or_a_sized_packet(kwargs):
+    with pytest.raises(ValueError):
+        Datagram(**kwargs)
+
+
 def test_single_packet_latency_is_serialization_plus_propagation():
     loop = EventLoop()
     link, delivered = make_link(loop, bandwidth_bps=8_000.0, propagation_delay=0.1)

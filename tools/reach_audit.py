@@ -95,6 +95,7 @@ KEPT: Dict[str, str] = {
     "repro.quic.cc.base:CongestionController": _INTERFACE,
     "repro.core.schemes:InitPolicy": _INTERFACE,
     "repro.simnet.link:LossModel": _INTERFACE,
+    "repro.simnet.link:WirePacket": _INTERFACE,
     "repro.simnet.path:Path.deliver_to_client": "placeholder until the owner wires a receiver",
     "repro.simnet.path:Path.deliver_to_server": "placeholder until the owner wires a receiver",
     "repro.core.adaptive:AdaptiveInitPolicy.state_digest": (
@@ -118,8 +119,11 @@ KEPT: Dict[str, str] = {
     "repro.media.frames:Gop.first_frame_bytes": _ORACLE,
     "repro.quic.frames:AckFrame.acked_packet_numbers": _ORACLE,
     "repro.quic.frames:HandshakeDoneFrame.encode": _ORACLE,
+    "repro.quic.frames:HandshakeDoneFrame.wire_size": _ORACLE,
     "repro.quic.frames:PaddingFrame.encode": _ORACLE,
+    "repro.quic.frames:PaddingFrame.wire_size": _ORACLE,
     "repro.quic.frames:PingFrame.encode": _ORACLE,
+    "repro.quic.frames:PingFrame.wire_size": _ORACLE,
     "repro.simnet.schedule:GilbertElliott.stationary_loss_rate": _ORACLE,
     "repro.simnet.path:NetworkConditions.bdp_bytes": _ORACLE,
     "repro.serve.ring:HashRing.without_node": _ORACLE,
@@ -269,9 +273,13 @@ def run_fleet_cli(tmp: Path) -> None:
 def run_serve_cli(tmp: Path) -> None:
     from tools.wira_serve.cli import main
 
-    common = ["run", "--od-pairs", "3", "--seed", "5", "--video-frames", "4"]
-    _check(main(common + ["--out", str(tmp / "serve.json")]), "wira_serve run")
-    in_process = ["--in-process", "--reshard-after", "1", "--html", str(tmp / "serve.html")]
+    common = ["run", "--seed", "5", "--video-frames", "4"]
+    _check(main(common + ["--od-pairs", "3", "--out", str(tmp / "serve.json")]), "wira_serve run")
+    # The shard sweeps every five seconds of wall time.  Three OD pairs
+    # finish right at that mark, so whether the sweep ran was a coin
+    # toss; ten keep the in-process edge up for about twice as long.
+    in_process = ["--od-pairs", "10", "--in-process", "--reshard-after", "1"]
+    in_process += ["--html", str(tmp / "serve.html")]
     _check(main(common + in_process), "wira_serve run --in-process")
 
 
@@ -287,13 +295,15 @@ def run_modes(tmp: Path) -> None:
     """A sanitized replay, two traced ones, and ``wira_trace`` over them."""
     from repro import obs, sanitize
     from repro.core.schemes import BASELINE, WIRA
+    from repro.experiments.common import EVAL_SCHEMES
     from repro.experiments.runner import run_deployment
     from repro.workload.population import DeploymentConfig
     from tools.wira_trace.cli import main
 
     config = DeploymentConfig(n_od_pairs=2, seed=11, video_frames_per_session=4)
     with sanitize.sanitized():
-        run_deployment(config, (BASELINE, WIRA), use_cache=False, jobs=1)
+        # Every headline scheme, so sessions are shared and re-checked.
+        run_deployment(config, EVAL_SCHEMES, use_cache=False, jobs=1)
     for scheme in (BASELINE, WIRA):
         with obs.tracing(trace_dir=tmp / scheme.value):
             run_deployment(config, (scheme,), jobs=1)

@@ -284,7 +284,7 @@ SLOTS_REGISTRY = frozenset(
         "Pacer",
         "SentPacket",
         # Per-packet value objects: one Packet, one STREAM or ACK frame
-        # and one chunk per packet sent, and a Packet rides beside every
+        # and one chunk per packet sent, and a Packet travels in every
         # in-process datagram until it is delivered.
         "AckFrame",
         "Packet",
@@ -314,12 +314,13 @@ SLOTS_REGISTRY = frozenset(
         # invites ad-hoc state that escapes the state_digest contract.
         "TableIPolicy",
         "AdaptiveInitPolicy",
-        # Replay scaffolding: one world per chain and one replay state
-        # per (scheme, chain) at fleet scale; a world is shared by every
-        # scheme, so an instance ``__dict__`` would also invite state no
-        # scheme may add to it.
+        # Replay scaffolding: one world per chain, one replay state per
+        # (scheme, chain) and one shared session per recorded session at
+        # fleet scale; a world is shared by every scheme, so an instance
+        # ``__dict__`` would also invite state no scheme may add to it.
         "ChainWorld",
         "SchemeReplay",
+        "SharedSession",
     }
 )
 
