@@ -32,6 +32,13 @@ answers mean an equal continuation (:class:`SharedSession`).  The
 sanitizer simulates every shared session anyway and compares
 (``shared_session``); a traced replay shares nothing.
 
+One sharing rule serves both engines that replay sessions under several
+schemes: :meth:`SessionSide.play` takes or simulates one session against
+a memo its caller owns and keys.  A chain replay keys the world's memo
+by planned session index (:class:`SchemeReplay`); the robustness matrix
+(:mod:`repro.experiments.robustness`) keys one memo per cell by (fault,
+schedule) and one per seed for the priming sessions.
+
 Task sharding and the in-process memo of whole replays, which lets Figs
 11–15 read one deployment run, live in :mod:`repro.experiments.runner`.
 """
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro import sanitize as _sanitize
@@ -140,6 +147,14 @@ def chain_policy(
     return make_policy(scheme, seed=seed)
 
 
+#: Simulated sessions kept for later schemes: per key, one
+#: :class:`SharedSession` per scheme that simulated the session the key
+#: names and recorded it.  The key is whatever names a session to the
+#: memo's owner — a planned session's index in a chain, a robustness
+#: cell's (fault, schedule).
+SessionMemo = Dict[Hashable, List["SharedSession"]]
+
+
 class ChainWorld:
     """Everything about one OD pair's chain that no scheme can change,
     and every session of it a scheme has simulated.
@@ -166,7 +181,7 @@ class ChainWorld:
         self.stream_name = f"stream-{chain_index}"
         self.origin = Origin()
         self.origin.add_stream(self.stream_name, chain[0].stream_profile)
-        self.sessions: Dict[int, List[SharedSession]] = {}
+        self.sessions: SessionMemo = {}
 
 
 #: The origin id every :class:`StreamingSession` client keeps its cookie under.
@@ -246,52 +261,46 @@ def build_worlds(
     return [ChainWorld(base_index + offset, chain) for offset, chain in enumerate(chains)]
 
 
-class SchemeReplay:
-    """One scheme's side of one chain: the state a scheme does change.
+class SessionSide:
+    """One scheme's side of a session, and the take-or-simulate step.
 
-    Cookie store, cookie manager and policy live for one (scheme, chain)
-    and are never shared; the world they replay against is.
+    The origin and stream a session plays, the client's cookie store,
+    the cookie manager and the scheme's policy: everything a session
+    starts from and writes into.  :meth:`play` is the one sharing rule
+    both engines replay through.  A chain replay keeps one side per
+    (scheme, chain) (:class:`SchemeReplay`); the robustness matrix
+    (:mod:`repro.experiments.robustness`) builds one per session.  The
+    memo a side plays against is its caller's, and so is the key that
+    names a session in it.
     """
 
-    __slots__ = ("scheme", "world", "config", "wira_config", "store", "manager", "policy")
+    __slots__ = ("origin", "stream_name", "store", "manager", "policy")
 
     def __init__(
         self,
-        scheme: SchemeLike,
-        world: ChainWorld,
-        config: DeploymentConfig,
-        wira_config: WiraConfig,
+        origin: Origin,
+        stream_name: str,
+        store: ClientCookieStore,
+        manager: ServerCookieManager,
+        policy: InitPolicy,
     ) -> None:
-        self.scheme = scheme
-        self.world = world
-        self.config = config
-        self.wira_config = wira_config
-        self.store = ClientCookieStore()
-        self.manager = chain_cookie_manager(world.chain_index, wira_config)
-        self.policy = chain_policy(scheme, world.chain_index, config)
-
-    def spec(self, planned: PlannedSession) -> SessionSpec:
-        return session_spec_for(
-            planned, self.scheme, self.world.chain_index, self.config, self.wira_config
-        )
+        self.origin = origin
+        self.stream_name = stream_name
+        self.store = store
+        self.manager = manager
+        self.policy = policy
 
     def session(
         self, spec: SessionSpec, policy: Optional[InitPolicy] = None
     ) -> StreamingSession:
-        world = self.world
         return StreamingSession(
             spec,
-            world.origin,
-            world.stream_name,
+            self.origin,
+            self.stream_name,
             cookie_store=self.store,
             cookie_manager=self.manager,
             init_policy=self.policy if policy is None else policy,
         )
-
-    def outcome(self, planned: PlannedSession, result: SessionResult) -> SessionOutcome:
-        """Record one finished session: the policy observes it first."""
-        self.policy.observe(result)
-        return SessionOutcome(planned, result)
 
     def start_state(self, spec: SessionSpec) -> StartState:
         manager = self.manager
@@ -326,47 +335,49 @@ class SchemeReplay:
         manager.stale_cookies = stale
 
     def match(
-        self, planned: PlannedSession, start: StartState
+        self, recorded: Sequence[SharedSession], start: StartState
     ) -> Optional[Tuple[SharedSession, Optional[InitialParams]]]:
-        """A recorded session this scheme would simulate identically, and
-        this scheme's last answer in it; ``None`` when there is none."""
-        for shared in self.world.sessions.get(planned.session_index, ()):
+        """A recorded session this side would simulate identically, and
+        this side's last answer in it; ``None`` when there is none."""
+        for shared in recorded:
             if shared.start != start:
                 continue
             answer: Optional[InitialParams] = None
-            for ctx, recorded in shared.asked:
+            for ctx, recorded_answer in shared.asked:
                 answer = self.policy.initial_params(ctx)
-                if _table1_row(answer) != _table1_row(recorded):
+                if _table1_row(answer) != _table1_row(recorded_answer):
                     break
             else:
                 return shared, answer
         return None
 
-    def replay(self, planned: PlannedSession, record: bool) -> SessionOutcome:
-        """Replay one planned session against the shared world.
+    def play(
+        self, sessions: SessionMemo, key: Hashable, spec: SessionSpec, record: bool
+    ) -> SessionResult:
+        """Run the session ``key`` names in ``sessions``, or take it.
 
-        Takes the outcome of a session an earlier scheme simulated when
-        :meth:`match` finds one; simulates otherwise, and with ``record``
-        keeps it for the schemes after this one.  Under the sanitizer a
-        taken session is simulated as well and the two compared
-        (``shared_session``); under the trace bus nothing is shared,
-        because every session writes its own trace and breakdown.
+        Takes the outcome of a session another side simulated when
+        :meth:`match` finds one among ``sessions[key]``; simulates
+        otherwise, and with ``record`` keeps it there for the sides
+        after this one.  Under the sanitizer a taken session is
+        simulated as well and the two compared (``shared_session``);
+        under the trace bus nothing is shared, because every session
+        writes its own trace and breakdown.
         """
-        spec = self.spec(planned)
         if _obs.ACTIVE is not None:
-            return self.outcome(planned, self.session(spec).run())
-        if not record and planned.session_index not in self.world.sessions:
-            return self.outcome(planned, self.session(spec).run())
+            return self.session(spec).run()
+        if not record and key not in sessions:
+            return self.session(spec).run()
         start = self.start_state(spec)
         before = self.store.get(ORIGIN_ID)
-        hit = self.match(planned, start)
+        hit = self.match(sessions.get(key, ()), start)
         if hit is not None:
             shared, answer = hit
             result = replace(shared.result, scheme=spec.scheme, initial_params=answer)
             sanitizer = _sanitize.ACTIVE
             if sanitizer is None:
                 self.take_cookie_state(shared.after)
-                return self.outcome(planned, result)
+                return result
             simulated = self.session(spec).run()
             sanitizer.check_shared_session(
                 str(spec.trace_label),
@@ -375,13 +386,60 @@ class SchemeReplay:
                 shared.after,
                 self.cookie_state(before),
             )
-            return self.outcome(planned, simulated)
+            return simulated
         if not record:
-            return self.outcome(planned, self.session(spec).run())
+            return self.session(spec).run()
         asked = _AskedPolicy(self.policy)
         result = self.session(spec, asked).run()
-        self.world.sessions.setdefault(planned.session_index, []).append(
+        sessions.setdefault(key, []).append(
             SharedSession(start, tuple(asked.asked), result, self.cookie_state(before))
+        )
+        return result
+
+
+class SchemeReplay(SessionSide):
+    """One scheme's side of one chain: the state a scheme does change.
+
+    Cookie store, cookie manager and policy live for one (scheme, chain)
+    and are never shared; the world they replay against is.
+    """
+
+    __slots__ = ("scheme", "world", "config", "wira_config")
+
+    def __init__(
+        self,
+        scheme: SchemeLike,
+        world: ChainWorld,
+        config: DeploymentConfig,
+        wira_config: WiraConfig,
+    ) -> None:
+        super().__init__(
+            world.origin,
+            world.stream_name,
+            ClientCookieStore(),
+            chain_cookie_manager(world.chain_index, wira_config),
+            chain_policy(scheme, world.chain_index, config),
+        )
+        self.scheme = scheme
+        self.world = world
+        self.config = config
+        self.wira_config = wira_config
+
+    def spec(self, planned: PlannedSession) -> SessionSpec:
+        return session_spec_for(
+            planned, self.scheme, self.world.chain_index, self.config, self.wira_config
+        )
+
+    def outcome(self, planned: PlannedSession, result: SessionResult) -> SessionOutcome:
+        """Record one finished session: the policy observes it first."""
+        self.policy.observe(result)
+        return SessionOutcome(planned, result)
+
+    def replay(self, planned: PlannedSession, record: bool) -> SessionOutcome:
+        """Replay one planned session against the shared world, whose
+        memo names it by its index in the chain (:meth:`SessionSide.play`)."""
+        result = self.play(
+            self.world.sessions, planned.session_index, self.spec(planned), record
         )
         return self.outcome(planned, result)
 

@@ -9,22 +9,43 @@ module turns that claim into an executable gate:
   two-session chain on the simulator — the first session primes the
   client's cookie store, the second carries the fault and the adverse
   schedule, so cookie faults hit a *real* echoed cookie;
-* the priming session is clean and depends only on ``(scheme, seed)``,
-  so a *row* — all cells of one ``(scheme, seed)`` — simulates it once
-  (:func:`prime_chain`) and every cell of the row measures from its own
-  copy of the primed cookie store and manager;
 * **completion gate** — every session of every cell must complete;
 * **degradation gate** — for each (fault, schedule) cell, Wira's mean
   FFCT across the seed set must stay within ``ffct_ratio_bound`` of
-  BASELINE's under the *same* fault, schedule and seeds.
+  BASELINE's under the *same* fault, schedule and seeds; a gated scheme
+  with no baseline mean to compare against fails.
 
-Rows are independent, so the matrix runs as one task per (scheme, seed)
-row through :func:`repro.runtime.pool.run_tasks`, the executor the
-deployment replay uses (``--jobs`` / ``WIRA_JOBS``), with results placed
-back in deterministic cell order — a parallel run is bit-identical to a
+Seeds are independent, so the matrix runs as one task per seed — all
+its schemes, faults and schedules — through
+:func:`repro.runtime.pool.run_tasks`, the executor the deployment replay
+uses (``--jobs`` / ``WIRA_JOBS``), with results placed back in
+:func:`enumerate_cells` order: a parallel run is bit-identical to a
 serial one, and whatever a failed pool left undone finishes in-process.
-The row is therefore the grain of ``--jobs``: the default matrix is 14
-tasks and ``--quick`` is 5, however many cells each holds.
+The default matrix is 2 tasks, ``--quick`` 1.
+
+Within a task (:func:`run_seed`) every session goes through the sharing
+rule figure replays use, :meth:`repro.experiments.common.SessionSide.play`:
+a session that starts from the same state (echoed HQST bytes, cookie
+manager counters, ``QuicConfig``) as one another scheme already
+simulated, and whose policy answers every ``initial_params`` question
+alike, takes that outcome instead of simulating.  The clean priming
+session depends only on ``(scheme, seed)``, so each scheme primes once
+per seed through one prime memo, and every cell measures from the
+prime's cookie state applied by value to a fresh store and manager.  The
+cells then run (fault, schedule) by (fault, schedule), schemes in
+``config.schemes`` order, each (fault, schedule) through its own memo of
+measured sessions, which dies with it.  Table I decides what coincides:
+with no usable cookie (``cookie_corrupt``, ``cookie_truncate``,
+``hqst_garbage``, ``handshake_drop``) Wira(Hx) runs the baseline's
+session and Wira runs Wira(FF)'s; ``adaptive`` takes Wira's or
+Wira(FF)'s session in every cell, because each matrix session gets a
+fresh policy with nothing learnt; ``wira_bbr2`` and ``wira_ar`` run
+their own transport stacks and share with nobody.  ``StreamingSession.run``
+is called 164 times for the 200 cells of ``--quick`` (4 primes) and 736
+times for the default 980 (8 primes), where running every session would
+take 205 and 994.  Under the sanitizer every session is simulated and
+each taken one compared (``shared_session``); a traced matrix shares
+nothing.
 
 CLI::
 
@@ -38,7 +59,6 @@ for CI artifact upload.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from dataclasses import dataclass
@@ -46,9 +66,19 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.origin import Origin
-from repro.cdn.session import SessionSpec, StreamingSession
-from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX, SchemeLike, SchemeSpec, as_spec
+from repro.cdn.session import SessionSpec
+from repro.core.schemes import (
+    BASELINE,
+    WIRA,
+    WIRA_FF,
+    WIRA_HX,
+    SchemeLike,
+    SchemeSpec,
+    as_spec,
+    make_policy,
+)
 from repro.core.transport_cookie import ClientCookieStore, ServerCookieManager
+from repro.experiments.common import CookieState, SessionMemo, SessionSide
 from repro.faults import FaultPlan, single_fault_plans
 from repro.media.source import StreamProfile
 from repro.runtime.pool import resolve_jobs, run_tasks
@@ -219,36 +249,65 @@ class CellResult:
         }
 
 
+#: Name of the one live stream every session plays.
+STREAM = "stream"
+
+#: The prime memo's key: the priming session does not depend on the
+#: cell, so one key names it for every scheme of a seed.
+PRIME = "prime"
+
+
 @dataclass(frozen=True)
 class PrimedChain:
     """What the clean priming session of one (scheme, seed) leaves behind.
 
-    ``store`` and ``manager`` are the originals the priming session wrote
-    into; no later session may run on them — a cell measures from
-    :meth:`cell_state`.  ``origin`` is safe to share: its source is a
-    pure memo of the stream seed.
+    ``after`` is the cookie state it left, by value; a cell applies it
+    to a fresh cookie store and manager, so whatever a cell's fault or
+    measured session writes (a pushed cookie, the nonce counter, the
+    rejection counts) stays in that cell.  ``origin`` is safe to share:
+    its source is a pure memo of the stream seed.
     """
 
     completed: bool
-    store: ClientCookieStore
-    manager: ServerCookieManager
+    after: CookieState
     origin: Origin
 
-    def cell_state(self) -> Tuple[ClientCookieStore, ServerCookieManager]:
-        """A private copy of the primed pair: whatever a cell's fault or
-        measured session writes (a pushed cookie, the nonce counter, the
-        rejection counts) stays in that cell."""
-        return copy.deepcopy((self.store, self.manager))
+
+def stream_origin() -> Origin:
+    """The origin hosting the one live stream of every cell."""
+    origin = Origin()
+    origin.add_stream(STREAM, StreamProfile(seed=STREAM_SEED))
+    return origin
+
+
+def session_side(spec: SessionSpec, origin: Origin) -> SessionSide:
+    """A session's own cookie store, manager and policy — the fresh
+    policy :class:`StreamingSession` would build for ``spec``."""
+    return SessionSide(
+        origin,
+        STREAM,
+        ClientCookieStore(),
+        ServerCookieManager(COOKIE_KEY),
+        make_policy(spec.scheme, seed=spec.seed),
+    )
 
 
 def prime_chain(
-    scheme: SchemeSpec, seed: int, config: RobustnessConfig
+    scheme: SchemeSpec,
+    seed: int,
+    config: RobustnessConfig,
+    *,
+    origin: Optional[Origin] = None,
+    sessions: Optional[SessionMemo] = None,
+    record: bool = False,
 ) -> PrimedChain:
-    """Run the clean priming session every cell of a (scheme, seed) shares."""
-    origin = Origin()
-    origin.add_stream("stream", StreamProfile(seed=STREAM_SEED))
-    store = ClientCookieStore()
-    manager = ServerCookieManager(COOKIE_KEY)
+    """Run (or take) the clean priming session every cell of a (scheme, seed) starts from.
+
+    ``sessions`` is the seed's prime memo (:func:`run_seed`): the prime
+    is taken from another scheme's where :meth:`SessionSide.play`
+    allows, and with ``record`` kept for the schemes after this one.
+    Without it the prime is private and shares nothing.
+    """
     spec = SessionSpec(
         conditions=config.conditions,
         scheme=scheme,
@@ -256,13 +315,9 @@ def prime_chain(
         seed=seed,
         trace_label=f"rb-{scheme.value}-s{seed}-prime",
     )
-    primed = StreamingSession(
-        spec, origin, "stream", cookie_store=store, cookie_manager=manager
-    ).run()
-    # WiraClient.close() unhooks its eviction observer; one left behind
-    # would drag the finished session into every cell's copy.
-    assert store._on_evict is None
-    return PrimedChain(primed.completed, store, manager, origin)
+    side = session_side(spec, origin or stream_origin())
+    primed = side.play({} if sessions is None else sessions, PRIME, spec, record)
+    return PrimedChain(primed.completed, side.cookie_state(None), side.origin)
 
 
 def run_cell(
@@ -274,16 +329,22 @@ def run_cell(
     seed: int,
     config: RobustnessConfig,
     primed: Optional[PrimedChain] = None,
+    *,
+    sessions: Optional[SessionMemo] = None,
+    record: bool = False,
 ) -> CellResult:
     """Two-session chain: prime the cookie clean, then measure faulted.
 
-    ``primed`` is the row's shared priming (:func:`run_row`); without it
-    the cell primes for itself.  Either way the outcome is the same.
+    ``primed`` is the scheme's priming in this seed (:func:`run_seed`);
+    without it the cell primes for itself.  ``sessions`` is the memo of
+    the measured sessions other schemes ran under this fault and
+    schedule: the measured session is taken from one where
+    :meth:`SessionSide.play` allows, and with ``record`` kept for the
+    schemes after this one.  Either way the outcome is the same.
     """
     if primed is None:
         primed = prime_chain(scheme, seed, config)
-    store, manager = primed.cell_state()
-    measured_spec = SessionSpec(
+    spec = SessionSpec(
         conditions=config.conditions,
         scheme=scheme,
         epoch=SESSION_GAP,
@@ -292,13 +353,12 @@ def run_cell(
         fault_plan=plan,
         trace_label=f"rb-{scheme.value}-{fault_name}-{schedule_name}-s{seed}",
     )
-    measured = StreamingSession(
-        measured_spec,
-        primed.origin,
-        "stream",
-        cookie_store=store,
-        cookie_manager=manager,
-    ).run()
+    side = session_side(spec, primed.origin)
+    side.take_cookie_state(primed.after)
+    measured = side.play(
+        {} if sessions is None else sessions, (fault_name, schedule_name), spec, record
+    )
+    fault_summary = measured.fault_summary
     return CellResult(
         scheme=scheme,
         fault=fault_name,
@@ -308,12 +368,13 @@ def run_cell(
         completed=measured.completed,
         ffct=measured.ffct,
         used_cookie=measured.used_cookie,
-        fault_summary=measured.fault_summary,
+        # A taken result shares its dict with the scheme that simulated it.
+        fault_summary=None if fault_summary is None else dict(fault_summary),
     )
 
 
 # ---------------------------------------------------------------------------
-# Matrix execution: one task per (scheme, seed) row.
+# Matrix execution: one task per seed.
 
 
 def enumerate_cells(config: RobustnessConfig) -> List[Cell]:
@@ -337,31 +398,60 @@ def enumerate_cells(config: RobustnessConfig) -> List[Cell]:
     ]
 
 
-def run_row(cells: Sequence[Cell], config: RobustnessConfig) -> List[CellResult]:
-    """Measure ``cells`` — all of one (scheme, seed) — from one priming.
+def run_seed(cells: Sequence[Cell], config: RobustnessConfig) -> List[CellResult]:
+    """Measure ``cells`` — all of one seed — in the order given.
 
-    The priming session, the fault plans, the schedules and the origin
-    are built once here and live no longer than this call.
+    Every scheme primes first, through one prime memo; then the cells
+    run (fault, schedule) by (fault, schedule), each through its own
+    memo of measured sessions, schemes in the order they first appear in
+    ``cells``.  The origin, the fault plans, the schedules and the prime
+    memo live no longer than this call; a cell's memo no longer than the
+    cell.
     """
-    scheme, _, _, seed = cells[0]
-    if any((cell[0], cell[3]) != (scheme, seed) for cell in cells):
-        raise ValueError("a row holds the cells of one (scheme, seed)")
+    seed = cells[0][3]
+    if any(cell[3] != seed for cell in cells):
+        raise ValueError("a task holds the cells of one seed")
     plans = fault_plan_matrix()
     schedules = build_schedules(config.conditions)
-    primed = prime_chain(scheme, seed, config)
-    return [
-        run_cell(
+    origin = stream_origin()
+    schemes = list(dict.fromkeys(cell[0] for cell in cells))
+    primes: SessionMemo = {}
+    primed = {
+        scheme: prime_chain(
             scheme,
-            fault_name,
-            plans[fault_name],
-            schedule_name,
-            schedules[schedule_name],
             seed,
             config,
-            primed=primed,
+            origin=origin,
+            sessions=primes,
+            record=position < len(schemes) - 1,
         )
-        for _, fault_name, schedule_name, _ in cells
-    ]
+        for position, scheme in enumerate(schemes)
+    }
+    # (fault, schedule) → the slots of its cells, one per scheme.
+    groups: Dict[Tuple[str, str], List[int]] = {}
+    for index, (_, fault_name, schedule_name, _) in enumerate(cells):
+        groups.setdefault((fault_name, schedule_name), []).append(index)
+    results: Dict[int, CellResult] = {}
+    for (fault_name, schedule_name), slots in groups.items():
+        sessions: SessionMemo = {}
+        last = len(slots) - 1
+        for position, index in enumerate(slots):
+            scheme = cells[index][0]
+            # Resolved through the module global on every call: the
+            # benchmark harness wraps ``run_cell`` at run time.
+            results[index] = run_cell(
+                scheme,
+                fault_name,
+                plans[fault_name],
+                schedule_name,
+                schedules[schedule_name],
+                seed,
+                config,
+                primed[scheme],
+                sessions=sessions,
+                record=position < last,
+            )
+    return [results[index] for index in range(len(cells))]
 
 
 def run_matrix(
@@ -370,19 +460,20 @@ def run_matrix(
     """Run every cell; order (and content) is independent of ``jobs``."""
     config = config or RobustnessConfig()
     cells = enumerate_cells(config)
-    # Row → the enumerate_cells slots of its cells, rows in order of
+    # Seed → the enumerate_cells slots of its cells, seeds in order of
     # first appearance.
-    slots: Dict[Tuple[SchemeSpec, int], List[int]] = {}
-    for index, (scheme, _, _, seed) in enumerate(cells):
-        slots.setdefault((scheme, seed), []).append(index)
-    rows = list(slots.values())
-    tasks = [[cells[index] for index in row] for row in rows]
-    # Rows finish in any order; the slots put each cell back in place.
+    slots: Dict[int, List[int]] = {}
+    for index, (_, _, _, seed) in enumerate(cells):
+        slots.setdefault(seed, []).append(index)
+    tasks = list(slots.values())
+    # Tasks finish in any order; the slots put each cell back in place.
     results: Dict[int, CellResult] = {}
-    for row_index, row_results in run_tasks(
-        partial(run_row, config=config), tasks, resolve_jobs(jobs)
+    for task_index, task_results in run_tasks(
+        partial(run_seed, config=config),
+        [[cells[index] for index in task] for task in tasks],
+        resolve_jobs(jobs),
     ):
-        results.update(zip(rows[row_index], row_results))
+        results.update(zip(tasks[task_index], task_results))
     return [results[index] for index in range(len(cells))]
 
 
@@ -421,6 +512,11 @@ def evaluate_gates(
                 continue
             baseline = means.get((BASELINE, fault, schedule))
             if baseline is None or baseline <= 0.0:
+                # A gate with nothing to compare against must not pass.
+                failures.append(
+                    f"no baseline FFCT: {scheme.value} under fault={fault} "
+                    f"schedule={schedule} has no baseline mean to gate against"
+                )
                 continue
             ratio = mean_ffct / baseline
             bound = max(

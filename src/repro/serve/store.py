@@ -44,6 +44,12 @@ class BoundedKeyedStore(Generic[V]):
         self.evicted_ttl = 0
         self._on_evict = on_evict
         self._entries: Dict[str, Tuple[V, float]] = {}
+        # While every stamp written is at least the one before it, stamps
+        # rise with insertion order and the expired entries are a prefix
+        # of it.  One stamp below the newest (a reshard re-inserting old
+        # entries) ends that for good.
+        self._newest = float("-inf")
+        self._in_order = True
 
     @property
     def evictions(self) -> int:
@@ -72,16 +78,35 @@ class BoundedKeyedStore(Generic[V]):
         if self._on_evict is not None:
             self._on_evict(key, reason)
 
+    def _stamp(self, now: float) -> None:
+        if now < self._newest:
+            self._in_order = False
+        else:
+            self._newest = now
+
     def expire(self, now: float) -> None:
-        if self.ttl is None:
+        """Evict every entry older than ``ttl``, oldest insertion first.
+
+        With stamps in insertion order this examines the expired entries
+        and the first live one; otherwise it scans every entry.
+        """
+        ttl = self.ttl
+        if ttl is None:
             return
-        for key in [
-            k for k, (_, stamp) in self._entries.items() if now - stamp > self.ttl
-        ]:
+        entries = self._entries
+        if self._in_order:
+            while entries:
+                key = next(iter(entries))
+                if now - entries[key][1] <= ttl:
+                    return
+                self._evict(key, "ttl")
+            return
+        for key in [k for k, (_, stamp) in entries.items() if now - stamp > ttl]:
             self._evict(key, "ttl")
 
     def put(self, key: str, value: V, now: float) -> None:
         self.expire(now)
+        self._stamp(now)
         self._entries.pop(key, None)
         self._entries[key] = (value, now)
         if self.max_entries is not None:
@@ -99,6 +124,7 @@ class BoundedKeyedStore(Generic[V]):
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
+        self._stamp(now)
         self._entries[key] = (entry[0], now)
         return True
 
