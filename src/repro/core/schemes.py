@@ -64,14 +64,6 @@ class SchemeSpec:
     def display_name(self) -> str:
         return get_def(self.name).display_name
 
-    @property
-    def uses_frame_perception(self) -> bool:
-        return get_def(self.name).uses_frame_perception
-
-    @property
-    def uses_transport_cookie(self) -> bool:
-        return get_def(self.name).uses_transport_cookie
-
     # -- value equality ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -154,8 +146,6 @@ class SchemeDef:
     name: str
     display_name: str
     factory: Callable[[SchemeSpec, int], InitPolicy]
-    uses_frame_perception: bool = False
-    uses_transport_cookie: bool = False
     headline: bool = False
 
 
@@ -293,63 +283,14 @@ def _adaptive_factory(spec: SchemeSpec, seed: int) -> InitPolicy:
 
 def _register_builtins() -> None:
     register(SchemeDef("baseline", "Baseline", _table1_factory, headline=True))
-    register(
-        SchemeDef(
-            "wira_ff",
-            "Wira(FF)",
-            _table1_factory,
-            uses_frame_perception=True,
-            headline=True,
-        )
-    )
-    register(
-        SchemeDef(
-            "wira_hx",
-            "Wira(Hx)",
-            _table1_factory,
-            uses_transport_cookie=True,
-            headline=True,
-        )
-    )
-    register(
-        SchemeDef(
-            "wira",
-            "Wira",
-            _table1_factory,
-            uses_frame_perception=True,
-            uses_transport_cookie=True,
-            headline=True,
-        )
-    )
+    register(SchemeDef("wira_ff", "Wira(FF)", _table1_factory, headline=True))
+    register(SchemeDef("wira_hx", "Wira(Hx)", _table1_factory, headline=True))
+    register(SchemeDef("wira", "Wira", _table1_factory, headline=True))
     register(SchemeDef("static_10", "init_cwnd=10", _table1_factory))
     # -- frontier schemes (ROADMAP item 3) --------------------------------
-    register(
-        SchemeDef(
-            "adaptive",
-            "Adaptive(OD)",
-            _adaptive_factory,
-            uses_frame_perception=True,
-            uses_transport_cookie=True,
-        )
-    )
-    register(
-        SchemeDef(
-            "wira_bbr2",
-            "Wira+BBRv2",
-            _wira_bbr2_factory,
-            uses_frame_perception=True,
-            uses_transport_cookie=True,
-        )
-    )
-    register(
-        SchemeDef(
-            "wira_ar",
-            "Wira+AutoRec",
-            _wira_ar_factory,
-            uses_frame_perception=True,
-            uses_transport_cookie=True,
-        )
-    )
+    register(SchemeDef("adaptive", "Adaptive(OD)", _adaptive_factory))
+    register(SchemeDef("wira_bbr2", "Wira+BBRv2", _wira_bbr2_factory))
+    register(SchemeDef("wira_ar", "Wira+AutoRec", _wira_ar_factory))
 
 
 _register_builtins()

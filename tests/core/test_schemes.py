@@ -97,10 +97,6 @@ class TestRegistry:
         assert as_spec("wira_ff").display_name == "Wira(FF)"
         assert WIRA_HX.display_name == "Wira(Hx)"
 
-    def test_spec_properties_delegate_to_registry(self):
-        assert WIRA.uses_frame_perception == get_def("wira").uses_frame_perception
-        assert BASELINE.uses_transport_cookie is False
-
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
             register(get_def("wira"))

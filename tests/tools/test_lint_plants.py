@@ -1,0 +1,352 @@
+"""Each lint rule's defect, planted in the real tree: who catches it.
+
+A plant is a small edit to real files under ``src/`` that introduces
+the defect one rule exists for.  The edits are applied in memory only;
+``test_lint_verdict`` lints the edited files next to their unedited
+originals and checks that the plant's rule reports the difference (or,
+for the four laundered plants, that no rule does).  The runtime tests
+below plant the same laundered reads with a deterministic stub in place
+of the host clock or the process RNG and show which determinism gate
+fails.  CONTRIBUTING.md's "Plant table" records, per plant, the gates
+that fail when the edit is written into a copy of the tree.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, Optional, Tuple
+
+import pytest
+
+from repro.core.transport_cookie import ClientCookieStore
+from repro.media.source import LiveSource
+from tests.core import test_transport_cookie
+from tests.experiments import test_scheme_parity
+from tools.wira_lint import lint_sources
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+SOURCE = "src/repro/media/source.py"
+STATS = "src/repro/metrics/stats.py"
+COOKIE = "src/repro/core/transport_cookie.py"
+
+#: A helper outside every lint zone that reads the host clock.
+CLOCK_HELPER = (
+    "from typing import List, Optional, Sequence\n",
+    "from typing import List, Optional, Sequence\n"
+    "import time\n\n\n"
+    "def wall_jitter() -> float:\n"
+    "    return 1.0 + time.perf_counter_ns() % 1000 * 1e-4\n",
+)
+#: The same helper drawing from the process-global RNG.
+RNG_HELPER = (
+    "from typing import List, Optional, Sequence\n",
+    "from typing import List, Optional, Sequence\n"
+    "import random\n\n\n"
+    "def wall_jitter() -> float:\n"
+    "    return 1.0 + random.random() * 0.1\n",
+)
+#: ``LiveSource._jitter`` scaled by the helper: every frame size below
+#: ``run_deployment`` reads it.
+JITTER_CALLS_HELPER = (
+    "        return per_gop[frame_index]\n",
+    "        from repro.metrics.stats import wall_jitter\n\n"
+    "        return per_gop[frame_index] * wall_jitter()\n",
+)
+#: ``ClientCookieStore._evict`` consults the helper: no replay, smoke run
+#: or tier-1 test bounds a client store, so this line never runs.
+EVICT_CALLS_HELPER = (
+    '        if reason == "ttl":\n',
+    "        from repro.metrics.stats import wall_jitter\n\n"
+    '        if reason == "ttl" and wall_jitter() < 1.05:\n',
+)
+
+Edit = Tuple[str, str, str]
+
+
+@dataclass(frozen=True)
+class Plant:
+    """``edits`` are ``(path, old, new)``; ``old`` occurs exactly once.
+
+    ``rule`` is the code that must report the plant, or ``None`` when no
+    rule does.  ``context`` names unedited files the rule needs in the
+    same run (a registry the plant's name is checked against).
+    """
+
+    name: str
+    rule: Optional[str]
+    edits: Tuple[Edit, ...]
+    context: Tuple[str, ...] = ()
+
+
+PLANTS = (
+    Plant(
+        "WL001-clock-in-jitter",
+        "WL001",
+        (
+            (SOURCE, "import math\n", "import math\nimport time\n"),
+            (
+                SOURCE,
+                "        return per_gop[frame_index]\n",
+                "        return per_gop[frame_index] * (1.0 + time.perf_counter_ns() % 1000 * 1e-4)\n",
+            ),
+        ),
+    ),
+    Plant(
+        "WL002-global-rng-in-link-loss",
+        "WL002",
+        (
+            (
+                "src/repro/simnet/link.py",
+                "self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:",
+                "self.loss_rate > 0.0 and random.random() < self.loss_rate:",
+            ),
+        ),
+    ),
+    Plant(
+        "WL003-exact-loss-deadline",
+        "WL003",
+        (
+            (
+                "src/repro/quic/loss_recovery.py",
+                "by_time = lost_deadline <= now",
+                "by_time = lost_deadline == now",
+            ),
+        ),
+    ),
+    Plant(
+        "WL004-datagram-without-slots",
+        "WL004",
+        (
+            (
+                "src/repro/simnet/link.py",
+                '    __slots__ = ("_payload", "size", "corrupted", "packet")\n',
+                "",
+            ),
+        ),
+    ),
+    Plant(
+        "WL005-merge-in-insertion-order",
+        "WL005",
+        (
+            (
+                "src/repro/fleet/aggregate.py",
+                "        for value in sorted(other.schemes):\n"
+                "            self.schemes[value].merge(other.schemes[value])\n",
+                "        for value, agg in other.schemes.items():\n"
+                "            self.schemes[value].merge(agg)\n",
+            ),
+        ),
+    ),
+    Plant(
+        "WL006-untyped-pacer-refill",
+        "WL006",
+        (
+            (
+                "src/repro/quic/pacer.py",
+                "def _refill(self, now: float) -> None:",
+                "def _refill(self, now):",
+            ),
+        ),
+    ),
+    Plant(
+        "WL007-print-per-session",
+        "WL007",
+        (
+            (
+                "src/repro/cdn/session.py",
+                "    def run(self) -> SessionResult:\n",
+                "    def run(self) -> SessionResult:\n"
+                "        print(f\"session {self.trace_label}\")\n",
+            ),
+        ),
+    ),
+    Plant(
+        "WL009-stale-pragma",
+        "WL009",
+        ((STATS, "import math\n", "import math  # wira-lint: disable=WL003\n"),),
+    ),
+    Plant(
+        "WL010-laundered-clock-in-jitter",
+        None,
+        ((STATS,) + CLOCK_HELPER, (SOURCE,) + JITTER_CALLS_HELPER),
+    ),
+    Plant(
+        "WL010-laundered-clock-in-evict",
+        None,
+        ((STATS,) + CLOCK_HELPER, (COOKIE,) + EVICT_CALLS_HELPER),
+    ),
+    Plant(
+        "WL011-laundered-rng-in-jitter",
+        None,
+        ((STATS,) + RNG_HELPER, (SOURCE,) + JITTER_CALLS_HELPER),
+    ),
+    Plant(
+        "WL011-laundered-rng-in-evict",
+        None,
+        ((STATS,) + RNG_HELPER, (COOKIE,) + EVICT_CALLS_HELPER),
+    ),
+    Plant(
+        "WL012-jobs-from-environ",
+        "WL012",
+        (
+            ("src/repro/runtime/pool.py", "import logging\n", "import logging\nimport os\n"),
+            (
+                "src/repro/runtime/pool.py",
+                "        return settings.current().jobs\n",
+                '        return int(os.environ.get("WIRA_JOBS", "1"))\n',
+            ),
+        ),
+    ),
+    Plant(
+        "WL013-misspelt-event",
+        "WL013",
+        (
+            (
+                "src/repro/quic/connection.py",
+                '"recovery:loss_timer_fired",',
+                '"recovery:loss_timer_fire",',
+            ),
+        ),
+        context=("src/repro/obs/events.py",),
+    ),
+    Plant(
+        "WL014-misspelt-invariant",
+        "WL014",
+        (
+            (
+                "src/repro/sanitize/checks.py",
+                '                "clock_monotonic",\n',
+                '                "clock_monotnic",\n',
+            ),
+        ),
+        context=("src/repro/sanitize/errors.py",),
+    ),
+)
+
+
+def planted_sources(plant: Plant, root: Path = REPO_ROOT) -> Dict[str, str]:
+    """Path -> text of every file the plant edits, edits applied."""
+    texts: Dict[str, str] = {}
+    for path, old, new in plant.edits:
+        text = texts.get(path)
+        if text is None:
+            text = (root / path).read_text(encoding="utf-8")
+        assert text.count(old) == 1, f"{plant.name}: anchor not unique in {path}: {old!r}"
+        texts[path] = text.replace(old, new)
+    return texts
+
+
+def _findings(sources: Dict[str, str]):
+    return {(v.path, v.code, v.message) for v in lint_sources(sources)}
+
+
+@pytest.mark.parametrize("plant", PLANTS, ids=[p.name for p in PLANTS])
+def test_lint_verdict(plant):
+    planted = planted_sources(plant)
+    originals = {
+        path: (REPO_ROOT / path).read_text(encoding="utf-8")
+        for path in tuple(planted) + plant.context
+    }
+    new = _findings({**originals, **planted}) - _findings(originals)
+    if plant.rule is None:
+        assert new == set()
+    else:
+        assert {code for _, code, _ in new} == {plant.rule}
+        assert {path for path, _, _ in new} & set(planted)
+
+
+# ---------------------------------------------------------------------------
+# The laundered reads at runtime.  A stub stands in for the host clock or
+# the process RNG so that the plant's effect is the same on every run.
+
+
+class StubClock:
+    """``perf_counter_ns`` that moves on by a prime number of ns per read."""
+
+    def __init__(self) -> None:
+        self.ns = 10**9
+
+    def perf_counter_ns(self) -> int:
+        self.ns += 1_000_003
+        return self.ns
+
+
+@pytest.fixture
+def golden(monkeypatch):
+    """The golden gate, run as its own test runs it: untraced."""
+    from repro import obs
+
+    monkeypatch.delenv("WIRA_TRACE", raising=False)
+    monkeypatch.setattr(obs, "ACTIVE", None)
+    return test_scheme_parity.TestGoldenParity()
+
+
+def plant_in_jitter(monkeypatch, wall_jitter) -> None:
+    original = LiveSource._jitter
+    monkeypatch.setattr(
+        LiveSource,
+        "_jitter",
+        lambda self, gop, frame: original(self, gop, frame) * wall_jitter(),
+    )
+
+
+def test_laundered_clock_read_fails_the_figure_golden(monkeypatch, golden):
+    clock = StubClock()
+    plant_in_jitter(monkeypatch, lambda: 1.0 + clock.perf_counter_ns() % 1000 * 1e-4)
+    with pytest.raises(AssertionError):
+        golden.test_figure_replay_digest()
+
+
+def test_laundered_rng_read_fails_the_fleet_golden(monkeypatch, golden):
+    process_rng = random.Random(2024)
+    plant_in_jitter(monkeypatch, lambda: 1.0 + process_rng.random() * 0.1)
+    with pytest.raises(AssertionError):
+        golden.test_fleet_chunk_digest()
+
+
+def plant_in_evict(monkeypatch, wall_jitter) -> None:
+    """The evict plants' effect: a TTL eviction the helper's reading
+    pushes to 1.05 or above is counted as a capacity eviction."""
+    original = ClientCookieStore._evict
+
+    def planted(self, origin, reason):
+        original(self, origin, reason)
+        if reason == "ttl" and wall_jitter() >= 1.05:
+            self.evicted_ttl -= 1
+            self.evicted_capacity += 1
+
+    monkeypatch.setattr(ClientCookieStore, "_evict", planted)
+
+
+def test_laundered_read_in_evict_never_runs_in_a_replay(monkeypatch, golden):
+    """No replay evicts from a client store, so the evict plants' read
+    never executes under the goldens."""
+    evictions = []
+    original = ClientCookieStore._evict
+    monkeypatch.setattr(
+        ClientCookieStore,
+        "_evict",
+        lambda self, origin, reason: evictions.append(reason) or original(self, origin, reason),
+    )
+    golden.test_figure_replay_digest()
+    golden.test_fleet_chunk_digest()
+    assert evictions == []
+
+
+@pytest.mark.parametrize("reading, caught", [(0, False), (500, True)], ids=["quiet", "flips"])
+def test_laundered_read_in_evict_is_caught_only_when_it_flips_the_count(
+    monkeypatch, reading, caught
+):
+    """The store's unit tests do run the line; they fail only when the
+    reading lands on the side that changes the count (about half of host
+    clock readings), so they catch the plant by chance."""
+    plant_in_evict(monkeypatch, lambda: 1.0 + reading * 1e-4)
+    store_test = test_transport_cookie.TestBoundedClientStore()
+    if caught:
+        with pytest.raises(AssertionError):
+            store_test.test_get_with_now_applies_ttl()
+    else:
+        store_test.test_get_with_now_applies_ttl()

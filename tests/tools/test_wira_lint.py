@@ -96,6 +96,17 @@ class TestWL001WallClock:
         """
         assert "WL001" not in codes(src, TEST_PATH)
 
+    def test_direct_read_in_media_flagged(self):
+        # media and cdn feed replayed results too: the replay zone is
+        # wider than the transport core.
+        src = """
+            import time
+
+            def frame_stamp():
+                return time.time()
+        """
+        assert "WL001" in codes(src, "src/repro/media/fixture.py")
+
     def test_time_perf_counter_also_banned_in_sim_zone(self):
         # Benchmarks measure wall time from benchmarks/ (outside the sim
         # zone); inside it, every process clock poisons determinism.
@@ -166,6 +177,15 @@ class TestWL002Randomness:
                 return random()
         """
         assert "WL002" in codes(src, SIM_PATH)
+
+    def test_global_rng_in_cdn_flagged(self):
+        src = """
+            import random
+
+            def pick(origins):
+                return random.choice(origins)
+        """
+        assert "WL002" in codes(src, "src/repro/cdn/fixture.py")
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +510,22 @@ class TestEngine:
         violations, scanned = lint_paths([str(tmp_path)])
         assert scanned == 0 and violations == []
 
+    def test_dot_directory_above_the_tree_is_walked(self, tmp_path):
+        # Only dot directories *inside* a scanned tree are skipped; a
+        # checkout under ``.work/`` or a path given as ``../repo`` lints.
+        root = tmp_path / ".work"
+        write_fixture(root, "src/repro/simnet/bad.py", "import time\n\ntime.time()\n")
+        write_fixture(root, "src/repro/simnet/.hidden/skip.py", "import time\n\ntime.time()\n")
+        violations, scanned = lint_paths([str(root)])
+        assert scanned == 1
+        assert [v.code for v in violations] == ["WL001"]
+
     def test_repository_tree_is_clean(self):
-        # The CI ``lint`` job's gate, held by tier-1 too.
-        violations, scanned = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
+        # The CI ``lint`` job's gate, held by tier-1 too: every tree a
+        # rule zone names.
+        violations, scanned = lint_paths(
+            [str(REPO_ROOT / tree) for tree in ("src", "tests", "tools", "examples")]
+        )
         assert scanned > 0
         assert [v.render() for v in violations] == []
 
@@ -591,6 +624,18 @@ class TestCli:
         write_fixture(tmp_path, relpath, body)
         assert main([str(tmp_path)]) == EXIT_VIOLATIONS
         capsys.readouterr()
+
+    def test_missing_path_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir"
+        assert main([str(missing)]) == EXIT_ERROR
+        assert str(missing) in capsys.readouterr().err
+
+    def test_path_without_python_files_exits_two(self, tmp_path, capsys):
+        readme = write_fixture(tmp_path, "README.md", "# not python\n")
+        assert main([str(tmp_path / "src"), str(readme)]) == EXIT_ERROR
+        assert main([str(readme)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert str(tmp_path / "src") in err and str(readme) in err
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         write_fixture(tmp_path, "src/repro/simnet/broken.py", "def broken(:\n")

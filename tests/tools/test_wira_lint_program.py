@@ -1,4 +1,5 @@
-"""Whole-program rule tests: multi-file fixtures through ``lint_sources``.
+"""Rule tests beyond one snippet per rule: merge scope across defs,
+settings knobs, the registry cross-checks and pragma accounting.
 
 Each rule family gets deliberately-broken fixtures (the acceptance bar
 for the registry cross-checks) plus clean variants, all under virtual
@@ -11,7 +12,6 @@ import textwrap
 from tools.wira_lint import lint_source, lint_sources
 
 SIM = "src/repro/simnet/fixture.py"
-MEDIA = "src/repro/media/fixture.py"
 METRICS = "src/repro/metrics/helper.py"
 
 
@@ -26,208 +26,12 @@ def codes(violations):
 
 
 # ---------------------------------------------------------------------------
-# WL010: interprocedural wall-clock taint.
-
-
-class TestWL010WallClockTaint:
-    def test_laundered_read_flagged_with_witness(self):
-        violations = run(
-            {
-                METRICS: """
-                    import time
-
-                    def stamp():
-                        return time.time()
-                """,
-                SIM: """
-                    from repro.metrics.helper import stamp
-
-                    def schedule():
-                        return stamp()
-                """,
-            },
-            select={"WL010"},
-        )
-        assert codes(violations) == ["WL010"]
-        finding = violations[0]
-        assert finding.path == SIM
-        assert "transitively reads the wall clock" in finding.message
-        # The witness names the full call chain down to the read site.
-        assert "schedule -> repro.metrics.helper.stamp" in finding.message
-        assert f"time.time() [{METRICS}:" in finding.message
-
-    def test_direct_read_outside_sim_zone_flagged(self):
-        # media is in the replay zone but not the WL001 sim zone: the
-        # taint rule carries the direct finding there.
-        violations = run(
-            {
-                MEDIA: """
-                    import time
-
-                    def frame_stamp():
-                        return time.time()
-                """
-            },
-            select={"WL010"},
-        )
-        assert codes(violations) == ["WL010"]
-        assert "reads the wall clock: time.time()" in violations[0].message
-
-    def test_direct_sim_read_is_wl001_not_wl010(self):
-        violations = run(
-            {
-                SIM: """
-                    import time
-
-                    def stamp():
-                        return time.time()
-                """
-            }
-        )
-        assert "WL001" in codes(violations)
-        assert "WL010" not in codes(violations)
-
-    def test_no_cascade_past_replay_zone_carrier(self):
-        # Only the replay-zone function nearest the source reports; its
-        # callers inside the zone stay quiet.
-        violations = run(
-            {
-                METRICS: """
-                    import time
-
-                    def stamp():
-                        return time.time()
-                """,
-                SIM: """
-                    from repro.metrics.helper import stamp
-
-                    def inner():
-                        return stamp()
-
-                    def outer():
-                        return inner()
-                """,
-            },
-            select={"WL010"},
-        )
-        assert len(violations) == 1
-        assert "inner" in violations[0].message
-
-    def test_pragma_vetted_read_does_not_taint(self):
-        violations = run(
-            {
-                METRICS: """
-                    import time
-
-                    def stamp():
-                        return time.time()  # wira-lint: disable=WL010
-                """,
-                SIM: """
-                    from repro.metrics.helper import stamp
-
-                    def schedule():
-                        return stamp()
-                """,
-            },
-            select={"WL010"},
-        )
-        assert violations == []
-
-    def test_clean_chain(self):
-        violations = run(
-            {
-                METRICS: """
-                    def stamp(loop):
-                        return loop.now
-                """,
-                SIM: """
-                    from repro.metrics.helper import stamp
-
-                    def schedule(loop):
-                        return stamp(loop)
-                """,
-            },
-            select={"WL010"},
-        )
-        assert violations == []
-
-
-# ---------------------------------------------------------------------------
-# WL011: interprocedural global-RNG taint.
-
-
-class TestWL011GlobalRngTaint:
-    def test_laundered_global_rng_flagged(self):
-        violations = run(
-            {
-                METRICS: """
-                    import random
-
-                    def jitter():
-                        return random.random()
-                """,
-                SIM: """
-                    from repro.metrics.helper import jitter
-
-                    def arrivals():
-                        return jitter()
-                """,
-            },
-            select={"WL011"},
-        )
-        assert codes(violations) == ["WL011"]
-        assert "transitively reads the process-global RNG" in violations[0].message
-        assert "random.random()" in violations[0].message
-
-    def test_hard_seeded_instance_does_not_taint(self):
-        # random.Random(0) is deterministic (WL002 style debt, not a
-        # taint source); callers must not be poisoned by it.
-        violations = run(
-            {
-                METRICS: """
-                    import random
-
-                    def rng():
-                        return random.Random(7)
-                """,
-                SIM: """
-                    from repro.metrics.helper import rng
-
-                    def arrivals():
-                        return rng()
-                """,
-            },
-            select={"WL011"},
-        )
-        assert violations == []
-
-    def test_unseeded_instance_taints(self):
-        violations = run(
-            {
-                METRICS: """
-                    import random
-
-                    def rng():
-                        return random.Random()
-                """,
-                SIM: """
-                    from repro.metrics.helper import rng
-
-                    def arrivals():
-                        return rng()
-                """,
-            },
-            select={"WL011"},
-        )
-        assert codes(violations) == ["WL011"]
-
-
-# ---------------------------------------------------------------------------
-# WL005: dict iteration feeding merge paths, one call level deep.
+# WL005: the merge scope is lexical -- a merge-named def and the defs
+# nested in it.  A helper the merge path calls is not followed.
 
 
 class TestWL005OneCallLevel:
-    def test_helper_called_from_merge_flagged(self):
+    def test_helper_called_from_merge_not_followed(self):
         violations = run(
             {
                 METRICS: """
@@ -243,9 +47,23 @@ class TestWL005OneCallLevel:
             },
             select={"WL005"},
         )
+        assert violations == []
+
+    def test_def_nested_in_merge_flagged(self):
+        violations = run(
+            {
+                METRICS: """
+                    def merge_shards(shards):
+                        def dump(d):
+                            return [v for v in d.values()]
+
+                        return [dump(s) for s in shards]
+                """
+            },
+            select={"WL005"},
+        )
         assert codes(violations) == ["WL005"]
-        assert violations[0].path == METRICS
-        assert "feeds merge path repro.metrics.agg.merge_shards" in violations[0].message
+        assert "merge path iterates d.values()" in violations[0].message
 
     def test_helper_not_reached_from_merge_clean(self):
         violations = run(
@@ -476,7 +294,7 @@ class TestWL009UnusedPragma:
         assert "WL009" not in [v.code for v in violations]
 
     def test_wrong_zone_pragma_flagged(self):
-        # WL001 cannot fire outside the sim zone, so disabling it in
+        # WL001 cannot fire outside the replay zone, so disabling it in
         # metrics is always dead weight.
         src = """
             import time

@@ -8,7 +8,14 @@ anchored matcher requires whole path segments; these tests pin the
 near-miss behaviour so the bug cannot return.
 """
 
-from tools.wira_lint.rules import RULES, zone_match
+import re
+from pathlib import Path
+
+import pytest
+
+from tools.wira_lint.rules import RULES, TYPED_ZONE, zone_match
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestZoneMatch:
@@ -74,3 +81,27 @@ class TestRuleAppliesTo:
         assert rule.applies_to("src/repro/runtime/config.py")
         assert rule.applies_to("tools/wira_fleet/campaign.py")
         assert not rule.applies_to("benchmarks/bench_speed.py")
+
+
+def _module(path: str) -> str:
+    """``src/repro/quic`` -> ``repro.quic.*``; ``x/y.py`` -> ``x.y``."""
+    path = path.rstrip("/").removesuffix(".py")
+    dotted = path.removeprefix("src/").replace("/", ".")
+    return dotted + ".*" if (REPO_ROOT / path).is_dir() else dotted
+
+
+def test_typed_zone_is_the_mypy_contract():
+    """WL006's zone, pyproject's ``disallow_untyped_defs`` overrides and
+    CI's mypy command name the same modules."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    (strict,) = [
+        override
+        for override in pyproject["tool"]["mypy"]["overrides"]
+        if override.get("disallow_untyped_defs")
+    ]
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    (command,) = re.findall(r"^\s*run: mypy (.+)$", ci, re.MULTILINE)
+    zone = {_module(path) for path in TYPED_ZONE}
+    assert zone == set(strict["module"])
+    assert zone == {_module(path) for path in command.split()}

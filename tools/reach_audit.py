@@ -131,7 +131,6 @@ KEPT: Dict[str, str] = {
     # Views and class APIs the unit tests go through.
     "repro.core.frame_perception:FrameParser.ff_complete": _VIEW,
     "repro.core.schemes:scheme_names": _VIEW,
-    "repro.core.schemes:SchemeSpec": _API,
     "repro.core.transport_cookie:ClientCookieStore": _API,
     "repro.fleet.engine:FleetConfig.with_": _API,
     "repro.media.hls:TsFrame.is_video": _VIEW,

@@ -1,6 +1,8 @@
-"""Command line front end: ``python -m tools.wira_lint src/ tests/``.
+"""Command line front end: ``python -m tools.wira_lint src/ tests/ tools/ examples/``.
 
-Exit codes: 0 clean, 1 violations found, 2 parse/usage errors.
+Exit codes: 0 clean, 1 violations found, 2 parse/usage errors -- a path
+that does not exist or holds no Python file is a usage error, so a
+mistyped path cannot lint clean.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Set
 
-from tools.wira_lint.engine import PARSE_ERROR_CODE, lint_paths
+from tools.wira_lint.engine import PARSE_ERROR_CODE, iter_python_files, lint_paths
 from tools.wira_lint.report import render_json, render_text
 from tools.wira_lint.rules import RULES
 
@@ -33,11 +35,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.wira_lint",
         description=(
-            "Repo-specific whole-program determinism linter "
+            "Repo-specific determinism linter "
             f"({len(RULES)} rules, {min(RULES)}-{max(RULES)})."
         ),
     )
-    parser.add_argument("paths", nargs="*", default=["src", "tests"], help="files or directories")
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        default=["src", "tests", "tools", "examples"],
+        help="files or directories",
+    )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
@@ -59,13 +66,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
 
+    for raw in args.paths:
+        if not Path(raw).exists():
+            print(f"wira-lint: no such file or directory: {raw}", file=sys.stderr)
+            return EXIT_ERROR
+        if not iter_python_files([raw]):
+            print(f"wira-lint: no Python file to lint in {raw}", file=sys.stderr)
+            return EXIT_ERROR
+
     violations, files_scanned = lint_paths(args.paths, select)
     if args.format == "json":
         report = render_json(violations, files_scanned)
     else:
         report = render_text(violations, files_scanned)
     if args.output:
-        Path(args.output).write_text(report if report.endswith("\n") else report + "\n")
+        Path(args.output).write_text(
+            report if report.endswith("\n") else report + "\n", encoding="utf-8"
+        )
     else:
         print(report, end="" if report.endswith("\n") else "\n")
 

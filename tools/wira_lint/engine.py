@@ -1,16 +1,17 @@
-"""Lint engine: fact extraction -> whole-program passes -> suppression.
+"""Lint engine: fact extraction -> registry join -> suppression.
 
 The pipeline for every entry point is the same:
 
 1. **extract** — one AST pass per file producing :class:`FileFacts`
-   (raw per-file findings + cross-module facts);
-2. **link** — :class:`~tools.wira_lint.graph.Program` joins all facts
-   and runs the whole-program passes (taint, registries, merge order);
+   (raw per-file findings + registry facts);
+2. **join** — the WL013/WL014 cross-checks read every file's registry
+   facts: obs event names and sanitizer invariant names against their
+   registries, both directions;
 3. **suppress** — pragmas are applied per line / per file and pragma
    usage is accounted (feeding WL009 unused-pragma findings).
 
-Every run parses every file, in-process: the whole tree lints in about
-a second.
+Every run parses every file, in-process: the whole tree lints in well
+under a second.
 
 Public API (kept stable for the test-suite and external callers):
 ``Violation``, ``lint_source``, ``lint_sources``, ``lint_file``,
@@ -25,7 +26,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from tools.wira_lint.facts import PARSE_ERROR_CODE, FileFacts, extract_facts
-from tools.wira_lint.graph import Program
 from tools.wira_lint.rules import RULES
 
 __all__ = [
@@ -62,11 +62,118 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
             found.add(path)
         elif path.is_dir():
             for candidate in path.rglob("*.py"):
-                parts = candidate.parts
+                parts = candidate.relative_to(path).parts
                 if any(part == "__pycache__" or part.startswith(".") for part in parts):
                     continue
                 found.add(candidate)
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# WL013 / WL014: contract registries, joined over every file.
+
+
+def _registry(all_facts: Sequence[FileFacts], name: str) -> Tuple[Set[str], List[FileFacts]]:
+    values: Set[str] = set()
+    defining: List[FileFacts] = []
+    for facts in all_facts:
+        if name in facts.registries:
+            values.update(facts.registries[name])
+            defining.append(facts)
+    return values, defining
+
+
+def _literal_evidence(all_facts: Sequence[FileFacts], name: str, defining: Set[str]) -> bool:
+    """True when ``name`` appears as a literal outside its registry
+    definition (covers dynamically-selected emit names such as
+    ``name = "fault:link_down" if down else "fault:link_up"``)."""
+    for facts in all_facts:
+        hits = sum(1 for _, value in facts.event_literals if value == name)
+        if hits > (1 if facts.path in defining else 0):
+            return True
+    return False
+
+
+def _event_registry_findings(all_facts: Sequence[FileFacts]) -> List[Violation]:
+    rule = RULES["WL013"]
+    registry, defining = _registry(all_facts, "EVENT_NAMES")
+    if not defining:
+        return []
+    findings: List[Violation] = []
+    emitted: Set[str] = set()
+    for facts in all_facts:
+        for line, name in facts.emit_events:
+            emitted.add(name)
+            if name not in registry and rule.applies_to(facts.path):
+                findings.append(
+                    Violation(
+                        facts.path,
+                        line,
+                        0,
+                        "WL013",
+                        f"emitted event name '{name}' is not registered in events.EVENT_NAMES",
+                    )
+                )
+    anchor = defining[0]
+    if not emitted or not rule.applies_to(anchor.path):
+        # No emit site in scope (e.g. linting the registry module by
+        # itself): the reverse direction would flag every name.
+        return findings
+    defining_paths = {facts.path for facts in defining}
+    for name in sorted(registry - emitted):
+        if _literal_evidence(all_facts, name, defining_paths):
+            continue
+        line = next(
+            (l for l, value in anchor.event_literals if value == name),
+            anchor.registry_lines.get("EVENT_NAMES", 1),
+        )
+        findings.append(
+            Violation(
+                anchor.path,
+                line,
+                0,
+                "WL013",
+                f"EVENT_NAMES registers '{name}' but no scanned code emits or references it",
+            )
+        )
+    return findings
+
+
+def _invariant_registry_findings(all_facts: Sequence[FileFacts]) -> List[Violation]:
+    rule = RULES["WL014"]
+    registry, defining = _registry(all_facts, "INVARIANTS")
+    if not defining:
+        return []
+    findings: List[Violation] = []
+    raised: Set[str] = set()
+    for facts in all_facts:
+        for line, name in facts.invariant_raises:
+            raised.add(name)
+            if name not in registry and rule.applies_to(facts.path):
+                findings.append(
+                    Violation(
+                        facts.path,
+                        line,
+                        0,
+                        "WL014",
+                        f"SanitizerError raised with invariant '{name}' which is "
+                        "not registered in INVARIANTS",
+                    )
+                )
+    anchor = defining[0]
+    if not raised or not rule.applies_to(anchor.path):
+        return findings
+    for name in sorted(registry - raised):
+        findings.append(
+            Violation(
+                anchor.path,
+                anchor.registry_lines.get("INVARIANTS", 1),
+                0,
+                "WL014",
+                f"INVARIANTS registers '{name}' but no scanned code raises SanitizerError with it",
+            )
+        )
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +187,9 @@ def _pragma_maps(facts: FileFacts):
     for line, scope, codes in facts.pragmas:
         if scope == "file":
             for code in codes:
-                file_wide.setdefault(code, int(line))
+                file_wide.setdefault(code, line)
         else:
-            by_line.setdefault(int(line), set()).update(codes)
+            by_line.setdefault(line, set()).update(codes)
     return by_line, file_wide
 
 
@@ -115,7 +222,6 @@ def _apply_pragmas(
             continue
         by_line, file_wide = maps[facts.path]
         for line, scope, codes in facts.pragmas:
-            line = int(line)
             # A pragma naming WL009 on its own line (or file-wide) is the
             # explicit opt-out for this check.
             if "WL009" in by_line.get(line, ()) or "WL009" in file_wide:
@@ -157,16 +263,16 @@ def _analyze(
     for facts in all_facts:
         if facts.parse_error is not None:
             line, col, message = facts.parse_error
-            violations.append(
-                Violation(facts.path, int(line), int(col), PARSE_ERROR_CODE, message)
-            )
+            violations.append(Violation(facts.path, line, col, PARSE_ERROR_CODE, message))
             continue
         for line, col, code, message in facts.violations:
             if select is None or code in select:
-                violations.append(Violation(facts.path, int(line), int(col), code, message))
-    program = Program([f for f in all_facts if f.parse_error is None])
-    for path, line, col, code, message in program.findings(select):
-        violations.append(Violation(path, line, col, code, message))
+                violations.append(Violation(facts.path, line, col, code, message))
+    parsed = sorted((f for f in all_facts if f.parse_error is None), key=lambda f: f.path)
+    if select is None or "WL013" in select:
+        violations.extend(_event_registry_findings(parsed))
+    if select is None or "WL014" in select:
+        violations.extend(_invariant_registry_findings(parsed))
     violations = _apply_pragmas(all_facts, violations, select)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code, v.message))
     return violations
@@ -177,7 +283,7 @@ def _analyze(
 
 
 def lint_source(source: str, path: str, select: Optional[Set[str]] = None) -> List[Violation]:
-    """Lint one in-memory file (whole-program passes see only it)."""
+    """Lint one in-memory file (the registry joins see only it)."""
     return _analyze([(path.replace("\\", "/"), source)], select)
 
 
@@ -188,7 +294,7 @@ def lint_sources(sources: Dict[str, str], select: Optional[Set[str]] = None) -> 
 
 
 def lint_file(path: str, select: Optional[Set[str]] = None) -> List[Violation]:
-    return lint_source(Path(path).read_text(), str(path), select)
+    return lint_source(Path(path).read_text(encoding="utf-8"), str(path), select)
 
 
 def lint_paths(
@@ -197,5 +303,5 @@ def lint_paths(
     """Lint files/directories; returns ``(violations, files_scanned)``."""
     files: List[Tuple[str, str]] = []
     for path in iter_python_files(paths):
-        files.append((str(path).replace("\\", "/"), path.read_text()))
+        files.append((str(path).replace("\\", "/"), path.read_text(encoding="utf-8")))
     return _analyze(files, select), len(files)

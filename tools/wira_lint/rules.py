@@ -20,25 +20,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Optional, Tuple
+from typing import Tuple
 
-#: Simulation zone: code that must be bit-exact deterministic.  Figures,
-#: golden digests and serial == sharded replays all assume it; one
-#: wall-clock read or process-global RNG call silently breaks them.
-SIM_ZONE: Tuple[str, ...] = (
+#: Replay zone: code that must be bit-exact deterministic because its
+#: behaviour feeds replayed results.  Figures, golden digests and serial
+#: == sharded replays all assume it; one wall-clock read or process-global
+#: RNG draw here (WL001/WL002) silently breaks them.
+REPLAY_ZONE: Tuple[str, ...] = (
     "src/repro/simnet",
     "src/repro/quic",
     "src/repro/core",
     "src/repro/workload",
     "src/repro/faults",
-)
-
-#: Replay zone: everything whose behaviour feeds replayed results.  The
-#: interprocedural taint rules (WL010/WL011) patrol this superset of the
-#: simulation zone — a wall-clock read laundered through a ``media`` or
-#: ``cdn`` helper poisons figures just as surely as a direct read in
-#: ``simnet``.
-REPLAY_ZONE: Tuple[str, ...] = SIM_ZONE + (
     "src/repro/cdn",
     "src/repro/media",
 )
@@ -101,9 +94,6 @@ class Rule:
     zone: Tuple[str, ...]
     #: Anchored segment patterns exempt from the rule even inside its zone.
     exempt: Tuple[str, ...] = ()
-    #: Whole-program rules need every file's facts before they can fire;
-    #: per-file rules run (and cache) file by file.
-    whole_program: bool = False
 
     def applies_to(self, path: str) -> bool:
         norm = path.replace("\\", "/")
@@ -117,13 +107,13 @@ RULES = {
         "WL001",
         "no-wall-clock",
         "simulation code must read EventLoop.now, never the wall clock",
-        SIM_ZONE,
+        REPLAY_ZONE,
     ),
     "WL002": Rule(
         "WL002",
         "no-unseeded-random",
         "randomness must come from a caller-supplied seeded random.Random",
-        SIM_ZONE,
+        REPLAY_ZONE,
     ),
     "WL003": Rule(
         "WL003",
@@ -142,7 +132,6 @@ RULES = {
         "deterministic-merge",
         "merge/serialization paths must not iterate dicts in insertion order",
         SRC_ZONE,
-        whole_program=True,
     ),
     "WL006": Rule(
         "WL006",
@@ -167,21 +156,6 @@ RULES = {
         # literals, which the line-based pragma scanner cannot tell from
         # real pragmas — so staleness is only enforced on shipped code.
         ("src/repro", "examples"),
-        whole_program=True,
-    ),
-    "WL010": Rule(
-        "WL010",
-        "no-wall-clock-taint",
-        "replay-zone code must not transitively call wall-clock readers",
-        REPLAY_ZONE,
-        whole_program=True,
-    ),
-    "WL011": Rule(
-        "WL011",
-        "no-global-rng-taint",
-        "replay-zone code must not transitively use the process-global RNG",
-        REPLAY_ZONE,
-        whole_program=True,
     ),
     "WL012": Rule(
         "WL012",
@@ -195,14 +169,12 @@ RULES = {
         "event-registry",
         "emitted obs event names and events.EVENT_NAMES must agree",
         SRC_ZONE,
-        whole_program=True,
     ),
     "WL014": Rule(
         "WL014",
         "invariant-registry",
         "sanitizer invariant names raised and INVARIANTS must agree",
         SRC_ZONE,
-        whole_program=True,
     ),
 }
 
@@ -324,15 +296,16 @@ SLOTS_REGISTRY = frozenset(
     }
 )
 
-#: Functions treated as merge paths for WL005: anywhere parallel shards
-#: are recombined, iteration order must come from an explicit sort key,
-#: never from dict insertion order (which differs shard-by-shard).
+#: Functions treated as merge paths for WL005 (a def whose own or
+#: enclosing def's name matches): anywhere parallel shards are
+#: recombined, iteration order must come from an explicit sort key, never
+#: from dict insertion order (which differs shard-by-shard).
 MERGE_FUNC_RE = re.compile(r"(?:^|_)(merge|replay|aggregate|combine|reduce|recombine)", re.I)
 
 #: Module-level registry assignments the contract cross-checks consume.
 #: Any scanned file assigning one of these names to a literal collection
 #: of strings contributes to the program-wide registry of that kind.
-REGISTRY_NAMES = ("EVENT_NAMES", "INVARIANTS", "KNOWN_KNOBS")
+REGISTRY_NAMES = ("EVENT_NAMES", "INVARIANTS")
 
 #: Shape of an obs event name: ``category:event``.
 EVENT_NAME_RE = re.compile(r"^[a-z_]+:[a-z_]+$")
