@@ -11,17 +11,6 @@ import pytest
 
 
 @pytest.fixture
-def once(benchmark):
-    """Run the benched callable exactly once (results are what matter;
-    these are end-to-end experiment regenerations, not microbenchmarks)."""
-
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return runner
-
-
-@pytest.fixture
 def print_phase_table():
     """Print the headline replay's FFCT phase breakdown, if traced.
 

@@ -52,7 +52,7 @@ def run_pair(scheme, *, playback=None, epoch_gap=300.0, quic_config=None,
     return StreamingSession(measured_spec, origin, "s", cookie_store=store).run()
 
 
-def test_bench_ablation_theta_vf(once):
+def test_bench_ablation_theta_vf():
     """Θ_VF sweep: richer playback conditions raise FF_Size and FFCT."""
 
     def sweep():
@@ -71,7 +71,7 @@ def test_bench_ablation_theta_vf(once):
             )
         return rows
 
-    rows = once(sweep)
+    rows = sweep()
     table = Table(
         "Ablation — playback condition Θ_VF (§VII)",
         ["Θ_VF", "FFCT", "parsed FF_Size"],
@@ -87,7 +87,7 @@ def test_bench_ablation_theta_vf(once):
     assert sizes[-1] > sizes[0] * 1.1  # the Θ_VF knob really reaches FP
 
 
-def test_bench_ablation_cookie_staleness(once):
+def test_bench_ablation_cookie_staleness():
     """Δ sweep: fresh cookies help; stale ones fall back safely."""
 
     def sweep():
@@ -101,7 +101,7 @@ def test_bench_ablation_cookie_staleness(once):
             rows.append((gap_minutes, mean([r.ffct for r in results if r.ffct]), used))
         return rows
 
-    rows = once(sweep)
+    rows = sweep()
     table = Table(
         "Ablation — cookie age vs Δ=60min (corner case 2)",
         ["gap", "FFCT", "cookie accepted"],
@@ -117,7 +117,7 @@ def test_bench_ablation_cookie_staleness(once):
     assert by_gap[120][0] < 3 * by_gap[5][0]
 
 
-def test_bench_ablation_congestion_controller(once):
+def test_bench_ablation_congestion_controller():
     """The Wira hooks compose with a loss-based controller too."""
 
     def sweep():
@@ -135,7 +135,7 @@ def test_bench_ablation_congestion_controller(once):
             rows.append((cc, mean([b for b in base if b]), mean([w for w in wira if w])))
         return rows
 
-    rows = once(sweep)
+    rows = sweep()
     table = Table(
         "Ablation — congestion-controller substrate",
         ["controller", "Baseline FFCT", "Wira FFCT", "gain"],

@@ -6,8 +6,8 @@ from repro.experiments import baseline_ab
 from repro.metrics.report import Table, format_ms
 
 
-def test_bench_baseline_ab(once):
-    result = once(baseline_ab.run)
+def test_bench_baseline_ab():
+    ffct = baseline_ab.run()
 
     table = Table(
         "Baseline A/B — static init_cwnd=10 vs experiential configuration",
@@ -16,12 +16,12 @@ def test_bench_baseline_ab(once):
     for scheme in (STATIC_10, BASELINE):
         table.add_row(
             scheme.display_name,
-            format_ms(result.avg(scheme)),
-            format_ms(result.p90(scheme)),
+            format_ms(ffct[None, scheme].avg),
+            format_ms(ffct[None, scheme].p(90)),
         )
     table.print()
 
     # The experiential baseline clearly beats Google's static 10-packet
     # window — which is why the paper compares Wira against the former.
-    assert result.avg(BASELINE) < result.avg(STATIC_10)
-    assert result.p90(BASELINE) < result.p90(STATIC_10)
+    assert ffct[None, BASELINE].avg < ffct[None, STATIC_10].avg
+    assert ffct[None, BASELINE].p(90) < ffct[None, STATIC_10].p(90)

@@ -5,8 +5,8 @@ from repro.experiments import fig1
 from repro.metrics.report import Table
 
 
-def test_bench_fig1_first_frame_sizes(once):
-    result = once(fig1.run, 1_000, 40)
+def test_bench_fig1_first_frame_sizes():
+    result = fig1.run(1_000, 40)
 
     table = Table(
         "Fig 1(a) — inter-stream FF_Size (paper: mean 43.1KB, 30% < 30KB, 20% > 60KB)",

@@ -4,12 +4,13 @@ streams)."""
 
 from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX
 from repro.experiments import fig12
+from repro.experiments.common import gain
 from repro.metrics.report import Table, format_ms, format_pct
 from repro.quic.connection import HandshakeMode
 
 
-def test_bench_fig12_zero_vs_one_rtt(once, print_phase_table):
-    result = once(fig12.run)
+def test_bench_fig12_zero_vs_one_rtt(print_phase_table):
+    ffct = fig12.run()
     print_phase_table("Fig 12")
 
     for mode, paper_note in (
@@ -21,23 +22,23 @@ def test_bench_fig12_zero_vs_one_rtt(once, print_phase_table):
             ["scheme", "n", "avg", "avg gain", "p90", "p90 gain"],
         )
         for scheme in (BASELINE, WIRA_FF, WIRA_HX, WIRA):
-            s = result.get(mode, scheme)
+            s = ffct[mode, scheme]
             table.add_row(
                 scheme.display_name,
-                len(s.samples),
+                len(s),
                 format_ms(s.avg),
-                format_pct(result.improvement(mode, scheme), signed=True),
+                format_pct(gain(ffct, scheme, group=mode), signed=True),
                 format_ms(s.p(90)),
-                format_pct(result.improvement(mode, scheme, 90), signed=True),
+                format_pct(gain(ffct, scheme, 90, mode), signed=True),
             )
         table.print()
 
     # ~90% of streams take the 0-RTT path (§VI measurement).
-    assert 0.85 < result.zero_rtt_fraction() < 0.95
+    assert 0.85 < fig12.zero_rtt_fraction(ffct) < 0.95
     # The dominant 0-RTT population benefits from full Wira.
-    assert result.improvement(HandshakeMode.ZERO_RTT, WIRA) > 0.0
+    assert gain(ffct, WIRA, group=HandshakeMode.ZERO_RTT) > 0.0
     # The 1-RTT subset is ~10% of sessions and correspondingly noisy
     # (the paper has millions of samples per bucket); require only that
     # Wira does not *hurt* it materially.
-    assert result.improvement(HandshakeMode.ONE_RTT, WIRA) > -0.05
-    assert result.improvement(HandshakeMode.ONE_RTT, WIRA, 90) > -0.05
+    assert gain(ffct, WIRA, group=HandshakeMode.ONE_RTT) > -0.05
+    assert gain(ffct, WIRA, 90, HandshakeMode.ONE_RTT) > -0.05

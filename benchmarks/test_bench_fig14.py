@@ -3,12 +3,13 @@ optimisation; p90 25.3% → 16.6%, −34.4%)."""
 
 from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX
 from repro.experiments import fig14
+from repro.experiments.common import gain
 from repro.metrics.report import Table, format_pct
 from repro.quic.connection import HandshakeMode
 
 
-def test_bench_fig14_first_frame_loss_rate(once, print_phase_table):
-    result = once(fig14.run)
+def test_bench_fig14_first_frame_loss_rate(print_phase_table):
+    fflr = fig14.run()
     print_phase_table("Fig 14")
 
     table = Table(
@@ -16,13 +17,13 @@ def test_bench_fig14_first_frame_loss_rate(once, print_phase_table):
         ["scheme", "avg FFLR", "p90 FFLR", "avg gain", "p90 gain"],
     )
     for scheme in (BASELINE, WIRA_FF, WIRA_HX, WIRA):
-        s = result.overall[scheme]
+        s = fflr[None, scheme]
         table.add_row(
             scheme.display_name,
             format_pct(s.avg),
             format_pct(s.p(90)),
-            format_pct(result.improvement(scheme), signed=True),
-            format_pct(result.improvement(scheme, 90), signed=True),
+            format_pct(gain(fflr, scheme), signed=True),
+            format_pct(gain(fflr, scheme, 90), signed=True),
         )
     table.print()
 
@@ -32,13 +33,13 @@ def test_bench_fig14_first_frame_loss_rate(once, print_phase_table):
         ["mode", "baseline avg", "Wira avg", "gain"],
     )
     for mode in HandshakeMode:
-        base = result.by_mode[(mode, BASELINE)]
-        ours = result.by_mode[(mode, WIRA)]
+        base = fflr[mode, BASELINE]
+        ours = fflr[mode, WIRA]
         mode_table.add_row(
             mode.value,
             format_pct(base.avg),
             format_pct(ours.avg),
-            format_pct(result.improvement(WIRA, mode=mode), signed=True),
+            format_pct(gain(fflr, WIRA, group=mode), signed=True),
         )
     mode_table.print()
 
@@ -47,7 +48,7 @@ def test_bench_fig14_first_frame_loss_rate(once, print_phase_table):
     # congestion-loss component it can save is smaller) and the tail
     # does not get worse.  The cookie-informed variants lose less than
     # the FF-only variant, whose bursts overshoot on shallow buffers.
-    assert result.improvement(WIRA) > 0.02
-    assert result.improvement(WIRA, 90) > -0.05
-    assert result.overall[WIRA_HX].avg <= result.overall[BASELINE].avg
-    assert result.overall[WIRA].avg < result.overall[WIRA_FF].avg
+    assert gain(fflr, WIRA) > 0.02
+    assert gain(fflr, WIRA, 90) > -0.05
+    assert fflr[None, WIRA_HX].avg <= fflr[None, BASELINE].avg
+    assert fflr[None, WIRA].avg < fflr[None, WIRA_FF].avg

@@ -5,8 +5,8 @@ from repro.experiments import fig2
 from repro.metrics.report import Table, format_ms, format_pct
 
 
-def test_bench_fig2_window_and_rate_sweeps(once):
-    result = once(fig2.run, 20)
+def test_bench_fig2_window_and_rate_sweeps():
+    result = fig2.run(20)
 
     table_a = Table(
         "Fig 2(a) — FFCT vs init_cwnd (packets); paper: 45 best, 4/10 slow, 80/100 lossy",

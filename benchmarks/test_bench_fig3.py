@@ -6,8 +6,8 @@ from repro.experiments import fig3
 from repro.metrics.report import Table, format_pct
 
 
-def test_bench_fig3_user_group_dispersion(once):
-    result = once(fig3.run, 250, 40)
+def test_bench_fig3_user_group_dispersion():
+    result = fig3.run(250, 40)
 
     table = Table(
         "Fig 3 — within-UG coefficient of variation",

@@ -9,8 +9,8 @@ from repro.metrics.report import Table, format_pct
 PAPER_RTT_CVS = {5.0: 0.099, 10.0: 0.102, 30.0: 0.105, 60.0: 0.112}
 
 
-def test_bench_fig4_od_pair_stability(once):
-    result = once(fig4.run, 200, 16)
+def test_bench_fig4_od_pair_stability():
+    result = fig4.run(200, 16)
 
     table = Table(
         "Fig 4 — within-OD-pair CV vs revisit interval",

@@ -4,8 +4,8 @@ from repro.experiments import table1
 from repro.metrics.report import Table
 
 
-def test_bench_table1_parameter_configurations(once):
-    rows = once(table1.run)
+def test_bench_table1_parameter_configurations():
+    rows = table1.run()
     table1.verify(rows)
 
     table = Table(

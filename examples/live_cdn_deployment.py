@@ -14,10 +14,10 @@ Usage::
 import sys
 
 from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX
-from repro.experiments.common import EVAL_SCHEMES
+from repro.experiments import fig11, fig14
+from repro.experiments.common import EVAL_SCHEMES, gain
 from repro.experiments.runner import run_deployment
 from repro.metrics.report import Table, format_ms, format_pct
-from repro.metrics.stats import mean, percentile
 from repro.workload.population import DeploymentConfig
 
 
@@ -33,22 +33,17 @@ def main() -> None:
         "FFCT by scheme (paper Fig 11: Wira -10.6% avg, -16.7% p90)",
         ["scheme", "sessions", "avg FFCT", "gain", "p90 FFCT", "p90 gain", "avg FFLR"],
     )
-    baseline_avg = baseline_p90 = None
+    ffct, fflr = fig11.summarize(records), fig14.summarize(records)
     for scheme in (BASELINE, WIRA_FF, WIRA_HX, WIRA):
-        outcomes = records[scheme]
-        ffcts = [o.result.ffct for o in outcomes if o.result.ffct is not None]
-        fflrs = [o.result.fflr for o in outcomes if o.result.fflr is not None]
-        avg, p90 = mean(ffcts), percentile(ffcts, 90)
-        if baseline_avg is None:
-            baseline_avg, baseline_p90 = avg, p90
+        s = ffct[None, scheme]
         table.add_row(
             scheme.display_name,
-            len(ffcts),
-            format_ms(avg),
-            format_pct((baseline_avg - avg) / baseline_avg, signed=True),
-            format_ms(p90),
-            format_pct((baseline_p90 - p90) / baseline_p90, signed=True),
-            format_pct(mean(fflrs)),
+            len(s),
+            format_ms(s.avg),
+            format_pct(gain(ffct, scheme), signed=True),
+            format_ms(s.p(90)),
+            format_pct(gain(ffct, scheme, 90), signed=True),
+            format_pct(fflr[None, scheme].avg),
         )
     table.print()
 

@@ -9,32 +9,14 @@ comparison baseline throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
-from repro.core.schemes import BASELINE, STATIC_10, SchemeSpec
-from repro.experiments.common import HEADLINE_CONFIG
+from repro.core.schemes import BASELINE, STATIC_10
+from repro.experiments.common import HEADLINE_CONFIG, PairedTable, paired_series
 from repro.experiments.runner import run_deployment
-from repro.metrics.stats import mean, percentile
 
 
-@dataclass
-class AbResult:
-    ffct: Dict[SchemeSpec, List[float]]
-
-    def avg(self, scheme: SchemeSpec) -> float:
-        return mean(self.ffct[scheme])
-
-    def p90(self, scheme: SchemeSpec) -> float:
-        return percentile(self.ffct[scheme], 90)
-
-
-def run(config=None) -> AbResult:
+def run(config=None) -> PairedTable:
+    """FFCT of ``STATIC_10`` and ``BASELINE``, in group ``None``."""
     records = run_deployment(
         config or HEADLINE_CONFIG, schemes=(STATIC_10, BASELINE)
     )
-    ffct = {
-        scheme: [o.result.ffct for o in outcomes if o.result.ffct is not None]
-        for scheme, outcomes in records.items()
-    }
-    return AbResult(ffct)
+    return paired_series(records, lambda o: o.result.ffct)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro import sanitize as _sanitize
@@ -67,6 +67,7 @@ from repro.core.schemes import (
     make_policy,
 )
 from repro.core.transport_cookie import ClientCookieStore, ServerCookieManager
+from repro.metrics.collector import MetricSeries
 from repro.quic.config import QuicConfig
 from repro.quic.connection import HandshakeMode
 from repro.simnet.path import NetworkConditions
@@ -92,6 +93,51 @@ class SessionOutcome:
 
 
 DeploymentRecords = Dict[SchemeLike, List[SessionOutcome]]
+
+#: One figure's paired comparison: a series per (group, scheme) cell.
+PairedTable = Dict[Tuple[Hashable, SchemeLike], MetricSeries]
+
+
+def paired_series(
+    records: DeploymentRecords,
+    value: Callable[[SessionOutcome], Optional[float]],
+    group: Optional[Callable[[SessionOutcome], Hashable]] = None,
+    groups: Sequence[Hashable] = (None,),
+) -> PairedTable:
+    """Fold one per-session value into a series per (group, scheme).
+
+    ``records[scheme][i]`` is the same planned session under every
+    scheme, so position ``i`` is grouped once, by ``group`` of the
+    *baseline's* outcome: a session lands in the same group for every
+    scheme and each group stays a paired comparison.  Without ``group``
+    every session is in group ``None``.  A cell exists for every group of
+    ``groups``, in that order, even when empty; a session whose group is
+    not among them is left out, and a ``None`` value is skipped for its
+    scheme alone.
+    """
+    table: PairedTable = {
+        (label, scheme): MetricSeries()
+        for label in groups
+        for scheme in records
+    }
+    for index, base in enumerate(records[BASELINE]):
+        label = None if group is None else group(base)
+        if (label, BASELINE) not in table:
+            continue
+        for scheme, outcomes in records.items():
+            table[label, scheme].add(value(outcomes[index]))
+    return table
+
+
+def gain(
+    table: PairedTable,
+    scheme: SchemeLike,
+    q: Optional[float] = None,
+    group: Hashable = None,
+) -> Optional[float]:
+    """``scheme``'s optimisation ratio over the baseline in one group:
+    of the means, or of the q-th percentiles (``None`` when undefined)."""
+    return table[group, scheme].improvement_over(table[group, BASELINE], q)
 
 
 def chain_cookie_manager(chain_index: int, wira_config: WiraConfig) -> ServerCookieManager:

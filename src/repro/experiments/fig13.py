@@ -14,23 +14,30 @@ ratio per bucket:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.schemes import BASELINE, SchemeSpec
 from repro.experiments.common import (
     DeploymentRecords,
     EVAL_SCHEMES,
     HEADLINE_CONFIG,
+    PairedTable,
     SessionOutcome,
+    paired_series,
 )
 from repro.experiments.runner import run_deployment
-from repro.metrics.stats import mean
 
 FF_BUCKETS_KB: Tuple[Tuple[float, float], ...] = ((0, 30), (30, 50), (50, 80), (80, 150), (150, 300))
 RTT_BUCKETS_MS: Tuple[Tuple[float, float], ...] = ((0, 30), (30, 60), (60, 100), (100, 1000))
 BW_BUCKETS_MBPS: Tuple[Tuple[float, float], ...] = ((0, 10), (10, 20), (20, 60), (60, 200))
 RETX_BUCKETS_PCT: Tuple[Tuple[float, float], ...] = ((0, 1), (1, 10), (10, 30))
+
+#: The four panels, (a)–(d), by dimension name.
+DIMENSIONS: Dict[str, Tuple[Tuple[float, float], ...]] = {
+    "ff": FF_BUCKETS_KB,
+    "rtt": RTT_BUCKETS_MS,
+    "bw": BW_BUCKETS_MBPS,
+    "retx": RETX_BUCKETS_PCT,
+}
 
 
 def _bucket_label(low: float, high: float) -> str:
@@ -44,37 +51,7 @@ def _bucket_of(value: float, buckets) -> Optional[str]:
     return None
 
 
-@dataclass
-class BucketedFfct:
-    """Mean FFCT per (dimension bucket, scheme)."""
-
-    dimension: str
-    table: Dict[str, Dict[SchemeSpec, List[float]]]
-
-    def mean_ffct(self, bucket: str, scheme: SchemeSpec) -> Optional[float]:
-        samples = self.table.get(bucket, {}).get(scheme, [])
-        return mean(samples) if samples else None
-
-    def improvement(self, bucket: str, scheme: SchemeSpec) -> Optional[float]:
-        base = self.mean_ffct(bucket, BASELINE)
-        ours = self.mean_ffct(bucket, scheme)
-        if base is None or ours is None or base == 0:
-            return None
-        return (base - ours) / base
-
-    def buckets(self) -> List[str]:
-        return [b for b in self.table if any(self.table[b].values())]
-
-
-@dataclass
-class Fig13Result:
-    by_ff: BucketedFfct
-    by_rtt: BucketedFfct
-    by_bw: BucketedFfct
-    by_retx: BucketedFfct
-
-
-def _dimension_value(outcome: SessionOutcome, dimension: str) -> Optional[float]:
+def _dimension_value(outcome: SessionOutcome, dimension: str) -> float:
     result, spec = outcome.result, outcome.spec
     if dimension == "ff":
         return (result.ff_size_parsed or 0) / 1000.0
@@ -87,36 +64,25 @@ def _dimension_value(outcome: SessionOutcome, dimension: str) -> Optional[float]
     raise ValueError(dimension)
 
 
-def _bucketize(records: DeploymentRecords, dimension: str, buckets) -> BucketedFfct:
-    table: Dict[str, Dict[SchemeSpec, List[float]]] = {
-        _bucket_label(lo, hi): {s: [] for s in records} for lo, hi in buckets
+def summarize(records: DeploymentRecords) -> Dict[str, PairedTable]:
+    """Per dimension, FFCT per scheme grouped by the baseline session's
+    bucket, buckets in definition order."""
+    return {
+        dimension: paired_series(
+            records,
+            lambda o: o.result.ffct,
+            group=lambda o, d=dimension, e=edges: _bucket_of(_dimension_value(o, d), e),
+            groups=[_bucket_label(low, high) for low, high in edges],
+        )
+        for dimension, edges in DIMENSIONS.items()
     }
-    # Bucket by the *baseline* replay's dimension value so the same
-    # session lands in the same bucket for every scheme (paired view).
-    baseline = records[BASELINE]
-    for index, base_outcome in enumerate(baseline):
-        value = _dimension_value(base_outcome, dimension)
-        if value is None:
-            continue
-        bucket = _bucket_of(value, buckets)
-        if bucket is None:
-            continue
-        for scheme, outcomes in records.items():
-            ffct = outcomes[index].result.ffct
-            if ffct is not None:
-                table[bucket][scheme].append(ffct)
-    return BucketedFfct(dimension, table)
 
 
-def summarize(records: DeploymentRecords) -> Fig13Result:
-    return Fig13Result(
-        by_ff=_bucketize(records, "ff", FF_BUCKETS_KB),
-        by_rtt=_bucketize(records, "rtt", RTT_BUCKETS_MS),
-        by_bw=_bucketize(records, "bw", BW_BUCKETS_MBPS),
-        by_retx=_bucketize(records, "retx", RETX_BUCKETS_PCT),
-    )
+def buckets(table: PairedTable) -> List[str]:
+    """The buckets holding any session, in definition order."""
+    return list(dict.fromkeys(label for (label, _), series in table.items() if len(series)))
 
 
-def run(config=None) -> Fig13Result:
+def run(config=None) -> Dict[str, PairedTable]:
     records = run_deployment(config or HEADLINE_CONFIG, EVAL_SCHEMES)
     return summarize(records)

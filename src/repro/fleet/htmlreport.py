@@ -39,8 +39,9 @@ SERIES_SLOTS: Tuple[Tuple[str, str], ...] = (
     ("#eda100", "#c98500"),
 )
 
-#: CDF sampling resolution (quantile steps per curve).
-_CDF_POINTS = 64
+#: CDF sampling resolution: the cumulative probabilities each curve is
+#: drawn through, 64 even steps from 0 to 1.
+_CDF_STEPS = tuple(i / 64 for i in range(65))
 
 # Chart geometry (SVG user units).
 _PLOT_W = 560
@@ -76,7 +77,7 @@ def _scheme_series(aggregate: CampaignAggregate) -> List[Tuple[str, List[Tuple[f
         sketch = aggregate.schemes[value].ffct_sketch
         if sketch.count == 0:
             continue
-        out.append((value, sketch.cdf().series(_CDF_POINTS)))
+        out.append((value, [(sketch.quantile(q), q) for q in _CDF_STEPS]))
     return out
 
 
@@ -104,7 +105,7 @@ def _cdf_chart(aggregate: CampaignAggregate) -> str:
     # X axis spans to the slowest scheme's ~p99.5 so the tail is visible
     # without letting a single max sample flatten every curve.
     xmax_ms = _nice_ceiling(
-        max(s.quantile(0.995) for _, s in ((v, aggregate.schemes[v].ffct_sketch.cdf()) for v, _ in series)) * 1000.0
+        max(aggregate.schemes[v].ffct_sketch.quantile(0.995) for v, _ in series) * 1000.0
     )
     parts: List[str] = []
     parts.append(

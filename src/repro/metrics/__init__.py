@@ -12,7 +12,6 @@ from repro.metrics.sketch import (
     DEFAULT_ALPHA,
     ExactSum,
     QuantileSketch,
-    SketchCdf,
     StatAccumulator,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "ExactSum",
     "MetricSeries",
     "QuantileSketch",
-    "SketchCdf",
     "StatAccumulator",
     "Table",
     "coefficient_of_variation",

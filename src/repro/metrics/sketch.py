@@ -41,13 +41,12 @@ fleet scale (FFCT seconds, loss rates, counts) is.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 __all__ = [
     "DEFAULT_ALPHA",
     "ExactSum",
     "QuantileSketch",
-    "SketchCdf",
     "StatAccumulator",
 ]
 
@@ -297,25 +296,6 @@ class QuantileSketch:
             raise ValueError("p must be in [0, 100]")
         return self.quantile(p / 100.0)
 
-    def fraction_at_or_below(self, x: float) -> float:
-        """Approximate P(X <= x); same relative-error resolution."""
-        if self.count == 0:
-            raise ValueError("CDF of empty sketch")
-        if x < 0.0:
-            return 0.0
-        covered = self._zeros
-        if x <= 0.0:
-            return covered / self.count
-        limit = math.ceil(math.log(x) / self._ln_gamma)
-        for index in sorted(self._bins):
-            if index > limit:
-                break
-            covered += self._bins[index]
-        return covered / self.count
-
-    def cdf(self) -> "SketchCdf":
-        return SketchCdf(self)
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:
@@ -337,53 +317,3 @@ class QuantileSketch:
         out._stats = StatAccumulator.from_json(payload["stats"])  # type: ignore[arg-type]
         return out
 
-
-class SketchCdf:
-    """Duck-compatible stand-in for :class:`repro.metrics.stats.Cdf`.
-
-    Report code plots CDFs via ``at`` / ``quantile`` / ``fraction_above``
-    / ``series``; this adapter answers the same calls from a sketch, so
-    percentile/CDF paths no longer assume full sample retention.
-    """
-
-    __slots__ = ("_sketch",)
-
-    def __init__(self, sketch: QuantileSketch) -> None:
-        if sketch.count == 0:
-            raise ValueError("CDF of empty sketch")
-        self._sketch = sketch
-
-    def __len__(self) -> int:
-        return self._sketch.count
-
-    @property
-    def min(self) -> float:
-        value = self._sketch.min
-        assert value is not None
-        return value
-
-    @property
-    def max(self) -> float:
-        value = self._sketch.max
-        assert value is not None
-        return value
-
-    def at(self, x: float) -> float:
-        """P(X <= x)."""
-        return self._sketch.fraction_at_or_below(x)
-
-    def quantile(self, q: float) -> float:
-        """Inverse CDF, q in [0, 1]."""
-        return self._sketch.quantile(q)
-
-    def fraction_above(self, x: float) -> float:
-        """P(X > x)."""
-        return 1.0 - self.at(x)
-
-    def series(self, points: int = 50) -> List[Tuple[float, float]]:
-        """(value, cumulative probability) pairs for plotting/printing."""
-        out = []
-        for i in range(points + 1):
-            q = i / points
-            out.append((self.quantile(q), q))
-        return out

@@ -5,6 +5,9 @@ check the runners' mechanics (bucketing, pairing, caching, summaries)
 quickly.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.schemes import BASELINE, STATIC_10, WIRA, WIRA_FF, WIRA_HX
@@ -23,6 +26,7 @@ from repro.experiments import (
     runner,
     table1,
 )
+from repro.metrics.report import format_pct
 from repro.quic.connection import HandshakeMode
 from repro.workload.population import DeploymentConfig
 
@@ -88,51 +92,133 @@ class TestMotivationRunners:
         }
 
 
+#: Every defined summary value of Figs 11–15 and the A/B at ``TINY``,
+#: recorded from the per-figure summary classes these tables replaced;
+#: keys are ``figure/group/scheme/stat``.  A changed value is a changed
+#: outcome, not a refactor.
+RECORDED_AT_TINY = Path(__file__).with_name("tiny_summaries.json")
+
+
+def _defined_summaries(records, ab):
+    """The values :data:`RECORDED_AT_TINY` holds, recomputed; an
+    undefined one (``None``) is left out."""
+    out = {}
+
+    def put(key, value):
+        if value is not None:
+            out[key] = value
+
+    def cell(prefix, table, group, scheme, qs=fig11.PERCENTILES, gains=True):
+        series = table[group, scheme]
+        put(f"{prefix}/n", len(series))
+        put(f"{prefix}/avg", series.avg)
+        put(f"{prefix}/gain", common.gain(table, scheme, group=group))
+        for q in qs:
+            put(f"{prefix}/p{q}", series.p(q))
+            if gains:
+                put(f"{prefix}/gain{q}", common.gain(table, scheme, q, group))
+
+    by_ffct, by_mode, fflr = (
+        fig11.summarize(records), fig12.summarize(records), fig14.summarize(records)
+    )
+    completion, loss = fig15.summarize(records)
+    for scheme in records:
+        s = scheme.value
+        cell(f"fig11//{s}", by_ffct, None, scheme)
+        cell(f"fig14//{s}", fflr, None, scheme)
+        for mode in HandshakeMode:
+            cell(f"fig12/{mode.name}/{s}", by_mode, mode, scheme)
+            cell(f"fig14/{mode.name}/{s}", fflr, mode, scheme)
+        for k in fig15.FRAMES:
+            cell(f"fig15/completion:{k}/{s}", completion[k], None, scheme, qs=())
+            put(f"fig15/loss:{k}/{s}/n", len(loss[k][None, scheme]))
+            put(f"fig15/loss:{k}/{s}/avg", loss[k][None, scheme].avg)
+    put("fig12/zero_rtt_fraction", fig12.zero_rtt_fraction(by_mode))
+    for dimension, table in fig13.summarize(records).items():
+        for bucket, scheme in table:
+            cell(f"fig13/{dimension}:{bucket}/{scheme.value}", table, bucket, scheme, qs=())
+        out[f"fig13/{dimension}/buckets"] = fig13.buckets(table)
+    for scheme in (STATIC_10, BASELINE):
+        series = ab[None, scheme]
+        put(f"ab//{scheme.value}/n", len(series))
+        put(f"ab//{scheme.value}/avg", series.avg)
+        put(f"ab//{scheme.value}/p90", series.p(90))
+    return out
+
+
 class TestEvaluationSummaries:
     def test_fig11_summary(self, tiny_records):
-        result = fig11.summarize(tiny_records)
-        assert set(result.by_scheme) == set(common.EVAL_SCHEMES)
-        assert result.improvement(BASELINE) == 0.0
+        table = fig11.summarize(tiny_records)
+        assert table.keys() == {(None, scheme) for scheme in common.EVAL_SCHEMES}
+        assert common.gain(table, BASELINE) == 0.0
 
     def test_fig12_summary(self, tiny_records):
-        result = fig12.summarize(tiny_records)
-        total = sum(
-            len(result.get(mode, WIRA).samples) for mode in HandshakeMode
-        )
+        table = fig12.summarize(tiny_records)
+        total = sum(len(table[mode, WIRA]) for mode in HandshakeMode)
         assert total == len(tiny_records[WIRA])
 
     def test_fig13_bucketing_covers_sessions(self, tiny_records):
-        result = fig13.summarize(tiny_records)
+        table = fig13.summarize(tiny_records)["rtt"]
         bucketed = sum(
-            len(samples)
-            for per_scheme in result.by_rtt.table.values()
-            for scheme, samples in per_scheme.items()
-            if scheme == BASELINE
+            len(series) for (_, scheme), series in table.items() if scheme == BASELINE
         )
         assert bucketed == len(tiny_records[BASELINE])
 
     def test_fig13_same_bucket_across_schemes(self, tiny_records):
-        result = fig13.summarize(tiny_records)
-        for bucket, per_scheme in result.by_ff.table.items():
-            sizes = {len(v) for v in per_scheme.values()}
+        table = fig13.summarize(tiny_records)["ff"]
+        for bucket in fig13.buckets(table):
+            sizes = {len(table[bucket, scheme]) for scheme in tiny_records}
             assert len(sizes) == 1  # paired bucketing
 
     def test_fig14_summary(self, tiny_records):
-        result = fig14.summarize(tiny_records)
-        assert result.improvement(BASELINE) == 0.0
+        table = fig14.summarize(tiny_records)
+        assert common.gain(table, BASELINE) == 0.0
         for scheme in common.EVAL_SCHEMES:
-            assert 0.0 <= result.overall[scheme].avg < 0.5
+            assert 0.0 <= table[None, scheme].avg < 0.5
 
     def test_fig15_summary(self, tiny_records):
-        result = fig15.summarize(tiny_records)
+        completion, _ = fig15.summarize(tiny_records)
         for k in (1, 2, 3, 4):
-            t = result.mean_completion(WIRA, k)
+            t = completion[k][None, WIRA].avg
             assert t is not None and t > 0
-        t1 = result.mean_completion(WIRA, 1)
-        t4 = result.mean_completion(WIRA, 4)
+        t1 = completion[1][None, WIRA].avg
+        t4 = completion[4][None, WIRA].avg
         assert t4 > t1
 
     def test_baseline_ab_small(self):
-        result = baseline_ab.run(TINY)
-        assert result.avg(STATIC_10) > 0
-        assert result.avg(BASELINE) > 0
+        table = baseline_ab.run(TINY)
+        assert table[None, STATIC_10].avg > 0
+        assert table[None, BASELINE].avg > 0
+
+    def test_summaries_match_recorded_values(self, tiny_records):
+        recorded = json.loads(RECORDED_AT_TINY.read_text())
+        assert _defined_summaries(tiny_records, baseline_ab.run(TINY)) == recorded
+
+    def test_undefined_gain_is_none(self, tiny_records):
+        # TINY has no 1-RTT session and a zero baseline median FFLR: such
+        # gains used to raise or read as a 0.0 "no improvement".
+        fflr = fig14.summarize(tiny_records)
+        by_mode = fig12.summarize(tiny_records)
+        by_bw = fig13.summarize(tiny_records)["bw"]
+        assert len(by_mode[HandshakeMode.ONE_RTT, BASELINE]) == 0
+        assert fflr[None, BASELINE].p(50) == 0.0
+        assert len(by_bw["(20,60]", BASELINE]) == 0
+        # Fig 15 over the sessions whose first frame the baseline lost
+        # nothing of (a zero baseline), and over no sessions at all.
+        base = tiny_records[BASELINE]
+        lossless = [i for i, o in enumerate(base) if o.result.frame_loss_rate(1) == 0]
+        assert lossless
+        _, loss = fig15.summarize(
+            {s: [outcomes[i] for i in lossless] for s, outcomes in tiny_records.items()}
+        )
+        completion, _ = fig15.summarize({s: [] for s in tiny_records})
+        undefined = [
+            common.gain(fflr, WIRA, 50),
+            common.gain(by_mode, WIRA, group=HandshakeMode.ONE_RTT),
+            common.gain(fflr, WIRA, group=HandshakeMode.ONE_RTT),
+            common.gain(by_bw, WIRA, group="(20,60]"),
+            common.gain(loss[1], WIRA),
+            common.gain(completion[1], WIRA),
+        ]
+        assert undefined == [None] * len(undefined)
+        assert {format_pct(g, signed=True) for g in undefined} == {"-"}

@@ -66,6 +66,18 @@ class TestContent:
         for scheme in SCHEMES:
             assert f">{scheme}</text>" in document
 
+    def test_cdf_polylines_are_monotone(self):
+        # Each curve climbs from q = 0 on the x axis (y = 256) to q = 1 at
+        # the top of the plot (y = 16), and FFCT never falls along it.
+        document, _, _ = rendered()
+        curves = re.findall(r'<polyline class="line s\d" points="([^"]*)"', document)
+        assert len(curves) == len(SCHEMES)
+        for points in curves:
+            xs, ys = zip(*(map(float, p.split(",")) for p in points.split()))
+            assert ys[0] == 256.0 and ys[-1] == 16.0
+            assert list(xs) == sorted(xs)
+            assert list(ys) == sorted(ys, reverse=True)
+
     def test_summary_table_has_quantiles(self):
         document, report, _ = rendered()
         assert "<th>p50</th>" in document

@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.metrics import MetricSeries
 from repro.metrics.sketch import (
     DEFAULT_ALPHA,
     ExactSum,
@@ -165,8 +164,6 @@ class TestQuantileSketchErrorBound:
         sketch = QuantileSketch()
         with pytest.raises(ValueError):
             sketch.quantile(0.5)
-        with pytest.raises(ValueError):
-            sketch.cdf()
 
 
 class TestMergeAlgebra:
@@ -237,72 +234,3 @@ class TestMergeAlgebra:
         for v in second:
             resumed.add(v)
         assert canon(resumed.to_json()) == canon(straight.to_json())
-
-
-class TestSketchCdf:
-    def test_matches_exact_cdf_shape(self):
-        rng = random.Random(21)
-        values = [rng.lognormvariate(0.0, 1.0) for _ in range(2000)]
-        sketch = QuantileSketch()
-        for v in values:
-            sketch.add(v)
-        cdf = sketch.cdf()
-        assert len(cdf) == 2000
-        assert cdf.min == min(values) and cdf.max == max(values)
-        ordered = sorted(values)
-        for x in (0.2, 0.5, 1.0, 2.0, 5.0):
-            exact = sum(1 for v in ordered if v <= x) / len(ordered)
-            # Bucket resolution: the boundary bucket may straddle x.
-            assert abs(cdf.at(x) - exact) <= 0.02
-            assert cdf.fraction_above(x) == pytest.approx(1.0 - cdf.at(x))
-        series = cdf.series(points=10)
-        assert series[0][1] == 0.0 and series[-1][1] == 1.0
-        assert all(a[0] <= b[0] + 1e-12 for a, b in zip(series, series[1:]))
-
-
-class TestMetricSeriesSketchBackend:
-    def test_queries_match_sample_backend_within_alpha(self):
-        rng = random.Random(33)
-        values = [rng.lognormvariate(-2.0, 1.2) for _ in range(3000)]
-        exact = MetricSeries("ffct")
-        sketched = MetricSeries.sketched("ffct", alpha=0.01)
-        for v in values:
-            exact.add(v)
-            sketched.add(v)
-        sketched.add(None)  # skipped on both backends
-        assert len(sketched) == len(exact) == 3000
-        assert sketched.avg == pytest.approx(exact.avg, rel=1e-12)
-        for q in (50, 90, 99):
-            assert sketched.p(q) == pytest.approx(exact.p(q), rel=0.02)
-        assert sketched.uses_sketch and not exact.uses_sketch
-        assert sketched.samples is None  # nothing retained
-
-    def test_improvement_over_semantics_unchanged(self):
-        ours = MetricSeries.sketched("wira")
-        base = MetricSeries.sketched("baseline")
-        # Empty series -> None, exactly like the sample backend.
-        assert ours.improvement_over(base) is None
-        for v in (1.0, 2.0, 3.0):
-            base.add(v)
-        assert ours.improvement_over(base) is None
-        for v in (0.5, 1.0, 1.5):
-            ours.add(v)
-        assert ours.improvement_over(base) == pytest.approx(0.5)
-        # Zero baseline -> None (was the PR-3 bugfix; must survive).
-        zero = MetricSeries.sketched("zeros")
-        for _ in range(3):
-            zero.add(0.0)
-        assert ours.improvement_over(zero) is None
-        # Mixed backends compare fine.
-        sampled = MetricSeries("baseline-sampled")
-        for v in (1.0, 2.0, 3.0):
-            sampled.add(v)
-        assert ours.improvement_over(sampled) == pytest.approx(0.5)
-
-    def test_cdf_on_sketch_backend(self):
-        series = MetricSeries.sketched("ffct")
-        for v in (0.1, 0.2, 0.3, 0.4):
-            series.add(v)
-        cdf = series.cdf()
-        assert cdf.quantile(0.0) == pytest.approx(0.1)
-        assert cdf.quantile(1.0) == pytest.approx(0.4)

@@ -94,7 +94,7 @@ class TestCdf:
 
 class TestCollector:
     def test_series_accumulates_and_skips_none(self):
-        series = MetricSeries("ffct")
+        series = MetricSeries()
         series.add(0.1)
         series.add(None)
         series.add(0.3)
@@ -102,8 +102,8 @@ class TestCollector:
         assert series.avg == pytest.approx(0.2)
 
     def test_improvement_over(self):
-        ours = MetricSeries("wira")
-        base = MetricSeries("baseline")
+        ours = MetricSeries()
+        base = MetricSeries()
         for v in (0.9, 0.9):
             ours.add(v)
         for v in (1.0, 1.0):
@@ -111,8 +111,8 @@ class TestCollector:
         assert ours.improvement_over(base) == pytest.approx(0.1)
 
     def test_improvement_over_percentile(self):
-        ours = MetricSeries("wira")
-        base = MetricSeries("baseline")
+        ours = MetricSeries()
+        base = MetricSeries()
         for v in (0.5, 0.9):
             ours.add(v)
         for v in (1.0, 1.0):
@@ -122,22 +122,22 @@ class TestCollector:
     def test_improvement_over_empty_series_is_none(self):
         # Regression: an incomparable pair used to read as 0.0 — "no
         # improvement" — instead of "not measurable".
-        empty = MetricSeries("empty")
-        filled = MetricSeries("filled")
+        empty = MetricSeries()
+        filled = MetricSeries()
         filled.add(1.0)
         assert empty.improvement_over(filled) is None
         assert filled.improvement_over(empty) is None
         assert empty.improvement_over(empty) is None
 
     def test_improvement_over_zero_baseline_is_none(self):
-        ours = MetricSeries("wira")
+        ours = MetricSeries()
         ours.add(0.5)
-        base = MetricSeries("baseline")
+        base = MetricSeries()
         base.add(0.0)
         assert ours.improvement_over(base) is None
 
     def test_improvement_over_none_renders_as_dash(self):
-        empty = MetricSeries("empty")
+        empty = MetricSeries()
         assert format_pct(empty.improvement_over(empty), signed=True) == "-"
 
 

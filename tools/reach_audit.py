@@ -135,9 +135,7 @@ KEPT: Dict[str, str] = {
     "repro.fleet.engine:FleetConfig.with_": _API,
     "repro.media.hls:TsFrame.is_video": _VIEW,
     "repro.media.rtmp:RtmpMessage.is_video": _VIEW,
-    "repro.metrics.collector:MetricSeries": _API,
     "repro.metrics.sketch:QuantileSketch": _API,
-    "repro.metrics.sketch:SketchCdf": _API,
     "repro.metrics.sketch:StatAccumulator.total": _VIEW,
     "repro.metrics.stats:Cdf": _API,
     "repro.obs.profiler:PhaseBreakdown.total": _VIEW,
@@ -236,7 +234,6 @@ def run_figures(tmp: Path) -> None:
     import pytest
 
     argv = [str(ROOT / "benchmarks"), "-q", "-p", "no:cacheprovider", "-k", "not speed"]
-    argv.append("--benchmark-disable")  # its timer cannot run under a profiler
     _check(int(pytest.main(argv)), "pytest benchmarks")
 
 

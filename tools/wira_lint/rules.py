@@ -274,7 +274,6 @@ SLOTS_REGISTRY = frozenset(
         "ExactSum",
         "QuantileSketch",
         "SchemeAggregate",
-        "SketchCdf",
         "StatAccumulator",
         # Live-telemetry views: one per snapshot/poll, but campaigns at
         # fleet scale write thousands of snapshots and the live
