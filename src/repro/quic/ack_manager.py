@@ -33,7 +33,8 @@ class AckManager:
         self._largest: Optional[int] = None
         self._largest_recv_time: float = 0.0
         self._unacked_eliciting = 0
-        self._ack_pending = False
+        #: An ack-eliciting packet arrived since the last ACK was built.
+        self.ack_pending = False
 
     @property
     def largest_received(self) -> Optional[int]:
@@ -41,31 +42,34 @@ class AckManager:
 
     def on_packet_received(self, packet_number: int, ack_eliciting: bool, now: float) -> bool:
         """Record a packet; returns True if it is a duplicate."""
-        duplicate = self._record(packet_number)
-        reordered = self._largest is not None and packet_number < self._largest
-        if self._largest is None or packet_number > self._largest:
+        largest = self._largest
+        if largest is None or packet_number > largest:
+            # In order (or past a gap): the last run's top is ``largest``,
+            # so the number extends that run or opens one above it.
+            if largest is not None and packet_number == largest + 1:
+                self._highs[-1] = packet_number
+            else:
+                self._lows.append(packet_number)
+                self._highs.append(packet_number)
             self._largest = packet_number
             self._largest_recv_time = now
+            if ack_eliciting:
+                self._unacked_eliciting += 1
+                self.ack_pending = True
+            return False
+        duplicate = self._record_below(packet_number)
         if ack_eliciting and not duplicate:
-            self._unacked_eliciting += 1
-            self._ack_pending = True
-            if reordered:
-                # Out-of-order arrival: ack immediately to speed recovery.
-                self._unacked_eliciting = self.ack_every
+            # New and below the largest: an out-of-order arrival, so
+            # ack immediately to speed recovery.
+            self._unacked_eliciting = self.ack_every
+            self.ack_pending = True
         return duplicate
 
-    def _record(self, packet_number: int) -> bool:
-        """Fold a packet number into the runs; True if already there."""
+    def _record_below(self, packet_number: int) -> bool:
+        """Fold a number at or below the largest into the runs; True if
+        already there."""
         lows = self._lows
         highs = self._highs
-        if not highs or packet_number > highs[-1] + 1:
-            lows.append(packet_number)
-            highs.append(packet_number)
-            return False
-        if packet_number == highs[-1] + 1:
-            highs[-1] = packet_number
-            return False
-        # Out of order: at or below the last run's top.
         after = bisect_right(lows, packet_number)  # first run starting above
         before = after - 1
         if before >= 0 and packet_number <= highs[before]:
@@ -88,15 +92,11 @@ class AckManager:
 
     def ack_deadline(self, now: float) -> Optional[float]:
         """Absolute time by which an ACK must be sent, or ``None``."""
-        if not self._ack_pending:
+        if not self.ack_pending:
             return None
         if self._unacked_eliciting >= self.ack_every:
             return now
         return self._largest_recv_time + self.max_ack_delay
-
-    def should_ack_now(self, now: float) -> bool:
-        deadline = self.ack_deadline(now)
-        return deadline is not None and deadline <= now
 
     def build_ack(self, now: float) -> Optional[AckFrame]:
         """Produce an ACK frame covering everything received so far."""
@@ -105,7 +105,7 @@ class AckManager:
         ranges = self._ranges()
         ack_delay = max(0.0, now - self._largest_recv_time)
         self._unacked_eliciting = 0
-        self._ack_pending = False
+        self.ack_pending = False
         return AckFrame(
             largest_acked=self._largest,
             ack_delay_us=int(ack_delay * 1e6),

@@ -12,19 +12,9 @@ almost by definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.quic.sent_packet import SentPacket
-
-
-@dataclass(frozen=True)
-class BandwidthSample:
-    """One delivery-rate observation."""
-
-    bandwidth_bps: float
-    rtt: float
-    is_app_limited: bool
 
 
 class BandwidthSampler:
@@ -35,7 +25,6 @@ class BandwidthSampler:
         self.delivered_time = 0.0
         self.first_sent_time = 0.0
         self._app_limited_until = 0  # `delivered` value that clears the flag
-        self.total_sent = 0
 
     @property
     def is_app_limited(self) -> bool:
@@ -50,34 +39,32 @@ class BandwidthSampler:
         packet.delivered = self.delivered
         packet.delivered_time = self.delivered_time
         packet.first_sent_time = self.first_sent_time
-        packet.is_app_limited = self.is_app_limited
-        self.total_sent += packet.size
+        packet.is_app_limited = self._app_limited_until > self.delivered
         self.first_sent_time = now
 
-    def on_packet_acked(self, packet: SentPacket, now: float) -> Optional[BandwidthSample]:
-        """Advance delivery state and compute the packet's rate sample."""
-        self.delivered += packet.size
+    def on_packet_acked(self, packet: SentPacket, now: float) -> Optional[float]:
+        """Advance delivery state; return the packet's delivery rate.
+
+        The rate is in bits per second, ``None`` when the packet's
+        interval is empty.  The sample's RTT is ``now - packet.sent_time``
+        and it is app-limited when ``packet.is_app_limited`` is: the
+        caller reads both off the packet.
+        """
+        delivered = self.delivered + packet.size
+        self.delivered = delivered
         self.delivered_time = now
 
         send_elapsed = packet.sent_time - packet.first_sent_time
         ack_elapsed = now - packet.delivered_time
-        interval = max(send_elapsed, ack_elapsed)
-        delivered_delta = self.delivered - packet.delivered
+        interval = ack_elapsed if ack_elapsed > send_elapsed else send_elapsed
         if interval <= 0:
             return None
-        bandwidth = delivered_delta * 8.0 / interval
-        return BandwidthSample(
-            bandwidth_bps=bandwidth,
-            rtt=now - packet.sent_time,
-            is_app_limited=packet.is_app_limited,
-        )
+        return (delivered - packet.delivered) * 8.0 / interval
 
-    def on_app_limited(self) -> None:
-        """Mark the sampler app-limited until current in-flight drains."""
-        self._app_limited_until = self.delivered + 1
-        # The flag is effectively cleared once `delivered` catches up,
-        # i.e. every packet outstanding at this moment has been acked.
+    def on_app_limited(self, bytes_in_flight: int) -> None:
+        """Mark the sampler app-limited until current in-flight drains.
 
-    def note_in_flight(self, bytes_in_flight: int) -> None:
-        """Extend the app-limited horizon to cover current in-flight."""
-        self._app_limited_until = self.delivered + max(1, bytes_in_flight)
+        The flag clears once ``delivered`` catches up, i.e. every byte
+        outstanding at this moment (at least one) has been acked.
+        """
+        self._app_limited_until = self.delivered + (bytes_in_flight if bytes_in_flight > 1 else 1)

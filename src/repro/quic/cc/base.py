@@ -27,6 +27,11 @@ class CongestionController(abc.ABC):
 
     Subclasses maintain :attr:`congestion_window` (bytes) and
     :attr:`pacing_rate_bps` (bits/second); the connection enforces both.
+    It reads the window once per pump, so :meth:`on_packet_sent` and
+    :meth:`on_app_limited` must leave it alone, and it marks the sender
+    app-limited once per in-flight level, so a second
+    :meth:`on_app_limited` with the same bytes in flight and no ACK in
+    between must change nothing.
     """
 
     #: Hex id of the owning connection, set by ``Connection.__init__`` so
@@ -90,12 +95,6 @@ class CongestionController(abc.ABC):
         if self._initial_pacing_rate_bps is not None:
             return self._initial_pacing_rate_bps
         return self._cwnd * 8.0 / self.rtt.smoothed_or_initial()
-
-    def can_send(self, bytes_in_flight: int) -> bool:
-        # Compare against the (possibly overridden) window property, not
-        # the raw attribute: model-based controllers compute their
-        # window dynamically.
-        return bytes_in_flight < self.congestion_window
 
     # ---- Event feed ------------------------------------------------------
 

@@ -111,7 +111,7 @@ class BbrSender(CongestionController):
 
     def bandwidth_estimate(self) -> Optional[float]:
         """Windowed-max delivery rate, bits per second."""
-        return self.max_bw.get()
+        return self.max_bw.best
 
     def bdp_bytes(self, gain: float = 1.0) -> Optional[int]:
         bw = self.bandwidth_estimate()
@@ -122,7 +122,7 @@ class BbrSender(CongestionController):
 
     @property
     def pacing_rate_bps(self) -> float:
-        bw = self.max_bw.get()
+        bw = self.max_bw.best
         if bw is None:
             # Cold start: Wira override if present, else the classic
             # high-gain estimate from the initial window and RTT.
@@ -140,7 +140,7 @@ class BbrSender(CongestionController):
         min_cwnd = self._min_cwnd
         if mode is BbrMode.PROBE_RTT:
             return min_cwnd
-        bw = self.max_bw.get()
+        bw = self.max_bw.best
         min_rtt = self._min_rtt
         if bw is None or min_rtt is None:
             cwnd = self._cwnd
@@ -165,7 +165,8 @@ class BbrSender(CongestionController):
 
     def on_packet_sent(self, packet: SentPacket, bytes_in_flight: int, now: float) -> None:
         self.sampler.on_packet_sent(packet, bytes_in_flight, now)
-        self._largest_sent = max(self._largest_sent, packet.packet_number)
+        if packet.packet_number > self._largest_sent:
+            self._largest_sent = packet.packet_number
 
     def on_packets_acked(
         self,
@@ -175,30 +176,50 @@ class BbrSender(CongestionController):
     ) -> None:
         if not acked:
             return
-        acked_bytes = sum(p.size for p in acked)
+        sampler = self.sampler
+        max_bw = self.max_bw
+        current = max_bw.best
         self._round_start = False
         for packet in acked:
-            sample = self.sampler.on_packet_acked(packet, now)
+            bandwidth = sampler.on_packet_acked(packet, now)
             if packet.delivered >= self._next_round_delivered:
-                self._next_round_delivered = self.sampler.delivered
+                self._next_round_delivered = sampler.delivered
                 self.round_count += 1
                 self._round_start = True
-            if sample is None:
+            if bandwidth is None:
                 continue
-            current = self.max_bw.get()
             if current is None:
                 # Never seed the model from an app-limited sample: a
                 # handshake-only exchange would poison the estimate (and
                 # override Wira's cookie-derived initial pacing rate).
-                if not sample.is_app_limited:
-                    self.max_bw.update(sample.bandwidth_bps, self.round_count)
-            elif not sample.is_app_limited or sample.bandwidth_bps > current:
-                self.max_bw.update(sample.bandwidth_bps, self.round_count)
-            self._update_min_rtt(sample.rtt, now)
+                if not packet.is_app_limited:
+                    current = max_bw.update(bandwidth, self.round_count)
+            elif not packet.is_app_limited or bandwidth > current:
+                current = max_bw.update(bandwidth, self.round_count)
+            # The min-RTT filter: a new minimum, or an expired one.
+            rtt = now - packet.sent_time
+            min_rtt = self._min_rtt
+            if min_rtt is None or rtt < min_rtt:
+                self._min_rtt = rtt
+                self._min_rtt_timestamp = now
+            elif now - self._min_rtt_timestamp > MIN_RTT_WINDOW:
+                if (
+                    rtt > min_rtt
+                    and self.mode is not BbrMode.PROBE_RTT
+                    and self.full_bandwidth_reached
+                ):
+                    self._enter_probe_rtt(now)
+                self._min_rtt = rtt
+                self._min_rtt_timestamp = now
 
-        self._maybe_exit_recovery(acked)
+        end_recovery_at = self._end_recovery_at
+        if end_recovery_at is not None and any(
+            p.packet_number > end_recovery_at for p in acked
+        ):
+            self._end_recovery_at = None
+            self._recovery_window = None
         if self._recovery_window is not None:
-            self._recovery_window += acked_bytes
+            self._recovery_window += sum(p.size for p in acked)
 
         self._update_mode(bytes_in_flight, now)
 
@@ -216,10 +237,7 @@ class BbrSender(CongestionController):
             self._recovery_window = max(bytes_in_flight, self._min_cwnd)
 
     def on_app_limited(self, bytes_in_flight: int) -> None:
-        if bytes_in_flight > 0:
-            self.sampler.note_in_flight(bytes_in_flight)
-        else:
-            self.sampler.on_app_limited()
+        self.sampler.on_app_limited(bytes_in_flight)
 
     # ------------------------------------------------------------------
     # Internals
@@ -238,46 +256,26 @@ class BbrSender(CongestionController):
             )
         self.mode = mode
 
-    def _maybe_exit_recovery(self, acked: List[SentPacket]) -> None:
-        if self._end_recovery_at is None:
-            return
-        if any(p.packet_number > self._end_recovery_at for p in acked):
-            self._end_recovery_at = None
-            self._recovery_window = None
-
-    def _update_min_rtt(self, rtt_sample: float, now: float) -> None:
-        expired = now - self._min_rtt_timestamp > MIN_RTT_WINDOW
-        if self._min_rtt is None or rtt_sample < self._min_rtt or expired:
-            if (
-                expired
-                and self._min_rtt is not None
-                and rtt_sample > self._min_rtt
-                and self.mode != BbrMode.PROBE_RTT
-                and self.full_bandwidth_reached
-            ):
-                self._enter_probe_rtt(now)
-            self._min_rtt = rtt_sample
-            self._min_rtt_timestamp = now
-
     def _update_mode(self, bytes_in_flight: int, now: float) -> None:
-        if self.mode == BbrMode.STARTUP:
-            self._check_full_bandwidth()
-            if self.full_bandwidth_reached:
-                self._set_mode(BbrMode.DRAIN, now)
-                self.pacing_gain = DRAIN_GAIN
-                self.cwnd_gain = HIGH_GAIN
-        if self.mode == BbrMode.DRAIN:
+        if self.mode is BbrMode.STARTUP:
+            if self._round_start and not self.full_bandwidth_reached:
+                self._check_full_bandwidth()
+            if not self.full_bandwidth_reached:
+                return
+            self._set_mode(BbrMode.DRAIN, now)
+            self.pacing_gain = DRAIN_GAIN
+            self.cwnd_gain = HIGH_GAIN
+        if self.mode is BbrMode.DRAIN:
             target = self.bdp_bytes()
             if target is not None and bytes_in_flight <= target:
                 self._enter_probe_bw(now)
-        if self.mode == BbrMode.PROBE_BW:
+        if self.mode is BbrMode.PROBE_BW:
             self._advance_cycle(bytes_in_flight, now)
-        if self.mode == BbrMode.PROBE_RTT:
+        if self.mode is BbrMode.PROBE_RTT:
             self._handle_probe_rtt(bytes_in_flight, now)
 
     def _check_full_bandwidth(self) -> None:
-        if not self._round_start or self.full_bandwidth_reached:
-            return
+        """Count a startup round that grew the estimate by less than 25 %."""
         bw = self.bandwidth_estimate()
         if bw is None:
             return

@@ -10,7 +10,7 @@ on arrival is discarded, so when the then-best expires the filter can
 report a value *below* the true in-window extremum (e.g. max samples
 ``2.0@t=0, 1.0@t=1, 0.0@t=11`` with a window of 10 yield ``0.0`` instead
 of ``1.0``).  This module instead keeps a monotonic deque of candidate
-samples, which is exact: ``get()`` always equals the true extremum over
+samples, which is exact: ``best`` always equals the true extremum over
 samples whose age relative to the newest sample is within the window.
 Each sample is appended and popped at most once, so ``update`` remains
 amortised O(1).
@@ -37,7 +37,7 @@ class WindowedFilter(Generic[T]):
         ``True`` for a max filter (bandwidth), ``False`` for min (RTT).
     """
 
-    __slots__ = ("window", "is_max", "_samples")
+    __slots__ = ("window", "is_max", "_samples", "best")
 
     def __init__(self, window: float, is_max: bool = True) -> None:
         if window <= 0:
@@ -47,6 +47,9 @@ class WindowedFilter(Generic[T]):
         # (time, value) candidates: times increasing, values strictly
         # worsening front-to-back (front is the current best).
         self._samples: Deque[Tuple[float, T]] = deque()
+        #: The current extremum, ``None`` before any sample: the front
+        #: candidate, kept by :meth:`update`.
+        self.best: Optional[T] = None
 
     def _better_or_equal(self, a: T, b: T) -> bool:
         return a >= b if self.is_max else a <= b
@@ -64,10 +67,6 @@ class WindowedFilter(Generic[T]):
         window = self.window
         while time - samples[0][0] > window:
             samples.popleft()
-        return samples[0][1]
-
-    def get(self) -> Optional[T]:
-        """Current best estimate, or ``None`` before any sample."""
-        if not self._samples:
-            return None
-        return self._samples[0][1]
+        best = samples[0][1]
+        self.best = best
+        return best

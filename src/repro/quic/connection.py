@@ -178,6 +178,10 @@ class Connection:
 
         self._next_packet_number = 0
         self._send_streams: Dict[int, SendStream] = {}
+        # The first stream (in creation order) with data to send: the one
+        # the packetiser drains.  Re-found whenever what the streams hold
+        # changes — a write, a requeue, or this stream running dry.
+        self._pending_stream: Optional[SendStream] = None
         self._recv_streams: Dict[int, RecvStream] = {}
         self._fin_reported: Set[int] = set()
         self._crypto_queue: List[HandshakeMessage] = []
@@ -220,6 +224,7 @@ class Connection:
             stream = SendStream(stream_id)
             self._send_streams[stream_id] = stream
         stream.write(data, fin)
+        self._pending_stream = self._next_pending_stream()
         self._pump()
 
     def send_hx_qos(self, frame: HxQosFrame) -> None:
@@ -297,46 +302,43 @@ class Connection:
                 self._trace_id,
                 {"pn": packet.packet_number, "size": datagram.size, "role": self.role.value},
             )
-        duplicate = self.ack_manager.on_packet_received(
+        if self.ack_manager.on_packet_received(
             packet.packet_number, packet.ack_eliciting(), now
-        )
-        if duplicate:
+        ):
             self.stats.duplicate_packets += 1
         else:
             for frame in packet.frames:
-                self._process_frame(frame, now)
+                if isinstance(frame, StreamFrame):
+                    self._on_stream(frame)
+                elif isinstance(frame, AckFrame):
+                    self._on_ack(frame, now)
+                elif isinstance(frame, CryptoFrame):
+                    self._on_crypto(frame, now)
+                elif isinstance(frame, HxQosFrame):
+                    if self.on_hx_qos is not None:
+                        self.on_hx_qos(frame)
+                elif not isinstance(frame, (PingFrame, PaddingFrame, HandshakeDoneFrame)):
+                    # The parser admits no other type.
+                    raise ValueError(f"unhandled frame {frame!r}")  # pragma: no cover
         self._pump()
 
-    def _process_frame(self, frame: Frame, now: float) -> None:
-        if isinstance(frame, StreamFrame):
-            self._on_stream(frame)
-        elif isinstance(frame, AckFrame):
-            self._on_ack(frame, now)
-        elif isinstance(frame, CryptoFrame):
-            self._on_crypto(frame, now)
-        elif isinstance(frame, HxQosFrame):
-            if self.on_hx_qos is not None:
-                self.on_hx_qos(frame)
-        elif isinstance(frame, (PingFrame, PaddingFrame, HandshakeDoneFrame)):
-            pass
-        else:  # pragma: no cover - parse layer rejects unknown types
-            raise ValueError(f"unhandled frame {frame!r}")
-
     def _on_ack(self, ack: AckFrame, now: float) -> None:
-        result = self.loss_recovery.on_ack_received(ack, now)
-        if result.newly_lost:
-            self._handle_losses(result.newly_lost, now)
-        if result.newly_acked:
-            self.cc.on_packets_acked(result.newly_acked, self.bytes_in_flight, now)
+        recovery = self.loss_recovery
+        newly_acked, newly_lost = recovery.on_ack_received(ack, now)
+        if newly_lost:
+            self._handle_losses(newly_lost, now)
+        if newly_acked:
+            self.cc.on_packets_acked(newly_acked, recovery.bytes_in_flight, now)
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.emit(
                     now,
                     "transport:packet_acked",
                     self._trace_id,
-                    {"pns": [p.packet_number for p in result.newly_acked]},
+                    {"pns": [p.packet_number for p in newly_acked]},
                 )
                 self._trace_cc_metrics(now)
-        self.stats.pto_count = max(self.stats.pto_count, self.loss_recovery.pto_count)
+        if recovery.pto_count > self.stats.pto_count:
+            self.stats.pto_count = recovery.pto_count
 
     def _trace_packet_dropped(self, reason: str, size: int) -> None:
         if _obs.ACTIVE is not None:
@@ -405,7 +407,7 @@ class Connection:
         if self._rej_sent_at is not None:
             rtt_sample = now - self._rej_sent_at
             if rtt_sample > 0:
-                self.rtt.update(rtt_sample, now=now)
+                self.loss_recovery.on_rtt_sample(rtt_sample, now)
         self.handshake_complete = True
         self.stats.handshake_completed_at = now
         self.stats.handshake_rtt_sample = rtt_sample
@@ -427,7 +429,7 @@ class Connection:
         if self._chlo_sent_at is not None:
             sample = now - self._chlo_sent_at
             if sample > 0:
-                self.rtt.update(sample, now=now)
+                self.loss_recovery.on_rtt_sample(sample, now)
         self._queue_crypto(chlo(full=True, extra_tags=self._handshake_tags))
 
     def _on_shlo(self, now: float) -> None:
@@ -438,7 +440,7 @@ class Connection:
         if self._chlo_sent_at is not None and self.rtt.min_rtt is None:
             sample = now - self._chlo_sent_at
             if sample > 0:
-                self.rtt.update(sample, now=now)
+                self.loss_recovery.on_rtt_sample(sample, now)
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now,
@@ -450,16 +452,26 @@ class Connection:
             self.on_handshake_complete()
 
     def _on_stream(self, frame: StreamFrame) -> None:
-        stream = self._recv_streams.get(frame.stream_id)
+        stream_id = frame.stream_id
+        stream = self._recv_streams.get(stream_id)
         if stream is None:
-            stream = RecvStream(frame.stream_id)
-            self._recv_streams[frame.stream_id] = stream
-        fresh = stream.on_frame(frame.offset, frame.data, frame.fin)
-        newly_finished = stream.finished and frame.stream_id not in self._fin_reported
+            stream = RecvStream(stream_id)
+            self._recv_streams[stream_id] = stream
+        try:
+            fresh = stream.on_frame(frame.offset, frame.data, frame.fin)
+        except ValueError:
+            # A FIN that contradicts the stream's earlier one: the frame
+            # is dropped before it touches the stream, and the endpoint
+            # survives it like any garbage input (§IV-C).
+            self.stats.undecodable_packets += 1
+            self._trace_packet_dropped("bad_stream_frame", len(frame.data))
+            return
+        finished = stream.finished
+        newly_finished = finished and stream_id not in self._fin_reported
         if newly_finished:
-            self._fin_reported.add(frame.stream_id)
+            self._fin_reported.add(stream_id)
         if (fresh or newly_finished) and self.on_stream_data is not None:
-            self.on_stream_data(frame.stream_id, fresh, stream.finished)
+            self.on_stream_data(stream_id, fresh, finished)
 
     # ------------------------------------------------------------------
     # Loss handling
@@ -470,7 +482,7 @@ class Connection:
             if any(isinstance(f, StreamFrame) for f in packet.frames):
                 self.stats.data_packets_lost += 1
             self._requeue_frames(packet)
-        self.cc.on_packets_lost(lost, self.bytes_in_flight, now)
+        self.cc.on_packets_lost(lost, self.loss_recovery.bytes_in_flight, now)
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now,
@@ -496,6 +508,7 @@ class Connection:
                 self._queue_crypto(message)
             elif isinstance(frame, HxQosFrame):
                 self._control_queue.append(frame)
+        self._pending_stream = self._next_pending_stream()
 
     # ------------------------------------------------------------------
     # Send path
@@ -524,83 +537,95 @@ class Connection:
         now = self.loop.now
         cc = self.cc
         recovery = self.loss_recovery
+        pacer = self.pacer
         rate = cc.pacing_rate_bps
-        self.pacer.set_rate(rate if rate > 1.0 else 1.0, now)
+        pacer.set_rate(rate if rate > 1.0 else 1.0, now)
 
-        # The stream the packetiser is draining.  Found once and kept
-        # while it has data; nothing below hands bytes to another stream,
-        # so a re-scan is only due when this one runs dry.
-        pending = self._next_pending_stream()
+        # Nothing below hands bytes to another stream, so a re-scan is
+        # only due when this one runs dry.
+        pending = self._pending_stream
 
         # If only control/handshake traffic is pending, mark the sampler
         # app-limited *before* those packets snapshot their state, so
         # their tiny delivery-rate samples cannot poison the model.
+        # ``app_limited_at`` is the in-flight level it was marked at: the
+        # mark depends only on that level and on delivered bytes (which
+        # only an ACK moves), so a second mark at the same level is void.
+        app_limited_at = -1
         if pending is None:
-            cc.on_app_limited(recovery.bytes_in_flight)
+            app_limited_at = recovery.bytes_in_flight
+            cc.on_app_limited(app_limited_at)
 
         # Handshake messages leave immediately (tiny, latency-critical).
-        while self._crypto_queue:
-            message = self._crypto_queue.pop(0)
+        crypto_queue = self._crypto_queue
+        while crypto_queue:
+            message = crypto_queue.pop(0)
             frame = CryptoFrame(self._crypto_offset, message.encode())
             self._crypto_offset += len(frame.data)
             packet_type = (
                 PacketType.INITIAL if self.role == Role.CLIENT else PacketType.HANDSHAKE
             )
-            self._send_packet(packet_type, [frame], in_flight=True, now=now)
+            self._send_packet(packet_type, [frame], True, now)
 
         # Application data: congestion-window and pacing constrained.
         pacing_deadline: Optional[float] = None
         if self._can_send_app_data():
             control_queue = self._control_queue
-            mss = self.config.mss
-            while pending is not None or control_queue:
-                if not cc.can_send(recovery.bytes_in_flight):
-                    break
-                wait = self.pacer.time_until_send(mss, now)
-                if wait > 1e-12:
-                    pacing_deadline = now + wait
-                    if _obs.ACTIVE is not None:
-                        _obs.ACTIVE.emit(
-                            now,
-                            "pacer:tokens_depleted",
-                            self._trace_id,
-                            {"wait": wait, "rate_bps": cc.pacing_rate_bps},
-                        )
-                    break
-                frames: List[Frame] = []
-                if control_queue:
-                    frames.extend(control_queue)
-                    control_queue.clear()
-                # The STREAM frame, when there is one, is always last.
-                stream_data = False
-                if pending is not None:
-                    chunk = pending.next_chunk(mss - _STREAM_FRAME_OVERHEAD)
-                    if chunk is not None:
-                        frames.append(
-                            StreamFrame(chunk.stream_id, chunk.offset, chunk.data, chunk.fin)
-                        )
-                        stream_data = True
-                    if not pending.has_data_to_send():
-                        pending = self._next_pending_stream()
-                if not frames:
-                    break
-                self._send_packet(
-                    self._app_packet_type(),
-                    frames,
-                    in_flight=True,
-                    now=now,
-                    stream_data=stream_data,
-                )
-            if pending is None and not control_queue and cc.can_send(recovery.bytes_in_flight):
-                cc.on_app_limited(recovery.bytes_in_flight)
+            if pending is not None or control_queue:
+                # Sending a packet moves neither the window nor the packet
+                # type (only ACKs, losses and the handshake do), so both
+                # are read once per pump.
+                cwnd = cc.congestion_window
+                packet_type = self._app_packet_type()
+                mss = self.config.mss
+                while pending is not None or control_queue:
+                    if recovery.bytes_in_flight >= cwnd:
+                        break
+                    wait = pacer.time_until_send(mss, now)
+                    if wait > 1e-12:
+                        pacing_deadline = now + wait
+                        if _obs.ACTIVE is not None:
+                            _obs.ACTIVE.emit(
+                                now,
+                                "pacer:tokens_depleted",
+                                self._trace_id,
+                                {"wait": wait, "rate_bps": cc.pacing_rate_bps},
+                            )
+                        break
+                    frames: List[Frame] = []
+                    if control_queue:
+                        frames.extend(control_queue)
+                        control_queue.clear()
+                    # The STREAM frame, when there is one, is always last.
+                    stream_data = False
+                    if pending is not None:
+                        stream_frame = pending.next_chunk(mss - _STREAM_FRAME_OVERHEAD)
+                        if stream_frame is not None:
+                            frames.append(stream_frame)
+                            stream_data = True
+                        if not pending.has_data_to_send():
+                            pending = self._next_pending_stream()
+                    if not frames:
+                        break
+                    self._send_packet(packet_type, frames, True, now, stream_data)
+                self._pending_stream = pending
+            if pending is None and not control_queue:
+                in_flight = recovery.bytes_in_flight
+                if in_flight != app_limited_at and in_flight < cc.congestion_window:
+                    cc.on_app_limited(in_flight)
 
         # Standalone ACK if one is due and nothing carried it.
-        if self.ack_manager.should_ack_now(now):
-            ack = self.ack_manager.build_ack(now)
+        ack_manager = self.ack_manager
+        ack_deadline = ack_manager.ack_deadline(now)
+        if ack_deadline is not None and ack_deadline <= now:
+            # A pending ACK has a largest packet, so this builds one, and
+            # building it clears the deadline.
+            ack = ack_manager.build_ack(now)
             if ack is not None:
-                self._send_packet(self._app_packet_type(), [ack], in_flight=False, now=now)
+                self._send_packet(self._app_packet_type(), [ack], False, now)
+            ack_deadline = None
 
-        self._reschedule_timer(pacing_deadline)
+        self._reschedule_timer(now, ack_deadline, pacing_deadline)
 
     def _next_pending_stream(self) -> Optional[SendStream]:
         for stream in self._send_streams.values():
@@ -622,32 +647,23 @@ class Connection:
         a STREAM frame (only ``_pump``'s packetiser builds one).
         """
         # Piggyback a pending ACK on any outgoing packet.
-        if in_flight and self.ack_manager.ack_deadline(now) is not None:
+        if in_flight and self.ack_manager.ack_pending:
             ack = self.ack_manager.build_ack(now)
             if ack is not None:
                 frames.insert(0, ack)
-        packet = Packet(
-            packet_type=packet_type,
-            connection_id=self.connection_id,
-            packet_number=self._next_packet_number,
-            frames=tuple(frames),
-        )
-        self._next_packet_number += 1
+        packet_number = self._next_packet_number
+        packet = Packet(packet_type, self.connection_id, packet_number, tuple(frames))
+        self._next_packet_number = packet_number + 1
         if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.check_packet_sent(self, packet.packet_number, now)
+            _sanitize.ACTIVE.check_packet_sent(self, packet_number, now)
         size = packet.wire_size() + self.config.udp_overhead
         ack_eliciting = packet.ack_eliciting()
-        sent = SentPacket(
-            packet_number=packet.packet_number,
-            sent_time=now,
-            size=size,
-            ack_eliciting=ack_eliciting,
-            in_flight=in_flight and ack_eliciting,
-            frames=packet.frames,
-        )
-        self.cc.on_packet_sent(sent, self.loss_recovery.bytes_in_flight, now)
-        self.loss_recovery.on_packet_sent(sent)
-        if sent.in_flight:
+        in_flight = in_flight and ack_eliciting
+        sent = SentPacket(packet_number, now, size, ack_eliciting, in_flight, packet.frames)
+        recovery = self.loss_recovery
+        self.cc.on_packet_sent(sent, recovery.bytes_in_flight, now)
+        recovery.on_packet_sent(sent)
+        if in_flight:
             self.pacer.on_packet_sent(size, now)
         stats = self.stats
         stats.packets_sent += 1
@@ -660,7 +676,7 @@ class Connection:
                 "transport:packet_sent",
                 self._trace_id,
                 {
-                    "pn": packet.packet_number,
+                    "pn": packet_number,
                     "size": size,
                     "type": packet_type.value,
                     "stream_data": stream_data,
@@ -675,16 +691,19 @@ class Connection:
     # ------------------------------------------------------------------
     # Timers
 
-    def _reschedule_timer(self, pacing_deadline: Optional[float] = None) -> None:
+    def _reschedule_timer(
+        self, now: float, ack_deadline: Optional[float], pacing_deadline: Optional[float]
+    ) -> None:
+        """Arm the one timer at the earliest of the ACK, loss-time, PTO
+        and pacing deadlines; the pump passes the two it computed."""
         if self._closed:
             return
-        now = self.loop.now
-        # Earliest of the ACK, loss-time, PTO and pacing deadlines.
-        when = self.ack_manager.ack_deadline(now)
-        deadline = self.loss_recovery.loss_time
+        recovery = self.loss_recovery
+        when = ack_deadline
+        deadline = recovery.loss_time
         if deadline is not None and (when is None or deadline < when):
             when = deadline
-        deadline = self.loss_recovery.pto_deadline()
+        deadline = recovery.pto_deadline()
         if deadline is not None and (when is None or deadline < when):
             when = deadline
         if pacing_deadline is not None and (when is None or pacing_deadline < when):
@@ -697,7 +716,7 @@ class Connection:
             return
         if when < now:
             when = now
-        if timer is not None and not timer.cancelled and not timer._finished:
+        if timer is not None and not timer.cancelled and not timer.finished:
             if timer.time == when:  # wira-lint: disable=WL003 - exact reschedule
                 # Most pumps recompute the very same deadline; keep the
                 # live event instead of a cancel + re-allocate churn.
@@ -709,7 +728,8 @@ class Connection:
         if self._closed:
             return
         now = self.loop.now
-        lost = self.loss_recovery.check_loss_timer(now)
+        recovery = self.loss_recovery
+        lost = recovery.check_loss_timer(now)
         if lost:
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.emit(
@@ -719,7 +739,7 @@ class Connection:
                     {"n_lost": len(lost)},
                 )
             self._handle_losses(lost, now)
-        pto = self.loss_recovery.pto_deadline()
+        pto = recovery.pto_deadline()
         if pto is not None and pto <= now + 1e-12:
             self._on_pto(now)
         self._pump()

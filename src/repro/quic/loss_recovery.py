@@ -23,7 +23,6 @@ the work per ACK is O(outstanding) whatever ``largest_acked`` claims.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import sanitize as _sanitize
@@ -33,15 +32,9 @@ from repro.quic.sent_packet import SentPacket
 
 K_PACKET_THRESHOLD = 3
 
-
-@dataclass
-class AckResult:
-    """Outcome of processing one ACK frame."""
-
-    newly_acked: List[SentPacket] = field(default_factory=list)
-    newly_lost: List[SentPacket] = field(default_factory=list)
-    rtt_sample: Optional[float] = None
-    ack_delay: float = 0.0
+#: Resolved packets within this many numbers of ``largest_acked`` are
+#: kept; the sweep runs once twice as many are tracked.
+GC_KEEP_WINDOW = 4096
 
 
 class LossRecovery:
@@ -67,7 +60,13 @@ class LossRecovery:
         self.largest_acked: Optional[int] = None
         self.pto_count = 0
         self.bytes_in_flight = 0
-        self._loss_time: Optional[float] = None
+        #: Earliest time a pending time-threshold loss will be declared.
+        self.loss_time: Optional[float] = None
+        # ``loss_time`` is what loss detection would arm if it ran now,
+        # unless the RTT moved or a packet went out at or below
+        # ``largest_acked`` since it last ran: only then can a timer that
+        # fires before ``loss_time`` declare anything.
+        self._loss_time_stale = False
         # Unresolved views of ``sent_packets``, insertion-ordered (packet
         # numbers are assigned in send order, so iteration order == pn
         # order).  Every query that used to scan ``sent_packets`` — PTO
@@ -90,30 +89,41 @@ class LossRecovery:
             self._ae_unresolved[pn] = packet
         if packet.in_flight:
             self.bytes_in_flight += packet.size
+        largest_acked = self.largest_acked
+        if largest_acked is not None and pn <= largest_acked:
+            # Only a peer acking ahead of the sender gets here.
+            self._loss_time_stale = True
         if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.note_sent_tracked(self, packet.packet_number)
+            _sanitize.ACTIVE.note_sent_tracked(self, pn)
 
-    def _resolve(self, pn: int) -> None:
-        """Drop a now-acked/lost packet from the unresolved views."""
-        self._unresolved.pop(pn, None)
-        self._ae_unresolved.pop(pn, None)
+    def on_rtt_sample(self, rtt_sample: float, now: float) -> None:
+        """Feed an RTT sample taken outside an ACK (the handshake's)."""
+        self.rtt.update(rtt_sample, now=now)
+        self._loss_time_stale = True
 
-    def on_ack_received(self, ack: AckFrame, now: float) -> AckResult:
-        """Process an ACK; updates RTT, detects losses, frees state."""
+    def on_ack_received(
+        self, ack: AckFrame, now: float
+    ) -> Tuple[List[SentPacket], List[SentPacket]]:
+        """Process an ACK; updates RTT, detects losses, frees state.
+
+        Returns ``(newly_acked, newly_lost)``.  Ranges come highest first
+        and each is walked downwards, so ``newly_acked`` is in descending
+        packet-number order — the delivery-rate sampler downstream is
+        order-sensitive.
+        """
         if _sanitize.ACTIVE is not None:
             _sanitize.ACTIVE.check_ack(self, ack, now)
-        result = AckResult()
-        result.ack_delay = ack.ack_delay_us / 1e6
-
-        # Ranges come highest first and each is walked downwards, so
-        # ``newly_acked`` is in descending packet-number order — the
-        # delivery-rate sampler downstream is order-sensitive.
-        newly_acked = result.newly_acked
+        newly_acked: List[SentPacket] = []
         sent_packets = self.sent_packets
         unacked = self._unacked
+        unresolved = self._unresolved
+        ae_unresolved = self._ae_unresolved
+        bytes_in_flight = self.bytes_in_flight
         for low, high in ack.ranges:
             end = bisect_right(unacked, high)
             start = bisect_left(unacked, low, 0, end)
+            if start == end:
+                continue
             for pn in reversed(unacked[start:end]):
                 packet = sent_packets.get(pn)
                 if packet is None or packet.acked:
@@ -121,43 +131,49 @@ class LossRecovery:
                     # overtaken ACK-only packet): nothing left to do.
                     continue
                 packet.acked = True
-                self._resolve(pn)
+                unresolved.pop(pn, None)
+                ae_unresolved.pop(pn, None)
                 if packet.in_flight and not packet.lost:
-                    self.bytes_in_flight -= packet.size
+                    bytes_in_flight -= packet.size
                 newly_acked.append(packet)
             del unacked[start:end]
+        self.bytes_in_flight = bytes_in_flight
         # Advance largest_acked on every ACK, including pure duplicates:
         # a duplicate whose acked numbers were all seen (or GC'd) can
         # still carry a larger largest_acked, and packet-threshold loss
         # detection must not stall behind it.
-        if self.largest_acked is None or ack.largest_acked > self.largest_acked:
-            self.largest_acked = ack.largest_acked
+        ack_largest = ack.largest_acked
+        largest_acked = self.largest_acked
+        if largest_acked is None or ack_largest > largest_acked:
+            largest_acked = ack_largest
+            self.largest_acked = largest_acked
         if not newly_acked:
             # Pure duplicate; still run loss detection (the advanced
             # largest_acked may have pushed packets over the threshold).
-            result.newly_lost = self._detect_lost(now)
-            return result
+            return newly_acked, self._detect_lost(now)
 
         # RTT sample only from the largest newly-acked, and only if it is
         # ack-eliciting (RFC 9002 §5.1).
         largest_packet = newly_acked[0]
-        if largest_packet.ack_eliciting and ack.largest_acked == largest_packet.packet_number:
-            result.rtt_sample = now - largest_packet.sent_time
-            self.rtt.update(result.rtt_sample, result.ack_delay, now)
+        if largest_packet.ack_eliciting and ack_largest == largest_packet.packet_number:
+            self.rtt.update(now - largest_packet.sent_time, ack.ack_delay_us / 1e6, now)
 
-        result.newly_lost = self._detect_lost(now)
+        newly_lost = self._detect_lost(now)
         self.pto_count = 0
-        self._garbage_collect()
-        return result
+        if len(sent_packets) >= 2 * GC_KEEP_WINDOW:
+            self._garbage_collect(largest_acked)
+        return newly_acked, newly_lost
 
     def _detect_lost(self, now: float) -> List[SentPacket]:
+        self._loss_time_stale = False
         largest_acked = self.largest_acked
         if largest_acked is None:
             return []
         lost: List[SentPacket] = []
         resolved_pns: List[int] = []
         loss_delay = self.rtt.loss_delay(self.time_factor)
-        self._loss_time = None
+        packet_threshold = self.packet_threshold
+        loss_time: Optional[float] = None
         # pn-ordered, so everything past largest_acked is out of scope.
         for pn, packet in self._unresolved.items():
             if pn > largest_acked:
@@ -168,37 +184,42 @@ class LossRecovery:
             if not packet.in_flight:
                 # ACK-only packets are not tracked for loss (RFC 9002 §2);
                 # resolve them silently once overtaken.
-                if largest_acked - pn >= self.packet_threshold:
+                if largest_acked - pn >= packet_threshold:
                     packet.acked = True
                     resolved_pns.append(pn)
                 continue
-            by_threshold = largest_acked - pn >= self.packet_threshold
             lost_deadline = packet.sent_time + loss_delay
             by_time = lost_deadline <= now
-            if by_threshold or by_time:
+            if by_time or largest_acked - pn >= packet_threshold:
                 packet.lost = True
-                if packet.in_flight:
-                    self.bytes_in_flight -= packet.size
+                self.bytes_in_flight -= packet.size
                 lost.append(packet)
                 resolved_pns.append(pn)
-            elif self._loss_time is None or lost_deadline < self._loss_time:
-                self._loss_time = lost_deadline
+            elif loss_time is None or lost_deadline < loss_time:
+                loss_time = lost_deadline
+        self.loss_time = loss_time
         for pn in resolved_pns:
             del self._unresolved[pn]
             self._ae_unresolved.pop(pn, None)
         return lost
 
     def check_loss_timer(self, now: float) -> List[SentPacket]:
-        """Run time-threshold detection when the loss timer fires."""
+        """Run time-threshold detection when the loss timer fires.
+
+        The connection's one timer also serves pacing, ACK and PTO
+        deadlines.  A fire before ``loss_time`` finds every pending
+        packet short of both thresholds — the same ``largest_acked`` and
+        RTT that armed it — so it declares nothing, and returns at once.
+        """
+        loss_time = self.loss_time
+        if not self._loss_time_stale and (loss_time is None or now < loss_time):
+            return []
         return self._detect_lost(now)
 
-    @property
-    def loss_time(self) -> Optional[float]:
-        """Earliest time a pending time-threshold loss will be declared."""
-        return self._loss_time
-
-    def _newest_ack_eliciting(self) -> Optional[SentPacket]:
-        """Newest unresolved ack-eliciting packet (lazy tail cleanup)."""
+    def pto_deadline(self) -> Optional[float]:
+        """Absolute PTO expiry, or ``None`` if nothing needs probing."""
+        # The newest unresolved ack-eliciting packet; resolved ones at
+        # the tail are dropped on the way.
         ae = self._ae_unresolved
         while ae:
             pn = next(reversed(ae))
@@ -206,18 +227,11 @@ class LossRecovery:
             if packet.acked or packet.lost:
                 del ae[pn]
                 continue
-            return packet
+            pto = self.rtt.pto(self.max_ack_delay) * (self.backoff**self.pto_count)
+            # sent_time never decreases with pn, so the newest unresolved
+            # ack-eliciting packet carries the latest send time.
+            return packet.sent_time + pto
         return None
-
-    def pto_deadline(self) -> Optional[float]:
-        """Absolute PTO expiry, or ``None`` if nothing needs probing."""
-        packet = self._newest_ack_eliciting()
-        if packet is None:
-            return None
-        pto = self.rtt.pto(self.max_ack_delay) * (self.backoff**self.pto_count)
-        # sent_time never decreases with pn, so the newest unresolved
-        # ack-eliciting packet carries the latest send time.
-        return packet.sent_time + pto
 
     def on_pto_fired(self, now: float) -> List[SentPacket]:
         """Back off and return the unresolved packets to probe with.
@@ -235,11 +249,9 @@ class LossRecovery:
                 break
         return probes
 
-    def _garbage_collect(self, keep_window: int = 4096) -> None:
+    def _garbage_collect(self, largest_acked: int) -> None:
         """Drop long-resolved packets to bound memory in long sessions."""
-        if len(self.sent_packets) < 2 * keep_window or self.largest_acked is None:
-            return
-        horizon = self.largest_acked - keep_window
+        horizon = largest_acked - GC_KEEP_WINDOW
         stale = [
             pn
             for pn, packet in self.sent_packets.items()

@@ -50,12 +50,17 @@ class Pacer:
         self._rate_bps = rate_bps
 
     def _refill(self, now: float) -> None:
-        elapsed = now - self._last_update
-        if elapsed > 0:
-            self._tokens = min(
-                float(self.burst_bytes),
-                self._tokens + elapsed * self._rate_bps / 8.0,
-            )
+        """Accrue credit up to ``now`` and check the bucket.
+
+        Credit only accrues when the clock has moved, so callers already
+        refilled at ``now`` (the connection sets the rate once per pump,
+        then asks and spends at the same instant) skip the arithmetic;
+        the sanitizer still checks the bucket on every call.
+        """
+        if now > self._last_update:
+            tokens = self._tokens + (now - self._last_update) * self._rate_bps / 8.0
+            burst = float(self.burst_bytes)
+            self._tokens = tokens if tokens < burst else burst
             self._last_update = now
         if _sanitize.ACTIVE is not None:
             _sanitize.ACTIVE.check_pacer(self, now)
@@ -65,11 +70,12 @@ class Pacer:
 
         Returns 0.0 when the packet can leave immediately.
         """
-        self._refill(now)
-        if self._tokens >= size:
+        if now > self._last_update or _sanitize.ACTIVE is not None:
+            self._refill(now)
+        tokens = self._tokens
+        if tokens >= size:
             return 0.0
-        deficit = size - self._tokens
-        return deficit * 8.0 / self._rate_bps
+        return (size - tokens) * 8.0 / self._rate_bps
 
     def on_packet_sent(self, size: int, now: float) -> None:
         """Consume credit for a departing packet.
@@ -77,7 +83,8 @@ class Pacer:
         Tokens may go negative, which naturally delays subsequent
         packets — equivalent to scheduling the next release time.
         """
-        self._refill(now)
+        if now > self._last_update or _sanitize.ACTIVE is not None:
+            self._refill(now)
         self._tokens -= size
         if _sanitize.ACTIVE is not None:
             _sanitize.ACTIVE.check_pacer(self, now)

@@ -1,7 +1,8 @@
 """Stream send/receive machinery.
 
-``SendStream`` hands out in-order chunks for packetisation, remembers what
-each packet carried, and re-queues ranges when packets are declared lost.
+``SendStream`` hands out in-order STREAM frames for packetisation — the
+frame it returns is the one the packet carries — and re-queues ranges
+when packets are declared lost.
 ``RecvStream`` reassembles out-of-order STREAM frames and surfaces the
 contiguous prefix to the application — which, at the Wira client, is the
 FLV demuxer measuring first-frame completion.
@@ -9,22 +10,9 @@ FLV demuxer measuring first-frame completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-
-@dataclass(frozen=True, slots=True)
-class StreamChunk:
-    """A contiguous byte range handed to the packetiser."""
-
-    stream_id: int
-    offset: int
-    data: bytes
-    fin: bool
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.data)
+from repro.quic.frames import StreamFrame
 
 
 class SendStream:
@@ -61,8 +49,8 @@ class SendStream:
             return True
         return self._fin_offset is not None and not self._fin_sent
 
-    def next_chunk(self, max_bytes: int) -> Optional[StreamChunk]:
-        """Produce the next chunk to transmit, at most ``max_bytes`` long."""
+    def next_chunk(self, max_bytes: int) -> Optional[StreamFrame]:
+        """The STREAM frame to transmit next, at most ``max_bytes`` of data."""
         if max_bytes <= 0:
             return None
         if self._retransmit:
@@ -74,13 +62,13 @@ class SendStream:
             else:
                 self._retransmit[0] = (offset + take, length - take)
             fin = self._fin_offset is not None and offset + take == self._fin_offset
-            return StreamChunk(self.stream_id, offset, data, fin)
+            return StreamFrame(self.stream_id, offset, data, fin)
 
         available = self._buffer_base + len(self._buffer) - self._next_offset
         if available <= 0:
             if self._fin_offset is not None and not self._fin_sent:
                 self._fin_sent = True
-                return StreamChunk(self.stream_id, self._next_offset, b"", True)
+                return StreamFrame(self.stream_id, self._next_offset, b"", True)
             return None
         take = min(available, max_bytes)
         data = self._slice(self._next_offset, take)
@@ -89,7 +77,7 @@ class SendStream:
         fin = self._fin_offset is not None and self._next_offset == self._fin_offset
         if fin:
             self._fin_sent = True
-        return StreamChunk(self.stream_id, offset, data, fin)
+        return StreamFrame(self.stream_id, offset, data, fin)
 
     def on_chunk_lost(self, offset: int, length: int) -> None:
         """Re-queue a byte range carried by a lost packet."""

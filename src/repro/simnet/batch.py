@@ -186,7 +186,7 @@ class BatchEventLoop:
                 if sanitizer is not None and when < member._now:
                     sanitizer.check_clock(member._now, when)
                 if ev is not None:
-                    ev._finished = True
+                    ev.finished = True
                 member._pending -= 1
                 member._now = when
                 entry[4](*entry[5])

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import sys
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro import sanitize as _sanitize
@@ -41,9 +43,11 @@ class Event:
 
     Supports cancellation; a cancelled event stays in the heap but is
     skipped when popped (lazy deletion), which keeps cancellation O(1).
+    ``finished`` turns true once the callback has run (or the loop
+    dropped the event in :meth:`EventLoop.clear`).
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_loop", "_finished")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_loop", "finished")
 
     def __init__(
         self,
@@ -59,14 +63,14 @@ class Event:
         self.args = args
         self.cancelled = False
         self._loop = loop
-        self._finished = False
+        self.finished = False
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
         if self.cancelled:
             return
         self.cancelled = True
-        if not self._finished and self._loop is not None:
+        if not self.finished and self._loop is not None:
             self._loop._pending -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -147,7 +151,10 @@ class EventLoop:
         """Fire-and-forget :meth:`call_later`: no :class:`Event` handle."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        self.post_at(self._now + delay, callback, *args)
+        # ``now + delay`` never precedes ``now`` for a non-negative delay,
+        # so the entry goes straight on the heap: one frame per link event.
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), None, callback, args))
+        self._pending += 1
 
     def clear(self) -> None:
         """Drop every queued event without running it.
@@ -163,7 +170,7 @@ class EventLoop:
             raise SimulationError("cannot clear a running event loop")
         for entry in self._heap:
             if entry[2] is not None:
-                entry[2]._finished = True
+                entry[2].finished = True
         self._heap.clear()
         self._pending = 0
 
@@ -202,6 +209,9 @@ class EventLoop:
         executed = 0
         heap = self._heap
         heappop = heapq.heappop
+        # No deadline runs to an infinite one, no budget to one never met.
+        horizon = math.inf if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
         try:
             while heap:
                 entry = heap[0]
@@ -210,16 +220,14 @@ class EventLoop:
                     heappop(heap)
                     continue
                 when = entry[0]
-                if until is not None and when > until:
-                    break
-                if max_events is not None and executed >= max_events:
+                if when > horizon or executed >= budget:
                     break
                 if sanitizer is not None and when < self._now:
                     sanitizer.check_clock(self._now, when)
                 heappop(heap)
                 self._pending -= 1
                 if event is not None:
-                    event._finished = True
+                    event.finished = True
                 self._now = when
                 entry[3](*entry[4])
                 executed += 1

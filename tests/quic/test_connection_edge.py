@@ -6,9 +6,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro import sanitize
+from repro import obs, sanitize
 from repro.quic import Connection, HandshakeMode, QuicConfig, Role
-from repro.quic.frames import AckFrame, HxQosFrame
+from repro.quic.frames import AckFrame, HxQosFrame, StreamFrame
 from repro.quic.packet import Packet, PacketType
 from repro.simnet.engine import EventLoop
 from repro.simnet.link import Datagram
@@ -208,3 +208,29 @@ def test_ack_spanning_billions_of_unsent_numbers_costs_nothing(span):
     assert server.stats.packets_lost == 0 and server.stats.packets_sent == 0
     assert server.bytes_in_flight == 0
     assert server.loss_recovery.largest_acked == span
+
+
+def test_conflicting_fin_is_dropped_not_raised():
+    """A STREAM frame whose FIN contradicts an earlier one is well formed
+    on the wire but impossible for the stream: the endpoint drops it,
+    counts it as undecodable and traces the drop, and the event loop
+    never sees the stream's ``ValueError`` (§IV-C)."""
+    loop = EventLoop()
+    client = Connection(loop, Role.CLIENT, lambda datagram: True)
+    delivered = []
+    client.on_stream_data = lambda sid, data, fin: delivered.append((sid, data, fin))
+
+    def raw(pn, frame):
+        return Datagram(Packet(PacketType.ONE_RTT, client.connection_id, pn, (frame,)).encode())
+
+    with obs.tracing() as bus:
+        client.datagram_received(raw(900, StreamFrame(8, 0, b"hello", fin=True)))
+        client.datagram_received(raw(901, StreamFrame(8, 0, b"hel", fin=True)))
+    assert delivered == [(8, b"hello", True)]
+    assert client.stats.packets_received == 2
+    assert client.stats.undecodable_packets == 1
+    assert bus.counts.get("transport:packet_dropped") == 1
+    dropped = [event for event in bus.ring if event[1] == "transport:packet_dropped"]
+    assert dropped[0][3]["reason"] == "bad_stream_frame"
+    # Both packets were received, so both are acknowledged.
+    assert client.ack_manager.build_ack(loop.now).ranges == ((900, 901),)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro import sanitize
 from repro.quic.frames import AckFrame
-from repro.quic.loss_recovery import K_PACKET_THRESHOLD, AckResult, LossRecovery
+from repro.quic.loss_recovery import GC_KEEP_WINDOW, K_PACKET_THRESHOLD, LossRecovery
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 
@@ -47,8 +47,8 @@ def test_ack_only_packets_do_not_count_in_flight():
 def test_rtt_sample_from_largest_newly_acked():
     lr = make_recovery()
     lr.on_packet_sent(sent(0, t=1.0))
-    result = lr.on_ack_received(ack(0, [(0, 0)]), now=1.05)
-    assert result.rtt_sample == pytest.approx(0.05)
+    acked, lost = lr.on_ack_received(ack(0, [(0, 0)]), now=1.05)
+    assert [p.packet_number for p in acked] == [0] and not lost
     assert lr.rtt.latest_rtt == pytest.approx(0.05)
 
 
@@ -56,9 +56,11 @@ def test_no_rtt_sample_from_duplicate_ack():
     lr = make_recovery()
     lr.on_packet_sent(sent(0, t=0.0))
     lr.on_ack_received(ack(0, [(0, 0)]), now=0.05)
-    result = lr.on_ack_received(ack(0, [(0, 0)]), now=0.2)
-    assert result.rtt_sample is None
-    assert not result.newly_acked
+    smoothed = lr.rtt.smoothed_rtt
+    acked, _ = lr.on_ack_received(ack(0, [(0, 0)]), now=0.2)
+    assert not acked
+    assert lr.rtt.latest_rtt == pytest.approx(0.05)
+    assert lr.rtt.smoothed_rtt == smoothed
 
 
 def test_packet_threshold_loss():
@@ -66,19 +68,18 @@ def test_packet_threshold_loss():
     for pn in range(5):
         lr.on_packet_sent(sent(pn, t=pn * 0.001))
     # Ack 3 and 4; packets 0 and 1 are >= 3 behind largest acked.
-    result = lr.on_ack_received(ack(4, [(3, 4)]), now=0.1)
-    lost_pns = {p.packet_number for p in result.newly_lost}
-    assert lost_pns == {0, 1}
-    assert all(p.lost for p in result.newly_lost)
+    _, lost = lr.on_ack_received(ack(4, [(3, 4)]), now=0.1)
+    assert {p.packet_number for p in lost} == {0, 1}
+    assert all(p.lost for p in lost)
 
 
 def test_time_threshold_loss():
     lr = make_recovery()
     lr.on_packet_sent(sent(0, t=0.530))
     lr.on_packet_sent(sent(1, t=0.535))
-    result = lr.on_ack_received(ack(1, [(1, 1)]), now=0.585)  # RTT=0.05
+    _, lost = lr.on_ack_received(ack(1, [(1, 1)]), now=0.585)  # RTT=0.05
     # Packet 0 is only 1 behind and not yet past the time threshold...
-    assert not result.newly_lost
+    assert not lost
     assert lr.loss_time is not None
     # ...but once the loss timer fires, it is declared lost.
     lost = lr.check_loss_timer(now=lr.loss_time + 1e-9)
@@ -150,8 +151,8 @@ def test_ack_of_unknown_packet_ignored():
     # invariant would (correctly) fire, so scope the sanitizer off while
     # asserting the production-code tolerance.
     with sanitize.suppressed():
-        result = lr.on_ack_received(ack(9, [(9, 9)]), now=0.1)
-    assert not result.newly_acked
+        acked, _ = lr.on_ack_received(ack(9, [(9, 9)]), now=0.1)
+    assert not acked
 
 
 def test_non_in_flight_packets_never_reported_lost():
@@ -159,9 +160,8 @@ def test_non_in_flight_packets_never_reported_lost():
     lr.on_packet_sent(sent(0, eliciting=False, in_flight=False))
     for pn in range(1, 6):
         lr.on_packet_sent(sent(pn, t=pn * 0.001))
-    result = lr.on_ack_received(ack(5, [(4, 5)]), now=0.1)
-    lost_pns = {p.packet_number for p in result.newly_lost}
-    assert 0 not in lost_pns
+    _, lost = lr.on_ack_received(ack(5, [(4, 5)]), now=0.1)
+    assert 0 not in {p.packet_number for p in lost}
 
 
 def test_duplicate_ack_advances_largest_acked():
@@ -177,11 +177,11 @@ def test_duplicate_ack_advances_largest_acked():
     # Packet 4 was resolved by earlier processing (e.g. a duplicated ACK
     # datagram); this ACK then carries no newly-acked numbers.
     lr.sent_packets[4].acked = True
-    result = lr.on_ack_received(ack(4, [(4, 4), (1, 1)]), now=0.051)
-    assert not result.newly_acked
+    acked, lost = lr.on_ack_received(ack(4, [(4, 4), (1, 1)]), now=0.051)
+    assert not acked
     assert lr.largest_acked == 4
     # Packet 0 is >= kPacketThreshold behind the advanced largest_acked.
-    assert {p.packet_number for p in result.newly_lost} == {0}
+    assert {p.packet_number for p in lost} == {0}
 
 
 def test_duplicate_ack_runs_time_threshold_loss_detection():
@@ -192,9 +192,9 @@ def test_duplicate_ack_runs_time_threshold_loss_detection():
     lr.on_packet_sent(sent(1, t=0.001))
     lr.on_ack_received(ack(1, [(1, 1)]), now=0.05)
     assert lr.loss_time is not None  # packet 0 pending on the timer
-    result = lr.on_ack_received(ack(1, [(1, 1)]), now=0.5)
-    assert not result.newly_acked
-    assert {p.packet_number for p in result.newly_lost} == {0}
+    acked, lost = lr.on_ack_received(ack(1, [(1, 1)]), now=0.5)
+    assert not acked
+    assert {p.packet_number for p in lost} == {0}
 
 
 def test_duplicate_ack_never_regresses_largest_acked():
@@ -203,8 +203,8 @@ def test_duplicate_ack_never_regresses_largest_acked():
         lr.on_packet_sent(sent(pn, t=pn * 0.001))
     lr.on_ack_received(ack(2, [(0, 2)]), now=0.05)
     assert lr.largest_acked == 2
-    result = lr.on_ack_received(ack(1, [(0, 1)]), now=0.06)
-    assert not result.newly_acked
+    acked, _ = lr.on_ack_received(ack(1, [(0, 1)]), now=0.06)
+    assert not acked
     assert lr.largest_acked == 2
 
 
@@ -214,8 +214,7 @@ class EnumeratingRecovery(LossRecovery):
     look each one up.  Kept as the oracle for the range walk."""
 
     def on_ack_received(self, ack, now):
-        result = AckResult()
-        result.ack_delay = ack.ack_delay_us / 1e6
+        newly_acked = []
         acked_numbers = [
             pn
             for pn in ack.acked_packet_numbers()
@@ -224,24 +223,24 @@ class EnumeratingRecovery(LossRecovery):
         if self.largest_acked is None or ack.largest_acked > self.largest_acked:
             self.largest_acked = ack.largest_acked
         if not acked_numbers:
-            result.newly_lost = self._detect_lost(now)
-            return result
+            return newly_acked, self._detect_lost(now)
         largest_newly_acked = max(acked_numbers)
         for pn in acked_numbers:
             packet = self.sent_packets[pn]
             packet.acked = True
-            self._resolve(pn)
+            self._unresolved.pop(pn, None)
+            self._ae_unresolved.pop(pn, None)
             if packet.in_flight and not packet.lost:
                 self.bytes_in_flight -= packet.size
-            result.newly_acked.append(packet)
+            newly_acked.append(packet)
         largest_packet = self.sent_packets[largest_newly_acked]
         if largest_packet.ack_eliciting and ack.largest_acked == largest_newly_acked:
-            result.rtt_sample = now - largest_packet.sent_time
-            self.rtt.update(result.rtt_sample, result.ack_delay, now)
-        result.newly_lost = self._detect_lost(now)
+            self.rtt.update(now - largest_packet.sent_time, ack.ack_delay_us / 1e6, now)
+        newly_lost = self._detect_lost(now)
         self.pto_count = 0
-        self._garbage_collect()
-        return result
+        if len(self.sent_packets) >= 2 * GC_KEEP_WINDOW:
+            self._garbage_collect(self.largest_acked)
+        return newly_acked, newly_lost
 
 
 def descending_ranges(numbers):
@@ -281,6 +280,9 @@ def test_range_walk_equals_enumeration(steps):
     next_pn = 0
     for kind, dt, salt in steps:
         now += dt
+        if kind == "timer_due" and pair[0].loss_time is not None:
+            now = max(now - dt, pair[0].loss_time)
+            kind = "timer"
         if kind in ("send", "send_ack_only"):
             eliciting = kind == "send"
             for lr in pair:
@@ -294,21 +296,18 @@ def test_range_walk_equals_enumeration(steps):
             # A pseudo-random subset of everything ever sent.
             acked = [pn for pn in range(next_pn) if (salt >> (pn % 16)) & 1] or [salt % next_pn]
             frame = AckFrame(max(acked), salt % 5000, descending_ranges(acked))
-            results = [lr.on_ack_received(frame, now) for lr in pair]
-            walked, enumerated = results
-            assert [p.packet_number for p in walked.newly_acked] == [
-                p.packet_number for p in enumerated.newly_acked
+            walked, enumerated = [
+                [[p.packet_number for p in packets] for packets in lr.on_ack_received(frame, now)]
+                for lr in pair
             ]
-            assert [p.packet_number for p in walked.newly_lost] == [
-                p.packet_number for p in enumerated.newly_lost
-            ]
-            assert walked.rtt_sample == enumerated.rtt_sample
+            assert walked == enumerated
         new, old = pair
         assert new.bytes_in_flight == old.bytes_in_flight
         assert new.largest_acked == old.largest_acked
         assert new.loss_time == old.loss_time
         assert new.pto_deadline() == old.pto_deadline()
         assert new.rtt.smoothed_rtt == old.rtt.smoothed_rtt
+        assert new.rtt.latest_rtt == old.rtt.latest_rtt
         assert [(p.acked, p.lost) for p in new.sent_packets.values()] == [
             (p.acked, p.lost) for p in old.sent_packets.values()
         ]
@@ -319,11 +318,119 @@ def test_garbage_collection_forgets_unacked_numbers_too():
     at the GC horizon; its number must leave ``_unacked`` with it, or the
     list would grow with every loss of a long session."""
     lr = make_recovery()
-    total = 2 * 4096 + 10
+    total = 2 * GC_KEEP_WINDOW + 10
     for pn in range(total):
         lr.on_packet_sent(sent(pn, t=pn * 1e-4))
     # Everything but packet 0 is acknowledged; 0 is declared lost.
-    result = lr.on_ack_received(ack(total - 1, [(1, total - 1)]), now=1.0)
-    assert [p.packet_number for p in result.newly_lost] == [0]
+    _, lost = lr.on_ack_received(ack(total - 1, [(1, total - 1)]), now=1.0)
+    assert [p.packet_number for p in lost] == [0]
     assert 0 not in lr.sent_packets
     assert lr._unacked == []
+
+
+def recovery_state(lr):
+    return (
+        lr.loss_time,
+        lr.bytes_in_flight,
+        lr.largest_acked,
+        list(lr._unresolved),
+        list(lr._ae_unresolved),
+        [(p.acked, p.lost) for p in lr.sent_packets.values()],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(recovery_steps, st.floats(0.0, 0.999))
+def test_timer_before_loss_time_declares_nothing(steps, fraction):
+    """What makes the gated loss timer exact: between ACKs, detection run
+    at any instant before ``loss_time`` declares nothing and leaves
+    ``loss_time``, ``bytes_in_flight`` and the unresolved views as they
+    were — the same ``largest_acked`` and RTT armed it."""
+    lr = LossRecovery(RttEstimator(initial_rtt=0.1))
+    now = 0.0
+    next_pn = 0
+    for kind, dt, salt in steps:
+        now += dt
+        if kind in ("send", "send_ack_only"):
+            eliciting = kind == "send"
+            lr.on_packet_sent(sent(next_pn, t=now, size=100 + salt % 1100,
+                                   eliciting=eliciting, in_flight=eliciting))
+            next_pn += 1
+        elif kind == "ack" and next_pn:
+            acked = [pn for pn in range(next_pn) if (salt >> (pn % 16)) & 1] or [salt % next_pn]
+            lr.on_ack_received(AckFrame(max(acked), salt % 5000, descending_ranges(acked)), now)
+        elif kind == "timer":
+            lr.check_loss_timer(now)
+        if lr.loss_time is not None and lr.loss_time <= now:
+            continue  # due: the timer would fire here and declare
+        early = now + fraction * ((lr.loss_time if lr.loss_time is not None else now + dt) - now)
+        before = recovery_state(lr)
+        assert lr.check_loss_timer(early) == []
+        assert recovery_state(lr) == before
+        assert lr._detect_lost(early) == []
+        assert recovery_state(lr) == before
+
+
+class UngatedRecovery(LossRecovery):
+    """Loss recovery whose timer always runs detection, as it did before
+    fires earlier than ``loss_time`` returned at once."""
+
+    def check_loss_timer(self, now):
+        return self._detect_lost(now)
+
+
+#: ``recovery_steps`` plus a fire at exactly ``loss_time`` (where the
+#: connection arms its timer), an RTT sample taken outside an ACK (the
+#: handshake's) and an ACK from a peer acking ahead of the sender.
+gate_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["send", "send", "send_ack_only", "ack", "ack_ahead", "timer",
+                         "timer_due", "rtt_sample"]),
+        st.floats(0.001, 0.08),
+        st.integers(0, 2**16),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_steps)
+def test_gated_loss_timer_equals_detection_on_every_fire(steps):
+    """Sends, ACKs (some for numbers not sent yet), handshake RTT samples
+    and timer fires at random instants: the gated timer declares what
+    detection on every fire declares, and leaves the same state."""
+    pair = [LossRecovery(RttEstimator(initial_rtt=0.1)),
+            UngatedRecovery(RttEstimator(initial_rtt=0.1))]
+    now = 0.0
+    next_pn = 0
+    for kind, dt, salt in steps:
+        now += dt
+        if kind == "timer_due" and pair[0].loss_time is not None:
+            now = max(now - dt, pair[0].loss_time)
+            kind = "timer"
+        if kind in ("send", "send_ack_only"):
+            eliciting = kind == "send"
+            for lr in pair:
+                lr.on_packet_sent(sent(next_pn, t=now, size=100 + salt % 1100,
+                                       eliciting=eliciting, in_flight=eliciting))
+            next_pn += 1
+        elif kind == "timer":
+            gated, ungated = [[p.packet_number for p in lr.check_loss_timer(now)] for lr in pair]
+            assert gated == ungated
+        elif kind == "rtt_sample":
+            for lr in pair:
+                lr.on_rtt_sample(dt * (1 + salt % 7), now)
+        elif kind == "ack" and next_pn or kind == "ack_ahead":
+            top = next_pn + 1 + salt % 6 if kind == "ack_ahead" else next_pn
+            acked = [pn for pn in range(top) if (salt >> (pn % 16)) & 1] or [salt % top]
+            frame = AckFrame(max(acked), salt % 5000, descending_ranges(acked))
+            with sanitize.suppressed():
+                results = [lr.on_ack_received(frame, now) for lr in pair]
+            gated, ungated = [
+                [[p.packet_number for p in packets] for packets in result] for result in results
+            ]
+            assert gated == ungated
+        assert recovery_state(pair[0]) == recovery_state(pair[1])
+        assert pair[0].pto_deadline() == pair[1].pto_deadline()
+        assert pair[0].rtt.smoothed_rtt == pair[1].rtt.smoothed_rtt

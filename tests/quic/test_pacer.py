@@ -1,7 +1,10 @@
 """Tests for the token-bucket pacer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import sanitize
 from repro.quic.pacer import Pacer
 
 
@@ -66,3 +69,79 @@ def test_invalid_parameters():
     pacer = Pacer(rate_bps=1.0)
     with pytest.raises(ValueError):
         pacer.set_rate(0.0, now=0.0)
+
+
+class ReferenceBucket:
+    """The token bucket as first written: every call refills first, even
+    at the instant of the previous one.  The oracle for the pacer, which
+    skips the refill when the clock has not moved."""
+
+    def __init__(self, rate_bps, burst_bytes):
+        self.rate_bps = rate_bps
+        self.burst_bytes = burst_bytes
+        self.tokens = float(burst_bytes)
+        self.last_update = 0.0
+
+    def refill(self, now):
+        elapsed = now - self.last_update
+        if elapsed > 0:
+            self.tokens = min(
+                float(self.burst_bytes), self.tokens + elapsed * self.rate_bps / 8.0
+            )
+            self.last_update = now
+
+    def set_rate(self, rate_bps, now):
+        self.refill(now)
+        self.rate_bps = rate_bps
+
+    def time_until_send(self, size, now):
+        self.refill(now)
+        if self.tokens >= size:
+            return 0.0
+        deficit = size - self.tokens
+        return deficit * 8.0 / self.rate_bps
+
+    def on_packet_sent(self, size, now):
+        self.refill(now)
+        self.tokens -= size
+
+
+#: One pacer call: which, the clock step before it (zero half the time —
+#: a pump sets the rate, asks and spends at one instant), a rate and a size.
+pacer_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["set_rate", "time_until_send", "on_packet_sent"]),
+        st.one_of(st.just(0.0), st.floats(1e-7, 0.05)),
+        st.floats(1e3, 1e9),
+        st.integers(1, 5_000),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e3, 1e9), st.integers(1_252, 20 * 1_252), pacer_calls)
+def test_pacer_equals_refill_on_every_call(rate_bps, burst_bytes, calls):
+    """Random set_rate / time_until_send / on_packet_sent sequences: the
+    waits and the token count equal the reference bucket's exactly.
+
+    The sequences ignore the waits, so the bucket can sink far into the
+    debt the sanitizer (rightly) reports as runaway sends; this pins the
+    arithmetic, with the sanitizer off."""
+    pacer = Pacer(rate_bps=rate_bps, burst_bytes=burst_bytes)
+    reference = ReferenceBucket(rate_bps, burst_bytes)
+    now = 0.0
+    with sanitize.suppressed():
+        for kind, step, rate, size in calls:
+            now += step
+            if kind == "set_rate":
+                pacer.set_rate(rate, now)
+                reference.set_rate(rate, now)
+            elif kind == "time_until_send":
+                assert pacer.time_until_send(size, now) == reference.time_until_send(size, now)
+            else:
+                pacer.on_packet_sent(size, now)
+                reference.on_packet_sent(size, now)
+            assert pacer._tokens == reference.tokens
+            assert pacer.rate_bps == reference.rate_bps

@@ -246,16 +246,16 @@ class TestAckRange:
     def test_valid_ack_clean(self):
         recovery = self.make_recovery_with_sent(count=5)
         with sanitize.sanitized() as san:
-            result = recovery.on_ack_received(AckFrame(4, 0, ((3, 4), (0, 1))), now=0.1)
-        assert len(result.newly_acked) == 4
+            acked, _ = recovery.on_ack_received(AckFrame(4, 0, ((3, 4), (0, 1))), now=0.1)
+        assert len(acked) == 4
         assert san.checks_run["ack_range"] == 1
 
     def test_suppressed_scope_allows_peer_misbehaviour(self):
         recovery = self.make_recovery_with_sent(count=1)
         with sanitize.sanitized():
             with sanitize.suppressed():
-                result = recovery.on_ack_received(AckFrame(9, 0, ((9, 9),)), now=0.1)
-            assert not result.newly_acked
+                acked, _ = recovery.on_ack_received(AckFrame(9, 0, ((9, 9),)), now=0.1)
+            assert not acked
             assert sanitize.enabled()  # restored after the scope
 
 

@@ -85,6 +85,7 @@ KEPT: Dict[str, str] = {
     # the sent-packet sweep past 8 192 outstanding packets.
     "repro.quic.cc.bbr:BbrSender._enter_probe_rtt": _LONG,
     "repro.quic.cc.bbr:BbrSender._handle_probe_rtt": _LONG,
+    "repro.quic.loss_recovery:LossRecovery._garbage_collect": _LONG,
     "repro.quic.sent_packet:SentPacket.resolved": _LONG,
     # The shard worker process.
     "repro.serve.shard:main": _SUBPROCESS,
@@ -144,7 +145,6 @@ KEPT: Dict[str, str] = {
     "repro.quic.pacer:Pacer.rate_bps": _VIEW,
     "repro.quic.packet:Packet.is_long_header": _VIEW,
     "repro.quic.stream:SendStream.resend_fin": _API,
-    "repro.quic.stream:StreamChunk.end": _VIEW,
     "repro.serve.ring:HashRing": _API,
     "repro.serve.store": _API,
     "repro.simnet.link:LinkStats": _VIEW,

@@ -255,12 +255,11 @@ SLOTS_REGISTRY = frozenset(
         "Link",
         "Pacer",
         "SentPacket",
-        # Per-packet value objects: one Packet, one STREAM or ACK frame
-        # and one chunk per packet sent, and a Packet travels in every
-        # in-process datagram until it is delivered.
+        # Per-packet value objects: one Packet and one STREAM or ACK frame
+        # per packet sent, and a Packet travels in every in-process
+        # datagram until it is delivered.
         "AckFrame",
         "Packet",
-        "StreamChunk",
         "StreamFrame",
         # The free-running batch kernel the benchmark still times: one
         # CalendarQueue entry and one MemberLoop clock touch per event
