@@ -46,6 +46,7 @@ class ServerSessionState:
     initial_params: Optional[InitialParams] = None
     reinitialized: bool = False  # corner case 1 second pass happened
     ff_size: Optional[int] = None
+    request_received_at: Optional[float] = None
 
 
 class WiraServer:
@@ -171,11 +172,13 @@ class WiraServer:
         return name or None
 
     def _serve(self, stream_id: int, name: str) -> None:
+        now = self.loop.now
+        self.state.request_received_at = now
         self._trace(
             "wira:request_received", {"stream": name, "stream_id": stream_id}
         )
         fetch = self.origin.fetch(
-            name, join_time=self.wall_clock, max_video_frames=self.max_video_frames
+            name, join_time=self.clock_offset + now, max_video_frames=self.max_video_frames
         )
         # Group frames into availability batches (corner case 1 territory:
         # leading script/audio may be deliverable before the I frame).

@@ -7,6 +7,8 @@ stream through the Wira proxy, and we record
 * **FFLR** — data-packet loss over the first-frame transfer (Fig 14),
 * **follow-up frames** — completion time and loss through the first
   four video frames (Fig 15),
+* **phases** — FFCT split into the stretches the paper's mechanisms act
+  on (:class:`PhaseBreakdown`),
 * cookie round-trip — the end-of-session Hx_QoS push that seeds the
   *next* session of the same OD pair.
 
@@ -18,9 +20,10 @@ sessions of one OD pair lives in the client's
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.cdn.client import ClientMetrics, WiraClient
@@ -85,6 +88,108 @@ class SessionSpec:
         return replace(self, **changes)  # type: ignore[arg-type]
 
 
+#: Phase names in presentation (and chronological) order.
+PHASES: Tuple[str, ...] = ("handshake", "request", "origin", "transmit", "stalls")
+
+
+@dataclass(frozen=True)
+class PhaseBreakdown:
+    """One session's FFCT split into the paper's phases (seconds).
+
+    ``handshake``
+        Request sent → server handshake complete.  Includes the uplink
+        propagation and, on the 1-RTT path, the REJ round trip the
+        server uses to measure an accurate init RTT (§VI).
+    ``request``
+        Server handshake complete → play request parsed on the server.
+        ~0 for 0-RTT sessions, whose request rides with the CHLO.
+    ``origin``
+        Request parsed → first stream-data packet leaves the server.
+        Origin frame availability plus Frame Perception parsing.  When
+        the 0-RTT request overtakes a lost CHLO, the wait for the
+        handshake is ``handshake``'s, and ``origin`` starts at its end.
+    ``transmit``
+        First data packet out → Θ_VF-th video frame complete on the
+        client, *minus* retransmit stalls.  This is the phase Wira's
+        ``init_cwnd`` and ``init_pacing`` overrides compress.
+    ``stalls``
+        Within the transmit window, time between a loss declaration (or
+        PTO) on the server and its next transmission — the retransmission
+        stalls Fig 14's FFLR correlates with.
+    """
+
+    handshake: float
+    request: float
+    origin: float
+    transmit: float
+    stalls: float
+
+    @property
+    def total(self) -> float:
+        """Sums back to the session's FFCT."""
+        return self.handshake + self.request + self.origin + self.transmit + self.stalls
+
+    def phase(self, name: str) -> float:
+        if name not in PHASES:
+            raise KeyError(f"unknown phase {name!r}")
+        return float(getattr(self, name))
+
+    def as_dict(self) -> Dict[str, float]:
+        return {name: self.phase(name) for name in PHASES}
+
+
+def phase_breakdown(
+    request_sent: Optional[float],
+    handshake_done: Optional[float],
+    request_received: Optional[float],
+    first_data_sent: Optional[float],
+    first_frame: Optional[float],
+    stalls: Sequence[Tuple[float, float]],
+) -> Optional[PhaseBreakdown]:
+    """Split one session's FFCT at its milestones.
+
+    ``handshake_done``, ``request_received`` and ``first_data_sent`` are
+    the server's; ``stalls`` are the server connection's ``(opened,
+    closed)`` intervals in time order.  Each is clipped to the transmit
+    window ``[first_data_sent, first_frame]``, and intervals that touch
+    or overlap count once.  ``None`` when a milestone is missing — the
+    session never reached its first frame.
+    """
+    if (
+        request_sent is None
+        or handshake_done is None
+        or request_received is None
+        or first_data_sent is None
+        or first_frame is None
+    ):
+        return None
+    stalled = 0.0
+    run_start: Optional[float] = None
+    run_end = 0.0
+    for opened, closed in stalls:
+        if opened > first_frame:
+            break
+        start = opened if opened > first_data_sent else first_data_sent
+        end = closed if closed < first_frame else first_frame
+        if end < start:
+            continue
+        if run_start is None or start > run_end:
+            if run_start is not None:
+                stalled += run_end - run_start
+            run_start, run_end = start, end
+        elif end > run_end:
+            run_end = end
+    if run_start is not None:
+        stalled += run_end - run_start
+    return PhaseBreakdown(
+        handshake=max(0.0, handshake_done - request_sent),
+        request=max(0.0, request_received - handshake_done),
+        origin=max(0.0, first_data_sent - max(request_received, handshake_done)),
+        transmit=max(0.0, first_frame - first_data_sent - stalled),
+        stalls=stalled,
+    )
+
+
 @dataclass
 class SessionResult:
     """Everything one session contributes to the evaluation."""
@@ -103,9 +208,9 @@ class SessionResult:
     used_cookie: bool = False
     server_min_rtt: Optional[float] = None
     server_max_bw: Optional[float] = None
-    #: FFCT decomposed into phases — populated only when the session ran
-    #: under an active trace bus (``WIRA_TRACE=1``), ``None`` otherwise.
-    phase_breakdown: Optional[_obs.PhaseBreakdown] = None
+    #: FFCT decomposed into phases; ``None`` exactly when ``ffct`` is,
+    #: and on results the serve driver measures over sockets.
+    phase_breakdown: Optional[PhaseBreakdown] = None
     #: Injected-fault action counts (``None`` when no fault plan ran;
     #: ``{}`` when a plan ran but never fired, e.g. a cookie fault with
     #: no cookie to corrupt).
@@ -226,10 +331,8 @@ class StreamingSession:
         bus = _obs.ACTIVE
         if bus is None:
             return self._run()
-        with bus.session(self.trace_label) as events:
-            result = self._run()
-        result.phase_breakdown = _obs.profile_events(events)
-        return result
+        with bus.session(self.trace_label):
+            return self._run()
 
     def _run(self) -> SessionResult:
         loop = EventLoop()
@@ -406,8 +509,28 @@ class StreamingSession:
         closing the path drops the ones that tie the two connections
         together.  What the loop still holds is its owner's to clear.
         """
-        server_min_rtt = live.server_conn.measured_min_rtt()
-        server_max_bw = live.server_conn.measured_max_bw()
+        server_conn = live.server_conn
+        server_min_rtt = server_conn.measured_min_rtt()
+        server_max_bw = server_conn.measured_max_bw()
+        metrics = live.client.metrics
+        stalls = server_conn.stalls
+        if server_conn.stall_opened_at is not None:
+            stalls = [*stalls, (server_conn.stall_opened_at, math.inf)]
+        breakdown = phase_breakdown(
+            metrics.request_sent_at,
+            server_conn.stats.handshake_completed_at,
+            live.server.state.request_received_at,
+            server_conn.first_data_sent_at,
+            metrics.first_frame_at,
+            stalls,
+        )
+        if breakdown is not None and _obs.ACTIVE is not None:
+            _obs.ACTIVE.emit(
+                server_conn.loop.now,
+                "session:phases",
+                server_conn._trace_id,
+                breakdown.as_dict(),
+            )
         live.server.close()
         live.client.close()
         live.path.close()
@@ -417,15 +540,16 @@ class StreamingSession:
             handshake_mode=self.handshake_mode,
             conditions=live.conditions,
             completed=live.client.done,
-            client_metrics=live.client.metrics,
+            client_metrics=metrics,
             ff_size_parsed=live.server.state.ff_size,
             initial_params=live.server.state.initial_params,
             ff_server_stats=live.ff_stats[0] if live.ff_stats else None,
-            final_server_stats=live.server_conn.stats.snapshot(),
+            final_server_stats=server_conn.stats.snapshot(),
             frame_stats_snapshots=live.frame_snapshots,
             cookie_delivered=cookie_delivered,
             used_cookie=live.server.state.hx_qos is not None,
             server_min_rtt=server_min_rtt,
             server_max_bw=server_max_bw,
+            phase_breakdown=breakdown,
             fault_summary=dict(live.injector.counters) if live.injector is not None else None,
         )

@@ -408,7 +408,7 @@ class SessionSide:
         after this one.  Under the sanitizer a taken session is
         simulated as well and the two compared (``shared_session``);
         under the trace bus nothing is shared, because every session
-        writes its own trace and breakdown.
+        writes its own trace.
         """
         if _obs.ACTIVE is not None:
             return self.session(spec).run()

@@ -172,9 +172,7 @@ def run_deployment(
     )
     if _tracing_to_disk():
         # A memo hit would skip the replay — and with it the trace files
-        # the caller asked for.  Replay for real, without poisoning the
-        # memo with this run's breakdown-carrying records (callers not
-        # tracing should keep hitting the breakdown-free ones).
+        # the caller asked for.
         use_cache = False
     if use_cache and memo_key in _MEMORY_CACHE:
         # The key forgets the order the schemes were asked in; the

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.cdn.session import SessionResult
+from repro.cdn.session import PHASES, SessionResult
 from repro.metrics.sketch import DEFAULT_ALPHA, QuantileSketch, StatAccumulator
-from repro.obs.profiler import PHASES
 from repro.quic.connection import HandshakeMode
 from repro.workload.population import PlannedSession
 
@@ -64,9 +63,7 @@ class SchemeAggregate:
         self.ffct_sketch = QuantileSketch(alpha=alpha)
         self.fflr_stats = StatAccumulator()
         self.fflr_sketch = QuantileSketch(alpha=alpha)
-        # FFCT phase decomposition (repro.obs.profiler), populated only
-        # when sessions ran under an active trace bus — the breakdown is
-        # computed from trace events.  All-zero counts otherwise.
+        # FFCT phase decomposition, one sample per completed first frame.
         self.phase_stats: Dict[str, StatAccumulator] = {
             name: StatAccumulator() for name in PHASES
         }

@@ -8,8 +8,8 @@ the standard library alone.
 Content mirrors the JSON report (:mod:`repro.fleet.report`) and adds
 what JSON cannot show: scheme-vs-scheme FFCT CDF strips rendered from
 each scheme's :class:`~repro.metrics.sketch.QuantileSketch`, the FFCT
-phase-decomposition table (when the campaign ran under ``WIRA_TRACE=1``),
-and an optional live-telemetry throughput section.  Like the JSON
+phase-decomposition table, and an optional live-telemetry throughput
+section.  Like the JSON
 report, the HTML is deterministic — no timestamps, no host details —
 so artifact bytes are comparable across CI runs of the same campaign.
 
@@ -26,8 +26,8 @@ import html
 import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.cdn.session import PHASES
 from repro.fleet.aggregate import CampaignAggregate
-from repro.obs.profiler import PHASES
 
 #: Categorical series slots (light, dark) in fixed assignment order —
 #: blue, orange, aqua, yellow.  Schemes take slots in sorted-name order;
@@ -254,9 +254,8 @@ def _phase_section(report: Mapping[str, object]) -> str:
         rows.append("<tr>" + "".join(cells) + "</tr>")
     if not rows:
         return (
-            '<p class="placeholder">No phase data — run the campaign '
-            "with <code>WIRA_TRACE=1</code> to decompose FFCT into "
-            "handshake / request / origin / transmit / stalls.</p>"
+            '<p class="placeholder">No phase data — no session reached its first '
+            "frame in the simulator (sessions measured over sockets carry none).</p>"
         )
     header = "".join(f"<th>{_esc(name)}</th>" for name in PHASES)
     return (

@@ -15,8 +15,8 @@ import hashlib
 import json
 from typing import Dict, Optional
 
+from repro.cdn.session import PHASES
 from repro.fleet.aggregate import CampaignAggregate, SchemeAggregate
-from repro.obs.profiler import PHASES
 
 #: Report percentiles, mirroring the paper's §VI tail emphasis.
 PERCENTILES = (50, 90, 99)
@@ -64,11 +64,9 @@ def _scheme_summary(agg: SchemeAggregate) -> Dict[str, object]:
 
 
 def _phase_summary(agg: SchemeAggregate) -> Optional[Dict[str, object]]:
-    """Mean seconds per FFCT phase (profiler decomposition).
-
-    ``None`` unless sessions ran under an active trace bus — the phase
-    breakdown is computed from trace events (``WIRA_TRACE=1``).
-    """
+    """Mean seconds per FFCT phase; ``None`` when no session carried a
+    breakdown (none reached its first frame, or all were measured over
+    sockets by :mod:`repro.serve`)."""
     if agg.phase_sessions == 0:
         return None
     return {

@@ -1,9 +1,11 @@
 """Opt-in structured trace bus (``WIRA_TRACE=1``).
 
 ``repro.obs`` instruments the transport, the paper's mechanisms and the
-client player with typed events, so a replay can answer *where* the
-first-frame milliseconds went — not just how many there were.  Enable it
-for any test or experiment run::
+client player with typed events, so a replay can show the packets behind
+a session's first-frame milliseconds.  The phase split itself needs no
+trace: every :class:`~repro.cdn.session.SessionResult` carries its
+``phase_breakdown``, and a traced session also records it as one
+``session:phases`` event.  Enable tracing for any test or experiment run::
 
     WIRA_TRACE=1 WIRA_TRACE_DIR=traces/ python -m repro.experiments.fig12
 
@@ -50,19 +52,11 @@ from repro.obs.events import (
     validate_record,
     validate_trace_lines,
 )
-from repro.obs.profiler import (
-    PHASES,
-    PhaseBreakdown,
-    profile_events,
-    profile_records,
-)
 
 __all__ = [
     "ACTIVE",
     "DEFAULT_RING_SIZE",
     "EVENT_NAMES",
-    "PHASES",
-    "PhaseBreakdown",
     "SCHEMA_VERSION",
     "TraceBus",
     "TraceEvent",
@@ -73,8 +67,6 @@ __all__ = [
     "encode_record",
     "env_requested",
     "env_trace_dir",
-    "profile_events",
-    "profile_records",
     "tracing",
     "validate_record",
     "validate_trace_lines",

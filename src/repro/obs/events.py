@@ -34,7 +34,8 @@ SCHEMA_VERSION = 1
 #: ``pacer:*``      — token-bucket pacing
 #: ``bbr:*``        — BBR state machine
 #: ``wira:*``       — the paper's mechanisms (parser, cookie, init)
-#: ``session:*``    — client/player milestones (FFCT endpoints)
+#: ``session:*``    — client/player milestones (FFCT endpoints) and the
+#:                    session's phase breakdown (``session:phases``)
 #: ``fault:*``      — injected faults and adverse-schedule transitions
 #: ``fleet:*``      — campaign-engine milestones (chunk lifecycle,
 #:                    telemetry snapshots, resume adoption)
@@ -81,6 +82,7 @@ EVENT_NAMES = frozenset(
         "session:video_frame",
         "session:first_frame",
         "session:done",
+        "session:phases",
     }
 )
 

@@ -8,16 +8,16 @@ Fig 11–15 replays, and a proportional timeline strip per scheme::
     Wira     |hhhh|oo|ttttttttt|                152.9ms
 
 Phases: h=handshake, r=request, o=origin, t=transmit, s=stalls (see
-:mod:`repro.obs.profiler`).
+:class:`repro.cdn.session.PhaseBreakdown`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.cdn.session import PHASES, PhaseBreakdown
 from repro.metrics.report import Table, format_ms
 from repro.metrics.stats import mean
-from repro.obs.profiler import PHASES, PhaseBreakdown
 
 #: One glyph per phase, in chronological order.
 PHASE_GLYPHS: Tuple[Tuple[str, str], ...] = (
@@ -79,7 +79,7 @@ def render_timeline(
     """Proportional ASCII strip per scheme, common time scale."""
     complete = {k: v for k, v in by_scheme.items() if v is not None}
     if not complete:
-        return "(no phase breakdowns — run with WIRA_TRACE=1)"
+        return "(no completed sessions)"
     scale_max = max(b.total for b in complete.values())
     if scale_max <= 0:
         return "(all breakdowns empty)"
@@ -150,24 +150,21 @@ def render_quantile_strips(
 def deployment_phase_table(
     records: Dict[object, Sequence[object]],
     title: str = "FFCT phase breakdown (mean per session)",
-) -> Optional[Table]:
-    """Phase table straight off ``DeploymentRecords``.
+) -> Tuple[Table, str]:
+    """Phase table and timeline strips straight off ``DeploymentRecords``.
 
-    Reads ``outcome.result.phase_breakdown`` per scheme — populated when
-    sessions ran under an active trace bus (``WIRA_TRACE=1``); returns
-    ``None`` when no session carries a breakdown, so figure benchmarks
-    can print it opportunistically.
+    Averages ``outcome.result.phase_breakdown`` per scheme; the table
+    attributes each scheme's saving to phases against the baseline when
+    the records hold one.
     """
     by_scheme: Dict[str, Optional[PhaseBreakdown]] = {}
     baseline_name: Optional[str] = None
     for scheme, outcomes in records.items():
         display = getattr(scheme, "display_name", str(scheme))
-        breakdowns = [
-            getattr(outcome.result, "phase_breakdown", None) for outcome in outcomes
-        ]
-        by_scheme[display] = mean_breakdown(breakdowns)
+        by_scheme[display] = mean_breakdown(
+            outcome.result.phase_breakdown for outcome in outcomes  # type: ignore[attr-defined]
+        )
         if getattr(scheme, "value", None) == "baseline":
             baseline_name = display
-    if all(v is None for v in by_scheme.values()):
-        return None
-    return phase_table(by_scheme, title=title, baseline=baseline_name)
+    table = phase_table(by_scheme, title=title, baseline=baseline_name)
+    return table, render_timeline(by_scheme)

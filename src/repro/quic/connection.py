@@ -191,6 +191,13 @@ class Connection:
         self._timer: Optional[Event] = None
         self._closed = False
 
+        # First-frame phase milestones (``repro.cdn.session.PhaseBreakdown``):
+        # when the first STREAM frame left, and the retransmit stalls, each
+        # opened by a loss declaration or a PTO and closed by the next send.
+        self.first_data_sent_at: Optional[float] = None
+        self.stalls: List[Tuple[float, float]] = []
+        self.stall_opened_at: Optional[float] = None
+
         # Handshake state.
         self.handshake_complete = False
         self._chlo_sent_at: Optional[float] = None
@@ -460,8 +467,8 @@ class Connection:
         try:
             fresh = stream.on_frame(frame.offset, frame.data, frame.fin)
         except ValueError:
-            # A FIN that contradicts the stream's earlier one: the frame
-            # is dropped before it touches the stream, and the endpoint
+            # A frame that contradicts the stream's final size: it is
+            # dropped before it touches the stream, and the endpoint
             # survives it like any garbage input (§IV-C).
             self.stats.undecodable_packets += 1
             self._trace_packet_dropped("bad_stream_frame", len(frame.data))
@@ -483,6 +490,8 @@ class Connection:
                 self.stats.data_packets_lost += 1
             self._requeue_frames(packet)
         self.cc.on_packets_lost(lost, self.loss_recovery.bytes_in_flight, now)
+        if self.stall_opened_at is None:
+            self.stall_opened_at = now
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now,
@@ -670,6 +679,11 @@ class Connection:
         stats.bytes_sent += size
         if stream_data:
             stats.data_packets_sent += 1
+            if self.first_data_sent_at is None:
+                self.first_data_sent_at = now
+        if self.stall_opened_at is not None:
+            self.stalls.append((self.stall_opened_at, now))
+            self.stall_opened_at = None
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now,
@@ -752,6 +766,8 @@ class Connection:
             return
         probes = self.loss_recovery.on_pto_fired(now)
         self.stats.pto_count = max(self.stats.pto_count, self.loss_recovery.pto_count)
+        if self.stall_opened_at is None:
+            self.stall_opened_at = now
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.emit(
                 now,

@@ -117,6 +117,7 @@ class RecvStream:
         self._segments: Dict[int, bytes] = {}
         self._delivered = 0  # contiguous prefix length handed to app
         self._fin_offset: Optional[int] = None
+        self._received_end = 0  # highest stream offset any frame reached
         self.bytes_received = 0
         self.duplicate_bytes = 0
 
@@ -134,12 +135,24 @@ class RecvStream:
         return sum(len(data) for data in self._segments.values())
 
     def on_frame(self, offset: int, data: bytes, fin: bool) -> bytes:
-        """Ingest a STREAM frame; returns newly contiguous bytes."""
+        """Ingest a STREAM frame; returns newly contiguous bytes.
+
+        A frame that contradicts the stream's final size (RFC 9000's
+        FINAL_SIZE_ERROR) raises ``ValueError`` before it touches the
+        stream: a FIN at another offset than an earlier FIN or below
+        bytes already received, or data ending past a known final size.
+        """
+        end = offset + len(data)
         if fin:
-            end = offset + len(data)
             if self._fin_offset is not None and self._fin_offset != end:
                 raise ValueError("conflicting FIN offsets")
+            if end < self._received_end:
+                raise ValueError("FIN below bytes already received")
             self._fin_offset = end
+        elif self._fin_offset is not None and end > self._fin_offset:
+            raise ValueError("data past the final size")
+        if end > self._received_end:
+            self._received_end = end
         if data:
             self.bytes_received += len(data)
             if offset == self._delivered and not self._segments:

@@ -74,13 +74,6 @@ LEGAL_BBR_TRANSITIONS = frozenset(
 #: after the frame parser completes (SS IV-C).
 MAX_INITIAL_OVERRIDES = 2
 
-#: Session-result fields a scheme holds as its own when it takes another
-#: scheme's session: its name, and the trace bus's breakdown (a traced
-#: session is never shared).  ``initial_params`` is compared on what the
-#: session acts on, without the two ``used_*`` labels.
-SHARED_SESSION_OWN_FIELDS = ("scheme", "phase_breakdown")
-
-
 def _acted_on(params: object) -> object:
     if params is None:
         return None
@@ -307,13 +300,16 @@ class TransportSanitizer:
 
         ``shared`` is the result the scheme would take and ``simulated``
         the one it got by running the session itself; ``*_after`` are
-        the cookie states each leaves behind.  Any difference means the
+        the cookie states each leaves behind.  Every result field but
+        ``scheme`` (the taker's own name) must match, the phase breakdown
+        included; ``initial_params`` is compared on what the session acts
+        on, without the two ``used_*`` labels.  Any difference means the
         replay's sharing rule matched a session it must not have.
         """
         self._count("shared_session")
         for field in dataclasses.fields(shared):  # type: ignore[arg-type]
             name = field.name
-            if name in SHARED_SESSION_OWN_FIELDS:
+            if name == "scheme":
                 continue
             theirs = getattr(shared, name)
             mine = getattr(simulated, name)

@@ -9,26 +9,19 @@ not a re-pin, unless the change is an intentional semantic one.
 
 Serialization notes: floats go through ``repr`` (exact round-trip), the
 payload through canonical JSON (sorted keys, no whitespace).
+
+The digests hold traced and untraced alike.  ``FLEET_DIGEST`` covers the
+chunk's per-phase FFCT accumulators, which every session fills; it is
+the digest the trace-event profiler that derived phases before gave
+under ``WIRA_TRACE=1``.
 """
 
 import hashlib
 import json
 
-import pytest
-
 from repro.core.schemes import BASELINE, STATIC_10, WIRA, WIRA_FF, WIRA_HX
 from repro.workload.population import DeploymentConfig
 
-
-@pytest.fixture(autouse=True)
-def _untraced(monkeypatch):
-    """The goldens pin the *untraced* replay: with the trace bus on,
-    the fleet chunk's phase-timing accumulators populate and its
-    payload legitimately differs."""
-    from repro import obs
-
-    monkeypatch.delenv("WIRA_TRACE", raising=False)
-    monkeypatch.setattr(obs, "ACTIVE", None)
 
 LEGACY_SCHEMES = (
     BASELINE,
@@ -39,7 +32,7 @@ LEGACY_SCHEMES = (
 )
 
 FIGURE_DIGEST = "0d1486921abb7378846d25b7c06c66a12e2e83d1721a89da3a79416b7c0ee91c"
-FLEET_DIGEST = "f9c435800cb89dab5d1ec0cb31d3d96a80bc7cd4c8429d431c4c02270e3d99c5"
+FLEET_DIGEST = "862588c94d11ef6bdb20f1ff9868bfa4abfa7f198b907b98ac937d706be33cf6"
 ROBUST_DIGEST = "43ec7f583a297b50b4f1d55cb3758ca67961b2d5c644ececb6a792d8fb6fa5af"
 
 

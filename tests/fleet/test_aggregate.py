@@ -29,7 +29,7 @@ def fake_outcome(rng):
         used_cookie=rng.random() < 0.5,
         ffct=rng.lognormvariate(-2.0, 0.6) if completed else None,
         fflr=rng.random() * 0.1 if completed else None,
-        phase_breakdown=None,  # populated only under WIRA_TRACE=1
+        phase_breakdown=None,  # phase folding is pinned through run_chunk
     )
     return planned, result
 

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.schemes import as_spec
 from repro.experiments import common
 from repro.fleet import (
@@ -141,6 +142,19 @@ class TestDeterminism:
             assert 0 < scheme["ffct"]["p50"] <= scheme["ffct"]["p99"]
         gain = report["ffct_improvement_over_baseline"]["wira"]
         assert gain is not None and "p50" in gain
+        for value in SCHEMES:
+            phases = report["schemes"][value]["phases"]
+            assert phases["sessions"] == report["schemes"][value]["ffct"]["count"]
+            assert phases["mean"]["transmit"] > 0
+
+    def test_traced_chunk_is_the_untraced_chunk(self, monkeypatch):
+        """The trace bus observes a chunk without changing a byte of it."""
+        config = small_config()
+        monkeypatch.setattr(obs, "ACTIVE", None)
+        untraced = canonical_json(run_chunk(config, 0))
+        with obs.tracing():
+            traced = canonical_json(run_chunk(config, 0))
+        assert traced == untraced
 
 
 class TestWorldBuiltOncePerChain:

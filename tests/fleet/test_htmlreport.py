@@ -85,15 +85,20 @@ class TestContent:
         p50 = report["schemes"]["baseline"]["ffct"]["p50"]
         assert f"{p50 * 1000:.1f}ms" in document
 
-    def test_phase_placeholder_without_trace(self, monkeypatch):
-        # Campaigns not run under WIRA_TRACE=1 carry no phase data; the
-        # report says so instead of rendering an empty table.  Pin the
-        # bus off so the test holds even when the suite runs traced.
+    def test_phase_table_untraced(self, monkeypatch):
+        # Every session carries its phase breakdown, so an untraced
+        # campaign renders the table with values; only a campaign in
+        # which no first frame arrived gets the placeholder.
         from repro import obs
 
         monkeypatch.setattr(obs, "ACTIVE", None)
-        document, _, _ = rendered()
-        assert "WIRA_TRACE=1" in document
+        document, report, aggregate = rendered()
+        mean = report["schemes"]["baseline"]["phases"]["mean"]["transmit"]
+        assert mean > 0 and f"{mean * 1000:.1f}ms" in document
+        assert "No phase data" not in document
+        for entry in report["schemes"].values():
+            entry["phases"] = None
+        assert "No phase data" in render_html_report(report, aggregate)
 
     def test_telemetry_section_optional(self):
         document, _, _ = rendered()

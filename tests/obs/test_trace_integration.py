@@ -1,13 +1,14 @@
 """End-to-end tracing: a real testbed session under an active bus.
 
 These tests exercise every hook family at once (transport, recovery,
-pacer, wira, session) and pin the profiler's defining identity — the
-phase breakdown sums back to the session's measured FFCT exactly.
+pacer, wira, session) and pin the phase breakdown's defining identity —
+it sums back to the session's measured FFCT exactly, traced or not.
 """
 
 import pytest
 
 from repro import obs, sanitize
+from repro.core.schemes import WIRA
 from repro.experiments import common
 from repro.obs.timeline import (
     deployment_phase_table,
@@ -51,10 +52,16 @@ class TestTracedSession:
         assert breakdown is not None
         assert breakdown.total == pytest.approx(result.ffct, abs=1e-12)
 
-    def test_untraced_session_has_no_breakdown(self):
+    def test_untraced_session_has_the_traced_breakdown(self):
         obs.disable()
         result = common.run_testbed_session(common.manual_params(66_000, 8_000_000.0))
-        assert result.completed and result.phase_breakdown is None
+        traced, bus = traced_session()
+        assert result.completed
+        assert result.phase_breakdown == traced.phase_breakdown
+        assert result.phase_breakdown.total == pytest.approx(result.ffct, abs=1e-12)
+        assert bus.counts["session:phases"] == 1
+        (event,) = [e for e in bus.ring if e[1] == "session:phases"]
+        assert event[3] == traced.phase_breakdown.as_dict()
 
     def test_jsonl_files_written_and_valid(self, tmp_path):
         _result, _bus = traced_session(tmp_path)
@@ -121,16 +128,19 @@ class TestTimelineRendering:
         assert "|" in rendered
 
     def test_render_timeline_without_breakdowns(self):
-        assert "WIRA_TRACE=1" in render_timeline({"Baseline": None})
+        assert render_timeline({"Baseline": None}) == "(no completed sessions)"
 
-    def test_deployment_phase_table_none_when_untraced(self):
+    def test_deployment_phase_table_untraced(self):
         obs.disable()
         from repro.experiments import runner
         from repro.workload.population import DeploymentConfig
 
         records = runner.run_deployment(
             DeploymentConfig(n_od_pairs=2, seed=3, video_frames_per_session=4),
-            (common.BASELINE,),
+            (common.BASELINE, WIRA),
             use_cache=False,
         )
-        assert deployment_phase_table(records) is None
+        table, timeline = deployment_phase_table(records)
+        rendered = table.render()
+        assert "vs Baseline" in rendered and "ms" in rendered
+        assert "t=transmit" in timeline and "(no breakdown)" not in timeline

@@ -234,3 +234,22 @@ def test_conflicting_fin_is_dropped_not_raised():
     assert dropped[0][3]["reason"] == "bad_stream_frame"
     # Both packets were received, so both are acknowledged.
     assert client.ack_manager.build_ack(loop.now).ranges == ((900, 901),)
+
+
+def test_data_past_the_fin_is_dropped_not_delivered():
+    """Data ending past a stream's known final size is dropped and
+    counted like a conflicting FIN: the application never sees a byte
+    past the FIN (RFC 9000 FINAL_SIZE_ERROR)."""
+    loop = EventLoop()
+    client = Connection(loop, Role.CLIENT, lambda datagram: True)
+    delivered = []
+    client.on_stream_data = lambda sid, data, fin: delivered.append((sid, data, fin))
+
+    def raw(pn, frame):
+        return Datagram(Packet(PacketType.ONE_RTT, client.connection_id, pn, (frame,)).encode())
+
+    client.datagram_received(raw(900, StreamFrame(8, 0, b"hello", fin=True)))
+    client.datagram_received(raw(901, StreamFrame(8, 3, b"lo world", fin=False)))
+    assert delivered == [(8, b"hello", True)]
+    assert client.stats.packets_received == 2
+    assert client.stats.undecodable_packets == 1

@@ -136,6 +136,36 @@ class TestRecvStream:
         with pytest.raises(ValueError):
             r.on_frame(0, b"abc", fin=True)
 
+    def test_data_past_final_size_rejected(self):
+        r = RecvStream(0)
+        assert r.on_frame(0, b"hello", fin=True) == b"hello"
+        with pytest.raises(ValueError):
+            r.on_frame(3, b"lo world", fin=False)
+        assert r.delivered_offset == 5
+        assert r.finished and r.buffered_bytes == 0
+
+    def test_data_past_final_size_rejected_before_delivery(self):
+        r = RecvStream(0)
+        r.on_frame(3, b"lo", fin=True)  # final size 5, nothing delivered yet
+        with pytest.raises(ValueError):
+            r.on_frame(0, b"hello!", fin=False)
+        assert r.on_frame(0, b"hel", fin=False) == b"hello"
+        assert r.finished
+
+    def test_fin_below_received_bytes_rejected(self):
+        r = RecvStream(0)
+        r.on_frame(4, b"world", fin=False)  # buffered behind a hole, ends at 9
+        with pytest.raises(ValueError):
+            r.on_frame(0, b"hell", fin=True)
+        assert not r.finished
+        assert r.on_frame(0, b"hell", fin=False) == b"hellworld"
+
+    def test_data_up_to_final_size_accepted(self):
+        r = RecvStream(0)
+        r.on_frame(2, b"cde", fin=True)
+        assert r.on_frame(0, b"abcde", fin=False) == b"abcde"
+        assert r.duplicate_bytes == 0 and r.finished
+
     def test_empty_fin_frame(self):
         r = RecvStream(0)
         r.on_frame(0, b"abc", fin=False)

@@ -7,8 +7,8 @@ job checks.
 """
 
 import json
+import queue
 import threading
-import time
 
 import pytest
 
@@ -22,6 +22,7 @@ from repro.fleet import (
 )
 from repro.fleet.telemetry import snapshot_path
 from repro.workload import DeploymentConfig
+from tools.wira_fleet import cli
 from tools.wira_fleet.cli import EXIT_FAILED, EXIT_OK, main
 
 SMALL = [
@@ -308,10 +309,16 @@ class TestTelemetry:
 
 
 class TestWriterRace:
-    def test_status_survives_concurrent_writer(self, tmp_path, capsys):
+    #: Parse attempts that find the checkpoint torn before the writer heals it.
+    TORN_ATTEMPTS = 3
+
+    def test_status_survives_concurrent_writer(self, tmp_path, capsys, monkeypatch):
         """``status`` must retry — never exit 2 or crash — while a
-        campaign (simulated by a non-atomic torn-then-valid writer) is
-        rewriting the checkpoint under it."""
+        campaign (simulated by a non-atomic writer on another thread) is
+        rewriting the checkpoint under it.  The writer is sequenced
+        against the reader's parse attempts, not the clock: it rewrites
+        the file before each attempt, torn for the first
+        ``TORN_ATTEMPTS`` and whole after that."""
         config = small_config()
         checkpoint = tmp_path / "cp.json"
         state = CheckpointState(
@@ -321,29 +328,39 @@ class TestWriterRace:
             chunks={0: run_chunk(config, 0)},
         )
         valid = json.dumps(state.to_json(), sort_keys=True)
-        checkpoint.write_text(valid[: len(valid) // 2])  # start torn
+        torn = valid[: len(valid) // 2]
+        checkpoint.write_text(torn)
 
-        stop = threading.Event()
+        turns = queue.Queue()  # reader → writer: the attempt about to parse
+        written = queue.Queue()  # writer → reader: the file is in its state
 
         def writer():
-            # Keep tearing and healing the file the way a hostile
-            # (non-atomic) writer would, ending on a valid state.
-            while not stop.is_set():
-                checkpoint.write_text(valid[: len(valid) // 2])
-                time.sleep(0.005)
-                checkpoint.write_text(valid)
-                time.sleep(0.005)
-            checkpoint.write_text(valid)
+            while True:
+                attempt = turns.get()
+                if attempt is None:
+                    return
+                checkpoint.write_text(torn if attempt <= self.TORN_ATTEMPTS else valid)
+                written.put(attempt)
 
+        parse = cli.load_checkpoint
+        attempts = []
+
+        def sequenced_parse(path):
+            attempts.append(path)
+            turns.put(len(attempts))
+            assert written.get(timeout=30) == len(attempts)
+            return parse(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", sequenced_parse)
         thread = threading.Thread(target=writer)
         thread.start()
         try:
             code = main(["status", "--checkpoint", str(checkpoint)])
         finally:
-            stop.set()
+            turns.put(None)
             thread.join()
-        # The retry loop must eventually read a complete state and
-        # report it — exit 2 (usage/IO crash) is the regression.
-        assert code in (EXIT_OK, EXIT_FAILED)
+        # The retry loop must read past the torn states and report the
+        # whole one — exit 2 (usage/IO crash) is the regression.
+        assert len(attempts) == self.TORN_ATTEMPTS + 1
         assert code == EXIT_OK
         assert "chunks:    1/2" in capsys.readouterr().out

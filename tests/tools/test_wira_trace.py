@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.cdn.session import PHASES
 from repro.experiments import common
 from tools.wira_trace.cli import (
     EXIT_ERROR,
@@ -136,7 +137,7 @@ class TestSummarize:
             sum(session["phases"].values()), abs=1e-9
         )
         assert report["sessions_profiled"] == 1
-        assert set(report["mean_phases"]) == set(obs.PHASES)
+        assert set(report["mean_phases"]) == set(PHASES)
 
     def test_no_files_exits_two(self, tmp_path, capsys):
         assert main(["summarize", str(tmp_path)]) == EXIT_ERROR
@@ -163,7 +164,7 @@ class TestDiff:
         assert main(["diff", str(a_dir), str(b_dir)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "delta (b-a)" in out
-        for phase in obs.PHASES:
+        for phase in PHASES:
             assert phase in out
 
     def test_missing_side_exits_two(self, trace_sets, capsys):

@@ -53,7 +53,6 @@ _FAILURE = (
 )
 _LONG = "runs only in sessions or campaigns longer than a smoke run"
 _SUBPROCESS = "runs in a shard subprocess, which the profiler does not see"
-_TRACED = "prints the figures' phase tables when benchmarks/ runs under WIRA_TRACE=1"
 _INTERFACE = "interface declaration: every implementation overrides it"
 _SWITCH = "public switch of a process-wide mode, the counterpart of the call that sets it"
 _VIEW = "read-only view the unit tests assert through instead of a private attribute"
@@ -103,8 +102,6 @@ KEPT: Dict[str, str] = {
         "the InitPolicy contract that a stateful policy's state is digestible"
     ),
     "repro.simnet.engine:Event.__repr__": "debugging aid",
-    "repro.obs.timeline:phase_table": _TRACED,
-    "repro.obs.timeline:render_timeline": _TRACED,
     # Switches of process-wide modes.
     "repro.obs:disable": _SWITCH,
     "repro.obs:enabled": _SWITCH,
@@ -139,7 +136,6 @@ KEPT: Dict[str, str] = {
     "repro.metrics.sketch:QuantileSketch": _API,
     "repro.metrics.sketch:StatAccumulator.total": _VIEW,
     "repro.metrics.stats:Cdf": _API,
-    "repro.obs.profiler:PhaseBreakdown.total": _VIEW,
     "repro.quic.ack_manager:AckManager.largest_received": _VIEW,
     "repro.quic.frames:HxQosFrame.metric": _VIEW,
     "repro.quic.pacer:Pacer.rate_bps": _VIEW,

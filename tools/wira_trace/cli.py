@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 validation defects found (``validate``),
 2 usage/IO errors (no trace files, unreadable input, bad arguments).
 
 The tool is stdlib-only: it imports the in-repo ``repro.obs`` schema and
-profiler (adding ``<repo>/src`` to ``sys.path`` when ``repro`` is not
-already importable) and nothing else.
+the phase names (adding ``<repo>/src`` to ``sys.path`` when ``repro`` is
+not already importable) and nothing else.  A session's phases are the
+``session:phases`` record the simulator wrote when the session ended.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def _ensure_repro_importable() -> None:
 
 _ensure_repro_importable()
 
+from repro.cdn.session import PHASES  # noqa: E402
 from repro.obs.events import decode_record, validate_trace_lines  # noqa: E402
-from repro.obs.profiler import PHASES, PhaseBreakdown, profile_records  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +84,28 @@ def summarize_session(label: str, paths: List[Path]) -> Dict[str, object]:
         records.extend(load_records(path))
     counts: Dict[str, int] = {}
     ffct: Optional[float] = None
+    phases: Optional[Dict[str, float]] = None
     for record in records:
         name = record.get("name")
         if not isinstance(name, str) or name == "trace:meta":
             continue
         counts[name] = counts.get(name, 0) + 1
+        data = record.get("data")
+        if not isinstance(data, dict):
+            continue
         if name == "session:first_frame" and ffct is None:
-            data = record.get("data")
-            if isinstance(data, dict) and isinstance(data.get("ffct"), (int, float)):
+            if isinstance(data.get("ffct"), (int, float)):
                 ffct = float(data["ffct"])  # type: ignore[arg-type]
-    breakdown = profile_records(records)
+        elif name == "session:phases" and phases is None:
+            if all(isinstance(data.get(phase), (int, float)) for phase in PHASES):
+                phases = {phase: float(data[phase]) for phase in PHASES}  # type: ignore[arg-type]
     return {
         "session": label,
         "files": [p.name for p in paths],
         "events": sum(counts.values()),
         "counts": {k: counts[k] for k in sorted(counts)},
         "ffct": ffct,
-        "phases": breakdown.as_dict() if breakdown is not None else None,
+        "phases": phases,
     }
 
 
