@@ -22,7 +22,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +30,33 @@ logger = logging.getLogger(__name__)
 #: v2: chunk aggregate payloads carry a per-scheme "phases" section
 #: (FFCT phase decomposition) that readers require.
 CHECKPOINT_FORMAT_VERSION = 2
+
+
+def canonical_json(payload: object) -> str:
+    """The one JSON encoding used for files, hashing and byte comparisons."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def compose_checkpoint(
+    key: str, config: Dict[str, object], n_chunks: int, chunk_texts: Mapping[int, str]
+) -> str:
+    """The canonical JSON text of a checkpoint, from its chunks' texts.
+
+    ``chunk_texts`` maps each completed chunk to its payload's
+    :func:`canonical_json`.  A campaign rewrites its checkpoint as chunks
+    complete, so it encodes each chunk once and composes the file from
+    those texts instead of re-encoding every completed chunk each time.
+    The result is ``canonical_json(state.to_json())`` byte for byte:
+    keys are in ``sort_keys`` order, chunk indices sorted as strings.
+    """
+    chunks = ",".join(
+        f'"{index}":{chunk_texts[index]}' for index in sorted(chunk_texts, key=str)
+    )
+    return (
+        f'{{"chunks":{{{chunks}}},"config":{canonical_json(config)},'
+        f'"format_version":{CHECKPOINT_FORMAT_VERSION},'
+        f'"key":{canonical_json(key)},"n_chunks":{n_chunks}}}'
+    )
 
 
 @dataclass
@@ -55,9 +82,14 @@ class CheckpointState:
             "chunks": {str(index): payload for index, payload in sorted(self.chunks.items())},
         }
 
+    def encode(self) -> str:
+        """``canonical_json(self.to_json())``, composed chunk by chunk."""
+        texts = {index: canonical_json(payload) for index, payload in self.chunks.items()}
+        return compose_checkpoint(self.key, self.config, self.n_chunks, texts)
 
-def atomic_write_json(path: Path, payload: object) -> bool:
-    """Atomically persist ``payload`` as canonical JSON at ``path``.
+
+def atomic_write_text(path: Path, text: str) -> bool:
+    """Atomically persist ``text`` at ``path``.
 
     The one durability primitive of the fleet layer — checkpoints and
     telemetry snapshots both go through it: ``tempfile`` in the target
@@ -71,7 +103,7 @@ def atomic_write_json(path: Path, payload: object) -> bool:
         fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+                fh.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -85,9 +117,14 @@ def atomic_write_json(path: Path, payload: object) -> bool:
     return True
 
 
+def atomic_write_json(path: Path, payload: object) -> bool:
+    """Atomically persist ``payload`` as :func:`canonical_json` at ``path``."""
+    return atomic_write_text(path, canonical_json(payload))
+
+
 def save_checkpoint(path: Path, state: CheckpointState) -> None:
     """Atomically persist ``state``; failures are logged, not raised."""
-    atomic_write_json(path, state.to_json())
+    atomic_write_text(path, state.encode())
 
 
 def load_checkpoint(path: Path) -> Optional[CheckpointState]:
@@ -139,6 +176,9 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointState",
     "atomic_write_json",
+    "atomic_write_text",
+    "canonical_json",
+    "compose_checkpoint",
     "load_checkpoint",
     "save_checkpoint",
 ]

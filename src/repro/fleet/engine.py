@@ -31,7 +31,12 @@ from repro import obs as _obs
 from repro.core.config import WiraConfig
 from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX, as_spec
 from repro.fleet.aggregate import CampaignAggregate, merge_chunks
-from repro.fleet.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
+from repro.fleet.checkpoint import (
+    atomic_write_text,
+    canonical_json,
+    compose_checkpoint,
+    load_checkpoint,
+)
 from repro.fleet.telemetry import TelemetrySnapshot, snapshot_path, write_snapshot
 from repro.metrics.sketch import DEFAULT_ALPHA
 from repro.runtime.fingerprint import source_fingerprint
@@ -212,6 +217,9 @@ class FleetCampaign:
         self.telemetry_dir = Path(telemetry_dir) if telemetry_dir else None
         self.key = config.key()
         self._chunks: Dict[int, Dict[str, object]] = {}
+        # Each completed chunk's canonical JSON, encoded once: every
+        # checkpoint is composed from these.
+        self._chunk_texts: Dict[int, str] = {}
         self._since_checkpoint = 0
         self._started: Optional[float] = None
 
@@ -242,6 +250,8 @@ class FleetCampaign:
                 f"campaign (config or code changed); refusing to resume"
             )
         self._chunks.update(state.chunks)
+        for chunk_index, payload in state.chunks.items():
+            self._chunk_texts[chunk_index] = canonical_json(payload)
         _trace(
             "fleet:resume_adopted",
             {"chunks": len(state.chunks), "n_chunks": state.n_chunks},
@@ -268,6 +278,8 @@ class FleetCampaign:
 
     def _complete(self, chunk_index: int, payload: Dict[str, object]) -> None:
         self._chunks[chunk_index] = payload
+        if self.checkpoint_path is not None:
+            self._chunk_texts[chunk_index] = canonical_json(payload)
         self._since_checkpoint += 1
         _trace("fleet:chunk_complete", {"chunk": chunk_index})
         self._write_snapshot(chunk_index, payload)
@@ -280,13 +292,10 @@ class FleetCampaign:
             return
         if not force and self._since_checkpoint < self.config.checkpoint_every:
             return
-        state = CheckpointState(
-            key=self.key,
-            config=self.config.to_json(),
-            n_chunks=self.config.n_chunks,
-            chunks=dict(self._chunks),
+        text = compose_checkpoint(
+            self.key, self.config.to_json(), self.config.n_chunks, self._chunk_texts
         )
-        save_checkpoint(self.checkpoint_path, state)
+        atomic_write_text(self.checkpoint_path, text)
         self._since_checkpoint = 0
 
     # -- telemetry ---------------------------------------------------------

@@ -12,19 +12,14 @@ fleet smoke job, all compare exactly this hash.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, Optional
 
 from repro.cdn.session import PHASES
 from repro.fleet.aggregate import CampaignAggregate, SchemeAggregate
+from repro.fleet.checkpoint import canonical_json
 
 #: Report percentiles, mirroring the paper's §VI tail emphasis.
 PERCENTILES = (50, 90, 99)
-
-
-def canonical_json(payload: object) -> str:
-    """The one JSON encoding used for hashing and byte comparisons."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def report_hash(report: Dict[str, object]) -> str:

@@ -25,7 +25,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.media.amf import decode_on_metadata, encode_on_metadata
+from repro.media.amf import encode_on_metadata
 from repro.media.frames import MediaFrame, MediaFrameType
 
 FLV_SIGNATURE = b"FLV"
@@ -46,6 +46,7 @@ _VIDEO_FRAME_TO_NIBBLE = {
 _NIBBLE_TO_VIDEO_FRAME = {v: k for k, v in _VIDEO_FRAME_TO_NIBBLE.items()}
 _CODEC_AVC = 7
 _AUDIO_HEADER_AAC = 0xAF
+_TAG_WORDS = struct.Struct(">II")
 
 
 class FlvError(ValueError):
@@ -151,61 +152,66 @@ class FlvDemuxer:
     Feed arbitrary byte slices as they arrive off the transport; parsed
     tags come back as soon as they are complete.  This is the client's
     tool for timing per-frame completion (FFCT, Fig 11; follow-up
-    frames, Fig 15).
+    frames, Fig 15).  A script tag comes back as its AMF bytes, not
+    decoded: nothing on the receive path reads ``onMetaData``, and
+    :func:`repro.media.amf.decode_on_metadata` parses it on demand.
     """
 
     def __init__(self, expect_header: bool = True) -> None:
         self._buffer = bytearray()
         self._header_parsed = not expect_header
         self.tags_parsed = 0
-        self.metadata: Optional[Dict[str, Any]] = None
+        # Bytes the buffer must hold before the tag whose header has
+        # been read can complete (0 until a header is read): a large tag
+        # arrives over many feeds, and each only has to check a length.
+        self._awaiting = 0
 
     def feed(self, data: bytes) -> List[FlvTag]:
         """Ingest bytes; returns all tags completed by this chunk."""
-        self._buffer += data
+        buffer = self._buffer
+        buffer += data
         tags: List[FlvTag] = []
+        if len(buffer) < self._awaiting:
+            return tags
         if not self._header_parsed:
-            if len(self._buffer) < FLV_HEADER_LEN + PREVIOUS_TAG_SIZE_LEN:
+            if len(buffer) < FLV_HEADER_LEN + PREVIOUS_TAG_SIZE_LEN:
                 return tags
-            if self._buffer[:3] != FLV_SIGNATURE:
+            if buffer[:3] != FLV_SIGNATURE:
                 raise FlvError("missing FLV signature")
-            data_offset = struct.unpack_from(">I", self._buffer, 5)[0]
+            data_offset = struct.unpack_from(">I", buffer, 5)[0]
             if data_offset < FLV_HEADER_LEN:
                 raise FlvError("implausible data offset")
-            del self._buffer[: data_offset + PREVIOUS_TAG_SIZE_LEN]
+            del buffer[: data_offset + PREVIOUS_TAG_SIZE_LEN]
             self._header_parsed = True
         while True:
             tag = self._try_parse_tag()
             if tag is None:
                 break
-            if tag.tag_type == TAG_SCRIPT and self.metadata is None:
-                try:
-                    self.metadata = decode_on_metadata(tag.data)
-                except Exception:  # noqa: BLE001 - tolerate foreign script tags
-                    self.metadata = None
             tags.append(tag)
             self.tags_parsed += 1
         return tags
 
     def _try_parse_tag(self) -> Optional[FlvTag]:
-        if len(self._buffer) < TAG_HEADER_LEN:
+        buffer = self._buffer
+        if len(buffer) < TAG_HEADER_LEN:
             return None
-        tag_type = self._buffer[0]
+        # TagType(8) DataSize(24) | Timestamp(24) TimestampExt(8)
+        type_and_size, stamp = _TAG_WORDS.unpack_from(buffer)
+        tag_type = type_and_size >> 24
         if tag_type not in (TAG_AUDIO, TAG_VIDEO, TAG_SCRIPT):
             raise FlvError(f"invalid tag type {tag_type}")
-        size = int.from_bytes(self._buffer[1:4], "big")
-        total = TAG_HEADER_LEN + size + PREVIOUS_TAG_SIZE_LEN
-        if len(self._buffer) < total:
+        end = TAG_HEADER_LEN + (type_and_size & 0xFFFFFF)
+        total = end + PREVIOUS_TAG_SIZE_LEN
+        if len(buffer) < total:
+            self._awaiting = total
             return None
-        timestamp = int.from_bytes(self._buffer[4:7], "big") | (self._buffer[7] << 24)
-        body = bytes(self._buffer[TAG_HEADER_LEN : TAG_HEADER_LEN + size])
-        prev_size = struct.unpack_from(">I", self._buffer, TAG_HEADER_LEN + size)[0]
-        if prev_size != TAG_HEADER_LEN + size:
-            raise FlvError(
-                f"PreviousTagSize mismatch: {prev_size} != {TAG_HEADER_LEN + size}"
-            )
-        del self._buffer[:total]
-        return FlvTag(tag_type, timestamp, body)
+        self._awaiting = 0
+        prev_size = struct.unpack_from(">I", buffer, end)[0]
+        if prev_size != end:
+            raise FlvError(f"PreviousTagSize mismatch: {prev_size} != {end}")
+        body = bytes(buffer[TAG_HEADER_LEN:end])
+        del buffer[:total]
+        return FlvTag(tag_type, (stamp >> 8) | ((stamp & 0xFF) << 24), body)
 
 
 def demux(data: bytes, expect_header: bool = True) -> List[FlvTag]:

@@ -25,6 +25,34 @@ from typing import Dict, Iterator, List, Optional
 from repro.media.amf import encode_on_metadata
 from repro.media.frames import Gop, MediaFrame, MediaFrameType
 
+# The draw kernel.  Every complexity and jitter value is, by definition,
+# ``random.Random(key).gauss(0.0, sigma)`` for a string ``key``.  A
+# fresh ``Random`` per draw costs an object, the Python-level ``seed``
+# and ``gauss`` on top of the C seeding; this does the same arithmetic
+# on one reused generator instead.  Bit-exact by construction:
+# ``Random.seed(str)`` (version 2) hands the C base class the integer
+# ``int.from_bytes(key + sha512(key))``, and ``gauss`` draws two
+# uniforms into Box–Muller with its cosine branch.  The same ``_sha512``
+# ``random`` uses; tests/media/test_source.py holds this to the
+# reference on random keys.  ``_MT``'s own seed never matters: every
+# draw reseeds it first, so no draw sees another's state.  A draw is not
+# atomic across threads; the simulator draws on one thread per process.
+_MT = random.Random(0)  # wira-lint: disable=WL002
+_mt_seed = super(random.Random, _MT).seed  # the C seeding, under Random.seed
+_mt_random = _MT.random
+_sha512 = random._sha512  # type: ignore[attr-defined]
+_TWOPI = 2.0 * math.pi
+_cos, _log, _sqrt = math.cos, math.log, math.sqrt
+
+
+def _gauss(key: str, sigma: float) -> float:
+    """``random.Random(key).gauss(0.0, sigma)``, bit for bit."""
+    data = key.encode()
+    _mt_seed(int.from_bytes(data + _sha512(data).digest(), "big"))
+    x2pi = _mt_random() * _TWOPI
+    g2rad = _sqrt(-2.0 * _log(1.0 - _mt_random()))
+    return 0.0 + _cos(x2pi) * g2rad * sigma
+
 
 @dataclass(frozen=True)
 class StreamProfile:
@@ -72,6 +100,8 @@ class LiveSource:
         # of the bytes on a walk thousands of GOPs long).
         self._complexity_cache = array("d")
         self._jitter_cache: Dict[int, List[float]] = {}
+        # Every draw is keyed by a string that starts with the seed.
+        self._key_prefix = f"{profile.seed}:"
         self._metadata_payload = encode_on_metadata(self._metadata())
         self._video_types = self._video_pattern()
 
@@ -100,19 +130,22 @@ class LiveSource:
         """Complexity multiplier for GOP ``gop_index`` (mean ≈ 1)."""
         if gop_index < 0:
             raise ValueError("gop index must be non-negative")
-        while len(self._complexity_cache) <= gop_index:
-            # String seeds hash via sha512 inside random.seed(), which is
-            # stable across processes (unlike hash() of tuples/strings).
-            rng = random.Random(f"{self.profile.seed}:{len(self._complexity_cache)}:cx")
-            if not self._complexity_cache:
-                log_c = rng.gauss(0.0, self._stationary_sigma())
-            else:
-                log_prev = math.log(self._complexity_cache[-1])
-                log_c = self.profile.complexity_rho * log_prev + rng.gauss(
-                    0.0, self.profile.complexity_sigma
-                )
-            self._complexity_cache.append(math.exp(log_c))
-        return self._complexity_cache[gop_index]
+        cache = self._complexity_cache
+        walked = len(cache)
+        if walked <= gop_index:
+            p = self.profile
+            rho, sigma = p.complexity_rho, p.complexity_sigma
+            prefix = self._key_prefix
+            if not walked:
+                cache.append(math.exp(_gauss(f"{prefix}0:cx", self._stationary_sigma())))
+                walked = 1
+            log_prev = math.log(cache[-1])
+            for k in range(walked, gop_index + 1):
+                log_c = rho * log_prev + _gauss(f"{prefix}{k}:cx", sigma)
+                c = math.exp(log_c)
+                cache.append(c)
+                log_prev = math.log(c)
+        return cache[gop_index]
 
     def _stationary_sigma(self) -> float:
         rho = self.profile.complexity_rho
@@ -144,14 +177,14 @@ class LiveSource:
         }
 
     def _jitter(self, gop_index: int, frame_index: int) -> float:
-        # String-seeding runs sha512 per Random; GOPs are re-requested by
-        # every viewer of the stream, so memoise per (gop, frame).
+        # GOPs are re-requested by every viewer of the stream, so memoise
+        # per (gop, frame).
         per_gop = self._jitter_cache.get(gop_index)
         if per_gop is None:
             per_gop = self._jitter_cache[gop_index] = []
         while len(per_gop) <= frame_index:
-            rng = random.Random(f"{self.profile.seed}:{gop_index}:{len(per_gop)}:jit")
-            per_gop.append(math.exp(rng.gauss(0.0, self.profile.size_jitter)))
+            key = f"{self._key_prefix}{gop_index}:{len(per_gop)}:jit"
+            per_gop.append(math.exp(_gauss(key, self.profile.size_jitter)))
         return per_gop[frame_index]
 
     # ------------------------------------------------------------------

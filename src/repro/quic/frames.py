@@ -102,13 +102,17 @@ class PingFrame:
         return 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AckFrame:
     """ACK with ranges, RFC 9000 §19.3.
 
     ``ranges`` lists acknowledged packet-number intervals as inclusive
     ``(low, high)`` pairs sorted descending by ``high``; the first range
     must contain ``largest_acked``.
+
+    A value object like every frame, never mutated once built, but not
+    ``frozen``: one is built per ACK sent, and a frozen dataclass pays
+    ``object.__setattr__`` per field (see :class:`repro.quic.packet.Packet`).
     """
 
     ACK_ELICITING: ClassVar[bool] = False
@@ -193,8 +197,10 @@ class CryptoFrame:
         return 1 + varint_size(self.offset) + varint_size(length) + length
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StreamFrame:
+    """A STREAM frame: a value object, not ``frozen`` (see :class:`AckFrame`)."""
+
     ACK_ELICITING: ClassVar[bool] = True
 
     stream_id: int

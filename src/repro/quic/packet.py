@@ -64,9 +64,17 @@ _HEADER_FLAGS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Packet:
-    """A parsed or to-be-encoded transport packet."""
+    """A parsed or to-be-encoded transport packet.
+
+    A value object: nothing mutates a packet once it is built, and
+    equality is field-wise (the sanitizer compares a sender's packet
+    with the parse of its bytes).  It is not ``frozen`` because one is
+    built per packet sent, and a frozen dataclass's ``__init__`` stores
+    each field through ``object.__setattr__``, about four times the cost
+    of a plain slotted one.  Nothing hashes it.
+    """
 
     packet_type: PacketType
     connection_id: bytes

@@ -27,6 +27,7 @@ from repro.fleet import (
     run_chunk,
     save_checkpoint,
 )
+from repro.media import source
 from repro.workload import DeploymentConfig, FleetPopulation
 
 SCHEMES = ("baseline", "wira")
@@ -158,10 +159,12 @@ class TestDeterminism:
 
 
 class TestWorldBuiltOncePerChain:
-    """Exact-count guard on cross-scheme sharing.  ``Random.seed`` calls
-    repeat exactly (wall time on a shared host does not), and the live
-    source's complexity walk — one string-seeded ``Random`` per GOP up
-    to the join epoch — is most of them."""
+    """Exact-count guard on cross-scheme sharing.  Draw counts repeat
+    exactly (wall time on a shared host does not), and the live source's
+    complexity walk (one draw per GOP up to the join epoch) is most of
+    them.  Every complexity and jitter value is a ``source._gauss``
+    draw; the other seeded ``Random``s (a session's child generators)
+    are counted at ``random.Random.seed``."""
 
     #: One pinned chunk: 4 chains, 2 schemes, 38 sessions.
     CONFIG = FleetConfig(
@@ -171,31 +174,37 @@ class TestWorldBuiltOncePerChain:
     )
 
     @staticmethod
-    def seed_calls(monkeypatch, config):
-        calls = [0]
-        seed = random.Random.seed
+    def draws(monkeypatch, config):
+        """``(walk draws, jitter draws, other seeds)`` of chunk 0, and its sessions."""
+        counts = {"cx": 0, "jit": 0, "seed": 0}
+        gauss, seed = source._gauss, random.Random.seed
+
+        def counting_gauss(key, sigma):
+            counts[key.rsplit(":", 1)[1]] += 1
+            return gauss(key, sigma)
 
         def counting_seed(self, *args, **kwargs):
-            calls[0] += 1
+            counts["seed"] += 1
             return seed(self, *args, **kwargs)
 
         with monkeypatch.context() as patch:
+            patch.setattr(source, "_gauss", counting_gauss)
             patch.setattr(random.Random, "seed", counting_seed)
             payload = run_chunk(config, 0)
         sessions = sum(int(s["sessions"]) for s in payload["schemes"].values())
-        return calls[0], sessions
+        return (counts["cx"], counts["jit"], counts["seed"]), sessions
 
-    def test_seed_calls_of_pinned_chunk(self, monkeypatch):
-        together, sessions = self.seed_calls(monkeypatch, self.CONFIG)
+    def test_draws_of_pinned_chunk(self, monkeypatch):
+        together, sessions = self.draws(monkeypatch, self.CONFIG)
         alone = [
-            self.seed_calls(monkeypatch, self.CONFIG.with_(schemes=(value,)))[0]
+            self.draws(monkeypatch, self.CONFIG.with_(schemes=(value,)))[0]
             for value in SCHEMES
         ]
         assert sessions == 38
-        assert (together, alone) == (7589, [7471, 7471])
-        # The second scheme re-walks nothing: it adds only its own
-        # sessions' seeds (a world per scheme would read 2 x 7471).
-        assert together - alone[0] < alone[0] // 10
+        assert (together, alone) == ((7231, 114, 244), [(7231, 114, 126)] * 2)
+        # The second scheme walks and jitters nothing again: it adds only
+        # its own sessions' seeds (a world per scheme would draw 2 x 7231).
+        assert together[:2] == alone[0][:2]
 
 
 class TestCheckpointResume:
@@ -237,6 +246,38 @@ class TestCheckpointResume:
             uninterrupted.to_json()
         )
         assert seen[0] == (1, 3)  # resumed from the checkpointed chunk
+
+    def test_composed_checkpoint_is_the_canonical_encoding(self, tmp_path):
+        """The engine composes its checkpoint from per-chunk texts; with
+        12 chunks the indices sort as strings ("10" < "2"), and fresh,
+        resumed and ``save_checkpoint`` files all equal the one-shot
+        canonical encoding byte for byte."""
+        config = small_config(
+            population=DeploymentConfig(n_od_pairs=12, seed=3, video_frames_per_session=1),
+            schemes=("baseline",),
+            chunk_chains=1,
+        )
+        assert config.n_chunks == 12
+        fresh = tmp_path / "fresh.json"
+        run_campaign(config, checkpoint_path=fresh, jobs=1)
+        state = load_checkpoint(fresh)
+        assert state is not None and state.complete
+        expected = json.dumps(state.to_json(), sort_keys=True, separators=(",", ":"))
+        assert fresh.read_text(encoding="utf-8") == expected
+        assert state.encode() == expected
+
+        resumed = tmp_path / "resumed.json"
+        save_checkpoint(
+            resumed,
+            CheckpointState(
+                key=state.key,
+                config=state.config,
+                n_chunks=state.n_chunks,
+                chunks={i: state.chunks[i] for i in (0, 2, 10)},
+            ),
+        )
+        run_campaign(config, checkpoint_path=resumed, jobs=1, resume=True)
+        assert resumed.read_text(encoding="utf-8") == expected
 
     def test_resume_requires_checkpoint(self, tmp_path):
         config = small_config()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.media.amf import decode_on_metadata
 from repro.media.flv import (
     FLV_HEADER_LEN,
     FlvDemuxer,
@@ -74,10 +75,12 @@ def test_extended_timestamp():
     assert tag.timestamp_ms == 0x1234567
 
 
-def test_metadata_surfaces_on_demuxer():
-    demuxer = FlvDemuxer()
-    demuxer.feed(mux(sample_frames()))
-    assert demuxer.metadata == {"width": 1280.0, "framerate": 25.0}
+def test_metadata_decodes_from_the_script_tag():
+    # The demuxer hands the script tag back undecoded; whoever wants
+    # onMetaData decodes that tag's body.
+    tags = FlvDemuxer().feed(mux(sample_frames()))
+    assert tags[0].tag_type == TAG_SCRIPT
+    assert decode_on_metadata(tags[0].data) == {"width": 1280.0, "framerate": 25.0}
 
 
 def test_incremental_byte_at_a_time():

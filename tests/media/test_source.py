@@ -1,5 +1,8 @@
 """Tests for the live encoder model."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,3 +178,50 @@ def test_shared_source_serves_any_visit_order_identically(profile, visits):
 def test_truncated_gop_needs_a_video_frame():
     with pytest.raises(ValueError):
         LiveSource(StreamProfile(seed=1)).gop(0, max_video_frames=0)
+
+
+def reference_walk(profile, n_gops):
+    """The complexity walk as first written: one string-seeded
+    ``random.Random`` and its ``gauss`` per GOP."""
+    rho, sigma = profile.complexity_rho, profile.complexity_sigma
+    walk = []
+    for k in range(n_gops):
+        rng = random.Random(f"{profile.seed}:{k}:cx")
+        if not walk:
+            log_c = rng.gauss(0.0, sigma / math.sqrt(max(1e-9, 1.0 - rho * rho)))
+        else:
+            log_c = rho * math.log(walk[-1]) + rng.gauss(0.0, sigma)
+        walk.append(math.exp(log_c))
+    return walk
+
+
+def reference_jitter(profile, gop_index, frame_index):
+    rng = random.Random(f"{profile.seed}:{gop_index}:{frame_index}:jit")
+    return math.exp(rng.gauss(0.0, profile.size_jitter))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**31), st.integers(-(2**70), 2**70)),
+    rho=st.floats(0.0, 0.999),
+    sigma=st.floats(0.0, 2.0),
+    size_jitter=st.floats(0.0, 1.0),
+    steps=st.lists(st.integers(0, 120), min_size=1, max_size=4),
+    frames=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 60)), max_size=6),
+)
+def test_draw_kernel_equals_random_gauss(seed, rho, sigma, size_jitter, steps, frames):
+    """The reused-generator kernel draws exactly what a fresh
+    ``random.Random(key).gauss`` does: a walk extended in any steps and
+    any jitter index agree bit for bit with the reference.  A CPython
+    change to string seeding or to ``gauss`` fails here."""
+    profile = StreamProfile(
+        complexity_rho=rho, complexity_sigma=sigma, size_jitter=size_jitter, seed=seed
+    )
+    source = LiveSource(profile)
+    for gop_index in steps:
+        source._complexity(gop_index)
+    assert list(source._complexity_cache) == reference_walk(profile, max(steps) + 1)
+    for gop_index, frame_index in frames:
+        assert source._jitter(gop_index, frame_index) == reference_jitter(
+            profile, gop_index, frame_index
+        )

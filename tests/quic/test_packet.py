@@ -77,3 +77,28 @@ def test_ack_eliciting_classification():
 def test_packet_round_trip_property(packet_number, cid, data):
     packet = Packet(PacketType.ONE_RTT, cid, packet_number, (StreamFrame(4, 9, data),))
     assert Packet.decode(packet.encode()) == packet
+
+
+def test_per_packet_values_are_slotted_validated_and_compared_by_field():
+    """Packet, StreamFrame and AckFrame are built once per packet sent:
+    slotted (no instance ``__dict__``), validated on construction, and
+    equal exactly when their fields are (the sanitizer compares a sent
+    packet with the parse of its bytes this way)."""
+    ack = AckFrame(9, 25, ((7, 9), (1, 4)))
+    stream = StreamFrame(4, 100, b"payload", fin=True)
+    packet = Packet(PacketType.ONE_RTT, CID, 3, (stream, ack))
+    for value in (ack, stream, packet):
+        assert not hasattr(value, "__dict__")
+        assert "__slots__" in type(value).__dict__
+    assert packet == Packet(
+        PacketType.ONE_RTT, CID, 3, (StreamFrame(4, 100, b"payload", True), ack)
+    )
+    assert packet != Packet(PacketType.ONE_RTT, CID, 3, (stream, AckFrame(9, 25, ((7, 9),))))
+    assert stream != StreamFrame(4, 100, b"payload")
+    assert Packet.decode(packet.encode()) == packet
+    with pytest.raises(ValueError):
+        Packet(PacketType.ONE_RTT, CID[:7], 3, ())
+    with pytest.raises(ValueError):
+        Packet(PacketType.ONE_RTT, CID, -1, ())
+    with pytest.raises(ValueError):
+        AckFrame(9, 0, ((1, 8),))
