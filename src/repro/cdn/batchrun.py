@@ -9,8 +9,8 @@ session driver is deleted.
 ``getattr`` on a fixed list of ``(module, name)`` pairs, and
 ``("repro.cdn.batchrun", "BatchEventLoop")`` is one of them; only a
 ``benchmark`` PR may edit ``bench/``.  This re-export keeps that lookup
-resolving until ROADMAP item 1(a) drops the pair, at which point this
-file goes too.
+resolving until a change to the benchmark drops the pair, at which
+point this file goes too.
 """
 
 from repro.simnet.batch import BatchEventLoop

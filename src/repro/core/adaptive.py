@@ -1,4 +1,4 @@
-"""Online per-OD adaptive initializer (ROADMAP item 3).
+"""Online per-OD adaptive initializer: a frontier scheme beyond Table I.
 
 The Table I schemes are *static*: Wira(Hx) trusts whatever MaxBW/MinRTT
 the last session's cookie recorded, which overshoots the moment the

@@ -287,7 +287,7 @@ def _register_builtins() -> None:
     register(SchemeDef("wira_hx", "Wira(Hx)", _table1_factory, headline=True))
     register(SchemeDef("wira", "Wira", _table1_factory, headline=True))
     register(SchemeDef("static_10", "init_cwnd=10", _table1_factory))
-    # -- frontier schemes (ROADMAP item 3) --------------------------------
+    # -- frontier schemes, beyond the paper's Table I ----------------------
     register(SchemeDef("adaptive", "Adaptive(OD)", _adaptive_factory))
     register(SchemeDef("wira_bbr2", "Wira+BBRv2", _wira_bbr2_factory))
     register(SchemeDef("wira_ar", "Wira+AutoRec", _wira_ar_factory))

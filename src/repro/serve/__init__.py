@@ -2,11 +2,11 @@
 
 Everything below this package is **wall-clock territory**: sessions are
 driven by ``asyncio`` against real sockets, so timings carry OS jitter
-and nothing here is replay-deterministic.  That is the point — ROADMAP
-item 2 asks for the sim-to-socket loop to be closed by measuring the
-*same* wire format (varint headers, HQST tags, sealed Hx_QoS cookies,
-the :mod:`repro.quic` codecs — no fork) through real I/O and comparing
-the FFCT distributions against the simulator's.
+and nothing here is replay-deterministic.  That is the point: the
+sim-to-socket loop is closed by measuring the *same* wire format
+(varint headers, HQST tags, sealed Hx_QoS cookies, the
+:mod:`repro.quic` codecs — no fork) through real I/O and comparing the
+FFCT distributions against the simulator's.
 
 Layout:
 
@@ -17,7 +17,8 @@ Layout:
 * :mod:`repro.serve.store` — capacity-bounded, TTL-evicting keyed
   stores; the sharded store that survives reshards with bounded key
   movement.
-* :mod:`repro.serve.transport` — thin asyncio UDP endpoint helpers.
+* :mod:`repro.serve.transport` — the UDP endpoint: a non-blocking
+  socket on the loop's reader, batched reads, direct sends.
 * :mod:`repro.serve.shard` — the proxy-shard worker process: terminates
   CHLOs, runs the simulator as its timing oracle, replays the delivery
   timeline over the socket, pushes sealed cookies.
@@ -27,6 +28,15 @@ Layout:
   wall-clock FFCT, cookie echo from a bounded client store.
 * :mod:`repro.serve.loadtest` — campaign orchestration, the
   sim-vs-socket comparison, JSON/HTML reporting.
+
+The datagram path pays per datagram only for the datagram: one
+``recvfrom`` per datagram in a batch per readiness callback, one header
+parse, one handler call.  The router forwards on the envelope header
+and the connection id at its fixed offset, never the payload; the shard
+replays each timeline as a chain of loop timers; the driver stamps the
+flow and wakes its session only when the flow turns terminal or its one
+stall timer fires.  No task, future or timer is made per datagram
+received.
 """
 
 from repro.serve.ring import HashRing

@@ -15,8 +15,18 @@ sessions cost one file descriptor, not 10k.  Per session it
    all chains, and
 5. reassembles the stream with the simulator's own
    :class:`~repro.quic.stream.RecvStream` and repairs datagram gaps with
-   ``RESEND`` requests, so loopback drops never silently truncate a
-   distribution.
+   ``RESEND`` requests — on a stall with bytes buffered past a gap, or
+   one past the timeline's end with bytes or a pushed cookie still
+   missing — so loopback drops never silently truncate a distribution.
+
+The receive path runs in the endpoint's read callback: each datagram is
+parsed once and applied to its flow (bytes, frames, cookies,
+``last_arrival``), and nothing else happens unless the flow turns
+terminal, which resolves the flow's one ``wake`` future.  The session
+coroutine awaits that future; its stall timer fires
+:data:`REPAIR_DELAY` after the last arrival (re-armed lazily from the
+stamp when it fires early) and runs the GET-resend, repair and deadline
+rules.
 
 The outcome is a real :class:`~repro.cdn.session.SessionResult`, so
 fleet aggregates, reports and the HTML renderer consume socket sessions
@@ -43,14 +53,15 @@ from repro.quic.packet import Packet, PacketType
 from repro.quic.stream import RecvStream
 from repro.serve import protocol
 from repro.serve.transport import Address, UdpEndpoint, open_endpoint
-from repro.serve.wire import EnvelopeError, EnvelopeKind, decode_envelope, encode_envelope
+from repro.serve.wire import EnvelopeKind, encode_envelope, parse_header
 from repro.workload.population import PlannedSession
 
 #: Resend cadence for the unreliable handshake/request datagrams.
 HANDSHAKE_RETRY = 0.6
 HANDSHAKE_ATTEMPTS = 8
 
-#: Gap-repair probe: fired when received data stalls with a known gap.
+#: A flow with no datagram for this long has stalled: the stall may
+#: resend the GET or ask for a repair.
 REPAIR_DELAY = 0.15
 REPAIR_ATTEMPTS = 40
 
@@ -87,8 +98,15 @@ class _Flow:
     frame_times: List[float] = field(default_factory=list)
     bytes_received: int = 0
     cookies: List[HxQosFrame] = field(default_factory=list)
-    progress: Optional[asyncio.Event] = None
     anchor: float = 0.0
+    #: Loop time of the flow's latest 1-RTT datagram.
+    last_arrival: float = 0.0
+    #: What the measured phase waits for; set when it starts.
+    summary: Optional[protocol.ShloSummary] = None
+    #: Resolved when the flow turns terminal or stalls (see
+    #: :meth:`ServeDriver._until_stall`).
+    wake: "Optional[asyncio.Future[None]]" = None
+    stall_timer: Optional[asyncio.TimerHandle] = None
 
 
 class ServeDriver:
@@ -124,10 +142,10 @@ class ServeDriver:
 
     def _on_datagram(self, data: bytes, addr: Address) -> None:
         try:
-            envelope = decode_envelope(data)
-            if envelope.kind != EnvelopeKind.DATA:
+            kind, _, payload_start = parse_header(data)
+            if kind != EnvelopeKind.DATA:
                 return
-            packet = protocol.parse_data_payload(envelope.payload)
+            packet = protocol.parse_data_payload(data[payload_start:])
         except ValueError:
             # Same drop-and-count discipline as the simulator's
             # corrupted-datagram path: malformed input never crashes the
@@ -154,10 +172,11 @@ class ServeDriver:
                 self.stats["undecodable"] += 1
                 return
             self._feed(flow, fresh, loop_now)
-        for hx in protocol.hx_qos_frames(packet):
-            flow.cookies.append(hx)
-        if flow.progress is not None:
-            flow.progress.set()
+        flow.cookies.extend(protocol.hx_qos_frames(packet))
+        flow.last_arrival = loop_now
+        wake = flow.wake
+        if wake is not None and not wake.done() and self._terminal(flow):
+            wake.set_result(None)
 
     def _on_shlo(self, flow: _Flow, packet: Packet) -> None:
         try:
@@ -232,7 +251,6 @@ class ServeDriver:
         )
         connection_id = self._connection_id(scheme_value, planned)
         flow = _Flow(connection_id=connection_id, shlo=loop.create_future())
-        flow.progress = asyncio.Event()
         self._flows[connection_id] = flow
         self.stats["sessions"] += 1
         self._emit(
@@ -366,12 +384,17 @@ class ServeDriver:
     ) -> int:
         """Receive the replayed stream; repair gaps; enforce deadlines."""
         loop = asyncio.get_running_loop()
+        flow.summary = summary
         deadline = flow.anchor + summary.sim_duration + SESSION_GRACE
+        # Before this, a stall may be a gap in the simulated delivery
+        # itself (a retransmission timeout) or a replay running late
+        # behind a busy shard, not a lost datagram.  The allowance past
+        # the timeline is the one the GET gets before it is resent.
+        timeline_end = flow.anchor + summary.sim_duration + HANDSHAKE_RETRY
         repairs = 0
         get_resent = False
-        assert flow.progress is not None
         while True:
-            if self._terminal(flow, summary):
+            if self._terminal(flow):
                 return repairs
             now = loop.time()
             if now > deadline:
@@ -385,29 +408,59 @@ class ServeDriver:
                     f"{flow.stream.delivered_offset}/{summary.stream_length} bytes, "
                     f"{flow.stream.buffered_bytes} buffered, cookies={len(flow.cookies)}"
                 )
-            flow.progress.clear()
-            try:
-                await asyncio.wait_for(flow.progress.wait(), REPAIR_DELAY)
-            except asyncio.TimeoutError:
-                # Stalled: nothing arrived for a repair interval.
-                if flow.first_byte_at is None and not get_resent:
-                    # The GET itself may have been lost.
-                    if loop.time() - flow.anchor > HANDSHAKE_RETRY:
-                        self._send_packet(od_key, get_packet)
-                        get_resent = True
-                    continue
-                if flow.stream.buffered_bytes and repairs < REPAIR_ATTEMPTS:
-                    # Out-of-order data is buffered: a gap exists now.
-                    repairs += 1
-                    self._request_repair(flow, od_key)
+            await self._until_stall(flow, deadline)
+            if self._terminal(flow) or loop.time() > deadline:
+                continue
+            # Stalled: nothing arrived for a repair interval.
+            if flow.first_byte_at is None and not get_resent:
+                # The GET itself may have been lost.
+                if loop.time() - flow.anchor > HANDSHAKE_RETRY:
+                    self._send_packet(od_key, get_packet)
+                    get_resent = True
+                continue
+            if repairs < REPAIR_ATTEMPTS and (
+                # Out-of-order data is buffered: a gap exists now.
+                flow.stream.buffered_bytes
+                # The timeline is over and bytes or a pushed cookie are
+                # still missing: the tail was lost.
+                or loop.time() >= timeline_end
+            ):
+                repairs += 1
+                self._request_repair(flow, od_key)
 
-    def _terminal(self, flow: _Flow, summary: protocol.ShloSummary) -> bool:
-        all_data = (
-            flow.stream.finished
-            and flow.stream.delivered_offset >= summary.stream_length
-        )
-        cookie_ok = not summary.cookie_pushed or bool(flow.cookies)
-        return all_data and cookie_ok
+    async def _until_stall(self, flow: _Flow, deadline: float) -> None:
+        """Wait until the flow turns terminal or stalls.
+
+        A stall is :data:`REPAIR_DELAY` with no datagram, or the deadline
+        passing.  Datagrams only stamp ``last_arrival``: the one timer
+        re-arms itself from that stamp when it fires, so the wait costs
+        one future and a few timers, not one per datagram.
+        """
+        loop = asyncio.get_running_loop()
+        wake = flow.wake = loop.create_future()
+        flow.stall_timer = loop.call_later(REPAIR_DELAY, self._check_stall, flow, deadline)
+        try:
+            await wake
+        finally:
+            flow.stall_timer.cancel()
+            flow.wake = flow.stall_timer = None
+
+    def _check_stall(self, flow: _Flow, deadline: float) -> None:
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        quiet_until = flow.last_arrival + REPAIR_DELAY
+        if now < quiet_until and now <= deadline:
+            flow.stall_timer = loop.call_at(quiet_until, self._check_stall, flow, deadline)
+        elif flow.wake is not None and not flow.wake.done():
+            flow.wake.set_result(None)
+
+    def _terminal(self, flow: _Flow) -> bool:
+        summary = flow.summary
+        if summary is None or not flow.stream.finished:
+            return False
+        if flow.stream.delivered_offset < summary.stream_length:
+            return False
+        return not summary.cookie_pushed or bool(flow.cookies)
 
     def _request_repair(self, flow: _Flow, od_key: str) -> None:
         self.stats["retransmit_requests"] += 1

@@ -11,6 +11,11 @@ by flow id.  Two bounded stores hold all routing state:
 * **flows** — connection id → client address, refreshed per datagram,
   for reply routing.
 
+Forwarding reads only the envelope header (magic, kind, version, key
+length, then the OD key) and the 8-byte connection id at its fixed
+offset behind it: no envelope object is built and no payload copied, so
+a 30 KB media datagram costs the router what a 50-byte GET does.
+
 Adding/removing a shard swaps in a new ring: only *unpinned* (future)
 chains see the new assignment, and the fraction of keys that move is
 the consistent-hash bound (~1/(n+1) for an add), pinned by tests.
@@ -25,11 +30,7 @@ from repro import obs as _obs
 from repro.serve.ring import HashRing
 from repro.serve.store import BoundedKeyedStore
 from repro.serve.transport import Address, UdpEndpoint, open_endpoint
-from repro.serve.wire import (
-    EnvelopeError,
-    decode_envelope,
-    peek_connection_id,
-)
+from repro.serve.wire import EnvelopeError, parse_header, peek_connection_id
 
 
 class Router:
@@ -87,13 +88,13 @@ class Router:
     def _on_front(self, data: bytes, addr: Address) -> None:
         assert self.back is not None
         try:
-            envelope = decode_envelope(data)
-            connection_id = peek_connection_id(envelope.payload)
+            _, key_start, payload_start = parse_header(data)
+            connection_id = peek_connection_id(data, payload_start)
         except EnvelopeError:
             self.stats["undecodable"] += 1
             return
         now = asyncio.get_running_loop().time()
-        od_key = envelope.od_key.decode("utf-8", "replace")
+        od_key = data[key_start:payload_start].decode("utf-8", "replace")
         shard = self.shard_for(od_key, now)
         target = self.shard_addrs.get(shard)
         if target is None:
@@ -106,8 +107,8 @@ class Router:
     def _on_back(self, data: bytes, addr: Address) -> None:
         assert self.front is not None
         try:
-            envelope = decode_envelope(data)
-            connection_id = peek_connection_id(envelope.payload)
+            _, _, payload_start = parse_header(data)
+            connection_id = peek_connection_id(data, payload_start)
         except EnvelopeError:
             self.stats["undecodable"] += 1
             return

@@ -10,7 +10,10 @@ received every stream chunk and pushed cookie.  The shard then replays
 that timeline over the socket at wall-clock offsets anchored at the
 client's GET — so the socket-measured FFCT equals the simulated FFCT up
 to scheduling jitter, and any wire-level cookie or codec bug shows up as
-a cookie miss and a diverging distribution.
+a cookie miss and a diverging distribution.  The replay is a chain of
+loop timers, each sending every event due and arming the next; a GET
+that arrives while the sim still runs (sent right behind the CHLO)
+starts the replay once the timeline exists, still anchored at the GET.
 
 Each OD pair's world (origin, live source) is keyed by ``od_key`` and
 shared by every scheme replaying that pair.  It is a *memo*, not state:
@@ -93,9 +96,11 @@ class _ShardSession:
     last_active: float = 0.0
     shlo_payload: Optional[bytes] = None
     events: List[_ReplayEvent] = field(default_factory=list)
-    replay_started: bool = False
-    replay_anchor: float = 0.0
+    #: Loop time the GET arrived: the replay's zero.
+    get_at: Optional[float] = None
     sent_through: int = 0  # index into events already sent
+    #: The pending send of ``events[sent_through]``.
+    replay_timer: Optional[asyncio.TimerHandle] = None
     packet_number: int = 1
     done: bool = False
 
@@ -165,6 +170,9 @@ class ShardServer:
             except (asyncio.CancelledError, Exception):
                 pass
         self._tasks.clear()
+        for session in self._sessions.values():
+            if session.replay_timer is not None:
+                session.replay_timer.cancel()
         if self.endpoint is not None:
             self.endpoint.close()
 
@@ -283,18 +291,24 @@ class ShardServer:
         if session is None:
             self.stats["unknown_flow"] += 1
             return
-        session.last_active = asyncio.get_running_loop().time()
+        now = asyncio.get_running_loop().time()
+        session.last_active = now
         session.peer = addr
         for frame in protocol.stream_frames(packet):
             if frame.stream_id == protocol.REQUEST_STREAM:
-                if frame.data.startswith(b"GET ") and not session.replay_started:
-                    session.replay_started = True
-                    session.replay_anchor = asyncio.get_running_loop().time()
-                    self.stats["replays"] += 1
-                    self._spawn(self._replay(session))
+                if frame.data.startswith(b"GET ") and session.get_at is None:
+                    session.get_at = now
+                    # A GET sent right behind the CHLO (as a 0-RTT request
+                    # would be) arrives while the sim still runs; the
+                    # replay then starts when the timeline exists.
+                    if session.shlo_payload is not None:
+                        self._start_replay(session)
             elif frame.stream_id == protocol.CONTROL_STREAM:
                 if frame.data == protocol.DONE_MESSAGE:
                     session.done = True
+                    if session.replay_timer is not None:
+                        session.replay_timer.cancel()
+                        session.replay_timer = None
                     # The timeline holds every stream byte of the session
                     # and nothing reads it past DONE; only the husk waits
                     # for the sweep (so late packets still find the flow).
@@ -416,6 +430,8 @@ class ShardServer:
         session.shlo_payload = encode_envelope(EnvelopeKind.DATA, b"", shlo.encode())
         session.last_active = asyncio.get_running_loop().time()
         self._send(session.shlo_payload, session.peer)
+        if session.get_at is not None and not session.done:
+            self._start_replay(session)
 
     async def _run_sim(
         self, sim_session: StreamingSession
@@ -447,16 +463,40 @@ class ShardServer:
     # ------------------------------------------------------------------
     # replay
 
-    async def _replay(self, session: _ShardSession) -> None:
-        loop = asyncio.get_running_loop()
-        for index, event in enumerate(session.events):
-            delay = session.replay_anchor + event.at - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if session.done:
-                return
-            self._send_event(session, event)
-            session.sent_through = index + 1
+    def _start_replay(self, session: _ShardSession) -> None:
+        """Replay the timeline at wall-clock offsets from the GET.
+
+        A chain of loop timers, not a task: each callback sends every
+        event already due and arms the next.
+        """
+        assert session.get_at is not None
+        self.stats["replays"] += 1
+        self._arm_replay(session, session.get_at)
+
+    def _arm_replay(self, session: _ShardSession, anchor: float) -> None:
+        if session.sent_through < len(session.events):
+            session.replay_timer = asyncio.get_running_loop().call_at(
+                anchor + session.events[session.sent_through].at,
+                self._replay_due,
+                session,
+                anchor,
+            )
+        else:
+            session.replay_timer = None
+
+    def _replay_due(self, session: _ShardSession, anchor: float) -> None:
+        events = session.events
+        index = session.sent_through
+        due = asyncio.get_running_loop().time() - anchor
+        # The timer was armed for ``events[index]``: sent even if the
+        # loop ran it a clock tick early.
+        while True:
+            self._send_event(session, events[index])
+            index += 1
+            if index == len(events) or events[index].at > due:
+                break
+        session.sent_through = index
+        self._arm_replay(session, anchor)
 
     def _send_event(self, session: _ShardSession, event: _ReplayEvent) -> None:
         if event.hx_frame is not None:
@@ -500,8 +540,7 @@ def _build_replay_events(
     an explicit empty FIN at the timeline end so the client can
     terminate.
     """
-    events: List[_ReplayEvent] = []
-    offset = 0
+    pieces: List[Tuple[float, bytes, bool]] = []
     saw_fin = False
     for at, stream_id, data, fin in stream_tap:
         if stream_id != protocol.REQUEST_STREAM:
@@ -511,24 +550,37 @@ def _build_replay_events(
         # burst — far beyond one UDP datagram — so slice FIRST, then
         # coalesce: every event stays under MAX_CHUNK_BYTES and sendto
         # never hits EMSGSIZE.
+        if len(data) <= MAX_CHUNK_BYTES:
+            pieces.append((at, data, fin))
+            continue
         view = memoryview(data)
-        for start in range(0, max(1, len(view)), MAX_CHUNK_BYTES):
-            piece = bytes(view[start : start + MAX_CHUNK_BYTES])
+        for start in range(0, len(view), MAX_CHUNK_BYTES):
             piece_fin = fin and start + MAX_CHUNK_BYTES >= len(view)
-            if (
-                events
-                and events[-1].hx_frame is None
-                and not events[-1].fin
-                and at - events[-1].at <= COALESCE_GAP
-                and len(events[-1].data) + len(piece) <= MAX_CHUNK_BYTES
-            ):
-                events[-1].data += piece
-                events[-1].fin = piece_fin
-            else:
-                events.append(
-                    _ReplayEvent(at=at, data=piece, offset=offset, fin=piece_fin)
-                )
-            offset += len(piece)
+            pieces.append((at, bytes(view[start : start + MAX_CHUNK_BYTES]), piece_fin))
+    events: List[_ReplayEvent] = []
+    # The data of ``events[-1]``, joined once it stops growing.
+    group: List[bytes] = []
+    size = 0
+    offset = 0
+    for at, piece, fin in pieces:
+        if (
+            group
+            and not events[-1].fin
+            and at - events[-1].at <= COALESCE_GAP
+            and size + len(piece) <= MAX_CHUNK_BYTES
+        ):
+            group.append(piece)
+            size += len(piece)
+            events[-1].fin = fin
+        else:
+            if group:
+                events[-1].data = b"".join(group)
+            events.append(_ReplayEvent(at=at, offset=offset, fin=fin))
+            group = [piece]
+            size = len(piece)
+        offset += len(piece)
+    if group:
+        events[-1].data = b"".join(group)
     stream_length = offset
     for at, frame in hx_tap:
         events.append(_ReplayEvent(at=at, hx_frame=frame))

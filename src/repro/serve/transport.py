@@ -1,10 +1,26 @@
-"""Thin asyncio UDP endpoint helpers shared by shard, router, driver."""
+"""The UDP endpoint shared by shard, router, driver and control client.
+
+One :class:`UdpEndpoint` owns one bound, non-blocking socket and
+registers it with the running loop directly (``loop.add_reader``), with
+no asyncio transport or protocol in between.  Per readiness callback it
+reads datagrams until the socket would block, at most
+:data:`READ_BATCH` of them so one busy socket cannot starve the rest of
+the loop, and hands each to the handler: one ``recvfrom`` and one
+handler call per datagram.
+
+Sends go straight to ``sendto``.  A send the kernel refuses with
+``EAGAIN`` is queued and the queue drains in order once the socket is
+writable, as asyncio's datagram transport does, so a full send buffer
+delays datagrams and drops none.  Any other socket error is counted in
+:attr:`UdpEndpoint.dropped_errors` and the endpoint keeps serving.
+"""
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Callable, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
 Address = Tuple[str, int]
 DatagramHandler = Callable[[bytes, Address], None]
@@ -14,40 +30,88 @@ DatagramHandler = Callable[[bytes, Address], None]
 #: under a 10k-session load.  Best effort — the kernel may clamp it.
 RCVBUF_BYTES = 8 * 1024 * 1024
 
+#: Largest IPv4 datagram: every UDP payload fits one read of this size.
+MAX_DATAGRAM_BYTES = 65_535
 
-class UdpEndpoint(asyncio.DatagramProtocol):
+#: Datagrams read per readiness callback before yielding to the loop.
+READ_BATCH = 64
+
+
+class UdpEndpoint:
     """One bound UDP socket dispatching datagrams to a handler."""
 
-    def __init__(self, handler: DatagramHandler) -> None:
+    def __init__(
+        self,
+        sock: socket.socket,
+        handler: DatagramHandler,
+        loop: asyncio.AbstractEventLoop,
+    ) -> None:
+        self._sock: Optional[socket.socket] = sock
         self._handler = handler
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        self._loop = loop
+        self._backlog: Deque[Tuple[bytes, Address]] = deque()
+        host, port = sock.getsockname()[:2]
+        self.address: Address = (str(host), int(port))
+        #: Datagrams lost to socket errors (ICMP unreachable and the like)
+        #: on either direction.
         self.dropped_errors = 0
+        loop.add_reader(sock.fileno(), self._on_readable)
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        # Not isinstance-checked: CPython's selector datagram transport
-        # does not inherit asyncio.DatagramTransport.
-        self.transport = transport  # type: ignore[assignment]
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self._handler(data, addr)
-
-    def error_received(self, exc: Exception) -> None:
-        # ICMP unreachable etc. — count, keep serving.
-        self.dropped_errors += 1
-
-    @property
-    def address(self) -> Address:
-        assert self.transport is not None
-        host, port = self.transport.get_extra_info("sockname")[:2]
-        return str(host), int(port)
+    def _on_readable(self) -> None:
+        sock = self._sock
+        handler = self._handler
+        for _ in range(READ_BATCH):
+            # A handler may close the endpoint mid-batch.
+            if sock is not self._sock:
+                return
+            try:
+                data, addr = sock.recvfrom(MAX_DATAGRAM_BYTES)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                self.dropped_errors += 1
+                continue
+            handler(data, addr)
 
     def sendto(self, data: bytes, addr: Address) -> None:
-        assert self.transport is not None
-        self.transport.sendto(data, addr)
+        sock = self._sock
+        if sock is None:
+            return  # closed: dropped, as a closing asyncio transport does
+        if self._backlog:
+            self._backlog.append((data, addr))
+            return
+        try:
+            sock.sendto(data, addr)
+        except (BlockingIOError, InterruptedError):
+            self._backlog.append((data, addr))
+            self._loop.add_writer(sock.fileno(), self._on_writable)
+        except OSError:
+            self.dropped_errors += 1
+
+    def _on_writable(self) -> None:
+        sock = self._sock
+        assert sock is not None
+        backlog = self._backlog
+        while backlog:
+            data, addr = backlog[0]
+            try:
+                sock.sendto(data, addr)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                self.dropped_errors += 1
+            backlog.popleft()
+        self._loop.remove_writer(sock.fileno())
 
     def close(self) -> None:
-        if self.transport is not None:
-            self.transport.close()
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
+        self._loop.remove_reader(sock.fileno())
+        if self._backlog:
+            self._backlog.clear()
+            self._loop.remove_writer(sock.fileno())
+        sock.close()
 
 
 async def open_endpoint(
@@ -57,16 +121,24 @@ async def open_endpoint(
     loop = asyncio.get_running_loop()
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RCVBUF_BYTES)
-    except OSError:
-        pass
-    sock.bind((host, port))
-    sock.setblocking(False)
-    _, protocol = await loop.create_datagram_endpoint(
-        lambda: UdpEndpoint(handler), sock=sock
-    )
-    assert isinstance(protocol, UdpEndpoint)
-    return protocol
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RCVBUF_BYTES)
+        except OSError:
+            pass
+        sock.bind((host, port))
+        sock.setblocking(False)
+        return UdpEndpoint(sock, handler, loop)
+    except BaseException:
+        sock.close()
+        raise
 
 
-__all__ = ["Address", "DatagramHandler", "RCVBUF_BYTES", "UdpEndpoint", "open_endpoint"]
+__all__ = [
+    "Address",
+    "DatagramHandler",
+    "MAX_DATAGRAM_BYTES",
+    "RCVBUF_BYTES",
+    "READ_BATCH",
+    "UdpEndpoint",
+    "open_endpoint",
+]

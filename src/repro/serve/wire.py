@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.quic.packet import CONNECTION_ID_BYTES
 from repro.quic.varint import decode_varint, encode_varint
@@ -56,16 +57,23 @@ class Envelope:
     payload: bytes
 
 
+#: The fixed bytes every envelope of a kind starts with: magic, kind,
+#: protocol version.
+_PREFIX = {
+    kind: bytes((MAGIC, int(kind))) + encode_varint(WIRE_VERSION) for kind in EnvelopeKind
+}
+
+
 def encode_envelope(kind: EnvelopeKind, od_key: bytes, payload: bytes) -> bytes:
-    out = bytearray([MAGIC, int(kind)])
-    out += encode_varint(WIRE_VERSION)
-    out += encode_varint(len(od_key))
-    out += od_key
-    out += payload
-    return bytes(out)
+    return b"".join((_PREFIX[kind], encode_varint(len(od_key)), od_key, payload))
 
 
-def decode_envelope(data: bytes) -> Envelope:
+def parse_header(data: bytes) -> Tuple[EnvelopeKind, int, int]:
+    """``(kind, key start, payload start)`` of an envelope, header only.
+
+    Checks magic, kind, version and key length without touching the
+    payload, so its cost is independent of the datagram's size.
+    """
     if len(data) < 3:
         raise EnvelopeError("datagram too short for an envelope header")
     if data[0] != MAGIC:
@@ -83,20 +91,26 @@ def decode_envelope(data: bytes) -> Envelope:
         raise EnvelopeError(f"unsupported envelope version {version}")
     if offset + key_len > len(data):
         raise EnvelopeError("truncated OD key")
-    od_key = bytes(data[offset : offset + key_len])
-    return Envelope(kind, od_key, bytes(data[offset + key_len :]))
+    return kind, offset, offset + key_len
 
 
-def peek_connection_id(packet_payload: bytes) -> bytes:
-    """The 8-byte connection (flow) id of a DATA payload, header-only.
+def decode_envelope(data: bytes) -> Envelope:
+    kind, key_start, payload_start = parse_header(data)
+    return Envelope(kind, bytes(data[key_start:payload_start]), bytes(data[payload_start:]))
+
+
+def peek_connection_id(data: bytes, start: int = 0) -> bytes:
+    """The 8-byte connection (flow) id of a DATA payload at ``start``.
 
     Mirrors the :class:`~repro.quic.packet.Packet` layout — one flags
     byte, then the connection id — without parsing frames, so the
-    router's forwarding cost is independent of payload size.
+    router's forwarding cost is independent of payload size.  ``start``
+    is the payload's offset in ``data`` (:func:`parse_header`'s third
+    value for a whole datagram).
     """
-    if len(packet_payload) < 1 + CONNECTION_ID_BYTES:
+    if len(data) < start + 1 + CONNECTION_ID_BYTES:
         raise EnvelopeError("payload too short for a packet header")
-    return bytes(packet_payload[1 : 1 + CONNECTION_ID_BYTES])
+    return data[start + 1 : start + 1 + CONNECTION_ID_BYTES]
 
 
 __all__ = [
@@ -108,5 +122,6 @@ __all__ = [
     "WIRE_VERSION",
     "decode_envelope",
     "encode_envelope",
+    "parse_header",
     "peek_connection_id",
 ]

@@ -28,7 +28,7 @@ EXPERIMENTS.md, "One loop, one chain at a time"); the session driver
 that armed members with slice horizons is gone.  What is left is the
 free-running kernel — members execute until the queue drains — and it
 is left only because ``bench/drives.py`` times it by name: it goes with
-the benchmark PR of ROADMAP item 1(a).
+the change to the benchmark that stops naming it.
 """
 
 from __future__ import annotations

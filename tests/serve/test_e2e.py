@@ -162,9 +162,13 @@ class TestFinishedSessionsHoldNothing:
             # still find their flow, but the stream bytes are gone.
             assert stats["live_sessions"] == n_sessions
             assert all(s.done and s.events == [] for s in shard._sessions.values())
-            # Two tasks were spawned per session; none that finished is kept.
+            # One task (the sim) was spawned per session and the replay
+            # ran on loop timers: no finished task is kept, no replay
+            # timer is pending, and the driver has let every flow go.
             assert not any(task.done() for task in shard._tasks)
             assert len(shard._tasks) < n_sessions
+            assert all(s.replay_timer is None for s in shard._sessions.values())
+            assert driver._flows == {}
             assert driver.stats["wire_failures"] == 0
         finally:
             control.close()

@@ -11,6 +11,7 @@ from repro.serve.wire import (
     EnvelopeKind,
     decode_envelope,
     encode_envelope,
+    parse_header,
     peek_connection_id,
 )
 
@@ -33,8 +34,14 @@ class TestRoundTrip:
         st.binary(max_size=2048),
     )
     def test_round_trip_property(self, kind, od_key, payload):
-        envelope = decode_envelope(encode_envelope(kind, od_key, payload))
+        blob = encode_envelope(kind, od_key, payload)
+        envelope = decode_envelope(blob)
         assert envelope == Envelope(kind, od_key, payload)
+        # The router's header-only parse finds the same key and payload.
+        parsed_kind, key_start, payload_start = parse_header(blob)
+        assert parsed_kind == kind
+        assert blob[key_start:payload_start] == od_key
+        assert blob[payload_start:] == payload
 
 
 class TestStrictDecode:
@@ -86,6 +93,8 @@ class TestPeekConnectionId:
             PacketType.ONE_RTT, cid, 1, (StreamFrame(0, 0, b"data", False),)
         )
         assert peek_connection_id(packet.encode()) == cid
+        blob = encode_envelope(EnvelopeKind.DATA, b"od-7", packet.encode())
+        assert peek_connection_id(blob, parse_header(blob)[2]) == cid
 
     def test_short_payload_raises(self):
         with pytest.raises(EnvelopeError):
