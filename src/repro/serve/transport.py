@@ -11,7 +11,9 @@ handler call per datagram.
 Sends go straight to ``sendto``.  A send the kernel refuses with
 ``EAGAIN`` is queued and the queue drains in order once the socket is
 writable, as asyncio's datagram transport does, so a full send buffer
-delays datagrams and drops none.  Any other socket error is counted in
+delays datagrams and drops none.  :meth:`UdpEndpoint.close` stops reads
+and new sends at once but, again like asyncio, closes the socket only
+once the queue has drained.  Any other socket error is counted in
 :attr:`UdpEndpoint.dropped_errors` and the endpoint keeps serving.
 """
 
@@ -50,6 +52,7 @@ class UdpEndpoint:
         self._handler = handler
         self._loop = loop
         self._backlog: Deque[Tuple[bytes, Address]] = deque()
+        self._closing = False
         host, port = sock.getsockname()[:2]
         self.address: Address = (str(host), int(port))
         #: Datagrams lost to socket errors (ICMP unreachable and the like)
@@ -59,11 +62,10 @@ class UdpEndpoint:
 
     def _on_readable(self) -> None:
         sock = self._sock
+        if sock is None or self._closing:
+            return
         handler = self._handler
         for _ in range(READ_BATCH):
-            # A handler may close the endpoint mid-batch.
-            if sock is not self._sock:
-                return
             try:
                 data, addr = sock.recvfrom(MAX_DATAGRAM_BYTES)
             except (BlockingIOError, InterruptedError):
@@ -72,11 +74,13 @@ class UdpEndpoint:
                 self.dropped_errors += 1
                 continue
             handler(data, addr)
+            if self._closing:  # the handler closed the endpoint
+                return
 
     def sendto(self, data: bytes, addr: Address) -> None:
         sock = self._sock
-        if sock is None:
-            return  # closed: dropped, as a closing asyncio transport does
+        if sock is None or self._closing:
+            return  # closed: dropped
         if self._backlog:
             self._backlog.append((data, addr))
             return
@@ -102,16 +106,23 @@ class UdpEndpoint:
                 self.dropped_errors += 1
             backlog.popleft()
         self._loop.remove_writer(sock.fileno())
+        if self._closing:
+            self._close_socket()
 
     def close(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is None:
+        """Stop reading and sending; the socket closes once the queue drains."""
+        sock = self._sock
+        if sock is None or self._closing:
             return
+        self._closing = True
         self._loop.remove_reader(sock.fileno())
-        if self._backlog:
-            self._backlog.clear()
-            self._loop.remove_writer(sock.fileno())
-        sock.close()
+        if not self._backlog:
+            self._close_socket()
+
+    def _close_socket(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
 
 
 async def open_endpoint(

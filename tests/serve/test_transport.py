@@ -107,6 +107,33 @@ class TestSends:
         assert received == sent
         assert sender.dropped_errors == 0
 
+    def test_close_sends_what_is_queued_before_the_socket_closes(self):
+        asyncio.run(self._close_queued())
+
+    async def _close_queued(self):
+        received = []
+        receiver = await open_endpoint(lambda data, addr: received.append(data))
+        raw = _bound_socket()
+        sender = UdpEndpoint(
+            _Refusing(raw, send_refusals=1),
+            lambda data, addr: None,
+            asyncio.get_running_loop(),
+        )
+        sent = [b"%d" % i for i in range(3)]
+        try:
+            for data in sent:
+                sender.sendto(data, receiver.address)
+            sender.close()
+            sender.sendto(b"after close", receiver.address)
+            assert raw.fileno() != -1  # open until the queue drains
+            await _until(lambda: raw.fileno() == -1)
+            await _until(lambda: len(received) == len(sent))
+        finally:
+            raw.close()
+            receiver.close()
+        assert received == sent
+        assert sender.dropped_errors == 0
+
     def test_a_closed_endpoint_sends_nothing_and_holds_no_socket(self):
         asyncio.run(self._closed())
 
