@@ -86,12 +86,6 @@ class WiraClient:
         self._video_frames_seen = 0
         connection.on_stream_data = self._on_stream_data
         connection.on_hx_qos = self._on_hx_qos
-        if cookie_store is not None:
-            # Route store evictions into this session's trace scope.  A
-            # chain's store outlives each session, so every client
-            # re-points the observer at its own loop clock — evictions
-            # always stamp the *current* session's (monotonic) time.
-            cookie_store.set_on_evict(self._on_cookie_evicted)
 
     @property
     def wall_clock(self) -> float:
@@ -161,18 +155,7 @@ class WiraClient:
                     self.on_done()
 
     def close(self) -> None:
-        """Close the connection and stop observing the cookie store.
-
-        The store outlives the session; left installed, the eviction
-        observer would keep this client — and through it the whole
-        finished session — alive until the next one replaces it.
-        """
         self.connection.close()
-        if self.cookie_store is not None:
-            self.cookie_store.set_on_evict(None)
-
-    def _on_cookie_evicted(self, origin: str, reason: str) -> None:
-        self._trace("wira:cookie_evicted", {"origin": origin, "reason": reason})
 
     def _on_hx_qos(self, frame: HxQosFrame) -> None:
         self.metrics.cookies_received += 1

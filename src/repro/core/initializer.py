@@ -41,9 +41,10 @@ from typing import Optional
 
 from repro.core.config import WiraConfig
 from repro.core.transport_cookie import HxQos
+from repro.quic.config import UDP_OVERHEAD
 
 _PACKET_BYTES = 1252  # MSS used when a scheme is expressed in packets
-_PACKET_WIRE_BYTES = 1252 + 28  # MSS + IPv4/UDP framing on the wire
+_PACKET_WIRE_BYTES = 1252 + UDP_OVERHEAD  # MSS + IPv4/UDP framing on the wire
 _PACKET_PAYLOAD_BYTES = 1252 - 40  # stream payload per packet after headers
 
 

@@ -20,7 +20,7 @@ the cache of its clients" storage shift the paper argues for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.cookie_crypto import CookieError, CookieSealer
 from repro.quic.frames import HxId, HxQosFrame
@@ -141,99 +141,19 @@ class ClientCookieStore:
 
     The client cannot read the sealed blobs; it only stores and echoes
     them, recording when each arrived (the timestamp "carried in the
-    next CHLO packets").
-
-    The cache is bounded: ``max_entries`` caps the number of origins and
-    ``ttl`` expires entries whose receipt time has aged out.  Eviction is
-    deterministic and insertion-ordered — Python dicts preserve insertion
-    order, :meth:`update` re-inserts an origin on refresh (moving it to
-    the back), and capacity pressure always evicts the front.  Long-lived
-    serve clients and million-session campaigns therefore hold bounded
-    RSS regardless of how many origins they touch.  Both knobs default to
-    ``None`` (unbounded), preserving the historical behaviour.
+    next CHLO packets").  One entry per origin, replaced on every push;
+    staleness is the server's call (:meth:`ServerCookieManager.open_echoed`).
     """
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = None,
-        ttl: Optional[float] = None,
-        on_evict: Optional[Callable[[str, str], None]] = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive")
+    def __init__(self) -> None:
         self._cookies: Dict[str, Tuple[bytes, float]] = {}
-        self.max_entries = max_entries
-        self.ttl = ttl
-        self.evicted_capacity = 0
-        self.evicted_ttl = 0
-        self._on_evict = on_evict
-
-    @property
-    def evictions(self) -> int:
-        """Total entries dropped by capacity or TTL pressure."""
-        return self.evicted_capacity + self.evicted_ttl
-
-    def set_on_evict(self, callback: Optional[Callable[[str, str], None]]) -> None:
-        """Install the eviction observer ``(origin, reason) -> None``.
-
-        ``reason`` is ``"capacity"`` or ``"ttl"``.  A store outlives any
-        one session, so each new session's client re-points this at its
-        own trace scope.
-        """
-        self._on_evict = callback
-
-    def _evict(self, origin: str, reason: str) -> None:
-        del self._cookies[origin]
-        if reason == "ttl":
-            self.evicted_ttl += 1
-        else:
-            self.evicted_capacity += 1
-        if self._on_evict is not None:
-            self._on_evict(origin, reason)
-
-    def _expire(self, now: float) -> None:
-        if self.ttl is None:
-            return
-        # Insertion order is not receipt order after refreshes, so scan
-        # the whole dict; expired origins are removed oldest-insertion
-        # first, which keeps the eviction *sequence* deterministic.
-        for origin in [
-            o for o, (_, received_at) in self._cookies.items()
-            if now - received_at > self.ttl
-        ]:
-            self._evict(origin, "ttl")
 
     def update(self, origin: str, sealed: bytes, received_at: float) -> None:
-        self._expire(received_at)
-        # Refresh recency: re-insert so the origin moves to the back of
-        # the insertion order and is evicted last under capacity.
-        self._cookies.pop(origin, None)
         self._cookies[origin] = (sealed, received_at)
-        if self.max_entries is not None:
-            while len(self._cookies) > self.max_entries:
-                self._evict(next(iter(self._cookies)), "capacity")
 
-    def get(self, origin: str, now: Optional[float] = None) -> Optional[Tuple[bytes, float]]:
-        """Latest ``(sealed_blob, received_at)`` for ``origin``.
-
-        Passing ``now`` applies TTL expiry before the lookup, so a
-        stale cookie is never echoed even between updates.
-        """
-        if now is not None:
-            self._expire(now)
+    def get(self, origin: str) -> Optional[Tuple[bytes, float]]:
+        """Latest ``(sealed_blob, received_at)`` for ``origin``."""
         return self._cookies.get(origin)
-
-    def forget(self, origin: str) -> None:
-        self._cookies.pop(origin, None)
-
-    def __len__(self) -> int:
-        return len(self._cookies)
-
-    def origins(self) -> Tuple[str, ...]:
-        """Cached origins in current insertion (eviction) order."""
-        return tuple(self._cookies)
 
     def on_hx_qos_frame(self, origin: str, frame: HxQosFrame, now: float) -> bool:
         """Ingest a pushed Hx_QoS frame; returns True if a cookie landed."""

@@ -32,15 +32,25 @@ from repro.media.frames import Gop, MediaFrame, MediaFrameType
 # on one reused generator instead.  Bit-exact by construction:
 # ``Random.seed(str)`` (version 2) hands the C base class the integer
 # ``int.from_bytes(key + sha512(key))``, and ``gauss`` draws two
-# uniforms into Box–Muller with its cosine branch.  The same ``_sha512``
-# ``random`` uses; tests/media/test_source.py holds this to the
-# reference on random keys.  ``_MT``'s own seed never matters: every
-# draw reseeds it first, so no draw sees another's state.  A draw is not
-# atomic across threads; the simulator draws on one thread per process.
+# uniforms into Box–Muller with its cosine branch.  The sha512 is the
+# one ``random`` seeds with, imported here as ``random`` does rather
+# than read off it: CPython 3.13 imports it only at the first string
+# seed, so ``random._sha512`` is ``None`` until then.  ``hashlib``'s is
+# the last resort: its OpenSSL constructor costs about 1.8x per call
+# (CPython 3.11, x86).  tests/media/test_source.py holds the kernel to
+# the reference on random keys.  ``_MT``'s own seed never matters: every draw reseeds
+# it first, so no draw sees another's state.  A draw is not atomic
+# across threads; the simulator draws on one thread per process.
+try:  # CPython 3.12 and later
+    from _sha2 import sha512 as _sha512  # type: ignore
+except ImportError:
+    try:  # CPython 3.10, 3.11
+        from _sha512 import sha512 as _sha512  # type: ignore
+    except ImportError:
+        from hashlib import sha512 as _sha512  # type: ignore
 _MT = random.Random(0)  # wira-lint: disable=WL002
 _mt_seed = super(random.Random, _MT).seed  # the C seeding, under Random.seed
 _mt_random = _MT.random
-_sha512 = random._sha512  # type: ignore[attr-defined]
 _TWOPI = 2.0 * math.pi
 _cos, _log, _sqrt = math.cos, math.log, math.sqrt
 

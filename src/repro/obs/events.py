@@ -26,7 +26,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Bump on incompatible record-shape changes (see module docstring).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Every event name the instrumentation may emit, by category.
 #: ``transport:*``  — packet-level connection events
@@ -74,7 +74,6 @@ EVENT_NAMES = frozenset(
         "wira:cookie_hit",
         "wira:cookie_miss",
         "wira:cookie_received",
-        "wira:cookie_evicted",
         "wira:init_cwnd",
         "wira:init_pacing",
         "session:request_sent",

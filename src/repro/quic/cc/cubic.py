@@ -3,7 +3,7 @@
 Used as a substrate ablation: the paper deploys Wira on BBRv1, but the
 initial-window/initial-rate hooks are controller-agnostic, and comparing
 their effect under a loss-based controller is an interesting extension
-(see ``benchmarks/test_bench_ablation_cc.py``).
+(see the CC ablation in ``benchmarks/test_bench_ablations.py``).
 
 Pacing follows Linux's heuristic for loss-based controllers: 2 × cwnd/RTT
 while in slow start, 1.2 × cwnd/RTT in congestion avoidance.

@@ -10,6 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: IPv4 + UDP header bytes added to each datagram on the wire.
+UDP_OVERHEAD = 28
+
+#: Token-bucket burst allowance in packets.
+PACER_BURST_PACKETS = 10
+
+#: Consecutive probe timeouts before a connection gives up (a pragmatic
+#: stand-in for RFC 9000's idle timeout: after ~10 doublings the peer is
+#: unreachable for all practical purposes).
+MAX_PTO_COUNT = 10
+
 
 @dataclass
 class QuicConfig:
@@ -23,9 +34,6 @@ class QuicConfig:
 
     mss: int = 1252
     """Max payload bytes per packet (1500 MTU − IP/UDP/QUIC overhead)."""
-
-    udp_overhead: int = 28
-    """IPv4 + UDP header bytes added to each datagram on the wire."""
 
     initial_rtt: float = 0.1
     """RTT assumed before any sample exists (PTO seeding)."""
@@ -58,16 +66,8 @@ class QuicConfig:
     """PTO backoff base (RFC 9002 doubles; accelerated recovery backs
     off more gently)."""
 
-    pacer_burst_packets: int = 10
-    """Token-bucket burst allowance in packets."""
-
     min_rtt_window: float = 10.0
     """Horizon of the windowed minimum RTT estimate, seconds."""
-
-    max_pto_count: int = 10
-    """Consecutive probe timeouts before the connection gives up
-    (a pragmatic stand-in for RFC 9000's idle timeout: after ~10
-    doublings the peer is unreachable for all practical purposes)."""
 
     def __post_init__(self) -> None:
         if self.mss <= 0:

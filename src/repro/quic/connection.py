@@ -28,7 +28,7 @@ from repro import sanitize as _sanitize
 from repro.quic.ack_manager import AckManager
 from repro.quic.cc import make_controller
 from repro.quic.cc.base import CongestionController
-from repro.quic.config import QuicConfig
+from repro.quic.config import MAX_PTO_COUNT, PACER_BURST_PACKETS, UDP_OVERHEAD, QuicConfig
 from repro.quic.frames import (
     AckFrame,
     CryptoFrame,
@@ -163,7 +163,7 @@ class Connection:
         self.cc._trace_conn = self._trace_id
         self.pacer = Pacer(
             rate_bps=self.cc.pacing_rate_bps,
-            burst_bytes=self.config.pacer_burst_packets * self.config.mss,
+            burst_bytes=PACER_BURST_PACKETS * self.config.mss,
         )
         self.loss_recovery = LossRecovery(
             self.rtt,
@@ -665,7 +665,7 @@ class Connection:
         self._next_packet_number = packet_number + 1
         if _sanitize.ACTIVE is not None:
             _sanitize.ACTIVE.check_packet_sent(self, packet_number, now)
-        size = packet.wire_size() + self.config.udp_overhead
+        size = packet.wire_size() + UDP_OVERHEAD
         ack_eliciting = packet.ack_eliciting()
         in_flight = in_flight and ack_eliciting
         sent = SentPacket(packet_number, now, size, ack_eliciting, in_flight, packet.frames)
@@ -759,7 +759,7 @@ class Connection:
         self._pump()
 
     def _on_pto(self, now: float) -> None:
-        if self.loss_recovery.pto_count >= self.config.max_pto_count:
+        if self.loss_recovery.pto_count >= MAX_PTO_COUNT:
             # The peer has been unreachable across every backoff level;
             # abandon the connection rather than retry into a black hole.
             self.close()

@@ -14,9 +14,8 @@ Layout:
   packets for transport over UDP, plus truncation-safe decoding.
 * :mod:`repro.serve.ring` — consistent-hash ring with virtual nodes,
   keyed on OD pair.
-* :mod:`repro.serve.store` — capacity-bounded, TTL-evicting keyed
-  stores; the sharded store that survives reshards with bounded key
-  movement.
+* :mod:`repro.serve.store` — the TTL-evicting keyed store behind the
+  router's flow table.
 * :mod:`repro.serve.transport` — the UDP endpoint: a non-blocking
   socket on the loop's reader, batched reads, direct sends.
 * :mod:`repro.serve.shard` — the proxy-shard worker process: terminates
@@ -25,7 +24,7 @@ Layout:
 * :mod:`repro.serve.router` — consistent-hash front router with sticky
   (chain-pinned) affinity.
 * :mod:`repro.serve.driver` — the measuring client: real FLV demux,
-  wall-clock FFCT, cookie echo from a bounded client store.
+  wall-clock FFCT, cookie echo from one client store per campaign.
 * :mod:`repro.serve.loadtest` — campaign orchestration, the
   sim-vs-socket comparison, JSON/HTML reporting.
 
@@ -40,7 +39,7 @@ received.
 """
 
 from repro.serve.ring import HashRing
-from repro.serve.store import BoundedKeyedStore, ShardedCookieStore
+from repro.serve.store import BoundedKeyedStore
 from repro.serve.wire import Envelope, EnvelopeError, EnvelopeKind
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "EnvelopeError",
     "EnvelopeKind",
     "HashRing",
-    "ShardedCookieStore",
 ]

@@ -234,8 +234,6 @@ class ServeDriver:
         """Run one planned session over the socket; measure like a player."""
         loop = asyncio.get_running_loop()
         store_key = f"{scheme_value}|{od_key}"
-        # TTL-prune before echoing so a stale cookie is never sent.
-        self.cookie_store.get(store_key, now=planned.epoch)
         hqst = WiraClient.build_hqst_tag(self.cookie_store, origin_id=store_key)
         spec = protocol.ServeSpec(
             od_key=od_key,

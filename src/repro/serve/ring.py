@@ -3,8 +3,8 @@
 The serve edge routes every chain (OD pair) to one shard.  A modulo
 assignment would move ~``(n-1)/n`` of all keys when a shard joins; the
 ring moves only the keys whose nearest virtual node changed — in
-expectation ``1/(n+1)`` of them — which is the "bounded key movement"
-property the sharded cookie store's reshard test pins.
+expectation ``1/(n+1)`` of them — the "bounded key movement" property
+``tests/serve/test_ring.py`` pins.
 
 Hashing is ``sha256`` over UTF-8/bytes keys, so placement is a pure
 function of (node names, replica count, key): every process — router,

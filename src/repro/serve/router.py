@@ -2,14 +2,16 @@
 
 Clients talk to one router address; the router forwards each DATA
 envelope to the shard that owns its OD key and relays shard replies back
-by flow id.  Two bounded stores hold all routing state:
+by flow id.  Two tables hold all routing state:
 
-* **pins** — OD key → shard.  The first datagram of a chain pins it to
-  the ring's current owner; later reshards leave pinned chains where
-  their state (origin caches, live sources) already lives.  Sticky
-  affinity is what keeps a chain's sim-oracle state on one shard.
+* **pins** — OD key → shard, one entry per chain routed, never evicted.
+  The first datagram of a chain pins it to the ring's current owner;
+  later reshards leave pinned chains where their state (origin caches,
+  live sources) already lives.  Sticky affinity is what keeps a chain's
+  sim-oracle state on one shard.
 * **flows** — connection id → client address, refreshed per datagram,
-  for reply routing.
+  for reply routing; a flow idle longer than :data:`FLOW_TTL` is dropped
+  at the next forward.
 
 Forwarding reads only the envelope header (magic, kind, version, key
 length, then the OD key) and the 8-byte connection id at its fixed
@@ -32,19 +34,14 @@ from repro.serve.store import BoundedKeyedStore
 from repro.serve.transport import Address, UdpEndpoint, open_endpoint
 from repro.serve.wire import EnvelopeError, parse_header, peek_connection_id
 
+#: Seconds a flow may sit idle before its reply route is dropped.
+FLOW_TTL = 120.0
+
 
 class Router:
     """UDP front/back relay keyed by the consistent-hash ring."""
 
-    def __init__(
-        self,
-        ring: HashRing,
-        shard_addrs: Dict[str, Address],
-        max_flows: Optional[int] = None,
-        flow_ttl: Optional[float] = 120.0,
-        max_pins: Optional[int] = None,
-        pin_ttl: Optional[float] = None,
-    ) -> None:
+    def __init__(self, ring: HashRing, shard_addrs: Dict[str, Address]) -> None:
         for node in ring.nodes:
             if node not in shard_addrs:
                 raise ValueError(f"ring node {node!r} has no shard address")
@@ -52,8 +49,8 @@ class Router:
         self.shard_addrs = dict(shard_addrs)
         self.front: Optional[UdpEndpoint] = None
         self.back: Optional[UdpEndpoint] = None
-        self.flows: BoundedKeyedStore[Address] = BoundedKeyedStore(max_flows, flow_ttl)
-        self.pins: BoundedKeyedStore[str] = BoundedKeyedStore(max_pins, pin_ttl)
+        self.flows: BoundedKeyedStore[Address] = BoundedKeyedStore(ttl=FLOW_TTL)
+        self.pins: Dict[str, str] = {}
         self.stats: Dict[str, int] = {
             "forwarded": 0,
             "returned": 0,
@@ -75,15 +72,12 @@ class Router:
 
     # ------------------------------------------------------------------
 
-    def shard_for(self, od_key: str, now: float) -> str:
+    def shard_for(self, od_key: str) -> str:
         """Sticky lookup: pinned shard, else ring owner (then pinned)."""
-        pinned = self.pins.get(od_key, now)
-        if pinned is not None and pinned in self.shard_addrs:
-            self.pins.touch(od_key, now)
-            return pinned
-        shard = self.ring.node_for(od_key)
-        self.pins.put(od_key, shard, now)
-        return shard
+        pinned = self.pins.get(od_key)
+        if pinned is None:
+            pinned = self.pins[od_key] = self.ring.node_for(od_key)
+        return pinned
 
     def _on_front(self, data: bytes, addr: Address) -> None:
         assert self.back is not None
@@ -93,14 +87,12 @@ class Router:
         except EnvelopeError:
             self.stats["undecodable"] += 1
             return
-        now = asyncio.get_running_loop().time()
         od_key = data[key_start:payload_start].decode("utf-8", "replace")
-        shard = self.shard_for(od_key, now)
-        target = self.shard_addrs.get(shard)
+        target = self.shard_addrs.get(self.shard_for(od_key))
         if target is None:
             self.stats["unroutable"] += 1
             return
-        self.flows.put(connection_id.hex(), addr, now)
+        self.flows.put(connection_id.hex(), addr, asyncio.get_running_loop().time())
         self.back.sendto(data, target)
         self.stats["forwarded"] += 1
 
@@ -138,4 +130,4 @@ class Router:
             )
 
 
-__all__ = ["Router"]
+__all__ = ["FLOW_TTL", "Router"]

@@ -122,16 +122,10 @@ class TestClientCookieStore:
         store.update("cdn-1", b"a", 1.0)
         store.update("cdn-2", b"b", 2.0)
         assert store.get("cdn-1") == (b"a", 1.0)
-        assert len(store) == 2
+        assert store.get("cdn-2") == (b"b", 2.0)
 
     def test_missing_origin(self):
         assert ClientCookieStore().get("nowhere") is None
-
-    def test_forget(self):
-        store = ClientCookieStore()
-        store.update("cdn-1", b"a", 1.0)
-        store.forget("cdn-1")
-        assert store.get("cdn-1") is None
 
     def test_ingest_from_hx_qos_frame(self):
         manager = ServerCookieManager(KEY)
@@ -270,81 +264,6 @@ class TestNonceSalting:
         legacy = CookieSealer(KEY).seal(b"payload", nonce_seed=7)
         salted_default = CookieSealer(KEY).seal(b"payload", nonce_seed=7, salt=b"")
         assert legacy == salted_default
-
-
-class TestBoundedClientStore:
-    """Regression: the client store must hold bounded state."""
-
-    def test_capacity_eviction_is_insertion_ordered(self):
-        evicted = []
-        store = ClientCookieStore(max_entries=3, on_evict=lambda o, r: evicted.append((o, r)))
-        for i in range(5):
-            store.update(f"origin-{i}", b"blob", float(i))
-        assert store.origins() == ("origin-2", "origin-3", "origin-4")
-        assert evicted == [("origin-0", "capacity"), ("origin-1", "capacity")]
-        assert store.evicted_capacity == 2
-        assert store.evictions == 2
-
-    def test_refresh_moves_origin_to_back(self):
-        store = ClientCookieStore(max_entries=3)
-        for i in range(3):
-            store.update(f"origin-{i}", b"blob", float(i))
-        store.update("origin-0", b"fresh", 3.0)  # refresh: now most recent
-        store.update("origin-3", b"blob", 4.0)  # evicts origin-1, not origin-0
-        assert store.origins() == ("origin-2", "origin-0", "origin-3")
-        assert store.get("origin-0") == (b"fresh", 3.0)
-        assert store.get("origin-1") is None
-
-    def test_ttl_eviction_on_update(self):
-        evicted = []
-        store = ClientCookieStore(ttl=10.0, on_evict=lambda o, r: evicted.append((o, r)))
-        store.update("old", b"blob", 0.0)
-        store.update("young", b"blob", 95.0)
-        store.update("new", b"blob", 100.0)  # expires "old" (age 100 > 10)
-        assert store.get("old") is None
-        assert store.get("young") is not None
-        assert evicted == [("old", "ttl")]
-        assert store.evicted_ttl == 1
-
-    def test_get_with_now_applies_ttl(self):
-        store = ClientCookieStore(ttl=10.0)
-        store.update("cdn", b"blob", 0.0)
-        assert store.get("cdn", now=10.0) is not None  # exactly at ttl: kept
-        assert store.get("cdn", now=10.5) is None
-        assert store.evicted_ttl == 1
-
-    def test_get_without_now_skips_ttl(self):
-        store = ClientCookieStore(ttl=10.0)
-        store.update("cdn", b"blob", 0.0)
-        assert store.get("cdn") is not None
-
-    def test_on_hx_qos_frame_refreshes_recency(self):
-        manager = ServerCookieManager(KEY)
-        store = ClientCookieStore(max_entries=2)
-        store.update("a", b"blob", 0.0)
-        store.update("b", b"blob", 1.0)
-        frame = manager.build_frame(HxQos(0.05, 8e6, 2.0))
-        assert store.on_hx_qos_frame("a", frame, now=2.0)  # refresh "a"
-        store.update("c", b"blob", 3.0)  # capacity evicts "b", not "a"
-        assert store.origins() == ("a", "c")
-
-    def test_eviction_sequence_is_deterministic(self):
-        def run():
-            order = []
-            store = ClientCookieStore(
-                max_entries=4, ttl=50.0, on_evict=lambda o, r: order.append((o, r))
-            )
-            for i in range(12):
-                store.update(f"o-{i % 6}", b"blob", float(i * 10))
-            return order
-
-        assert run() == run()
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            ClientCookieStore(max_entries=0)
-        with pytest.raises(ValueError):
-            ClientCookieStore(ttl=0.0)
 
 
 class TestEncodeHqstValidation:

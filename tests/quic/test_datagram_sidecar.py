@@ -19,6 +19,7 @@ from repro.core.schemes import BASELINE, WIRA
 from repro.experiments import common
 from repro.quic import Connection, HandshakeMode, QuicConfig, Role
 from repro.quic.cc import CONTROLLERS
+from repro.quic.config import UDP_OVERHEAD
 from repro.quic.frames import PingFrame
 from repro.quic.packet import Packet, PacketType
 from repro.sanitize import SanitizerError
@@ -135,7 +136,7 @@ def test_sender_leaves_the_bytes_to_their_first_reader(monkeypatch):
         loop.run(max_events=100_000)
     assert sent and not encodes
     for datagram in sent:
-        assert datagram.size == len(datagram.payload) + QuicConfig().udp_overhead
+        assert datagram.size == len(datagram.payload) + UDP_OVERHEAD
     assert len(encodes) == len(sent)
 
 

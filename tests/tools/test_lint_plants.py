@@ -20,17 +20,17 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from repro.core.transport_cookie import ClientCookieStore
 from repro.media.source import LiveSource
-from tests.core import test_transport_cookie
+from repro.quic.loss_recovery import LossRecovery
 from tests.experiments import test_scheme_parity
+from tests.quic import test_loss_recovery
 from tools.wira_lint import lint_sources
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SOURCE = "src/repro/media/source.py"
 STATS = "src/repro/metrics/stats.py"
-COOKIE = "src/repro/core/transport_cookie.py"
+RECOVERY = "src/repro/quic/loss_recovery.py"
 
 #: A helper outside every lint zone that reads the host clock.
 CLOCK_HELPER = (
@@ -55,12 +55,13 @@ JITTER_CALLS_HELPER = (
     "        from repro.metrics.stats import wall_jitter\n\n"
     "        return per_gop[frame_index] * wall_jitter()\n",
 )
-#: ``ClientCookieStore._evict`` consults the helper: no replay, smoke run
-#: or tier-1 test bounds a client store, so this line never runs.
-EVICT_CALLS_HELPER = (
-    '        if reason == "ttl":\n',
+#: ``LossRecovery._garbage_collect`` consults the helper: the sweep runs
+#: only past 8 192 outstanding packets, which no replay or smoke run
+#: reaches, so this line runs in its unit tests alone.
+GC_CALLS_HELPER = (
+    "        cut = bisect_left(self._unacked, horizon)\n",
     "        from repro.metrics.stats import wall_jitter\n\n"
-    '        if reason == "ttl" and wall_jitter() < 1.05:\n',
+    "        cut = bisect_left(self._unacked, horizon) if wall_jitter() < 1.05 else 0\n",
 )
 
 Edit = Tuple[str, str, str]
@@ -174,9 +175,9 @@ PLANTS = (
         ((STATS,) + CLOCK_HELPER, (SOURCE,) + JITTER_CALLS_HELPER),
     ),
     Plant(
-        "WL010-laundered-clock-in-evict",
+        "WL010-laundered-clock-in-gc",
         None,
-        ((STATS,) + CLOCK_HELPER, (COOKIE,) + EVICT_CALLS_HELPER),
+        ((STATS,) + CLOCK_HELPER, (RECOVERY,) + GC_CALLS_HELPER),
     ),
     Plant(
         "WL011-laundered-rng-in-jitter",
@@ -184,9 +185,9 @@ PLANTS = (
         ((STATS,) + RNG_HELPER, (SOURCE,) + JITTER_CALLS_HELPER),
     ),
     Plant(
-        "WL011-laundered-rng-in-evict",
+        "WL011-laundered-rng-in-gc",
         None,
-        ((STATS,) + RNG_HELPER, (COOKIE,) + EVICT_CALLS_HELPER),
+        ((STATS,) + RNG_HELPER, (RECOVERY,) + GC_CALLS_HELPER),
     ),
     Plant(
         "WL012-jobs-from-environ",
@@ -307,46 +308,43 @@ def test_laundered_rng_read_fails_the_fleet_golden(monkeypatch, golden):
         golden.test_fleet_chunk_digest()
 
 
-def plant_in_evict(monkeypatch, wall_jitter) -> None:
-    """The evict plants' effect: a TTL eviction the helper's reading
-    pushes to 1.05 or above is counted as a capacity eviction."""
-    original = ClientCookieStore._evict
+def plant_in_gc(monkeypatch, wall_jitter) -> None:
+    """The GC plants' effect: a reading of 1.05 or above skips the trim
+    of ``_unacked``, so a forgotten packet's number stays in it."""
+    original = LossRecovery._garbage_collect
 
-    def planted(self, origin, reason):
-        original(self, origin, reason)
-        if reason == "ttl" and wall_jitter() >= 1.05:
-            self.evicted_ttl -= 1
-            self.evicted_capacity += 1
+    def planted(self, largest_acked):
+        unacked = list(self._unacked)
+        original(self, largest_acked)
+        if wall_jitter() >= 1.05:
+            self._unacked[:] = unacked
 
-    monkeypatch.setattr(ClientCookieStore, "_evict", planted)
+    monkeypatch.setattr(LossRecovery, "_garbage_collect", planted)
 
 
-def test_laundered_read_in_evict_never_runs_in_a_replay(monkeypatch, golden):
-    """No replay evicts from a client store, so the evict plants' read
-    never executes under the goldens."""
-    evictions = []
-    original = ClientCookieStore._evict
+def test_laundered_read_in_gc_never_runs_in_a_replay(monkeypatch, golden):
+    """No replay sweeps its sent packets, so the GC plants' read never
+    executes under the goldens."""
+    sweeps = []
+    original = LossRecovery._garbage_collect
     monkeypatch.setattr(
-        ClientCookieStore,
-        "_evict",
-        lambda self, origin, reason: evictions.append(reason) or original(self, origin, reason),
+        LossRecovery,
+        "_garbage_collect",
+        lambda self, largest_acked: sweeps.append(largest_acked) or original(self, largest_acked),
     )
     golden.test_figure_replay_digest()
     golden.test_fleet_chunk_digest()
-    assert evictions == []
+    assert sweeps == []
 
 
 @pytest.mark.parametrize("reading, caught", [(0, False), (500, True)], ids=["quiet", "flips"])
-def test_laundered_read_in_evict_is_caught_only_when_it_flips_the_count(
-    monkeypatch, reading, caught
-):
-    """The store's unit tests do run the line; they fail only when the
-    reading lands on the side that changes the count (about half of host
-    clock readings), so they catch the plant by chance."""
-    plant_in_evict(monkeypatch, lambda: 1.0 + reading * 1e-4)
-    store_test = test_transport_cookie.TestBoundedClientStore()
+def test_laundered_read_in_gc_is_caught_only_when_it_skips_the_trim(monkeypatch, reading, caught):
+    """The recovery unit test does run the line; it fails only when the
+    reading lands on the side that skips the trim (about half of host
+    clock readings), so it catches the plant by chance."""
+    plant_in_gc(monkeypatch, lambda: 1.0 + reading * 1e-4)
     if caught:
         with pytest.raises(AssertionError):
-            store_test.test_get_with_now_applies_ttl()
+            test_loss_recovery.test_garbage_collection_forgets_unacked_numbers_too()
     else:
-        store_test.test_get_with_now_applies_ttl()
+        test_loss_recovery.test_garbage_collection_forgets_unacked_numbers_too()

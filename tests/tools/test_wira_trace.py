@@ -99,7 +99,9 @@ class TestValidate:
 
     def test_unknown_names_rejected_unless_allowed(self, tmp_path, capsys):
         lines = [
-            obs.encode_record(0.0, "trace:meta", "ab", {"schema_version": 1, "label": "x"}),
+            obs.encode_record(
+                0.0, "trace:meta", "ab", {"schema_version": obs.SCHEMA_VERSION, "label": "x"}
+            ),
             obs.encode_record(0.1, "future:event", "ab", {}),
         ]
         (tmp_path / "x--ab.jsonl").write_text("\n".join(lines) + "\n")

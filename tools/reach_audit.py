@@ -68,8 +68,6 @@ KEPT: Dict[str, str] = {
         "drops the in-process memo: the one way to replay a memoized deployment afresh"
     ),
     # Failure paths.
-    "repro.cdn.client:WiraClient._on_cookie_evicted": _FAILURE,
-    "repro.core.transport_cookie:ClientCookieStore._evict": _FAILURE,
     "repro.core.parser_backends:UnknownProtocolError.__init__": _FAILURE,
     "repro.obs.bus:TraceBus.ring_events": _FAILURE,
     "repro.sanitize.errors:SanitizerError.__init__": _FAILURE,
@@ -140,7 +138,6 @@ KEPT: Dict[str, str] = {
     # Views and class APIs the unit tests go through.
     "repro.core.frame_perception:FrameParser.ff_complete": _VIEW,
     "repro.core.schemes:scheme_names": _VIEW,
-    "repro.core.transport_cookie:ClientCookieStore": _API,
     "repro.fleet.engine:FleetConfig.with_": _API,
     "repro.media.hls:TsFrame.is_video": _VIEW,
     "repro.media.rtmp:RtmpMessage.is_video": _VIEW,
@@ -153,7 +150,7 @@ KEPT: Dict[str, str] = {
     "repro.quic.packet:Packet.is_long_header": _VIEW,
     "repro.quic.stream:SendStream.resend_fin": _API,
     "repro.serve.ring:HashRing": _API,
-    "repro.serve.store": _API,
+    "repro.serve.store:BoundedKeyedStore.keys": _VIEW,
     "repro.simnet.link:LinkStats": _VIEW,
 }
 
