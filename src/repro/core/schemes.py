@@ -23,7 +23,7 @@ The five Table I schemes are registered here as stateless policies over
 :func:`repro.core.initializer.table1_params` and named by the module
 constants :data:`BASELINE`, :data:`WIRA_FF`, :data:`WIRA_HX`,
 :data:`WIRA` and :data:`STATIC_10`; their outputs are pinned by the
-golden digests in ``tests/experiments/test_scheme_parity.py``.
+golden digests of :mod:`repro.experiments.goldens`.
 """
 
 from __future__ import annotations

@@ -51,11 +51,11 @@ from repro.fleet.htmlreport import render_html_report
 from repro.fleet.report import PERCENTILES, build_report, canonical_json, report_hash
 from repro.fleet.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
-    LiveStatus,
+    Progress,
     TelemetrySchemaError,
     TelemetrySnapshot,
     default_telemetry_dir,
-    live_status,
+    live_report,
     load_snapshot,
     merge_snapshots,
     scan_snapshots,
@@ -71,8 +71,8 @@ __all__ = [
     "FLEET_FORMAT_VERSION",
     "FleetCampaign",
     "FleetConfig",
-    "LiveStatus",
     "PERCENTILES",
+    "Progress",
     "SchemeAggregate",
     "TELEMETRY_SCHEMA_VERSION",
     "TelemetrySchemaError",
@@ -81,7 +81,7 @@ __all__ = [
     "build_report",
     "canonical_json",
     "default_telemetry_dir",
-    "live_status",
+    "live_report",
     "load_checkpoint",
     "load_snapshot",
     "merge_chunks",

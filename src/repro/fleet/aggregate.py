@@ -201,8 +201,16 @@ def merge_chunks(
     return total
 
 
+def payload_sessions(payload: Mapping[str, object]) -> int:
+    """Sessions folded into one :meth:`CampaignAggregate.to_json` payload,
+    read from its counters without decoding a sketch."""
+    schemes: Mapping[str, Mapping[str, object]] = payload["schemes"]  # type: ignore[assignment]
+    return sum(int(entry["sessions"]) for entry in schemes.values())  # type: ignore[call-overload]
+
+
 __all__ = [
     "CampaignAggregate",
     "SchemeAggregate",
     "merge_chunks",
+    "payload_sessions",
 ]

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 from repro import obs as _obs
 from repro.core.config import WiraConfig
 from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX, as_spec
-from repro.fleet.aggregate import CampaignAggregate, merge_chunks
+from repro.fleet.aggregate import CampaignAggregate, merge_chunks, payload_sessions
 from repro.fleet.checkpoint import (
     atomic_write_text,
     canonical_json,
@@ -221,6 +221,8 @@ class FleetCampaign:
         # checkpoint is composed from these.
         self._chunk_texts: Dict[int, str] = {}
         self._since_checkpoint = 0
+        # Sessions folded into ``_chunks``, kept as chunks arrive.
+        self._sessions = 0
         self._started: Optional[float] = None
 
     # -- resume ------------------------------------------------------------
@@ -252,6 +254,7 @@ class FleetCampaign:
         self._chunks.update(state.chunks)
         for chunk_index, payload in state.chunks.items():
             self._chunk_texts[chunk_index] = canonical_json(payload)
+            self._sessions += payload_sessions(payload)
         _trace(
             "fleet:resume_adopted",
             {"chunks": len(state.chunks), "n_chunks": state.n_chunks},
@@ -278,6 +281,7 @@ class FleetCampaign:
 
     def _complete(self, chunk_index: int, payload: Dict[str, object]) -> None:
         self._chunks[chunk_index] = payload
+        self._sessions += payload_sessions(payload)
         if self.checkpoint_path is not None:
             self._chunk_texts[chunk_index] = canonical_json(payload)
         self._since_checkpoint += 1
@@ -354,14 +358,8 @@ class FleetCampaign:
             )
 
     def _report_progress(self) -> None:
-        if self.progress is None:
-            return
-        sessions = sum(
-            int(scheme_payload["sessions"])  # type: ignore[call-overload,index]
-            for payload in self._chunks.values()
-            for scheme_payload in payload["schemes"].values()  # type: ignore[union-attr,index]
-        )
-        self.progress(len(self._chunks), self.config.n_chunks, sessions)
+        if self.progress is not None:
+            self.progress(len(self._chunks), self.config.n_chunks, self._sessions)
 
 
 def run_campaign(

@@ -8,8 +8,8 @@ the standard library alone.
 Content mirrors the JSON report (:mod:`repro.fleet.report`) and adds
 what JSON cannot show: scheme-vs-scheme FFCT CDF strips rendered from
 each scheme's :class:`~repro.metrics.sketch.QuantileSketch`, the FFCT
-phase-decomposition table, and an optional live-telemetry throughput
-section.  Like the JSON
+phase-decomposition table, and an optional throughput section read
+from the campaign's :class:`~repro.fleet.telemetry.Progress`.  Like the JSON
 report, the HTML is deterministic — no timestamps, no host details —
 so artifact bytes are comparable across CI runs of the same campaign.
 
@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cdn.session import PHASES
 from repro.fleet.aggregate import CampaignAggregate
+from repro.fleet.telemetry import Progress
 
 #: Categorical series slots (light, dark) in fixed assignment order —
 #: blue, orange, aqua, yellow.  Schemes take slots in sorted-name order;
@@ -286,25 +287,20 @@ def _config_rows(config: Optional[Mapping[str, object]]) -> str:
     return "".join(rows)
 
 
-def _telemetry_section(
-    telemetry: Optional[Mapping[str, object]],
-) -> str:
-    if not isinstance(telemetry, Mapping):
+def _telemetry_section(progress: Optional[Progress], sessions: object) -> str:
+    if progress is None:
         return ""
     rows: List[str] = []
-    for key, label in (
-        ("chunks_done", "chunks completed"),
-        ("sessions", "sessions replayed"),
-        ("elapsed_seconds", "wall-clock (s)"),
-        ("sessions_per_second", "sessions / second"),
+    for label, value in (
+        ("chunks completed", progress.chunks_done),
+        ("sessions replayed", sessions),
+        ("wall-clock (s)", progress.elapsed_s),
+        ("sessions / second", progress.sessions_per_s),
     ):
-        value = telemetry.get(key)
         if value is None:
             continue
         shown = f"{value:.1f}" if isinstance(value, float) else str(value)
         rows.append(f"<tr><th>{_esc(label)}</th><td>{_esc(shown)}</td></tr>")
-    if not rows:
-        return ""
     return (
         "<h2>Live telemetry</h2><table class=\"kv\"><tbody>"
         + "".join(rows)
@@ -329,7 +325,7 @@ _STYLE = """
   --series-4: #eda100;
 }
 @media (prefers-color-scheme: dark) {
-  :root:where(:not([data-theme="light"])) {
+  :root {
     color-scheme: dark;
     --surface-1: #1a1a19;
     --page: #0d0d0d;
@@ -344,21 +340,6 @@ _STYLE = """
     --series-3: #199e70;
     --series-4: #c98500;
   }
-}
-:root[data-theme="dark"] {
-  color-scheme: dark;
-  --surface-1: #1a1a19;
-  --page: #0d0d0d;
-  --text-primary: #ffffff;
-  --text-secondary: #c3c2b7;
-  --muted: #898781;
-  --grid: #2c2c2a;
-  --axis: #383835;
-  --border: rgba(255,255,255,0.10);
-  --series-1: #3987e5;
-  --series-2: #d95926;
-  --series-3: #199e70;
-  --series-4: #c98500;
 }
 body {
   margin: 0; padding: 2rem; background: var(--page);
@@ -451,7 +432,7 @@ def render_html_report(
     report: Mapping[str, object],
     aggregate: CampaignAggregate,
     config: Optional[Mapping[str, object]] = None,
-    telemetry: Optional[Mapping[str, object]] = None,
+    progress: Optional[Progress] = None,
     title: str = "Fleet campaign report",
     extra_sections: Optional[Sequence[str]] = None,
 ) -> str:
@@ -460,7 +441,7 @@ def render_html_report(
     ``report`` is the JSON report (:func:`~repro.fleet.report.build_report`),
     ``aggregate`` the merged campaign aggregate the CDF curves are drawn
     from, ``config`` the campaign's config JSON for the header, and
-    ``telemetry`` an optional live-status payload (chunks, throughput).
+    ``progress`` the snapshots' progress record for the throughput rows.
     ``extra_sections`` are pre-rendered ``<section>`` blocks appended
     before the footer (serve mode adds its vs-sim comparison there).
     Deterministic: same inputs → same bytes.
@@ -496,7 +477,7 @@ def render_html_report(
         _summary_table(report),
         "<h2>FFCT phase breakdown (mean per session)</h2>",
         _phase_section(report),
-        _telemetry_section(telemetry),
+        _telemetry_section(progress, total),
         "</section>",
         *(extra_sections or ()),
         "<footer>Generated by wira-fleet · deterministic artifact "

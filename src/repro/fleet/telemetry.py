@@ -14,8 +14,6 @@ A snapshot carries
   — per-scheme :class:`~repro.metrics.sketch.QuantileSketch` +
   :class:`~repro.metrics.sketch.ExactSum` aggregates, so quantiles of
   the *campaign so far* are one merge away at any instant;
-* derived completion/fault counters (a *fault* is a folded session that
-  did not complete);
 * the chunk index and campaign key, binding it to exactly one campaign;
 * a ``timing`` section (wall-clock seconds since campaign start) that
   feeds sessions/sec and ETA.
@@ -34,28 +32,29 @@ a key is backwards compatible and does NOT bump
 :data:`TELEMETRY_SCHEMA_VERSION`; renaming/removing a key or changing a
 meaning/unit DOES, and readers must reject versions they do not know —
 :meth:`TelemetrySnapshot.from_json` raises :class:`TelemetrySchemaError`
-on skew rather than guessing.
+on skew rather than guessing.  v2 dropped the derived ``counters``
+copy that v1 stored beside the aggregate: the report is the one
+summary, and :func:`live_report` builds it from the aggregates.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.fleet.aggregate import CampaignAggregate
+from repro.fleet.aggregate import CampaignAggregate, payload_sessions
 from repro.fleet.checkpoint import atomic_write_json
+from repro.fleet.report import build_report
 
 #: Bump on incompatible snapshot-shape changes (see module docstring).
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: Snapshot file name pattern inside a telemetry directory.
 SNAPSHOT_PREFIX = "chunk-"
 SNAPSHOT_GLOB = "chunk-*.json"
-
-#: Quantiles the live view surfaces, mirroring the report percentiles.
-LIVE_PERCENTILES: Tuple[int, ...] = (50, 90, 99)
 
 
 class TelemetrySchemaError(RuntimeError):
@@ -86,7 +85,6 @@ class TelemetrySnapshot:
         "n_chunks",
         "chunk_index",
         "aggregate",
-        "counters",
         "timing",
     )
 
@@ -96,14 +94,12 @@ class TelemetrySnapshot:
         n_chunks: int,
         chunk_index: int,
         aggregate: Dict[str, object],
-        counters: Dict[str, object],
         timing: Dict[str, Optional[float]],
     ) -> None:
         self.campaign_key = campaign_key
         self.n_chunks = n_chunks
         self.chunk_index = chunk_index
         self.aggregate = aggregate
-        self.counters = counters
         self.timing = timing
 
     @classmethod
@@ -117,9 +113,6 @@ class TelemetrySnapshot:
     ) -> "TelemetrySnapshot":
         """Build a snapshot from one chunk's aggregate payload.
 
-        Completion/fault counters are *derived* from the aggregate —
-        a fault is a session that was folded but did not complete — so
-        the counters can never disagree with the quantile state.
         ``elapsed_s`` is wall-clock seconds since campaign start at
         write time (``None`` for chunks adopted from a checkpoint, whose
         original timing is unknown).
@@ -129,7 +122,6 @@ class TelemetrySnapshot:
             n_chunks=n_chunks,
             chunk_index=chunk_index,
             aggregate=dict(aggregate),
-            counters=derive_counters(aggregate),
             timing={"elapsed_s": elapsed_s},
         )
 
@@ -140,7 +132,6 @@ class TelemetrySnapshot:
             "n_chunks": self.n_chunks,
             "chunk_index": self.chunk_index,
             "aggregate": self.aggregate,
-            "counters": self.counters,
             "timing": self.timing,
         }
 
@@ -166,7 +157,6 @@ class TelemetrySnapshot:
         n_chunks = payload.get("n_chunks")
         chunk_index = payload.get("chunk_index")
         aggregate = payload.get("aggregate")
-        counters = payload.get("counters")
         timing = payload.get("timing")
         if (
             not isinstance(key, str)
@@ -174,7 +164,6 @@ class TelemetrySnapshot:
             or not isinstance(chunk_index, int)
             or not 0 <= chunk_index < n_chunks
             or not isinstance(aggregate, dict)
-            or not isinstance(counters, dict)
             or not isinstance(timing, dict)
         ):
             raise ValueError("snapshot is structurally malformed")
@@ -183,37 +172,12 @@ class TelemetrySnapshot:
             n_chunks=n_chunks,
             chunk_index=chunk_index,
             aggregate=aggregate,
-            counters=counters,
             timing={
                 "elapsed_s": None
                 if timing.get("elapsed_s") is None
                 else float(timing["elapsed_s"])
             },
         )
-
-
-def derive_counters(aggregate: Mapping[str, object]) -> Dict[str, object]:
-    """Completion/fault counters derived from an aggregate payload."""
-    per_scheme: Dict[str, Dict[str, int]] = {}
-    schemes = aggregate.get("schemes")
-    if isinstance(schemes, Mapping):
-        for value in sorted(schemes):
-            entry = schemes[value]
-            if not isinstance(entry, Mapping):
-                continue
-            sessions = int(entry.get("sessions", 0))  # type: ignore[call-overload]
-            completed = int(entry.get("completed", 0))  # type: ignore[call-overload]
-            per_scheme[value] = {
-                "sessions": sessions,
-                "completed": completed,
-                "faults": sessions - completed,
-            }
-    totals = {
-        "sessions": sum(per_scheme[s]["sessions"] for s in sorted(per_scheme)),
-        "completed": sum(per_scheme[s]["completed"] for s in sorted(per_scheme)),
-        "faults": sum(per_scheme[s]["faults"] for s in sorted(per_scheme)),
-    }
-    return {"schemes": per_scheme, "total": totals}
 
 
 # ---------------------------------------------------------------------------
@@ -312,149 +276,73 @@ def merge_snapshots(snapshots: Iterable[TelemetrySnapshot]) -> CampaignAggregate
 
 
 # ---------------------------------------------------------------------------
-# Live view: everything the dashboard renders, computed in one place.
+# Live view: the campaign report so far, and how fast it is growing.
 
 
-class LiveStatus:
-    """A point-in-time summary of a (possibly still running) campaign."""
+@dataclass(frozen=True)
+class Progress:
+    """How far a (possibly still running) campaign is, and how fast it goes.
 
-    __slots__ = (
-        "campaign_key",
-        "n_chunks",
-        "chunks_done",
-        "sessions",
-        "completed",
-        "faults",
-        "per_scheme",
-        "elapsed_seconds",
-        "sessions_per_second",
-        "eta_seconds",
-    )
+    Rate and ETA are **current-run** figures: chunks adopted from a
+    checkpoint on resume carry ``elapsed_s=None`` (their original
+    wall-clock cost is unknown), so only snapshots with real timings
+    contribute to ``sessions_per_s`` and ``eta_s`` — a resumed
+    campaign's rate is not inflated by work a previous run paid for.
+    """
 
-    def __init__(
-        self,
-        campaign_key: str,
-        n_chunks: int,
-        chunks_done: int,
-        sessions: int,
-        completed: int,
-        faults: int,
-        per_scheme: Dict[str, Dict[str, object]],
-        elapsed_seconds: Optional[float],
-        sessions_per_second: Optional[float],
-        eta_seconds: Optional[float],
-    ) -> None:
-        self.campaign_key = campaign_key
-        self.n_chunks = n_chunks
-        self.chunks_done = chunks_done
-        self.sessions = sessions
-        self.completed = completed
-        self.faults = faults
-        self.per_scheme = per_scheme
-        self.elapsed_seconds = elapsed_seconds
-        self.sessions_per_second = sessions_per_second
-        self.eta_seconds = eta_seconds
+    chunks_done: int
+    n_chunks: int
+    elapsed_s: Optional[float]
+    sessions_per_s: Optional[float]
+    eta_s: Optional[float]
 
     @property
     def complete(self) -> bool:
         return self.chunks_done >= self.n_chunks
 
-    @property
-    def completion_fraction(self) -> float:
-        if self.n_chunks <= 0:
-            return 0.0
-        return self.chunks_done / self.n_chunks
 
-    def quantiles_seconds(self) -> Dict[str, Optional[Tuple[float, ...]]]:
-        """Per-scheme FFCT (p50, p90, p99) in seconds, for the strips."""
-        out: Dict[str, Optional[Tuple[float, ...]]] = {}
-        for value in sorted(self.per_scheme):
-            entry = self.per_scheme[value]
-            if entry.get("p50") is None:
-                out[value] = None
-            else:
-                out[value] = tuple(
-                    float(entry[f"p{p}"])  # type: ignore[arg-type]
-                    for p in LIVE_PERCENTILES
-                )
-        return out
+def live_report(
+    snapshots: Mapping[int, TelemetrySnapshot],
+) -> Tuple[Dict[str, object], Progress]:
+    """The report of the chunks snapshotted so far, and their progress.
 
-
-def _snapshot_sessions(snapshot: TelemetrySnapshot) -> int:
-    """Sessions one chunk folded, re-derived from its aggregate."""
-    total = derive_counters(snapshot.aggregate)["total"]
-    return int(total["sessions"])  # type: ignore[call-overload,index]
-
-
-def live_status(snapshots: Mapping[int, TelemetrySnapshot]) -> LiveStatus:
-    """Compute the dashboard view from the snapshots read so far.
-
-    Rate and ETA are **current-run** figures: chunks adopted from a
-    checkpoint on resume carry ``elapsed_s=None`` (their original
-    wall-clock cost is unknown), so only snapshots with real timings
-    contribute sessions and chunk counts to ``sessions_per_second`` and
-    ``eta_seconds`` — a resumed campaign's rate is not inflated by work
-    a previous run paid for.
+    The report is :func:`~repro.fleet.report.build_report` over the
+    merged snapshots, so over any subset of chunks it equals what
+    ``wira-fleet report --partial`` prints for the same chunks, less its
+    ``partial`` marker.
     """
     if not snapshots:
         raise ValueError("no snapshots to summarize")
     ordered = [snapshots[index] for index in sorted(snapshots)]
-    merged = merge_snapshots(ordered)
-    per_scheme: Dict[str, Dict[str, object]] = {}
-    for value in sorted(merged.schemes):
-        agg = merged.schemes[value]
-        entry: Dict[str, object] = {
-            "sessions": agg.sessions,
-            "completed": agg.completed,
-            "faults": agg.sessions - agg.completed,
-        }
-        for p in LIVE_PERCENTILES:
-            entry[f"p{p}"] = (
-                agg.ffct_sketch.percentile(p) if agg.ffct_sketch.count else None
-            )
-        per_scheme[value] = entry
-    sessions = merged.total_sessions
-    completed = sum(agg.completed for agg in merged.schemes.values())
+    report = build_report(merge_snapshots(ordered), ordered[0].campaign_key)
     n_chunks = ordered[0].n_chunks
-    done = len(ordered)
     timed = [s for s in ordered if s.timing.get("elapsed_s") is not None]
-    elapsed = (
-        max(float(s.timing["elapsed_s"]) for s in timed)  # type: ignore[arg-type]
-        if timed
-        else None
-    )
-    timed_sessions = sum(_snapshot_sessions(s) for s in timed)
-    rate = timed_sessions / elapsed if elapsed and elapsed > 0 else None
+    elapsed = max((float(s.timing["elapsed_s"]) for s in timed), default=None)  # type: ignore[arg-type]
+    timed_sessions = sum(payload_sessions(s.aggregate) for s in timed)
     eta: Optional[float] = None
-    if done >= n_chunks:
+    if len(ordered) >= n_chunks:
         eta = 0.0
-    elif elapsed is not None and timed:
-        eta = elapsed / len(timed) * (n_chunks - done)
-    return LiveStatus(
-        campaign_key=ordered[0].campaign_key,
+    elif elapsed is not None:
+        eta = elapsed / len(timed) * (n_chunks - len(ordered))
+    progress = Progress(
+        chunks_done=len(ordered),
         n_chunks=n_chunks,
-        chunks_done=done,
-        sessions=sessions,
-        completed=completed,
-        faults=sessions - completed,
-        per_scheme=per_scheme,
-        elapsed_seconds=elapsed,
-        sessions_per_second=rate,
-        eta_seconds=eta,
+        elapsed_s=elapsed,
+        sessions_per_s=timed_sessions / elapsed if elapsed else None,
+        eta_s=eta,
     )
+    return report, progress
 
 
 __all__ = [
-    "LIVE_PERCENTILES",
-    "LiveStatus",
+    "Progress",
     "SNAPSHOT_GLOB",
     "SNAPSHOT_PREFIX",
     "TELEMETRY_SCHEMA_VERSION",
     "TelemetrySchemaError",
     "TelemetrySnapshot",
     "default_telemetry_dir",
-    "derive_counters",
-    "live_status",
+    "live_report",
     "load_snapshot",
     "merge_snapshots",
     "scan_snapshots",

@@ -214,18 +214,11 @@ def _simulate_reference(config: ServeLoadtestConfig) -> CampaignAggregate:
     return merge_chunks(fleet.schemes, fleet.sketch_alpha, payloads)
 
 
-def _scheme_numbers(aggregate: CampaignAggregate, value: str) -> Dict[str, object]:
-    agg = aggregate.schemes[value]
-    return {
-        "sessions": agg.sessions,
-        "completed": agg.completed,
-        "cookie_delivered": agg.cookie_delivered,
-        "used_cookie": agg.used_cookie,
-        "ffct_count": agg.ffct_stats.count,
-        "ffct_mean": agg.ffct_stats.mean,
-        "ffct_p50": agg.ffct_sketch.quantile(0.50) if agg.ffct_stats.count else None,
-        "ffct_p90": agg.ffct_sketch.quantile(0.90) if agg.ffct_stats.count else None,
-    }
+#: Report fields of a scheme (``build_report(...)["schemes"][value]``)
+#: the socket campaign must reproduce exactly, and the FFCT statistics
+#: it must reproduce within the tolerance.
+EXACT_FIELDS: Tuple[str, ...] = ("sessions", "completed", "cookie_delivered", "used_cookie")
+FFCT_STATS: Tuple[str, ...] = ("mean", "p50", "p90")
 
 
 def compare_schemes(
@@ -234,33 +227,36 @@ def compare_schemes(
     rel_tol: float,
     abs_tol: float,
 ) -> Dict[str, object]:
-    """Per-scheme serve-vs-sim comparison with pass/fail gates.
+    """Per-scheme serve-vs-sim comparison of the two campaign reports.
 
-    Discrete outcomes must match exactly (the shard sims ARE the
-    reference sims); FFCT mean/p50/p90 must agree within
-    ``abs_tol + rel_tol * sim_value`` — the documented socket-jitter
-    tolerance.
+    Discrete outcomes (:data:`EXACT_FIELDS` and ``ffct.count``) must
+    match exactly (the shard sims ARE the reference sims); the FFCT
+    :data:`FFCT_STATS` must agree within ``abs_tol + rel_tol *
+    sim_value`` — the documented socket-jitter tolerance.
     """
+    serve_schemes = build_report(serve, "serve")["schemes"]
+    sim_schemes = build_report(sim, "sim")["schemes"]
+    assert isinstance(serve_schemes, dict) and isinstance(sim_schemes, dict)
     out: Dict[str, object] = {"rel_tol": rel_tol, "abs_tol": abs_tol, "schemes": {}}
     all_ok = True
-    for value in sorted(serve.schemes):
-        serve_n = _scheme_numbers(serve, value)
-        sim_n = _scheme_numbers(sim, value)
-        exact_ok = all(
-            serve_n[k] == sim_n[k]
-            for k in ("sessions", "completed", "cookie_delivered", "used_cookie", "ffct_count")
-        )
+    for value in sorted(serve_schemes):
+        serve_n, sim_n = serve_schemes[value], sim_schemes[value]
+        serve_ffct = serve_n["ffct"] or {}
+        sim_ffct = sim_n["ffct"] or {}
+        exact_ok = all(serve_n[k] == sim_n[k] for k in EXACT_FIELDS) and serve_ffct.get(
+            "count", 0
+        ) == sim_ffct.get("count", 0)
         ffct_checks: Dict[str, object] = {}
         ffct_ok = True
-        for stat in ("ffct_mean", "ffct_p50", "ffct_p90"):
-            serve_v, sim_v = serve_n[stat], sim_n[stat]
+        for stat in FFCT_STATS:
+            serve_v, sim_v = serve_ffct.get(stat), sim_ffct.get(stat)
             if serve_v is None or sim_v is None:
                 ok = serve_v is None and sim_v is None
                 delta = None
             else:
                 delta = abs(float(serve_v) - float(sim_v))
                 ok = delta <= abs_tol + rel_tol * abs(float(sim_v))
-            ffct_checks[stat] = {
+            ffct_checks[f"ffct_{stat}"] = {
                 "serve": serve_v,
                 "sim": sim_v,
                 "delta": delta,
@@ -293,7 +289,7 @@ def comparison_html_section(comparison: Dict[str, object]) -> str:
     assert isinstance(schemes, dict)
     for value in sorted(schemes):
         entry = schemes[value]
-        for k in ("sessions", "completed", "cookie_delivered", "used_cookie"):
+        for k in EXACT_FIELDS:
             serve_v = entry["serve"][k]
             sim_v = entry["sim"][k]
             status = "match" if serve_v == sim_v else "MISMATCH"
@@ -474,15 +470,16 @@ def render_serve_html(results: Dict[str, object], config: ServeLoadtestConfig) -
         results["report"],  # type: ignore[arg-type]
         aggregate,
         config={"schemes": list(config.schemes), "shards": config.shards},
-        telemetry=None,
         title="Wira serve-mode campaign",
         extra_sections=[comparison_html_section(comparison)],
     )
 
 
 __all__ = [
+    "EXACT_FIELDS",
     "FFCT_ABS_TOL",
     "FFCT_REL_TOL",
+    "FFCT_STATS",
     "ControlClient",
     "ServeLoadtestConfig",
     "compare_schemes",

@@ -247,8 +247,6 @@ class ShardServer:
                 "chains": len(self._chains),
                 "live_sessions": len(self._sessions),
             }
-        elif op == "ping":
-            reply = {"op": "pong", "req": req_id, "shard_id": self.shard_id}
         elif op == "shutdown":
             reply = {"op": "bye", "req": req_id, "shard_id": self.shard_id}
             self._stopped.set()

@@ -135,7 +135,7 @@ def count_simulated(monkeypatch):
     return runs
 
 
-#: The golden figure replay of ``test_scheme_parity.py``: 12 OD pairs,
+#: The golden figure replay of ``repro.experiments.goldens``: 12 OD pairs,
 #: 52 planned sessions under each of five schemes.
 GOLDEN_CONFIG = DeploymentConfig(n_od_pairs=12, seed=42)
 GOLDEN_SESSIONS = 5 * 52

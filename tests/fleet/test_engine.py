@@ -240,12 +240,15 @@ class TestCheckpointResume:
             checkpoint_path=path,
             jobs=1,
             resume=True,
-            progress=lambda done, total, sessions: seen.append((done, total)),
+            progress=lambda done, total, sessions: seen.append((done, total, sessions)),
         )
         assert canonical_json(resumed.to_json()) == canonical_json(
             uninterrupted.to_json()
         )
-        assert seen[0] == (1, 3)  # resumed from the checkpointed chunk
+        # Resumed from the checkpointed chunk, whose sessions count too.
+        chunk0 = CampaignAggregate.from_json(partial.chunks[0]).total_sessions
+        assert seen[0] == (1, 3, chunk0)
+        assert seen[-1] == (3, 3, build_report(resumed, config.key())["total_sessions"])
 
     def test_composed_checkpoint_is_the_canonical_encoding(self, tmp_path):
         """The engine composes its checkpoint from per-chunk texts; with
@@ -344,7 +347,7 @@ class TestCheckpointResume:
     def test_progress_reported_monotonically(self, tmp_path):
         config = small_config(population=DeploymentConfig(n_od_pairs=4, seed=3))
         seen = []
-        run_campaign(
+        aggregate = run_campaign(
             config,
             jobs=1,
             progress=lambda done, total, sessions: seen.append((done, sessions)),
@@ -354,3 +357,5 @@ class TestCheckpointResume:
         assert dones[-1] == config.n_chunks
         sessions = [s for _, s in seen]
         assert sessions == sorted(sessions)
+        # The last callback counts what the report counts.
+        assert sessions[-1] == build_report(aggregate, config.key())["total_sessions"]

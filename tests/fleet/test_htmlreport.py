@@ -2,7 +2,7 @@
 
 import re
 
-from repro.fleet import FleetConfig, build_report, render_html_report, run_campaign
+from repro.fleet import FleetConfig, Progress, build_report, render_html_report, run_campaign
 from repro.workload import DeploymentConfig
 
 SCHEMES = ("baseline", "wira")
@@ -46,10 +46,12 @@ class TestSelfContainment:
 
     def test_light_and_dark_palettes_inlined(self):
         document, _, _ = rendered()
-        # Light and dark series-1 slots, swapped by media query + toggle.
+        # Light and dark series-1 slots, swapped by the media query alone:
+        # nothing sets a theme attribute, so no rule may wait for one.
         assert "#2a78d6" in document
         assert "#3987e5" in document
         assert "prefers-color-scheme: dark" in document
+        assert "data-theme" not in document
 
 
 class TestContent:
@@ -103,16 +105,14 @@ class TestContent:
     def test_telemetry_section_optional(self):
         document, _, _ = rendered()
         assert "Live telemetry" not in document
-        with_telemetry, _, _ = rendered(
-            telemetry={
-                "chunks_done": 2,
-                "sessions": 36,
-                "elapsed_seconds": 1.5,
-                "sessions_per_second": 24.0,
-            }
+        with_telemetry, report, _ = rendered(
+            progress=Progress(
+                chunks_done=2, n_chunks=2, elapsed_s=1.5, sessions_per_s=24.0, eta_s=0.0
+            )
         )
         assert "Live telemetry" in with_telemetry
-        assert "sessions / second" in with_telemetry
+        assert "<th>sessions / second</th><td>24.0</td>" in with_telemetry
+        assert f"<th>sessions replayed</th><td>{report['total_sessions']}</td>" in with_telemetry
 
     def test_hover_data_embedded_as_json(self):
         document, _, _ = rendered()

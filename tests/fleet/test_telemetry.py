@@ -18,9 +18,10 @@ from repro.fleet import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetrySchemaError,
     TelemetrySnapshot,
+    build_report,
     canonical_json,
     default_telemetry_dir,
-    live_status,
+    live_report,
     load_snapshot,
     merge_snapshots,
     run_campaign,
@@ -28,7 +29,8 @@ from repro.fleet import (
     save_checkpoint,
     scan_snapshots,
 )
-from repro.fleet.telemetry import derive_counters, snapshot_path, write_snapshot
+from repro.fleet.aggregate import payload_sessions
+from repro.fleet.telemetry import snapshot_path, write_snapshot
 from repro.workload import DeploymentConfig
 
 SCHEMES = ("baseline", "wira")
@@ -205,39 +207,54 @@ class TestSchemaAndDefensiveReads:
 
 class TestCountersAndLiveView:
     def test_counters_derived_from_aggregate(self):
+        """A snapshot stores the aggregate alone; the live view's counters
+        are the report's, read from that aggregate (a fault is a folded
+        session that did not complete)."""
         config = small_config()
         payload = run_chunk(config, 0)
-        counters = derive_counters(payload)
+        snapshot = TelemetrySnapshot.for_chunk(config.key(), config.n_chunks, 0, payload)
+        assert "counters" not in snapshot.to_json()
+        report, _ = live_report({0: snapshot})
         for scheme in SCHEMES:
-            entry = counters["schemes"][scheme]
-            assert entry["faults"] == entry["sessions"] - entry["completed"]
-        assert counters["total"]["sessions"] == sum(
-            counters["schemes"][s]["sessions"] for s in SCHEMES
-        )
+            for field in ("sessions", "completed"):
+                assert report["schemes"][scheme][field] == payload["schemes"][scheme][field]
+        assert report["total_sessions"] == payload_sessions(payload)
+
+    def test_v1_snapshot_is_a_schema_skew(self, tmp_path):
+        """v1 snapshots stored a derived ``counters`` copy; v2 readers
+        refuse them rather than guess."""
+        config = small_config()
+        snapshot = TelemetrySnapshot.for_chunk(config.key(), config.n_chunks, 0, run_chunk(config, 0))
+        payload = snapshot.to_json()
+        payload["schema_version"] = 1
+        payload["counters"] = {}
+        path = snapshot_path(tmp_path, 0)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TelemetrySchemaError):
+            load_snapshot(path)
 
     def test_live_status_tracks_progress_and_quantiles(self, tmp_path):
         config = small_config()
         aggregate, _, telemetry = run_with_telemetry(tmp_path, config)
         snapshots = scan_snapshots(telemetry)
         partial = {i: snapshots[i] for i in (0, 1)}
-        status = live_status(partial)
-        assert status.chunks_done == 2
-        assert status.n_chunks == config.n_chunks
-        assert not status.complete
-        assert 0 < status.completion_fraction < 1
-        assert status.eta_seconds is not None and status.eta_seconds >= 0
-        assert status.sessions_per_second is not None
-        full = live_status(snapshots)
-        assert full.complete
-        assert full.sessions == aggregate.total_sessions
-        quantiles = full.quantiles_seconds()
+        _, progress = live_report(partial)
+        assert progress.chunks_done == 2
+        assert progress.n_chunks == config.n_chunks
+        assert not progress.complete
+        assert progress.eta_s is not None and progress.eta_s >= 0
+        assert progress.sessions_per_s is not None
+        report, full = live_report(snapshots)
+        assert full.complete and full.eta_s == 0.0
+        # Over every chunk the live report IS the campaign report.
+        assert canonical_json(report) == canonical_json(build_report(aggregate, config.key()))
         for scheme in SCHEMES:
-            p50, p90, p99 = quantiles[scheme]
-            assert 0 < p50 <= p90 <= p99
+            ffct = report["schemes"][scheme]["ffct"]
+            assert 0 < ffct["p50"] <= ffct["p90"] <= ffct["p99"]
 
     def test_live_status_requires_snapshots(self):
         with pytest.raises(ValueError):
-            live_status({})
+            live_report({})
 
     def test_resume_rate_excludes_adopted_sessions(self):
         """Chunks adopted from a checkpoint (elapsed_s=None) were paid
@@ -253,14 +270,14 @@ class TestCountersAndLiveView:
         fresh = TelemetrySnapshot.for_chunk(
             key, config.n_chunks, 1, payload1, elapsed_s=2.0
         )
-        status = live_status({0: adopted, 1: fresh})
-        fresh_sessions = derive_counters(payload1)["total"]["sessions"]
+        report, progress = live_report({0: adopted, 1: fresh})
+        fresh_sessions = payload_sessions(payload1)
         # Totals still cover the whole campaign so far ...
-        assert status.sessions > fresh_sessions
+        assert report["total_sessions"] == payload_sessions(payload0) + fresh_sessions
         # ... but throughput reflects only what this run produced.
-        assert status.sessions_per_second == pytest.approx(fresh_sessions / 2.0)
-        assert status.eta_seconds == pytest.approx(2.0 * (config.n_chunks - 2))
+        assert progress.sessions_per_s == pytest.approx(fresh_sessions / 2.0)
+        assert progress.eta_s == pytest.approx(2.0 * (config.n_chunks - 2))
         # All-adopted view: no current-run work yet, so no rate or ETA.
-        only_adopted = live_status({0: adopted})
-        assert only_adopted.sessions_per_second is None
-        assert only_adopted.eta_seconds is None
+        _, only_adopted = live_report({0: adopted})
+        assert only_adopted.sessions_per_s is None
+        assert only_adopted.eta_s is None

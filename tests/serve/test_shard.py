@@ -102,6 +102,20 @@ class TestRefusedSpecs:
         assert shard._sessions == {}
 
 
+class TestControlOps:
+    """The shard answers ``stats`` and ``shutdown``, the two ops the load
+    test sends; any other op is garbage."""
+
+    @pytest.mark.parametrize("op", ["ping", "", "STATS"])
+    def test_unknown_op_is_undecodable_and_unanswered(self, op):
+        shard = _shard()
+        sent = []
+        shard._send = lambda data, addr: sent.append(data)
+        shard._on_control(json.dumps({"op": op, "req": 1}).encode(), PEER)
+        assert shard.stats["undecodable"] == 1
+        assert sent == []
+
+
 class TestTracingIsPassive:
     def test_traced_shard_answers_like_an_untraced_one(self):
         """Same loop, same clock: the SHLO (``SDUR`` included) and the

@@ -10,7 +10,7 @@ and never partially apply.  These tests pin that parity at two layers:
   raises exactly when the simulator's ``Packet.decode`` does;
 * socket layer — a live :class:`~repro.serve.shard.ShardServer` fed
   truncated datagrams over a real UDP socket counts each drop and keeps
-  answering control pings.
+  answering control requests.
 """
 
 import asyncio
@@ -167,7 +167,7 @@ class TestLiveShardSurvivesGarbage:
         control = ControlClient()
         await control.start()
         try:
-            assert (await control.request(addr, "ping"))["op"] == "pong"
+            assert (await control.request(addr, "stats"))["op"] == "stats"
             before = await self._undecodable(control, addr)
 
             blob = protocol.build_stream_packet(
@@ -193,7 +193,7 @@ class TestLiveShardSurvivesGarbage:
                 count = await self._undecodable(control, addr)
             assert count == expected
             # The endpoint is unharmed: control plane still answers.
-            assert (await control.request(addr, "ping"))["op"] == "pong"
+            assert (await control.request(addr, "stats"))["shard_id"] == 0
         finally:
             control.close()
             await shard.close()

@@ -23,10 +23,10 @@ class TestRoundTrip:
         assert envelope == Envelope(EnvelopeKind.DATA, b"od-1", b"payload")
 
     def test_control_envelope(self):
-        blob = encode_envelope(EnvelopeKind.CONTROL, b"", b'{"op":"ping"}')
+        blob = encode_envelope(EnvelopeKind.CONTROL, b"", b'{"op":"stats"}')
         envelope = decode_envelope(blob)
         assert envelope.kind == EnvelopeKind.CONTROL
-        assert envelope.payload == b'{"op":"ping"}'
+        assert envelope.payload == b'{"op":"stats"}'
 
     @given(
         st.sampled_from([EnvelopeKind.DATA, EnvelopeKind.CONTROL]),

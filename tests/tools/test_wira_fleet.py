@@ -6,8 +6,10 @@ the determinism assertions compare the same report hash the CI smoke
 job checks.
 """
 
+import itertools
 import json
 import queue
+import re
 import threading
 
 import pytest
@@ -16,6 +18,9 @@ from repro.fleet import (
     TELEMETRY_SCHEMA_VERSION,
     CheckpointState,
     FleetConfig,
+    canonical_json,
+    live_report,
+    load_checkpoint,
     run_chunk,
     save_checkpoint,
     scan_snapshots,
@@ -293,6 +298,105 @@ class TestTelemetry:
         )
         assert code == EXIT_OK
         assert "no telemetry snapshots yet" in capsys.readouterr().out
+
+    def test_dashboard_and_html_print_one_rate(self, tmp_path, capsys):
+        """Every frame of the dashboard prints the snapshots' progress
+        rate, the one the HTML throughput rows print: no second,
+        poll-clocked estimate that reads 0/s while no chunk lands."""
+        checkpoint, telemetry = self.completed_campaign(tmp_path)
+        snapshot_path(telemetry, 1).unlink()  # the campaign is mid-way again
+        capsys.readouterr()
+        assert main(
+            ["status", "--checkpoint", str(checkpoint),
+             "--live", "--polls", "2", "--interval", "0"]
+        ) == EXIT_OK
+        rates = re.findall(r"rate\s+(\d+\.\d)/s", capsys.readouterr().out)
+        assert len(rates) == 2 and rates[0] == rates[1]
+        html_out = tmp_path / "report.html"
+        assert main(
+            ["report", "--checkpoint", str(checkpoint),
+             "--html", str(html_out), "--out", str(tmp_path / "r.json")]
+        ) == EXIT_OK
+        assert f"<th>sessions / second</th><td>{rates[0]}</td>" in html_out.read_text()
+
+    def test_partial_html_throughput_covers_the_reported_chunks(self, tmp_path):
+        """A checkpoint that lags its snapshots reports fewer chunks than
+        were snapshotted; the throughput rows describe the reported ones."""
+        checkpoint, _ = self.completed_campaign(tmp_path)
+        state = load_checkpoint(checkpoint)
+        save_checkpoint(
+            checkpoint,
+            CheckpointState(
+                key=state.key,
+                config=state.config,
+                n_chunks=state.n_chunks,
+                chunks={0: state.chunks[0]},
+            ),
+        )
+        html_out = tmp_path / "report.html"
+        out = tmp_path / "r.json"
+        assert main(
+            ["report", "--checkpoint", str(checkpoint), "--partial",
+             "--html", str(html_out), "--out", str(out)]
+        ) == EXIT_OK
+        document = html_out.read_text()
+        assert "<th>chunks completed</th><td>1</td>" in document
+        total = read_report(out)["total_sessions"]
+        assert f"<th>sessions replayed</th><td>{total}</td>" in document
+
+    @pytest.mark.parametrize("leg", ["serial", "jobs2", "resumed"])
+    def test_live_report_equals_partial_report_over_any_chunks(self, tmp_path, leg):
+        """For every subset of chunk snapshots, the live view's report is
+        ``report --partial``'s over the same chunks (less its
+        ``partial`` marker)."""
+        config = small_config().with_(population=DeploymentConfig(n_od_pairs=6, seed=3))
+        checkpoint = tmp_path / "cp.json"
+        run_args = [
+            "--od-pairs", "6", "--seed", "3", "--schemes", "baseline", "wira",
+            "--chunk-chains", "2", "--quiet", "--telemetry",
+            "--checkpoint", str(checkpoint),
+        ]
+        if leg == "resumed":
+            save_checkpoint(
+                checkpoint,
+                CheckpointState(
+                    key=config.key(),
+                    config=config.to_json(),
+                    n_chunks=config.n_chunks,
+                    chunks={0: run_chunk(config, 0)},
+                ),
+            )
+            argv = ["resume", "--checkpoint", str(checkpoint), "--quiet", "--telemetry"]
+        else:
+            argv = ["run", *run_args, "--jobs", "2" if leg == "jobs2" else "1"]
+        assert main(argv) == EXIT_OK
+        state = load_checkpoint(checkpoint)
+        assert state.key == config.key() and state.complete
+        snapshots = scan_snapshots(checkpoint.parent / (checkpoint.name + ".telemetry"))
+        assert sorted(snapshots) == [0, 1, 2]
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(range(3), size):
+                name = "-".join(map(str, subset))
+                partial = tmp_path / f"cp-{name}.json"
+                save_checkpoint(
+                    partial,
+                    CheckpointState(
+                        key=state.key,
+                        config=state.config,
+                        n_chunks=state.n_chunks,
+                        chunks={i: state.chunks[i] for i in subset},
+                    ),
+                )
+                out = tmp_path / f"report-{name}.json"
+                assert main(
+                    ["report", "--checkpoint", str(partial), "--partial", "--out", str(out)]
+                ) == EXIT_OK
+                expected = read_report(out)
+                expected.pop("partial", None)
+                live, progress = live_report({i: snapshots[i] for i in subset})
+                assert progress.chunks_done == size
+                assert canonical_json(live["schemes"]) == canonical_json(expected["schemes"])
+                assert canonical_json(live) == canonical_json(expected)
 
     def test_report_html_artifact(self, tmp_path):
         checkpoint, _ = self.completed_campaign(tmp_path)

@@ -9,8 +9,8 @@ under ``src/repro`` that no run called.  The runs:
 * every figure and table, through ``benchmarks/``, and the four examples;
 * each CLI: ``wira_fleet`` run / resume / status / verify / report,
   ``wira_serve run`` (shard subprocesses, then in-process with a
-  reshard), ``wira_trace`` validate / summarize / diff, and the
-  robustness and frontier gates;
+  reshard), ``wira_trace`` validate / summarize / diff, the
+  robustness and frontier gates, and the golden digests;
 * a replay under the sanitizer, and one traced to disk.
 
 What a run hands to another process (a pool worker, a shard subprocess)
@@ -284,8 +284,9 @@ def run_serve_cli(tmp: Path) -> None:
 
 
 def run_gates(tmp: Path) -> None:
-    from repro.experiments import frontier, robustness
+    from repro.experiments import frontier, goldens, robustness
 
+    _check(goldens.main(), "goldens")
     _check(robustness.main(["--quick", "--jobs", "1"]), "robustness --quick")
     frontier_args = ["--quick", "--jobs", "1", "--html", str(tmp / "frontier.html")]
     _check(frontier.main(frontier_args), "frontier --quick")

@@ -11,7 +11,10 @@ Commands
     Inspect a checkpoint: chunks done, sessions folded so far.  With
     ``--live``, poll the telemetry directory and render an in-terminal
     dashboard (per-scheme FFCT p50/p90/p99 strips, completion, faults,
-    sessions/sec, ETA) that tracks the campaign as it runs.
+    sessions/sec, ETA) that tracks the campaign as it runs.  Every view
+    reads one summary, :func:`~repro.fleet.report.build_report`: the
+    dashboard over the snapshots so far, plain ``status`` and
+    ``report`` over the checkpointed chunks.
 ``verify``
     Cross-check the telemetry snapshots against the checkpoint: schema
     versions, campaign key, chunk coverage, and that the live-merged
@@ -43,7 +46,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -71,13 +74,13 @@ from repro.fleet.engine import (  # noqa: E402
     run_campaign,
 )
 from repro.fleet.htmlreport import render_html_report  # noqa: E402
-from repro.fleet.report import build_report, canonical_json, report_hash  # noqa: E402
+from repro.fleet.report import PERCENTILES, build_report, canonical_json, report_hash  # noqa: E402
 from repro.fleet.telemetry import (  # noqa: E402
-    LiveStatus,
+    Progress,
     TelemetrySchemaError,
     TelemetrySnapshot,
     default_telemetry_dir,
-    live_status,
+    live_report,
     merge_snapshots,
     scan_snapshots,
 )
@@ -176,12 +179,14 @@ def _campaign_snapshots(
     return {i: s for i, s in snapshots.items() if s.campaign_key == key}
 
 
-def _checkpoint_sessions(state: CheckpointState) -> int:
-    return sum(
-        int(scheme_payload["sessions"])  # type: ignore[call-overload,index]
-        for payload in state.chunks.values()
-        for scheme_payload in payload["schemes"].values()  # type: ignore[union-attr,index]
-    )
+def _checkpoint_report(
+    state: CheckpointState,
+) -> Tuple[CampaignAggregate, Dict[str, object]]:
+    """The checkpointed chunks merged in chunk order, and their report."""
+    config = FleetConfig.from_json(state.config)
+    ordered = [state.chunks[i] for i in sorted(state.chunks)]
+    aggregate = merge_chunks(config.schemes, config.sketch_alpha, ordered)
+    return aggregate, build_report(aggregate, state.key)
 
 
 def _emit_report(report: Dict[str, object], out: Optional[str]) -> None:
@@ -244,6 +249,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 def _print_status_summary(state: CheckpointState) -> None:
     config = FleetConfig.from_json(state.config)
+    _, report = _checkpoint_report(state)
     done = len(state.chunks)
     print(f"campaign:  {state.key}")
     print(
@@ -252,34 +258,35 @@ def _print_status_summary(state: CheckpointState) -> None:
     )
     print(f"schemes:   {', '.join(config.schemes)}")
     print(f"chunks:    {done}/{state.n_chunks} completed")
-    print(f"sessions:  {_checkpoint_sessions(state)} folded")
+    print(f"sessions:  {report['total_sessions']} folded")
     print(f"state:     {'complete' if state.complete else 'resumable'}")
 
 
-def _render_live(status: LiveStatus, rolling_rate: Optional[float]) -> str:
+def _render_live(report: Mapping[str, Any], progress: Progress) -> str:
     """One dashboard frame: header, quantile strips, per-scheme counters."""
-    lines: List[str] = []
-    pct = status.completion_fraction * 100
-    lines.append(
-        f"campaign {status.campaign_key[:12]}…  "
-        f"chunks {status.chunks_done}/{status.n_chunks} ({pct:.0f}%)  "
-        f"sessions {status.sessions}  faults {status.faults}"
-    )
-    rate = rolling_rate if rolling_rate is not None else status.sessions_per_second
-    rate_text = f"{rate:.1f}/s" if rate is not None else "–"
-    eta = status.eta_seconds
-    eta_text = f"{eta:.0f}s" if eta is not None else "–"
-    lines.append(f"rate     {rate_text}  eta {eta_text}")
-    lines.append("")
-    lines.append(render_quantile_strips(status.quantiles_seconds()))
-    lines.append("")
-    header = f"{'scheme':<12} {'sessions':>9} {'completed':>10} {'faults':>7}"
-    lines.append(header)
-    for value in sorted(status.per_scheme):
-        entry = status.per_scheme[value]
+    schemes = report["schemes"]
+    faults = {value: entry["sessions"] - entry["completed"] for value, entry in schemes.items()}
+    pct = progress.chunks_done / progress.n_chunks * 100
+    rate, eta = progress.sessions_per_s, progress.eta_s
+    strips = {
+        value: None if entry["ffct"] is None else tuple(entry["ffct"][f"p{p}"] for p in PERCENTILES)
+        for value, entry in sorted(schemes.items())
+    }
+    lines = [
+        f"campaign {report['campaign_key'][:12]}…  "
+        f"chunks {progress.chunks_done}/{progress.n_chunks} ({pct:.0f}%)  "
+        f"sessions {report['total_sessions']}  faults {sum(faults.values())}",
+        f"rate     {'–' if rate is None else f'{rate:.1f}/s'}  "
+        f"eta {'–' if eta is None else f'{eta:.0f}s'}",
+        "",
+        render_quantile_strips(strips),
+        "",
+        f"{'scheme':<12} {'sessions':>9} {'completed':>10} {'faults':>7}",
+    ]
+    for value, entry in sorted(schemes.items()):
         lines.append(
             f"{value:<12} {entry['sessions']:>9} "
-            f"{entry['completed']:>10} {entry['faults']:>7}"
+            f"{entry['completed']:>10} {faults[value]:>7}"
         )
     return "\n".join(lines)
 
@@ -300,8 +307,6 @@ def cmd_status(args: argparse.Namespace) -> int:
         else default_telemetry_dir(checkpoint)
     )
     polls_left: Optional[int] = args.polls
-    previous: Optional[LiveStatus] = None
-    previous_at: Optional[float] = None
     interactive = sys.stdout.isatty()
     while True:
         try:
@@ -317,25 +322,18 @@ def cmd_status(args: argparse.Namespace) -> int:
         snapshots = _campaign_snapshots(
             snapshots, state.key if state is not None else None
         )
-        status: Optional[LiveStatus] = None
+        live: Optional[Tuple[Dict[str, object], Progress]] = None
         if snapshots:
             try:
-                status = live_status(snapshots)
+                live = live_report(snapshots)
             except ValueError:
-                status = None
-        now = time.monotonic()
-        if status is not None:
-            rolling: Optional[float] = None
-            if previous is not None and previous_at is not None and now > previous_at:
-                delta = status.sessions - previous.sessions
-                if delta >= 0:
-                    rolling = delta / (now - previous_at)
+                live = None
+        if live is not None:
             if interactive:
                 print("\x1b[2J\x1b[H", end="")
-            print(_render_live(status, rolling))
-            if status.complete:
+            print(_render_live(*live))
+            if live[1].complete:
                 return EXIT_OK
-            previous, previous_at = status, now
         else:
             # A failed or empty poll keeps the loop alive — the campaign
             # may simply not have completed a chunk yet, or the writer
@@ -383,9 +381,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if extra:
         failures.append(f"snapshots for chunks not in the checkpoint: {extra}")
     if not failures:
-        config = FleetConfig.from_json(state.config)
-        ordered = [state.chunks[i] for i in sorted(state.chunks)]
-        final = merge_chunks(config.schemes, config.sketch_alpha, ordered)
+        final, _ = _checkpoint_report(state)
         live = merge_snapshots(snapshots.values())
         final_json = canonical_json(final.to_json())
         live_json = canonical_json(live.to_json())
@@ -413,7 +409,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     if state is None:
         print(f"error: no usable checkpoint at {checkpoint}", file=sys.stderr)
         return EXIT_FAILED
-    config = FleetConfig.from_json(state.config)
     if not state.complete and not args.partial:
         print(
             f"error: campaign incomplete ({len(state.chunks)}/{state.n_chunks} "
@@ -422,16 +417,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_FAILED
-    ordered = [state.chunks[i] for i in sorted(state.chunks)]
-    aggregate = merge_chunks(config.schemes, config.sketch_alpha, ordered)
-    report = build_report(aggregate, state.key)
+    aggregate, report = _checkpoint_report(state)
     if not state.complete:
         report["partial"] = {
             "chunks_completed": len(state.chunks),
             "chunks_total": state.n_chunks,
         }
     if args.html:
-        telemetry_payload: Optional[Dict[str, object]] = None
+        progress: Optional[Progress] = None
         telemetry_dir = (
             Path(args.telemetry)
             if args.telemetry
@@ -449,20 +442,17 @@ def cmd_report(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             snapshots = {}
-        # Only this campaign's snapshots may feed the throughput section.
+        # Only this campaign's snapshots of the reported chunks may feed
+        # the throughput rows: a checkpoint can lag the snapshots.
         snapshots = {
-            i: s for i, s in snapshots.items() if s.campaign_key == state.key
+            i: s
+            for i, s in snapshots.items()
+            if s.campaign_key == state.key and i in state.chunks
         }
         if snapshots:
-            status = live_status(snapshots)
-            telemetry_payload = {
-                "chunks_done": status.chunks_done,
-                "sessions": status.sessions,
-                "elapsed_seconds": status.elapsed_seconds,
-                "sessions_per_second": status.sessions_per_second,
-            }
+            _, progress = live_report(snapshots)
         document = render_html_report(
-            report, aggregate, config=state.config, telemetry=telemetry_payload
+            report, aggregate, config=state.config, progress=progress
         )
         Path(args.html).write_text(document, encoding="utf-8")
         print(f"html report written to {args.html}")

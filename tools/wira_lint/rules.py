@@ -274,10 +274,8 @@ SLOTS_REGISTRY = frozenset(
         "QuantileSketch",
         "SchemeAggregate",
         "StatAccumulator",
-        # Live-telemetry views: one per snapshot/poll, but campaigns at
-        # fleet scale write thousands of snapshots and the live
-        # dashboard re-merges them every poll.
-        "LiveStatus",
+        # Live-telemetry snapshots: campaigns at fleet scale write
+        # thousands, and the live dashboard re-reads them every poll.
         "TelemetrySnapshot",
         # Scheme-plugin policies: one instance per chain at fleet scale,
         # queried once per session; an instance ``__dict__`` here also
