@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro import obs as _obs
 from repro.core.config import WiraConfig
 from repro.core.schemes import BASELINE, WIRA, WIRA_FF, WIRA_HX, as_spec
 from repro.fleet.aggregate import CampaignAggregate, merge_chunks, payload_sessions
@@ -45,19 +44,6 @@ from repro.workload.population import DeploymentConfig, FleetPopulation
 
 logger = logging.getLogger(__name__)
 
-
-def _trace(name: str, data: Dict[str, object]) -> None:
-    """Emit a ``fleet:*`` milestone onto the active trace bus, if any.
-
-    Campaign milestones are driver-side wall-clock moments, not simulated
-    ones, so they carry ``time=0.0`` and the sentinel connection id
-    ``"fleet"`` — they live in the bus ring buffer and counters for
-    inspection, but are emitted outside any session scope and therefore
-    never land in per-session trace files (whose byte streams stay
-    identical with or without a campaign running).
-    """
-    if _obs.ACTIVE is not None:
-        _obs.ACTIVE.emit(0.0, name, "fleet", data)
 
 #: Bump when chunk semantics change; folded into the campaign key.
 #: v2: chunk aggregates gained the per-scheme "phases" section.
@@ -255,10 +241,6 @@ class FleetCampaign:
         for chunk_index, payload in state.chunks.items():
             self._chunk_texts[chunk_index] = canonical_json(payload)
             self._sessions += payload_sessions(payload)
-        _trace(
-            "fleet:resume_adopted",
-            {"chunks": len(state.chunks), "n_chunks": state.n_chunks},
-        )
         return len(state.chunks)
 
     # -- execution ---------------------------------------------------------
@@ -270,8 +252,6 @@ class FleetCampaign:
         pending = [i for i in range(self.config.n_chunks) if i not in self._chunks]
         self._report_progress()
         config_json = json.dumps(self.config.to_json(), sort_keys=True)
-        for chunk_index in pending:
-            _trace("fleet:chunk_begin", {"chunk": chunk_index})
         tasks = [(config_json, chunk_index) for chunk_index in pending]
         for position, payload in run_tasks(_run_chunk_task, tasks, resolve_jobs(jobs)):
             self._complete(pending[position], payload)
@@ -285,7 +265,6 @@ class FleetCampaign:
         if self.checkpoint_path is not None:
             self._chunk_texts[chunk_index] = canonical_json(payload)
         self._since_checkpoint += 1
-        _trace("fleet:chunk_complete", {"chunk": chunk_index})
         self._write_snapshot(chunk_index, payload)
         self._report_progress()
         if self._since_checkpoint >= self.config.checkpoint_every:
@@ -327,10 +306,6 @@ class FleetCampaign:
             elapsed_s=elapsed_s,
         )
         write_snapshot(self.telemetry_dir, snapshot)
-        _trace(
-            "fleet:snapshot_written",
-            {"chunk": chunk_index, "dir": str(self.telemetry_dir)},
-        )
 
     def _sync_telemetry(self) -> None:
         """Reconcile the telemetry directory with this campaign's state.

@@ -40,7 +40,6 @@ summary, and :func:`live_report` builds it from the aggregates.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -140,10 +139,7 @@ class TelemetrySnapshot:
         """Parse a snapshot payload.
 
         Raises :class:`TelemetrySchemaError` on a schema-version skew
-        and ``ValueError`` on structural defects (both of which a
-        mid-replace torn read can also look like — callers that poll
-        live files should go through :func:`load_snapshot`, which
-        retries the latter).
+        and ``ValueError`` on structural defects.
         """
         if not isinstance(payload, Mapping):
             raise ValueError("snapshot is not a JSON object")
@@ -181,8 +177,8 @@ class TelemetrySnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Disk I/O — the write side shares the checkpoint's atomic primitive; the
-# read side is defensive because it races a live writer.
+# Disk I/O — writes go through the checkpoint's atomic primitive, so one
+# read sees one whole file.
 
 
 def write_snapshot(directory: Path, snapshot: TelemetrySnapshot) -> Path:
@@ -192,50 +188,37 @@ def write_snapshot(directory: Path, snapshot: TelemetrySnapshot) -> Path:
     return path
 
 
-def load_snapshot(
-    path: Path, retries: int = 3, delay_s: float = 0.02
-) -> Optional[TelemetrySnapshot]:
-    """Read one snapshot, tolerating a concurrent atomic replace.
+def load_snapshot(path: Path) -> Optional[TelemetrySnapshot]:
+    """Read one snapshot; an unreadable or malformed file is ``None``.
 
-    ``os.replace`` makes torn *contents* impossible on POSIX, but a
-    poller can still lose the race between listing and opening (the
-    file vanished), or run against filesystems without atomic rename
-    semantics — so unreadable/malformed reads are retried ``retries``
-    times and then reported as ``None``, never an exception.  A
+    Snapshots are written through ``os.replace``, so a poller sees the
+    previous complete file or the new one, never a torn write; a file
+    that vanished between listing and opening is ``None`` too.  A
     **schema-version skew** is different: the file is intact but from a
-    future (or ancient) writer, and retrying cannot fix it —
-    :class:`TelemetrySchemaError` propagates so callers can tell the
-    user to upgrade instead of silently dropping data.
+    future (or ancient) writer — :class:`TelemetrySchemaError`
+    propagates so callers can tell the user to upgrade instead of
+    silently dropping data.
     """
-    path = Path(path)
-    for attempt in range(max(1, retries)):
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            return TelemetrySnapshot.from_json(payload)
-        except TelemetrySchemaError:
-            raise
-        except (OSError, ValueError):
-            if attempt + 1 >= max(1, retries):
-                return None
-            time.sleep(delay_s)
-    return None
+    try:
+        return TelemetrySnapshot.from_json(
+            json.loads(Path(path).read_text(encoding="utf-8"))
+        )
+    except (OSError, ValueError):
+        return None
 
 
-def scan_snapshots(
-    directory: Path, retries: int = 3
-) -> Dict[int, TelemetrySnapshot]:
+def scan_snapshots(directory: Path) -> Dict[int, TelemetrySnapshot]:
     """All readable snapshots in a telemetry directory, by chunk index.
 
-    Unreadable files (mid-replace races, partial writes on non-atomic
-    filesystems) are skipped after retries; schema skews propagate
-    (see :func:`load_snapshot`).
+    Unreadable files are skipped; schema skews propagate (see
+    :func:`load_snapshot`).
     """
     directory = Path(directory)
     snapshots: Dict[int, TelemetrySnapshot] = {}
     if not directory.is_dir():
         return snapshots
     for path in sorted(directory.glob(SNAPSHOT_GLOB)):
-        snapshot = load_snapshot(path, retries=retries)
+        snapshot = load_snapshot(path)
         if snapshot is not None:
             snapshots[snapshot.chunk_index] = snapshot
     return snapshots

@@ -37,22 +37,13 @@ SCHEMA_VERSION = 2
 #: ``session:*``    — client/player milestones (FFCT endpoints) and the
 #:                    session's phase breakdown (``session:phases``)
 #: ``fault:*``      — injected faults and adverse-schedule transitions
-#: ``fleet:*``      — campaign-engine milestones (chunk lifecycle,
-#:                    telemetry snapshots, resume adoption)
-#: ``serve:*``      — real-socket edge milestones (loadtest driver,
-#:                    shard router); wall-clock territory, emitted
-#:                    outside session scopes like ``fleet:*``
+#: Every event is stamped with the simulated clock.  Wall-clock facts
+#: about a campaign or the serve edge are not events: the fleet's
+#: checkpoint and snapshot files and the serve layer's ``stats``
+#: counters record them.
 EVENT_NAMES = frozenset(
     {
         "trace:meta",
-        "fleet:chunk_begin",
-        "fleet:chunk_complete",
-        "fleet:snapshot_written",
-        "fleet:resume_adopted",
-        "serve:session_begin",
-        "serve:session_complete",
-        "serve:retransmit",
-        "serve:reshard",
         "transport:packet_sent",
         "transport:packet_received",
         "transport:packet_acked",

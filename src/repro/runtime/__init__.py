@@ -15,7 +15,6 @@ from repro.runtime.settings import (
     KNOWN_KNOBS,
     Settings,
     configure,
-    configured,
     current,
     default_cache_dir,
     overridden,
@@ -25,7 +24,6 @@ __all__ = [
     "KNOWN_KNOBS",
     "Settings",
     "configure",
-    "configured",
     "current",
     "default_cache_dir",
     "overridden",

@@ -122,9 +122,9 @@ def _parse_path(raw: str) -> Optional[Path]:
 
 
 # ---------------------------------------------------------------------------
-# Process-wide access.  ``configure`` pins an explicit Settings (CLIs do
-# this once at startup after applying their flags); without a pin,
-# ``current()`` reflects the live environment.
+# Process-wide access.  ``configure`` pins an explicit Settings
+# (``overridden`` pins one for a scope); without a pin, ``current()``
+# reflects the live environment.
 
 _CONFIGURED: Optional[Settings] = None
 
@@ -142,11 +142,6 @@ def configure(settings: Optional[Settings]) -> Optional[Settings]:
     previous = _CONFIGURED
     _CONFIGURED = settings
     return previous
-
-
-def configured() -> bool:
-    """True when an explicit pin is installed."""
-    return _CONFIGURED is not None
 
 
 @contextmanager

@@ -40,7 +40,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro import obs as _obs
 from repro.cdn.client import ClientMetrics, WiraClient
 from repro.core.schemes import as_spec
 from repro.cdn.session import SessionResult
@@ -132,10 +131,6 @@ class ServeDriver:
     def close(self) -> None:
         if self.endpoint is not None:
             self.endpoint.close()
-
-    def _emit(self, name: str, data: Dict[str, object]) -> None:
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.emit(0.0, name, "serve", data)
 
     # ------------------------------------------------------------------
     # receive path
@@ -251,10 +246,6 @@ class ServeDriver:
         flow = _Flow(connection_id=connection_id, shlo=loop.create_future())
         self._flows[connection_id] = flow
         self.stats["sessions"] += 1
-        self._emit(
-            "serve:session_begin",
-            {"od": od_key, "scheme": scheme_value, "session": planned.session_index},
-        )
         try:
             return await self._run_session_inner(
                 loop, flow, planned, scheme_value, od_key, spec, hqst, store_key,
@@ -336,18 +327,6 @@ class ServeDriver:
             final_server_stats=ConnectionStats(),
             cookie_delivered=cookie_delivered,
             used_cookie=summary.used_cookie,
-        )
-        self._emit(
-            "serve:session_complete",
-            {
-                "od": od_key,
-                "scheme": scheme_value,
-                "session": planned.session_index,
-                "completed": completed,
-                "ffct": metrics.ffct,
-                "sim_ffct": summary.sim_ffct,
-                "shard": summary.shard_id,
-            },
         )
         return ServeSessionOutcome(
             planned=planned,
@@ -462,9 +441,6 @@ class ServeDriver:
 
     def _request_repair(self, flow: _Flow, od_key: str) -> None:
         self.stats["retransmit_requests"] += 1
-        self._emit(
-            "serve:retransmit", {"od": od_key, "from": flow.stream.delivered_offset}
-        )
         packet = protocol.build_stream_packet(
             flow.connection_id,
             2,

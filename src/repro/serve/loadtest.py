@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import WiraConfig
 from repro.fleet.aggregate import CampaignAggregate, merge_chunks
 from repro.fleet.engine import FleetConfig, run_chunk
 from repro.fleet.report import build_report
@@ -57,7 +56,6 @@ class ServeLoadtestConfig:
 
     population: DeploymentConfig = field(default_factory=DeploymentConfig)
     schemes: Tuple[str, ...] = ("baseline", "wira")
-    wira: WiraConfig = field(default_factory=WiraConfig)
     shards: int = 2
     #: Chains in flight at once (each chain's sessions run in order).
     concurrency: int = 64
@@ -67,8 +65,6 @@ class ServeLoadtestConfig:
     #: After this many chains complete, add one more shard mid-run to
     #: exercise reshard + sticky affinity.  None = never.
     reshard_after_chains: Optional[int] = None
-    ffct_rel_tol: float = FFCT_REL_TOL
-    ffct_abs_tol: float = FFCT_ABS_TOL
 
     def cookie_key(self) -> bytes:
         return hashlib.sha256(
@@ -81,11 +77,7 @@ class ServeLoadtestConfig:
         ).digest()[:16]
 
     def fleet_config(self) -> FleetConfig:
-        return FleetConfig(
-            population=self.population,
-            schemes=self.schemes,
-            wira=self.wira,
-        )
+        return FleetConfig(population=self.population, schemes=self.schemes)
 
 
 class ControlClient:
@@ -155,7 +147,6 @@ async def _spawn_shard(
             shard_id=shard_id,
             cookie_key=config.cookie_key(),
             instance_salt=config.shard_salt(shard_id),
-            wira_config=config.wira,
         )
         address = await server.start()
         return _ShardHandle(name, shard_id, address, server=server)
@@ -171,8 +162,6 @@ async def _spawn_shard(
             config.cookie_key().hex(),
             "--salt-hex",
             config.shard_salt(shard_id).hex(),
-            "--wira-json",
-            json.dumps(vars(config.wira)),
             "--ready-file",
             str(ready_file),
         ],
@@ -427,9 +416,7 @@ def run_loadtest(config: ServeLoadtestConfig) -> Dict[str, object]:
             _run_campaign(config, Path(tmp))
         )
     sim_aggregate = _simulate_reference(config)
-    comparison = compare_schemes(
-        serve_aggregate, sim_aggregate, config.ffct_rel_tol, config.ffct_abs_tol
-    )
+    comparison = compare_schemes(serve_aggregate, sim_aggregate, FFCT_REL_TOL, FFCT_ABS_TOL)
     rejected = sum(
         int(s.get("rejected_cookies", 0)) for s in telemetry["shards"]  # type: ignore[union-attr]
     )

@@ -28,7 +28,6 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, Optional
 
-from repro import obs as _obs
 from repro.serve.ring import HashRing
 from repro.serve.store import BoundedKeyedStore
 from repro.serve.transport import Address, UdpEndpoint, open_endpoint
@@ -117,17 +116,7 @@ class Router:
     def add_shard(self, name: str, addr: Address) -> None:
         self.shard_addrs[name] = addr
         self.ring = self.ring.with_node(name)
-        self._note_reshard("add", name)
-
-    def _note_reshard(self, action: str, name: str) -> None:
         self.stats["reshards"] += 1
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.emit(
-                0.0,
-                "serve:reshard",
-                "serve",
-                {"action": action, "shard": name, "nodes": len(self.ring)},
-            )
 
 
 __all__ = ["FLOW_TTL", "Router"]

@@ -113,14 +113,13 @@ class ShardServer:
         shard_id: int,
         cookie_key: bytes,
         instance_salt: bytes,
-        wira_config: Optional[WiraConfig] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.shard_id = shard_id
         self.host = host
         self.port = port
-        self.wira = wira_config or WiraConfig()
+        self.wira = WiraConfig()
         self.cookie_manager = ServerCookieManager(
             cookie_key,
             staleness_delta=self.wira.staleness_delta,
@@ -601,7 +600,6 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument("--shard-id", type=int, required=True)
     parser.add_argument("--cookie-key-hex", required=True)
     parser.add_argument("--salt-hex", required=True)
-    parser.add_argument("--wira-json", default=None, help="WiraConfig fields as JSON")
     parser.add_argument(
         "--ready-file",
         required=True,
@@ -611,14 +609,10 @@ def _parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
 
 
 async def _amain(args: argparse.Namespace) -> None:
-    wira = (
-        WiraConfig(**json.loads(args.wira_json)) if args.wira_json is not None else None
-    )
     server = ShardServer(
         shard_id=args.shard_id,
         cookie_key=bytes.fromhex(args.cookie_key_hex),
         instance_salt=bytes.fromhex(args.salt_hex),
-        wira_config=wira,
         host=args.host,
         port=args.port,
     )

@@ -19,9 +19,9 @@ Two population flavours share the chain model:
 
 * :class:`Deployment` — the figure-scale population (10^2–10^3 chains).
   OD pairs are drawn from one sequential :class:`NetworkModel` stream,
-  so chains must be generated front-to-back; :meth:`Deployment.generate`
-  is unchanged since PR 1 and :meth:`Deployment.iter_chains` streams the
-  same chains without materializing the full list.
+  so chains must be generated front-to-back;
+  :meth:`Deployment.generate_range` regenerates any OD range of them
+  from the seed.
 * :class:`FleetPopulation` — the campaign-scale population (10^5–10^6
   sessions).  Every chain derives from ``(seed, od_index)`` alone, so a
   fleet worker can produce exactly its shard's chains in O(shard) time
@@ -195,22 +195,15 @@ class Deployment:
         self.config = config
         self._sampler = _ChainSampler(config)
 
-    def iter_chains(self) -> Iterator[List[PlannedSession]]:
-        """Stream the chains front-to-back without retaining them.
+    def generate(self) -> List[List[PlannedSession]]:
+        """Session chains, one inner list per OD pair, time-ordered.
 
-        Each call starts a fresh, independent pass: the sequential
-        OD-pair draws restart from the deployment seed, so iterating
+        Each call regenerates from the deployment seed, so calling it
         twice yields identical chains.
         """
-        network = NetworkModel(random.Random(f"network:{self.config.seed}"))
-        for od_index in range(self.config.n_od_pairs):
-            yield self._sampler.chain_for_od(network.sample_od_pair(), od_index)
+        return self.generate_range(0, self.config.n_od_pairs)
 
-    def generate(self) -> List[List[PlannedSession]]:
-        """Session chains, one inner list per OD pair, time-ordered."""
-        return list(self.iter_chains())
-
-    def iter_chains_range(self, start: int, stop: int) -> Iterator[List[PlannedSession]]:
+    def generate_range(self, start: int, stop: int) -> List[List[PlannedSession]]:
         """Chains for OD indices ``[start, stop)``, regenerated from seed.
 
         The OD-pair stream is one sequential rng draw per index, so a
@@ -225,14 +218,12 @@ class Deployment:
                 f"invalid OD range [{start}, {stop}) for {self.config.n_od_pairs} OD pairs"
             )
         network = NetworkModel(random.Random(f"network:{self.config.seed}"))
+        chains: List[List[PlannedSession]] = []
         for od_index in range(stop):
             od = network.sample_od_pair()
             if od_index >= start:
-                yield self._sampler.chain_for_od(od, od_index)
-
-    def generate_range(self, start: int, stop: int) -> List[List[PlannedSession]]:
-        """List form of :meth:`iter_chains_range`."""
-        return list(self.iter_chains_range(start, stop))
+                chains.append(self._sampler.chain_for_od(od, od_index))
+        return chains
 
 
 class FleetPopulation:

@@ -62,15 +62,6 @@ class TestEventNames:
         assert {"wira:cookie_hit", "wira:cookie_miss"} <= EVENT_NAMES  # Transport Cookie
         assert {"wira:init_cwnd", "wira:init_pacing"} <= EVENT_NAMES  # the two overrides
 
-    def test_fleet_lifecycle_is_covered(self):
-        # Campaign-level telemetry events emitted by the fleet engine.
-        assert {
-            "fleet:chunk_begin",
-            "fleet:chunk_complete",
-            "fleet:snapshot_written",
-            "fleet:resume_adopted",
-        } <= EVENT_NAMES
-
 
 class TestValidateRecord:
     def good(self):

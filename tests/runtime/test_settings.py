@@ -73,7 +73,7 @@ class TestCurrentAndOverrides:
         pinned = Settings(jobs=2)
         previous = settings.configure(pinned)
         try:
-            assert settings.configured()
+            assert settings.current() is pinned
             assert settings.current().jobs == 2  # env no longer consulted
         finally:
             settings.configure(previous)
@@ -85,7 +85,7 @@ class TestCurrentAndOverrides:
             assert s.jobs == 5
             assert settings.current().sanitize is not before.sanitize
         assert settings.current() == before
-        assert not settings.configured()
+        assert settings.configure(None) is None  # no pin left behind
 
     def test_overridden_rejects_unknown_field(self):
         with pytest.raises(TypeError, match="unknown Settings field"):

@@ -35,7 +35,6 @@ async def _edge(config, shard_cls=ShardServer, driver_cls=ServeDriver):
         shard_id=0,
         cookie_key=config.cookie_key(),
         instance_salt=config.shard_salt(0),
-        wira_config=config.wira,
     )
     addr = await shard.start()
     driver = driver_cls(addr, campaign_seed=0)

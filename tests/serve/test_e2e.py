@@ -40,7 +40,6 @@ class TestSingleSession:
             shard_id=0,
             cookie_key=config.cookie_key(),
             instance_salt=config.shard_salt(0),
-            wira_config=config.wira,
         )
         addr = await shard.start()
         driver = ServeDriver(addr, campaign_seed=0)
@@ -84,7 +83,6 @@ class TestWorldStore:
             shard_id=0,
             cookie_key=config.cookie_key(),
             instance_salt=config.shard_salt(0),
-            wira_config=config.wira,
         )
         addr = await shard.start()
         driver = ServeDriver(addr, campaign_seed=0)
@@ -144,7 +142,6 @@ class TestFinishedSessionsHoldNothing:
             shard_id=0,
             cookie_key=config.cookie_key(),
             instance_salt=config.shard_salt(0),
-            wira_config=config.wira,
         )
         addr = await shard.start()
         driver = ServeDriver(addr, campaign_seed=0)

@@ -42,7 +42,7 @@ def test_first_session_flagged():
 
 
 def test_zero_rtt_fraction_near_ninety_percent():
-    specs = flat(make_deployment(n_od_pairs=400).iter_chains())
+    specs = flat(make_deployment(n_od_pairs=400).generate())
     frac = sum(1 for s in specs if s.handshake_mode == HandshakeMode.ZERO_RTT) / len(specs)
     assert 0.85 < frac < 0.95
 
@@ -57,7 +57,7 @@ def test_chain_lengths_bounded_and_varied():
 
 def test_gaps_include_stale_tail():
     """Some revisit gaps must exceed Δ=60min to exercise corner case 2."""
-    specs = flat(make_deployment(n_od_pairs=400).iter_chains())
+    specs = flat(make_deployment(n_od_pairs=400).generate())
     revisits = [s for s in specs if not s.is_first_session]
     stale = sum(1 for s in revisits if s.gap_minutes > 60.0)
     assert stale > 0
@@ -71,31 +71,31 @@ def test_chain_shares_od_and_stream():
 
 
 def test_deterministic_generation():
-    a = flat(make_deployment(seed=9).iter_chains())
-    b = flat(make_deployment(seed=9).iter_chains())
+    a = flat(make_deployment(seed=9).generate())
+    b = flat(make_deployment(seed=9).generate())
     assert [(s.seed, s.epoch) for s in a] == [(s.seed, s.epoch) for s in b]
 
 
 def test_seeds_unique_across_sessions():
-    specs = flat(make_deployment(n_od_pairs=200).iter_chains())
+    specs = flat(make_deployment(n_od_pairs=200).generate())
     seeds = [s.seed for s in specs]
     assert len(set(seeds)) == len(seeds)
 
 
 # ---------------------------------------------------------------------------
-# PR 5: streaming iteration and the index-addressable fleet population.
+# Range generation and the index-addressable fleet population.
 
 
-def test_iter_chains_matches_generate():
-    """Streaming and materialized iteration are the same deployment."""
+def test_generate_range_slices_generate():
+    """A range regenerates exactly its slice of the whole deployment."""
     dep = make_deployment(n_od_pairs=60, seed=11)
-    assert list(dep.iter_chains()) == dep.generate()
+    assert dep.generate_range(10, 35) == dep.generate()[10:35]
 
 
-def test_iter_chains_restarts_cleanly():
-    """Each pass over the generator restarts the OD stream from scratch."""
+def test_generate_restarts_cleanly():
+    """Each call restarts the OD stream from scratch."""
     dep = make_deployment(n_od_pairs=40, seed=5)
-    assert list(dep.iter_chains()) == list(dep.iter_chains())
+    assert dep.generate() == dep.generate()
 
 
 class TestFleetPopulation:

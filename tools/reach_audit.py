@@ -109,7 +109,6 @@ KEPT: Dict[str, str] = {
     "repro.sanitize:disable": _SWITCH,
     "repro.sanitize:enabled": _SWITCH,
     "repro.sanitize:suppressed": _SWITCH,
-    "repro.runtime.settings:configured": _SWITCH,
     # What the unit tests check the simulator against.  The one-shot
     # dict a composed checkpoint must encode to; the AMF decoder, which
     # reads back what the live source encodes (no receive path decodes
@@ -260,7 +259,7 @@ def run_fleet_cli(tmp: Path) -> None:
     run = ["run", "--od-pairs", "6", "--seed", "3", "--schemes", "baseline", "wira"]
     run += ["--chunk-chains", "2", "--checkpoint-every", "1", "--checkpoint", checkpoint]
     for argv in (
-        run + ["--jobs", "1", "--telemetry", "--out", str(tmp / "fleet-report.json")],
+        run + ["--jobs", "1", "--out", str(tmp / "fleet-report.json")],
         ["resume", "--checkpoint", checkpoint, "--jobs", "1", "--quiet"],
         ["status", "--checkpoint", checkpoint],
         ["status", "--checkpoint", checkpoint, "--live", "--polls", "1", "--interval", "0"],

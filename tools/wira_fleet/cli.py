@@ -4,12 +4,13 @@ Commands
 --------
 ``run``
     Start a fresh campaign (overwriting any checkpoint at the path).
-    ``--telemetry`` turns on the live snapshot tap.
+    With ``--checkpoint PATH`` every completed chunk also writes a live
+    snapshot into ``PATH.telemetry/``.
 ``resume``
     Continue an interrupted campaign from its checkpoint.
 ``status``
     Inspect a checkpoint: chunks done, sessions folded so far.  With
-    ``--live``, poll the telemetry directory and render an in-terminal
+    ``--live``, poll the checkpoint's snapshots and render an in-terminal
     dashboard (per-scheme FFCT p50/p90/p99 strips, completion, faults,
     sessions/sec, ETA) that tracks the campaign as it runs.  Every view
     reads one summary, :func:`~repro.fleet.report.build_report`: the
@@ -26,8 +27,8 @@ Commands
     self-contained HTML artifact (CDF chart, phase tables).
 
 Reads are safe against a concurrently running campaign: checkpoint and
-snapshot files are written atomically, and the inspection commands retry
-transient read failures instead of dying on a writer race.
+snapshot files are written atomically (``tempfile`` then ``os.replace``),
+so one read sees one whole file.
 
 Exit codes: 0 success, 1 campaign/validation errors (mismatched or
 missing checkpoint, incomplete campaign without ``--partial``, failed
@@ -78,7 +79,6 @@ from repro.fleet.report import PERCENTILES, build_report, canonical_json, report
 from repro.fleet.telemetry import (  # noqa: E402
     Progress,
     TelemetrySchemaError,
-    TelemetrySnapshot,
     default_telemetry_dir,
     live_report,
     merge_snapshots,
@@ -113,70 +113,6 @@ def _config_from_args(args: argparse.Namespace) -> FleetConfig:
         checkpoint_every=args.checkpoint_every,
         sketch_alpha=args.alpha,
     )
-
-
-def _telemetry_dir_from_args(
-    args: argparse.Namespace, checkpoint: Optional[Path]
-) -> Optional[Path]:
-    """Resolve ``--telemetry [DIR]`` to a concrete directory, if enabled."""
-    raw: Optional[str] = getattr(args, "telemetry", None)
-    if raw is None:
-        return None
-    if raw != "":
-        return Path(raw)
-    if checkpoint is None:
-        raise ValueError(
-            "--telemetry without a directory derives it from the checkpoint "
-            "path; pass --checkpoint or an explicit --telemetry DIR"
-        )
-    return default_telemetry_dir(checkpoint)
-
-
-def _load_checkpoint_retry(
-    path: Path, attempts: int = 8, delay_s: float = 0.05
-) -> Optional[CheckpointState]:
-    """Load a checkpoint that may be racing its writer.
-
-    Checkpoint writes are atomic, but a reader can still catch transient
-    states (the file momentarily absent on non-atomic filesystems, a
-    partial copy, an editor's leftovers).  Inspection commands therefore
-    retry a failed parse a few times before concluding "no usable
-    checkpoint" — they must never crash or lie because a campaign is
-    running right now.
-    """
-    state: Optional[CheckpointState] = None
-    for attempt in range(max(1, attempts)):
-        state = load_checkpoint(path)
-        if state is not None:
-            return state
-        if attempt + 1 < max(1, attempts):
-            time.sleep(delay_s)
-    return None
-
-
-def _campaign_snapshots(
-    snapshots: Dict[int, TelemetrySnapshot], preferred_key: Optional[str]
-) -> Dict[int, TelemetrySnapshot]:
-    """Restrict a snapshot scan to one campaign's snapshots.
-
-    A telemetry directory can transiently hold snapshots from more than
-    one campaign (polling across a restart, before the engine's
-    ``_sync_telemetry`` clears the stale ones).  Merging such a mix
-    raises ``ValueError``, which must never kill an inspection command —
-    so filter to the checkpoint's campaign when it matches anything,
-    else to the (deterministically tie-broken) majority key.
-    """
-    if not snapshots:
-        return snapshots
-    keys = [s.campaign_key for s in snapshots.values()]
-    if preferred_key is not None and preferred_key in keys:
-        key = preferred_key
-    else:
-        counts: Dict[str, int] = {}
-        for k in keys:
-            counts[k] = counts.get(k, 0) + 1
-        key = max(sorted(counts), key=lambda k: counts[k])
-    return {i: s for i, s in snapshots.items() if s.campaign_key == key}
 
 
 def _checkpoint_report(
@@ -220,14 +156,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         resume=False,
         progress=_progress_printer(args.quiet),
-        telemetry_dir=_telemetry_dir_from_args(args, checkpoint),
+        telemetry_dir=default_telemetry_dir(checkpoint) if checkpoint else None,
     )
     return _finish(config, aggregate, args)
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
     checkpoint = Path(args.checkpoint)
-    state = _load_checkpoint_retry(checkpoint)
+    state = load_checkpoint(checkpoint)
     if state is None:
         print(f"error: no usable checkpoint at {checkpoint}", file=sys.stderr)
         return EXIT_FAILED
@@ -239,7 +175,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             resume=True,
             progress=_progress_printer(args.quiet),
-            telemetry_dir=_telemetry_dir_from_args(args, checkpoint),
+            telemetry_dir=default_telemetry_dir(checkpoint),
         )
     except CampaignMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -294,18 +230,14 @@ def _render_live(report: Mapping[str, Any], progress: Progress) -> str:
 def cmd_status(args: argparse.Namespace) -> int:
     checkpoint = Path(args.checkpoint)
     if not args.live:
-        state = _load_checkpoint_retry(checkpoint)
+        state = load_checkpoint(checkpoint)
         if state is None:
             print(f"error: no usable checkpoint at {checkpoint}", file=sys.stderr)
             return EXIT_FAILED
         _print_status_summary(state)
         return EXIT_OK
 
-    telemetry_dir = (
-        Path(args.telemetry)
-        if args.telemetry
-        else default_telemetry_dir(checkpoint)
-    )
+    telemetry_dir = default_telemetry_dir(checkpoint)
     polls_left: Optional[int] = args.polls
     interactive = sys.stdout.isatty()
     while True:
@@ -314,14 +246,18 @@ def cmd_status(args: argparse.Namespace) -> int:
         except TelemetrySchemaError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAILED
-        # Keep only one campaign's snapshots (prefer the checkpoint's):
-        # a restart can leave a stale foreign snapshot behind for one
-        # poll, and a mixed merge must degrade to a skipped poll, never
-        # kill the dashboard.
+        # Keep the checkpoint's campaign: a restart can leave a stale
+        # foreign snapshot behind for one poll.  A restarted campaign
+        # has no snapshot under the old checkpoint's key until its first
+        # checkpoint, so then all are kept; a mixed set raises
+        # ValueError below, which skips the poll.
         state = load_checkpoint(checkpoint)
-        snapshots = _campaign_snapshots(
-            snapshots, state.key if state is not None else None
-        )
+        if state is not None and any(
+            s.campaign_key == state.key for s in snapshots.values()
+        ):
+            snapshots = {
+                i: s for i, s in snapshots.items() if s.campaign_key == state.key
+            }
         live: Optional[Tuple[Dict[str, object], Progress]] = None
         if snapshots:
             try:
@@ -336,8 +272,8 @@ def cmd_status(args: argparse.Namespace) -> int:
                 return EXIT_OK
         else:
             # A failed or empty poll keeps the loop alive — the campaign
-            # may simply not have completed a chunk yet, or the writer
-            # won a race we will lose again next poll.
+            # may simply not have completed a chunk yet, or the poll
+            # caught two campaigns' snapshots before the first checkpoint.
             print(f"(no telemetry snapshots yet in {telemetry_dir})")
         if polls_left is not None:
             polls_left -= 1
@@ -348,15 +284,11 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checkpoint = Path(args.checkpoint)
-    state = _load_checkpoint_retry(checkpoint)
+    state = load_checkpoint(checkpoint)
     if state is None:
         print(f"error: no usable checkpoint at {checkpoint}", file=sys.stderr)
         return EXIT_FAILED
-    telemetry_dir = (
-        Path(args.telemetry)
-        if args.telemetry
-        else default_telemetry_dir(checkpoint)
-    )
+    telemetry_dir = default_telemetry_dir(checkpoint)
     try:
         snapshots = scan_snapshots(telemetry_dir)
     except TelemetrySchemaError as exc:
@@ -405,7 +337,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     checkpoint = Path(args.checkpoint)
-    state = _load_checkpoint_retry(checkpoint)
+    state = load_checkpoint(checkpoint)
     if state is None:
         print(f"error: no usable checkpoint at {checkpoint}", file=sys.stderr)
         return EXIT_FAILED
@@ -425,11 +357,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         }
     if args.html:
         progress: Optional[Progress] = None
-        telemetry_dir = (
-            Path(args.telemetry)
-            if args.telemetry
-            else default_telemetry_dir(checkpoint)
-        )
+        telemetry_dir = default_telemetry_dir(checkpoint)
         try:
             snapshots = scan_snapshots(telemetry_dir)
         except TelemetrySchemaError as exc:
@@ -471,14 +399,6 @@ def _add_report_out(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--telemetry", metavar="DIR", nargs="?", const="", default=None,
-        help="write live telemetry snapshots (default dir: "
-             "<checkpoint>.telemetry when DIR is omitted)",
-    )
-
-
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -487,7 +407,6 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
-    _add_telemetry_arg(parser)
     _add_report_out(parser)
 
 
@@ -511,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alpha", type=float, default=0.01,
                      help="sketch relative-error bound (default 0.01)")
     run.add_argument("--checkpoint", metavar="PATH", default=None,
-                     help="checkpoint file (enables resume after interruption)")
+                     help="checkpoint file (enables resume after interruption "
+                          "and live snapshots in PATH.telemetry/)")
     _add_exec_args(run)
     run.set_defaults(func=cmd_run)
 
@@ -523,11 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     status = sub.add_parser("status", help="inspect a checkpoint")
     status.add_argument("--checkpoint", metavar="PATH", required=True)
     status.add_argument("--live", action="store_true",
-                        help="poll the telemetry directory and render a "
+                        help="poll <checkpoint>.telemetry and render a "
                              "live dashboard until the campaign completes")
-    status.add_argument("--telemetry", metavar="DIR", default=None,
-                        help="telemetry directory "
-                             "(default: <checkpoint>.telemetry)")
     status.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
                         help="seconds between live polls (default 2)")
     status.add_argument("--polls", type=int, default=None, metavar="N",
@@ -538,9 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check telemetry snapshots against a checkpoint"
     )
     verify.add_argument("--checkpoint", metavar="PATH", required=True)
-    verify.add_argument("--telemetry", metavar="DIR", default=None,
-                        help="telemetry directory "
-                             "(default: <checkpoint>.telemetry)")
     verify.set_defaults(func=cmd_verify)
 
     report = sub.add_parser("report", help="build the report from a checkpoint")
@@ -549,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="allow a best-effort report of an incomplete campaign")
     report.add_argument("--html", metavar="PATH", default=None,
                         help="also write a self-contained HTML report here")
-    report.add_argument("--telemetry", metavar="DIR", default=None,
-                        help="telemetry directory for the HTML throughput "
-                             "section (default: <checkpoint>.telemetry)")
     _add_report_out(report)
     report.set_defaults(func=cmd_report)
 

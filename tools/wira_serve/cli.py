@@ -56,8 +56,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         concurrency=args.concurrency,
         subprocess_shards=not args.in_process,
         reshard_after_chains=args.reshard_after,
-        ffct_rel_tol=args.ffct_rel_tol,
-        ffct_abs_tol=args.ffct_abs_tol,
     )
     results = run_loadtest(config)
     if args.out is not None:
@@ -125,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHAINS",
         help="add one shard after this many chains complete",
     )
-    run.add_argument("--ffct-rel-tol", type=float, default=0.20)
-    run.add_argument("--ffct-abs-tol", type=float, default=0.075)
     run.add_argument("--out", default=None, help="write results JSON here")
     run.add_argument("--html", default=None, help="write the HTML report here")
     run.set_defaults(func=cmd_run)
