@@ -28,9 +28,10 @@ its policy answers every ``initial_params`` question the earlier run
 asked alike.  That is exact, not approximate: before the first
 ``initial_params`` call a session depends only on its start state, and
 ``initial_params`` is a pure read of ``(policy state, ctx)``, so equal
-answers mean an equal continuation (:class:`SharedSession`).  The
-sanitizer simulates every shared session anyway and compares
-(``shared_session``); a traced replay shares nothing.
+answers mean an equal continuation (:class:`SharedSession`).  A private
+world (:func:`iter_chain_outcomes` without one) shares nothing, and
+tier-1 holds every block replay equal to it; a traced replay shares
+nothing either.
 
 One sharing rule serves both engines that replay sessions under several
 schemes: :meth:`SessionSide.play` takes or simulates one session against
@@ -50,7 +51,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
-from repro import sanitize as _sanitize
 from repro.cdn.client import WiraClient
 from repro.cdn.origin import Origin
 from repro.cdn.session import SessionResult, SessionSpec, StreamingSession
@@ -405,10 +405,8 @@ class SessionSide:
         Takes the outcome of a session another side simulated when
         :meth:`match` finds one among ``sessions[key]``; simulates
         otherwise, and with ``record`` keeps it there for the sides
-        after this one.  Under the sanitizer a taken session is
-        simulated as well and the two compared (``shared_session``);
-        under the trace bus nothing is shared, because every session
-        writes its own trace.
+        after this one.  Under the trace bus nothing is shared, because
+        every session writes its own trace.
         """
         if _obs.ACTIVE is not None:
             return self.session(spec).run()
@@ -419,20 +417,8 @@ class SessionSide:
         hit = self.match(sessions.get(key, ()), start)
         if hit is not None:
             shared, answer = hit
-            result = replace(shared.result, scheme=spec.scheme, initial_params=answer)
-            sanitizer = _sanitize.ACTIVE
-            if sanitizer is None:
-                self.take_cookie_state(shared.after)
-                return result
-            simulated = self.session(spec).run()
-            sanitizer.check_shared_session(
-                str(spec.trace_label),
-                result,
-                simulated,
-                shared.after,
-                self.cookie_state(before),
-            )
-            return simulated
+            self.take_cookie_state(shared.after)
+            return replace(shared.result, scheme=spec.scheme, initial_params=answer)
         if not record:
             return self.session(spec).run()
         asked = _AskedPolicy(self.policy)

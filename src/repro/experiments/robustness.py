@@ -43,9 +43,7 @@ fresh policy with nothing learnt; ``wira_bbr2`` and ``wira_ar`` run
 their own transport stacks and share with nobody.  ``StreamingSession.run``
 is called 164 times for the 200 cells of ``--quick`` (4 primes) and 736
 times for the default 980 (8 primes), where running every session would
-take 205 and 994.  Under the sanitizer every session is simulated and
-each taken one compared (``shared_session``); a traced matrix shares
-nothing.
+take 205 and 994.  A traced matrix shares nothing.
 
 CLI::
 

@@ -249,6 +249,10 @@ class FleetCampaign:
         """Execute all pending chunks and return the merged aggregate."""
         self._started = time.perf_counter()
         self._sync_telemetry()
+        # Own the checkpoint path from the first instant: until this
+        # write, a fresh run over an old checkpoint would leave readers
+        # describing the previous campaign beside this one's snapshots.
+        self._write_checkpoint(force=True)
         pending = [i for i in range(self.config.n_chunks) if i not in self._chunks]
         self._report_progress()
         config_json = json.dumps(self.config.to_json(), sort_keys=True)

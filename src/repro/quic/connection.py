@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs as _obs
-from repro import sanitize as _sanitize
 from repro.quic.ack_manager import AckManager
 from repro.quic.cc import make_controller
 from repro.quic.cc.base import CongestionController
@@ -285,11 +284,8 @@ class Connection:
         now = self.loop.now
         sidecar = datagram.packet
         if isinstance(sidecar, Packet):
-            # The sender's packet travelled in place of its bytes; under
-            # the sanitizer, build them and prove the packet is what they say.
+            # The sender's packet travelled in place of its bytes.
             packet = sidecar
-            if _sanitize.ACTIVE is not None:
-                _sanitize.ACTIVE.check_datagram_parse(Packet.decode, datagram, now)
         else:
             # Bytes from outside a Connection's send path: parse them.
             try:
@@ -663,8 +659,6 @@ class Connection:
         packet_number = self._next_packet_number
         packet = Packet(packet_type, self.connection_id, packet_number, tuple(frames))
         self._next_packet_number = packet_number + 1
-        if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.check_packet_sent(self, packet_number, now)
         size = packet.wire_size() + UDP_OVERHEAD
         ack_eliciting = packet.ack_eliciting()
         in_flight = in_flight and ack_eliciting
@@ -699,7 +693,7 @@ class Connection:
             )
         # The packet travels in place of its bytes: an in-process
         # receiver reads the packet, and whoever reads the bytes (a bit
-        # flip, the sanitizer, a parser) has them encoded then.
+        # flip, a parser) has them encoded then.
         self._send_datagram(Datagram(None, size, False, packet))
 
     # ------------------------------------------------------------------

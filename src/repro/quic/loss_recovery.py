@@ -25,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro import sanitize as _sanitize
 from repro.quic.frames import AckFrame
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
@@ -93,8 +92,6 @@ class LossRecovery:
         if largest_acked is not None and pn <= largest_acked:
             # Only a peer acking ahead of the sender gets here.
             self._loss_time_stale = True
-        if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.note_sent_tracked(self, pn)
 
     def on_rtt_sample(self, rtt_sample: float, now: float) -> None:
         """Feed an RTT sample taken outside an ACK (the handshake's)."""
@@ -111,8 +108,6 @@ class LossRecovery:
         packet-number order — the delivery-rate sampler downstream is
         order-sensitive.
         """
-        if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.check_ack(self, ack, now)
         newly_acked: List[SentPacket] = []
         sent_packets = self.sent_packets
         unacked = self._unacked

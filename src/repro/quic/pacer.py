@@ -12,8 +12,6 @@ quantum behaviour) lets short control exchanges go out immediately.
 
 from __future__ import annotations
 
-from repro import sanitize as _sanitize
-
 
 class Pacer:
     """Leaky-bucket packet release scheduler.
@@ -50,27 +48,24 @@ class Pacer:
         self._rate_bps = rate_bps
 
     def _refill(self, now: float) -> None:
-        """Accrue credit up to ``now`` and check the bucket.
+        """Accrue credit up to ``now``, capped at the burst.
 
         Credit only accrues when the clock has moved, so callers already
         refilled at ``now`` (the connection sets the rate once per pump,
-        then asks and spends at the same instant) skip the arithmetic;
-        the sanitizer still checks the bucket on every call.
+        then asks and spends at the same instant) skip the arithmetic.
         """
         if now > self._last_update:
             tokens = self._tokens + (now - self._last_update) * self._rate_bps / 8.0
             burst = float(self.burst_bytes)
             self._tokens = tokens if tokens < burst else burst
             self._last_update = now
-        if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.check_pacer(self, now)
 
     def time_until_send(self, size: int, now: float) -> float:
         """Seconds to wait before a ``size``-byte packet may depart.
 
         Returns 0.0 when the packet can leave immediately.
         """
-        if now > self._last_update or _sanitize.ACTIVE is not None:
+        if now > self._last_update:
             self._refill(now)
         tokens = self._tokens
         if tokens >= size:
@@ -83,8 +78,6 @@ class Pacer:
         Tokens may go negative, which naturally delays subsequent
         packets — equivalent to scheduling the next release time.
         """
-        if now > self._last_update or _sanitize.ACTIVE is not None:
+        if now > self._last_update:
             self._refill(now)
         self._tokens -= size
-        if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.check_pacer(self, now)

@@ -21,9 +21,10 @@ the only parser.  Inside one process the sender's :class:`Packet` rides
 in place of its bytes (``Datagram.packet``): the sender sizes the
 datagram with :meth:`Packet.wire_size`, and the bytes are encoded from
 the packet only when something reads ``Datagram.payload`` — the fault
-injector's bit flips, a receiver without the parse, and the sanitizer's
-``datagram_parse`` invariant, which decodes every such datagram, checks
-its length against ``wire_size()`` and compares the parse.
+injector's bit flips and a receiver without the parse.  Tier-1 holds the
+shortcut to the bytes: the parse of a sent datagram's payload equals the
+packet it carries, and ``wire_size()`` equals the encoded length
+(``tests/quic/test_datagram_sidecar.py``, ``tests/quic/test_wire_size.py``).
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class Packet:
     """A parsed or to-be-encoded transport packet.
 
     A value object: nothing mutates a packet once it is built, and
-    equality is field-wise (the sanitizer compares a sender's packet
-    with the parse of its bytes).  It is not ``frozen`` because one is
+    equality is field-wise (tests compare a sender's packet with the
+    parse of its bytes).  It is not ``frozen`` because one is
     built per packet sent, and a frozen dataclass's ``__init__`` stores
     each field through ``object.__setattr__``, about four times the cost
     of a plain slotted one.  Nothing hashes it.

@@ -1,32 +1,24 @@
 """Opt-in runtime transport sanitizer (``WIRA_SANITIZE=1``).
 
-The simulator's correctness story rests on invariants no test asserts
-continuously: the event clock never rewinds, pacer debt stays bounded,
-packet numbers grow strictly, ACKs stay within the sent range, the parsed
-packet riding in a datagram is what its bytes decode to, BBR only
-takes legal state-machine edges, Wira's initial-parameter overrides
-are applied at most once (plus the documented corner-case-1 re-init),
-and a session one scheme takes from another is the one it would have
-simulated.
-This package installs cheap checks for all of them at the same attach
-points the Wira hooks use, so **any** test or experiment run doubles as
-a sanitized run::
+The sanitizer checks, at the transport's own attach points, an
+invariant no plain test asserts: BBR only takes legal state-machine
+edges (``bbr_transition``).  A check earns its place against a planted
+defect: it stays only while it is the sole catcher of that defect
+(CONTRIBUTING.md, "Sanitizer plant table", and
+``tests/sanitize/test_sanitizer_plants.py``).  Any test or experiment
+run doubles as a sanitized run::
 
     WIRA_SANITIZE=1 python -m pytest -x -q
 
 Design constraints:
 
-* **~0 % overhead when disabled** — hook sites test one module global
-  (``ACTIVE is not None``); the event loops read it once per run.
-* **<= 10 % overhead when enabled** — each check is a handful of
-  comparisons; verified by ``benchmarks/test_bench_speed.py``.  The
-  exceptions are ``datagram_parse``, which encodes and decodes every
-  delivered packet (what every sender and receiver did unconditionally
-  before the sender's packet travelled in place of its bytes) and
-  compares, and ``shared_session``, which simulates every session a
-  replay shares between schemes and compares.
+* **~0 % overhead when disabled** — the hook site tests one module
+  global (``ACTIVE is not None``).
+* **cheap when enabled** — one check per BBR mode change, a set lookup;
+  ``tests/sanitize/test_sanitizer.py`` pins how many checks one session
+  runs, so a new per-packet check fails tier-1.
 * violations raise :class:`~repro.sanitize.errors.SanitizerError`
-  carrying the invariant name, connection id and simulated time.
+  carrying the invariant name and simulated time.
 
 Programmatic use::
 
@@ -34,7 +26,7 @@ Programmatic use::
 
     with sanitize.sanitized() as san:
         run_session(...)
-    assert san.checks_run["clock_monotonic"] > 0
+    assert san.checks_run["bbr_transition"] > 0
 """
 
 from __future__ import annotations
@@ -42,24 +34,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from repro.sanitize.checks import (
-    LEGAL_BBR_TRANSITIONS,
-    MAX_CWND_BYTES,
-    MAX_INITIAL_OVERRIDES,
-    MIN_CWND_MSS,
-    PACER_DEBT_BURSTS,
-    TransportSanitizer,
-)
+from repro.sanitize.checks import LEGAL_BBR_TRANSITIONS, TransportSanitizer
 from repro.sanitize.errors import INVARIANTS, SanitizerError
 
 __all__ = [
     "ACTIVE",
     "INVARIANTS",
     "LEGAL_BBR_TRANSITIONS",
-    "MAX_CWND_BYTES",
-    "MAX_INITIAL_OVERRIDES",
-    "MIN_CWND_MSS",
-    "PACER_DEBT_BURSTS",
     "SanitizerError",
     "TransportSanitizer",
     "disable",
@@ -108,9 +89,8 @@ def enabled() -> bool:
 def suppressed() -> Iterator[None]:
     """Scoped *disable*, restoring the previous sanitizer afterwards.
 
-    For tests that deliberately inject peer misbehaviour (e.g. ACKs for
-    never-sent packets) which production code tolerates but the
-    sanitizer — by design — reports.
+    For tests that deliberately drive a transport object through a state
+    the sanitizer — by design — reports.
     """
     global ACTIVE
     previous = ACTIVE

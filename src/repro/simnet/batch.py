@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro import sanitize as _sanitize
 from repro.simnet.calqueue import CalendarQueue
 from repro.simnet.engine import Event, SimulationError
 
@@ -163,10 +162,6 @@ class BatchEventLoop:
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
-        # Read once: the clock-monotonicity check below costs one
-        # comparison per event when enabled (well inside the 10% budget),
-        # and its counter is bulk-updated on exit.
-        sanitizer = _sanitize.ACTIVE
         self._running = True
         executed = 0
         queue = self._queue
@@ -183,8 +178,6 @@ class BatchEventLoop:
                     continue
                 member = entry[2]
                 when = entry[0]
-                if sanitizer is not None and when < member._now:
-                    sanitizer.check_clock(member._now, when)
                 if ev is not None:
                     ev.finished = True
                 member._pending -= 1
@@ -193,9 +186,6 @@ class BatchEventLoop:
                 executed += 1
                 member._processed += 1
         finally:
-            if sanitizer is not None:
-                counts = sanitizer.checks_run
-                counts["clock_monotonic"] = counts.get("clock_monotonic", 0) + executed
             self._processed += executed
             self._running = False
         return executed

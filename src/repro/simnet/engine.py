@@ -31,8 +31,6 @@ import math
 import sys
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro import sanitize as _sanitize
-
 
 class SimulationError(Exception):
     """Raised for invalid interactions with the event loop."""
@@ -201,10 +199,6 @@ class EventLoop:
     def _run(self, until: Optional[float], max_events: Optional[int]) -> int:
         if self._running:
             raise SimulationError("event loop is not reentrant")
-        # Read once: the clock-monotonicity check below costs one
-        # comparison per event when enabled (well inside the 10% budget),
-        # and its counter is bulk-updated on exit.
-        sanitizer = _sanitize.ACTIVE
         self._running = True
         executed = 0
         heap = self._heap
@@ -222,8 +216,6 @@ class EventLoop:
                 when = entry[0]
                 if when > horizon or executed >= budget:
                     break
-                if sanitizer is not None and when < self._now:
-                    sanitizer.check_clock(self._now, when)
                 heappop(heap)
                 self._pending -= 1
                 if event is not None:
@@ -232,9 +224,6 @@ class EventLoop:
                 entry[3](*entry[4])
                 executed += 1
         finally:
-            if sanitizer is not None:
-                counts = sanitizer.checks_run
-                counts["clock_monotonic"] = counts.get("clock_monotonic", 0) + executed
             self._processed += executed
             self._running = False
         return executed

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro import obs, sanitize
+from repro import obs
 from repro.cdn.session import StreamingSession
 from repro.core.config import WiraConfig
 from repro.core.schemes import (
@@ -26,7 +26,6 @@ from repro.core.schemes import (
     scheme_names,
 )
 from repro.experiments import common, runner
-from repro.sanitize import SanitizerError
 from repro.workload.population import Deployment, DeploymentConfig
 
 #: Every registered scheme: stateful ``adaptive``, ``wira_bbr2`` and
@@ -147,19 +146,10 @@ GOLDEN_SHARED = 37
 
 
 def test_distinct_sessions_are_simulated_once(monkeypatch):
-    with sanitize.suppressed():
-        runs = count_simulated(monkeypatch)
-        records = runner.run_deployment(GOLDEN_CONFIG, LEGACY_SCHEMES, use_cache=False)
+    runs = count_simulated(monkeypatch)
+    records = runner.run_deployment(GOLDEN_CONFIG, LEGACY_SCHEMES, use_cache=False)
     assert sum(len(outcomes) for outcomes in records.values()) == GOLDEN_SESSIONS
     assert len(runs) == GOLDEN_SESSIONS - GOLDEN_SHARED
-
-
-def test_sanitizer_simulates_every_shared_session_and_compares(monkeypatch):
-    runs = count_simulated(monkeypatch)
-    with sanitize.sanitized() as san:
-        runner.run_deployment(GOLDEN_CONFIG, LEGACY_SCHEMES, use_cache=False)
-    assert len(runs) == GOLDEN_SESSIONS
-    assert san.checks_run["shared_session"] == GOLDEN_SHARED
 
 
 def test_traced_replay_shares_nothing(monkeypatch):
@@ -178,16 +168,3 @@ def test_private_world_shares_nothing(monkeypatch):
         for index, chain in enumerate(chains):
             list(common.iter_chain_outcomes(scheme, chain, index, CONFIG, WiraConfig()))
     assert len(runs) == 2 * sum(len(chain) for chain in chains)
-
-
-def test_start_state_without_the_echoed_cookie_is_caught(monkeypatch):
-    """Mutation check: a start state that forgets the HQST bytes lets a
-    scheme take a session run on another scheme's cookie; the sanitizer,
-    simulating it anyway, sees the difference."""
-    start_state = common.SchemeReplay.start_state
-    monkeypatch.setattr(
-        common.SchemeReplay, "start_state", lambda self, spec: start_state(self, spec)[1:]
-    )
-    with sanitize.sanitized(), pytest.raises(SanitizerError) as excinfo:
-        runner.run_deployment(CONFIG, LEGACY_SCHEMES, use_cache=False)
-    assert excinfo.value.invariant == "shared_session"

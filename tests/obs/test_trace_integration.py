@@ -84,12 +84,12 @@ class TestSanitizerTail:
     def test_error_captures_ring_tail_when_tracing(self):
         with obs.tracing() as bus:
             bus.emit(0.5, "transport:packet_sent", "ab", {"pn": 1})
-            error = SanitizerError("pacer_tokens", "tokens went negative")
+            error = SanitizerError("bbr_transition", "illegal BBR transition")
         assert error.trace_tail == [(0.5, "transport:packet_sent", "ab", {"pn": 1})]
 
     def test_error_without_tracing_has_empty_tail(self):
         obs.disable()
-        error = SanitizerError("pacer_tokens", "tokens went negative")
+        error = SanitizerError("bbr_transition", "illegal BBR transition")
         assert error.trace_tail == []
 
     def test_sanitized_and_traced_session_coexist(self):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import sanitize
 from repro.quic.frames import AckFrame
 from repro.quic.loss_recovery import GC_KEEP_WINDOW, K_PACKET_THRESHOLD, LossRecovery
 from repro.quic.rtt import RttEstimator
@@ -147,11 +146,7 @@ def test_no_pto_when_nothing_eliciting():
 def test_ack_of_unknown_packet_ignored():
     lr = make_recovery()
     lr.on_packet_sent(sent(0))
-    # Deliberate peer misbehaviour: under WIRA_SANITIZE=1 the ack_range
-    # invariant would (correctly) fire, so scope the sanitizer off while
-    # asserting the production-code tolerance.
-    with sanitize.suppressed():
-        acked, _ = lr.on_ack_received(ack(9, [(9, 9)]), now=0.1)
+    acked, _ = lr.on_ack_received(ack(9, [(9, 9)]), now=0.1)
     assert not acked
 
 
@@ -425,8 +420,7 @@ def test_gated_loss_timer_equals_detection_on_every_fire(steps):
             top = next_pn + 1 + salt % 6 if kind == "ack_ahead" else next_pn
             acked = [pn for pn in range(top) if (salt >> (pn % 16)) & 1] or [salt % top]
             frame = AckFrame(max(acked), salt % 5000, descending_ranges(acked))
-            with sanitize.suppressed():
-                results = [lr.on_ack_received(frame, now) for lr in pair]
+            results = [lr.on_ack_received(frame, now) for lr in pair]
             gated, ungated = [
                 [[p.packet_number for p in packets] for packets in result] for result in results
             ]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import sanitize
 from repro.quic.pacer import Pacer
 
 
@@ -126,22 +125,20 @@ def test_pacer_equals_refill_on_every_call(rate_bps, burst_bytes, calls):
     """Random set_rate / time_until_send / on_packet_sent sequences: the
     waits and the token count equal the reference bucket's exactly.
 
-    The sequences ignore the waits, so the bucket can sink far into the
-    debt the sanitizer (rightly) reports as runaway sends; this pins the
-    arithmetic, with the sanitizer off."""
+    The sequences ignore the waits, so the bucket can sink far into
+    debt; this pins the arithmetic there too."""
     pacer = Pacer(rate_bps=rate_bps, burst_bytes=burst_bytes)
     reference = ReferenceBucket(rate_bps, burst_bytes)
     now = 0.0
-    with sanitize.suppressed():
-        for kind, step, rate, size in calls:
-            now += step
-            if kind == "set_rate":
-                pacer.set_rate(rate, now)
-                reference.set_rate(rate, now)
-            elif kind == "time_until_send":
-                assert pacer.time_until_send(size, now) == reference.time_until_send(size, now)
-            else:
-                pacer.on_packet_sent(size, now)
-                reference.on_packet_sent(size, now)
-            assert pacer._tokens == reference.tokens
-            assert pacer.rate_bps == reference.rate_bps
+    for kind, step, rate, size in calls:
+        now += step
+        if kind == "set_rate":
+            pacer.set_rate(rate, now)
+            reference.set_rate(rate, now)
+        elif kind == "time_until_send":
+            assert pacer.time_until_send(size, now) == reference.time_until_send(size, now)
+        else:
+            pacer.on_packet_sent(size, now)
+            reference.on_packet_sent(size, now)
+        assert pacer._tokens == reference.tokens
+        assert pacer.rate_bps == reference.rate_bps

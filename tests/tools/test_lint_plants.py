@@ -219,8 +219,8 @@ PLANTS = (
         (
             (
                 "src/repro/sanitize/checks.py",
-                '                "clock_monotonic",\n',
-                '                "clock_monotnic",\n',
+                '                "bbr_transition",\n',
+                '                "bbr_transitoin",\n',
             ),
         ),
         context=("src/repro/sanitize/errors.py",),

@@ -20,6 +20,7 @@ from repro.fleet import (
     canonical_json,
     live_report,
     load_checkpoint,
+    run_campaign,
     run_chunk,
     save_checkpoint,
     scan_snapshots,
@@ -269,21 +270,43 @@ class TestTelemetry:
     def test_live_status_follows_a_restart_before_its_first_checkpoint(
         self, tmp_path, capsys
     ):
-        """A restarted campaign snapshots under its new key while the
-        checkpoint still holds the old one: the dashboard shows the new
-        campaign's snapshots instead of waiting for its first checkpoint."""
+        """A fresh campaign over a finished one's checkpoint owns that
+        checkpoint before its first chunk: stopped after one chunk, long
+        before its first ``checkpoint_every``, plain ``status`` names the
+        new campaign and the live view shows its one chunk of four."""
         checkpoint, telemetry = self.completed_campaign(tmp_path)
-        for index in (0, 1):
-            path = snapshot_path(telemetry, index)
-            payload = json.loads(path.read_text())
-            payload["campaign_key"] = "f" * 40
-            path.write_text(json.dumps(payload))
+        config = FleetConfig(
+            population=DeploymentConfig(n_od_pairs=8, seed=3),
+            schemes=("baseline", "wira"),
+            chunk_chains=2,
+            checkpoint_every=100,
+        )
+        assert config.n_chunks == 4
+
+        class Stop(Exception):
+            pass
+
+        def stop_after_one_chunk(done, total, sessions):
+            if done == 1:
+                raise Stop
+
+        with pytest.raises(Stop):
+            run_campaign(
+                config,
+                checkpoint_path=checkpoint,
+                jobs=1,
+                progress=stop_after_one_chunk,
+                telemetry_dir=telemetry,
+            )
+        capsys.readouterr()
+        assert main(["status", "--checkpoint", str(checkpoint)]) == EXIT_OK
+        assert f"campaign:  {config.key()}" in capsys.readouterr().out
         code = main(
             ["status", "--checkpoint", str(checkpoint),
              "--live", "--polls", "1", "--interval", "0"]
         )
         assert code == EXIT_OK
-        assert "campaign ffffffffffff…  chunks 2/2" in capsys.readouterr().out
+        assert "chunks 1/4" in capsys.readouterr().out
 
     def test_report_html_warns_on_schema_skew(self, tmp_path, capsys):
         """Schema-skewed snapshots drop the HTML throughput section with

@@ -71,7 +71,6 @@ KEPT: Dict[str, str] = {
     "repro.core.parser_backends:UnknownProtocolError.__init__": _FAILURE,
     "repro.obs.bus:TraceBus.ring_events": _FAILURE,
     "repro.sanitize.errors:SanitizerError.__init__": _FAILURE,
-    "repro.sanitize.checks:TransportSanitizer.check_clock": _FAILURE,
     "repro.sanitize.checks:TransportSanitizer.check_bbr_transition": _LONG,
     "repro.serve.driver:ServeDriver._request_repair": _FAILURE,
     "repro.serve.protocol:build_resend_request": _FAILURE,
@@ -229,14 +228,10 @@ def run_bench(tmp: Path) -> None:
 
 
 def run_figures(tmp: Path) -> None:
-    """Every figure and table as ``benchmarks/`` regenerates and checks it.
-
-    ``test_bench_speed.py`` is left out: it holds a speed budget, which
-    a profiled run cannot meet, and reaches nothing the others do not.
-    """
+    """Every figure and table as ``benchmarks/`` regenerates and checks it."""
     import pytest
 
-    argv = [str(ROOT / "benchmarks"), "-q", "-p", "no:cacheprovider", "-k", "not speed"]
+    argv = [str(ROOT / "benchmarks"), "-q", "-p", "no:cacheprovider"]
     _check(int(pytest.main(argv)), "pytest benchmarks")
 
 
@@ -302,7 +297,6 @@ def run_modes(tmp: Path) -> None:
 
     config = DeploymentConfig(n_od_pairs=2, seed=11, video_frames_per_session=4)
     with sanitize.sanitized():
-        # Every headline scheme, so sessions are shared and re-checked.
         run_deployment(config, EVAL_SCHEMES, use_cache=False, jobs=1)
     for scheme in (BASELINE, WIRA):
         with obs.tracing(trace_dir=tmp / scheme.value):

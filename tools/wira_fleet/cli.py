@@ -247,17 +247,11 @@ def cmd_status(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAILED
         # Keep the checkpoint's campaign: a restart can leave a stale
-        # foreign snapshot behind for one poll.  A restarted campaign
-        # has no snapshot under the old checkpoint's key until its first
-        # checkpoint, so then all are kept; a mixed set raises
-        # ValueError below, which skips the poll.
+        # foreign snapshot behind for one poll, and a campaign writes its
+        # checkpoint before its first chunk, so its key is always there.
         state = load_checkpoint(checkpoint)
-        if state is not None and any(
-            s.campaign_key == state.key for s in snapshots.values()
-        ):
-            snapshots = {
-                i: s for i, s in snapshots.items() if s.campaign_key == state.key
-            }
+        key = None if state is None else state.key
+        snapshots = {i: s for i, s in snapshots.items() if s.campaign_key == key}
         live: Optional[Tuple[Dict[str, object], Progress]] = None
         if snapshots:
             try:
@@ -272,8 +266,7 @@ def cmd_status(args: argparse.Namespace) -> int:
                 return EXIT_OK
         else:
             # A failed or empty poll keeps the loop alive — the campaign
-            # may simply not have completed a chunk yet, or the poll
-            # caught two campaigns' snapshots before the first checkpoint.
+            # may simply not have completed a chunk yet.
             print(f"(no telemetry snapshots yet in {telemetry_dir})")
         if polls_left is not None:
             polls_left -= 1
