@@ -14,7 +14,7 @@ which writes one qlog-style JSONL file per (session, connection) under
 the stdlib-only ``tools/wira_trace`` CLI (``validate`` / ``summarize`` /
 ``diff``).
 
-Design constraints (mirroring :mod:`repro.sanitize`):
+Design constraints:
 
 * **~0 % overhead when disabled** — hook sites test one module global
   (``obs.ACTIVE is not None``); the EventLoop hot loop carries no hooks

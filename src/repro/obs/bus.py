@@ -1,13 +1,12 @@
 """The structured trace bus and its sinks.
 
-One :class:`TraceBus` is installed globally through :mod:`repro.obs`
-(mirroring the sanitizer's ``ACTIVE`` pattern): hook sites across
-simnet/quic/core/cdn test a single module attribute and pay nothing when
-tracing is off.  When on, :meth:`TraceBus.emit` appends a tuple to
+One :class:`TraceBus` is installed globally through :mod:`repro.obs`:
+hook sites across simnet/quic/core/cdn test a single module attribute
+(``obs.ACTIVE``) and pay nothing when tracing is off.  When on,
+:meth:`TraceBus.emit` appends a tuple to
 
-* an **in-memory ring buffer** — always cheap, bounded, and dumpable on
-  :class:`~repro.sanitize.errors.SanitizerError` for post-mortem
-  context, and
+* an **in-memory ring buffer** (:attr:`TraceBus.ring`) — always cheap,
+  bounded, the recent events of the process oldest first, and
 * the **current session buffer** — scoped by :meth:`TraceBus.session`,
   flushed on exit as per-connection JSONL files when a ``trace_dir`` is
   configured.
@@ -46,7 +45,7 @@ class TraceBus:
         Directory for per-connection JSONL trace files; ``None`` keeps
         tracing purely in memory (ring + session buffers).
     ring_size:
-        Capacity of the post-mortem ring buffer.
+        Capacity of the ring buffer.
     """
 
     __slots__ = ("ring", "counts", "trace_dir", "_session_label", "_session_events")
@@ -114,8 +113,3 @@ class TraceBus:
             )
             path = self.trace_dir / f"{label}--{conn}.jsonl"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def ring_events(self) -> List[TraceEvent]:
-        """Snapshot of the post-mortem ring buffer, oldest first."""
-        return list(self.ring)
-

@@ -28,7 +28,6 @@ import enum
 from typing import List, Optional
 
 from repro import obs as _obs
-from repro import sanitize as _sanitize
 from repro.quic.cc.bandwidth_sampler import BandwidthSampler
 from repro.quic.cc.base import CongestionController, DEFAULT_MSS
 from repro.quic.cc.windowed_filter import WindowedFilter
@@ -243,10 +242,9 @@ class BbrSender(CongestionController):
     # Internals
 
     def _set_mode(self, mode: BbrMode, now: float) -> None:
-        """Single funnel for mode changes — the sanitizer's attach point
-        for the BBR state-machine legality invariant."""
-        if _sanitize.ACTIVE is not None:
-            _sanitize.ACTIVE.check_bbr_transition(self.mode, mode, now)
+        """Single funnel for mode changes: each change is one
+        ``bbr:state_updated`` event, which ``tests/quic/test_bbr.py``
+        checks against the legal edges."""
         if _obs.ACTIVE is not None and mode != self.mode:
             _obs.ACTIVE.emit(
                 now,

@@ -7,7 +7,7 @@ variables become values.  Typical use::
 
     jobs = settings.current().jobs
 
-    with settings.overridden(jobs=4, sanitize=True):
+    with settings.overridden(jobs=4, trace=True):
         ...
 """
 

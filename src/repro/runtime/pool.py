@@ -5,8 +5,8 @@ independent, picklable tasks out the same way; :func:`run_tasks` is the
 single place a :class:`~concurrent.futures.ProcessPoolExecutor` is
 built and the single copy of "warn and finish in-process" when it
 fails.  The pool is opened for one call and forked from the caller as
-it is *now*, so workers see whatever trace bus, sanitizer or settings
-pin the caller installed — a pool kept across calls would replay on the
+it is *now*, so workers see whatever trace bus or settings pin the
+caller installed — a pool kept across calls would replay on the
 process state of its first use.
 """
 

@@ -1,12 +1,11 @@
 """The single parse point for every ``WIRA_*`` environment knob.
 
 Before this module existed the knobs were read ad hoc where they were
-consumed — ``WIRA_JOBS``/``WIRA_CACHE_DIR`` inside the replay runner, ``WIRA_SANITIZE`` in :mod:`repro.sanitize`,
+consumed — ``WIRA_JOBS``/``WIRA_CACHE_DIR`` inside the replay runner,
 ``WIRA_TRACE``/``WIRA_TRACE_DIR`` in :mod:`repro.obs` — each with its
 own string-to-value convention.  :class:`Settings` is now the one place
 those strings become values; the legacy accessors
-(:func:`repro.sanitize.env_requested`,
-:func:`repro.obs.env_requested`, :func:`repro.obs.env_trace_dir`,
+(:func:`repro.obs.env_requested`, :func:`repro.obs.env_trace_dir`,
 :func:`repro.runtime.pool.resolve_jobs` …) all delegate here, so
 their historical semantics — truthy sets, defaults, invalid-value
 fallbacks — are defined exactly once and covered by one test suite.
@@ -28,8 +27,8 @@ from typing import Iterator, Mapping, Optional
 
 logger = logging.getLogger(__name__)
 
-#: Values accepted as "on" for opt-in boolean knobs (match the historic
-#: ``sanitize``/``obs`` parsers).
+#: Values accepted as "on" for the opt-in boolean knob (match the
+#: historic ``obs`` parser).
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 #: Every environment variable the repro package reads.  Anything not in
@@ -37,7 +36,6 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 KNOWN_KNOBS = (
     "WIRA_JOBS",
     "WIRA_CACHE_DIR",
-    "WIRA_SANITIZE",
     "WIRA_TRACE",
     "WIRA_TRACE_DIR",
 )
@@ -59,9 +57,6 @@ class Settings:
     #: ``WIRA_CACHE_DIR`` — directory of ``runner.store_cached`` /
     #: ``load_cached``; no replay reads or writes it.
     cache_dir: Path = field(default_factory=default_cache_dir)
-    #: ``WIRA_SANITIZE`` — install the runtime transport sanitizer at
-    #: import time (default off).
-    sanitize: bool = False
     #: ``WIRA_TRACE`` — install the structured trace bus at import time
     #: (default off).
     trace: bool = False
@@ -85,7 +80,6 @@ class Settings:
         return cls(
             jobs=_parse_jobs(env.get("WIRA_JOBS", "")),
             cache_dir=_parse_path(env.get("WIRA_CACHE_DIR", "")) or default_cache_dir(),
-            sanitize=_parse_opt_in(env.get("WIRA_SANITIZE", "")),
             trace=_parse_opt_in(env.get("WIRA_TRACE", "")),
             trace_dir=_parse_path(env.get("WIRA_TRACE_DIR", "")),
         )

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.cdn.client import ClientMetrics, WiraClient
-from repro.cdn.origin import Origin
+from repro.cdn.origin import Origin, OriginFetch
 from repro.cdn.playback import PlaybackPolicy
 from repro.cdn.server import WiraServer
 from repro.core.config import WiraConfig
@@ -78,6 +79,37 @@ class TestServerInit:
         assert server.state.initial_params is not None
         assert server.state.initial_params.used_ff_size
         assert sum(received) > 40_000
+
+    def test_applied_parameters_are_not_reapplied_on_a_later_batch(self):
+        """Table I is applied once the first frame is parsed.  A later
+        availability batch finds the parameters final and changes
+        nothing: no second window, no second ``wira:init_cwnd``."""
+
+        class TwoBatchOrigin(Origin):
+            """The first GOP with its I frame at once, its last two
+            frames 50 ms later."""
+
+            def fetch(self, name, join_time, max_video_frames=None):
+                frames = [frame for frame, _ in super().fetch(name, join_time, max_video_frames).frames]
+                delays = [0.0] * (len(frames) - 2) + [0.05, 0.05]
+                return OriginFetch(name, tuple(zip(frames, delays)))
+
+        origin = TwoBatchOrigin()
+        origin.add_stream("demo", StreamProfile(first_frame_target_bytes=40_000, seed=4))
+        loop, path, server, server_conn, client_conn = make_stack(WIRA, origin=origin)
+        batches, windows = [], []
+        deliver, set_window = server._deliver_batch, server_conn.cc.set_initial_window
+        server._deliver_batch = lambda *args: (batches.append(args), deliver(*args))
+        server_conn.cc.set_initial_window = lambda size: (windows.append(size), set_window(size))
+        with obs.tracing() as bus:
+            client_conn.start()
+            client_conn.send_stream_data(0, b"GET /live/demo.flv\r\n", fin=True)
+            loop.run(max_events=50_000)
+        assert len(batches) == 2
+        assert not server.state.initial_params.provisional
+        assert bus.counts["wira:init_cwnd"] == 1
+        assert server.state.reinitialized is False
+        assert windows == [server.state.initial_params.cwnd_bytes]
 
     def test_unknown_hqst_tag_tolerated(self):
         loop, path, server, server_conn, client_conn = make_stack(

@@ -1,15 +1,11 @@
-"""Pins of the per-packet control path on one small replay.
+"""The cost ceiling of the per-packet control path on one small replay.
 
-Both tests replay the same pinned deployment (2 OD pairs, seed 7, the
-four evaluation schemes, one process).
-
-* **Sanitizer coverage.**  With the sanitizer active, its check runs
-  exactly as often as recorded: a rework that skips a BBR mode change,
-  or a new check on the path, moves the count.
-* **Cost ceiling.**  The Python-level calls into ``repro.quic`` and
-  ``repro.simnet`` are counted with ``sys.setprofile``, a number that
-  is exact for a given tree.  It may fall, never rise: a change that
-  makes the path dearer must say why by raising the ceiling here.
+The replay is a pinned deployment (2 OD pairs, seed 7, the four
+evaluation schemes, one process).  The Python-level calls into
+``repro.quic`` and ``repro.simnet`` are counted with ``sys.setprofile``,
+a number that is exact for a given tree.  It may fall, never rise: a
+change that makes the path dearer must say why by raising the ceiling
+here.
 """
 
 import os
@@ -19,19 +15,13 @@ import pytest
 
 import repro.quic
 import repro.simnet
-from repro import obs, sanitize
+from repro import obs
 from repro.cdn.session import StreamingSession
 from repro.experiments.common import EVAL_SCHEMES
 from repro.experiments.runner import run_deployment
 from repro.workload.population import DeploymentConfig
 
 PINNED = DeploymentConfig(n_od_pairs=2, seed=7)
-
-#: ``checks_run`` of the pinned replay (32 simulated sessions, 4 taken
-#: from another scheme).  A traced replay shares nothing: it simulates
-#: the 4 as well, and they add two BBR mode changes.
-CHECKS_RUN = {"bbr_transition": 6}
-CHECKS_RUN_TRACED = {"bbr_transition": 8}
 
 #: Calls into ``repro.quic`` + ``repro.simnet`` over the pinned replay
 #: (32 simulated sessions); 738 892 before the rework.
@@ -42,15 +32,9 @@ def replay():
     return run_deployment(PINNED, EVAL_SCHEMES, use_cache=False, jobs=1)
 
 
-def test_sanitizer_checks_every_invariant_as_often_as_before():
-    with sanitize.sanitized() as san:
-        replay()
-    assert san.checks_run == (CHECKS_RUN if obs.ACTIVE is None else CHECKS_RUN_TRACED)
-
-
 def test_control_path_calls_stay_under_the_ceiling():
-    if sanitize.ACTIVE is not None or obs.ACTIVE is not None:
-        pytest.skip("the sanitizer and the trace bus add calls of their own")
+    if obs.ACTIVE is not None:
+        pytest.skip("the trace bus adds calls of its own")
     roots = tuple(os.path.dirname(m.__file__) + os.sep for m in (repro.quic, repro.simnet))
     session_run = StreamingSession.run.__code__
     counts = {"calls": 0, "sessions": 0}

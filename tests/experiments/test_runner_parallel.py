@@ -132,10 +132,10 @@ class TestParallelEqualsSerial:
     def test_parallel_replay_runs_on_the_callers_current_state(
         self, tmp_path, two_chain_blocks, no_ambient_tracing
     ):
-        """Workers are forked per call, so a trace bus (or sanitizer, or
-        settings pin) installed after an earlier parallel replay reaches
-        them: a pool kept alive from that earlier replay would run the
-        second one untraced and disagree with ``jobs=1``."""
+        """Workers are forked per call, so a trace bus (or a settings pin)
+        installed after an earlier parallel replay reaches them: a pool
+        kept alive from that earlier replay would run the second one
+        untraced and disagree with ``jobs=1``."""
         config = tiny_config(3)
         runner.run_deployment(config, SCHEMES, use_cache=False, jobs=2)
         trace_dir = tmp_path / "traces"

@@ -21,7 +21,7 @@ class TestRingAndCounts:
         bus.emit(0.1, "session:first_byte", "ab", {})
         bus.emit(0.2, "session:first_byte", "ab", {})
         assert bus.counts == {"session:first_byte": 2}
-        assert bus.ring_events() == [
+        assert list(bus.ring) == [
             (0.1, "session:first_byte", "ab", {}),
             (0.2, "session:first_byte", "ab", {}),
         ]
@@ -30,7 +30,7 @@ class TestRingAndCounts:
         bus = TraceBus(ring_size=3)
         for i in range(10):
             bus.emit(float(i), "session:video_frame", "ab", {"k": i})
-        events = bus.ring_events()
+        events = list(bus.ring)
         assert len(events) == 3
         assert [e[0] for e in events] == [7.0, 8.0, 9.0]  # oldest first
 
@@ -48,7 +48,7 @@ class TestSessionScope:
         with bus.session("s1") as events:
             bus.emit(0.1, "session:first_byte", "ab", {})
         assert [e[1] for e in events] == ["session:first_byte"]
-        assert len(bus.ring_events()) == 2
+        assert len(bus.ring) == 2
 
     def test_memory_only_bus_writes_nothing(self, tmp_path):
         bus = TraceBus()  # no trace_dir

@@ -7,7 +7,7 @@ it sums back to the session's measured FFCT exactly, traced or not.
 
 import pytest
 
-from repro import obs, sanitize
+from repro import obs
 from repro.core.schemes import WIRA
 from repro.experiments import common
 from repro.obs.timeline import (
@@ -16,7 +16,6 @@ from repro.obs.timeline import (
     phase_table,
     render_timeline,
 )
-from repro.sanitize.errors import SanitizerError
 
 
 def traced_session(tmp_path=None):
@@ -78,27 +77,6 @@ class TestTracedSession:
         assert traced.ffct == plain.ffct
         for k in (1, 2, 3, 4):
             assert traced.frame_time(k) == plain.frame_time(k)
-
-
-class TestSanitizerTail:
-    def test_error_captures_ring_tail_when_tracing(self):
-        with obs.tracing() as bus:
-            bus.emit(0.5, "transport:packet_sent", "ab", {"pn": 1})
-            error = SanitizerError("bbr_transition", "illegal BBR transition")
-        assert error.trace_tail == [(0.5, "transport:packet_sent", "ab", {"pn": 1})]
-
-    def test_error_without_tracing_has_empty_tail(self):
-        obs.disable()
-        error = SanitizerError("bbr_transition", "illegal BBR transition")
-        assert error.trace_tail == []
-
-    def test_sanitized_and_traced_session_coexist(self):
-        with sanitize.sanitized(), obs.tracing() as bus:
-            result = common.run_testbed_session(
-                common.manual_params(66_000, 8_000_000.0)
-            )
-        assert result.completed
-        assert bus.counts.get("session:first_frame") == 1
 
 
 class TestTimelineRendering:

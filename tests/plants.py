@@ -1,14 +1,18 @@
-"""Each sanitizer failure's defect, planted in the real tree.
+"""Planted defects: small edits to real files under ``src/``.
 
-A plant is a small edit to real files under ``src/`` that introduces a
-defect one ``SanitizerError`` raise site existed for: one plant per
-raise site of the nine-invariant sanitizer (18 sites).
-CONTRIBUTING.md's sanitizer plant table records, per plant, which gates
-fail when its edits are written into a copy of the tree
-(``planted_sources(plant, root)``).  A check stayed only where nothing
-but the sanitizer catches its plant; that plant is applied here in
-process, and the named ``SanitizerError`` must come out of a real
-session, so the hook is proven wired and not only callable.
+A plant introduces one defect into the real tree, so that a gate can be
+shown to catch it.  The edits are written into a copy of the tree with
+:func:`planted_sources` (every gate then runs there), or swapped into
+the running process with :func:`apply_in_process` (one tier-1 test then
+shows that the check meant to catch it fails).
+
+Two families share this harness.  ``tests/tools/test_lint_plants.py``
+plants each lint rule's defect.  :data:`PLANTS` below are runtime
+defects in the transport and the replay: the first 18 are rows 1-18 of
+CONTRIBUTING.md's runtime plant table (one per raise site of the
+transport sanitizer that once guarded them), and the last is the
+baseline mutant M3 of ROADMAP.md, BBR's drain at unit gain.
+``tests/test_plants.py`` replays every one on this tree.
 """
 
 from __future__ import annotations
@@ -19,13 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Tuple
 
-import pytest
-
-from repro import sanitize
-from repro.sanitize import SanitizerError
-from tests.sanitize.test_sanitizer import PINNED_BANDWIDTH, PINNED_SCHEME, run_session
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 ENGINE = "src/repro/simnet/engine.py"
 PACER = "src/repro/quic/pacer.py"
@@ -45,21 +43,18 @@ Edit = Tuple[str, str, str]
 class Plant:
     """``edits`` are ``(path, old, new)``; ``old`` occurs exactly once.
 
-    ``invariant`` and ``site`` name the raise the plant is for: the
-    invariant and the check's wording of that failure.
+    ``context`` names unedited files a check of the plant needs beside
+    the edited ones (a registry the plant's name is checked against).
     """
 
     name: str
-    invariant: str
-    site: str
     edits: Tuple[Edit, ...]
+    context: Tuple[str, ...] = ()
 
 
 PLANTS = (
     Plant(
         "clock-run-until-skips-queued-events",
-        "clock_monotonic",
-        "event would rewind the clock",
         (
             (
                 ENGINE,
@@ -70,8 +65,6 @@ PLANTS = (
     ),
     Plant(
         "pacer-rate-rounded-to-whole-mbps",
-        "pacer_tokens",
-        "pacing rate is not positive",
         (
             (
                 PACER,
@@ -82,8 +75,6 @@ PLANTS = (
     ),
     Plant(
         "pacer-refill-without-burst-cap",
-        "pacer_tokens",
-        "token bucket overfilled",
         (
             (
                 PACER,
@@ -94,14 +85,10 @@ PLANTS = (
     ),
     Plant(
         "pump-ignores-pacing-waits-under-a-second",
-        "pacer_tokens",
-        "token bucket below the bounded-debt floor",
         ((CONNECTION, "                    if wait > 1e-12:\n", "                    if wait > 1.0:\n"),),
     ),
     Plant(
         "pure-ack-reuses-its-packet-number",
-        "packet_number_monotonic",
-        "packet number not strictly increasing",
         (
             (
                 CONNECTION,
@@ -112,8 +99,6 @@ PLANTS = (
     ),
     Plant(
         "initial-window-set-in-packets",
-        "cwnd_bounds",
-        "cwnd below 1 MSS",
         (
             (
                 CC_BASE,
@@ -124,8 +109,6 @@ PLANTS = (
     ),
     Plant(
         "bbr-window-reads-min-rtt-in-ms",
-        "cwnd_bounds",
-        "cwnd above the byte ceiling",
         (
             (
                 BBR,
@@ -136,8 +119,6 @@ PLANTS = (
     ),
     Plant(
         "ack-shifted-up-by-one",
-        "ack_range",
-        "ACK beyond the largest packet sent",
         (
             (
                 ACK_MANAGER,
@@ -153,8 +134,6 @@ PLANTS = (
     ),
     Plant(
         "ack-ranges-reach-one-below-each-run",
-        "ack_range",
-        "malformed ACK range",
         (
             (
                 ACK_MANAGER,
@@ -167,8 +146,6 @@ PLANTS = (
     ),
     Plant(
         "gap-fill-keeps-the-upper-run",
-        "ack_range",
-        "ACK ranges overlap or are unordered",
         (
             (
                 ACK_MANAGER,
@@ -179,8 +156,6 @@ PLANTS = (
     ),
     Plant(
         "ack-largest-from-the-lowest-run",
-        "ack_range",
-        "largest_acked disagrees with the leading range",
         (
             (
                 ACK_MANAGER,
@@ -191,8 +166,6 @@ PLANTS = (
     ),
     Plant(
         "short-header-without-fixed-bit",
-        "datagram_parse",
-        "bytes do not decode",
         (
             (
                 PACKET,
@@ -203,8 +176,6 @@ PLANTS = (
     ),
     Plant(
         "stream-frame-wire-size-off-by-one",
-        "datagram_parse",
-        "parse sizes its bytes wrongly",
         (
             (
                 FRAMES,
@@ -215,8 +186,6 @@ PLANTS = (
     ),
     Plant(
         "stream-frame-encodes-without-fin",
-        "datagram_parse",
-        "parse disagrees with its bytes",
         (
             (
                 FRAMES,
@@ -227,8 +196,6 @@ PLANTS = (
     ),
     Plant(
         "bbr-startup-exits-straight-to-probe-bw",
-        "bbr_transition",
-        "illegal BBR transition",
         (
             (
                 BBR,
@@ -241,8 +208,6 @@ PLANTS = (
     ),
     Plant(
         "table-one-applied-before-every-batch",
-        "init_override_once",
-        "initial override applied more than twice",
         (
             (
                 SERVER,
@@ -254,8 +219,6 @@ PLANTS = (
     ),
     Plant(
         "match-ignores-the-pacing-answer",
-        "shared_session",
-        "shared outcome differs from simulating",
         (
             (
                 COMMON,
@@ -266,8 +229,6 @@ PLANTS = (
     ),
     Plant(
         "recorded-cookie-state-read-before-the-run",
-        "shared_session",
-        "shared session leaves other cookie state",
         (
             (
                 COMMON,
@@ -280,6 +241,10 @@ PLANTS = (
                 "            SharedSession(start, tuple(asked.asked), result, after)\n",
             ),
         ),
+    ),
+    Plant(
+        "bbr-drain-at-unit-gain",
+        ((BBR, "DRAIN_GAIN = 1.0 / HIGH_GAIN\n", "DRAIN_GAIN = 1.0\n"),),
     ),
 )
 
@@ -296,11 +261,16 @@ def planted_sources(plant: Plant, root: Path = REPO_ROOT) -> Dict[str, str]:
     return texts
 
 
-def _defs(tree: ast.Module) -> Iterator[Tuple[Tuple[str, str], ast.FunctionDef]]:
-    """``((class or "", name), node)`` for each module-level function and method."""
+def _defs(tree: ast.Module) -> Iterator[Tuple[Tuple[str, str], ast.stmt]]:
+    """``((class or "", name), node)`` for each module-level function,
+    method and single-name assignment."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield ("", node.name), node
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                yield ("", target.id), node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
@@ -308,7 +278,8 @@ def _defs(tree: ast.Module) -> Iterator[Tuple[Tuple[str, str], ast.FunctionDef]]
 
 
 def apply_in_process(monkeypatch, plant: Plant) -> None:
-    """Swap in the planted version of every function the plant's edits change."""
+    """Swap in the planted version of every function and module
+    constant the plant's edits change."""
     for path, text in planted_sources(plant).items():
         module = importlib.import_module(path[len("src/"):-len(".py")].replace("/", "."))
         original = ast.parse((REPO_ROOT / path).read_text(encoding="utf-8"))
@@ -319,29 +290,3 @@ def apply_in_process(monkeypatch, plant: Plant) -> None:
             namespace = dict(vars(module))
             exec(compile(ast.Module([node], []), path, "exec"), namespace)
             monkeypatch.setattr(getattr(module, owner) if owner else module, name, namespace[name])
-
-
-KEPT_PLANTS = {"bbr_transition": "bbr-startup-exits-straight-to-probe-bw"}
-
-
-@pytest.mark.parametrize("plant", PLANTS, ids=[p.name for p in PLANTS])
-def test_plant_applies_to_the_tree(plant):
-    """Every row of the table can still be replayed on this tree."""
-    for path, text in planted_sources(plant).items():
-        compile(text, path, "exec")
-
-
-def test_every_kept_check_has_its_plant():
-    assert set(KEPT_PLANTS) == set(sanitize.INVARIANTS)
-    by_name = {plant.name: plant for plant in PLANTS}
-    for invariant, name in KEPT_PLANTS.items():
-        assert by_name[name].invariant == invariant
-
-
-@pytest.mark.parametrize("invariant", sorted(KEPT_PLANTS))
-def test_kept_plant_raises_out_of_a_real_session(monkeypatch, invariant):
-    plant = next(p for p in PLANTS if p.name == KEPT_PLANTS[invariant])
-    apply_in_process(monkeypatch, plant)
-    with sanitize.sanitized(), pytest.raises(SanitizerError) as excinfo:
-        run_session(PINNED_SCHEME, PINNED_BANDWIDTH)
-    assert excinfo.value.invariant == invariant

@@ -82,8 +82,8 @@ def test_packet_round_trip_property(packet_number, cid, data):
 def test_per_packet_values_are_slotted_validated_and_compared_by_field():
     """Packet, StreamFrame and AckFrame are built once per packet sent:
     slotted (no instance ``__dict__``), validated on construction, and
-    equal exactly when their fields are (the sanitizer compares a sent
-    packet with the parse of its bytes this way)."""
+    equal exactly when their fields are (``test_datagram_sidecar.py``
+    compares a sent packet with the parse of its bytes this way)."""
     ack = AckFrame(9, 25, ((7, 9), (1, 4)))
     stream = StreamFrame(4, 100, b"payload", fin=True)
     packet = Packet(PacketType.ONE_RTT, CID, 3, (stream, ack))

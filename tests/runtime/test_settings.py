@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs, sanitize
+from repro import obs
 from repro.experiments import runner
 from repro.runtime import pool, settings
 from repro.runtime.settings import Settings
@@ -16,7 +16,6 @@ class TestFromEnv:
         assert settings.KNOWN_KNOBS == (
             "WIRA_JOBS",
             "WIRA_CACHE_DIR",
-            "WIRA_SANITIZE",
             "WIRA_TRACE",
             "WIRA_TRACE_DIR",
         )
@@ -27,7 +26,6 @@ class TestFromEnv:
     def test_defaults_with_empty_environment(self):
         parsed = Settings.from_env({})
         assert parsed.jobs == 1
-        assert parsed.sanitize is False
         assert parsed.trace is False
         assert parsed.trace_dir is None
         assert parsed.cache_dir == settings.default_cache_dir()
@@ -42,15 +40,11 @@ class TestFromEnv:
 
     @pytest.mark.parametrize("raw", ["1", "true", "YES", " on "])
     def test_opt_in_truthy(self, raw):
-        parsed = Settings.from_env({"WIRA_SANITIZE": raw, "WIRA_TRACE": raw})
-        assert parsed.sanitize is True
-        assert parsed.trace is True
+        assert Settings.from_env({"WIRA_TRACE": raw}).trace is True
 
     @pytest.mark.parametrize("raw", ["", "0", "off", "2", "enabled"])
     def test_opt_in_anything_else_is_off(self, raw):
-        parsed = Settings.from_env({"WIRA_SANITIZE": raw, "WIRA_TRACE": raw})
-        assert parsed.sanitize is False
-        assert parsed.trace is False
+        assert Settings.from_env({"WIRA_TRACE": raw}).trace is False
 
     def test_paths(self):
         parsed = Settings.from_env(
@@ -81,9 +75,9 @@ class TestCurrentAndOverrides:
 
     def test_overridden_scope_restores(self):
         before = settings.current()
-        with settings.overridden(jobs=5, sanitize=not before.sanitize) as s:
+        with settings.overridden(jobs=5, trace=not before.trace) as s:
             assert s.jobs == 5
-            assert settings.current().sanitize is not before.sanitize
+            assert settings.current().trace is not before.trace
         assert settings.current() == before
         assert settings.configure(None) is None  # no pin left behind
 
@@ -113,12 +107,6 @@ class TestDelegatingConsumers:
         monkeypatch.delenv("WIRA_CACHE_DIR", raising=False)
         assert runner.cache_dir() == settings.default_cache_dir()
 
-    def test_sanitize_env_requested(self, monkeypatch):
-        monkeypatch.setenv("WIRA_SANITIZE", "1")
-        assert sanitize.env_requested() is True
-        monkeypatch.setenv("WIRA_SANITIZE", "0")
-        assert sanitize.env_requested() is False
-
     def test_obs_env_requested_and_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WIRA_TRACE", "yes")
         monkeypatch.setenv("WIRA_TRACE_DIR", str(tmp_path))
@@ -130,7 +118,6 @@ class TestDelegatingConsumers:
         assert obs.env_trace_dir() is None
 
     def test_pinned_settings_reach_consumers(self):
-        with settings.overridden(jobs=9, sanitize=True, trace=True):
+        with settings.overridden(jobs=9, trace=True):
             assert pool.resolve_jobs() == 9
-            assert sanitize.env_requested() is True
             assert obs.env_requested() is True

@@ -1,10 +1,11 @@
 """Each lint rule's defect, planted in the real tree: who catches it.
 
-A plant is a small edit to real files under ``src/`` that introduces
-the defect one rule exists for.  The edits are applied in memory only;
-``test_lint_verdict`` lints the edited files next to their unedited
-originals and checks that the plant's rule reports the difference (or,
-for the four laundered plants, that no rule does).  The runtime tests
+A plant (``tests/plants.py``) is a small edit to real files under
+``src/``; here each introduces the defect one rule exists for.  The
+edits are applied in memory only; ``test_lint_verdict`` lints the
+edited files next to their unedited originals and checks that the
+plant's rule reports the difference (or, for the four laundered plants,
+that no rule does).  The runtime tests
 below plant the same laundered reads with a deterministic stub in place
 of the host clock or the process RNG and show which determinism gate
 fails.  CONTRIBUTING.md's "Plant table" records, per plant, the gates
@@ -14,19 +15,16 @@ that fail when the edit is written into a copy of the tree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import pytest
 
 from repro.media.source import LiveSource
 from repro.quic.loss_recovery import LossRecovery
 from tests.experiments import test_scheme_parity
+from tests.plants import REPO_ROOT, Plant, planted_sources
 from tests.quic import test_loss_recovery
 from tools.wira_lint import lint_sources
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SOURCE = "src/repro/media/source.py"
 STATS = "src/repro/metrics/stats.py"
@@ -64,198 +62,186 @@ GC_CALLS_HELPER = (
     "        cut = bisect_left(self._unacked, horizon) if wall_jitter() < 1.05 else 0\n",
 )
 
-Edit = Tuple[str, str, str]
-
-
-@dataclass(frozen=True)
-class Plant:
-    """``edits`` are ``(path, old, new)``; ``old`` occurs exactly once.
-
-    ``rule`` is the code that must report the plant, or ``None`` when no
-    rule does.  ``context`` names unedited files the rule needs in the
-    same run (a registry the plant's name is checked against).
-    """
-
-    name: str
-    rule: Optional[str]
-    edits: Tuple[Edit, ...]
-    context: Tuple[str, ...] = ()
-
-
+#: ``(rule, plant)``: the code that must report the plant, or ``None``
+#: when no rule does.
 PLANTS = (
-    Plant(
-        "WL001-clock-in-jitter",
+    (
         "WL001",
-        (
-            (SOURCE, "import math\n", "import math\nimport time\n"),
+        Plant(
+            "WL001-clock-in-jitter",
             (
-                SOURCE,
-                "        return per_gop[frame_index]\n",
-                "        return per_gop[frame_index] * (1.0 + time.perf_counter_ns() % 1000 * 1e-4)\n",
+                (SOURCE, "import math\n", "import math\nimport time\n"),
+                (
+                    SOURCE,
+                    "        return per_gop[frame_index]\n",
+                    "        return per_gop[frame_index] * (1.0 + time.perf_counter_ns() % 1000 * 1e-4)\n",
+                ),
             ),
         ),
     ),
-    Plant(
-        "WL002-global-rng-in-link-loss",
+    (
         "WL002",
-        (
+        Plant(
+            "WL002-global-rng-in-link-loss",
             (
-                "src/repro/simnet/link.py",
-                "self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:",
-                "self.loss_rate > 0.0 and random.random() < self.loss_rate:",
+                (
+                    "src/repro/simnet/link.py",
+                    "self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:",
+                    "self.loss_rate > 0.0 and random.random() < self.loss_rate:",
+                ),
             ),
         ),
     ),
-    Plant(
-        "WL003-exact-loss-deadline",
+    (
         "WL003",
-        (
+        Plant(
+            "WL003-exact-loss-deadline",
             (
-                "src/repro/quic/loss_recovery.py",
-                "by_time = lost_deadline <= now",
-                "by_time = lost_deadline == now",
+                (
+                    "src/repro/quic/loss_recovery.py",
+                    "by_time = lost_deadline <= now",
+                    "by_time = lost_deadline == now",
+                ),
             ),
         ),
     ),
-    Plant(
-        "WL004-datagram-without-slots",
+    (
         "WL004",
-        (
+        Plant(
+            "WL004-datagram-without-slots",
             (
-                "src/repro/simnet/link.py",
-                '    __slots__ = ("_payload", "size", "corrupted", "packet")\n',
-                "",
+                (
+                    "src/repro/simnet/link.py",
+                    '    __slots__ = ("_payload", "size", "corrupted", "packet")\n',
+                    "",
+                ),
             ),
         ),
     ),
-    Plant(
-        "WL005-merge-in-insertion-order",
+    (
         "WL005",
-        (
+        Plant(
+            "WL005-merge-in-insertion-order",
             (
-                "src/repro/fleet/aggregate.py",
-                "        for value in sorted(other.schemes):\n"
-                "            self.schemes[value].merge(other.schemes[value])\n",
-                "        for value, agg in other.schemes.items():\n"
-                "            self.schemes[value].merge(agg)\n",
+                (
+                    "src/repro/fleet/aggregate.py",
+                    "        for value in sorted(other.schemes):\n"
+                    "            self.schemes[value].merge(other.schemes[value])\n",
+                    "        for value, agg in other.schemes.items():\n"
+                    "            self.schemes[value].merge(agg)\n",
+                ),
             ),
         ),
     ),
-    Plant(
-        "WL006-untyped-pacer-refill",
+    (
         "WL006",
-        (
+        Plant(
+            "WL006-untyped-pacer-refill",
             (
-                "src/repro/quic/pacer.py",
-                "def _refill(self, now: float) -> None:",
-                "def _refill(self, now):",
+                (
+                    "src/repro/quic/pacer.py",
+                    "def _refill(self, now: float) -> None:",
+                    "def _refill(self, now):",
+                ),
             ),
         ),
     ),
-    Plant(
-        "WL007-print-per-session",
+    (
         "WL007",
-        (
+        Plant(
+            "WL007-print-per-session",
             (
-                "src/repro/cdn/session.py",
-                "    def run(self) -> SessionResult:\n",
-                "    def run(self) -> SessionResult:\n"
-                "        print(f\"session {self.trace_label}\")\n",
+                (
+                    "src/repro/cdn/session.py",
+                    "    def run(self) -> SessionResult:\n",
+                    "    def run(self) -> SessionResult:\n"
+                    "        print(f\"session {self.trace_label}\")\n",
+                ),
             ),
         ),
     ),
-    Plant(
-        "WL009-stale-pragma",
+    (
         "WL009",
-        ((STATS, "import math\n", "import math  # wira-lint: disable=WL003\n"),),
+        Plant(
+            "WL009-stale-pragma",
+            ((STATS, "import math\n", "import math  # wira-lint: disable=WL003\n"),),
+        ),
     ),
-    Plant(
-        "WL010-laundered-clock-in-jitter",
+    (
         None,
-        ((STATS,) + CLOCK_HELPER, (SOURCE,) + JITTER_CALLS_HELPER),
+        Plant(
+            "WL010-laundered-clock-in-jitter",
+            ((STATS,) + CLOCK_HELPER, (SOURCE,) + JITTER_CALLS_HELPER),
+        ),
     ),
-    Plant(
-        "WL010-laundered-clock-in-gc",
+    (
         None,
-        ((STATS,) + CLOCK_HELPER, (RECOVERY,) + GC_CALLS_HELPER),
+        Plant(
+            "WL010-laundered-clock-in-gc",
+            ((STATS,) + CLOCK_HELPER, (RECOVERY,) + GC_CALLS_HELPER),
+        ),
     ),
-    Plant(
-        "WL011-laundered-rng-in-jitter",
+    (
         None,
-        ((STATS,) + RNG_HELPER, (SOURCE,) + JITTER_CALLS_HELPER),
+        Plant(
+            "WL011-laundered-rng-in-jitter",
+            ((STATS,) + RNG_HELPER, (SOURCE,) + JITTER_CALLS_HELPER),
+        ),
     ),
-    Plant(
-        "WL011-laundered-rng-in-gc",
+    (
         None,
-        ((STATS,) + RNG_HELPER, (RECOVERY,) + GC_CALLS_HELPER),
+        Plant(
+            "WL011-laundered-rng-in-gc",
+            ((STATS,) + RNG_HELPER, (RECOVERY,) + GC_CALLS_HELPER),
+        ),
     ),
-    Plant(
-        "WL012-jobs-from-environ",
+    (
         "WL012",
-        (
-            ("src/repro/runtime/pool.py", "import logging\n", "import logging\nimport os\n"),
+        Plant(
+            "WL012-jobs-from-environ",
             (
-                "src/repro/runtime/pool.py",
-                "        return settings.current().jobs\n",
-                '        return int(os.environ.get("WIRA_JOBS", "1"))\n',
+                ("src/repro/runtime/pool.py", "import logging\n", "import logging\nimport os\n"),
+                (
+                    "src/repro/runtime/pool.py",
+                    "        return settings.current().jobs\n",
+                    '        return int(os.environ.get("WIRA_JOBS", "1"))\n',
+                ),
             ),
         ),
     ),
-    Plant(
-        "WL013-misspelt-event",
+    (
         "WL013",
-        (
+        Plant(
+            "WL013-misspelt-event",
             (
-                "src/repro/quic/connection.py",
-                '"recovery:loss_timer_fired",',
-                '"recovery:loss_timer_fire",',
+                (
+                    "src/repro/quic/connection.py",
+                    '"recovery:loss_timer_fired",',
+                    '"recovery:loss_timer_fire",',
+                ),
             ),
+            context=("src/repro/obs/events.py",),
         ),
-        context=("src/repro/obs/events.py",),
-    ),
-    Plant(
-        "WL014-misspelt-invariant",
-        "WL014",
-        (
-            (
-                "src/repro/sanitize/checks.py",
-                '                "bbr_transition",\n',
-                '                "bbr_transitoin",\n',
-            ),
-        ),
-        context=("src/repro/sanitize/errors.py",),
     ),
 )
-
-
-def planted_sources(plant: Plant, root: Path = REPO_ROOT) -> Dict[str, str]:
-    """Path -> text of every file the plant edits, edits applied."""
-    texts: Dict[str, str] = {}
-    for path, old, new in plant.edits:
-        text = texts.get(path)
-        if text is None:
-            text = (root / path).read_text(encoding="utf-8")
-        assert text.count(old) == 1, f"{plant.name}: anchor not unique in {path}: {old!r}"
-        texts[path] = text.replace(old, new)
-    return texts
 
 
 def _findings(sources: Dict[str, str]):
     return {(v.path, v.code, v.message) for v in lint_sources(sources)}
 
 
-@pytest.mark.parametrize("plant", PLANTS, ids=[p.name for p in PLANTS])
-def test_lint_verdict(plant):
+@pytest.mark.parametrize("rule, plant", PLANTS, ids=[plant.name for _, plant in PLANTS])
+def test_lint_verdict(rule, plant):
     planted = planted_sources(plant)
     originals = {
         path: (REPO_ROOT / path).read_text(encoding="utf-8")
         for path in tuple(planted) + plant.context
     }
     new = _findings({**originals, **planted}) - _findings(originals)
-    if plant.rule is None:
+    if rule is None:
         assert new == set()
     else:
-        assert {code for _, code, _ in new} == {plant.rule}
+        assert {code for _, code, _ in new} == {rule}
         assert {path for path, _, _ in new} & set(planted)
 
 

@@ -11,7 +11,7 @@ under ``src/repro`` that no run called.  The runs:
   ``wira_serve run`` (shard subprocesses, then in-process with a
   reshard), ``wira_trace`` validate / summarize / diff, the
   robustness and frontier gates, and the golden digests;
-* a replay under the sanitizer, and one traced to disk.
+* two replays traced to disk.
 
 What a run hands to another process (a pool worker, a shard subprocess)
 is not seen here; every pool task also runs in-process in some run
@@ -49,7 +49,7 @@ SRC = ROOT / "src" / "repro"
 _BENCH = "bench/drives.py times it by name; it goes when the benchmark stops naming it"
 _FAILURE = (
     "runs only when something goes wrong (a datagram lost on loopback, a full store, "
-    "a violated invariant, a peer error), which no smoke run provokes"
+    "an unknown protocol, a peer error), which no smoke run provokes"
 )
 _LONG = "runs only in sessions or campaigns longer than a smoke run"
 _SUBPROCESS = "runs in a shard subprocess, which the profiler does not see"
@@ -69,9 +69,6 @@ KEPT: Dict[str, str] = {
     ),
     # Failure paths.
     "repro.core.parser_backends:UnknownProtocolError.__init__": _FAILURE,
-    "repro.obs.bus:TraceBus.ring_events": _FAILURE,
-    "repro.sanitize.errors:SanitizerError.__init__": _FAILURE,
-    "repro.sanitize.checks:TransportSanitizer.check_bbr_transition": _LONG,
     "repro.serve.driver:ServeDriver._request_repair": _FAILURE,
     "repro.serve.protocol:build_resend_request": _FAILURE,
     "repro.serve.protocol:parse_resend_request": _FAILURE,
@@ -105,9 +102,6 @@ KEPT: Dict[str, str] = {
     "repro.obs:disable": _SWITCH,
     "repro.obs:enabled": _SWITCH,
     "repro.obs:env_trace_dir": _SWITCH,
-    "repro.sanitize:disable": _SWITCH,
-    "repro.sanitize:enabled": _SWITCH,
-    "repro.sanitize:suppressed": _SWITCH,
     # What the unit tests check the simulator against.  The one-shot
     # dict a composed checkpoint must encode to; the AMF decoder, which
     # reads back what the live source encodes (no receive path decodes
@@ -287,17 +281,14 @@ def run_gates(tmp: Path) -> None:
 
 
 def run_modes(tmp: Path) -> None:
-    """A sanitized replay, two traced ones, and ``wira_trace`` over them."""
-    from repro import obs, sanitize
+    """Two traced replays, and ``wira_trace`` over them."""
+    from repro import obs
     from repro.core.schemes import BASELINE, WIRA
-    from repro.experiments.common import EVAL_SCHEMES
     from repro.experiments.runner import run_deployment
     from repro.workload.population import DeploymentConfig
     from tools.wira_trace.cli import main
 
     config = DeploymentConfig(n_od_pairs=2, seed=11, video_frames_per_session=4)
-    with sanitize.sanitized():
-        run_deployment(config, EVAL_SCHEMES, use_cache=False, jobs=1)
     for scheme in (BASELINE, WIRA):
         with obs.tracing(trace_dir=tmp / scheme.value):
             run_deployment(config, (scheme,), jobs=1)

@@ -9,13 +9,12 @@ properties the Python toolchain does not enforce:
 * **transport invariants** — hot-path classes stay ``__slots__``-packed,
   merge paths never depend on dict iteration order, and time/rate
   floats are never compared with ``==``;
-* **contract registries** — obs event names, sanitizer invariant names,
-  and ``WIRA_*`` settings knobs each have a single registry that code
-  must agree with.
+* **contract registries** — obs event names and ``WIRA_*`` settings
+  knobs each have a single registry that code must agree with.
 
 ``wira-lint`` is a stdlib-only (``ast``) engine encoding those rules.
-Every rule but three runs file by file; WL009 (stale pragmas) and the
-WL013/WL014 registry cross-checks join facts from every scanned file:
+Every rule but two runs file by file; WL009 (stale pragmas) and the
+WL013 registry cross-check join facts from every scanned file:
 
 =======  ==============================================================
 Code     Rule
@@ -30,7 +29,6 @@ WL007    no bare ``print()`` in library code
 WL009    pragmas must suppress at least one live finding
 WL012    ``WIRA_*`` env knobs must flow through ``runtime.Settings``
 WL013    emitted obs event names <-> ``events.EVENT_NAMES`` (both ways)
-WL014    raised sanitizer invariants <-> ``INVARIANTS`` (both ways)
 =======  ==============================================================
 
 Violations can be suppressed per line with a trailing pragma::

@@ -4,9 +4,8 @@ The pipeline for every entry point is the same:
 
 1. **extract** — one AST pass per file producing :class:`FileFacts`
    (raw per-file findings + registry facts);
-2. **join** — the WL013/WL014 cross-checks read every file's registry
-   facts: obs event names and sanitizer invariant names against their
-   registries, both directions;
+2. **join** — the WL013 cross-check reads every file's registry facts:
+   obs event names against ``EVENT_NAMES``, both directions;
 3. **suppress** — pragmas are applied per line / per file and pragma
    usage is accounted (feeding WL009 unused-pragma findings).
 
@@ -70,7 +69,7 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
 
 
 # ---------------------------------------------------------------------------
-# WL013 / WL014: contract registries, joined over every file.
+# WL013: the event registry, joined over every file.
 
 
 def _registry(all_facts: Sequence[FileFacts], name: str) -> Tuple[Set[str], List[FileFacts]]:
@@ -83,11 +82,11 @@ def _registry(all_facts: Sequence[FileFacts], name: str) -> Tuple[Set[str], List
     return values, defining
 
 
-def _literal_evidence(all_facts: Sequence[FileFacts], name: str, defining: Set[str]) -> bool:
+def _literal_evidence(zone_facts: Sequence[FileFacts], name: str, defining: Set[str]) -> bool:
     """True when ``name`` appears as a literal outside its registry
     definition (covers dynamically-selected emit names such as
     ``name = "fault:link_down" if down else "fault:link_up"``)."""
-    for facts in all_facts:
+    for facts in zone_facts:
         hits = sum(1 for _, value in facts.event_literals if value == name)
         if hits > (1 if facts.path in defining else 0):
             return True
@@ -99,12 +98,15 @@ def _event_registry_findings(all_facts: Sequence[FileFacts]) -> List[Violation]:
     registry, defining = _registry(all_facts, "EVENT_NAMES")
     if not defining:
         return []
+    # Only the rule's zone counts as evidence: a name that only a test
+    # emits or mentions is still registered but never emitted.
+    zone_facts = [facts for facts in all_facts if rule.applies_to(facts.path)]
     findings: List[Violation] = []
     emitted: Set[str] = set()
-    for facts in all_facts:
+    for facts in zone_facts:
         for line, name in facts.emit_events:
             emitted.add(name)
-            if name not in registry and rule.applies_to(facts.path):
+            if name not in registry:
                 findings.append(
                     Violation(
                         facts.path,
@@ -121,7 +123,7 @@ def _event_registry_findings(all_facts: Sequence[FileFacts]) -> List[Violation]:
         return findings
     defining_paths = {facts.path for facts in defining}
     for name in sorted(registry - emitted):
-        if _literal_evidence(all_facts, name, defining_paths):
+        if _literal_evidence(zone_facts, name, defining_paths):
             continue
         line = next(
             (l for l, value in anchor.event_literals if value == name),
@@ -134,43 +136,6 @@ def _event_registry_findings(all_facts: Sequence[FileFacts]) -> List[Violation]:
                 0,
                 "WL013",
                 f"EVENT_NAMES registers '{name}' but no scanned code emits or references it",
-            )
-        )
-    return findings
-
-
-def _invariant_registry_findings(all_facts: Sequence[FileFacts]) -> List[Violation]:
-    rule = RULES["WL014"]
-    registry, defining = _registry(all_facts, "INVARIANTS")
-    if not defining:
-        return []
-    findings: List[Violation] = []
-    raised: Set[str] = set()
-    for facts in all_facts:
-        for line, name in facts.invariant_raises:
-            raised.add(name)
-            if name not in registry and rule.applies_to(facts.path):
-                findings.append(
-                    Violation(
-                        facts.path,
-                        line,
-                        0,
-                        "WL014",
-                        f"SanitizerError raised with invariant '{name}' which is "
-                        "not registered in INVARIANTS",
-                    )
-                )
-    anchor = defining[0]
-    if not raised or not rule.applies_to(anchor.path):
-        return findings
-    for name in sorted(registry - raised):
-        findings.append(
-            Violation(
-                anchor.path,
-                anchor.registry_lines.get("INVARIANTS", 1),
-                0,
-                "WL014",
-                f"INVARIANTS registers '{name}' but no scanned code raises SanitizerError with it",
             )
         )
     return findings
@@ -271,8 +236,6 @@ def _analyze(
     parsed = sorted((f for f in all_facts if f.parse_error is None), key=lambda f: f.path)
     if select is None or "WL013" in select:
         violations.extend(_event_registry_findings(parsed))
-    if select is None or "WL014" in select:
-        violations.extend(_invariant_registry_findings(parsed))
     violations = _apply_pragmas(all_facts, violations, select)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code, v.message))
     return violations

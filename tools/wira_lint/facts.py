@@ -5,10 +5,9 @@ The extractor is the data source for everything the engine does:
 * **raw per-file violations** for the per-file rules (WL001-WL007,
   WL012), recorded pre-pragma so the engine can account pragma usage
   (WL009) and apply ``--select`` without re-parsing;
-* **registry facts** for the WL013/WL014 cross-checks the engine joins
-  over every file — module-level ``EVENT_NAMES``/``INVARIANTS``
-  literals, obs emit sites, sanitizer raise sites, and event-shaped
-  string literals;
+* **registry facts** for the WL013 cross-check the engine joins over
+  every file — module-level ``EVENT_NAMES`` literals, obs emit sites,
+  and event-shaped string literals;
 * **pragmas**, parsed from raw source lines.
 """
 
@@ -57,8 +56,6 @@ class FileFacts:
     event_literals: List[Tuple[int, str]] = field(default_factory=list)
     #: Literal event names at ``emit``/``_emit`` call sites.
     emit_events: List[Tuple[int, str]] = field(default_factory=list)
-    #: Literal invariant names at ``SanitizerError(...)`` sites.
-    invariant_raises: List[Tuple[int, str]] = field(default_factory=list)
     pragmas: List[Pragma] = field(default_factory=list)
     #: Raw zone-filtered per-file violations: ``(line, col, code, message)``.
     violations: List[Tuple[int, int, str, str]] = field(default_factory=list)
@@ -243,7 +240,7 @@ class _Extractor(ast.NodeVisitor):
                         return True
         return False
 
-    # -- registries (WL013 / WL014) ------------------------------------
+    # -- registries (WL013) --------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self._record_registry(node.targets, node.value)
@@ -281,7 +278,6 @@ class _Extractor(ast.NodeVisitor):
                 "bare print() in library code; use logging or return a report",
             )
         self._check_emit(node)
-        self._check_sanitizer_raise(node)
         self.generic_visit(node)
 
     # -- WL001 / WL002 -------------------------------------------------
@@ -350,7 +346,7 @@ class _Extractor(ast.NodeVisitor):
                 "through repro.runtime.settings.Settings",
             )
 
-    # -- WL013 / WL014 fact capture ------------------------------------
+    # -- WL013 fact capture --------------------------------------------
 
     def _check_emit(self, node: ast.Call) -> None:
         if _terminal_name(node.func) not in ("emit", "_emit"):
@@ -360,13 +356,6 @@ class _Extractor(ast.NodeVisitor):
                 if EVENT_NAME_RE.match(arg.value):
                     self.facts.emit_events.append((node.lineno, arg.value))
                     return
-
-    def _check_sanitizer_raise(self, node: ast.Call) -> None:
-        if _terminal_name(node.func) != "SanitizerError" or not node.args:
-            return
-        first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            self.facts.invariant_raises.append((node.lineno, first.value))
 
     def visit_Constant(self, node: ast.Constant) -> None:
         if isinstance(node.value, str) and EVENT_NAME_RE.match(node.value):

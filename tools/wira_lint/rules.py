@@ -170,12 +170,6 @@ RULES = {
         "emitted obs event names and events.EVENT_NAMES must agree",
         SRC_ZONE,
     ),
-    "WL014": Rule(
-        "WL014",
-        "invariant-registry",
-        "sanitizer invariant names raised and INVARIANTS must agree",
-        SRC_ZONE,
-    ),
 }
 
 #: ``time`` module functions that read the host clock.
@@ -301,7 +295,7 @@ MERGE_FUNC_RE = re.compile(r"(?:^|_)(merge|replay|aggregate|combine|reduce|recom
 #: Module-level registry assignments the contract cross-checks consume.
 #: Any scanned file assigning one of these names to a literal collection
 #: of strings contributes to the program-wide registry of that kind.
-REGISTRY_NAMES = ("EVENT_NAMES", "INVARIANTS")
+REGISTRY_NAMES = ("EVENT_NAMES",)
 
 #: Shape of an obs event name: ``category:event``.
 EVENT_NAME_RE = re.compile(r"^[a-z_]+:[a-z_]+$")
