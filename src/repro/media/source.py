@@ -12,6 +12,17 @@ KB when sampling one stream every 5 s).  :class:`LiveSource` models both:
 
 Everything is deterministic given the profile's seed: requesting the
 same GOP twice yields identical frames.
+
+GOP k's complexity is defined by the walk from GOP 0, one draw per GOP,
+but a GOP far past every GOP already walked is computed from a window
+of the last W draws instead (coupling from the past).  Two trajectories
+start W GOPs back, one above and one below every state a walk can hold,
+and take the same draws; each step is monotone in the state, so the
+true walk stays between them, and once their pre-``exp`` values are
+equal that value is the walk's, bit for bit.  The one assumption is
+that the platform's ``math.exp`` and ``math.log`` are monotone; where
+the two have not met by GOP k, the walk is taken exactly, as it always
+was.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
@@ -52,7 +64,7 @@ _MT = random.Random(0)  # wira-lint: disable=WL002
 _mt_seed = super(random.Random, _MT).seed  # the C seeding, under Random.seed
 _mt_random = _MT.random
 _TWOPI = 2.0 * math.pi
-_cos, _log, _sqrt = math.cos, math.log, math.sqrt
+_cos, _exp, _log, _sqrt = math.cos, math.exp, math.log, math.sqrt
 
 
 def _gauss(key: str, sigma: float) -> float:
@@ -62,6 +74,52 @@ def _gauss(key: str, sigma: float) -> float:
     x2pi = _mt_random() * _TWOPI
     g2rad = _sqrt(-2.0 * _log(1.0 - _mt_random()))
     return 0.0 + _cos(x2pi) * g2rad * sigma
+
+
+# The coupling window (see the module docstring).  A walk's state is
+# ``log(c)`` for a complexity ``c`` that ``exp`` returned finite and
+# non-zero (``exp`` raises past the largest double, and ``log(0.0)``
+# fails), so it lies in [log(5e-324), log(DBL_MAX)] = [-744.44, 709.78]:
+# the two trajectories start just outside that range.
+_TOP, _BOTTOM = 709.8, -745.2
+#: ``|_gauss(key, sigma)| <= _GAUSS_REACH * |sigma|``: ``1 - random()``
+#: is at least 2**-53, and the cosine at most 1.
+_GAUSS_REACH = _sqrt(-2.0 * _log(2.0**-53))
+#: Pre-``exp`` values between these give a finite, non-zero ``exp``.
+_EXP_LO, _EXP_HI = -744.0, 709.0
+#: The gap the window closes, 2**-60.  Through ``exp`` and ``log`` a
+#: state near the walk's typical values (|log c| of order 1) keeps about
+#: 2**-53 of absolute resolution; closing the gap 7 bits below that
+#: leaves about 1 window in 200 uncoalesced at rho = 0.85 (2**-53 itself
+#: would leave more than half), and the exact walk takes those.
+_RESOLUTION = 2.0**-60
+
+
+def _coupling_window(profile: StreamProfile) -> Optional[int]:
+    """W for ``profile``'s walk, or ``None`` where no window is exact.
+
+    W is the number of steps after which ``rho**W * (_TOP - _BOTTOM)``
+    falls below :data:`_RESOLUTION`: 301 at rho = 0.85.  A step is
+    monotone only for rho >= 0, and the window stays off unless one step
+    from anywhere in [_BOTTOM, _TOP], and GOP 0's stationary draw, stays
+    where ``exp`` is finite and non-zero: then neither trajectory, nor
+    the walk itself, can raise where the other would not.
+    """
+    rho = profile.complexity_rho
+    if not 0.0 <= rho < 1.0:
+        return None
+    # The stationary sigma is the larger of the walk's two.
+    reach = _GAUSS_REACH * abs(_stationary_sigma(profile))
+    if not (rho * _TOP + reach <= _EXP_HI and rho * _BOTTOM - reach >= _EXP_LO):
+        return None
+    if rho == 0.0:  # wira-lint: disable=WL003 - exact: rho**1 is 0, and log(0) fails
+        return 1
+    return math.ceil(_log(_RESOLUTION / (_TOP - _BOTTOM)) / _log(rho))
+
+
+def _stationary_sigma(profile: StreamProfile) -> float:
+    rho = profile.complexity_rho
+    return profile.complexity_sigma / math.sqrt(max(1e-9, 1.0 - rho * rho))
 
 
 @dataclass(frozen=True)
@@ -105,10 +163,13 @@ class LiveSource:
 
     def __init__(self, profile: StreamProfile) -> None:
         self.profile = profile
-        # One double per GOP walked, kept for as long as the stream's
-        # world lives: packed, not a list of float objects (a quarter
-        # of the bytes on a walk thousands of GOPs long).
-        self._complexity_cache = array("d")
+        # The complexities computed so far, kept for as long as the
+        # stream's world lives: runs of contiguous GOPs, run i holding
+        # GOPs ``_run_starts[i]`` onwards, sorted and never touching.
+        # Packed, not lists of float objects (a quarter of the bytes).
+        self._run_starts: List[int] = []
+        self._runs: List[array[float]] = []
+        self._window = _coupling_window(profile)
         self._jitter_cache: Dict[int, List[float]] = {}
         # Every draw is keyed by a string that starts with the seed.
         self._key_prefix = f"{profile.seed}:"
@@ -137,29 +198,100 @@ class LiveSource:
     # Complexity process
 
     def _complexity(self, gop_index: int) -> float:
-        """Complexity multiplier for GOP ``gop_index`` (mean ≈ 1)."""
+        """Complexity multiplier for GOP ``gop_index`` (mean ≈ 1).
+
+        The value is the walk's from GOP 0, bit for bit; only the draws
+        that cannot change it are skipped.  A GOP inside a run is read;
+        one at most W past a run's end extends that run a draw per GOP;
+        one farther than that (or below every run) is computed by the
+        coupling window over GOPs ``k - W`` to ``k``, at most W + 1
+        draws.  Where the window cannot start (``k - W < 1``), or its two
+        trajectories have not met by GOP k, the walk goes exactly from
+        the nearest run's end below, or from GOP 0.
+        """
         if gop_index < 0:
             raise ValueError("gop index must be non-negative")
-        cache = self._complexity_cache
-        walked = len(cache)
-        if walked <= gop_index:
-            p = self.profile
-            rho, sigma = p.complexity_rho, p.complexity_sigma
-            prefix = self._key_prefix
-            if not walked:
-                cache.append(math.exp(_gauss(f"{prefix}0:cx", self._stationary_sigma())))
-                walked = 1
-            log_prev = math.log(cache[-1])
-            for k in range(walked, gop_index + 1):
-                log_c = rho * log_prev + _gauss(f"{prefix}{k}:cx", sigma)
-                c = math.exp(log_c)
-                cache.append(c)
-                log_prev = math.log(c)
-        return cache[gop_index]
+        starts = self._run_starts
+        below = bisect_right(starts, gop_index) - 1
+        if below >= 0:
+            run = self._runs[below]
+            offset = gop_index - starts[below]
+            if offset < len(run):
+                return run[offset]
+        window = self._window
+        if below >= 0 and (window is None or offset - len(run) < window):
+            self._extend(below, gop_index)
+        elif window is None or gop_index - window < 1 or not self._couple(gop_index, window):
+            if below >= 0:
+                self._extend(below, gop_index)
+            else:
+                self._walk_from_zero(gop_index)
+        below = bisect_right(starts, gop_index) - 1
+        return self._runs[below][gop_index - starts[below]]
 
-    def _stationary_sigma(self) -> float:
-        rho = self.profile.complexity_rho
-        return self.profile.complexity_sigma / math.sqrt(max(1e-9, 1.0 - rho * rho))
+    def _walk(self, log_prev: float, first: int, last: int, run: array[float]) -> None:
+        """Append GOPs ``first..last`` to ``run``, walked exactly from
+        the state ``log_prev`` of GOP ``first - 1``."""
+        p = self.profile
+        rho, sigma = p.complexity_rho, p.complexity_sigma
+        prefix = self._key_prefix
+        for k in range(first, last + 1):
+            c = _exp(rho * log_prev + _gauss(f"{prefix}{k}:cx", sigma))
+            run.append(c)
+            log_prev = _log(c)
+
+    def _walk_from_zero(self, gop_index: int) -> None:
+        c = _exp(_gauss(f"{self._key_prefix}0:cx", _stationary_sigma(self.profile)))
+        run = array("d", [c])
+        self._walk(_log(c), 1, gop_index, run)
+        self._file(0, run)
+
+    def _extend(self, index: int, gop_index: int) -> None:
+        """Walk run ``index`` on, exactly, to ``gop_index``."""
+        run = self._runs[index]
+        first = self._run_starts[index] + len(run)
+        more = array("d")
+        self._walk(_log(run[-1]), first, gop_index, more)
+        self._file(first, more)
+
+    def _couple(self, gop_index: int, window: int) -> bool:
+        """File a run ending at ``gop_index`` from the coupling window
+        over GOPs ``gop_index - window`` onwards; False if the two
+        trajectories have not met by ``gop_index``."""
+        p = self.profile
+        rho, sigma = p.complexity_rho, p.complexity_sigma
+        prefix = self._key_prefix
+        hi, lo = _TOP, _BOTTOM
+        for k in range(gop_index - window, gop_index + 1):
+            g = _gauss(f"{prefix}{k}:cx", sigma)
+            log_hi = rho * hi + g
+            log_lo = rho * lo + g
+            # Exact by design: the walk's pre-exp value lies between the
+            # two, so equal bounds are that value.  (0.0 == -0.0 too:
+            # exp gives 1.0 for both, and log of it is 0.0.)
+            if log_hi == log_lo:
+                c = _exp(log_hi)
+                run = array("d", [c])
+                self._walk(_log(c), k + 1, gop_index, run)
+                self._file(k, run)
+                return True
+            hi = _log(_exp(log_hi))
+            lo = _log(_exp(log_lo))
+        return False
+
+    def _file(self, start: int, run: array[float]) -> None:
+        """Keep ``run`` (GOPs ``start`` onwards), joined to the runs it
+        touches.  A new run never overlaps one already kept."""
+        starts, runs = self._run_starts, self._runs
+        i = bisect_left(starts, start)
+        if i < len(starts) and starts[i] == start + len(run):
+            run.extend(runs[i])
+            del starts[i], runs[i]
+        if i and starts[i - 1] + len(runs[i - 1]) == start:
+            runs[i - 1].extend(run)
+        else:
+            starts.insert(i, start)
+            runs.insert(i, run)
 
     # ------------------------------------------------------------------
     # Frame-size model

@@ -114,6 +114,8 @@ class RecvStream:
 
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
+        # Segments past a hole.  Every one starts past the delivered
+        # offset: a drain takes each one it reaches.
         self._segments: Dict[int, bytes] = {}
         self._delivered = 0  # contiguous prefix length handed to app
         self._fin_offset: Optional[int] = None
@@ -166,14 +168,16 @@ class RecvStream:
                 existing = self._segments.get(offset)
                 if existing is None or len(existing) < len(data):
                     self._segments[offset] = data
+                    if offset <= self._delivered:
+                        # Only this segment can close the hole: every
+                        # other one starts past the delivered offset.
+                        return self._drain()
                 else:
                     self.duplicate_bytes += len(data)
-        return self._drain()
+        return b""
 
     def _drain(self) -> bytes:
         segments = self._segments
-        if not segments or min(segments) > self._delivered:
-            return b""  # still a hole at the delivered offset
         out = bytearray()
         for offset in sorted(segments):
             if offset > self._delivered:

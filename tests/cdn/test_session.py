@@ -12,6 +12,7 @@ from repro.core.transport_cookie import ClientCookieStore
 from repro.media.source import StreamProfile
 from repro.quic.connection import HandshakeMode
 from repro.simnet.path import NetworkConditions
+from repro.simnet.schedule import OutageWindow, PathSchedule
 
 
 TESTBED = NetworkConditions(  # §II footnote 2
@@ -205,3 +206,33 @@ class TestPlaybackPolicies:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             PlaybackPolicy(video_frames_required=0)
+
+
+#: 2 Mbps, 50 ms, a 25 kB buffer: the path BBR's pinned session runs on.
+NARROW = NetworkConditions(bandwidth_bps=2_000_000.0, rtt=0.050, loss_rate=0.0, buffer_bytes=25_000)
+
+STALLS = pytest.mark.xfail(strict=True, reason="ROADMAP item 9(a)")
+
+
+@pytest.mark.parametrize(
+    "start, duration",
+    [
+        pytest.param(0.3, 0.15, marks=STALLS),
+        pytest.param(0.25, 0.2, marks=STALLS),
+        (0.3, 0.1),
+        (1.0, 0.2),
+    ],
+)
+def test_session_resumes_after_an_early_outage(start, duration):
+    """A 20-frame baseline session completes once the link is back.
+    After a 150 ms outage at 0.3 s (or 200 ms at 0.25 s) it does not:
+    PTOs keep firing with no packet sent after any of them, and it ends
+    at the timeout with 7 of 20 frames.  A shorter or later outage
+    completes."""
+    origin = Origin()
+    origin.add_stream("demo", StreamProfile(seed=1))
+    schedule = PathSchedule(outages=(OutageWindow(start, duration),))
+    spec = SessionSpec(
+        conditions=NARROW, scheme=BASELINE, seed=3, target_video_frames=20, schedule=schedule
+    )
+    assert StreamingSession(spec, origin, "demo").run().completed

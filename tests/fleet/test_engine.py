@@ -161,10 +161,11 @@ class TestDeterminism:
 class TestWorldBuiltOncePerChain:
     """Exact-count guard on cross-scheme sharing.  Draw counts repeat
     exactly (wall time on a shared host does not), and the live source's
-    complexity walk (one draw per GOP up to the join epoch) is most of
-    them.  Every complexity and jitter value is a ``source._gauss``
-    draw; the other seeded ``Random``s (a session's child generators)
-    are counted at ``random.Random.seed``."""
+    complexity walk (a draw per GOP from its coupling window, or from the
+    GOP it last walked, to the join epoch) is most of them.  Every
+    complexity and jitter value is a ``source._gauss`` draw; the other
+    seeded ``Random``s (a session's child generators) are counted at
+    ``random.Random.seed``."""
 
     #: One pinned chunk: 4 chains, 2 schemes, 38 sessions.
     CONFIG = FleetConfig(
@@ -201,9 +202,9 @@ class TestWorldBuiltOncePerChain:
             for value in SCHEMES
         ]
         assert sessions == 38
-        assert (together, alone) == ((7231, 114, 244), [(7231, 114, 126)] * 2)
+        assert (together, alone) == ((4330, 114, 244), [(4330, 114, 126)] * 2)
         # The second scheme walks and jitters nothing again: it adds only
-        # its own sessions' seeds (a world per scheme would draw 2 x 7231).
+        # its own sessions' seeds (a world per scheme would draw 2 x 4330).
         assert together[:2] == alone[0][:2]
 
 

@@ -1,12 +1,14 @@
 """Tests for the live encoder model."""
 
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.media import source as source_module
 from repro.media.frames import MediaFrameType
 from repro.media.source import LiveSource, StreamProfile
 
@@ -161,18 +163,44 @@ def test_truncated_gop_is_prefix_of_whole_gop(profile, gop_index, k):
     assert len(video_frames(cut)) == min(k, profile.video_frames_per_gop)
 
 
+@st.composite
+def walked_profiles(draw):
+    """``profiles`` with the walk's persistence anywhere in [0, 0.999],
+    and an innovation that keeps the stationary spread at most 0.2 (a
+    GOP's frames are real bytes) or is zero."""
+    rho = draw(st.floats(0.0, 0.999))
+    spread = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    return dataclasses.replace(
+        draw(profiles), complexity_rho=rho, complexity_sigma=spread * math.sqrt(1.0 - rho * rho)
+    )
+
+
+#: GOP indices on both sides of the coupling window (301 GOPs at the
+#: default rho), so a visit may land in a run, just past one, far past
+#: every run, or below every run.
+far_gops = st.one_of(st.integers(0, 60), st.integers(0, 2000))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    profile=profiles,
-    visits=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 8)), min_size=2, max_size=5),
+    profile=walked_profiles(),
+    visits=st.lists(st.tuples(far_gops, st.integers(1, 8)), min_size=2, max_size=5),
 )
+@example(
+    profile=StreamProfile(seed=5),
+    visits=[(1500, 2), (400, 1), (1900, 3), (1200, 1), (0, 2), (1501, 1)],
+)
+@example(profile=StreamProfile(complexity_sigma=0.0, seed=5), visits=[(1800, 1), (900, 2)])
 def test_shared_source_serves_any_visit_order_identically(profile, visits):
-    """One source walked to a later GOP, or asked for a longer cut of a
-    GOP it already served, answers exactly as a fresh one does."""
+    """One source walked to a later GOP, asked for one below what it
+    holds, or for a longer cut of a GOP it already served, answers
+    exactly as a fresh one does, at the reference walk's complexity."""
     shared = LiveSource(profile)
+    walk = reference_walk(profile, max(g for g, _ in visits) + 1)
     for gop_index, k in visits:
         fresh = LiveSource(profile).gop(gop_index, max_video_frames=k)
         assert shared.gop(gop_index, max_video_frames=k) == fresh
+        assert shared._complexity(gop_index) == walk[gop_index]
 
 
 def test_truncated_gop_needs_a_video_frame():
@@ -204,24 +232,87 @@ def reference_jitter(profile, gop_index, frame_index):
 @given(
     seed=st.one_of(st.integers(0, 2**31), st.integers(-(2**70), 2**70)),
     rho=st.floats(0.0, 0.999),
-    sigma=st.floats(0.0, 2.0),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
     size_jitter=st.floats(0.0, 1.0),
-    steps=st.lists(st.integers(0, 120), min_size=1, max_size=4),
+    steps=st.lists(far_gops, min_size=1, max_size=4),
     frames=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 60)), max_size=6),
 )
+@example(seed=11, rho=0.85, sigma=0.18, size_jitter=0.1, steps=[1700, 300, 1100, 1400], frames=[])
+@example(seed=11, rho=0.5, sigma=0.0, size_jitter=0.1, steps=[1999, 40, 700], frames=[])
 def test_draw_kernel_equals_random_gauss(seed, rho, sigma, size_jitter, steps, frames):
     """The reused-generator kernel draws exactly what a fresh
-    ``random.Random(key).gauss`` does: a walk extended in any steps and
-    any jitter index agree bit for bit with the reference.  A CPython
-    change to string seeding or to ``gauss`` fails here."""
+    ``random.Random(key).gauss`` does, and the coupling window skips only
+    draws that cannot matter: a walk visited in any order, past the
+    window or below what it holds, agrees bit for bit with the reference
+    walk from GOP 0, as does any jitter index.  A CPython change to
+    string seeding or to ``gauss``, or an ``exp`` or ``log`` that is not
+    monotone, fails here."""
     profile = StreamProfile(
         complexity_rho=rho, complexity_sigma=sigma, size_jitter=size_jitter, seed=seed
     )
     source = LiveSource(profile)
     for gop_index in steps:
         source._complexity(gop_index)
-    assert list(source._complexity_cache) == reference_walk(profile, max(steps) + 1)
+    walk = reference_walk(profile, max(steps) + 1)
+    # Every value the source holds is the reference's, and so is every
+    # GOP up to the farthest step, however the source reaches it.
+    for start, run in zip(source._run_starts, source._runs):
+        assert list(run) == walk[start : start + len(run)]
+    assert [source._complexity(k) for k in range(len(walk))] == walk
     for gop_index, frame_index in frames:
         assert source._jitter(gop_index, frame_index) == reference_jitter(
             profile, gop_index, frame_index
         )
+
+
+def test_lone_far_request_draws_at_most_the_window(monkeypatch):
+    """A world whose first visit is GOP 5 000 draws the coupling window
+    (W + 1 walk draws, W = 301 at rho = 0.85), not the 5 001 GOPs from
+    GOP 0, and gets the reference walk's value."""
+    profile = StreamProfile(seed=3)
+    window = source_module._coupling_window(profile)
+    assert window == 301
+    keys = []
+    gauss = source_module._gauss
+
+    def counting_gauss(key, sigma):
+        keys.append(key)
+        return gauss(key, sigma)
+
+    monkeypatch.setattr(source_module, "_gauss", counting_gauss)
+    value = LiveSource(profile)._complexity(5000)
+    assert len(keys) <= window + 1
+    assert keys[-1] == "3:5000:cx"
+    assert value == reference_walk(profile, 5001)[5000]
+
+
+def test_windowed_walks_match_the_reference_across_seeds():
+    """Where the window's first value is off by a rounding, a later GOP
+    shows it only now and then: forty streams at the workloads' rho and
+    sigma, each first asked for GOP 1 000, then for every GOP below."""
+    for seed in range(40):
+        profile = StreamProfile(complexity_rho=0.85, complexity_sigma=0.18, seed=seed)
+        source = LiveSource(profile)
+        walk = reference_walk(profile, 1001)
+        assert source._complexity(1000) == walk[1000]
+        assert [source._complexity(k) for k in range(1001)] == walk
+
+
+@pytest.mark.parametrize(
+    "rho, sigma",
+    [(-0.5, 0.2), (1.0, 0.2), (0.999, 0.2), (0.85, 200.0), (0.85, float("nan"))],
+)
+def test_window_off_where_it_could_not_be_exact(rho, sigma):
+    """No window for a step that is not monotone (rho < 0), for a walk
+    that never forgets (rho = 1), or where either trajectory, or the walk
+    itself, could leave the range where ``exp`` is finite and non-zero."""
+    profile = StreamProfile(complexity_rho=rho, complexity_sigma=sigma)
+    assert source_module._coupling_window(profile) is None
+
+
+def test_window_is_computed_from_rho():
+    windows = [
+        source_module._coupling_window(StreamProfile(complexity_rho=rho))
+        for rho in (0.0, 0.5, 0.85, 0.9)
+    ]
+    assert windows == [1, 71, 301, 464]

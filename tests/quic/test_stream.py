@@ -1,7 +1,9 @@
 """Tests for stream send/receive machinery."""
 
+from typing import Dict, Optional
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quic.stream import RecvStream, SendStream
@@ -192,3 +194,94 @@ def test_send_recv_round_trip_with_reordering(payload, chunk_size, data):
         received += r.on_frame(chunk.offset, chunk.data, chunk.fin)
     assert bytes(received) == payload
     assert r.finished
+
+
+class ScanningRecvStream:
+    """The receiver as it was before it kept its lowest buffered offset:
+    every frame that leaves a hole scans all buffered segments with
+    ``min``.  The reference for the differential test below."""
+
+    def __init__(self) -> None:
+        self._segments: Dict[int, bytes] = {}
+        self._delivered = 0
+        self._fin_offset: Optional[int] = None
+        self._received_end = 0
+        self.bytes_received = 0
+        self.duplicate_bytes = 0
+
+    @property
+    def finished(self) -> bool:
+        return self._fin_offset is not None and self._delivered >= self._fin_offset
+
+    def on_frame(self, offset: int, data: bytes, fin: bool) -> bytes:
+        end = offset + len(data)
+        if fin:
+            if self._fin_offset is not None and self._fin_offset != end:
+                raise ValueError("conflicting FIN offsets")
+            if end < self._received_end:
+                raise ValueError("FIN below bytes already received")
+            self._fin_offset = end
+        elif self._fin_offset is not None and end > self._fin_offset:
+            raise ValueError("data past the final size")
+        if end > self._received_end:
+            self._received_end = end
+        if data:
+            self.bytes_received += len(data)
+            if offset == self._delivered and not self._segments:
+                self._delivered += len(data)
+                return data
+            if offset + len(data) <= self._delivered:
+                self.duplicate_bytes += len(data)
+            else:
+                existing = self._segments.get(offset)
+                if existing is None or len(existing) < len(data):
+                    self._segments[offset] = data
+                else:
+                    self.duplicate_bytes += len(data)
+        segments = self._segments
+        if not segments or min(segments) > self._delivered:
+            return b""
+        out = bytearray()
+        for offset in sorted(segments):
+            if offset > self._delivered:
+                break
+            data = segments.pop(offset)
+            fresh = data[self._delivered - offset :]
+            out += fresh
+            self._delivered += len(fresh)
+        return bytes(out)
+
+
+PAYLOAD = bytes(range(256)) * 4
+
+#: A frame is a slice of one payload, so overlapping frames agree on
+#: their bytes: arrival orders, duplicates, overlaps, empty frames and
+#: FINs (at the payload's end or, conflicting, anywhere else).
+frames = st.lists(
+    st.tuples(st.integers(0, len(PAYLOAD)), st.integers(0, 120), st.booleans()),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames)
+def test_recv_stream_matches_scanning_reference(arrivals):
+    """Keeping the lowest buffered offset changes no result of
+    ``on_frame``: the same bytes, the same errors, the same counters."""
+    stream, reference = RecvStream(0), ScanningRecvStream()
+    for offset, length, fin in arrivals:
+        data = PAYLOAD[offset : offset + length]
+        outcomes = []
+        for receiver in (stream, reference):
+            try:
+                outcomes.append(receiver.on_frame(offset, data, fin))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (stream.delivered_offset, stream.finished, stream.duplicate_bytes) == (
+            reference._delivered,
+            reference.finished,
+            reference.duplicate_bytes,
+        )
+        assert stream.bytes_received == reference.bytes_received
+        assert stream.buffered_bytes == sum(map(len, reference._segments.values()))

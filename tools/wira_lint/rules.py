@@ -57,6 +57,9 @@ TYPED_ZONE: Tuple[str, ...] = (
     # The replay core every engine shares: chain worlds, per-scheme
     # replay state, the block replay.
     "src/repro/experiments/common",
+    # The live source: its complexity walk's coupling window is exact
+    # only as written, so its signatures are held too.
+    "src/repro/media/source",
     "tools/wira_fleet",
     "tools/wira_serve",
 )
