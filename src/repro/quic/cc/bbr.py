@@ -54,7 +54,12 @@ class BbrMode(enum.Enum):
 
 
 class BbrSender(CongestionController):
-    """BBRv1 with Wira initialisation hooks."""
+    """BBRv1 with Wira initialisation hooks.
+
+    One departure from the BBRv1 draft: PROBE_RTT is entered only once
+    the pipe is full (``full_bandwidth_reached``, which nothing clears),
+    so it always exits to PROBE_BW and never back to STARTUP.
+    """
 
     def __init__(
         self,
@@ -331,9 +336,4 @@ class BbrSender(CongestionController):
             return
         if now >= self._probe_rtt_done_time:
             self._min_rtt_timestamp = now
-            if self.full_bandwidth_reached:
-                self._enter_probe_bw(now)
-            else:
-                self._set_mode(BbrMode.STARTUP, now)
-                self.pacing_gain = HIGH_GAIN
-                self.cwnd_gain = HIGH_GAIN
+            self._enter_probe_bw(now)

@@ -187,6 +187,7 @@ class Connection:
         self._crypto_offset = 0
         self._seen_crypto_offsets: Set[int] = set()
         self._control_queue: List[Frame] = []
+        self._probe_credit = 0  # packets the last PTO may send past cwnd
         self._timer: Optional[Event] = None
         self._closed = False
 
@@ -219,7 +220,7 @@ class Connection:
         if self.role != Role.CLIENT:
             raise ValueError("only clients initiate the handshake")
         full = self.handshake_mode == HandshakeMode.ZERO_RTT
-        self._queue_crypto(chlo(full=full, extra_tags=self._handshake_tags))
+        self._crypto_queue.append(chlo(full=full, extra_tags=self._handshake_tags))
         self._chlo_sent_at = self.loop.now
         self._pump()
 
@@ -340,8 +341,6 @@ class Connection:
                     {"pns": [p.packet_number for p in newly_acked]},
                 )
                 self._trace_cc_metrics(now)
-        if recovery.pto_count > self.stats.pto_count:
-            self.stats.pto_count = recovery.pto_count
 
     def _trace_packet_dropped(self, reason: str, size: int) -> None:
         if _obs.ACTIVE is not None:
@@ -401,7 +400,7 @@ class Connection:
         if not message.is_full_hello:
             # 1-RTT path: demand a full CHLO and remember when we asked,
             # which yields an RTT sample before any data is sent.
-            self._queue_crypto(rej())
+            self._crypto_queue.append(rej())
             self._rej_sent_at = now
             return
         if self.handshake_complete:
@@ -423,7 +422,7 @@ class Connection:
             )
         if self.on_client_hello is not None:
             self.on_client_hello(message.tags, rtt_sample)
-        self._queue_crypto(shlo())
+        self._crypto_queue.append(shlo())
 
     def _on_rej(self, now: float) -> None:
         if self.role != Role.CLIENT or self._rej_received:
@@ -433,7 +432,7 @@ class Connection:
             sample = now - self._chlo_sent_at
             if sample > 0:
                 self.loss_recovery.on_rtt_sample(sample, now)
-        self._queue_crypto(chlo(full=True, extra_tags=self._handshake_tags))
+        self._crypto_queue.append(chlo(full=True, extra_tags=self._handshake_tags))
 
     def _on_shlo(self, now: float) -> None:
         if self.role != Role.CLIENT or self.handshake_complete:
@@ -510,16 +509,13 @@ class Connection:
                     stream.resend_fin()
             elif isinstance(frame, CryptoFrame):
                 message = HandshakeMessage.decode(frame.data)
-                self._queue_crypto(message)
+                self._crypto_queue.append(message)
             elif isinstance(frame, HxQosFrame):
                 self._control_queue.append(frame)
         self._pending_stream = self._next_pending_stream()
 
     # ------------------------------------------------------------------
     # Send path
-
-    def _queue_crypto(self, message: HandshakeMessage) -> None:
-        self._crypto_queue.append(message)
 
     def _can_send_app_data(self) -> bool:
         if self.role == Role.SERVER:
@@ -561,8 +557,14 @@ class Connection:
             app_limited_at = recovery.bytes_in_flight
             cc.on_app_limited(app_limited_at)
 
-        # Handshake messages leave immediately (tiny, latency-critical).
+        # The send gate, packet by packet: handshake messages always leave;
+        # a packet on a PTO's probe credit leaves past the congestion window
+        # (RFC 9002 §7.5) but is still paced; any other packet needs window
+        # room and pacer tokens.
+        credit = self._probe_credit
         crypto_queue = self._crypto_queue
+        if credit and pending is None and not crypto_queue and not self._control_queue:
+            self._control_queue.append(PingFrame())  # nothing to carry (§6.2.4)
         while crypto_queue:
             message = crypto_queue.pop(0)
             frame = CryptoFrame(self._crypto_offset, message.encode())
@@ -572,7 +574,6 @@ class Connection:
             )
             self._send_packet(packet_type, [frame], True, now)
 
-        # Application data: congestion-window and pacing constrained.
         pacing_deadline: Optional[float] = None
         if self._can_send_app_data():
             control_queue = self._control_queue
@@ -584,7 +585,7 @@ class Connection:
                 packet_type = self._app_packet_type()
                 mss = self.config.mss
                 while pending is not None or control_queue:
-                    if recovery.bytes_in_flight >= cwnd:
+                    if not credit and recovery.bytes_in_flight >= cwnd:
                         break
                     wait = pacer.time_until_send(mss, now)
                     if wait > 1e-12:
@@ -613,8 +614,11 @@ class Connection:
                     if not frames:
                         break
                     self._send_packet(packet_type, frames, True, now, stream_data)
+                    if credit:
+                        credit -= 1
                 self._pending_stream = pending
             if pending is None and not control_queue:
+                credit = 0  # the probes are out; the rest is unused
                 in_flight = recovery.bytes_in_flight
                 if in_flight != app_limited_at and in_flight < cc.congestion_window:
                     cc.on_app_limited(in_flight)
@@ -630,6 +634,7 @@ class Connection:
                 self._send_packet(self._app_packet_type(), [ack], False, now)
             ack_deadline = None
 
+        self._probe_credit = credit
         self._reschedule_timer(now, ack_deadline, pacing_deadline)
 
     def _next_pending_stream(self) -> Optional[SendStream]:
@@ -769,13 +774,7 @@ class Connection:
                 self._trace_id,
                 {"pto_count": self.loss_recovery.pto_count, "n_probes": len(probes)},
             )
-        retransmitted = False
+        # ``_pump`` sends the oldest unacked data again, or one PING.
         for packet in probes:
-            has_payload = any(
-                isinstance(f, (StreamFrame, CryptoFrame, HxQosFrame)) for f in packet.frames
-            )
-            if has_payload:
-                self._requeue_frames(packet)
-                retransmitted = True
-        if not retransmitted:
-            self._control_queue.append(PingFrame())
+            self._requeue_frames(packet)
+        self._probe_credit = max(1, len(probes))

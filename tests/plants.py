@@ -85,7 +85,15 @@ PLANTS = (
     ),
     Plant(
         "pump-ignores-pacing-waits-under-a-second",
-        ((CONNECTION, "                    if wait > 1e-12:\n", "                    if wait > 1.0:\n"),),
+        (
+            (
+                CONNECTION,
+                "                    wait = pacer.time_until_send(mss, now)\n"
+                "                    if wait > 1e-12:\n",
+                "                    wait = pacer.time_until_send(mss, now)\n"
+                "                    if wait > 1.0:\n",
+            ),
+        ),
     ),
     Plant(
         "pure-ack-reuses-its-packet-number",

@@ -38,8 +38,8 @@ MSS = 1252
 
 #: BBRv1's legal state-machine edges: STARTUP -> DRAIN -> PROBE_BW;
 #: PROBE_RTT entered from DRAIN or PROBE_BW once the min-RTT estimate
-#: expires, and left to PROBE_BW (full bandwidth reached) or back to
-#: STARTUP (not reached).
+#: expires, and left to PROBE_BW (it is entered only once the pipe is
+#: full, so the draft's exit back to STARTUP cannot happen).
 LEGAL_EDGES = frozenset(
     {
         ("startup", "drain"),
@@ -47,7 +47,6 @@ LEGAL_EDGES = frozenset(
         ("drain", "probe_rtt"),
         ("probe_bw", "probe_rtt"),
         ("probe_rtt", "probe_bw"),
-        ("probe_rtt", "startup"),
     }
 )
 
@@ -393,18 +392,6 @@ def test_probe_rtt_holds_four_packets_for_its_duration_then_probes_bandwidth():
     assert bbr.pacing_gain in PACING_GAIN_CYCLE
 
 
-def test_probe_rtt_returns_to_startup_without_full_bandwidth():
-    """PROBE_RTT is only entered once full bandwidth was reached and
-    nothing clears the flag, so the test clears it to reach the exit
-    the controller keeps for an empty model."""
-    bbr, path, _ = in_probe_rtt()
-    bbr.full_bandwidth_reached = False
-    acks = leave_probe_rtt(path)
-    assert acks[-1].edge == ("probe_rtt", "startup")
-    assert acks[-1].time - acks[0].time >= PROBE_RTT_DURATION
-    assert bbr.pacing_gain == HIGH_GAIN and bbr.cwnd_gain == HIGH_GAIN
-
-
 def test_probe_rtt_entered_from_drain_when_the_link_stalls():
     acks = stall_in_drain(make_bbr())
     assert acks[-1].edge == ("drain", "probe_rtt")
@@ -413,16 +400,14 @@ def test_probe_rtt_entered_from_drain_when_the_link_stalls():
 
 def test_controller_drives_take_every_legal_edge():
     def drives():
-        for name, full_bandwidth in (("probe-bw-exit", True), ("startup-exit", False)):
-            bbr, path, _ = in_probe_rtt(trace_conn=name)
-            bbr.full_bandwidth_reached = full_bandwidth
-            leave_probe_rtt(path)
+        _, path, _ = in_probe_rtt(trace_conn="probe-bw-exit")
+        leave_probe_rtt(path)
         bbr = make_bbr()
         bbr._trace_conn = "drain-stall"
         stall_in_drain(bbr)
 
     walks = traced_walks(drives)
-    assert sorted(walks) == ["drain-stall", "probe-bw-exit", "startup-exit"]
+    assert sorted(walks) == ["drain-stall", "probe-bw-exit"]
     for walk in walks.values():
         assert_legal_walk(walk)
     assert set().union(*walks.values()) == LEGAL_EDGES

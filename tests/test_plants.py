@@ -1,7 +1,7 @@
 """Every runtime plant still replays on this tree, and the plain tests
-meant to catch three of them fail under them.
+meant to catch four of them fail under them.
 
-Rows 15 and 16 of CONTRIBUTING.md's runtime plant table and the
+Rows 4, 15 and 16 of CONTRIBUTING.md's runtime plant table and the
 baseline mutant M3 are each caught by a plain tier-1 test stating what
 is right; each such test is run here with its plant swapped into the
 process (``apply_in_process``) and must fail.
@@ -11,7 +11,7 @@ import pytest
 
 from tests.cdn import test_server_client
 from tests.plants import PLANTS, apply_in_process, planted_sources
-from tests.quic import test_bbr
+from tests.quic import test_bbr, test_connection
 
 #: Plant name -> the plain test that catches it.
 CAUGHT_BY = {
@@ -20,6 +20,9 @@ CAUGHT_BY = {
         test_server_client.TestServerInit().test_applied_parameters_are_not_reapplied_on_a_later_batch
     ),
     "bbr-drain-at-unit-gain": test_bbr.test_drain_uses_inverse_gain,
+    "pump-ignores-pacing-waits-under-a-second": (
+        test_connection.TestWiraHooks().test_initial_pacing_shapes_first_flight
+    ),
 }
 
 
