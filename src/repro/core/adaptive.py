@@ -34,12 +34,12 @@ from typing import List, Optional
 
 from repro.core.initializer import (
     InitialParams,
-    _PACKET_WIRE_BYTES,
     finalize_params,
     payload_to_wire_bytes,
     table1_params,
 )
 from repro.core.schemes import InitContext, InitPolicy, SchemeSpec
+from repro.quic.config import PACKET_WIRE_BYTES
 
 #: Quantile of the observed delivery rates the pacing rate starts from.
 DEFAULT_QUANTILE = 0.25
@@ -114,7 +114,7 @@ class AdaptiveInitPolicy(InitPolicy):
         else:
             rtt_for_bdp = ctx.config.init_rtt_exp
 
-        bdp = max(_PACKET_WIRE_BYTES, int(bw * rtt_for_bdp / 8.0))
+        bdp = max(PACKET_WIRE_BYTES, int(bw * rtt_for_bdp / 8.0))
         ff_wire = (
             payload_to_wire_bytes(ctx.ff_size) if ctx.ff_size is not None else None
         )

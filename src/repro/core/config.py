@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Δ's default, seconds (§IV-C: 60 min).  A cookie manager built without
+#: a deployment's Δ uses the same value.
+STALENESS_DELTA = 3600.0
+
 
 @dataclass
 class WiraConfig:
@@ -18,7 +22,7 @@ class WiraConfig:
     sync_period: float = 3.0
     """Hx_QoS synchronisation period in seconds (§IV-B: "set to 3s")."""
 
-    staleness_delta: float = 3600.0
+    staleness_delta: float = STALENESS_DELTA
     """Δ — cookie age beyond which Hx_QoS is discarded (§IV-C: 60 min)."""
 
     init_cwnd_exp: int = 42_000

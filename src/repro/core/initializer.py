@@ -41,11 +41,12 @@ from typing import Optional
 
 from repro.core.config import WiraConfig
 from repro.core.transport_cookie import HxQos
-from repro.quic.config import UDP_OVERHEAD
-
-_PACKET_BYTES = 1252  # MSS used when a scheme is expressed in packets
-_PACKET_WIRE_BYTES = 1252 + UDP_OVERHEAD  # MSS + IPv4/UDP framing on the wire
-_PACKET_PAYLOAD_BYTES = 1252 - 40  # stream payload per packet after headers
+from repro.quic.config import (
+    INITIAL_WINDOW_PACKETS,
+    MSS,
+    PACKET_WIRE_BYTES,
+    STREAM_FRAME_OVERHEAD,
+)
 
 
 def payload_to_wire_bytes(payload_bytes: int) -> int:
@@ -56,10 +57,12 @@ def payload_to_wire_bytes(payload_bytes: int) -> int:
     (Fig 2(a): ``init_cwnd = 45`` for a 66 KB first frame ≈ FF/MSS), so
     framing is naturally included there — without this conversion an
     ``init_cwnd = FF_Size`` window is a few packets short and the first
-    frame's tail stalls one extra RTT on every small-FF stream.
+    frame's tail stalls one extra RTT on every small-FF stream.  The
+    packet model is the packetiser's: each packet carries
+    ``MSS - STREAM_FRAME_OVERHEAD`` stream bytes.
     """
-    packets = max(1, math.ceil(payload_bytes / _PACKET_PAYLOAD_BYTES))
-    return packets * _PACKET_WIRE_BYTES
+    packets = max(1, math.ceil(payload_bytes / (MSS - STREAM_FRAME_OVERHEAD)))
+    return packets * PACKET_WIRE_BYTES
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,14 @@ def table1_params(
     bdp = None
     if hx_qos is not None:
         rtt_for_bdp = measured_rtt if measured_rtt is not None else hx_qos.min_rtt
-        bdp = max(_PACKET_WIRE_BYTES, int(hx_qos.max_bw_bps * rtt_for_bdp / 8.0))
+        bdp = max(PACKET_WIRE_BYTES, int(hx_qos.max_bw_bps * rtt_for_bdp / 8.0))
     # FF_Size and init_cwnd_exp are stream-payload sizes; windows are
     # accounted in wire bytes.
     ff_wire = payload_to_wire_bytes(ff_size) if ff_size is not None else None
     exp_wire = payload_to_wire_bytes(config.init_cwnd_exp)
 
     if name == "static_10":
-        cwnd = 10 * _PACKET_WIRE_BYTES
+        cwnd = INITIAL_WINDOW_PACKETS * PACKET_WIRE_BYTES
         return finalize_params(config, cwnd, cwnd * 8.0 / init_rtt, False, False, False)
 
     if name == "baseline":
@@ -167,7 +170,7 @@ def finalize_params(
     provisional: bool,
 ) -> InitialParams:
     """Apply the deployment safety bounds (every policy must end here)."""
-    floor = config.min_initial_cwnd_packets * _PACKET_WIRE_BYTES
+    floor = config.min_initial_cwnd_packets * PACKET_WIRE_BYTES
     cwnd = max(floor, min(int(cwnd), config.max_initial_cwnd_bytes))
     pacing = max(config.min_initial_pacing_bps, float(pacing))
     return InitialParams(cwnd, pacing, used_ff, used_hx, provisional)

@@ -22,9 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.core.config import STALENESS_DELTA
 from repro.core.cookie_crypto import CookieError, CookieSealer
 from repro.quic.frames import HxId, HxQosFrame
 from repro.quic.varint import decode_varint, encode_varint
+
+#: Seconds a cookie's timestamp may run ahead of the server clock.
+MAX_CLOCK_SKEW = 5.0
 
 
 @dataclass(frozen=True)
@@ -180,13 +184,11 @@ class ServerCookieManager:
     def __init__(
         self,
         key: bytes,
-        staleness_delta: float = 3600.0,
-        max_clock_skew: float = 5.0,
+        staleness_delta: float = STALENESS_DELTA,
         instance_salt: bytes = b"",
     ) -> None:
         self._sealer = CookieSealer(key)
         self.staleness_delta = staleness_delta
-        self.max_clock_skew = max_clock_skew
         self._nonce_counter = 0
         self._instance_salt = instance_salt
         self.rejected_cookies = 0
@@ -221,7 +223,7 @@ class ServerCookieManager:
         the freshness window (corner case 2, counted in
         :attr:`stale_cookies`).  Freshness is two-sided: a timestamp
         older than Δ is stale, and a timestamp more than
-        :attr:`max_clock_skew` *ahead* of the server clock is equally
+        :data:`MAX_CLOCK_SKEW` *ahead* of the server clock is equally
         untrustworthy — without the upper bound, a future-dated blob
         (clock skew or a forged timestamp surviving from an old key)
         would pass ``now - timestamp > Δ`` forever.
@@ -233,7 +235,7 @@ class ServerCookieManager:
             self.rejected_cookies += 1
             return None
         age = now - qos.timestamp
-        if age > self.staleness_delta or age < -self.max_clock_skew:
+        if age > self.staleness_delta or age < -MAX_CLOCK_SKEW:
             self.stale_cookies += 1
             return None
         return qos

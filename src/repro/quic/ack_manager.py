@@ -1,9 +1,10 @@
 """Receiver-side ACK generation.
 
 Tracks received packet numbers, coalesces them into ranges, and decides
-when an ACK should be emitted: immediately on every second ack-eliciting
-packet or on reordering, otherwise after ``max_ack_delay`` (RFC 9000
-§13.2 behaviour, simplified).
+when an ACK should be emitted: immediately on every
+:data:`~repro.quic.config.ACK_EVERY`-th ack-eliciting packet or on
+reordering, otherwise after :data:`~repro.quic.config.MAX_ACK_DELAY`
+(RFC 9000 §13.2 behaviour, simplified).
 
 Received numbers are kept the way an ACK frame states them — as disjoint
 inclusive runs, ascending, in the parallel lists ``_lows`` / ``_highs``.
@@ -17,17 +18,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
+from repro.quic.config import ACK_EVERY, MAX_ACK_DELAY
 from repro.quic.frames import AckFrame
 
 
 class AckManager:
     """Collects received packet numbers and builds ACK frames."""
 
-    def __init__(self, max_ack_delay: float = 0.025, ack_every: int = 2) -> None:
-        if ack_every < 1:
-            raise ValueError("ack_every must be >= 1")
-        self.max_ack_delay = max_ack_delay
-        self.ack_every = ack_every
+    def __init__(self) -> None:
         self._lows: List[int] = []
         self._highs: List[int] = []
         self._largest: Optional[int] = None
@@ -61,7 +59,7 @@ class AckManager:
         if ack_eliciting and not duplicate:
             # New and below the largest: an out-of-order arrival, so
             # ack immediately to speed recovery.
-            self._unacked_eliciting = self.ack_every
+            self._unacked_eliciting = ACK_EVERY
             self.ack_pending = True
         return duplicate
 
@@ -94,9 +92,9 @@ class AckManager:
         """Absolute time by which an ACK must be sent, or ``None``."""
         if not self.ack_pending:
             return None
-        if self._unacked_eliciting >= self.ack_every:
+        if self._unacked_eliciting >= ACK_EVERY:
             return now
-        return self._largest_recv_time + self.max_ack_delay
+        return self._largest_recv_time + MAX_ACK_DELAY
 
     def build_ack(self, now: float) -> Optional[AckFrame]:
         """Produce an ACK frame covering everything received so far."""

@@ -11,12 +11,11 @@ Every controller honours the two Wira hooks on
 ``set_initial_window`` and ``set_initial_pacing_rate``.
 """
 
-from typing import Any
-
 from repro.quic.cc.base import CongestionController
 from repro.quic.cc.bbr import BbrSender
 from repro.quic.cc.bbr2 import Bbr2Sender
 from repro.quic.cc.cubic import CubicSender
+from repro.quic.rtt import RttEstimator
 
 CONTROLLERS = {
     "bbr": BbrSender,
@@ -25,13 +24,13 @@ CONTROLLERS = {
 }
 
 
-def make_controller(name: str, **kwargs: Any) -> CongestionController:
+def make_controller(name: str, rtt: RttEstimator) -> CongestionController:
     """Instantiate a controller by name (``bbr``/``bbrv2``/``cubic``)."""
     try:
         cls = CONTROLLERS[name]
     except KeyError:
         raise ValueError(f"unknown congestion controller {name!r}") from None
-    return cls(**kwargs)
+    return cls(rtt)
 
 
 __all__ = [

@@ -14,11 +14,9 @@ from __future__ import annotations
 import abc
 from typing import List, Optional
 
+from repro.quic.config import INITIAL_WINDOW_PACKETS, MSS
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
-
-DEFAULT_MSS = 1252  # QUIC payload bytes per packet at a 1500B MTU
-DEFAULT_INITIAL_WINDOW_PACKETS = 10  # RFC 6928 / Google recommendation
 
 
 class CongestionController(abc.ABC):
@@ -38,15 +36,9 @@ class CongestionController(abc.ABC):
     #: attributed without a back-reference cycle.
     _trace_conn: str = ""
 
-    def __init__(
-        self,
-        rtt: RttEstimator,
-        mss: int = DEFAULT_MSS,
-        initial_window_packets: int = DEFAULT_INITIAL_WINDOW_PACKETS,
-    ) -> None:
+    def __init__(self, rtt: RttEstimator) -> None:
         self.rtt = rtt
-        self.mss = mss
-        self._cwnd = initial_window_packets * mss
+        self._cwnd = INITIAL_WINDOW_PACKETS * MSS
         self._pacing_rate_bps: Optional[float] = None
         self._initial_pacing_rate_bps: Optional[float] = None
 
@@ -54,8 +46,8 @@ class CongestionController(abc.ABC):
 
     def set_initial_window(self, window_bytes: int) -> None:
         """Override the initial congestion window (Eq. 3 of the paper)."""
-        if window_bytes < self.mss:
-            window_bytes = self.mss
+        if window_bytes < MSS:
+            window_bytes = MSS
         self._cwnd = window_bytes
         self.on_initial_window_set(window_bytes)
 

@@ -29,8 +29,9 @@ from typing import List, Optional
 
 from repro import obs as _obs
 from repro.quic.cc.bandwidth_sampler import BandwidthSampler
-from repro.quic.cc.base import CongestionController, DEFAULT_MSS
+from repro.quic.cc.base import CongestionController
 from repro.quic.cc.windowed_filter import WindowedFilter
+from repro.quic.config import MIN_RTT_WINDOW, MSS
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 
@@ -39,7 +40,6 @@ DRAIN_GAIN = 1.0 / HIGH_GAIN
 PROBE_BW_CWND_GAIN = 2.0
 PACING_GAIN_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 BW_WINDOW_ROUNDS = 10
-MIN_RTT_WINDOW = 10.0  # seconds
 PROBE_RTT_DURATION = 0.2  # seconds
 STARTUP_GROWTH_TARGET = 1.25
 STARTUP_FULL_BW_ROUNDS = 3
@@ -61,19 +61,14 @@ class BbrSender(CongestionController):
     so it always exits to PROBE_BW and never back to STARTUP.
     """
 
-    def __init__(
-        self,
-        rtt: Optional[RttEstimator] = None,
-        mss: int = DEFAULT_MSS,
-        initial_window_packets: int = 10,
-    ) -> None:
-        super().__init__(rtt or RttEstimator(), mss, initial_window_packets)
+    def __init__(self, rtt: RttEstimator) -> None:
+        super().__init__(rtt)
         self.mode = BbrMode.STARTUP
         self.sampler = BandwidthSampler()
         self.max_bw = WindowedFilter(window=BW_WINDOW_ROUNDS, is_max=True)
 
         self._initial_cwnd = self._cwnd
-        self._min_cwnd = MIN_CWND_PACKETS * mss
+        self._min_cwnd = MIN_CWND_PACKETS * MSS
 
         # Round counting (a "round" is one delivered-data round trip).
         self.round_count = 0

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.quic.cc.base import DEFAULT_MSS
 from repro.quic.cc.bbr import BbrMode, BbrSender
+from repro.quic.config import MSS
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 
@@ -40,14 +40,9 @@ PROBE_UP_PACKETS = 2
 class Bbr2Sender(BbrSender):
     """BBRv1 with BBRv2-style inflight caps and loss response."""
 
-    def __init__(
-        self,
-        rtt: Optional[RttEstimator] = None,
-        mss: int = DEFAULT_MSS,
-        initial_window_packets: int = 10,
-    ) -> None:
-        super().__init__(rtt, mss, initial_window_packets)
-        self._probe_up_bytes = PROBE_UP_PACKETS * mss
+    def __init__(self, rtt: RttEstimator) -> None:
+        super().__init__(rtt)
+        self._probe_up_bytes = PROBE_UP_PACKETS * MSS
         self.inflight_hi: Optional[int] = None
         self._loss_events_in_round = 0
         self._loss_round_end = -1  # packet number closing the loss round

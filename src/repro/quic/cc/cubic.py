@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.quic.cc.base import CongestionController, DEFAULT_MSS
+from repro.quic.cc.base import CongestionController
+from repro.quic.config import MSS
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 
@@ -26,13 +27,8 @@ CA_PACING_GAIN = 1.2
 class CubicSender(CongestionController):
     """RFC 8312 CUBIC with fast convergence."""
 
-    def __init__(
-        self,
-        rtt: Optional[RttEstimator] = None,
-        mss: int = DEFAULT_MSS,
-        initial_window_packets: int = 10,
-    ) -> None:
-        super().__init__(rtt or RttEstimator(), mss, initial_window_packets)
+    def __init__(self, rtt: RttEstimator) -> None:
+        super().__init__(rtt)
         self.ssthresh = float("inf")
         self._w_max = 0.0  # bytes
         self._k = 0.0
@@ -73,22 +69,22 @@ class CubicSender(CongestionController):
         if self._epoch_start is None:
             self._epoch_start = now
             if self._w_max > self._cwnd:
-                self._k = ((self._w_max - self._cwnd) / (C_CUBIC * self.mss)) ** (1.0 / 3.0)
+                self._k = ((self._w_max - self._cwnd) / (C_CUBIC * MSS)) ** (1.0 / 3.0)
             else:
                 self._k = 0.0
         t = now - self._epoch_start + self.rtt.smoothed_or_initial()
-        w_cubic = C_CUBIC * self.mss * (t - self._k) ** 3 + self._w_max
+        w_cubic = C_CUBIC * MSS * (t - self._k) ** 3 + self._w_max
         if w_cubic > self._cwnd:
             # Approach the cubic target over one RTT.
             self._cwnd += int(
-                max(1.0, (w_cubic - self._cwnd) / max(1, self._cwnd)) * acked_bytes / self.mss * self.mss
+                max(1.0, (w_cubic - self._cwnd) / max(1, self._cwnd)) * acked_bytes / MSS * MSS
             )
         else:
             # TCP-friendly region / plateau: grow slowly.
             self._ack_accumulator += acked_bytes
             if self._ack_accumulator >= self._cwnd:
                 self._ack_accumulator = 0
-                self._cwnd += self.mss
+                self._cwnd += MSS
 
     def on_packets_lost(
         self,
@@ -107,6 +103,6 @@ class CubicSender(CongestionController):
             self._w_max = self._cwnd * (1.0 + BETA_CUBIC) / 2.0
         else:
             self._w_max = float(self._cwnd)
-        self._cwnd = max(int(self._cwnd * BETA_CUBIC), 2 * self.mss)
+        self._cwnd = max(int(self._cwnd * BETA_CUBIC), 2 * MSS)
         self.ssthresh = self._cwnd
         self._epoch_start = None

@@ -1,20 +1,53 @@
-"""Transport configuration.
+"""Transport configuration: the settable knobs and the fixed defaults.
 
-One :class:`QuicConfig` per connection.  A scheme on a non-default
-stack (``wira_bbr2``, ``wira_ar``) registers its own fixed config in
-:mod:`repro.core.schemes`; the CUBIC substrate ablation sets one through
-``SessionSpec.quic_config``.
+A value is a :class:`QuicConfig` field only while a registered scheme or
+a caller outside ``tests/`` sets it to a second value.  Today's callers:
+
+* ``initial_rtt`` — the benchmark's drives set 20 ms;
+* ``congestion_controller`` — the ``wira_bbr2`` scheme
+  (:mod:`repro.core.schemes`) and the CUBIC substrate ablation in
+  ``benchmarks/``, through ``SessionSpec.quic_config``;
+* the four recovery knobs — the ``wira_ar`` scheme's accelerated
+  recovery.
+
+Every other transport value is a deployment default nothing varies: it
+is a module constant below, and ``quic/`` and the packet model in
+:mod:`repro.core.initializer` read it from here, by name, and nowhere
+else.  A constant becomes a field again the day a real caller needs a
+second value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Max payload bytes per packet (1500 MTU − IP/UDP/QUIC overhead).
+MSS = 1252
+
+#: Packet header plus STREAM frame fields, upper bound: a full packet
+#: carries ``MSS - STREAM_FRAME_OVERHEAD`` bytes of stream data.
+STREAM_FRAME_OVERHEAD = 40
+
 #: IPv4 + UDP header bytes added to each datagram on the wire.
 UDP_OVERHEAD = 28
 
+#: A full packet on the wire: the window and BDP are accounted in these.
+PACKET_WIRE_BYTES = MSS + UDP_OVERHEAD
+
+#: Default initial congestion window (RFC 6928) in packets.
+INITIAL_WINDOW_PACKETS = 10
+
 #: Token-bucket burst allowance in packets.
 PACER_BURST_PACKETS = 10
+
+#: How long a receiver may sit on a pending ACK, seconds.
+MAX_ACK_DELAY = 0.025
+
+#: Ack-eliciting packets per immediate ACK.
+ACK_EVERY = 2
+
+#: Horizon of the windowed minimum RTT, seconds (BBRv1's 10 s).
+MIN_RTT_WINDOW = 10.0
 
 #: Consecutive probe timeouts before a connection gives up (a pragmatic
 #: stand-in for RFC 9000's idle timeout: after ~10 doublings the peer is
@@ -32,20 +65,8 @@ class QuicConfig:
     through this config.
     """
 
-    mss: int = 1252
-    """Max payload bytes per packet (1500 MTU − IP/UDP/QUIC overhead)."""
-
     initial_rtt: float = 0.1
     """RTT assumed before any sample exists (PTO seeding)."""
-
-    max_ack_delay: float = 0.025
-    """How long a receiver may sit on a pending ACK."""
-
-    ack_every: int = 2
-    """Ack-eliciting packets per immediate ACK."""
-
-    initial_window_packets: int = 10
-    """Default initial congestion window (RFC 6928) in packets."""
 
     congestion_controller: str = "bbr"
     """A :data:`repro.quic.cc.CONTROLLERS` name (``bbr``, ``bbrv2``,
@@ -66,16 +87,9 @@ class QuicConfig:
     """PTO backoff base (RFC 9002 doubles; accelerated recovery backs
     off more gently)."""
 
-    min_rtt_window: float = 10.0
-    """Horizon of the windowed minimum RTT estimate, seconds."""
-
     def __post_init__(self) -> None:
-        if self.mss <= 0:
-            raise ValueError("mss must be positive")
         if self.initial_rtt <= 0:
             raise ValueError("initial_rtt must be positive")
-        if self.ack_every < 1:
-            raise ValueError("ack_every must be >= 1")
         if self.loss_packet_threshold < 1:
             raise ValueError("loss_packet_threshold must be >= 1")
         if self.loss_time_factor <= 0:

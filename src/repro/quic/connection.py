@@ -27,7 +27,14 @@ from repro import obs as _obs
 from repro.quic.ack_manager import AckManager
 from repro.quic.cc import make_controller
 from repro.quic.cc.base import CongestionController
-from repro.quic.config import MAX_PTO_COUNT, PACER_BURST_PACKETS, UDP_OVERHEAD, QuicConfig
+from repro.quic.config import (
+    MAX_PTO_COUNT,
+    MSS,
+    PACER_BURST_PACKETS,
+    STREAM_FRAME_OVERHEAD,
+    UDP_OVERHEAD,
+    QuicConfig,
+)
 from repro.quic.frames import (
     AckFrame,
     CryptoFrame,
@@ -53,8 +60,6 @@ from repro.quic.sent_packet import SentPacket
 from repro.quic.stream import RecvStream, SendStream
 from repro.simnet.engine import Event, EventLoop
 from repro.simnet.link import Datagram
-
-_STREAM_FRAME_OVERHEAD = 40  # header + stream-frame field upper bound
 
 
 class Role(enum.Enum):
@@ -149,30 +154,14 @@ class Connection:
         # recovery:metrics_updated event only fires on actual change.
         self._last_traced_metrics: Tuple[int, float] = (-1, -1.0)
 
-        self.rtt = RttEstimator(
-            initial_rtt=self.config.initial_rtt,
-            min_rtt_window=self.config.min_rtt_window,
-        )
+        self.rtt = RttEstimator(self.config.initial_rtt)
         self.cc: CongestionController = make_controller(
-            self.config.congestion_controller,
-            rtt=self.rtt,
-            mss=self.config.mss,
-            initial_window_packets=self.config.initial_window_packets,
+            self.config.congestion_controller, self.rtt
         )
         self.cc._trace_conn = self._trace_id
-        self.pacer = Pacer(
-            rate_bps=self.cc.pacing_rate_bps,
-            burst_bytes=PACER_BURST_PACKETS * self.config.mss,
-        )
-        self.loss_recovery = LossRecovery(
-            self.rtt,
-            self.config.max_ack_delay,
-            packet_threshold=self.config.loss_packet_threshold,
-            time_factor=self.config.loss_time_factor,
-            probe_count=self.config.pto_probe_count,
-            backoff=self.config.pto_backoff,
-        )
-        self.ack_manager = AckManager(self.config.max_ack_delay, self.config.ack_every)
+        self.pacer = Pacer(self.cc.pacing_rate_bps, PACER_BURST_PACKETS * MSS)
+        self.loss_recovery = LossRecovery(self.rtt, self.config)
+        self.ack_manager = AckManager()
         self.stats = ConnectionStats()
 
         self._next_packet_number = 0
@@ -583,11 +572,10 @@ class Connection:
                 # are read once per pump.
                 cwnd = cc.congestion_window
                 packet_type = self._app_packet_type()
-                mss = self.config.mss
                 while pending is not None or control_queue:
                     if not credit and recovery.bytes_in_flight >= cwnd:
                         break
-                    wait = pacer.time_until_send(mss, now)
+                    wait = pacer.time_until_send(MSS, now)
                     if wait > 1e-12:
                         pacing_deadline = now + wait
                         if _obs.ACTIVE is not None:
@@ -605,7 +593,7 @@ class Connection:
                     # The STREAM frame, when there is one, is always last.
                     stream_data = False
                     if pending is not None:
-                        stream_frame = pending.next_chunk(mss - _STREAM_FRAME_OVERHEAD)
+                        stream_frame = pending.next_chunk(MSS - STREAM_FRAME_OVERHEAD)
                         if stream_frame is not None:
                             frames.append(stream_frame)
                             stream_data = True

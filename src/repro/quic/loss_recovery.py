@@ -2,12 +2,16 @@
 
 Implements the RFC 9002 recovery core the reproduction needs:
 
-* **packet threshold** — a packet is lost once ``kPacketThreshold`` (3)
+* **packet threshold** — a packet is lost once ``kPacketThreshold``
   later packets are acknowledged;
-* **time threshold** — a packet older than ``9/8 · max(sRTT, latestRTT)``
-  below the largest acked is lost after a timer;
+* **time threshold** — a packet older than ``time_factor · max(sRTT,
+  latestRTT)`` below the largest acked is lost after a timer;
 * **PTO** — when ack-eliciting data is in flight and nothing fires,
   the probe timeout backs off exponentially.
+
+The two thresholds, the PTO probe count and its backoff come from the
+connection's :class:`~repro.quic.config.QuicConfig` (RFC 9002's values
+unless a scheme accelerates recovery).
 
 Losses matter doubly here: they feed the congestion controller *and* the
 paper's first-frame loss rate metric (FFLR, Fig 14).
@@ -25,11 +29,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
+from repro.quic.config import QuicConfig
 from repro.quic.frames import AckFrame
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
-
-K_PACKET_THRESHOLD = 3
 
 #: Resolved packets within this many numbers of ``largest_acked`` are
 #: kept; the sweep runs once twice as many are tracked.
@@ -39,22 +42,12 @@ GC_KEEP_WINDOW = 4096
 class LossRecovery:
     """Tracks unacknowledged packets and classifies their fate."""
 
-    def __init__(
-        self,
-        rtt: RttEstimator,
-        max_ack_delay: float = 0.025,
-        *,
-        packet_threshold: int = K_PACKET_THRESHOLD,
-        time_factor: float = 9.0 / 8.0,
-        probe_count: int = 2,
-        backoff: float = 2.0,
-    ) -> None:
+    def __init__(self, rtt: RttEstimator, config: QuicConfig) -> None:
         self.rtt = rtt
-        self.max_ack_delay = max_ack_delay
-        self.packet_threshold = packet_threshold
-        self.time_factor = time_factor
-        self.probe_count = probe_count
-        self.backoff = backoff
+        self.packet_threshold = config.loss_packet_threshold
+        self.time_factor = config.loss_time_factor
+        self.probe_count = config.pto_probe_count
+        self.backoff = config.pto_backoff
         self.sent_packets: Dict[int, SentPacket] = {}
         self.largest_acked: Optional[int] = None
         self.pto_count = 0
@@ -222,7 +215,7 @@ class LossRecovery:
             if packet.acked or packet.lost:
                 del ae[pn]
                 continue
-            pto = self.rtt.pto(self.max_ack_delay) * (self.backoff**self.pto_count)
+            pto = self.rtt.pto() * (self.backoff**self.pto_count)
             # sent_time never decreases with pn, so the newest unresolved
             # ack-eliciting packet carries the latest send time.
             return packet.sent_time + pto

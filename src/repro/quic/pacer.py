@@ -6,8 +6,10 @@ simply the rate this bucket starts with: too low and the first frame
 dribbles out (Fig 2(b), 0.8 Mbps → 302 ms FFCT); too high and the burst
 overflows the bottleneck buffer (40 Mbps → >40 % loss).
 
-A small burst allowance (default 10 packets, matching Linux's initial
-quantum behaviour) lets short control exchanges go out immediately.
+A small burst allowance (the connection gives it
+:data:`~repro.quic.config.PACER_BURST_PACKETS` full packets, matching
+Linux's initial quantum behaviour) lets short control exchanges go out
+immediately.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class Pacer:
 
     __slots__ = ("_rate_bps", "burst_bytes", "_tokens", "_last_update")
 
-    def __init__(self, rate_bps: float, burst_bytes: int = 10 * 1252) -> None:
+    def __init__(self, rate_bps: float, burst_bytes: int) -> None:
         if rate_bps <= 0:
             raise ValueError("pacing rate must be positive")
         if burst_bytes <= 0:

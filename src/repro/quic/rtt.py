@@ -9,26 +9,27 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.quic.config import MAX_ACK_DELAY, MIN_RTT_WINDOW
+
 K_GRANULARITY = 0.001  # 1ms timer granularity (RFC 9002)
 
 
 class RttEstimator:
     """Tracks latest / smoothed / min RTT and computes the PTO interval.
 
+    The minimum is windowed over :data:`~repro.quic.config.MIN_RTT_WINDOW`.
+
     Parameters
     ----------
     initial_rtt:
         Seed value used for the PTO before any sample exists
         (RFC 9002 recommends 333 ms; CDN deployments use lower).
-    min_rtt_window:
-        Horizon of the windowed minimum, seconds.  BBRv1 uses 10 s.
     """
 
-    def __init__(self, initial_rtt: float = 0.1, min_rtt_window: float = 10.0) -> None:
+    def __init__(self, initial_rtt: float) -> None:
         if initial_rtt <= 0:
             raise ValueError("initial_rtt must be positive")
         self.initial_rtt = initial_rtt
-        self.min_rtt_window = min_rtt_window
         self.latest_rtt: Optional[float] = None
         self.smoothed_rtt: Optional[float] = None
         self.rtt_var: Optional[float] = None
@@ -55,7 +56,7 @@ class RttEstimator:
             raise ValueError("RTT sample must be positive")
         self.latest_rtt = rtt_sample
 
-        if self._min_rtt is None or now - self._min_rtt_time > self.min_rtt_window:
+        if self._min_rtt is None or now - self._min_rtt_time > MIN_RTT_WINDOW:
             self._min_rtt = rtt_sample
             self._min_rtt_time = now
         elif rtt_sample < self._min_rtt:
@@ -74,18 +75,19 @@ class RttEstimator:
             self.rtt_var = 0.75 * self.rtt_var + 0.25 * abs(self.smoothed_rtt - adjusted)
             self.smoothed_rtt = 0.875 * self.smoothed_rtt + 0.125 * adjusted
 
-    def pto(self, max_ack_delay: float = 0.025) -> float:
+    def pto(self) -> float:
         """Probe timeout interval (RFC 9002 §6.2.1), seconds."""
         if self.smoothed_rtt is None:
             return 2.0 * self.initial_rtt
         assert self.rtt_var is not None
-        return self.smoothed_rtt + max(4.0 * self.rtt_var, K_GRANULARITY) + max_ack_delay
+        return self.smoothed_rtt + max(4.0 * self.rtt_var, K_GRANULARITY) + MAX_ACK_DELAY
 
-    def loss_delay(self, factor: float = 9.0 / 8.0) -> float:
+    def loss_delay(self, factor: float) -> float:
         """Time-threshold loss delay, ``factor`` × max(smoothed, latest).
 
-        RFC 9002 uses 9/8; accelerated-recovery schemes pass a lower
-        factor to declare tail losses sooner.
+        RFC 9002 uses 9/8 (``QuicConfig.loss_time_factor``);
+        accelerated-recovery schemes pass a lower factor to declare tail
+        losses sooner.
         """
         if self.smoothed_rtt is None or self.latest_rtt is None:
             return factor * self.initial_rtt

@@ -1,5 +1,7 @@
 """Tests for Table I initialisation and its corner cases."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,10 @@ from repro.core.schemes import (
     make_policy,
 )
 from repro.core.transport_cookie import HxQos
+from repro.quic import Connection, QuicConfig, Role
+from repro.quic.config import MSS, STREAM_FRAME_OVERHEAD
+from repro.simnet.engine import EventLoop
+from repro.simnet.path import NetworkConditions, Path
 
 
 CONFIG = WiraConfig(init_cwnd_exp=44_000, init_rtt_exp=0.080)
@@ -192,3 +198,54 @@ def test_wira_never_exceeds_either_signal_property(ff, bw, rtt):
     assert p.cwnd_bytes <= max(floor, payload_to_wire_bytes(ff))
     assert p.cwnd_bytes <= max(floor, hx.bdp_bytes)
     assert p.pacing_bps >= CONFIG.min_initial_pacing_bps
+
+
+#: Stream bytes one full packet carries.
+CHUNK = MSS - STREAM_FRAME_OVERHEAD
+
+
+def first_ack_finds_response_sent(payload_bytes):
+    """Serve ``payload_bytes`` under a window of
+    ``payload_to_wire_bytes(payload_bytes)`` and an ample pacing rate
+    over a lossless 1 Gbps / 50 ms path; True when the server has no
+    stream data left as the first ACK after the request arrives."""
+    loop = EventLoop()
+    path = Path(loop, NetworkConditions(bandwidth_bps=1e9, rtt=0.050), rng=random.Random(1))
+    config = QuicConfig(initial_rtt=0.05)
+    server = Connection(loop, Role.SERVER, path.send_to_client, config, rng=random.Random(2))
+    client = Connection(loop, Role.CLIENT, path.send_to_server, config, rng=random.Random(3))
+    path.deliver_to_server = server.datagram_received
+    path.deliver_to_client = client.datagram_received
+    left_at_first_ack = []
+
+    def on_request(stream_id, data, fin):
+        if fin:
+            server.cc.set_initial_window(payload_to_wire_bytes(payload_bytes))
+            server.cc.set_initial_pacing_rate(1e9)
+            server.send_stream_data(stream_id, b"x" * payload_bytes, fin=True)
+
+    recovery = server.loss_recovery
+    process_ack = recovery.on_ack_received
+
+    def on_ack_received(ack, now):
+        if server.stats.data_packets_sent and not left_at_first_ack:
+            left_at_first_ack.append(server._pending_stream is not None)
+        return process_ack(ack, now)
+
+    recovery.on_ack_received = on_ack_received
+    server.on_stream_data = on_request
+    client.start()
+    client.send_stream_data(0, b"GET", fin=True)
+    loop.run(max_events=100_000)
+    return left_at_first_ack == [False]
+
+
+@pytest.mark.parametrize(
+    "payload_bytes",
+    [k * CHUNK + d for k in (1, 2, 3, 10, 44, 89) for d in (-1, 0, 1)] + [1, 66_000],
+)
+def test_window_for_payload_admits_it_in_one_flight(payload_bytes):
+    """``payload_to_wire_bytes`` promises the window it returns admits
+    that much stream data in one flight: the packetiser must agree with
+    the packet model, at and around every packet boundary."""
+    assert first_ack_finds_response_sent(payload_bytes)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.cookie_crypto import CookieError, CookieSealer
 from repro.core.transport_cookie import (
+    MAX_CLOCK_SKEW,
     ClientCookieStore,
     HxQos,
     ServerCookieManager,
@@ -189,7 +190,7 @@ class TestServerCookieManager:
         """Regression: a timestamp ahead of the server clock must not pass
         the freshness check — ``now - timestamp > delta`` is false forever
         for a future-dated blob, so it needs its own upper bound."""
-        manager = ServerCookieManager(KEY, staleness_delta=3600.0, max_clock_skew=5.0)
+        manager = ServerCookieManager(KEY, staleness_delta=3600.0)
         frame = manager.build_frame(HxQos(0.05, 8e6, timestamp=1000.0))
         sealed = frame.decoded_metrics()["sealed"]
         assert manager.open_echoed(sealed, now=100.0) is None
@@ -197,14 +198,15 @@ class TestServerCookieManager:
         assert manager.rejected_cookies == 0
 
     def test_small_clock_skew_tolerated(self):
-        manager = ServerCookieManager(KEY, max_clock_skew=5.0)
+        manager = ServerCookieManager(KEY)
         frame = manager.build_frame(HxQos(0.05, 8e6, timestamp=104.0))
         sealed = frame.decoded_metrics()["sealed"]
         # 4 seconds ahead of the server clock: within the allowance.
         assert manager.open_echoed(sealed, now=100.0) is not None
 
     def test_skew_boundary(self):
-        manager = ServerCookieManager(KEY, max_clock_skew=5.0)
+        assert MAX_CLOCK_SKEW == 5.0
+        manager = ServerCookieManager(KEY)
         frame = manager.build_frame(HxQos(0.05, 8e6, timestamp=110.0))
         sealed = frame.decoded_metrics()["sealed"]
         assert manager.open_echoed(sealed, now=104.0) is None  # 6s ahead

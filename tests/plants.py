@@ -88,9 +88,9 @@ PLANTS = (
         (
             (
                 CONNECTION,
-                "                    wait = pacer.time_until_send(mss, now)\n"
+                "                    wait = pacer.time_until_send(MSS, now)\n"
                 "                    if wait > 1e-12:\n",
-                "                    wait = pacer.time_until_send(mss, now)\n"
+                "                    wait = pacer.time_until_send(MSS, now)\n"
                 "                    if wait > 1.0:\n",
             ),
         ),
@@ -111,7 +111,7 @@ PLANTS = (
             (
                 CC_BASE,
                 "        self._cwnd = window_bytes\n",
-                "        self._cwnd = window_bytes // self.mss\n",
+                "        self._cwnd = window_bytes // MSS\n",
             ),
         ),
     ),

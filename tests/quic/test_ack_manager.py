@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quic.ack_manager import AckManager
+from repro.quic.config import ACK_EVERY, MAX_ACK_DELAY
 
 
 def ack_due(mgr, now):
@@ -19,7 +20,8 @@ def test_no_ack_before_packets():
 
 
 def test_every_second_eliciting_packet_acks_immediately():
-    mgr = AckManager(ack_every=2)
+    assert ACK_EVERY == 2
+    mgr = AckManager()
     mgr.on_packet_received(0, ack_eliciting=True, now=0.0)
     assert not ack_due(mgr, 0.0)
     mgr.on_packet_received(1, ack_eliciting=True, now=0.001)
@@ -27,7 +29,8 @@ def test_every_second_eliciting_packet_acks_immediately():
 
 
 def test_single_packet_acks_after_max_ack_delay():
-    mgr = AckManager(max_ack_delay=0.025)
+    assert MAX_ACK_DELAY == pytest.approx(0.025)
+    mgr = AckManager()
     mgr.on_packet_received(0, ack_eliciting=True, now=1.0)
     assert mgr.ack_deadline(1.0) == pytest.approx(1.025)
     assert not ack_due(mgr, 1.01)
@@ -58,11 +61,13 @@ def test_build_ack_with_gaps():
 
 
 def test_reordered_arrival_triggers_immediate_ack():
-    mgr = AckManager(ack_every=10)
+    mgr = AckManager()
     mgr.on_packet_received(5, ack_eliciting=True, now=0.0)
     mgr.build_ack(0.0)
-    mgr.on_packet_received(2, ack_eliciting=True, now=0.1)  # out of order
-    assert ack_due(mgr, 0.1)
+    # One packet since the ACK, inside MAX_ACK_DELAY and short of
+    # ACK_EVERY: only the reorder makes the ACK due.
+    mgr.on_packet_received(2, ack_eliciting=True, now=0.01)  # out of order
+    assert ack_due(mgr, 0.01)
 
 
 def test_duplicate_detection():
@@ -79,7 +84,7 @@ def test_ack_delay_reflects_holding_time():
 
 
 def test_build_ack_resets_pending_state():
-    mgr = AckManager(ack_every=2)
+    mgr = AckManager()
     mgr.on_packet_received(0, ack_eliciting=True, now=0.0)
     mgr.on_packet_received(1, ack_eliciting=True, now=0.0)
     mgr.build_ack(0.0)
@@ -91,11 +96,6 @@ def test_largest_received_tracked():
     mgr.on_packet_received(7, ack_eliciting=False, now=0.0)
     mgr.on_packet_received(3, ack_eliciting=False, now=0.0)
     assert mgr.largest_received == 7
-
-
-def test_invalid_ack_every():
-    with pytest.raises(ValueError):
-        AckManager(ack_every=0)
 
 
 def sorted_set_ranges(received):
@@ -190,13 +190,13 @@ arrival_steps = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), arrival_steps)
-def test_in_order_fast_path_equals_set_reference(ack_every, steps):
+@given(arrival_steps)
+def test_in_order_fast_path_equals_set_reference(steps):
     """Mostly in-order arrivals with gaps, late and duplicate numbers and
     ACKs built in between: duplicates, ranges and the ACK deadline match
     the set-based reference after every step."""
-    mgr = AckManager(max_ack_delay=0.025, ack_every=ack_every)
-    reference = ReferenceAcks(0.025, ack_every)
+    mgr = AckManager()
+    reference = ReferenceAcks(MAX_ACK_DELAY, ACK_EVERY)
     now = 0.0
     next_pn = 0
     for kind, k, eliciting, step in steps:

@@ -23,18 +23,15 @@ from repro.quic.cc.bbr import (
     BbrMode,
     BbrSender,
     HIGH_GAIN,
-    MIN_RTT_WINDOW,
     PACING_GAIN_CYCLE,
     PROBE_RTT_DURATION,
 )
-from repro.quic.config import QuicConfig
+from repro.quic.config import MIN_RTT_WINDOW, MSS, QuicConfig
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 from repro.simnet.path import NetworkConditions
 from repro.simnet.schedule import OutageWindow, PathSchedule
 
-
-MSS = 1252
 
 #: BBRv1's legal state-machine edges: STARTUP -> DRAIN -> PROBE_BW;
 #: PROBE_RTT entered from DRAIN or PROBE_BW once the min-RTT estimate
@@ -53,8 +50,8 @@ LEGAL_EDGES = frozenset(
 Edge = Tuple[str, str]
 
 
-def make_bbr(**kwargs):
-    return BbrSender(rtt=RttEstimator(initial_rtt=0.05), mss=MSS, **kwargs)
+def make_bbr():
+    return BbrSender(rtt=RttEstimator(initial_rtt=0.05))
 
 
 def drive(bbr, rounds, bw_bps=8e6, rtt=0.05, start_pn=0, start_time=0.0):

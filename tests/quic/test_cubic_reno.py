@@ -4,10 +4,9 @@ import pytest
 
 from repro.quic.cc import make_controller
 from repro.quic.cc.cubic import CubicSender
+from repro.quic.config import MSS
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
-
-MSS = 1252
 
 
 def packet(pn, t=0.0, size=MSS):
@@ -16,15 +15,15 @@ def packet(pn, t=0.0, size=MSS):
 
 @pytest.fixture(params=[CubicSender])
 def sender(request):
-    return request.param(rtt=RttEstimator(initial_rtt=0.05), mss=MSS)
+    return request.param(rtt=RttEstimator(initial_rtt=0.05))
 
 
 def test_registry_contains_all_controllers():
     for name in ("bbr", "bbrv2", "cubic"):
-        controller = make_controller(name)
+        controller = make_controller(name, RttEstimator(initial_rtt=0.05))
         assert controller.congestion_window > 0
     with pytest.raises(ValueError):
-        make_controller("vegas")
+        make_controller("vegas", RttEstimator(initial_rtt=0.05))
 
 
 def test_slow_start_doubles_per_round(sender):
@@ -79,7 +78,7 @@ def test_wira_initial_pacing_until_first_rtt_sample(sender):
 
 
 def test_cubic_grows_after_recovery():
-    cubic = CubicSender(rtt=RttEstimator(initial_rtt=0.05), mss=MSS)
+    cubic = CubicSender(rtt=RttEstimator(initial_rtt=0.05))
     cubic.rtt.update(0.05, now=0.0)
     for i in range(10):
         cubic.on_packet_sent(packet(i), i * MSS, 0.0)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.quic.config import QuicConfig
 from repro.quic.frames import AckFrame
-from repro.quic.loss_recovery import GC_KEEP_WINDOW, K_PACKET_THRESHOLD, LossRecovery
+from repro.quic.loss_recovery import GC_KEEP_WINDOW, LossRecovery
 from repro.quic.rtt import RttEstimator
 from repro.quic.sent_packet import SentPacket
 
@@ -25,7 +26,7 @@ def ack(largest, ranges=None, delay_us=0):
 
 
 def make_recovery():
-    return LossRecovery(RttEstimator(initial_rtt=0.1))
+    return LossRecovery(RttEstimator(initial_rtt=0.1), QuicConfig())
 
 
 def test_bytes_in_flight_accounting():
@@ -91,7 +92,7 @@ def test_loss_time_armed_for_pending_packet():
     lr.on_packet_sent(sent(1, t=0.001))
     lr.on_ack_received(ack(1, [(1, 1)]), now=0.05)
     assert lr.loss_time is not None
-    assert lr.loss_time == pytest.approx(0.0 + lr.rtt.loss_delay())
+    assert lr.loss_time == pytest.approx(0.0 + lr.rtt.loss_delay(lr.time_factor))
 
 
 def test_lost_bytes_removed_from_flight():
@@ -107,7 +108,7 @@ def test_pto_deadline_tracks_last_eliciting_send():
     lr = make_recovery()
     lr.on_packet_sent(sent(0, t=1.0))
     deadline = lr.pto_deadline()
-    assert deadline == pytest.approx(1.0 + lr.rtt.pto(lr.max_ack_delay))
+    assert deadline == pytest.approx(1.0 + lr.rtt.pto())
 
 
 def test_pto_backoff_doubles():
@@ -269,8 +270,8 @@ def test_range_walk_equals_enumeration(steps):
     """Random send / ack / lose / late-ack sequences: the walk over what
     is outstanding returns what the enumeration returned — the same
     packets in the same (descending) order — and leaves the same state."""
-    pair = [LossRecovery(RttEstimator(initial_rtt=0.1)),
-            EnumeratingRecovery(RttEstimator(initial_rtt=0.1))]
+    pair = [LossRecovery(RttEstimator(initial_rtt=0.1), QuicConfig()),
+            EnumeratingRecovery(RttEstimator(initial_rtt=0.1), QuicConfig())]
     now = 0.0
     next_pn = 0
     for kind, dt, salt in steps:
@@ -341,7 +342,7 @@ def test_timer_before_loss_time_declares_nothing(steps, fraction):
     at any instant before ``loss_time`` declares nothing and leaves
     ``loss_time``, ``bytes_in_flight`` and the unresolved views as they
     were — the same ``largest_acked`` and RTT armed it."""
-    lr = LossRecovery(RttEstimator(initial_rtt=0.1))
+    lr = LossRecovery(RttEstimator(initial_rtt=0.1), QuicConfig())
     now = 0.0
     next_pn = 0
     for kind, dt, salt in steps:
@@ -395,8 +396,8 @@ def test_gated_loss_timer_equals_detection_on_every_fire(steps):
     """Sends, ACKs (some for numbers not sent yet), handshake RTT samples
     and timer fires at random instants: the gated timer declares what
     detection on every fire declares, and leaves the same state."""
-    pair = [LossRecovery(RttEstimator(initial_rtt=0.1)),
-            UngatedRecovery(RttEstimator(initial_rtt=0.1))]
+    pair = [LossRecovery(RttEstimator(initial_rtt=0.1), QuicConfig()),
+            UngatedRecovery(RttEstimator(initial_rtt=0.1), QuicConfig())]
     now = 0.0
     next_pn = 0
     for kind, dt, salt in steps:

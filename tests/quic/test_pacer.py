@@ -62,10 +62,10 @@ def test_pacing_spreads_packets_at_rate():
 
 def test_invalid_parameters():
     with pytest.raises(ValueError):
-        Pacer(rate_bps=0.0)
+        Pacer(rate_bps=0.0, burst_bytes=1_000)
     with pytest.raises(ValueError):
         Pacer(rate_bps=1.0, burst_bytes=0)
-    pacer = Pacer(rate_bps=1.0)
+    pacer = Pacer(rate_bps=1.0, burst_bytes=1_000)
     with pytest.raises(ValueError):
         pacer.set_rate(0.0, now=0.0)
 

@@ -54,6 +54,11 @@ TYPED_ZONE: Tuple[str, ...] = (
     # extension API, so their signatures are part of the contract.
     "src/repro/core/schemes",
     "src/repro/core/adaptive",
+    # The packet model, the Wira knobs and the cookie manager: they read
+    # the transport's constants, so they are held to its contract.
+    "src/repro/core/initializer",
+    "src/repro/core/config",
+    "src/repro/core/transport_cookie",
     # The replay core every engine shares: chain worlds, per-scheme
     # replay state, the block replay.
     "src/repro/experiments/common",
